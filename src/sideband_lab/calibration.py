@@ -4,7 +4,9 @@ Covers the measurement chain around the spectra: sideband-linewidth versus
 pump power, temperature-sweep thermometry, the noise-floor increase budget,
 the output-port occupation fit, and the shunt-capacitor transmission model
 that explains the asymmetric |S21|. Every fit goes through the deterministic
-Gauss-Newton engine in `fitting`.
+Gauss-Newton engine in `fitting`. `invert_measurements` is the one inversion
+of the measurement tables; measured files and the synthetic pipeline both
+feed it.
 
 Power-like quantities are taken in watts (or any consistent power-density
 unit matched to the conversion factor lambda); occupations are quanta.
@@ -13,12 +15,12 @@ unit matched to the conversion factor lambda); occupations are quanta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import hbar
 
-from .errors import ConfigError, DegenerateData, RankDeficient, UnbalancedError
+from .errors import ConfigError, DegenerateData, RankDeficient
 from .fitting import LorentzianFit, fit_lorentzian, gauss_newton
 from .model import (
     TWO_PI,
@@ -47,6 +49,7 @@ __all__ = [
     "transmission_delta",
     "delta_from_power_ratio",
     "fit_shunt_capacitance",
+    "invert_measurements",
     "run_synthetic_calibration",
 ]
 
@@ -157,12 +160,7 @@ def sideband_difference_and_average(params: SystemParams, baths: BathSpec,
     + ((2 kappa_r - kappa)/kappa_r) n_r + 1; the average adds the
     backaction-heating and cooling-dilution terms. Requires balanced probes.
     """
-    if not config.is_balanced(params):
-        gp, gm = config.gamma_opt_pair(params)
-        raise UnbalancedError(
-            f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
-        )
-    gamma_opt, _ = config.gamma_opt_pair(params)
+    gamma_opt = config.require_balanced(params)
     gamma_cool = config.cooling_gamma_opt(params)
     gamma_big_m = config.gamma_big_m(params)
     kr, k = params.kappa_r, params.kappa
@@ -281,6 +279,38 @@ def fit_shunt_capacitance(omega: np.ndarray, s21_mag: np.ndarray,
     return ShuntModel(c_out=float(abs(p[0])), r_l=r_l)
 
 
+def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, *,
+                        lambda_conv: float = 0.27, r_l: float = 50.0) -> dict:
+    """Fit the calibration chain to measurement tables in their file units.
+
+    ``tables`` maps any names of `dataio.CALIBRATION_TABLES` to (x, y) arrays.
+    "linewidth_vs_power" gives gamma_m_fit, linewidth_slope and g0_fit;
+    "s21_db" gives c_out_fit and delta_minus/delta_plus at the probe
+    frequencies omega_c -+ (omega_m + delta); "output_floor" gives n_r_fit,
+    n_r_err and amplifier_floor_fit. Absent tables leave their keys out.
+    """
+    fit: dict = {}
+    if "linewidth_vs_power" in tables:
+        power, gamma_hz = tables["linewidth_vs_power"]
+        gamma_m, slope = fit_linewidth_vs_power(np.column_stack([power, TWO_PI * gamma_hz]))
+        fit.update(gamma_m_fit=gamma_m, linewidth_slope=slope,
+                   g0_fit=math.sqrt(max(slope, 0.0) * params.kappa / 4.0))
+    if "s21_db" in tables:
+        f_hz, mag_db = tables["s21_db"]
+        shunt = fit_shunt_capacitance(TWO_PI * f_hz, 10.0 ** (mag_db / 20.0), params, r_l)
+        detuning = params.omega_m + config.delta
+        fit.update(c_out_fit=shunt.c_out,
+                   delta_minus=float(transmission_delta(params, shunt, params.omega_c + detuning)),
+                   delta_plus=float(transmission_delta(params, shunt, params.omega_c - detuning)))
+    if "output_floor" in tables:
+        f_hz, value = tables["output_floor"]
+        order = np.argsort(f_hz, kind="stable")
+        spec = Spectrum(TWO_PI * f_hz[order] - params.omega_c, value[order])
+        occ = fit_output_occupation(spec, params, lambda_conv)
+        fit.update(n_r_fit=occ.n_r, n_r_err=occ.n_r_err, amplifier_floor_fit=occ.amplifier_floor)
+    return fit
+
+
 def _linear_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
     return float(x @ y / (x @ x))
 
@@ -292,100 +322,88 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
                               gains=(1.0, 1.0)) -> dict:
     """Generate synthetic measurements from the forward models and invert them.
 
-    Chain: linewidth-vs-power fit (gamma_m, g0), |S21| shunt fit (C_out and
-    the Delta corrections), temperature-sweep thermometry (conversion
-    slopes), pump-off floor fit (n_r), and a sideband-imbalance closure from
-    Lorentzian fits of the twin-peak spectra (n_eff). Gaussian noise of
-    relative size ``noise_level`` is added to every synthetic measurement.
+    The linewidth-vs-power sweep, |S21| trace and pump-off floor are built as
+    the measurement tables of `invert_measurements` (returned under
+    "measurements") and inverted by it. The synthetic-only stages follow:
+    temperature-sweep thermometry (conversion slopes), a sideband-imbalance
+    closure from Lorentzian fits of the twin-peak spectra (n_eff), and the
+    truth and error keys. Gaussian noise of relative size ``noise_level`` is
+    added to every synthetic measurement.
     """
-    rng = np.random.default_rng(seed)
     shunt = shunt or ShuntModel(c_out=2.7e-15)
-
-    def noisy(arr):
-        arr = np.asarray(arr, dtype=float)
-        if noise_level == 0.0:
-            return arr
-        return arr * (1.0 + noise_level * rng.standard_normal(arr.shape))
-
-    report: dict = {"seed": seed, "noise_level": noise_level}
-
-    # 1) sideband linewidth vs pump photon number
     n_p = np.logspace(3, 7, 9)
+    span = 10.0 * (params.omega_m + config.delta)
+    # probe frequencies in Hz as the tables record them; the models are
+    # evaluated at the rates read back from them, so noise-free tables are exact
+    s21_hz = (params.omega_c + np.linspace(-span, span, 801)) / TWO_PI
+    floor_hz = (params.omega_c + np.linspace(-2.0 * params.kappa, 2.0 * params.kappa, 401)) / TWO_PI
+    temps = np.linspace(0.02, 0.2, 8)
+    gamma_tot = config.gamma_tot(params)
+    peak_grid = np.linspace(-25.0 * gamma_tot, 25.0 * gamma_tot, 1201)
+    # relative-noise factors, drawn in the order of the stages they perturb
+    rng = np.random.default_rng(seed)
+    f_lw, f_s21, f_therm_p, f_therm_m, f_floor, f_anti, f_stokes = (
+        1.0 + noise_level * rng.standard_normal(size)
+        for size in (n_p.size, s21_hz.size, temps.size, temps.size, floor_hz.size,
+                     peak_grid.size, peak_grid.size)
+    )
+
+    # 1) linewidth vs pump photon number, |S21| trace and pump-off floor
     gamma_true = params.gamma_m + 4.0 * params.g0**2 * n_p / params.kappa
-    gamma_m_fit, slope = fit_linewidth_vs_power(np.column_stack([n_p, noisy(gamma_true)]))
-    g0_fit = math.sqrt(max(slope, 0.0) * params.kappa / 4.0)
-    report["gamma_m_fit"] = gamma_m_fit
-    report["g0_fit"] = g0_fit
-    report["g0_true"] = params.g0
+    mag = np.abs(s21_shunt(params, shunt, TWO_PI * s21_hz)) * f_s21
+    floor = output_floor_model(params, lambda_conv, TWO_PI * floor_hz - params.omega_c,
+                               baths.n_r, 12.0) * f_floor
+    tables = {
+        "linewidth_vs_power": (n_p, gamma_true * f_lw / TWO_PI),
+        "s21_db": (s21_hz, 20.0 * np.log10(mag)),
+        "output_floor": (floor_hz, floor),
+    }
+    report: dict = {
+        "seed": seed, "noise_level": noise_level, "measurements": tables,
+        **invert_measurements(params, config, tables, lambda_conv=lambda_conv, r_l=shunt.r_l),
+        "g0_true": params.g0, "c_out_true": shunt.c_out, "n_r_true": baths.n_r,
+    }
+    g0_fit, delta_plus, delta_minus = report["g0_fit"], report["delta_plus"], report["delta_minus"]
     report["g0_rel_err"] = abs(g0_fit - params.g0) / params.g0
 
-    # 2) |S21| trace and shunt capacitance
-    span = 10.0 * (params.omega_m + config.delta)
-    w_grid = params.omega_c + np.linspace(-span, span, 801)
-    mag_true = np.abs(s21_shunt(params, shunt, w_grid))
-    shunt_fit = fit_shunt_capacitance(w_grid, noisy(mag_true), params, shunt.r_l)
-    omega_minus = params.omega_c + (params.omega_m + config.delta)
-    omega_plus = params.omega_c - (params.omega_m + config.delta)
-    delta_minus = float(transmission_delta(params, shunt_fit, omega_minus))
-    delta_plus = float(transmission_delta(params, shunt_fit, omega_plus))
-    report["c_out_fit"] = shunt_fit.c_out
-    report["c_out_true"] = shunt.c_out
-    report["delta_minus"] = delta_minus
-    report["delta_plus"] = delta_plus
-
-    # 3) thermometry temperature sweep at low power
-    temps = np.linspace(0.02, 0.2, 8)
+    # 2) thermometry temperature sweep at low power
     n_ms = np.array([bose_occupation(t, params.omega_m) for t in temps])
-    ratios_p = noisy([thermometry_ratio(params, gains, delta_plus, +1, nm) for nm in n_ms])
-    ratios_m = noisy([thermometry_ratio(params, gains, delta_minus, -1, nm) for nm in n_ms])
+    ratios_p = np.array([thermometry_ratio(params, gains, delta_plus, +1, nm)
+                         for nm in n_ms]) * f_therm_p
+    ratios_m = np.array([thermometry_ratio(params, gains, delta_minus, -1, nm)
+                         for nm in n_ms]) * f_therm_m
     slope_p = _linear_slope_through_origin(n_ms, ratios_p)
     slope_m = _linear_slope_through_origin(n_ms, ratios_m)
-    report["conversion_slope_plus"] = slope_p
-    report["conversion_slope_minus"] = slope_m
-    report["conversion_ratio"] = slope_m / slope_p
-
-    gamma_opt, _ = config.gamma_opt_pair(params)
-    n_p_cal = 500.0
-    run = CalibrationRun(
+    report.update(conversion_slope_plus=slope_p, conversion_slope_minus=slope_m,
+                  conversion_ratio=slope_m / slope_p)
+    # through power of each probe at n_p = 500 is this times omega_pump (1 + Delta)
+    through = gains[1] * hbar * params.kappa_r * 500.0
+    detuning = params.omega_m + config.delta
+    through_p = through * (params.omega_c - detuning) * (1.0 + delta_plus)
+    through_m = through * (params.omega_c + detuning) * (1.0 + delta_minus)
+    report["calibration_run"] = CalibrationRun(
         temperatures=temps,
-        sideband_powers_plus=ratios_p * gains[1] * hbar * omega_plus
-        * (1.0 + delta_plus) * params.kappa_r * n_p_cal,
-        sideband_powers_minus=ratios_m * gains[1] * hbar * omega_minus
-        * (1.0 + delta_minus) * params.kappa_r * n_p_cal,
-        through_powers_plus=np.full_like(temps, gains[1] * hbar * omega_plus
-                                         * (1.0 + delta_plus) * params.kappa_r * n_p_cal),
-        through_powers_minus=np.full_like(temps, gains[1] * hbar * omega_minus
-                                          * (1.0 + delta_minus) * params.kappa_r * n_p_cal),
+        sideband_powers_plus=ratios_p * through_p,
+        sideband_powers_minus=ratios_m * through_m,
+        through_powers_plus=np.full_like(temps, through_p),
+        through_powers_minus=np.full_like(temps, through_m),
         conversion_slope_plus=slope_p,
         conversion_slope_minus=slope_m,
         g0=g0_fit,
     )
-    report["calibration_run"] = run
 
-    # 4) pump-off floor across the cavity line
-    grid = np.linspace(-2.0 * params.kappa, 2.0 * params.kappa, 401)
-    floor_true = output_floor_model(params, lambda_conv, grid, baths.n_r, 12.0)
-    occ = fit_output_occupation(Spectrum(grid, noisy(floor_true)), params, lambda_conv)
-    report["n_r_fit"] = occ.n_r
-    report["n_r_err"] = occ.n_r_err
-    report["n_r_true"] = baths.n_r
-    report["amplifier_floor_fit"] = occ.amplifier_floor
-
-    # 5) sideband-imbalance closure from Lorentzian fits of the twin peaks
-    gamma_tot = config.gamma_tot(params)
-    peak_grid = np.linspace(-25.0 * gamma_tot, 25.0 * gamma_tot, 1201)
+    # 3) sideband-imbalance closure from Lorentzian fits of the twin peaks
+    gamma_opt, _ = config.gamma_opt_pair(params)
     spectra = multitone_spectra(params, baths, config, "symmetrized", peak_grid)
     pref = params.kappa_r / params.kappa
-    fits = {}
-    for name, spec in (("anti_stokes", spectra.anti_stokes), ("stokes", spectra.stokes)):
-        noisy_spec = Spectrum(spec.freq_offsets, noisy(spec.values))
-        fits[name] = fit_lorentzian(noisy_spec)
+    fits = {name: fit_lorentzian(Spectrum(spec.freq_offsets, spec.values * factor))
+            for name, spec, factor in (("anti_stokes", spectra.anti_stokes, f_anti),
+                                       ("stokes", spectra.stokes, f_stokes))}
     n_plus = fits["anti_stokes"].amplitude * fits["anti_stokes"].width / 4.0 / (pref * gamma_opt)
     n_minus = fits["stokes"].amplitude * fits["stokes"].width / 4.0 / (pref * gamma_opt)
-    report["n_plus_fit"] = n_plus
-    report["n_minus_fit"] = n_minus
+    report.update(n_plus_fit=n_plus, n_minus_fit=n_minus)
     report["uncertainties"] = {
-        "n_r": occ.n_r_err,
+        "n_r": report["n_r_err"],
         "stokes_width": fits["stokes"].uncertainty("width"),
         "anti_stokes_width": fits["anti_stokes"].uncertainty("width"),
         "stokes_amplitude": fits["stokes"].uncertainty("amplitude"),

@@ -19,18 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .calibration import (
-    fit_linewidth_vs_power,
-    fit_output_occupation,
-    fit_shunt_capacitance,
-    run_synthetic_calibration,
-    transmission_delta,
-)
-from .config import config_hash, describe_run, load_config
+from .calibration import invert_measurements, run_synthetic_calibration
+from .config import describe_run, load_config
 from .dataio import (
     RunManifest,
     file_sha256,
-    read_xy_csv,
+    read_calibration_tables,
+    write_calibration_tables,
     write_components_csv,
     write_manifest,
     write_spectrum_csv,
@@ -45,7 +40,7 @@ from .errors import (
 )
 from .langevin import SimConfig, oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
-from .model import TWO_PI, Spectrum, validate_stability
+from .model import validate_stability
 from .multitone import (
     averaged_occupation,
     full_rwa_spectrum,
@@ -102,40 +97,33 @@ def cmd_spectrum(args) -> int:
     kind = {"sym": "symmetrized", "normal": "normal_ordered"}[args.kind]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
+    path = out / "spectrum.csv"
 
     if args.mode == "single":
         tone, sign = _probe_tone(config, args.sign)
         validate_stability(params, tone)
         gamma_tot = params.gamma_m + sign * tone.gamma_opt(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
-        spec = single_tone_spectrum(params, baths, tone, sign, kind, grid)
-        path = out / "spectrum.csv"
-        write_spectrum_csv(path, spec)
-        outputs.append(path.name)
+        write_spectrum_csv(path, single_tone_spectrum(params, baths, tone, sign, kind, grid))
     elif args.mode == "multitone":
         validate_stability(params, config)
         gamma_tot = config.gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
         spectra = multitone_spectra(params, baths, config, kind, grid)
-        path = out / "spectrum.csv"
         write_components_csv(path, {"anti_stokes": spectra.anti_stokes,
                                     "stokes": spectra.stokes})
-        outputs.append(path.name)
     else:  # full-rwa
         validate_stability(params, config)
         grid = np.linspace(-4.0 * config.delta, 4.0 * config.delta, args.points)
-        comps = full_rwa_spectrum(params, baths, config, grid, components=True)
-        path = out / "spectrum.csv"
+        comps = full_rwa_spectrum(params, baths, config, grid, kind=kind, components=True)
         write_components_csv(path, {k: comps[k] for k in
                                     ("total", "floor", "mixing", "stokes", "anti_stokes")})
-        outputs.append(path.name)
 
     desc = describe_run(params, baths, config, extra={"command": "spectrum",
                                                       "kind": kind, "mode": args.mode})
     write_manifest(out, RunManifest(command="spectrum", config_hash=desc["config_hash"],
-                                    outputs=outputs, tool_version=__version__))
-    print(str(out / "spectrum.csv"))
+                                    outputs=[path.name]))
+    print(str(path))
     return 0
 
 
@@ -186,78 +174,39 @@ def cmd_oracle_compare(args) -> int:
     (out / "report.json").write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
     write_manifest(out, RunManifest(command="oracle-compare", config_hash=report["config_hash"],
                                     outputs=["report.json", "mc_spectrum.csv", "analytic_spectrum.csv"],
-                                    seed=args.seed, tool_version=__version__))
+                                    seed=args.seed))
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_calibrate(args) -> int:
+    """Invert measurement tables: synthetic ones (also written as CSVs) or --data files."""
+    params, baths, config = _load(args)
+    extra = {"command": "calibrate", "lambda_conv": args.lambda_conv}
+    if args.synthetic:
+        report = run_synthetic_calibration(params, baths, config, lambda_conv=args.lambda_conv,
+                                           seed=args.seed, noise_level=args.noise)
+        tables = report.pop("measurements")
+        extra.update(mode="synthetic", seed=args.seed, noise=args.noise)
+    elif args.data:
+        data = Path(args.data)
+        tables = read_calibration_tables(data)
+        report = invert_measurements(params, config, tables, lambda_conv=args.lambda_conv)
+        report["inputs"] = {f"{name}.csv": file_sha256(data / f"{name}.csv") for name in tables}
+        extra.update(mode="data", inputs=report["inputs"])
+    else:
+        raise ConfigError("either --synthetic or --data DIR is required")
+    report["mode"] = extra["mode"]
+    report["config_hash"] = describe_run(params, baths, config, extra=extra)["config_hash"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.synthetic:
-        params, baths, config = _load(args)
-        report = run_synthetic_calibration(params, baths, config, seed=args.seed,
-                                           noise_level=args.noise)
-        report["mode"] = "synthetic"
-        report["config_hash"] = describe_run(params, baths, config,
-                                             extra={"seed": args.seed})["config_hash"]
-    else:
-        if not args.data:
-            raise ConfigError("either --synthetic or --data DIR is required")
-        params, baths, config = _load(args)
-        report = _calibrate_from_files(Path(args.data), params, args)
     path = out / "calibration_report.json"
     path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    outputs = [path.name] + (write_calibration_tables(out, tables) if args.synthetic else [])
     write_manifest(out, RunManifest(command="calibrate", config_hash=report["config_hash"],
-                                    outputs=[path.name], seed=args.seed,
-                                    tool_version=__version__))
+                                    outputs=outputs, seed=args.seed if args.synthetic else None))
     print(str(path))
     return 0
-
-
-def _calibrate_from_files(data_dir: Path, params, args) -> dict:
-    """Ingest whichever calibration CSVs are present in ``data_dir``.
-
-    Recognized files: linewidth_vs_power.csv (# power,gamma_tot_hz),
-    s21_db.csv (# freq_hz,mag_db), output_floor.csv (# freq_hz,value).
-    """
-    report: dict = {"mode": "data", "inputs": {}}
-    found = False
-    lw = data_dir / "linewidth_vs_power.csv"
-    if lw.exists():
-        found = True
-        p, g_hz = read_xy_csv(lw)
-        gamma_m, slope = fit_linewidth_vs_power(np.column_stack([p, TWO_PI * g_hz]))
-        report["gamma_m_fit"] = gamma_m
-        report["linewidth_slope"] = slope
-        report["g0_fit"] = float(np.sqrt(max(slope, 0.0) * params.kappa / 4.0))
-        report["inputs"][lw.name] = file_sha256(lw)
-    s21 = data_dir / "s21_db.csv"
-    if s21.exists():
-        found = True
-        f_hz, mag_db = read_xy_csv(s21)
-        shunt = fit_shunt_capacitance(TWO_PI * f_hz, 10.0 ** (mag_db / 20.0), params)
-        report["c_out_fit"] = shunt.c_out
-        report["delta_minus"] = float(transmission_delta(
-            params, shunt, params.omega_c + params.omega_m))
-        report["inputs"][s21.name] = file_sha256(s21)
-    floor = data_dir / "output_floor.csv"
-    if floor.exists():
-        found = True
-        f_hz, val = read_xy_csv(floor)
-        order = np.argsort(f_hz)
-        spec = Spectrum(TWO_PI * f_hz[order] - params.omega_c, val[order])
-        occ = fit_output_occupation(spec, params, args.lambda_conv)
-        report["n_r_fit"] = occ.n_r
-        report["amplifier_floor_fit"] = occ.amplifier_floor
-        report["inputs"][floor.name] = file_sha256(floor)
-    if not found:
-        raise ConfigError(
-            f"no recognized calibration files in {data_dir} "
-            "(expected linewidth_vs_power.csv, s21_db.csv or output_floor.csv)"
-        )
-    report["config_hash"] = config_hash(report["inputs"])
-    return report
 
 
 def cmd_noise_constraint(args) -> int:
@@ -341,10 +290,7 @@ def main(argv=None) -> int:
     except _GATE_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ConfigError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except SidebandLabError as exc:
+    except (SidebandLabError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -2,33 +2,49 @@
 
 Spectrum CSV format: a `# offset_hz,value_quanta` header line, one row per
 grid point, offsets in Hz (angular rates divided by 2*pi at this boundary).
-Component files add a third column with the component name. Calibration
-ingestion uses the same reader with `# freq_hz,value` headers.
+Component files add a third column with the component name. The
+calibration measurement tables use the same two-column format; their file
+names and headers are listed in `CALIBRATION_TABLES`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 from .model import TWO_PI, Spectrum
 
 __all__ = [
-    "write_spectrum_csv", "read_spectrum_csv", "read_xy_csv",
-    "write_components_csv", "RunManifest", "write_manifest", "file_sha256",
+    "write_spectrum_csv", "read_spectrum_csv", "read_xy_csv", "write_xy_csv",
+    "write_components_csv", "CALIBRATION_TABLES", "read_calibration_tables",
+    "write_calibration_tables", "RunManifest", "write_manifest", "file_sha256",
 ]
+
+#: Calibration measurement tables, stored as ``<name>.csv``: name -> header.
+#: Units: pump power (any unit) vs total linewidth in Hz; probe frequency in
+#: Hz vs |S21| in dB; frequency in Hz vs pump-off detected floor.
+CALIBRATION_TABLES = {
+    "linewidth_vs_power": "# power,gamma_tot_hz",
+    "s21_db": "# freq_hz,mag_db",
+    "output_floor": "# freq_hz,value",
+}
+
+
+def write_xy_csv(path, header: str, x, y) -> None:
+    """Two-column CSV; floats are written in shortest-repr form and read back exactly."""
+    lines = [header] + [f"{float(a)!r},{float(b)!r}" for a, b in zip(x, y)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_spectrum_csv(path, spec: Spectrum, header: str = "# offset_hz,value_quanta") -> None:
-    lines = [header]
-    for x, v in zip(spec.freq_offsets, spec.values):
-        lines.append(f"{float(x) / TWO_PI!r},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_xy_csv(path, header, spec.freq_offsets / TWO_PI, spec.values)
 
 
 def write_components_csv(path, components: dict[str, Spectrum],
@@ -41,20 +57,45 @@ def write_components_csv(path, components: dict[str, Spectrum],
 
 
 def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column numeric CSV with `#` comment lines; returns (x, y) as given."""
+    """Two-column numeric CSV with `#` comment lines; returns (x, y) as given.
+    A short row or a non-numeric or non-finite cell is a ConfigError naming the line."""
     xs, ys = [], []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) < 2:
-            raise ConfigError(f"{path}: expected at least two columns, got {line!r}")
-        xs.append(float(parts[0]))
-        ys.append(float(parts[1]))
+            raise ConfigError(f"{path}:{lineno}: expected at least two columns, got {line!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: non-numeric cell in {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigError(f"{path}:{lineno}: non-finite value in {line!r}")
+        xs.append(x)
+        ys.append(y)
     if not xs:
         raise ConfigError(f"{path}: no data rows")
     return np.asarray(xs), np.asarray(ys)
+
+
+def read_calibration_tables(directory) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Every calibration table present in ``directory``, keyed by table name."""
+    paths = {name: Path(directory) / f"{name}.csv" for name in CALIBRATION_TABLES}
+    tables = {name: read_xy_csv(path) for name, path in paths.items() if path.exists()}
+    if not tables:
+        expected = ", ".join(f"{name}.csv" for name in CALIBRATION_TABLES)
+        raise ConfigError(f"no recognized calibration files in {directory} "
+                          f"(expected one of {expected})")
+    return tables
+
+
+def write_calibration_tables(directory, tables: dict) -> list[str]:
+    """Write each (x, y) table as ``<name>.csv``; returns the file names."""
+    for name, (x, y) in tables.items():
+        write_xy_csv(Path(directory) / f"{name}.csv", CALIBRATION_TABLES[name], x, y)
+    return [f"{name}.csv" for name in tables]
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -76,7 +117,7 @@ class RunManifest:
     config_hash: str
     outputs: list[str] = field(default_factory=list)
     seed: int | None = None
-    tool_version: str = "0.1.0"
+    tool_version: str = __version__
 
     def to_dict(self) -> dict:
         return asdict(self)

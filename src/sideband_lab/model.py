@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InstabilityError, ValidityError
+from .errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 
 TWO_PI = 2.0 * math.pi
 
@@ -248,10 +248,15 @@ class ToneConfig:
         gp, gm = self.gamma_opt_pair(params)
         return self.gamma_big_m(params) + gp - gm
 
-    def is_balanced(self, params: SystemParams, rel_tol: float = 1e-12) -> bool:
+    def require_balanced(self, params: SystemParams, rel_tol: float = 1e-12) -> float:
+        """Balanced-probe gate: the common gamma_opt, or UnbalancedError when
+        gamma_opt^+ and gamma_opt^- differ by more than ``rel_tol``."""
         gp, gm = self.gamma_opt_pair(params)
-        scale = max(gp, gm, 1e-300)
-        return abs(gp - gm) <= rel_tol * scale
+        if not abs(gp - gm) <= rel_tol * max(gp, gm, 1e-300):
+            raise UnbalancedError(
+                f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
+            )
+        return gp
 
     @classmethod
     def balanced(cls, params: SystemParams, *, delta: float, probe_gamma_opt: float,
@@ -374,5 +379,7 @@ def bose_occupation(temperature_k: float, omega: float) -> float:
     """Thermal occupation 1/(exp(hbar*omega/kT) - 1) for omega in rad/s."""
     from scipy.constants import hbar, k as k_b
 
+    if not temperature_k > 0.0:
+        raise ConfigError(f"temperature must be positive, got {temperature_k!r} K")
     x = hbar * omega / (k_b * temperature_k)
     return 1.0 / math.expm1(x)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
+from .errors import ConfigError, InstabilityError, ValidityError
 from .model import (
     BathSpec,
     Spectrum,
@@ -158,9 +158,7 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
     gamma_tot = _separation_gate(params, config, enforce_separation)
     gp, gm = config.gamma_opt_pair(params)
     anti_br, stokes_br = _brackets(params, baths, config, kind)
-    floor = noise_floor(params, baths)
-    if kind == "normal_ordered":
-        floor = floor - baths.alpha_r / 2.0
+    floor = noise_floor(params, baths, kind)
     x = np.asarray(grid, dtype=float)
     lor = gamma_tot / (x**2 + gamma_tot**2 / 4.0)
     pref = params.kappa_r / params.kappa
@@ -214,41 +212,35 @@ def sideband_ratio_model(n_m_plus: float, n_eff: float) -> float:
 
 
 def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                      grid: np.ndarray, *, components: bool = False):
+                      grid: np.ndarray, *, kind: str = "symmetrized", components: bool = False):
     """Complete twin-peak spectrum for balanced probes, including the mixing term.
 
     S[omega] = S0 + mixing + anti-Stokes Lorentzian + Stokes Lorentzian, with
     mixing = -(4 kappa_r/kappa) gamma_opt^2 [(omega - delta)(omega + delta)
     + gamma_M^2/4] / (both Lorentzian denominators) * (n_c + 1/2). Grid is
-    absolute offsets from the cavity; peaks sit at -+delta.
+    absolute offsets from the cavity; peaks sit at -+delta. ``kind`` picks the
+    ordering as in `multitone_spectra`, for the floor and the Stokes bracket.
 
     With ``components=True`` returns a dict with entries
     {"total", "floor", "mixing", "stokes", "anti_stokes"}.
     """
     params.require_good_cavity()
-    if not config.is_balanced(params):
-        gp, gm = config.gamma_opt_pair(params)
-        raise UnbalancedError(
-            f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
-        )
+    gamma_opt = config.require_balanced(params)
     validate_stability(params, config)
-    gp, _ = config.gamma_opt_pair(params)
-    gamma_opt = gp
     gamma_big_m = config.gamma_big_m(params)
     delta = config.delta
-    n_bar = averaged_occupation(params, baths, config)
-    n_eff = baths.n_eff(params)
+    anti_br, stokes_br = _brackets(params, baths, config, kind)
     n_c = baths.n_c(params)
     pref = params.kappa_r / params.kappa
-    floor = noise_floor(params, baths)
+    floor = noise_floor(params, baths, kind)
 
     x = np.asarray(grid, dtype=float)
     d_as = (x + delta) ** 2 + gamma_big_m**2 / 4.0
     d_s = (x - delta) ** 2 + gamma_big_m**2 / 4.0
     mixing = -4.0 * pref * gamma_opt**2 * ((x - delta) * (x + delta) + gamma_big_m**2 / 4.0) \
         / (d_as * d_s) * (n_c + 0.5)
-    anti = pref * gamma_big_m * gamma_opt / d_as * (n_bar - n_eff)
-    stokes = pref * gamma_big_m * gamma_opt / d_s * (n_bar + n_eff + 1.0)
+    anti = pref * gamma_big_m * gamma_opt / d_as * anti_br
+    stokes = pref * gamma_big_m * gamma_opt / d_s * stokes_br
     total = floor + mixing + anti + stokes
     if not components:
         return Spectrum(x, total)
@@ -270,12 +262,7 @@ def peak_ratio_correction(params: SystemParams, baths: BathSpec, config: ToneCon
     + b) with n_opt = (gamma_opt/gamma_M)(2 n_c + 1) +- n_eff and
     (a, b) = (0, 1) for the Stokes side, (1, 0) for the anti-Stokes side.
     """
-    if not config.is_balanced(params):
-        gp, gm = config.gamma_opt_pair(params)
-        raise UnbalancedError(
-            f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
-        )
-    gamma_opt, _ = config.gamma_opt_pair(params)
+    gamma_opt = config.require_balanced(params)
     gamma_big_m = config.gamma_big_m(params)
     n_big_m = _n_big_m(params, baths, config)
     n_c = baths.n_c(params)

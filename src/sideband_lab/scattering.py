@@ -150,20 +150,22 @@ def scattering_matrix(params: SystemParams, tone: ToneSpec, detuning_sign: int,
     return ScatteringMatrix(entries=entries, detuning_sign=sign, s_loss=s_loss, omega=omega)
 
 
-def noise_floor(params: SystemParams, baths: BathSpec) -> float:
+def noise_floor(params: SystemParams, baths: BathSpec, kind: str = "symmetrized") -> float:
     """Frequency-independent noise floor of the right-port output (lab frame).
 
     S0 = alpha_r/2 + n_r + (4 kappa_r/kappa)(n_c - n_r)
-       + (2 kappa_r/kappa)(alpha_l - alpha_r).
+       + (2 kappa_r/kappa)(alpha_l - alpha_r); the normal-ordered floor is
+    lower by the vacuum term alpha_r/2.
     """
     k = params.kappa
     kr = params.kappa_r
-    return (
+    floor = (
         baths.alpha_r / 2.0
         + baths.n_r
         + 4.0 * kr / k * (baths.n_c(params) - baths.n_r)
         + 2.0 * kr / k * (baths.alpha_l - baths.alpha_r)
     )
+    return floor - baths.alpha_r / 2.0 if kind == "normal_ordered" else floor
 
 
 def spectrum_from_scattering(smat: ScatteringMatrix, baths: BathSpec, kind: str,
@@ -234,9 +236,7 @@ def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     _window_gate(params, x, enforce_window)
 
     width = params.gamma_m if weak_coupling else gamma_tot
-    floor = noise_floor(params, baths)
-    if kind == "normal_ordered":
-        floor = floor - baths.alpha_r / 2.0
+    floor = noise_floor(params, baths, kind)
     bracket = _lorentzian_brackets(params, baths, gamma_opt, sign, kind)
     lorentz = (params.kappa_r / params.kappa) * params.gamma_m * gamma_opt / (
         x**2 + width**2 / 4.0

@@ -11,6 +11,7 @@ from sideband_lab.calibration import (
     fit_linewidth_vs_power,
     fit_output_occupation,
     fit_shunt_capacitance,
+    invert_measurements,
     noise_floor_increase,
     output_floor_model,
     run_synthetic_calibration,
@@ -258,6 +259,20 @@ class TestSyntheticPipeline:
         assert report["n_eff_fit"] == pytest.approx(baths.n_eff(params), abs=0.02 * (1 + baths.n_eff(params)))
         assert report["c_out_fit"] == pytest.approx(2.7e-15, rel=1e-6)
         assert isinstance(report["calibration_run"], CalibrationRun)
+
+    def test_inversion_of_the_synthetic_tables(self):
+        params, baths, config = preset("si-figure")
+        report = run_synthetic_calibration(params, baths, config, seed=1, noise_level=0.01)
+        tables = report["measurements"]
+        assert sorted(tables) == ["linewidth_vs_power", "output_floor", "s21_db"]
+        only_s21 = invert_measurements(params, config, {"s21_db": tables["s21_db"]})
+        assert sorted(only_s21) == ["c_out_fit", "delta_minus", "delta_plus"]
+        for key, value in only_s21.items():
+            assert report[key] == value
+        omega_minus = params.omega_c + params.omega_m + config.delta
+        shunt = ShuntModel(c_out=only_s21["c_out_fit"])
+        assert only_s21["delta_minus"] == pytest.approx(
+            transmission_delta(params, shunt, omega_minus), rel=1e-12)
 
     def test_noisy_g0_statistics(self):
         params, baths, config = preset("main-text")

@@ -85,6 +85,18 @@ class TestSpectrumCommand:
         comps = {c for _, _, c in rows}
         assert comps == {"total", "floor", "mixing", "stokes", "anti_stokes"}
 
+    def test_full_rwa_normal_ordering_lowers_total_by_half(self, tmp_path):
+        totals = {}
+        for kind in ("sym", "normal"):
+            out = tmp_path / kind
+            assert main(["spectrum", "--preset", "si-figure", "--mode", "full-rwa", "--kind", kind,
+                         "--points", "801", "--out", str(out)]) == 0
+            rows = read_component_csv(out / "spectrum.csv")
+            totals[kind] = np.array([(o, v) for o, v, c in rows if c == "total"])
+        np.testing.assert_array_equal(totals["sym"][:, 0], totals["normal"][:, 0])
+        np.testing.assert_allclose(totals["sym"][:, 1] - totals["normal"][:, 1], 0.5,
+                                   rtol=0.0, atol=1e-9)
+
     def test_missing_source_is_config_error(self, capsys):
         assert main(["spectrum", "--mode", "multitone"]) == 2
 
@@ -193,6 +205,78 @@ class TestCalibrateCommand:
     def test_requires_mode(self, tmp_path):
         assert main(["calibrate", "--preset", "main-text",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("noise", ["0", "0.01"])
+    def test_data_mode_replays_synthetic_tables(self, tmp_path, noise):
+        synthetic, data = tmp_path / "synthetic", tmp_path / "data"
+        assert main(["calibrate", "--preset", "main-text", "--synthetic", "--seed", "2",
+                     "--noise", noise, "--out", str(synthetic)]) == 0
+        manifest = json.loads((synthetic / "manifest.json").read_text())
+        assert manifest["outputs"] == ["calibration_report.json", "linewidth_vs_power.csv",
+                                       "s21_db.csv", "output_floor.csv"]
+        assert main(["calibrate", "--preset", "main-text", "--data", str(synthetic),
+                     "--out", str(data)]) == 0
+        expected = json.loads((synthetic / "calibration_report.json").read_text())
+        replayed = json.loads((data / "calibration_report.json").read_text())
+        assert replayed["mode"] == "data"
+        for key in ("g0_fit", "gamma_m_fit", "c_out_fit", "n_r_fit", "delta_minus", "delta_plus"):
+            assert replayed[key] == pytest.approx(expected[key], rel=1e-9), key
+
+    def test_hash_covers_what_produced_the_report(self, tmp_path):
+        runs = iter(range(100))
+
+        def config_hash(*args):
+            out = tmp_path / f"run{next(runs)}"
+            assert main(["calibrate", *args, "--out", str(out)]) == 0
+            return json.loads((out / "calibration_report.json").read_text())["config_hash"]
+
+        synthetic = ("--preset", "main-text", "--synthetic")
+        base = config_hash(*synthetic, "--noise", "0.01")  # writes the tables to run0
+        assert config_hash(*synthetic, "--noise", "0.01") == base
+        assert config_hash(*synthetic, "--noise", "0.01", "--lambda-conv", "0.5") != base
+        assert config_hash(*synthetic, "--noise", "0.02") != base
+
+        params, baths, config = preset("main-text")
+        cfg, wider = tmp_path / "cfg.json", tmp_path / "wider.json"
+        save_config(cfg, params, baths, config)
+        d = config_to_dict(params, baths, config)
+        d["system"]["kappa_internal_hz"] *= 1.01  # kappa sets g0_fit
+        wider.write_text(json.dumps(d))
+        data = ("--data", str(tmp_path / "run0"))
+        base = config_hash("--config", str(cfg), *data)
+        assert config_hash("--config", str(cfg), *data) == base
+        assert config_hash("--config", str(cfg), *data, "--lambda-conv", "0.5") != base
+        assert config_hash("--config", str(wider), *data) != base
+
+    def test_lambda_conv_reaches_synthetic_mode(self, tmp_path):
+        reports = []
+        for lam in ("0.27", "0.5"):
+            out = tmp_path / lam
+            assert main(["calibrate", "--preset", "main-text", "--synthetic", "--noise", "0.01",
+                         "--lambda-conv", lam, "--out", str(out)]) == 0
+            reports.append(json.loads((out / "calibration_report.json").read_text()))
+        assert reports[0]["amplifier_floor_fit"] != reports[1]["amplifier_floor_fit"]
+
+    def test_malformed_csv_is_named_config_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "linewidth_vs_power.csv").write_text(
+            "# power,gamma_tot_hz\n1000.0,12.5\n10000.0,n/a\n100000.0,260.0\n")
+        rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: ")
+        assert "linewidth_vs_power.csv:3" in err
+        assert "Traceback" not in err
+
+
+def test_unwritable_out_is_named_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["spectrum", "--preset", "si-figure", "--out", str(blocker / "sub")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("NotADirectoryError: ")
 
 
 class TestOracleCompareCommand:

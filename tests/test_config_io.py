@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sideband_lab
 from sideband_lab.config import (
     config_from_dict,
     config_hash,
@@ -110,6 +111,13 @@ class TestSpectrumCsv:
         np.testing.assert_array_equal(x, [1.0, 3.0])
         np.testing.assert_array_equal(y, [2.0, 4.0])
 
+    @pytest.mark.parametrize("cell", ["n/a", "", "nan", "inf", "-inf"])
+    def test_read_xy_names_bad_cell(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"# freq_hz,value\n1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(ConfigError, match=r"data\.csv:3: non-"):
+            read_xy_csv(path)
+
 
 class TestManifest:
     def test_write_and_content(self, tmp_path):
@@ -121,7 +129,7 @@ class TestManifest:
         assert data["config_hash"] == "ab" * 32
         assert data["outputs"] == ["spectrum.csv"]
         assert data["seed"] == 7
-        assert data["tool_version"]
+        assert data["tool_version"] == sideband_lab.__version__
 
     def test_describe_run_hash_stable(self):
         params, baths, config = preset("si-figure")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sideband_lab.errors import ConfigError, InstabilityError, ValidityError
+from sideband_lab.errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 from sideband_lab.model import (
     TWO_PI,
     BathSpec,
@@ -217,3 +217,24 @@ def test_bose_occupation_values():
     # high-temperature linearity within 0.1%
     from scipy.constants import hbar, k
     assert n == pytest.approx(k * 0.2 / (hbar * omega_m), rel=1e-3)
+
+
+@pytest.mark.parametrize("temperature", [0.0, -0.1])
+def test_bose_occupation_rejects_nonpositive_temperature(temperature):
+    with pytest.raises(ConfigError, match="temperature must be positive"):
+        bose_occupation(temperature, TWO_PI * 4e6)
+
+
+def test_require_balanced_gate():
+    p = make_params()
+    delta = TWO_PI * 5e3
+    red = tone_with_gamma_opt(p, TWO_PI * 10.0, "red_probe", -(p.omega_m + delta))
+    balanced = ToneConfig(tones=(red, tone_with_gamma_opt(p, TWO_PI * 10.0, "blue_probe",
+                                                          p.omega_m + delta)), delta=delta)
+    assert balanced.require_balanced(p) == red.gamma_opt(p)
+    unbalanced = ToneConfig(tones=(red, tone_with_gamma_opt(p, TWO_PI * 20.0, "blue_probe",
+                                                            p.omega_m + delta)), delta=delta)
+    gp, gm = unbalanced.gamma_opt_pair(p)
+    with pytest.raises(UnbalancedError) as err:
+        unbalanced.require_balanced(p)
+    assert str(err.value) == f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
