@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.constants import hbar
 
-from .errors import ConfigError, DegenerateData, RankDeficient
+from .errors import ConfigError, DegenerateData, RankDeficient, ValidityError
 from .fitting import LorentzianFit, fit_lorentzian, gauss_newton
 from .model import (
     TWO_PI,
@@ -285,9 +285,11 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
 
     ``tables`` maps any names of `dataio.CALIBRATION_TABLES` to (x, y) arrays.
     "linewidth_vs_power" gives gamma_m_fit, linewidth_slope and g0_fit;
-    "s21_db" gives c_out_fit and delta_minus/delta_plus at the probe
-    frequencies omega_c -+ (omega_m + delta); "output_floor" gives n_r_fit,
-    n_r_err and amplifier_floor_fit. Absent tables leave their keys out.
+    "s21_db" gives c_out_fit and delta_plus/delta_minus at the probe
+    frequencies omega_c -+ (omega_m + delta), or a ValidityError where
+    |Delta| >= 1 puts them outside the first-order shunt correction;
+    "output_floor" gives n_r_fit, n_r_err and amplifier_floor_fit. Absent
+    tables leave their keys out.
     """
     fit: dict = {}
     if "linewidth_vs_power" in tables:
@@ -299,9 +301,15 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
         f_hz, mag_db = tables["s21_db"]
         shunt = fit_shunt_capacitance(TWO_PI * f_hz, 10.0 ** (mag_db / 20.0), params, r_l)
         detuning = params.omega_m + config.delta
-        fit.update(c_out_fit=shunt.c_out,
-                   delta_minus=float(transmission_delta(params, shunt, params.omega_c + detuning)),
-                   delta_plus=float(transmission_delta(params, shunt, params.omega_c - detuning)))
+        delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
+        delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
+        if max(abs(delta_minus), abs(delta_plus)) >= 1.0:
+            raise ValidityError(
+                "first-order shunt correction needs |Delta(omega_+-)| < 1: "
+                f"Delta_plus = {delta_plus:.4g}, Delta_minus = {delta_minus:.4g} "
+                f"at C_out = {shunt.c_out * 1e15:.4g} fF"
+            )
+        fit.update(c_out_fit=shunt.c_out, delta_minus=delta_minus, delta_plus=delta_plus)
     if "output_floor" in tables:
         f_hz, value = tables["output_floor"]
         order = np.argsort(f_hz, kind="stable")

@@ -11,21 +11,19 @@ The right-port output d_out = d_in + sqrt(kappa_r) d is boxcar-decimated to
 the bandwidth of interest and Welch-averaged into a power spectral density in
 quanta, normalized so a flat vacuum input gives 1/2.
 
-Reproducibility: every trajectory draws from its own counter-based stream,
-numpy Philox-4x64-10 seeded with SeedSequence(seed, spawn_key=(index,)), so
-serial and parallel execution produce identical ensembles. The environment
-variable SIDEBAND_LAB_THREADS caps the number of worker threads.
+One pure-numpy Euler-Maruyama kernel runs everywhere, vectorized over the
+trajectories. Reproducibility: every trajectory draws from its own
+counter-based stream, numpy Philox-4x64-10 seeded with
+SeedSequence(seed, spawn_key=(index,)), so trajectory j is the same whatever
+the number of trajectories run beside it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import ConfigError, StepSizeError
 from .model import (
@@ -40,14 +38,6 @@ from .model import (
 from .multitone import sideband_weights
 from .scattering import noise_floor, single_tone_integrated_weight
 
-try:  # pragma: no cover - exercised implicitly
-    import numba as _numba
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _numba = None
-    _HAVE_NUMBA = False
-
 RNG_ALGORITHM = "numpy-philox-4x64-10"
 
 __all__ = [
@@ -60,8 +50,6 @@ __all__ = [
     "oracle_compare",
     "RNG_ALGORITHM",
 ]
-
-_CHANNELS = ("right", "left", "intrinsic", "mechanical")
 
 
 @dataclass(frozen=True)
@@ -121,32 +109,30 @@ class TrajectoryOutput:
             raise StepSizeError("trajectory diverged: non-finite output samples")
 
 
-def _channel_variance(baths: BathSpec, channel: str) -> float:
-    """Symmetrized strength n + w/2 of one input channel."""
-    table = {
-        "right": baths.n_r + baths.alpha_r / 2.0,
-        "left": baths.n_l + baths.alpha_l / 2.0,
-        "intrinsic": baths.n_i + baths.alpha_i / 2.0,
-        "mechanical": baths.n_m + baths.beta / 2.0,
-    }
-    try:
-        return table[channel]
-    except KeyError:
-        raise ConfigError(f"unknown channel {channel!r}; expected one of {_CHANNELS}") from None
+def synthesize_input_noise(params: SystemParams, baths: BathSpec, dt: float,
+                           rngs: list[np.random.Generator],
+                           n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-step complex noise increments of the integrator, one column per stream.
 
-
-def synthesize_input_noise(baths: BathSpec, channel: str, dt: float,
-                           rng: np.random.Generator, n_samples: int) -> np.ndarray:
-    """Discrete complex white noise with per-sample variance (n + w/2)/dt.
-
-    Real and imaginary parts are independent with half the variance each, so
-    <xi* xi> per sample matches the symmetrized continuum correlator.
+    Returns (right, left + intrinsic, mechanical), each of shape
+    (n_steps, len(rngs)), with <|xi|^2> per step W_r dt,
+    (kappa_l W_l + kappa_i W_i) dt and gamma_m W_m dt, where W = n + w/2 are
+    the symmetrized bath strengths. Real and imaginary parts are independent
+    with half the variance each. Column j draws (n_steps, 6) standard normals
+    from ``rngs[j]`` alone, so it does not depend on the other streams.
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    var = _channel_variance(baths, channel) / dt
-    z = rng.standard_normal((n_samples, 2))
-    return math.sqrt(var / 2.0) * (z[:, 0] + 1j * z[:, 1])
+    w_r, w_l, w_i, w_m = baths.symmetrized_strengths()
+    scale_r = math.sqrt(w_r * dt / 2.0)
+    scale_o = math.sqrt((params.kappa_l * w_l + params.kappa_i * w_i) * dt / 2.0)
+    scale_m = math.sqrt(params.gamma_m * w_m * dt / 2.0)
+    z = np.empty((n_steps, len(rngs), 6))
+    for j, rng in enumerate(rngs):
+        z[:, j, :] = rng.standard_normal((n_steps, 6))
+    return (scale_r * (z[:, :, 0] + 1j * z[:, :, 1]),
+            scale_o * (z[:, :, 2] + 1j * z[:, :, 3]),
+            scale_m * (z[:, :, 4] + 1j * z[:, :, 5]))
 
 
 def _drive_terms(params: SystemParams, config: ToneConfig) -> tuple[float, float, float, float, float]:
@@ -201,114 +187,16 @@ def _kernel_numpy(d, c, zr, zo, zm, pp, pc, consts, dec, out, out_col, record, m
     return m
 
 
-if _HAVE_NUMBA:
-
-    @_numba.njit(cache=True, nogil=True)
-    def _kernel_jit(d, c, zr, zo, zm, pp, pc, dt, half_kappa, half_gamma, gp, gm, gc,
-                    sqrt_kr, inv_dt, dec, out, out_col, record, mech_acc, track_mech):
-        nsteps, nb = zr.shape
-        acc = np.zeros(nb, dtype=np.complex128)
-        k = 0
-        m = out_col
-        for s in range(nsteps):
-            p = pp[s]
-            q = pc[s]
-            pbar = p.conjugate()
-            qbar = q.conjugate()
-            for j in range(nb):
-                dj = d[j]
-                cj = c[j]
-                drift_d = -half_kappa * dj - 1j * (gp * p * cj + gm * pbar * cj.conjugate() + gc * q * cj)
-                drift_c = -half_gamma * cj - 1j * (pbar * (gp * dj + gm * dj.conjugate()) + gc * qbar * dj)
-                d_new = dj + dt * drift_d - sqrt_kr * zr[s, j] - zo[s, j]
-                c_new = cj + dt * drift_c - zm[s, j]
-                if record:
-                    # midpoint output sample restores the continuum
-                    # input-output interference to O((kappa dt)^2)
-                    acc[j] += zr[s, j] * inv_dt + sqrt_kr * 0.5 * (dj + d_new)
-                d[j] = d_new
-                c[j] = c_new
-                if track_mech:
-                    mech_acc[j] += c_new.real * c_new.real + c_new.imag * c_new.imag
-            if record:
-                k += 1
-                if k == dec:
-                    for j in range(nb):
-                        out[j, m] = acc[j] / dec
-                        acc[j] = 0.0
-                    k = 0
-                    m += 1
-        return m
-
-
-def _run_block(params, baths, config, sim, decimate, traj_indices, record_mech):
-    """Integrate one block of trajectories; returns (output_block, mech_means)."""
-    dt = sim.dt
-    gp, gm, gc, delta, delta_c = _drive_terms(params, config)
-    nb = len(traj_indices)
-    kept_steps = sim.n_steps - sim.burn_in
-    n_out = kept_steps // decimate
-
-    scale_r = math.sqrt(_channel_variance(baths, "right") * dt / 2.0)
-    var_other = (params.kappa_l * _channel_variance(baths, "left")
-                 + params.kappa_i * _channel_variance(baths, "intrinsic"))
-    scale_o = math.sqrt(var_other * dt / 2.0)
-    scale_m = math.sqrt(params.gamma_m * _channel_variance(baths, "mechanical") * dt / 2.0)
-
-    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(int(j),))))
-            for j in traj_indices]
-
-    d = np.zeros(nb, dtype=np.complex128)
-    c = np.zeros(nb, dtype=np.complex128)
-    out = np.empty((nb, n_out), dtype=np.complex128)
-    mech_acc = np.zeros(nb, dtype=np.float64)
-
-    consts = (dt, params.kappa / 2.0, params.gamma_m / 2.0, gp, gm, gc,
-              math.sqrt(params.kappa_r), 1.0 / dt)
-
-    base_chunk = 8192
-    chunk = max(decimate, decimate * (base_chunk // decimate))
-    out_col = 0
-    step = 0
-    while step < sim.n_steps:
-        recording = step >= sim.burn_in
-        if recording:
-            n = min(chunk, sim.n_steps - step)
-        else:
-            n = min(chunk, sim.burn_in - step)
-        z = np.empty((n, nb, 6))
-        for jj, rng in enumerate(rngs):
-            z[:, jj, :] = rng.standard_normal((n, 6))
-        zr = scale_r * (z[:, :, 0] + 1j * z[:, :, 1])
-        zo = scale_o * (z[:, :, 2] + 1j * z[:, :, 3])
-        zm = scale_m * (z[:, :, 4] + 1j * z[:, :, 5])
-        t = (step + np.arange(n)) * dt
-        pp = np.exp(1j * delta * t)
-        pc = np.exp(1j * delta_c * t)
-        if _HAVE_NUMBA:
-            out_col = _kernel_jit(d, c, zr, zo, zm, pp, pc, *consts, decimate, out,
-                                  out_col, recording, mech_acc,
-                                  record_mech and recording)
-        else:
-            out_col = _kernel_numpy(d, c, zr, zo, zm, pp, pc, consts, decimate, out,
-                                    out_col, recording,
-                                    mech_acc if (record_mech and recording) else None)
-        step += n
-
-    mech_means = mech_acc / kept_steps if record_mech else None
-    return out[:, :out_col], mech_means
-
-
 def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                       sim: SimConfig, *, decimate: int = 1, record_mech: bool = False,
-                       threads: int | None = None) -> TrajectoryOutput:
+                       sim: SimConfig, *, decimate: int = 1,
+                       record_mech: bool = False) -> TrajectoryOutput:
     """Euler-Maruyama integration of the coupled cavity/mechanics envelopes.
 
     All configured tones are applied with their rotating phases
     (e^{-+i delta t} beamsplitter / two-mode-squeezing pair, e^{-i delta_c t}
     cooling). Deterministic for a fixed seed. ``decimate`` boxcar-averages
-    the output to a lower sampling rate; ``estimate_psd`` compensates the
-    boxcar response.
+    the output to a lower sampling rate; the response of that boxcar is not
+    compensated (see ``choose_decimation`` for the margin that bounds it).
     """
     params.require_good_cavity()
     validate_stability(params, config)
@@ -329,27 +217,41 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     if decimate < 1:
         raise ConfigError("decimate must be >= 1")
 
-    if threads is None:
-        threads = int(os.environ.get("SIDEBAND_LAB_THREADS", "1") or "1")
-    threads = max(1, min(threads, sim.n_trajectories))
+    dt = sim.dt
+    gp, gm, gc, delta, delta_c = _drive_terms(params, config)
+    ntraj = sim.n_trajectories
+    kept_steps = sim.n_steps - sim.burn_in
+    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(j,))))
+            for j in range(ntraj)]
+    d = np.zeros(ntraj, dtype=np.complex128)
+    c = np.zeros(ntraj, dtype=np.complex128)
+    out = np.empty((ntraj, kept_steps // decimate), dtype=np.complex128)
+    mech_acc = np.zeros(ntraj, dtype=np.float64)
+    consts = (dt, params.kappa / 2.0, params.gamma_m / 2.0, gp, gm, gc,
+              math.sqrt(params.kappa_r), 1.0 / dt)
 
-    indices = np.arange(sim.n_trajectories)
-    if threads == 1:
-        blocks = [_run_block(params, baths, config, sim, decimate, indices, record_mech)]
-    else:
-        parts = np.array_split(indices, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_run_block, params, baths, config, sim, decimate,
-                                   part, record_mech) for part in parts if part.size]
-            blocks = [f.result() for f in futures]
+    # chunks of whole output samples; burn-in ends on a chunk boundary
+    chunk = max(decimate, decimate * (8192 // decimate))
+    out_col = 0
+    step = 0
+    while step < sim.n_steps:
+        recording = step >= sim.burn_in
+        n = min(chunk, (sim.n_steps if recording else sim.burn_in) - step)
+        zr, zo, zm = synthesize_input_noise(params, baths, dt, rngs, n)
+        t = (step + np.arange(n)) * dt
+        out_col = _kernel_numpy(d, c, zr, zo, zm, np.exp(1j * delta * t), np.exp(1j * delta_c * t),
+                                consts, decimate, out, out_col, recording,
+                                mech_acc if (record_mech and recording) else None)
+        step += n
 
-    out = np.vstack([b[0] for b in blocks])
-    mech = np.concatenate([b[1] for b in blocks]) if record_mech else None
-    return TrajectoryOutput(output_field=out, sampling=sim.dt * decimate,
-                            decimation=decimate, base_dt=sim.dt, mech_abs2=mech)
+    return TrajectoryOutput(output_field=out[:, :out_col], sampling=dt * decimate,
+                            decimation=decimate, base_dt=dt,
+                            mech_abs2=mech_acc / kept_steps if record_mech else None)
 
 
 def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum, int]:
+    from scipy import signal  # deferred: only the oracle needs it, not every CLI command
+
     # The boxcar-decimated white background folds back to an exactly flat
     # density, so no response compensation is applied; narrowband features are
     # attenuated by |H(f)|^2 < 1, kept below ~0.3% by the oversampling margin
@@ -365,9 +267,9 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
             break
         nperseg -= max(1, nperseg // 50)
     noverlap = nperseg // 2
-    f, pxx = _signal.welch(traj.output_field, fs=1.0 / traj.sampling, window="hann",
-                           nperseg=nperseg, noverlap=noverlap, detrend=False,
-                           return_onesided=False, scaling="density", axis=-1)
+    f, pxx = signal.welch(traj.output_field, fs=1.0 / traj.sampling, window="hann",
+                          nperseg=nperseg, noverlap=noverlap, detrend=False,
+                          return_onesided=False, scaling="density", axis=-1)
     pxx = pxx.mean(axis=0)
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention
     # f(omega) = int f(t) e^{i omega t} dt places it at omega = -2 pi f
@@ -436,7 +338,6 @@ def _measure_peak(spec: Spectrum, center: float, half_window: float, floor: floa
 
 def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
                    sim: SimConfig, *, decimate: int | None = None,
-                   threads: int | None = None,
                    window_linewidths: float = 8.0) -> tuple[dict, Spectrum]:
     """Run the stochastic oracle and compare against the analytic spectra.
 
@@ -449,8 +350,7 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
 
     if decimate is None:
         decimate = choose_decimation(params, config, sim)
-    traj = integrate_langevin(params, baths, config, sim, decimate=decimate,
-                              threads=threads)
+    traj = integrate_langevin(params, baths, config, sim, decimate=decimate)
     spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
     gamma_tot = config.gamma_tot(params)
     half_window = window_linewidths * gamma_tot

@@ -134,6 +134,15 @@ class BathSpec:
         """Effective cavity occupation 2*n_c - n_r that controls the measured imbalance."""
         return 2.0 * self.n_c(params) - self.n_r
 
+    def symmetrized_strengths(self) -> tuple[float, float, float, float]:
+        """Symmetrized strengths n + w/2 of the (right, left, intrinsic, mechanical) inputs."""
+        return (
+            self.n_r + self.alpha_r / 2.0,
+            self.n_l + self.alpha_l / 2.0,
+            self.n_i + self.alpha_i / 2.0,
+            self.n_m + self.beta / 2.0,
+        )
+
 
 @dataclass(frozen=True)
 class ToneSpec:
@@ -335,15 +344,16 @@ def integrated_weight(spec: Spectrum, floor: float = 0.0, *, tail_correction: bo
 
 
 def derive_effective_mechanics(params: SystemParams, baths: BathSpec,
-                               cooling: ToneSpec) -> tuple[float, float]:
+                               cooling: ToneSpec | None) -> tuple[float, float]:
     """Cooling-tone dressed mechanics: (gamma_M, n_M).
 
     gamma_M = gamma_m + gamma_opt^cool and the bath mixture
-    n_M = (gamma_m n_m + gamma_opt^cool n_c) / gamma_M.
+    n_M = (gamma_m n_m + gamma_opt^cool n_c) / gamma_M, with gamma_opt^cool = 0
+    when ``cooling`` is None.
     """
-    if cooling.role != "cooling":
+    if cooling is not None and cooling.role != "cooling":
         raise ConfigError(f"expected a cooling tone, got role {cooling.role!r}")
-    g_cool = cooling.gamma_opt(params)
+    g_cool = cooling.gamma_opt(params) if cooling is not None else 0.0
     gamma_big_m = params.gamma_m + g_cool
     n_big_m = (params.gamma_m * baths.n_m + g_cool * baths.n_c(params)) / gamma_big_m
     return gamma_big_m, n_big_m

@@ -24,6 +24,7 @@ from .model import (
     Spectrum,
     SystemParams,
     ToneConfig,
+    derive_effective_mechanics,
     validate_stability,
 )
 from .scattering import noise_floor
@@ -84,9 +85,8 @@ def sxx_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
     """
     validate_stability(params, config)
     gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m = config.gamma_big_m(params)
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
     gamma_tot = config.gamma_tot(params)
-    n_big_m = _n_big_m(params, baths, config)
     n_c = baths.n_c(params)
     bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (n_c + 0.5)
     xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
@@ -97,18 +97,11 @@ def sxx_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
 def sxx_integrated_weight(params: SystemParams, baths: BathSpec, config: ToneConfig) -> float:
     """Analytic integral (domega/2pi) of sxx_spectrum over all frequencies."""
     gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m = config.gamma_big_m(params)
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
     gamma_tot = config.gamma_tot(params)
-    n_big_m = _n_big_m(params, baths, config)
     bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (baths.n_c(params) + 0.5)
     xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
     return gamma_big_m * bracket / gamma_tot * xzp2
-
-
-def _n_big_m(params: SystemParams, baths: BathSpec, config: ToneConfig) -> float:
-    g_cool = config.cooling_gamma_opt(params)
-    gamma_big_m = params.gamma_m + g_cool
-    return (params.gamma_m * baths.n_m + g_cool * baths.n_c(params)) / gamma_big_m
 
 
 def averaged_occupation(params: SystemParams, baths: BathSpec, config: ToneConfig) -> float:
@@ -119,10 +112,10 @@ def averaged_occupation(params: SystemParams, baths: BathSpec, config: ToneConfi
     """
     validate_stability(params, config)
     gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m = config.gamma_big_m(params)
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
     gamma_tot = config.gamma_tot(params)
     n_c = baths.n_c(params)
-    return (gamma_big_m / gamma_tot) * _n_big_m(params, baths, config) \
+    return (gamma_big_m / gamma_tot) * n_big_m \
         + (gm / gamma_tot) * (n_c + 1.0) + (gp / gamma_tot) * n_c
 
 
@@ -263,8 +256,7 @@ def peak_ratio_correction(params: SystemParams, baths: BathSpec, config: ToneCon
     (a, b) = (0, 1) for the Stokes side, (1, 0) for the anti-Stokes side.
     """
     gamma_opt = config.require_balanced(params)
-    gamma_big_m = config.gamma_big_m(params)
-    n_big_m = _n_big_m(params, baths, config)
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
     n_c = baths.n_c(params)
     n_eff = baths.n_eff(params)
     prefactor = 1.0 / ((4.0 * config.delta / gamma_big_m) ** 2 + 1.0)

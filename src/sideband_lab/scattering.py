@@ -181,12 +181,7 @@ def spectrum_from_scattering(smat: ScatteringMatrix, baths: BathSpec, kind: str,
     s11, s12, s13 = smat.output_row
     a = (abs(s11) ** 2, abs(s12) ** 2, abs(smat.s_loss) ** 2, abs(s13) ** 2)
     if kind == "symmetrized":
-        w = (
-            baths.n_r + baths.alpha_r / 2.0,
-            baths.n_l + baths.alpha_l / 2.0,
-            baths.n_i + baths.alpha_i / 2.0,
-            baths.n_m + baths.beta / 2.0,
-        )
+        w = baths.symmetrized_strengths()
     elif kind == "normal_ordered":
         beta = baths.beta if sign == -1 else 0.0
         w = (baths.n_r, baths.n_l, baths.n_i, baths.n_m + beta)

@@ -22,7 +22,7 @@ from sideband_lab.calibration import (
     thermometry_ratio,
     transmission_delta,
 )
-from sideband_lab.errors import RankDeficient, UnbalancedError
+from sideband_lab.errors import RankDeficient, UnbalancedError, ValidityError
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, bose_occupation
 from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import preset
@@ -273,6 +273,16 @@ class TestSyntheticPipeline:
         shunt = ShuntModel(c_out=only_s21["c_out_fit"])
         assert only_s21["delta_minus"] == pytest.approx(
             transmission_delta(params, shunt, omega_minus), rel=1e-12)
+
+    def test_shunt_correction_validity_gate(self):
+        # |Delta(omega_+-)| >= 1 leaves the first-order correction; oracle-demo's
+        # probes sit at Delta = -+1.897 for C_out = 2.7 fF
+        params, _, config = preset("oracle-demo")
+        span = 10.0 * (params.omega_m + config.delta)
+        f_hz = (params.omega_c + np.linspace(-span, span, 801)) / TWO_PI
+        mag = np.abs(s21_shunt(params, ShuntModel(c_out=2.7e-15), TWO_PI * f_hz))
+        with pytest.raises(ValidityError, match=r"Delta_plus = -1\.897.*C_out = 2\.7 fF"):
+            invert_measurements(params, config, {"s21_db": (f_hz, 20.0 * np.log10(mag))})
 
     def test_noisy_g0_statistics(self):
         params, baths, config = preset("main-text")

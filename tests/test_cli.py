@@ -206,6 +206,14 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--preset", "main-text",
                      "--out", str(tmp_path)]) == 2
 
+    def test_invalid_shunt_correction_is_a_gate(self, tmp_path, capsys):
+        # oracle-demo's probes sit where |Delta| = 1.9 at C_out = 2.7 fF
+        assert main(["calibrate", "--preset", "oracle-demo", "--synthetic",
+                     "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ValidityError:")
+        assert "Delta" in err and "C_out = 2.7 fF" in err
+
     @pytest.mark.parametrize("noise", ["0", "0.01"])
     def test_data_mode_replays_synthetic_tables(self, tmp_path, noise):
         synthetic, data = tmp_path / "synthetic", tmp_path / "data"

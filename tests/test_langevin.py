@@ -2,12 +2,12 @@
 
 The heavier Monte-Carlo comparisons live in test_acceptance; configurations
 here are rate-scaled so each run stays in the seconds range while still
-exercising every contract (noise synthesis, determinism, parallel layout,
-equilibration, floor normalization, analytic agreement).
+exercising every contract (noise synthesis, determinism, per-trajectory
+streams, equilibration, floor normalization, analytic agreement).
 """
 
+import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -39,35 +39,65 @@ def fast_params(**kw):
     return make_params(**kw)
 
 
+def philox_streams(seed, n):
+    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,))))
+            for j in range(n)]
+
+
 class TestNoiseSynthesis:
+    # symmetrized strengths n + w/2: right 0.9, left 2.0, intrinsic 2.5, mechanical 3.5
+    BATHS = BathSpec(n_r=0.4, n_l=1.5, n_i=2.0, n_m=3.0)
+
     def test_vacuum_per_sample_variance(self):
-        rng = np.random.default_rng(1)
+        # vacuum inputs: W = 1/2 on every channel
+        p = fast_params()
         dt = 1e-6
-        xi = synthesize_input_noise(BathSpec(), "right", dt, rng, 1_000_000)
-        var = np.mean(np.abs(xi) ** 2)
-        assert var == pytest.approx(0.5 / dt, rel=0.01)
+        rows = synthesize_input_noise(p, BathSpec(), dt, philox_streams(1, 4), 100_000)
+        expected = (0.5 * dt, 0.5 * (p.kappa_l + p.kappa_i) * dt, 0.5 * p.gamma_m * dt)
+        for xi, var in zip(rows, expected):
+            assert xi.shape == (100_000, 4)
+            assert np.mean(np.abs(xi) ** 2) == pytest.approx(var, rel=0.01)
 
     def test_thermal_variance(self):
-        rng = np.random.default_rng(2)
-        dt = 2e-7
-        baths = BathSpec(n_m=3.0, beta=1.0)
-        xi = synthesize_input_noise(baths, "mechanical", dt, rng, 1_000_000)
-        assert np.mean(np.abs(xi) ** 2) == pytest.approx(3.5 / dt, rel=0.01)
+        p = fast_params()
+        dt = 1e-7
+        rows = synthesize_input_noise(p, self.BATHS, dt, philox_streams(2, 4), 100_000)
+        expected = (0.9 * dt, (p.kappa_l * 2.0 + p.kappa_i * 2.5) * dt, p.gamma_m * 3.5 * dt)
+        for xi, var in zip(rows, expected):
+            assert np.mean(np.abs(xi) ** 2) == pytest.approx(var, rel=0.01)
+            # real and imaginary parts carry half each
+            assert np.mean(xi.real ** 2) == pytest.approx(var / 2.0, rel=0.01)
 
     def test_channels_uncorrelated(self):
-        rng = np.random.default_rng(3)
-        dt = 1e-6
-        n = 500_000
-        a = synthesize_input_noise(BathSpec(), "right", dt, rng, n)
-        b = synthesize_input_noise(BathSpec(), "left", dt, rng, n)
-        cross = np.mean(a * np.conj(b))
-        sigma = math.sqrt(np.mean(np.abs(a) ** 2) * np.mean(np.abs(b) ** 2) / n)
-        assert abs(cross) < 3.0 * sigma
+        p = fast_params()
+        rows = synthesize_input_noise(p, self.BATHS, 1e-6, philox_streams(3, 4), 100_000)
+        n = rows[0].size
+        power = [np.mean(np.abs(xi) ** 2) for xi in rows]
+        for a in range(3):
+            # circular: no correlation between real and imaginary parts
+            assert abs(np.mean(rows[a] ** 2)) < 4.0 * power[a] / math.sqrt(n)
+            for b in range(a + 1, 3):
+                cross = np.mean(rows[a] * np.conj(rows[b]))
+                assert abs(cross) < 4.0 * math.sqrt(power[a] * power[b] / n)
 
-    def test_unknown_channel(self):
-        with pytest.raises(ConfigError):
-            synthesize_input_noise(BathSpec(), "bogus", 1e-6,
-                                   np.random.default_rng(0), 10)
+    def test_column_depends_only_on_its_stream(self):
+        p = fast_params()
+        dt = 1e-6
+        full = synthesize_input_noise(p, self.BATHS, dt, philox_streams(7, 3), 50)
+        alone = synthesize_input_noise(p, self.BATHS, dt, philox_streams(7, 3)[1:2], 50)
+        swapped = synthesize_input_noise(p, self.BATHS, dt,
+                                         philox_streams(8, 1) + philox_streams(7, 3)[1:], 50)
+        for row, row_alone, row_swapped in zip(full, alone, swapped):
+            np.testing.assert_array_equal(row[:, 1:2], row_alone)
+            np.testing.assert_array_equal(row[:, 1:], row_swapped[:, 1:])
+            assert not np.any(row[:, 0] == row_swapped[:, 0])
+        # each step takes six normals of the stream: right, other, mechanical pairs
+        z = philox_streams(7, 3)[2].standard_normal((50, 6))
+        np.testing.assert_allclose(full[0][:, 2], math.sqrt(0.9 * dt / 2.0) * (z[:, 0] + 1j * z[:, 1]),
+                                   rtol=1e-14)
+        np.testing.assert_allclose(full[2][:, 2],
+                                   math.sqrt(p.gamma_m * 3.5 * dt / 2.0) * (z[:, 4] + 1j * z[:, 5]),
+                                   rtol=1e-14)
 
 
 class TestIntegratorContracts:
@@ -87,23 +117,18 @@ class TestIntegratorContracts:
         b = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim)
         np.testing.assert_array_equal(a.output_field, b.output_field)
 
-    def test_thread_split_matches_serial(self):
+    def test_trajectory_streams_do_not_depend_on_the_ensemble(self):
+        # trajectory j draws from its own Philox stream, so the first k
+        # trajectories of an n-trajectory run are exactly a k-trajectory run
         p = fast_params()
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
         sim = SimConfig.auto(p, cfg, n_segments=30, seed=42, n_trajectories=6)
-        serial = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, threads=1)
-        split = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, threads=3)
-        np.testing.assert_array_equal(serial.output_field, split.output_field)
-
-    def test_env_var_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("SIDEBAND_LAB_THREADS", "2")
-        p = fast_params()
-        cfg = ToneConfig(tones=())
-        sim = SimConfig.auto(p, cfg, n_segments=20, seed=5, n_trajectories=4)
-        capped = integrate_langevin(p, BathSpec(), cfg, sim)
-        monkeypatch.setenv("SIDEBAND_LAB_THREADS", "1")
-        serial = integrate_langevin(p, BathSpec(), cfg, sim)
-        np.testing.assert_array_equal(capped.output_field, serial.output_field)
+        full = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_mech=True)
+        for k in (1, 4):
+            part = integrate_langevin(p, BathSpec(n_m=1.0), cfg,
+                                      dataclasses.replace(sim, n_trajectories=k), record_mech=True)
+            np.testing.assert_array_equal(full.output_field[:k], part.output_field)
+            np.testing.assert_array_equal(full.mech_abs2[:k], part.mech_abs2)
 
     def test_linearity_in_noise_power(self):
         # doubling every (n + w/2) scales the same noise draws by sqrt(2)

@@ -127,6 +127,11 @@ class TestDeriveEffectiveMechanics:
         assert gamma_m_eff == pytest.approx(p.gamma_m)
         assert n_m_eff == pytest.approx(17.5)
 
+    def test_no_cooling_tone(self):
+        p = make_params()
+        baths = BathSpec(n_r=0.3, n_l=0.2, n_i=1.0, n_m=17.5)
+        assert derive_effective_mechanics(p, baths, None) == (p.gamma_m, 17.5)
+
     def test_hand_arithmetic_example(self):
         # gamma_m = 2pi*10 Hz, n_m = 1e4, gamma_cool = 2pi*350 Hz, n_c = 0.24
         p = make_params(gamma_m_hz=10.0)
