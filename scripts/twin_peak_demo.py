@@ -43,7 +43,7 @@ def main() -> None:
 
     n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)
-    w_anti, w_stokes = sideband_weights(params, baths, config, "symmetrized")
+    w_anti, w_stokes = sideband_weights(params, baths, config)
     print(f"gamma_tot/2pi = {gamma_tot / TWO_PI:.1f} Hz, n_bar = {n_bar:.2f}, "
           f"n_eff = {n_eff:.3f}")
     print(f"floor = {noise_floor(params, baths):.4f} quanta")

@@ -419,6 +419,6 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     }
     report["n_eff_fit"] = (n_minus - n_plus - 1.0) / 2.0
     report["n_eff_true"] = baths.n_eff(params)
-    w_anti, w_stokes = sideband_weights(params, baths, config, "symmetrized")
+    w_anti, w_stokes = sideband_weights(params, baths, config)
     report["weights_analytic"] = {"anti_stokes": w_anti, "stokes": w_stokes}
     return report

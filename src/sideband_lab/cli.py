@@ -142,7 +142,7 @@ def cmd_asymmetry(args) -> int:
         "n_bar_m": n_bar,
         "ratio_model": sideband_ratio_model(n_bar - n_eff, n_eff),
         "weights": dict(zip(("anti_stokes", "stokes"),
-                            sideband_weights(params, baths, config, "symmetrized"))),
+                            sideband_weights(params, baths, config))),
         "config_hash": describe_run(params, baths, config)["config_hash"],
     }
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))

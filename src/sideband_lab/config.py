@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from .errors import ConfigError
@@ -22,10 +23,6 @@ __all__ = [
     "load_config", "save_config",
     "canonical_json", "config_hash", "describe_run",
 ]
-
-_SYSTEM_KEYS = ("omega_c_hz", "omega_m_hz", "g0_hz", "kappa_left_hz",
-                "kappa_right_hz", "kappa_internal_hz", "gamma_m_hz")
-
 
 def params_to_dict(params: SystemParams) -> dict:
     d = {
@@ -42,19 +39,36 @@ def params_to_dict(params: SystemParams) -> dict:
     return d
 
 
+def _number(block: str, d: dict, key: str, default: float | None = None):
+    """Finite number ``d[key]`` (``default`` if absent, required if None), else ConfigError."""
+    if key not in d:
+        if default is None:
+            raise ConfigError(f"{block} block missing key {key!r}")
+        return default
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{block}.{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _object(block: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{block} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def params_from_dict(d: dict) -> SystemParams:
-    missing = [k for k in _SYSTEM_KEYS if k not in d and k != "kappa_internal_hz"]
-    if missing:
-        raise ConfigError(f"system block missing keys: {missing}")
+    d = _object("system", d)
     return SystemParams.from_hz(
-        omega_c_hz=d["omega_c_hz"],
-        omega_m_hz=d["omega_m_hz"],
-        g0_hz=d["g0_hz"],
-        kappa_l_hz=d["kappa_left_hz"],
-        kappa_r_hz=d["kappa_right_hz"],
-        kappa_i_hz=d.get("kappa_internal_hz", 0.0),
-        gamma_m_hz=d["gamma_m_hz"],
-        x_zp_m=d.get("x_zp_m"),
+        omega_c_hz=_number("system", d, "omega_c_hz"),
+        omega_m_hz=_number("system", d, "omega_m_hz"),
+        g0_hz=_number("system", d, "g0_hz"),
+        kappa_l_hz=_number("system", d, "kappa_left_hz"),
+        kappa_r_hz=_number("system", d, "kappa_right_hz"),
+        kappa_i_hz=_number("system", d, "kappa_internal_hz", 0.0),
+        gamma_m_hz=_number("system", d, "gamma_m_hz"),
+        x_zp_m=None if d.get("x_zp_m") is None else _number("system", d, "x_zp_m"),
     )
 
 
@@ -67,11 +81,14 @@ def baths_to_dict(baths: BathSpec) -> dict:
 
 
 def baths_from_dict(d: dict) -> BathSpec:
+    d = _object("baths", d)
     return BathSpec(
-        n_r=d.get("n_right", 0.0), n_l=d.get("n_left", 0.0),
-        n_i=d.get("n_internal", 0.0), n_m=d.get("n_mech", 0.0),
-        alpha_r=d.get("alpha_right", 1.0), alpha_l=d.get("alpha_left", 1.0),
-        alpha_i=d.get("alpha_internal", 1.0), beta=d.get("beta", 1.0),
+        n_r=_number("baths", d, "n_right", 0.0), n_l=_number("baths", d, "n_left", 0.0),
+        n_i=_number("baths", d, "n_internal", 0.0), n_m=_number("baths", d, "n_mech", 0.0),
+        alpha_r=_number("baths", d, "alpha_right", 1.0),
+        alpha_l=_number("baths", d, "alpha_left", 1.0),
+        alpha_i=_number("baths", d, "alpha_internal", 1.0),
+        beta=_number("baths", d, "beta", 1.0),
     )
 
 
@@ -90,16 +107,20 @@ def tones_to_list(config: ToneConfig) -> list[dict]:
 def tones_from_list(entries: list[dict], params: SystemParams) -> ToneConfig:
     """Build a ToneConfig; probe/cooling detunings delta, delta_c are derived
     from the tone placements omega_c -+ (omega_m + delta)."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"tones must be a JSON list, got {type(entries).__name__}")
     tones = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        block = f"tones[{i}]"
+        entry = _object(block, entry)
         kwargs: dict = {"role": entry.get("role", "generic"),
-                        "detuning": TWO_PI * entry["detuning_hz"]}
+                        "detuning": TWO_PI * _number(block, entry, "detuning_hz")}
         if "n_photons" in entry and "coupling_hz" in entry:
             raise ConfigError("tone may carry n_photons or coupling_hz, not both")
         if "n_photons" in entry:
-            kwargs["n_photons"] = entry["n_photons"]
+            kwargs["n_photons"] = _number(block, entry, "n_photons")
         elif "coupling_hz" in entry:
-            kwargs["coupling"] = TWO_PI * entry["coupling_hz"]
+            kwargs["coupling"] = TWO_PI * _number(block, entry, "coupling_hz")
         else:
             raise ConfigError("tone needs n_photons or coupling_hz")
         tones.append(ToneSpec(**kwargs))
@@ -137,6 +158,8 @@ def config_to_dict(params: SystemParams, baths: BathSpec, config: ToneConfig) ->
 
 
 def config_from_dict(d: dict) -> tuple[SystemParams, BathSpec, ToneConfig]:
+    """Parse a config object; any malformed input raises ConfigError."""
+    d = _object("config root", d)
     for key in ("system", "baths", "tones"):
         if key not in d:
             raise ConfigError(f"config missing top-level key {key!r}")
@@ -152,8 +175,6 @@ def load_config(path) -> tuple[SystemParams, BathSpec, ToneConfig]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
     return config_from_dict(data)
 
 

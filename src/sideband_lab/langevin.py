@@ -123,7 +123,7 @@ def synthesize_input_noise(params: SystemParams, baths: BathSpec, dt: float,
     """
     if dt <= 0:
         raise ConfigError("dt must be positive")
-    w_r, w_l, w_i, w_m = baths.symmetrized_strengths()
+    w_r, w_l, w_i, w_m = baths.strengths("symmetrized")
     scale_r = math.sqrt(w_r * dt / 2.0)
     scale_o = math.sqrt((params.kappa_l * w_l + params.kappa_i * w_i) * dt / 2.0)
     scale_m = math.sqrt(params.gamma_m * w_m * dt / 2.0)
@@ -357,7 +357,7 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
 
     peaks = []
     if config.has_probe_pair:
-        w_anti, w_stokes = sideband_weights(params, baths, config, "symmetrized")
+        w_anti, w_stokes = sideband_weights(params, baths, config)
         peaks.append(("anti_stokes", -config.delta, w_anti))
         peaks.append(("stokes", +config.delta, w_stokes))
     else:

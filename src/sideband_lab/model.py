@@ -134,14 +134,20 @@ class BathSpec:
         """Effective cavity occupation 2*n_c - n_r that controls the measured imbalance."""
         return 2.0 * self.n_c(params) - self.n_r
 
-    def symmetrized_strengths(self) -> tuple[float, float, float, float]:
-        """Symmetrized strengths n + w/2 of the (right, left, intrinsic, mechanical) inputs."""
-        return (
-            self.n_r + self.alpha_r / 2.0,
-            self.n_l + self.alpha_l / 2.0,
-            self.n_i + self.alpha_i / 2.0,
-            self.n_m + self.beta / 2.0,
-        )
+    def strengths(self, kind: str, detuning_sign: int = +1) -> tuple[float, float, float, float]:
+        """Strengths of the (right, left, intrinsic, mechanical) inputs in one ordering.
+
+        "symmetrized": n + w/2 (w the vacuum weight); "normal_ordered": n, plus
+        beta on the mechanical channel for a blue pump (detuning_sign = -1).
+        The only place a spectrum ordering is interpreted.
+        """
+        if kind == "symmetrized":
+            return (self.n_r + self.alpha_r / 2.0, self.n_l + self.alpha_l / 2.0,
+                    self.n_i + self.alpha_i / 2.0, self.n_m + self.beta / 2.0)
+        if kind == "normal_ordered":
+            return (self.n_r, self.n_l, self.n_i,
+                    self.n_m + (self.beta if detuning_sign == -1 else 0.0))
+        raise ConfigError(f"unknown spectrum kind {kind!r}")
 
 
 @dataclass(frozen=True)

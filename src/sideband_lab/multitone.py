@@ -49,9 +49,9 @@ class MultitoneSpectra:
 
     ``anti_stokes``/``stokes`` grids are absolute offsets from the cavity
     (centered at -delta and +delta). ``floor`` is the flat background of the
-    returned spectra (already reduced by alpha_r/2 for the normal-ordered
-    kind); ``gamma_tot`` is the common Lorentzian full width and ``n_bar_m``
-    the averaged mechanical occupation.
+    returned spectra, `noise_floor` s_r + (4 kappa_r/kappa)(s_c - s_r) in the
+    input strengths of the requested ordering; ``gamma_tot`` is the common
+    Lorentzian full width and ``n_bar_m`` the averaged mechanical occupation.
     """
 
     anti_stokes: Spectrum
@@ -59,7 +59,6 @@ class MultitoneSpectra:
     floor: float
     gamma_tot: float
     n_bar_m: float
-    kind: str = "symmetrized"
 
 
 def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) -> float:
@@ -119,22 +118,17 @@ def averaged_occupation(params: SystemParams, baths: BathSpec, config: ToneConfi
         + (gm / gamma_tot) * (n_c + 1.0) + (gp / gamma_tot) * n_c
 
 
-def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig,
-              kind: str) -> tuple[float, float]:
-    """(anti-Stokes, Stokes) Lorentzian brackets for the requested ordering."""
+def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tuple[float, float]:
+    """(anti-Stokes, Stokes) Lorentzian brackets [n_bar - n_eff], [n_bar + n_eff + 1].
+
+    Both orderings share them: the normal-ordered Stokes bracket n_bar + n_eff
+    + gamma_M/gamma_tot + (gamma_opt^+ - gamma_opt^-)/gamma_tot is the same
+    number, since gamma_tot = gamma_M + gamma_opt^+ - gamma_opt^-. Written for
+    unit vacuum weights.
+    """
     n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)
-    gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m = config.gamma_big_m(params)
-    gamma_tot = config.gamma_tot(params)
-    anti = n_bar - n_eff
-    if kind == "symmetrized":
-        stokes = n_bar + n_eff + 1.0
-    elif kind == "normal_ordered":
-        stokes = n_bar + n_eff + gamma_big_m / gamma_tot + (gp - gm) / gamma_tot
-    else:
-        raise ConfigError(f"unknown spectrum kind {kind!r}")
-    return anti, stokes
+    return n_bar - n_eff, n_bar + n_eff + 1.0
 
 
 def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
@@ -144,13 +138,14 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
 
     Each peak has prefactor (kappa_r/kappa) gamma_tot gamma_opt^+- /
     (omega^2 + gamma_tot^2/4) with brackets [n_bar - n_eff] (anti-Stokes) and
-    [n_bar + n_eff + 1] (Stokes, symmetrized). The returned spectra carry
-    absolute offsets (peak center -+delta plus the supplied grid).
+    [n_bar + n_eff + 1] (Stokes) for either ordering; ``kind`` selects the
+    floor s_r + (4 kappa_r/kappa)(s_c - s_r) of `noise_floor`. The returned
+    spectra carry absolute offsets (peak center -+delta plus the supplied grid).
     """
     params.require_good_cavity()
     gamma_tot = _separation_gate(params, config, enforce_separation)
     gp, gm = config.gamma_opt_pair(params)
-    anti_br, stokes_br = _brackets(params, baths, config, kind)
+    anti_br, stokes_br = _brackets(params, baths, config)
     floor = noise_floor(params, baths, kind)
     x = np.asarray(grid, dtype=float)
     lor = gamma_tot / (x**2 + gamma_tot**2 / 4.0)
@@ -163,20 +158,20 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
         floor=floor,
         gamma_tot=gamma_tot,
         n_bar_m=averaged_occupation(params, baths, config),
-        kind=kind,
     )
 
 
-def sideband_weights(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                     kind: str = "symmetrized") -> tuple[float, float]:
+def sideband_weights(params: SystemParams, baths: BathSpec,
+                     config: ToneConfig) -> tuple[float, float]:
     """Analytic integrated weights (domega/2pi): (anti-Stokes, Stokes).
 
     Each unit-bracket Lorentzian integrates to exactly gamma_opt^+- *
-    kappa_r/kappa, so the weights are the brackets times that factor.
+    kappa_r/kappa, so the weights are the brackets times that factor; they are
+    the same for both orderings.
     """
     validate_stability(params, config)
     gp, gm = config.gamma_opt_pair(params)
-    anti_br, stokes_br = _brackets(params, baths, config, kind)
+    anti_br, stokes_br = _brackets(params, baths, config)
     pref = params.kappa_r / params.kappa
     return pref * gp * anti_br, pref * gm * stokes_br
 
@@ -212,7 +207,7 @@ def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
     mixing = -(4 kappa_r/kappa) gamma_opt^2 [(omega - delta)(omega + delta)
     + gamma_M^2/4] / (both Lorentzian denominators) * (n_c + 1/2). Grid is
     absolute offsets from the cavity; peaks sit at -+delta. ``kind`` picks the
-    ordering as in `multitone_spectra`, for the floor and the Stokes bracket.
+    ordering of the floor, as in `multitone_spectra`.
 
     With ``components=True`` returns a dict with entries
     {"total", "floor", "mixing", "stokes", "anti_stokes"}.
@@ -222,7 +217,7 @@ def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
     validate_stability(params, config)
     gamma_big_m = config.gamma_big_m(params)
     delta = config.delta
-    anti_br, stokes_br = _brackets(params, baths, config, kind)
+    anti_br, stokes_br = _brackets(params, baths, config)
     n_c = baths.n_c(params)
     pref = params.kappa_r / params.kappa
     floor = noise_floor(params, baths, kind)

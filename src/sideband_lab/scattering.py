@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InstabilityError, ValidityError
-from .model import BathSpec, Spectrum, SystemParams, ToneSpec, validate_stability
+from .model import BathSpec, Spectrum, SystemParams, ToneSpec
 
 __all__ = [
     "ScatteringMatrix",
@@ -150,65 +150,63 @@ def scattering_matrix(params: SystemParams, tone: ToneSpec, detuning_sign: int,
     return ScatteringMatrix(entries=entries, detuning_sign=sign, s_loss=s_loss, omega=omega)
 
 
+def _port_strengths(params: SystemParams, baths: BathSpec, kind: str,
+                    detuning_sign: int) -> tuple[float, float, float]:
+    """(s_r, s_c, s_m) of `BathSpec.strengths`, s_c = (kappa_l s_l + kappa_r s_r + kappa_i s_i)/kappa."""
+    s_r, s_l, s_i, s_m = baths.strengths(kind, detuning_sign)
+    s_c = (params.kappa_l * s_l + params.kappa_r * s_r + params.kappa_i * s_i) / params.kappa
+    return s_r, s_c, s_m
+
+
 def noise_floor(params: SystemParams, baths: BathSpec, kind: str = "symmetrized") -> float:
     """Frequency-independent noise floor of the right-port output (lab frame).
 
-    S0 = alpha_r/2 + n_r + (4 kappa_r/kappa)(n_c - n_r)
-       + (2 kappa_r/kappa)(alpha_l - alpha_r); the normal-ordered floor is
-    lower by the vacuum term alpha_r/2.
+    S0 = s_r + (4 kappa_r/kappa)(s_c - s_r) in the input strengths of
+    ``kind`` (`_port_strengths`). At unit vacuum weights the normal-ordered
+    floor is lower by 1/2.
     """
-    k = params.kappa
-    kr = params.kappa_r
-    floor = (
-        baths.alpha_r / 2.0
-        + baths.n_r
-        + 4.0 * kr / k * (baths.n_c(params) - baths.n_r)
-        + 2.0 * kr / k * (baths.alpha_l - baths.alpha_r)
-    )
-    return floor - baths.alpha_r / 2.0 if kind == "normal_ordered" else floor
+    s_r, s_c, _ = _port_strengths(params, baths, kind, +1)
+    return s_r + 4.0 * params.kappa_r / params.kappa * (s_c - s_r)
 
 
-def spectrum_from_scattering(smat: ScatteringMatrix, baths: BathSpec, kind: str,
-                             detuning_sign: int | None = None) -> float:
+def spectrum_from_scattering(smat: ScatteringMatrix, baths: BathSpec, kind: str) -> float:
     """Output spectral value at smat's frequency, composed from |s_1j|^2.
 
-    ``kind`` is "symmetrized" (inputs weighted by n + w/2) or
-    "normal_ordered" (inputs weighted by n; the mechanical vacuum beta
-    contributes only for the blue pump). The intrinsic-loss channel enters
-    through ``smat.s_loss``.
+    S = sum_j |s_1j|^2 s_j over the (right, left, intrinsic, mechanical)
+    inputs, with the strengths s_j = `BathSpec.strengths(kind, sign)` of the
+    matrix's pump sign. The intrinsic-loss channel enters through
+    ``smat.s_loss``.
     """
-    sign = smat.detuning_sign if detuning_sign is None else int(detuning_sign)
     s11, s12, s13 = smat.output_row
     a = (abs(s11) ** 2, abs(s12) ** 2, abs(smat.s_loss) ** 2, abs(s13) ** 2)
-    if kind == "symmetrized":
-        w = baths.symmetrized_strengths()
-    elif kind == "normal_ordered":
-        beta = baths.beta if sign == -1 else 0.0
-        w = (baths.n_r, baths.n_l, baths.n_i, baths.n_m + beta)
-    else:
-        raise ConfigError(f"unknown spectrum kind {kind!r}")
+    w = baths.strengths(kind, smat.detuning_sign)
     return float(sum(ai * wi for ai, wi in zip(a, w)))
 
 
 def _lorentzian_brackets(params: SystemParams, baths: BathSpec, gamma_opt: float,
                          detuning_sign: int, kind: str) -> float:
-    """Bracket multiplying kappa_r/kappa * gamma_m*gamma_opt / ((omega -+ omega_m)^2 + gamma_tot^2/4)."""
-    n_c = baths.n_c(params)
-    n_eff = baths.n_eff(params)
+    """Bracket multiplying kappa_r/kappa * gamma_m*gamma_opt / ((omega -+ omega_m)^2 + gamma_tot^2/4).
+
+    s_m - sign (2 s_c - s_r) - (gamma_opt/gamma_m)(s_c - s_r) in the strengths
+    of `_port_strengths`; with `noise_floor` it equals the scattering
+    composition for any occupations and vacuum weights.
+    """
+    s_r, s_c, s_m = _port_strengths(params, baths, kind, detuning_sign)
     u = gamma_opt / params.gamma_m
-    kl_frac = params.kappa_l / params.kappa
-    d_alpha = (baths.alpha_l - baths.alpha_r) / 2.0
-    if kind == "symmetrized":
-        if detuning_sign == +1:
-            return (baths.n_m - n_eff + (baths.beta - baths.alpha_r) / 2.0
-                    - u * (n_c - baths.n_r) - kl_frac * (2.0 + u) * d_alpha)
-        return (baths.n_m + n_eff + (baths.beta + baths.alpha_r) / 2.0
-                - u * (n_c - baths.n_r) + kl_frac * (2.0 - u) * d_alpha)
-    if kind == "normal_ordered":
-        if detuning_sign == +1:
-            return baths.n_m - n_eff - u * (n_c - baths.n_r)
-        return baths.n_m + n_eff + baths.beta - u * (n_c - baths.n_r)
-    raise ConfigError(f"unknown spectrum kind {kind!r}")
+    return s_m - detuning_sign * (2.0 * s_c - s_r) - u * (s_c - s_r)
+
+
+def _lorentzian(params: SystemParams, baths: BathSpec, tone: ToneSpec, detuning_sign: int,
+                kind: str, weak_coupling: bool) -> tuple[float, float]:
+    """(amplitude, width) of the single-tone feature amplitude / (x^2 + width^2/4)."""
+    sign = int(detuning_sign)
+    gamma_opt = tone.gamma_opt(params)
+    gamma_tot = params.gamma_m + sign * gamma_opt
+    if not gamma_tot > 0.0:
+        raise InstabilityError(gamma_tot)
+    bracket = _lorentzian_brackets(params, baths, gamma_opt, sign, kind)
+    amplitude = (params.kappa_r / params.kappa) * params.gamma_m * gamma_opt * bracket
+    return amplitude, params.gamma_m if weak_coupling else gamma_tot
 
 
 def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
@@ -222,21 +220,10 @@ def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     Agrees with the scattering-row composition at every point.
     """
     params.require_good_cavity()
-    sign = int(detuning_sign)
-    gamma_opt = tone.gamma_opt(params)
-    gamma_tot = params.gamma_m + sign * gamma_opt
-    if not gamma_tot > 0.0:
-        raise InstabilityError(gamma_tot)
+    amplitude, width = _lorentzian(params, baths, tone, detuning_sign, kind, weak_coupling)
     x = np.asarray(grid, dtype=float)
     _window_gate(params, x, enforce_window)
-
-    width = params.gamma_m if weak_coupling else gamma_tot
-    floor = noise_floor(params, baths, kind)
-    bracket = _lorentzian_brackets(params, baths, gamma_opt, sign, kind)
-    lorentz = (params.kappa_r / params.kappa) * params.gamma_m * gamma_opt / (
-        x**2 + width**2 / 4.0
-    )
-    return Spectrum(x, floor + lorentz * bracket)
+    return Spectrum(x, noise_floor(params, baths, kind) + amplitude / (x**2 + width**2 / 4.0))
 
 
 def single_tone_integrated_weight(params: SystemParams, baths: BathSpec, tone: ToneSpec,
@@ -244,17 +231,11 @@ def single_tone_integrated_weight(params: SystemParams, baths: BathSpec, tone: T
                                   weak_coupling: bool = False) -> float:
     """Analytic integral (domega/2pi) of the single-tone Lorentzian feature.
 
-    (kappa_r/kappa) gamma_m gamma_opt * bracket / width, the exact integral
-    of the closed-form Lorentzian over all frequencies.
+    amplitude / width, the exact integral of the closed-form Lorentzian over
+    all frequencies.
     """
-    sign = int(detuning_sign)
-    gamma_opt = tone.gamma_opt(params)
-    gamma_tot = params.gamma_m + sign * gamma_opt
-    if not gamma_tot > 0.0:
-        raise InstabilityError(gamma_tot)
-    width = params.gamma_m if weak_coupling else gamma_tot
-    bracket = _lorentzian_brackets(params, baths, gamma_opt, sign, kind)
-    return (params.kappa_r / params.kappa) * params.gamma_m * gamma_opt * bracket / width
+    amplitude, width = _lorentzian(params, baths, tone, detuning_sign, kind, weak_coupling)
+    return amplitude / width
 
 
 def imbalance(params: SystemParams, baths: BathSpec, tone: ToneSpec, kind: str,
@@ -275,8 +256,10 @@ def integrated_asymmetry(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                          kind: str) -> float:
     """Integrated weight (domega/2pi) of the red/blue imbalance, weak-coupling form.
 
-    Symmetrized: (kappa_r/kappa) gamma_opt [2 n_eff + (kappa_r/kappa) alpha_r
-    + (kappa_l/kappa) alpha_l]; normal-ordered: ... [2 n_eff + beta].
+    (kappa_r/kappa) gamma_opt (blue bracket - red bracket) with the brackets
+    of `_lorentzian_brackets`, i.e. (kappa_r/kappa) gamma_opt [s_m^blue -
+    s_m^red + 2 (2 s_c - s_r)]. The bracket difference is 2 n_eff + beta
+    (normal-ordered), and 2 n_eff + 1 (symmetrized) at unit vacuum weights.
     """
     gamma_opt = tone.gamma_opt(params)
     if gamma_opt > 0.1 * params.gamma_m:
@@ -285,15 +268,9 @@ def integrated_asymmetry(params: SystemParams, baths: BathSpec, tone: ToneSpec,
             f"(gamma_opt/gamma_m = {gamma_opt / params.gamma_m:.3g})",
             stacklevel=2,
         )
-    n_eff = baths.n_eff(params)
-    k = params.kappa
-    if kind == "symmetrized":
-        bracket = 2.0 * n_eff + (params.kappa_r / k) * baths.alpha_r + (params.kappa_l / k) * baths.alpha_l
-    elif kind == "normal_ordered":
-        bracket = 2.0 * n_eff + baths.beta
-    else:
-        raise ConfigError(f"unknown spectrum kind {kind!r}")
-    return (params.kappa_r / k) * gamma_opt * bracket
+    blue = _lorentzian_brackets(params, baths, gamma_opt, -1, kind)
+    red = _lorentzian_brackets(params, baths, gamma_opt, +1, kind)
+    return (params.kappa_r / params.kappa) * gamma_opt * (blue - red)
 
 
 def output_commutator(params: SystemParams, baths: BathSpec, tone: ToneSpec,

@@ -56,7 +56,7 @@ def test_criterion_1_quantum_imbalance_plus_one():
     params, baths, config = preset("oracle-demo")
     gamma_opt, _ = config.gamma_opt_pair(params)
     pref = params.kappa_r / params.kappa
-    w_anti, w_stokes = sideband_weights(params, baths, config, "symmetrized")
+    w_anti, w_stokes = sideband_weights(params, baths, config)
     analytic = (w_stokes - w_anti) / (pref * gamma_opt)
     assert analytic == pytest.approx(1.0, abs=1e-9)
 
@@ -87,7 +87,7 @@ def test_criterion_2_ratio_law():
             baths = BathSpec(n_r=n_eff, n_l=n_eff, n_i=n_eff, n_m=n_m)
             config = balanced_config(params, delta=TWO_PI * 5e3,
                                      probe_gamma_opt=gamma_opt)
-            w_anti, w_stokes = sideband_weights(params, baths, config, "symmetrized")
+            w_anti, w_stokes = sideband_weights(params, baths, config)
             derived = w_stokes / w_anti
             model = sideband_ratio_model(n_plus, n_eff)
             worst = max(worst, abs(derived / model - 1.0))

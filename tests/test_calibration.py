@@ -146,7 +146,7 @@ class TestSidebandDifferenceAndAverage:
         diff, avg = sideband_difference_and_average(params, baths, config, lam, delta_eta)
         gamma_opt, _ = config.gamma_opt_pair(params)
         pref = params.kappa_r / params.kappa
-        w_anti, w_stokes = sideband_weights(params, baths, config, "symmetrized")
+        w_anti, w_stokes = sideband_weights(params, baths, config)
         n_plus = w_anti / (pref * gamma_opt)
         n_minus = w_stokes / (pref * gamma_opt)
         assert diff == pytest.approx(n_minus - n_plus, rel=1e-9)

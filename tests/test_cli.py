@@ -69,6 +69,15 @@ class TestSpectrumCommand:
         assert rc == 3
         assert "InstabilityError" in capsys.readouterr().err
 
+    def test_non_numeric_config_field_is_config_error(self, tmp_path, capsys):
+        d = config_to_dict(*preset("oracle-demo"))
+        d["system"]["g0_hz"] = "16"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert "ConfigError: system.g0_hz must be a finite number" in capsys.readouterr().err
+
     def test_single_mode(self, tmp_path):
         rc = main(["spectrum", "--preset", "si-figure", "--mode", "single",
                    "--sign", "red", "--points", "101", "--out", str(tmp_path)])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sideband_lab
 from sideband_lab.config import (
@@ -80,6 +82,77 @@ class TestConfigRoundTrip:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+_DELETE = object()
+
+
+def _preset_dict(name):
+    return config_to_dict(*preset(name))
+
+
+def _field_paths():
+    paths = []
+    for name in PRESET_NAMES:
+        d = _preset_dict(name)
+        paths += [(name, block, key) for block in ("system", "baths") for key in d[block]]
+        paths += [(name, i, key) for i, tone in enumerate(d["tones"]) for key in tone]
+    return paths
+
+
+def _parses_or_config_error(d):
+    try:
+        config_from_dict(d)
+    except ConfigError:
+        pass
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(_field_paths()), value=json_values | st.just(_DELETE))
+    def test_single_field_substitution(self, path, value):
+        # only ConfigError may escape, whatever one field holds or lacks
+        name, block, key = path
+        d = _preset_dict(name)
+        target = d["tones"][block] if isinstance(block, int) else d[block]
+        if value is _DELETE:
+            del target[key]
+        else:
+            target[key] = value
+        _parses_or_config_error(d)
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(PRESET_NAMES), where=st.sampled_from(
+        ("root", "system", "baths", "tones", "tone")), value=json_values)
+    def test_structural_substitution(self, name, where, value):
+        d = _preset_dict(name)
+        if where == "root":
+            d = value
+        elif where == "tone":
+            d["tones"][0] = value
+        else:
+            d[where] = value
+        _parses_or_config_error(d)
+
+    @pytest.mark.parametrize("value", ["16", None, [16.0], {"hz": 16.0}, True,
+                                       pytest.param(10**400, id="huge-int"), float("nan")])
+    def test_error_names_block_and_key(self, value):
+        d = _preset_dict("oracle-demo")
+        d["system"]["g0_hz"] = value
+        with pytest.raises(ConfigError, match=r"system\.g0_hz"):
+            config_from_dict(d)
+
+    def test_tone_without_detuning(self):
+        d = _preset_dict("si-figure")
+        del d["tones"][1]["detuning_hz"]
+        with pytest.raises(ConfigError, match=r"tones\[1\].*detuning_hz"):
+            config_from_dict(d)
 
 
 class TestSpectrumCsv:

@@ -123,7 +123,7 @@ class TestMultitoneSpectra:
         p = make_params(gamma_m_hz=10.0)
         cfg = balanced_config(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 1.0)
         gamma_opt, _ = cfg.gamma_opt_pair(p)
-        w_anti, w_stokes = sideband_weights(p, BathSpec(), cfg, "symmetrized")
+        w_anti, w_stokes = sideband_weights(p, BathSpec(), cfg)
         pref = p.kappa_r / p.kappa
         assert (w_stokes - w_anti) / (pref * gamma_opt) == pytest.approx(1.0, rel=1e-12)
 
@@ -170,7 +170,7 @@ class TestMultitoneSpectra:
             baths = random_baths(rng)
             cfg = balanced_config(p, delta=TWO_PI * 5e3,
                                   probe_gamma_opt=rng.uniform(0.01, 1.0) * p.gamma_m)
-            w_anti, w_stokes = sideband_weights(p, baths, cfg, "symmetrized")
+            w_anti, w_stokes = sideband_weights(p, baths, cfg)
             assert w_stokes >= w_anti
 
     def test_separation_gate(self):
@@ -221,8 +221,8 @@ class TestIntegratedAsymmetry:
                                          rel=1e-4)
 
     def test_unbalanced_orderings_coincide(self, rng):
-        # the symmetrized and normal-ordered integrated asymmetries are the
-        # same expression even for G+ != G-
+        # both orderings share one pair of weights; their difference is the
+        # integrated asymmetry even for G+ != G-
         p = random_system(rng)
         baths = random_baths(rng)
         delta = TWO_PI * 5e3
@@ -230,9 +230,9 @@ class TestIntegratedAsymmetry:
             tone_with_gamma_opt(p, 0.5 * p.gamma_m, "red_probe", -(p.omega_m + delta)),
             tone_with_gamma_opt(p, 0.2 * p.gamma_m, "blue_probe", +(p.omega_m + delta)),
         ), delta=delta)
-        w_anti_s, w_stokes_s = sideband_weights(p, baths, cfg, "symmetrized")
-        w_anti_n, w_stokes_n = sideband_weights(p, baths, cfg, "normal_ordered")
-        assert w_stokes_s - w_anti_s == pytest.approx(w_stokes_n - w_anti_n, rel=1e-12)
+        w_anti, w_stokes = sideband_weights(p, baths, cfg)
+        assert w_stokes - w_anti == pytest.approx(
+            multitone_integrated_asymmetry(p, baths, cfg), rel=1e-12)
 
 
 class TestSidebandRatioModel:
@@ -248,7 +248,7 @@ class TestSidebandRatioModel:
                                         probe_gamma_opt=TWO_PI * 0.5, delta=TWO_PI * 5e3)
         n_eff = baths.n_eff(p)
         n_bar = averaged_occupation(p, baths, cfg)
-        w_anti, w_stokes = sideband_weights(p, baths, cfg, "symmetrized")
+        w_anti, w_stokes = sideband_weights(p, baths, cfg)
         ratio_spectra = w_stokes / w_anti
         ratio_model = sideband_ratio_model(n_bar - n_eff, n_eff)
         assert ratio_model == pytest.approx(1.0 + 6.0 / (4.7 - 2.5), rel=1e-12)

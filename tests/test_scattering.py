@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sideband_lab.errors import InstabilityError, ValidityError
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneSpec, integrated_weight
@@ -186,7 +189,7 @@ class TestNoiseFloor:
 
     def test_uniform_bath_collapse(self):
         p = make_params()
-        b = BathSpec(n_r=0.7, n_l=0.7, n_i=0.7, alpha_l=1.3, alpha_r=1.3)
+        b = BathSpec(n_r=0.7, n_l=0.7, n_i=0.7, alpha_l=1.3, alpha_r=1.3, alpha_i=1.3)
         assert noise_floor(p, b) == pytest.approx(1.3 / 2 + 0.7, rel=1e-12)
 
 
@@ -215,10 +218,13 @@ class TestSpectrumComposition:
             pytest.approx(expected, rel=1e-12)
 
     def test_closed_form_equals_composition(self, rng):
-        # physical vacuum weights, arbitrary kappa_i and occupations
-        for _ in range(100):
+        # arbitrary kappa_i and occupations; unit, then random vacuum weights
+        for trial in range(200):
             p = random_system(rng)
             b = random_baths(rng)
+            if trial >= 100:
+                a_r, a_l, a_i, beta = rng.uniform(0.3, 2.0, size=4)
+                b = replace(b, alpha_r=a_r, alpha_l=a_l, alpha_i=a_i, beta=beta)
             gamma_opt = rng.uniform(0.01, 0.9) * p.gamma_m
             tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
             sign = +1 if rng.random() < 0.5 else -1
@@ -229,6 +235,37 @@ class TestSpectrumComposition:
             composed = spectrum_from_scattering(smat, b, kind)
             scale = max(abs(composed), noise_floor(p, b))
             assert abs(spec.values[0] - composed) <= 1e-10 * scale
+
+
+unit_interval = st.floats(min_value=0.05, max_value=1.0)
+occupation = st.floats(min_value=0.0, max_value=5.0)
+vacuum_weight = st.floats(min_value=0.3, max_value=2.0)
+
+
+class TestOrderingDifference:
+    @settings(max_examples=200, deadline=None)
+    @given(kl=unit_interval, kr=unit_interval, ki=st.floats(min_value=0.0, max_value=0.5),
+           gamma_m_hz=st.floats(min_value=5.0, max_value=100.0),
+           u=st.floats(min_value=0.01, max_value=0.9),
+           n=st.tuples(occupation, occupation, occupation,
+                       st.floats(min_value=0.0, max_value=100.0)),
+           w=st.tuples(vacuum_weight, vacuum_weight, vacuum_weight, vacuum_weight),
+           sign=st.sampled_from((+1, -1)))
+    def test_symmetrized_minus_normal_is_half_commutator(self, kl, kr, ki, gamma_m_hz, u,
+                                                         n, w, sign):
+        # general form of sym - normal = 1/2: for any vacuum weights the two
+        # orderings differ by half the output commutator at every frequency
+        p = make_params(kappa_l_hz=kl * 1e5, kappa_r_hz=kr * 1e5, kappa_i_hz=ki * 1e5,
+                        gamma_m_hz=gamma_m_hz, omega_m_hz=50.0 * (kl + kr + ki) * 1e5)
+        b = BathSpec(*n, *w)
+        tone = tone_with_gamma_opt(p, u * p.gamma_m, "red_probe")
+        omegas = sign * p.omega_m + np.linspace(-5, 5, 11) * p.gamma_m
+        grid = omegas - sign * p.omega_m  # the offsets scattering_matrix sees
+        sym = single_tone_spectrum(p, b, tone, sign, "symmetrized", grid).values
+        nrm = single_tone_spectrum(p, b, tone, sign, "normal_ordered", grid).values
+        half_c = np.array([output_commutator(p, b, tone, sign, om) for om in omegas]) / 2.0
+        scale = np.maximum(np.abs(sym), np.abs(nrm))
+        assert np.all(np.abs(sym - nrm - half_c) <= 1e-12 * scale)
 
 
 class TestSingleToneSpectrum:
@@ -318,9 +355,10 @@ class TestIntegratedAsymmetry:
         assert integrated_asymmetry(p, BathSpec(n_r=1.0), tone, "symmetrized") == 0.0
 
     def test_quadrature_oracle(self, rng):
-        # trapezoid + 1/x^2 tail correction over +-50 gamma_tot, 1e-4 relative
-        for _ in range(5):
-            p = random_system(rng, kappa_i_zero=True)
+        # trapezoid + 1/x^2 tail correction over +-50 gamma_tot, 1e-4 relative;
+        # five two-port systems, then five with intrinsic loss
+        for trial in range(10):
+            p = random_system(rng, kappa_i_zero=trial < 5)
             b = random_baths(rng, max_n=1.0)
             b = BathSpec(n_r=b.n_r, n_l=b.n_l, n_i=b.n_i, n_m=rng.uniform(0, 3.0))
             tone = tone_with_gamma_opt(p, 1e-6 * p.gamma_m, "red_probe")
