@@ -9,7 +9,9 @@ reproduced by this construction and are checked analytically elsewhere.
 
 The right-port output d_out = d_in + sqrt(kappa_r) d is boxcar-decimated to
 the bandwidth of interest and Welch-averaged into a power spectral density in
-quanta, normalized so a flat vacuum input gives 1/2.
+quanta, normalized so a flat vacuum input gives 1/2. `oracle_compare` reads
+the floor, weights and centres from that PSD with `_measure_peak`, which
+takes every feature to be a Lorentzian of full width gamma_tot.
 
 One pure-numpy Euler-Maruyama kernel runs everywhere, vectorized over the
 trajectories. Reproducibility: every trajectory draws from its own
@@ -32,7 +34,6 @@ from .model import (
     Spectrum,
     SystemParams,
     ToneConfig,
-    integrated_weight,
     validate_stability,
 )
 from .multitone import sideband_weights
@@ -74,17 +75,16 @@ class SimConfig:
 
     @classmethod
     def auto(cls, params: SystemParams, config: ToneConfig, *, n_segments: int = 2000,
-             seed: int = 0, n_trajectories: int = 64, dt_factor: float = 0.04,
-             bins_per_linewidth: float = 4.0, burn_linewidths: float = 8.0) -> "SimConfig":
-        """Pick dt, lengths and burn-in consistent with the step-size gates."""
+             seed: int = 0, n_trajectories: int = 64, dt_factor: float = 0.04) -> "SimConfig":
+        """dt, lengths and an 8/gamma_tot burn-in within the step gates; 4 PSD bins per gamma_tot."""
         gamma_tot = config.gamma_tot(params)
         dt = min(dt_factor / params.kappa, 9e-4 / gamma_tot)
-        t_seg = TWO_PI * bins_per_linewidth / gamma_tot
+        t_seg = TWO_PI * 4.0 / gamma_tot
         steps_per_seg = max(2, math.ceil(t_seg / dt))
         segs_per_traj = max(2, math.ceil(n_segments / n_trajectories))
         kept = math.ceil((segs_per_traj + 1) / 2 * steps_per_seg)
         kept = max(kept, math.ceil(51.0 / (gamma_tot * dt)))
-        burn = math.ceil(burn_linewidths / (gamma_tot * dt))
+        burn = math.ceil(8.0 / (gamma_tot * dt))
         return cls(dt=dt, n_steps=kept + burn, n_trajectories=n_trajectories,
                    seed=seed, burn_in=burn, psd_segments=n_segments)
 
@@ -260,11 +260,12 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
     ntraj = traj.output_field.shape[0]
     segs_per_traj = max(1, math.ceil(psd_segments / ntraj))
     nperseg = min(kept, max(8, int(2 * kept / (segs_per_traj + 1))))
-    # shrink until the 50%-overlap segment count actually reaches the request
-    while nperseg > 8:
-        total = ntraj * (1 + max(0, kept - nperseg) // max(1, nperseg - nperseg // 2))
-        if total >= psd_segments:
-            break
+
+    def count(n):  # 50%-overlap segments of length n over every trajectory
+        return ntraj * (1 + max(0, kept - n) // max(1, n - n // 2))
+
+    # shrink until the segment count actually reaches the request
+    while nperseg > 8 and count(nperseg) < psd_segments:
         nperseg -= max(1, nperseg // 50)
     noverlap = nperseg // 2
     f, pxx = signal.welch(traj.output_field, fs=1.0 / traj.sampling, window="hann",
@@ -275,8 +276,7 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
     # f(omega) = int f(t) e^{i omega t} dt places it at omega = -2 pi f
     offsets = -TWO_PI * f
     order = np.argsort(offsets)
-    n_segments = ntraj * (1 + max(0, (kept - nperseg)) // max(1, nperseg - noverlap))
-    return Spectrum(offsets[order], pxx[order]), n_segments
+    return Spectrum(offsets[order], pxx[order]), count(nperseg)
 
 
 def estimate_psd(traj: TrajectoryOutput, psd_segments: int) -> Spectrum:
@@ -290,55 +290,55 @@ def estimate_psd(traj: TrajectoryOutput, psd_segments: int) -> Spectrum:
     return spec
 
 
-def choose_decimation(params: SystemParams, config: ToneConfig, sim: SimConfig,
-                      *, window_linewidths: float = 12.0) -> int:
+def choose_decimation(params: SystemParams, config: ToneConfig, sim: SimConfig) -> int:
     """Largest decimation that keeps the peaks well inside the folded band.
 
-    32x oversampling of the outermost feature keeps the boxcar attenuation
-    of a peak below ~0.32% (sinc^2 at 1/32 of the output rate).
+    32x oversampling of the outermost feature, 12 gamma_tot beyond the
+    farthest peak, keeps the boxcar attenuation of a peak below ~0.32%
+    (sinc^2 at 1/32 of the output rate).
     """
     gamma_tot = config.gamma_tot(params)
-    span = abs(config.delta) + window_linewidths * gamma_tot
+    span = abs(config.delta) + 12.0 * gamma_tot
     fs_needed = 32.0 * span / TWO_PI
     return max(1, int(1.0 / (fs_needed * sim.dt)))
 
 
-def _estimate_floor(spec: Spectrum, peak_centers, exclusion: float) -> float:
-    """Median of the spectrum away from every peak (robust, kernel-agnostic)."""
-    mask = np.ones(spec.freq_offsets.size, dtype=bool)
-    for center in peak_centers:
-        mask &= np.abs(spec.freq_offsets - center) > exclusion
-    if not np.any(mask):
-        mask[:] = True
-    return float(np.median(spec.values[mask]))
+def _measure_peak(spec: Spectrum, centers: list[float], gamma_tot: float):
+    """(floor, weights, centroids) of the Lorentzian features at ``centers``.
 
-
-def _measure_peak(spec: Spectrum, center: float, half_window: float, floor: float):
-    """(weight, centroid) of one feature: tail-corrected trapezoid + first moment.
-
-    Pure sample statistics, insensitive to the Welch kernel (the integral of a
-    convolved peak is preserved), valid for dips (negative weight) too. The
-    1/x^2 tail constants are estimated from edge bands (outer ~8% of the
-    window per side) rather than single samples, which keeps the correction
-    usable on noisy estimates.
+    The floor is the median farther than 12 gamma_tot from every centre. The
+    sums above it over +-4 gamma_tot around each centre are solved for the
+    share of every feature's Lorentzian (full width gamma_tot) in each window,
+    which restores the cut tails and removes the leakage between features.
+    Weights are in domega/2pi units, negative for dips; a centroid is the first
+    moment of |values - floor| over the window. The grid must be uniform.
     """
-    mask = np.abs(spec.freq_offsets - center) <= half_window
-    x = spec.freq_offsets[mask]
-    v = spec.values[mask] - floor
-    norm = np.trapezoid(np.abs(v), x)
-    centroid = float(np.trapezoid(x * np.abs(v), x) / norm) if norm > 0 else center
-    weight = np.trapezoid(v, x) / TWO_PI
-    k = max(2, x.size // 12)
-    for sl in (slice(0, k), slice(x.size - k, x.size)):
-        c_tail = float(np.mean(v[sl] * (x[sl] - centroid) ** 2))
-        edge = max(abs(float(np.mean(x[sl])) - centroid), 1e-300)
-        weight += c_tail / edge / TWO_PI
-    return float(weight), centroid
+    x = spec.freq_offsets
+    centers = np.asarray(centers, dtype=float)
+    far = np.ones(x.size, dtype=bool)
+    for center in centers:
+        far &= np.abs(x - center) > 12.0 * gamma_tot
+    floor = float(np.median(spec.values[far]))
+    step = (x[-1] - x[0]) / (x.size - 1)
+    sums = np.empty(centers.size)
+    shares = np.empty((centers.size, centers.size))
+    centroids = []
+    for i, center in enumerate(centers):
+        inside = np.abs(x - center) <= 4.0 * gamma_tot
+        xw = x[inside]
+        v = spec.values[inside] - floor
+        sums[i] = np.sum(v) * step / TWO_PI
+        lo, hi = xw[0] - step / 2.0, xw[-1] + step / 2.0
+        shares[i] = (np.arctan(2.0 * (hi - centers) / gamma_tot)
+                     - np.arctan(2.0 * (lo - centers) / gamma_tot)) / np.pi
+        norm = np.sum(np.abs(v))
+        centroids.append(float(np.sum(xw * np.abs(v)) / norm) if norm > 0 else float(center))
+    weights = np.linalg.solve(shares, sums)
+    return floor, [float(w) for w in weights], centroids
 
 
 def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                   sim: SimConfig, *, decimate: int | None = None,
-                   window_linewidths: float = 8.0) -> tuple[dict, Spectrum]:
+                   sim: SimConfig) -> tuple[dict, Spectrum]:
     """Run the stochastic oracle and compare against the analytic spectra.
 
     Returns (report, mc_spectrum): a JSON-ready report with analytic and
@@ -348,12 +348,9 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
     """
     from .config import describe_run
 
-    if decimate is None:
-        decimate = choose_decimation(params, config, sim)
-    traj = integrate_langevin(params, baths, config, sim, decimate=decimate)
+    traj = integrate_langevin(params, baths, config, sim,
+                              decimate=choose_decimation(params, config, sim))
     spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
-    gamma_tot = config.gamma_tot(params)
-    half_window = window_linewidths * gamma_tot
 
     peaks = []
     if config.has_probe_pair:
@@ -370,13 +367,14 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         peaks.append(("peak", -config.delta if sign == +1 else config.delta, w))
 
     floor_analytic = noise_floor(params, baths)
-    mc_floor = _estimate_floor(spec, [c for _, c, _ in peaks], 1.5 * half_window)
+    mc_floor, mc_weights, mc_centers = _measure_peak(spec, [c for _, c, _ in peaks],
+                                                     config.gamma_tot(params))
     report = {
         "config_hash": describe_run(params, baths, config, sim)["config_hash"],
         "seed": sim.seed,
         "rng": RNG_ALGORITHM,
         "n_segments": int(n_segments),
-        "decimation": int(decimate),
+        "decimation": traj.decimation,
         "analytic_floor": floor_analytic,
         "mc_floor": mc_floor,
         "floor_rel_err": abs(mc_floor - floor_analytic) / abs(floor_analytic),
@@ -385,8 +383,7 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         "rel_err": {},
         "mc_center": {},
     }
-    for name, center, w_analytic in peaks:
-        w_mc, centroid = _measure_peak(spec, center, half_window, mc_floor)
+    for (name, _, w_analytic), w_mc, centroid in zip(peaks, mc_weights, mc_centers):
         report["analytic_weight"][name] = w_analytic
         report["mc_weight"][name] = w_mc
         report["rel_err"][name] = abs(w_mc - w_analytic) / abs(w_analytic) if w_analytic else math.inf

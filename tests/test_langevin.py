@@ -17,6 +17,7 @@ from sideband_lab.langevin import (
     RNG_ALGORITHM,
     SimConfig,
     TrajectoryOutput,
+    _measure_peak,
     choose_decimation,
     estimate_psd,
     integrate_langevin,
@@ -24,6 +25,9 @@ from sideband_lab.langevin import (
     synthesize_input_noise,
 )
 from sideband_lab.model import TWO_PI, BathSpec, SystemParams, Spectrum, ToneConfig, ToneSpec
+from sideband_lab.multitone import full_rwa_spectrum, sideband_weights
+from sideband_lab.presets import preset
+from sideband_lab.scattering import single_tone_integrated_weight, single_tone_spectrum
 
 from conftest import balanced_config, make_params, tone_with_gamma_opt
 
@@ -273,6 +277,44 @@ class TestOracleEquivalence:
             assert report["analytic_weight"]["peak"] < 0.0
         if name == "red":
             assert report["n_segments"] >= 2000
+
+
+def exact_oracle_grid(gamma_tot):
+    """The oracle's resolution and reach: 4 bins per gamma_tot over +-360 gamma_tot."""
+    return np.arange(-1440, 1441) * gamma_tot / 4.0
+
+
+class TestMeasurePeak:
+    """The peak estimator on exact closed-form spectra, no Monte Carlo."""
+
+    @pytest.mark.parametrize("name", ["red", "squashing", "balanced", "cooling"])
+    def test_weights_of_exact_spectra(self, name):
+        p, baths, cfg, _ = equivalence_case(name)
+        gamma_tot = cfg.gamma_tot(p)
+        grid = exact_oracle_grid(gamma_tot)
+        if cfg.has_probe_pair:
+            spec = full_rwa_spectrum(p, baths, cfg, grid)
+            centers = [-cfg.delta, cfg.delta]
+            exact = sideband_weights(p, baths, cfg)
+        else:
+            tone = cfg.tones[0]
+            spec = single_tone_spectrum(p, baths, tone, +1, "symmetrized", grid,
+                                        enforce_window=False)
+            centers = [0.0]
+            exact = [single_tone_integrated_weight(p, baths, tone, +1, "symmetrized")]
+        _, weights, centroids = _measure_peak(spec, centers, gamma_tot)
+        np.testing.assert_allclose(weights, exact, rtol=1e-3)
+        np.testing.assert_allclose(centroids, centers, rtol=0, atol=gamma_tot / 50.0)
+
+    def test_imbalance_of_exact_oracle_demo(self):
+        # the mixing term is even in the offset, so it cancels in the difference
+        p, baths, cfg = preset("oracle-demo")
+        gamma_opt, _ = cfg.gamma_opt_pair(p)
+        gamma_tot = cfg.gamma_tot(p)
+        spec = full_rwa_spectrum(p, baths, cfg, exact_oracle_grid(gamma_tot))
+        _, (w_anti, w_stokes), _ = _measure_peak(spec, [-cfg.delta, cfg.delta], gamma_tot)
+        imbalance = (w_stokes - w_anti) / (p.kappa_r / p.kappa * gamma_opt)
+        assert imbalance == pytest.approx(1.0, abs=1e-4)
 
 
 class TestOracleCompare:
