@@ -172,9 +172,11 @@ def cmd_oracle_compare(args) -> int:
         write_spectrum_csv(out / "analytic_spectrum.csv", spec)
 
     (out / "report.json").write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    layout = {key: report[key] for key in
+              ("timings_s", "output_step_s", "floquet_slots", "n_output_samples")}
     write_manifest(out, RunManifest(command="oracle-compare", config_hash=report["config_hash"],
                                     outputs=["report.json", "mc_spectrum.csv", "analytic_spectrum.csv"],
-                                    seed=args.seed))
+                                    seed=args.seed, extra=layout))
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
     return 0
 

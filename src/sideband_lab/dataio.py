@@ -111,16 +111,19 @@ def file_sha256(path) -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """What a CLI invocation did: inputs hashed, outputs listed."""
+    """What a CLI invocation did: inputs hashed, outputs listed, and any
+    command-specific ``extra`` fields at the top level."""
 
     command: str
     config_hash: str
     outputs: list[str] = field(default_factory=list)
     seed: int | None = None
     tool_version: str = __version__
+    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        fields = asdict(self)
+        return {**fields.pop("extra"), **fields}
 
 
 def write_manifest(directory, manifest: RunManifest) -> Path:

@@ -33,7 +33,7 @@ class UnbalancedError(SidebandLabError):
 
 
 class StepSizeError(SidebandLabError):
-    """Stochastic integrator step/length gates violated."""
+    """Stochastic oracle length gate or cooling-period step gate violated."""
 
 
 class NonConvergence(SidebandLabError):

@@ -1,61 +1,55 @@
-"""Brute-force time-domain cross-check of the analytic spectra.
+"""Exact time-domain cross-check of the analytic spectra.
 
 The linearized rotating-frame equations for the cavity and mechanical
-fluctuation envelopes are integrated by Euler-Maruyama with classical
-complex Gaussian inputs whose variances are the symmetrized bath strengths
-(n_sigma + w_sigma/2). For linear dynamics this classical ensemble has
-exactly the symmetrized quantum spectra; normal-ordered spectra are not
-reproduced by this construction and are checked analytically elsewhere.
+envelopes are driven by classical complex Gaussian inputs of intensity
+n_sigma + w_sigma/2, which for linear dynamics gives exactly the symmetrized
+quantum spectra (normal-ordered ones are checked analytically elsewhere).
 
-The right-port output d_out = d_in + sqrt(kappa_r) d is boxcar-decimated to
-the bandwidth of interest and Welch-averaged into a power spectral density in
-quanta, normalized so a flat vacuum input gives 1/2. `oracle_compare` reads
-the floor, weights and centres from that PSD with `_measure_peak`, which
-takes every feature to be a Lorentzian of full width gamma_tot.
+Linear equations need no small steps: each output sample is one exact
+Gaussian transition (Van Loan, IEEE TAC 23, 395 (1978)). In the frame
+c~ = c e^{i delta t} the probe tones have constant coefficients. The state
+(Re d, Re c~, Im d, Im c~) is augmented with the integral I of the right-port
+output d_in + sqrt(kappa_r) d, reset at every sample, so I/dt is the exact
+boxcar-averaged output. One 12x12 matrix exponential gives the transition
+Phi and noise covariance Q over the output step dt; a step is
+X+ = Phi X + eta, eta ~ N(0, Q). A cooling tone leaves e^{+-i Omega t},
+Omega = delta_c - delta, in the coefficients, so dt is a whole fraction
+2 pi/(|Omega| P) of that period and each of the P phase slots has its own
+(Phi_j, Q_j), composed from 64 piecewise-constant substeps.
 
-One pure-numpy Euler-Maruyama kernel runs everywhere, vectorized over the
-trajectories. Reproducibility: every trajectory draws from its own
-counter-based stream, numpy Philox-4x64-10 seeded with
-SeedSequence(seed, spawn_key=(index,)), so trajectory j is the same whatever
-the number of trajectories run beside it.
+The samples are Welch-averaged into a PSD in quanta (flat vacuum gives 1/2);
+`_measure_peak` reads floor, weights and centres from it, taking every
+feature to be a Lorentzian of full width gamma_tot. Trajectory j draws six
+standard normals per step from its own Philox-4x64-10 stream,
+SeedSequence(seed, spawn_key=(j,)), and its arithmetic is elementwise, so it
+is the same whatever the number of trajectories run beside it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, StepSizeError
-from .model import (
-    TWO_PI,
-    BathSpec,
-    Spectrum,
-    SystemParams,
-    ToneConfig,
-    validate_stability,
-)
+from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, validate_stability
 from .multitone import sideband_weights
 from .scattering import noise_floor, single_tone_integrated_weight
 
 RNG_ALGORITHM = "numpy-philox-4x64-10"
+SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
+CHUNK = 4096  # output steps drawn at a time
+WELCH_BLOCK = 16  # trajectories per signal.welch call
 
-__all__ = [
-    "SimConfig",
-    "TrajectoryOutput",
-    "synthesize_input_noise",
-    "integrate_langevin",
-    "estimate_psd",
-    "choose_decimation",
-    "oracle_compare",
-    "RNG_ALGORITHM",
-]
+__all__ = ["SimConfig", "TrajectoryOutput", "propagator", "synthesize_input_noise",
+           "integrate_langevin", "oracle_compare", "RNG_ALGORITHM"]
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration and averaging layout for one stochastic run."""
+    """Layout of one stochastic run: output step dt (s), lengths in output steps."""
 
     dt: float
     n_steps: int
@@ -75,10 +69,17 @@ class SimConfig:
 
     @classmethod
     def auto(cls, params: SystemParams, config: ToneConfig, *, n_segments: int = 2000,
-             seed: int = 0, n_trajectories: int = 64, dt_factor: float = 0.04) -> "SimConfig":
-        """dt, lengths and an 8/gamma_tot burn-in within the step gates; 4 PSD bins per gamma_tot."""
+             seed: int = 0, n_trajectories: int = 64) -> "SimConfig":
+        """dt, lengths and an 8/gamma_tot burn-in; 4 PSD bins per gamma_tot.
+
+        Sampling 32x the span to 12 gamma_tot beyond the farthest peak keeps
+        the boxcar attenuation of a peak below ~0.32%; a cooling tone rounds
+        dt down to a whole fraction of its period."""
         gamma_tot = config.gamma_tot(params)
-        dt = min(dt_factor / params.kappa, 9e-4 / gamma_tot)
+        dt = TWO_PI / (32.0 * (abs(config.delta) + 12.0 * gamma_tot))
+        period = _cooling_period(config)
+        if period is not None:
+            dt = period / math.ceil(period / dt)
         t_seg = TWO_PI * 4.0 / gamma_tot
         steps_per_seg = max(2, math.ceil(t_seg / dt))
         segs_per_traj = max(2, math.ceil(n_segments / n_trajectories))
@@ -91,173 +92,182 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrajectoryOutput:
-    """Decimated right-port output samples for every trajectory.
-
-    ``output_field`` has shape (n_trajectories, (n_steps - burn_in)//decimation)
-    and ``sampling`` is the decimated step base_dt * decimation.
-    ``mech_abs2`` (optional) holds the per-trajectory time average of |c|^2.
-    """
+    """Right-port output, (n_trajectories, n_steps - burn_in) samples averaged
+    over ``sampling`` seconds each, Floquet ``slots``, stage ``timings`` and the
+    optional per-trajectory mean |c|^2. ``decimation`` (1) is kept for the tracer."""
 
     output_field: np.ndarray
     sampling: float
-    decimation: int
-    base_dt: float
+    slots: int = 1
+    timings: dict = field(default_factory=dict)
     mech_abs2: np.ndarray | None = None
+    decimation: int = 1
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.output_field)):
             raise StepSizeError("trajectory diverged: non-finite output samples")
 
 
-def synthesize_input_noise(params: SystemParams, baths: BathSpec, dt: float,
-                           rngs: list[np.random.Generator],
-                           n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-step complex noise increments of the integrator, one column per stream.
-
-    Returns (right, left + intrinsic, mechanical), each of shape
-    (n_steps, len(rngs)), with <|xi|^2> per step W_r dt,
-    (kappa_l W_l + kappa_i W_i) dt and gamma_m W_m dt, where W = n + w/2 are
-    the symmetrized bath strengths. Real and imaginary parts are independent
-    with half the variance each. Column j draws (n_steps, 6) standard normals
-    from ``rngs[j]`` alone, so it does not depend on the other streams.
-    """
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    w_r, w_l, w_i, w_m = baths.strengths("symmetrized")
-    scale_r = math.sqrt(w_r * dt / 2.0)
-    scale_o = math.sqrt((params.kappa_l * w_l + params.kappa_i * w_i) * dt / 2.0)
-    scale_m = math.sqrt(params.gamma_m * w_m * dt / 2.0)
-    z = np.empty((n_steps, len(rngs), 6))
-    for j, rng in enumerate(rngs):
-        z[:, j, :] = rng.standard_normal((n_steps, 6))
-    return (scale_r * (z[:, :, 0] + 1j * z[:, :, 1]),
-            scale_o * (z[:, :, 2] + 1j * z[:, :, 3]),
-            scale_m * (z[:, :, 4] + 1j * z[:, :, 5]))
+def _cooling_period(config: ToneConfig) -> float | None:
+    """2 pi/|delta_c - delta|, the period of a cooling tone's coefficients; None if none."""
+    omega = (config.delta_c or 0.0) - config.delta
+    return TWO_PI / abs(omega) if config.tone("cooling") is not None and omega else None
 
 
-def _drive_terms(params: SystemParams, config: ToneConfig) -> tuple[float, float, float, float, float]:
-    """(G+, G-, G_cool, delta, delta_c) in rad/s for the integrator."""
-    gp = gm = gc = 0.0
+def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
+                  times) -> tuple[np.ndarray, np.ndarray]:
+    """(A per time, LL^T) of dZ = A Z dt + L dW, Z = (Re d, Re c~, Im d, Im c~, Re I, Im I)."""
+    rates = {"red_probe": 0.0, "blue_probe": 0.0, "cooling": 0.0}
     for tone in config.tones:
-        if tone.role == "red_probe":
-            gp = tone.coupling_rate(params)
-        elif tone.role == "blue_probe":
-            gm = tone.coupling_rate(params)
-        elif tone.role == "cooling":
-            gc = tone.coupling_rate(params)
-        else:
-            raise ConfigError(
-                "generic-role tones are ambiguous for time-domain integration; "
-                "use red_probe/blue_probe/cooling"
-            )
-    delta_c = config.delta_c if config.delta_c is not None else 0.0
-    return gp, gm, gc, config.delta, delta_c
+        if tone.role not in rates:
+            raise ConfigError("generic-role tones are ambiguous for time-domain integration; "
+                              "use red_probe/blue_probe/cooling")
+        rates[tone.role] = tone.coupling_rate(params)
+    gp, gm, gc = rates.values()
+    rot = gc * np.exp(1j * ((config.delta_c or 0.0) - config.delta) * np.asarray(times))
+    # (d, c~)' = m (d, c~) + n (d, c~)^*, written out in real and imaginary parts
+    m = np.empty(rot.shape + (2, 2), dtype=np.complex128)
+    m[:, 0, 0] = -params.kappa / 2.0
+    m[:, 0, 1] = -1j * (gp + rot)
+    m[:, 1, 0] = -1j * (gp + np.conj(rot))
+    m[:, 1, 1] = -params.gamma_m / 2.0 + 1j * config.delta
+    n = np.array([[0.0, -1j * gm], [-1j * gm, 0.0]])
+    a = np.zeros(rot.shape + (6, 6))
+    a[:, :4, :4] = np.block([[(m + n).real, (n - m).imag], [(m + n).imag, (m - n).real]])
+    sqrt_kr = math.sqrt(params.kappa_r)
+    a[:, 4, 0] = a[:, 5, 2] = sqrt_kr
+    # white inputs, half in each quadrature: the right port enters d as
+    # -sqrt(kappa_r) d_in and I as +d_in; left + intrinsic enter d, mechanics c~
+    w_r, w_l, w_i, w_m = baths.strengths("symmetrized")
+    llt = np.zeros((6, 6))
+    for d, c, i in ((0, 1, 4), (2, 3, 5)):
+        llt[np.ix_((d, i), (d, i))] = w_r / 2.0 * np.array([[params.kappa_r, -sqrt_kr],
+                                                            [-sqrt_kr, 1.0]])
+        llt[d, d] += (params.kappa_l * w_l + params.kappa_i * w_i) / 2.0
+        llt[c, c] = params.gamma_m * w_m / 2.0
+    return a, llt
 
 
-def _kernel_numpy(d, c, zr, zo, zm, pp, pc, consts, dec, out, out_col, record, mech_acc):
-    # output samples use the midpoint (d_k + d_{k+1})/2, which restores the
-    # continuum input-output interference to O((kappa dt)^2)
-    dt, half_kappa, half_gamma, gp, gm, gc, sqrt_kr, inv_dt = consts
-    nsteps = zr.shape[0]
-    acc = np.zeros(d.shape, dtype=np.complex128)
-    k = 0
-    m = out_col
-    for s in range(nsteps):
-        p = pp[s]
-        q = pc[s]
-        cd = np.conj(d)
-        cc = np.conj(c)
-        drift_d = -half_kappa * d - 1j * (gp * p * c + gm * np.conj(p) * cc + gc * q * c)
-        drift_c = -half_gamma * c - 1j * (np.conj(p) * (gp * d + gm * cd) + gc * np.conj(q) * d)
-        d_new = d + dt * drift_d - sqrt_kr * zr[s] - zo[s]
-        c_new = c + dt * drift_c - zm[s]
-        if record:
-            acc += zr[s] * inv_dt + sqrt_kr * 0.5 * (d + d_new)
-        d[:] = d_new
-        c[:] = c_new
-        if mech_acc is not None:
-            mech_acc += np.abs(c) ** 2
-        if record:
-            k += 1
-            if k == dec:
-                out[:, m] = acc / dec
-                acc[:] = 0.0
-                k = 0
-                m += 1
-    return m
+def _van_loan(a: np.ndarray, llt: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (Phi, Q) over dt for each drift in the stack ``a`` (Van Loan 1978)."""
+    from scipy.linalg import expm  # deferred: only the oracle needs it, not every CLI command
+
+    block = np.zeros(a.shape[:-2] + (12, 12))
+    block[..., :6, :6] = -a
+    block[..., :6, 6:] = llt
+    block[..., 6:, 6:] = np.swapaxes(a, -1, -2)
+    e = expm(block * dt)
+    phi = np.swapaxes(e[..., 6:, 6:], -1, -2)
+    q = phi @ e[..., :6, 6:]
+    return phi, (q + np.swapaxes(q, -1, -2)) / 2.0
+
+
+def propagator(params: SystemParams, baths: BathSpec, config: ToneConfig,
+               dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi, q, factor), each (P, 6, 6): the exact transition and noise
+    covariance over the output step ``dt`` for each phase slot j = step mod P
+    of the cooling period (P = 1 without one), and the Cholesky factor of q
+    (zero where a coordinate gets no noise)."""
+    period = _cooling_period(config)
+    slots, substeps = 1, 1
+    if period is not None:
+        slots, substeps = round(period / dt), SUBSTEPS
+        if slots < 1 or abs(slots * dt - period) > 1e-9 * period:
+            raise StepSizeError(f"output step {dt:.6g} s is not a whole fraction of the "
+                                f"cooling period {period:.6g} s")
+    h = dt / substeps
+    phi_k, q_k = _van_loan(*_sde_matrices(params, baths, config,
+                                          (np.arange(slots * substeps) + 0.5) * h), h)
+    phi, q = np.broadcast_to(np.eye(6), (slots, 6, 6)), np.zeros((slots, 6, 6))
+    for k in range(substeps):  # compose the substeps of every slot at once
+        sub = phi_k[k::substeps]
+        phi, q = sub @ phi, sub @ q @ np.swapaxes(sub, -1, -2) + q_k[k::substeps]
+    live = np.flatnonzero(np.diagonal(q[0]) > 0.0)[:, None]
+    factor = np.zeros_like(q)
+    factor[:, live, live.T] = np.linalg.cholesky(q[:, live, live.T])
+    return phi, q, factor
+
+
+def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
+                           first_step: int, n_steps: int) -> np.ndarray:
+    """Noise eta of output steps first_step .. first_step + n_steps - 1.
+
+    Shape (n_steps, 6, len(rngs)); eta ~ N(0, factor factor^T) of the step's
+    slot, independent between steps and columns. Column j maps (n_steps, 6)
+    standard normals of ``rngs[j]`` elementwise, so it does not depend on the
+    other streams, not even in rounding.
+    """
+    z = np.empty((n_steps, 6, len(rngs)))
+    for j, rng in enumerate(rngs):
+        z[:, :, j] = rng.standard_normal((n_steps, 6))
+    factor = factor[(first_step + np.arange(n_steps)) % len(factor)]
+    eta = factor[:, :, 0, None] * z[:, None, 0, :]
+    for k in range(1, 6):  # the factor is lower triangular
+        eta[:, k:] += factor[:, k:, k, None] * z[:, None, k, :]
+    return eta
 
 
 def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                       sim: SimConfig, *, decimate: int = 1,
-                       record_mech: bool = False) -> TrajectoryOutput:
-    """Euler-Maruyama integration of the coupled cavity/mechanics envelopes.
+                       sim: SimConfig, *, record_mech: bool = False) -> TrajectoryOutput:
+    """Exact output-rate propagation of the coupled cavity/mechanics envelopes.
 
     All configured tones are applied with their rotating phases
     (e^{-+i delta t} beamsplitter / two-mode-squeezing pair, e^{-i delta_c t}
-    cooling). Deterministic for a fixed seed. ``decimate`` boxcar-averages
-    the output to a lower sampling rate; the response of that boxcar is not
-    compensated (see ``choose_decimation`` for the margin that bounds it).
+    cooling). Deterministic for a fixed seed.
     """
     params.require_good_cavity()
     validate_stability(params, config)
     gamma_tot = config.gamma_tot(params)
-    if sim.dt * params.kappa >= 0.05:
-        raise StepSizeError(
-            f"step gate dt*kappa < 0.05 violated (dt*kappa = {sim.dt * params.kappa:.3g})"
-        )
-    if sim.dt * gamma_tot >= 1e-3:
-        raise StepSizeError(
-            f"step gate dt*gamma_tot < 1e-3 violated (dt*gamma_tot = {sim.dt * gamma_tot:.3g})"
-        )
     if sim.n_steps * sim.dt <= 50.0 / gamma_tot:
         raise StepSizeError(
             "length gate n_steps*dt > 50/gamma_tot violated "
             f"(T = {sim.n_steps * sim.dt:.3g}, 50/gamma_tot = {50.0 / gamma_tot:.3g})"
         )
-    if decimate < 1:
-        raise ConfigError("decimate must be >= 1")
 
-    dt = sim.dt
-    gp, gm, gc, delta, delta_c = _drive_terms(params, config)
+    start = time.perf_counter()
+    phi, _, factor = propagator(params, baths, config, sim.dt)
+    setup = time.perf_counter() - start
+    slots, phi_x = len(phi), phi[:, :4, :4, None]
     ntraj = sim.n_trajectories
-    kept_steps = sim.n_steps - sim.burn_in
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(j,))))
             for j in range(ntraj)]
-    d = np.zeros(ntraj, dtype=np.complex128)
-    c = np.zeros(ntraj, dtype=np.complex128)
-    out = np.empty((ntraj, kept_steps // decimate), dtype=np.complex128)
-    mech_acc = np.zeros(ntraj, dtype=np.float64)
-    consts = (dt, params.kappa / 2.0, params.gamma_m / 2.0, gp, gm, gc,
-              math.sqrt(params.kappa_r), 1.0 / dt)
-
-    # chunks of whole output samples; burn-in ends on a chunk boundary
-    chunk = max(decimate, decimate * (8192 // decimate))
-    out_col = 0
+    out = np.empty((ntraj, sim.n_steps - sim.burn_in), dtype=np.complex128)
+    mech_acc = np.zeros(ntraj)
+    x = np.zeros((4, ntraj))
     step = 0
     while step < sim.n_steps:
-        recording = step >= sim.burn_in
-        n = min(chunk, (sim.n_steps if recording else sim.burn_in) - step)
-        zr, zo, zm = synthesize_input_noise(params, baths, dt, rngs, n)
-        t = (step + np.arange(n)) * dt
-        out_col = _kernel_numpy(d, c, zr, zo, zm, np.exp(1j * delta * t), np.exp(1j * delta_c * t),
-                                consts, decimate, out, out_col, recording,
-                                mech_acc if (record_mech and recording) else None)
+        # burn-in ends on a chunk boundary
+        n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
+        eta = synthesize_input_noise(factor, rngs, step, n)
+        states = np.empty((n, 4, ntraj))
+        # a sum over a short middle axis adds in a fixed order, unlike BLAS,
+        # so a trajectory does not depend on the ensemble size
+        for s in range(n):
+            states[s] = x
+            x = (phi_x[(step + s) % slots] * x).sum(axis=1) + eta[s, :4]
+        if step >= sim.burn_in:
+            phi_i = phi[(step + np.arange(n)) % slots, 4:, :4]
+            y = eta[:, 4:]
+            for k in range(4):
+                y += phi_i[:, :, k, None] * states[:, None, k, :]
+            out[:, step - sim.burn_in:step - sim.burn_in + n] = (y[:, 0] + 1j * y[:, 1]).T / sim.dt
+            if record_mech:
+                mech_acc += np.ascontiguousarray((states[:, 1] ** 2 + states[:, 3] ** 2).T).sum(axis=1)
         step += n
-
-    return TrajectoryOutput(output_field=out[:, :out_col], sampling=dt * decimate,
-                            decimation=decimate, base_dt=dt,
-                            mech_abs2=mech_acc / kept_steps if record_mech else None)
+    timings = {"propagator_setup": setup, "propagate": time.perf_counter() - start - setup}
+    return TrajectoryOutput(output_field=out, sampling=sim.dt, slots=slots, timings=timings,
+                            mech_abs2=mech_acc / out.shape[1] if record_mech else None)
 
 
 def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum, int]:
+    """(PSD in quanta, segment count): two-sided Welch, Hann window, 50% overlap,
+    averaged over segments and trajectories, on the offset-from-cavity grid."""
     from scipy import signal  # deferred: only the oracle needs it, not every CLI command
 
-    # The boxcar-decimated white background folds back to an exactly flat
-    # density, so no response compensation is applied; narrowband features are
-    # attenuated by |H(f)|^2 < 1, kept below ~0.3% by the oversampling margin
-    # in choose_decimation.
-    kept = traj.output_field.shape[1]
-    ntraj = traj.output_field.shape[0]
+    # The boxcar-averaged white background folds back to an exactly flat
+    # density, so no response compensation is applied; SimConfig.auto's output
+    # rate keeps the boxcar's attenuation of a peak below ~0.3%.
+    ntraj, kept = traj.output_field.shape
     segs_per_traj = max(1, math.ceil(psd_segments / ntraj))
     nperseg = min(kept, max(8, int(2 * kept / (segs_per_traj + 1))))
 
@@ -267,40 +277,20 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
     # shrink until the segment count actually reaches the request
     while nperseg > 8 and count(nperseg) < psd_segments:
         nperseg -= max(1, nperseg // 50)
-    noverlap = nperseg // 2
-    f, pxx = signal.welch(traj.output_field, fs=1.0 / traj.sampling, window="hann",
-                          nperseg=nperseg, noverlap=noverlap, detrend=False,
-                          return_onesided=False, scaling="density", axis=-1)
-    pxx = pxx.mean(axis=0)
+    # blocks of trajectories bound the memory of the segment copies
+    pxx = 0.0
+    for first in range(0, ntraj, WELCH_BLOCK):
+        f, block = signal.welch(traj.output_field[first:first + WELCH_BLOCK],
+                                fs=1.0 / traj.sampling, window="hann", nperseg=nperseg,
+                                noverlap=nperseg // 2, detrend=False, return_onesided=False,
+                                scaling="density", axis=-1)
+        pxx = pxx + block.sum(axis=0)
+    pxx = pxx / ntraj
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention
     # f(omega) = int f(t) e^{i omega t} dt places it at omega = -2 pi f
     offsets = -TWO_PI * f
     order = np.argsort(offsets)
     return Spectrum(offsets[order], pxx[order]), count(nperseg)
-
-
-def estimate_psd(traj: TrajectoryOutput, psd_segments: int) -> Spectrum:
-    """Welch PSD of the output field in quanta (flat vacuum input gives 1/2).
-
-    Two-sided over the decimated bandwidth, Hann window, 50% overlap,
-    averaged over segments and trajectories, reported on the offset-from-
-    cavity grid.
-    """
-    spec, _ = _welch_spectrum(traj, psd_segments)
-    return spec
-
-
-def choose_decimation(params: SystemParams, config: ToneConfig, sim: SimConfig) -> int:
-    """Largest decimation that keeps the peaks well inside the folded band.
-
-    32x oversampling of the outermost feature, 12 gamma_tot beyond the
-    farthest peak, keeps the boxcar attenuation of a peak below ~0.32%
-    (sinc^2 at 1/32 of the output rate).
-    """
-    gamma_tot = config.gamma_tot(params)
-    span = abs(config.delta) + 12.0 * gamma_tot
-    fs_needed = 32.0 * span / TWO_PI
-    return max(1, int(1.0 / (fs_needed * sim.dt)))
 
 
 def _measure_peak(spec: Spectrum, centers: list[float], gamma_tot: float):
@@ -343,20 +333,21 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
 
     Returns (report, mc_spectrum): a JSON-ready report with analytic and
     Monte-Carlo Lorentzian weights, floors and centers for every sideband
-    present, plus the estimated spectrum. Disagreement is reported as-is;
-    nothing is rescaled.
+    present, the output layout (``output_step_s``, ``floquet_slots``,
+    ``n_output_samples`` per trajectory) and the seconds per stage
+    (``timings_s``), plus the estimated spectrum. Disagreement is reported
+    as-is; nothing is rescaled.
     """
     from .config import describe_run
 
-    traj = integrate_langevin(params, baths, config, sim,
-                              decimate=choose_decimation(params, config, sim))
+    traj = integrate_langevin(params, baths, config, sim)
+    start = time.perf_counter()
     spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
+    welch = time.perf_counter() - start
 
-    peaks = []
     if config.has_probe_pair:
         w_anti, w_stokes = sideband_weights(params, baths, config)
-        peaks.append(("anti_stokes", -config.delta, w_anti))
-        peaks.append(("stokes", +config.delta, w_stokes))
+        peaks = [("anti_stokes", -config.delta, w_anti), ("stokes", +config.delta, w_stokes)]
     else:
         single = [t for t in config.tones if t.role in ("red_probe", "blue_probe")]
         if len(single) != 1:
@@ -364,9 +355,10 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         tone = single[0]
         sign = +1 if tone.role == "red_probe" else -1
         w = single_tone_integrated_weight(params, baths, tone, sign, "symmetrized")
-        peaks.append(("peak", -config.delta if sign == +1 else config.delta, w))
+        peaks = [("peak", -config.delta if sign == +1 else config.delta, w)]
 
     floor_analytic = noise_floor(params, baths)
+    start = time.perf_counter()
     mc_floor, mc_weights, mc_centers = _measure_peak(spec, [c for _, c, _ in peaks],
                                                      config.gamma_tot(params))
     report = {
@@ -374,7 +366,10 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         "seed": sim.seed,
         "rng": RNG_ALGORITHM,
         "n_segments": int(n_segments),
-        "decimation": traj.decimation,
+        "output_step_s": sim.dt,
+        "floquet_slots": traj.slots,
+        "n_output_samples": traj.output_field.shape[1],
+        "timings_s": {**traj.timings, "welch": welch, "peaks": time.perf_counter() - start},
         "analytic_floor": floor_analytic,
         "mc_floor": mc_floor,
         "floor_rel_err": abs(mc_floor - floor_analytic) / abs(floor_analytic),

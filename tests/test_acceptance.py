@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion. Criterion 1 includes the stochastic-oracle path and is the long
-pole (about a minute with the jit integrator active).
+pole: its seed sweep runs the oracle 15 times, about 1.5 s each.
 """
 
 import math
@@ -73,6 +73,25 @@ def test_criterion_1_quantum_imbalance_plus_one():
     print(f"\nACCEPTANCE 1 PASS: quantum imbalance +1 "
           f"(analytic dev {abs(analytic - 1.0):.1e}, oracle {mc:.4f}, "
           f"{report['n_segments']} segments, {runtime:.0f} s)")
+
+
+def test_criterion_1_seed_sweep():
+    # the imbalance of every seed within 0.05 of 1, and their mean within 0.015
+    # (the Monte-Carlo standard error of the mean is about 0.003)
+    params, baths, config = preset("oracle-demo")
+    gamma_opt, _ = config.gamma_opt_pair(params)
+    pref = params.kappa_r / params.kappa
+    imbalances = []
+    for seed in range(15):
+        sim = SimConfig.auto(params, config, n_segments=4000, seed=seed, n_trajectories=128)
+        report, _ = oracle_compare(params, baths, config, sim)
+        imbalances.append((report["mc_weight"]["stokes"] - report["mc_weight"]["anti_stokes"])
+                          / (pref * gamma_opt))
+    imbalances = np.array(imbalances)
+    assert np.all(np.abs(imbalances - 1.0) < 0.05), imbalances
+    assert abs(np.mean(imbalances) - 1.0) < 0.015
+    print(f"\nACCEPTANCE 1 SWEEP PASS: seeds 0-14, imbalance {np.mean(imbalances):.4f} "
+          f"+- {np.std(imbalances):.4f} (range {imbalances.min():.4f}-{imbalances.max():.4f})")
 
 
 def test_criterion_2_ratio_law():

@@ -315,6 +315,13 @@ class TestOracleCompareCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"report.json", "mc_spectrum.csv",
                                             "analytic_spectrum.csv"}
+        # the layout and stage timers go to both files; the old decimation key is gone
+        assert "decimation" not in report
+        for key in ("output_step_s", "floquet_slots", "n_output_samples", "timings_s"):
+            assert manifest[key] == report[key]
+        assert set(report["timings_s"]) == {"propagator_setup", "propagate", "welch", "peaks"}
+        assert all(t >= 0.0 for t in report["timings_s"].values())
+        assert report["floquet_slots"] == 1
 
     def test_determinism_across_runs(self, tmp_path):
         params, baths, _ = preset("oracle-demo")
@@ -322,10 +329,14 @@ class TestOracleCompareCommand:
         cfg = ToneConfig(tones=(tone,))
         path = tmp_path / "cfg.json"
         save_config(path, params, BathSpec(n_m=5.0), cfg)
-        reports = []
+        reports, spectra = [], []
         for sub in ("a", "b"):
             out = tmp_path / sub
             main(["oracle-compare", "--config", str(path), "--seed", "9",
                   "--trajectories", "4", "--segments", "40", "--out", str(out)])
-            reports.append((out / "report.json").read_text())
+            report = json.loads((out / "report.json").read_text())
+            report.pop("timings_s")  # wall-clock stage times, the one field that may differ
+            reports.append(report)
+            spectra.append((out / "mc_spectrum.csv").read_bytes())
         assert reports[0] == reports[1]
+        assert spectra[0] == spectra[1]

@@ -18,10 +18,11 @@ from sideband_lab.langevin import (
     SimConfig,
     TrajectoryOutput,
     _measure_peak,
-    choose_decimation,
-    estimate_psd,
+    _sde_matrices,
+    _welch_spectrum,
     integrate_langevin,
     oracle_compare,
+    propagator,
     synthesize_input_noise,
 )
 from sideband_lab.model import TWO_PI, BathSpec, SystemParams, Spectrum, ToneConfig, ToneSpec
@@ -48,60 +49,88 @@ def philox_streams(seed, n):
             for j in range(n)]
 
 
+def rows_of(eta):
+    """(steps x streams, 6) samples of a (steps, 6, streams) draw."""
+    return eta.transpose(0, 2, 1).reshape(-1, 6)
+
+
+def assert_sample_covariance(eta, q, n_sigma=5.0):
+    """Sample covariance of the rows of ``eta`` against ``q``, element by element."""
+    n = eta.shape[0]
+    cov = eta.T @ eta / n
+    sd = np.sqrt((np.outer(np.diag(q), np.diag(q)) + q ** 2) / n)
+    assert np.all(np.abs(cov - q) < n_sigma * sd), np.max(np.abs(cov - q) / sd)
+
+
 class TestNoiseSynthesis:
     # symmetrized strengths n + w/2: right 0.9, left 2.0, intrinsic 2.5, mechanical 3.5
     BATHS = BathSpec(n_r=0.4, n_l=1.5, n_i=2.0, n_m=3.0)
 
-    def test_vacuum_per_sample_variance(self):
-        # vacuum inputs: W = 1/2 on every channel
+    @staticmethod
+    def red_propagator(baths):
+        """(q, factor) of a red tone: one slot."""
         p = fast_params()
-        dt = 1e-6
-        rows = synthesize_input_noise(p, BathSpec(), dt, philox_streams(1, 4), 100_000)
-        expected = (0.5 * dt, 0.5 * (p.kappa_l + p.kappa_i) * dt, 0.5 * p.gamma_m * dt)
-        for xi, var in zip(rows, expected):
-            assert xi.shape == (100_000, 4)
-            assert np.mean(np.abs(xi) ** 2) == pytest.approx(var, rel=0.01)
+        cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
+        return propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[1:]
+
+    @staticmethod
+    def cooled_propagator():
+        """(q, factor) of the cooled case: one per Floquet slot."""
+        p, baths, cfg, _ = equivalence_case("cooling")
+        return propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[1:]
+
+    def test_vacuum_per_sample_variance(self):
+        # vacuum inputs: the draw has the exact one-step covariance Q
+        q, factor = self.red_propagator(BathSpec())
+        eta = synthesize_input_noise(factor, philox_streams(1, 4), 0, 50_000)
+        assert eta.shape == (50_000, 6, 4)
+        assert_sample_covariance(rows_of(eta), q[0])
 
     def test_thermal_variance(self):
+        # thermal baths and the cooling tone's Floquet slots: step s has Q of slot s mod P
+        q, factor = self.cooled_propagator()
+        slots = len(q)
+        assert slots > 1
+        first = 3
+        eta = synthesize_input_noise(factor, philox_streams(2, 8), first, 2_000 * slots)
+        for slot in (0, 1, slots // 2):
+            rows = eta[(slot - first) % slots::slots]
+            assert_sample_covariance(rows_of(rows), q[slot])
+        # over a short step Q/dt -> LL^T: half of each symmetrized strength per
+        # quadrature, and the right port enters d as -sqrt(kappa_r) d_in and I as d_in
         p = fast_params()
-        dt = 1e-7
-        rows = synthesize_input_noise(p, self.BATHS, dt, philox_streams(2, 4), 100_000)
-        expected = (0.9 * dt, (p.kappa_l * 2.0 + p.kappa_i * 2.5) * dt, p.gamma_m * 3.5 * dt)
-        for xi, var in zip(rows, expected):
-            assert np.mean(np.abs(xi) ** 2) == pytest.approx(var, rel=0.01)
-            # real and imaginary parts carry half each
-            assert np.mean(xi.real ** 2) == pytest.approx(var / 2.0, rel=0.01)
+        cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
+        dt = 1e-11
+        _, (q,), _ = propagator(p, self.BATHS, cfg, dt)
+        cavity = p.kappa_r * 0.9 + p.kappa_l * 2.0 + p.kappa_i * 2.5
+        for d, c, i in ((0, 1, 4), (2, 3, 5)):
+            np.testing.assert_allclose(
+                [q[d, d], q[c, c], q[i, i], q[d, i]],
+                [cavity / 2 * dt, p.gamma_m * 3.5 / 2 * dt, 0.9 / 2 * dt,
+                 -math.sqrt(p.kappa_r) * 0.9 / 2 * dt], rtol=1e-4)
 
     def test_channels_uncorrelated(self):
-        p = fast_params()
-        rows = synthesize_input_noise(p, self.BATHS, 1e-6, philox_streams(3, 4), 100_000)
-        n = rows[0].size
-        power = [np.mean(np.abs(xi) ** 2) for xi in rows]
-        for a in range(3):
-            # circular: no correlation between real and imaginary parts
-            assert abs(np.mean(rows[a] ** 2)) < 4.0 * power[a] / math.sqrt(n)
-            for b in range(a + 1, 3):
-                cross = np.mean(rows[a] * np.conj(rows[b]))
-                assert abs(cross) < 4.0 * math.sqrt(power[a] * power[b] / n)
+        # independent between steps and between streams
+        q, factor = self.red_propagator(self.BATHS)
+        eta = synthesize_input_noise(factor, philox_streams(3, 2), 0, 100_000)
+        n = eta.shape[0] - 1
+        sd = np.sqrt(np.outer(np.diag(q[0]), np.diag(q[0])) / n)
+        for a, b in ((eta[:-1, :, 0], eta[1:, :, 0]), (eta[:-1, :, 0], eta[:-1, :, 1])):
+            assert np.all(np.abs(a.T @ b / n) < 5.0 * sd)
 
     def test_column_depends_only_on_its_stream(self):
-        p = fast_params()
-        dt = 1e-6
-        full = synthesize_input_noise(p, self.BATHS, dt, philox_streams(7, 3), 50)
-        alone = synthesize_input_noise(p, self.BATHS, dt, philox_streams(7, 3)[1:2], 50)
-        swapped = synthesize_input_noise(p, self.BATHS, dt,
-                                         philox_streams(8, 1) + philox_streams(7, 3)[1:], 50)
-        for row, row_alone, row_swapped in zip(full, alone, swapped):
-            np.testing.assert_array_equal(row[:, 1:2], row_alone)
-            np.testing.assert_array_equal(row[:, 1:], row_swapped[:, 1:])
-            assert not np.any(row[:, 0] == row_swapped[:, 0])
-        # each step takes six normals of the stream: right, other, mechanical pairs
+        _, factor = self.cooled_propagator()
+        slots = len(factor)
+        full = synthesize_input_noise(factor, philox_streams(7, 3), 5, 50)
+        alone = synthesize_input_noise(factor, philox_streams(7, 3)[1:2], 5, 50)
+        swapped = synthesize_input_noise(factor, philox_streams(8, 1) + philox_streams(7, 3)[1:], 5, 50)
+        np.testing.assert_array_equal(full[:, :, 1:2], alone)
+        np.testing.assert_array_equal(full[:, :, 1:], swapped[:, :, 1:])
+        assert not np.any(full[:, :, 0] == swapped[:, :, 0])
+        # each step takes six normals of the stream, mapped by its slot's factor
         z = philox_streams(7, 3)[2].standard_normal((50, 6))
-        np.testing.assert_allclose(full[0][:, 2], math.sqrt(0.9 * dt / 2.0) * (z[:, 0] + 1j * z[:, 1]),
-                                   rtol=1e-14)
-        np.testing.assert_allclose(full[2][:, 2],
-                                   math.sqrt(p.gamma_m * 3.5 * dt / 2.0) * (z[:, 4] + 1j * z[:, 5]),
-                                   rtol=1e-14)
+        expected = [factor[(5 + s) % slots] @ z[s] for s in range(50)]
+        np.testing.assert_allclose(full[:, :, 2], expected, rtol=1e-13, atol=0)
 
 
 class TestIntegratorContracts:
@@ -141,19 +170,14 @@ class TestIntegratorContracts:
         sim = SimConfig.auto(p, cfg, n_segments=40, seed=9, n_trajectories=4)
         base = BathSpec(n_m=1.0)
         doubled = BathSpec(n_r=0.5, n_l=0.5, n_i=0.5, n_m=2.5)  # n + 1/2 doubled
-        s1 = estimate_psd(integrate_langevin(p, base, cfg, sim), sim.psd_segments)
-        s2 = estimate_psd(integrate_langevin(p, doubled, cfg, sim), sim.psd_segments)
+        s1, _ = _welch_spectrum(integrate_langevin(p, base, cfg, sim), sim.psd_segments)
+        s2, _ = _welch_spectrum(integrate_langevin(p, doubled, cfg, sim), sim.psd_segments)
         np.testing.assert_allclose(s2.values, 2.0 * s1.values, rtol=1e-10)
 
     def test_step_gates(self):
         p = fast_params()
         cfg = ToneConfig(tones=())
         good = SimConfig.auto(p, cfg, n_segments=20, seed=0, n_trajectories=2)
-        bad_dt = SimConfig(dt=0.2 / p.kappa, n_steps=good.n_steps,
-                           n_trajectories=2, seed=0, burn_in=good.burn_in,
-                           psd_segments=20)
-        with pytest.raises(StepSizeError, match="dt\\*kappa"):
-            integrate_langevin(p, BathSpec(), cfg, bad_dt)
         too_short = SimConfig(dt=good.dt, n_steps=int(10.0 / (p.gamma_m * good.dt)),
                               n_trajectories=2, seed=0, burn_in=0, psd_segments=20)
         with pytest.raises(StepSizeError, match="n_steps"):
@@ -178,8 +202,10 @@ class TestEquilibration:
                         gamma_m_hz=40.0, omega_m_hz=1e5)
         n_m = 4.0
         cfg = ToneConfig(tones=())
-        dt = min(0.04 / p.kappa, 9e-4 / p.gamma_m)
-        n_steps = int(60.0 / (p.gamma_m * dt))
+        # 1200/gamma_m per trajectory puts the seed-to-seed spread near 0.4%,
+        # so the 2% gate has power; the output step only needs to resolve 1/gamma_m
+        dt = 0.05 / p.gamma_m
+        n_steps = int(1200.0 / (p.gamma_m * dt))
         sim = SimConfig(dt=dt, n_steps=n_steps, n_trajectories=64, seed=11,
                         burn_in=int(3.0 / (p.gamma_m * dt)), psd_segments=10)
         traj = integrate_langevin(p, BathSpec(n_m=n_m), cfg, sim, record_mech=True)
@@ -192,9 +218,8 @@ class TestEstimatePsd:
         p = fast_params()
         cfg = ToneConfig(tones=())
         sim = SimConfig.auto(p, cfg, n_segments=400, seed=1, n_trajectories=16)
-        traj = integrate_langevin(p, BathSpec(), cfg, sim,
-                                  decimate=choose_decimation(p, cfg, sim))
-        spec = estimate_psd(traj, sim.psd_segments)
+        traj = integrate_langevin(p, BathSpec(), cfg, sim)
+        spec, _ = _welch_spectrum(traj, sim.psd_segments)
         assert np.mean(spec.values) == pytest.approx(0.5, rel=0.01)
         # pointwise scatter consistent with segment averaging
         assert np.std(spec.values) < 0.5 * 5.0 / math.sqrt(sim.psd_segments)
@@ -208,9 +233,8 @@ class TestEstimatePsd:
                                                     -(p.omega_m + delta)),),
                          delta=delta)
         sim = SimConfig.auto(p, cfg, n_segments=400, seed=4, n_trajectories=16)
-        traj = integrate_langevin(p, BathSpec(n_m=30.0), cfg, sim,
-                                  decimate=choose_decimation(p, cfg, sim))
-        spec = estimate_psd(traj, sim.psd_segments)
+        traj = integrate_langevin(p, BathSpec(n_m=30.0), cfg, sim)
+        spec, _ = _welch_spectrum(traj, sim.psd_segments)
         peak_offset = spec.freq_offsets[np.argmax(spec.values)]
         assert peak_offset == pytest.approx(-delta, abs=3.0 * cfg.gamma_tot(p))
 
@@ -252,7 +276,7 @@ def equivalence_case(name):
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         baths = BathSpec(n_r=1.0, n_l=1.0, n_i=1.0, n_m=0.0)
         return p, baths, ToneConfig(tones=(tone,)), dict(
-            n_segments=4000, seed=2, n_trajectories=128, dt_factor=0.045)
+            n_segments=4000, seed=2, n_trajectories=128)
     raise KeyError(name)
 
 
@@ -320,19 +344,27 @@ class TestMeasurePeak:
 class TestOracleCompare:
 
     def test_dt_halving_consistency(self):
-        # halving dt moves the extracted weight by less than the stat spread,
-        # and both land on the analytic value
+        # the propagator is exact: one step of 2 dt is two steps of dt, and its
+        # stationary covariance solves the SDE's Lyapunov equation
+        from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
+
         p = fast_params(gamma_m_hz=1000.0)
-        tone = tone_with_gamma_opt(p, 0.2 * p.gamma_m, "red_probe")
-        cfg = ToneConfig(tones=(tone,))
-        sim = SimConfig.auto(p, cfg, n_segments=800, seed=3, n_trajectories=32)
-        fine = SimConfig(dt=sim.dt / 2.0, n_steps=2 * sim.n_steps,
-                         n_trajectories=sim.n_trajectories, seed=sim.seed,
-                         burn_in=2 * sim.burn_in, psd_segments=sim.psd_segments)
-        r1, _ = oracle_compare(p, BathSpec(n_m=50.0), cfg, sim)
-        r2, _ = oracle_compare(p, BathSpec(n_m=50.0), cfg, fine)
-        assert r1["rel_err"]["peak"] < 0.08
-        assert r2["rel_err"]["peak"] < 0.08
+        red = ToneConfig(tones=(tone_with_gamma_opt(p, 0.2 * p.gamma_m, "red_probe"),))
+        bp, bbaths, balanced, _ = equivalence_case("balanced")
+        for params, baths, cfg in ((p, BathSpec(n_m=50.0), red), (bp, bbaths, balanced)):
+            dt = SimConfig.auto(params, cfg).dt
+            (phi,), (q,), _ = propagator(params, baths, cfg, dt)
+            (phi2,), (q2,), _ = propagator(params, baths, cfg, 2.0 * dt)
+            np.testing.assert_allclose(phi2, phi @ phi, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(q2, phi @ q @ phi.T + q, rtol=1e-12,
+                                       atol=1e-12 * np.abs(q).max())
+            a, llt = _sde_matrices(params, baths, cfg, [0.0])
+            a, llt = a[0, :4, :4], llt[:4, :4]
+            sigma = solve_discrete_lyapunov(phi[:4, :4], q[:4, :4])
+            np.testing.assert_allclose(a @ sigma + sigma @ a.T + llt, 0.0,
+                                       atol=1e-12 * np.abs(llt).max())
+            np.testing.assert_allclose(sigma, solve_continuous_lyapunov(a, -llt), rtol=1e-12,
+                                       atol=1e-12 * np.abs(sigma).max())
 
     def test_report_fields(self):
         p = fast_params()
@@ -344,3 +376,43 @@ class TestOracleCompare:
                     "analytic_weight", "mc_weight", "rel_err"):
             assert key in report
         assert isinstance(spec, Spectrum)
+        assert report["output_step_s"] == sim.dt
+        assert report["n_output_samples"] == sim.n_steps - sim.burn_in
+
+    def test_cooled_layout_has_floquet_slots(self):
+        # the output step is a whole fraction of the cooling period 2 pi/(delta_c - delta)
+        p, baths, cfg, _ = equivalence_case("cooling")
+        sim = SimConfig.auto(p, cfg, n_segments=100, seed=0, n_trajectories=8)
+        report, _ = oracle_compare(p, baths, cfg, sim)
+        period = TWO_PI / (cfg.delta_c - cfg.delta)
+        assert report["floquet_slots"] * sim.dt == pytest.approx(period, rel=1e-12)
+        assert report["floquet_slots"] > 1
+        with pytest.raises(StepSizeError, match="cooling period"):
+            integrate_langevin(p, baths, cfg, dataclasses.replace(sim, dt=sim.dt * 1.01))
+        # the slots compose to the same map over one period at half the step,
+        # which places every substep at its own phase (to O((Omega h)^2))
+        maps = []
+        for dt in (sim.dt, sim.dt / 2.0):
+            phi, q, _ = propagator(p, baths, cfg, dt)
+            m, c = np.eye(6), np.zeros((6, 6))
+            for phi_j, q_j in zip(phi, q):
+                m, c = phi_j @ m, phi_j @ c @ phi_j.T + q_j
+            maps.append((m, c))
+        for a, b in zip(*maps):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-5 * np.abs(a).max())
+
+    def test_blocked_welch_matches_one_call(self):
+        from scipy import signal
+
+        p = fast_params()
+        cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
+        sim = SimConfig.auto(p, cfg, n_segments=200, seed=4, n_trajectories=40)
+        traj = integrate_langevin(p, BathSpec(n_m=20.0), cfg, sim)
+        spec, _ = _welch_spectrum(traj, sim.psd_segments)
+        nperseg = spec.freq_offsets.size  # two-sided: one bin per sample of a segment
+        f, pxx = signal.welch(traj.output_field, fs=1.0 / traj.sampling, window="hann",
+                              nperseg=nperseg, noverlap=nperseg // 2, detrend=False,
+                              return_onesided=False, scaling="density", axis=-1)
+        order = np.argsort(-f)
+        np.testing.assert_allclose(spec.freq_offsets, -TWO_PI * f[order], rtol=1e-15)
+        np.testing.assert_allclose(spec.values, pxx.mean(axis=0)[order], rtol=1e-12)
