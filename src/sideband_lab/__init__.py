@@ -24,7 +24,6 @@ from .model import (
     bose_occupation,
     derive_effective_mechanics,
     integrated_weight,
-    validate_stability,
 )
 from .presets import PRESET_NAMES, preset
 
@@ -32,7 +31,7 @@ __all__ = [
     "__version__",
     "BathSpec", "Spectrum", "SystemParams", "ToneConfig", "ToneSpec",
     "bose_occupation", "derive_effective_mechanics", "integrated_weight",
-    "validate_stability", "PRESET_NAMES", "preset",
+    "PRESET_NAMES", "preset",
     "SidebandLabError", "ConfigError", "ValidityError", "InstabilityError",
     "UnbalancedError", "StepSizeError", "NonConvergence", "DegenerateData",
     "RankDeficient",

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .langevin import SimConfig, oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
-from .model import validate_stability
+from .model import ToneConfig
 from .multitone import (
     averaged_occupation,
     full_rwa_spectrum,
@@ -101,19 +101,16 @@ def cmd_spectrum(args) -> int:
 
     if args.mode == "single":
         tone, sign = _probe_tone(config, args.sign)
-        validate_stability(params, tone)
-        gamma_tot = params.gamma_m + sign * tone.gamma_opt(params)
+        gamma_tot = ToneConfig(tones=(tone,)).gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
         write_spectrum_csv(path, single_tone_spectrum(params, baths, tone, sign, kind, grid))
     elif args.mode == "multitone":
-        validate_stability(params, config)
         gamma_tot = config.gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
         spectra = multitone_spectra(params, baths, config, kind, grid)
         write_components_csv(path, {"anti_stokes": spectra.anti_stokes,
                                     "stokes": spectra.stokes})
     else:  # full-rwa
-        validate_stability(params, config)
         grid = np.linspace(-4.0 * config.delta, 4.0 * config.delta, args.points)
         comps = full_rwa_spectrum(params, baths, config, grid, kind=kind, components=True)
         write_components_csv(path, {k: comps[k] for k in
@@ -129,11 +126,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_asymmetry(args) -> int:
     params, baths, config = _load(args)
-    validate_stability(params, config)
+    n_bar = averaged_occupation(params, baths, config)  # gated before the pair check
     if not config.has_probe_pair:
         raise ConfigError("asymmetry needs a red_probe + blue_probe pair")
     n_eff = baths.n_eff(params)
-    n_bar = averaged_occupation(params, baths, config)
     delta_i = multitone_integrated_asymmetry(params, baths, config)
     report = {
         "delta_I_sym": delta_i,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, StepSizeError
-from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, validate_stability
+from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
 from .multitone import sideband_weights
 from .scattering import noise_floor, single_tone_integrated_weight
 
@@ -216,7 +216,6 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     cooling). Deterministic for a fixed seed.
     """
     params.require_good_cavity()
-    validate_stability(params, config)
     gamma_tot = config.gamma_tot(params)
     if sim.n_steps * sim.dt <= 50.0 / gamma_tot:
         raise StepSizeError(
@@ -336,14 +335,10 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
     present, the output layout (``output_step_s``, ``floquet_slots``,
     ``n_output_samples`` per trajectory) and the seconds per stage
     (``timings_s``), plus the estimated spectrum. Disagreement is reported
-    as-is; nothing is rescaled.
+    as-is; nothing is rescaled. The analytic side comes first, so a gated
+    configuration fails before the Monte Carlo.
     """
     from .config import describe_run
-
-    traj = integrate_langevin(params, baths, config, sim)
-    start = time.perf_counter()
-    spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
-    welch = time.perf_counter() - start
 
     if config.has_probe_pair:
         w_anti, w_stokes = sideband_weights(params, baths, config)
@@ -356,8 +351,12 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         sign = +1 if tone.role == "red_probe" else -1
         w = single_tone_integrated_weight(params, baths, tone, sign, "symmetrized")
         peaks = [("peak", -config.delta if sign == +1 else config.delta, w)]
-
     floor_analytic = noise_floor(params, baths)
+
+    traj = integrate_langevin(params, baths, config, sim)
+    start = time.perf_counter()
+    spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
+    welch = time.perf_counter() - start
     start = time.perf_counter()
     mc_floor, mc_weights, mc_centers = _measure_peak(spec, [c for _, c, _ in peaks],
                                                      config.gamma_tot(params))

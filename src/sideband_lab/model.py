@@ -11,6 +11,10 @@ Conventions used everywhere in this package:
 * Drive amplitudes are taken real; drive phase is not modelled. The static
   mechanical displacement only renormalizes the cavity frequency and is
   absorbed into omega_c.
+* Every closed form needs the dressed damping gamma_tot = gamma_M +
+  gamma_opt^+ - gamma_opt^- > 0. `ToneConfig.gamma_tot` is the one place
+  that decides it for a configuration (InstabilityError otherwise), and
+  `derive_effective_mechanics` reads gamma_M from `ToneConfig.gamma_big_m`.
 """
 
 from __future__ import annotations
@@ -259,9 +263,13 @@ class ToneConfig:
         return params.gamma_m + self.cooling_gamma_opt(params)
 
     def gamma_tot(self, params: SystemParams) -> float:
-        """Total damping gamma_M + gamma_opt^+ - gamma_opt^-."""
+        """Total damping gamma_M + gamma_opt^+ - gamma_opt^-, the stability gate of
+        every drive: InstabilityError unless it is positive."""
         gp, gm = self.gamma_opt_pair(params)
-        return self.gamma_big_m(params) + gp - gm
+        gamma_tot = self.gamma_big_m(params) + gp - gm
+        if not gamma_tot > 0.0:
+            raise InstabilityError(gamma_tot)
+        return gamma_tot
 
     def require_balanced(self, params: SystemParams, rel_tol: float = 1e-12) -> float:
         """Balanced-probe gate: the common gamma_opt, or UnbalancedError when
@@ -350,45 +358,17 @@ def integrated_weight(spec: Spectrum, floor: float = 0.0, *, tail_correction: bo
 
 
 def derive_effective_mechanics(params: SystemParams, baths: BathSpec,
-                               cooling: ToneSpec | None) -> tuple[float, float]:
+                               config: ToneConfig) -> tuple[float, float]:
     """Cooling-tone dressed mechanics: (gamma_M, n_M).
 
-    gamma_M = gamma_m + gamma_opt^cool and the bath mixture
+    gamma_M = `ToneConfig.gamma_big_m` and the bath mixture
     n_M = (gamma_m n_m + gamma_opt^cool n_c) / gamma_M, with gamma_opt^cool = 0
-    when ``cooling`` is None.
+    without a cooling tone.
     """
-    if cooling is not None and cooling.role != "cooling":
-        raise ConfigError(f"expected a cooling tone, got role {cooling.role!r}")
-    g_cool = cooling.gamma_opt(params) if cooling is not None else 0.0
-    gamma_big_m = params.gamma_m + g_cool
-    n_big_m = (params.gamma_m * baths.n_m + g_cool * baths.n_c(params)) / gamma_big_m
+    gamma_big_m = config.gamma_big_m(params)
+    n_big_m = (params.gamma_m * baths.n_m
+               + config.cooling_gamma_opt(params) * baths.n_c(params)) / gamma_big_m
     return gamma_big_m, n_big_m
-
-
-def validate_stability(params: SystemParams, tones) -> None:
-    """Reject drive configurations with non-positive total damping.
-
-    Accepts a ToneConfig or a lone ToneSpec. A lone blue tone requires
-    gamma_m - gamma_opt > 0; a probe pair requires
-    gamma_M + gamma_opt^+ - gamma_opt^- > 0.
-    """
-    if isinstance(tones, ToneSpec):
-        if tones.role == "blue_probe":
-            gamma_tot = params.gamma_m - tones.gamma_opt(params)
-        else:
-            gamma_tot = params.gamma_m + tones.gamma_opt(params)
-        if not gamma_tot > 0.0:
-            raise InstabilityError(gamma_tot)
-        return
-    if not isinstance(tones, ToneConfig):
-        raise ConfigError(f"expected ToneSpec or ToneConfig, got {type(tones)!r}")
-    blue = tones.tone("blue_probe")
-    if blue is not None and tones.tone("red_probe") is None and tones.tone("cooling") is None:
-        gamma_tot = params.gamma_m - blue.gamma_opt(params)
-    else:
-        gamma_tot = tones.gamma_tot(params)
-    if not gamma_tot > 0.0:
-        raise InstabilityError(gamma_tot)
 
 
 def bose_occupation(temperature_k: float, omega: float) -> float:

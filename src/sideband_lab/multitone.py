@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InstabilityError, ValidityError
-from .model import (
-    BathSpec,
-    Spectrum,
-    SystemParams,
-    ToneConfig,
-    derive_effective_mechanics,
-    validate_stability,
-)
+from .errors import ConfigError, ValidityError
+from .model import BathSpec, Spectrum, SystemParams, ToneConfig, derive_effective_mechanics
 from .scattering import noise_floor
 
 __all__ = [
@@ -63,8 +56,6 @@ class MultitoneSpectra:
 
 def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) -> float:
     gamma_tot = config.gamma_tot(params)
-    if not gamma_tot > 0.0:
-        raise InstabilityError(gamma_tot)
     if enforce and not (config.delta > 10.0 * gamma_tot):
         raise ValidityError(
             "sideband separation gate: delta > 10*gamma_tot required "
@@ -72,6 +63,17 @@ def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) ->
             "pass enforce_separation=False to override"
         )
     return gamma_tot
+
+
+def _sxx_lorentzian(params: SystemParams, baths: BathSpec,
+                    config: ToneConfig) -> tuple[float, float]:
+    """(amplitude, width) of S_xx = amplitude / (omega^2 + width^2/4)."""
+    gamma_tot = config.gamma_tot(params)
+    gp, gm = config.gamma_opt_pair(params)
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
+    bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (baths.n_c(params) + 0.5)
+    xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
+    return gamma_big_m * bracket * xzp2, gamma_tot
 
 
 def sxx_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
@@ -82,25 +84,15 @@ def sxx_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
     [(n_M + 1/2) + ((gamma_opt^- + gamma_opt^+)/gamma_M)(n_c + 1/2)] * x_zp^2
     on a grid of offsets from the dressed mechanical resonance.
     """
-    validate_stability(params, config)
-    gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
-    gamma_tot = config.gamma_tot(params)
-    n_c = baths.n_c(params)
-    bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (n_c + 0.5)
-    xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
+    amplitude, width = _sxx_lorentzian(params, baths, config)
     x = np.asarray(grid, dtype=float)
-    return Spectrum(x, gamma_big_m / (x**2 + gamma_tot**2 / 4.0) * bracket * xzp2)
+    return Spectrum(x, amplitude / (x**2 + width**2 / 4.0))
 
 
 def sxx_integrated_weight(params: SystemParams, baths: BathSpec, config: ToneConfig) -> float:
     """Analytic integral (domega/2pi) of sxx_spectrum over all frequencies."""
-    gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
-    gamma_tot = config.gamma_tot(params)
-    bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (baths.n_c(params) + 0.5)
-    xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
-    return gamma_big_m * bracket / gamma_tot * xzp2
+    amplitude, width = _sxx_lorentzian(params, baths, config)
+    return amplitude / width
 
 
 def averaged_occupation(params: SystemParams, baths: BathSpec, config: ToneConfig) -> float:
@@ -109,10 +101,9 @@ def averaged_occupation(params: SystemParams, baths: BathSpec, config: ToneConfi
     n_bar = (gamma_M/gamma_tot) n_M + (gamma_opt^-/gamma_tot)(n_c + 1)
           + (gamma_opt^+/gamma_tot) n_c.
     """
-    validate_stability(params, config)
-    gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
     gamma_tot = config.gamma_tot(params)
+    gp, gm = config.gamma_opt_pair(params)
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
     n_c = baths.n_c(params)
     return (gamma_big_m / gamma_tot) * n_big_m \
         + (gm / gamma_tot) * (n_c + 1.0) + (gp / gamma_tot) * n_c
@@ -124,8 +115,12 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
     Both orderings share them: the normal-ordered Stokes bracket n_bar + n_eff
     + gamma_M/gamma_tot + (gamma_opt^+ - gamma_opt^-)/gamma_tot is the same
     number, since gamma_tot = gamma_M + gamma_opt^+ - gamma_opt^-. Written for
-    unit vacuum weights.
+    unit vacuum weights, so any other weight is a ValidityError.
     """
+    odd = [f"{name} = {getattr(baths, name):.6g}"
+           for name in ("alpha_r", "alpha_l", "alpha_i", "beta") if getattr(baths, name) != 1.0]
+    if odd:
+        raise ValidityError(f"multitone brackets assume unit vacuum weights, got {', '.join(odd)}")
     n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)
     return n_bar - n_eff, n_bar + n_eff + 1.0
@@ -169,7 +164,6 @@ def sideband_weights(params: SystemParams, baths: BathSpec,
     kappa_r/kappa, so the weights are the brackets times that factor; they are
     the same for both orderings.
     """
-    validate_stability(params, config)
     gp, gm = config.gamma_opt_pair(params)
     anti_br, stokes_br = _brackets(params, baths, config)
     pref = params.kappa_r / params.kappa
@@ -180,16 +174,11 @@ def multitone_integrated_asymmetry(params: SystemParams, baths: BathSpec,
                                    config: ToneConfig) -> float:
     """Stokes-minus-anti-Stokes integrated weight (equal for both orderings).
 
-    (kappa_r/kappa) [n_bar (gamma^- - gamma^+) + (n_eff + 1) gamma^-
-    + n_eff gamma^+].
+    w_S - w_AS of `sideband_weights`, i.e. (kappa_r/kappa) [n_bar (gamma^- -
+    gamma^+) + (n_eff + 1) gamma^- + n_eff gamma^+].
     """
-    validate_stability(params, config)
-    gp, gm = config.gamma_opt_pair(params)
-    n_bar = averaged_occupation(params, baths, config)
-    n_eff = baths.n_eff(params)
-    return (params.kappa_r / params.kappa) * (
-        n_bar * (gm - gp) + (n_eff + 1.0) * gm + n_eff * gp
-    )
+    w_anti, w_stokes = sideband_weights(params, baths, config)
+    return w_stokes - w_anti
 
 
 def sideband_ratio_model(n_m_plus: float, n_eff: float) -> float:
@@ -214,7 +203,6 @@ def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
     """
     params.require_good_cavity()
     gamma_opt = config.require_balanced(params)
-    validate_stability(params, config)
     gamma_big_m = config.gamma_big_m(params)
     delta = config.delta
     anti_br, stokes_br = _brackets(params, baths, config)
@@ -251,7 +239,7 @@ def peak_ratio_correction(params: SystemParams, baths: BathSpec, config: ToneCon
     (a, b) = (0, 1) for the Stokes side, (1, 0) for the anti-Stokes side.
     """
     gamma_opt = config.require_balanced(params)
-    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config.tone("cooling"))
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
     n_c = baths.n_c(params)
     n_eff = baths.n_eff(params)
     prefactor = 1.0 / ((4.0 * config.delta / gamma_big_m) ** 2 + 1.0)

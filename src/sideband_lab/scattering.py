@@ -8,9 +8,16 @@ the right port, the red/blue imbalance, the integrated sideband weights, and
 the output-field commutator.
 
 Frequency bookkeeping: the printed matrix lives in the frame rotating at the
-pump, where the cavity resonance sits at omega = Delta = sign*omega_m. All
-public spectra take grids of lab-frame offsets x = omega - omega_c, which map
-to rotating-frame frequencies omega = sign*omega_m + x.
+pump, where the cavity resonance sits at omega = Delta = sign*omega_m. Every
+function here takes the offset x = omega - sign*omega_m from that resonance
+instead, which is also the lab-frame offset omega - omega_c of the spectra;
+x is never formed as a difference of two large frequencies.
+
+Validity gates (`ValidityError`): the good-cavity limit omega_m > kappa, the
+frequency window |x| < kappa/4 (overridable) and the detuning window
+||Delta| - omega_m| < kappa/4 of the tone, since every form here takes the
+pump to sit on its sideband. `_lorentzian` is the single-tone stability gate
+(`InstabilityError` unless gamma_m +- gamma_opt > 0).
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """3x3 scattering matrix at one rotating-frame frequency.
+    """3x3 scattering matrix at one offset x = omega - sign*omega_m.
 
     Row/column order is (right port, left port, mechanical bath); the third
     field is c for a red pump and c^dagger for a blue pump. ``s_loss`` is the
@@ -55,7 +62,7 @@ class ScatteringMatrix:
     entries: np.ndarray
     detuning_sign: int
     s_loss: complex = 0.0 + 0.0j
-    omega: float = 0.0
+    offset: float = 0.0
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -101,34 +108,44 @@ def mech_denominator(offset, detuning_sign: int, gamma_m: float, gamma_opt: floa
     return -1j * np.asarray(offset, dtype=complex) + (gamma_m + detuning_sign * gamma_opt) / 2.0
 
 
-def _window_gate(params: SystemParams, x, enforce_window: bool) -> None:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _quarter_kappa_gate(params: SystemParams, x, gate: str, hint: str = "") -> None:
+    """ValidityError naming ``gate`` unless every |x| < kappa/4."""
+    x = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     lim = params.kappa / 4.0
-    if enforce_window and np.any(np.abs(x) >= lim):
-        raise ValidityError(
-            "frequency window gate: |omega -+ omega_m| < kappa/4 required "
-            f"(max offset {np.max(np.abs(x)):.6g}, kappa/4 = {lim:.6g}); "
-            "pass enforce_window=False to override"
-        )
+    if np.any(x >= lim):
+        raise ValidityError(f"{gate} < kappa/4 required "
+                            f"(max offset {np.max(x):.6g}, kappa/4 = {lim:.6g}){hint}")
+
+
+def _window_gate(params: SystemParams, x, enforce_window: bool) -> None:
+    if enforce_window:
+        _quarter_kappa_gate(params, x, "frequency window gate: |omega -+ omega_m|",
+                            "; pass enforce_window=False to override")
+
+
+def _detuning_gate(params: SystemParams, tone: ToneSpec) -> None:
+    _quarter_kappa_gate(params, abs(tone.detuning) - params.omega_m,
+                        "detuning gate: ||Delta| - omega_m|")
 
 
 def scattering_matrix(params: SystemParams, tone: ToneSpec, detuning_sign: int,
-                      omega: float, *, enforce_window: bool = True) -> ScatteringMatrix:
-    """Full 3x3 scattering matrix at rotating-frame frequency ``omega``.
+                      offset: float, *, enforce_window: bool = True) -> ScatteringMatrix:
+    """Full 3x3 scattering matrix at the offset x = omega - sign*omega_m.
 
-    Valid within |omega -+ omega_m| < kappa/4 of the mechanical feature
-    (overridable) and in the good-cavity limit omega_m > kappa.
+    Valid within |x| < kappa/4 of the mechanical feature (overridable), for a
+    tone within kappa/4 of its sideband and in the good-cavity limit
+    omega_m > kappa.
     """
     params.require_good_cavity()
     sign = int(detuning_sign)
     if sign not in (+1, -1):
         raise ConfigError("detuning_sign must be +1 or -1")
-    x = omega - sign * params.omega_m
-    _window_gate(params, x, enforce_window)
+    _detuning_gate(params, tone)
+    _window_gate(params, offset, enforce_window)
 
     k = params.kappa
     gamma_opt = tone.gamma_opt(params)
-    n = complex(mech_denominator(x, sign, params.gamma_m, gamma_opt))
+    n = complex(mech_denominator(offset, sign, params.gamma_m, gamma_opt))
     g = gamma_opt / n
     mech = 1j * cmath.sqrt(params.gamma_m * gamma_opt) / n
 
@@ -147,7 +164,7 @@ def scattering_matrix(params: SystemParams, tone: ToneSpec, detuning_sign: int,
          [s13, s23, s33]],
         dtype=complex,
     )
-    return ScatteringMatrix(entries=entries, detuning_sign=sign, s_loss=s_loss, omega=omega)
+    return ScatteringMatrix(entries=entries, detuning_sign=sign, s_loss=s_loss, offset=offset)
 
 
 def _port_strengths(params: SystemParams, baths: BathSpec, kind: str,
@@ -198,12 +215,16 @@ def _lorentzian_brackets(params: SystemParams, baths: BathSpec, gamma_opt: float
 
 def _lorentzian(params: SystemParams, baths: BathSpec, tone: ToneSpec, detuning_sign: int,
                 kind: str, weak_coupling: bool) -> tuple[float, float]:
-    """(amplitude, width) of the single-tone feature amplitude / (x^2 + width^2/4)."""
+    """(amplitude, width) of the single-tone feature amplitude / (x^2 + width^2/4).
+
+    The stability and detuning gates of every single-tone form.
+    """
     sign = int(detuning_sign)
     gamma_opt = tone.gamma_opt(params)
     gamma_tot = params.gamma_m + sign * gamma_opt
     if not gamma_tot > 0.0:
         raise InstabilityError(gamma_tot)
+    _detuning_gate(params, tone)
     bracket = _lorentzian_brackets(params, baths, gamma_opt, sign, kind)
     amplitude = (params.kappa_r / params.kappa) * params.gamma_m * gamma_opt * bracket
     return amplitude, params.gamma_m if weak_coupling else gamma_tot
@@ -261,6 +282,7 @@ def integrated_asymmetry(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     s_m^red + 2 (2 s_c - s_r)]. The bracket difference is 2 n_eff + beta
     (normal-ordered), and 2 n_eff + 1 (symmetrized) at unit vacuum weights.
     """
+    _detuning_gate(params, tone)
     gamma_opt = tone.gamma_opt(params)
     if gamma_opt > 0.1 * params.gamma_m:
         warnings.warn(
@@ -274,15 +296,15 @@ def integrated_asymmetry(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
 
 def output_commutator(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                      detuning_sign: int, omega: float, *,
+                      detuning_sign: int, offset: float, *,
                       enforce_window: bool = True) -> float:
-    """Coefficient of delta(omega + Omega) in [d_R,out, d_R,out^dagger].
+    """Coefficient of delta(omega + Omega) in [d_R,out, d_R,out^dagger] at ``offset``.
 
     Composed from the scattering row with the graded mechanical weight
     (+beta for red, -beta for blue); equals alpha_r everywhere when
     alpha_l = alpha_r = beta, and otherwise carries a Lorentzian residue.
     """
-    smat = scattering_matrix(params, tone, detuning_sign, omega,
+    smat = scattering_matrix(params, tone, detuning_sign, offset,
                              enforce_window=enforce_window)
     s11, s12, s13 = smat.output_row
     return float(

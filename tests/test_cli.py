@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,22 @@ from sideband_lab.model import TWO_PI, BathSpec, ToneConfig, ToneSpec
 from sideband_lab.presets import preset
 
 from conftest import make_params, tone_with_gamma_opt
+
+
+def oracle_demo_variant(tmp_path, *, blue=None, **baths):
+    """`oracle-demo` saved as a config file, with its blue probe alone (fields
+    of ``blue`` replaced) when ``blue`` is given, and bath fields replaced."""
+    params, bath_spec, cfg = preset("oracle-demo")
+    if blue is not None:
+        cfg = ToneConfig(tones=(replace(cfg.tone("blue_probe"), **blue),))
+    path = tmp_path / "cfg.json"
+    save_config(path, params, replace(bath_spec, **baths), cfg)
+    return str(path)
+
+
+#: a lone blue probe that anti-damps oracle-demo: gamma_opt = 2 pi * 428.6 Hz
+#: against gamma_m = 2 pi * 400 Hz
+UNSTABLE_BLUE = {"coupling": TWO_PI * 3000.0}
 
 
 def read_component_csv(path):
@@ -68,6 +85,33 @@ class TestSpectrumCommand:
                    "--out", str(tmp_path)])
         assert rc == 3
         assert "InstabilityError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--mode", "single", "--sign", "blue"],
+        ["spectrum", "--mode", "multitone"],
+        ["asymmetry"],
+        ["oracle-compare", "--segments", "200", "--trajectories", "8"],
+    ], ids=["single", "multitone", "asymmetry", "oracle-compare"])
+    def test_unstable_lone_probe_is_named_by_every_command(self, tmp_path, capsys, command):
+        # one gate, ToneConfig.gamma_tot, with one message; oracle-compare used
+        # to fail on its derived layout instead (ConfigError, exit 2)
+        cfg = oracle_demo_variant(tmp_path, blue=UNSTABLE_BLUE)
+        out = [] if command[0] == "asymmetry" else ["--out", str(tmp_path / "out")]
+        assert main([*command, "--config", cfg, *out]) == 3
+        assert capsys.readouterr().err == \
+            "InstabilityError: total damping gamma_tot = -179.52 rad/s <= 0\n"
+
+    def test_off_sideband_probe_is_a_validity_gate(self, tmp_path, capsys):
+        # a stable lone blue probe at three times its sideband detuning: the
+        # single-tone forms take the pump on the sideband, so no CSV is written
+        params, _, cfg = preset("oracle-demo")
+        path = oracle_demo_variant(tmp_path, blue={"detuning": 3.0 * cfg.tone("blue_probe").detuning})
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--config", path, "--mode", "single", "--sign", "blue",
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("ValidityError: detuning gate: ")
+        assert not (out / "spectrum.csv").exists()
 
     def test_non_numeric_config_field_is_config_error(self, tmp_path, capsys):
         d = config_to_dict(*preset("oracle-demo"))
@@ -137,6 +181,13 @@ class TestAsymmetryCommand:
         main(["asymmetry", "--config", str(path_hot)])
         hot = json.loads(capsys.readouterr().out)
         assert hot["delta_I_sym"] / vac["delta_I_sym"] == pytest.approx(6.0, rel=1e-9)
+
+    def test_non_unit_vacuum_weight_is_a_validity_gate(self, tmp_path, capsys):
+        # the multitone brackets are written for unit weights
+        rc = main(["asymmetry", "--config", oracle_demo_variant(tmp_path, alpha_r=1.5)])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "ValidityError: multitone brackets assume unit vacuum weights, got alpha_r = 1.5\n"
 
     def test_unbalanced_reports_equal_orderings(self, tmp_path, capsys):
         params, baths, _ = preset("si-figure")

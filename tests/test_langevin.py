@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from sideband_lab.errors import ConfigError, StepSizeError
+from sideband_lab.errors import ConfigError, StepSizeError, ValidityError
 from sideband_lab.langevin import (
     RNG_ALGORITHM,
     SimConfig,
@@ -378,6 +378,24 @@ class TestOracleCompare:
         assert isinstance(spec, Spectrum)
         assert report["output_step_s"] == sim.dt
         assert report["n_output_samples"] == sim.n_steps - sim.burn_in
+
+    @pytest.mark.parametrize("case", ["non-unit weight", "off-sideband probe"])
+    def test_gated_config_fails_before_the_monte_carlo(self, case, monkeypatch):
+        import sideband_lab.langevin as langevin
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a gated configuration")
+
+        p, baths, cfg = preset("oracle-demo")
+        sim = SimConfig.auto(p, cfg, n_segments=100, seed=0, n_trajectories=8)
+        if case == "non-unit weight":
+            baths = dataclasses.replace(baths, alpha_r=1.5)
+        else:
+            blue = cfg.tone("blue_probe")
+            cfg = ToneConfig(tones=(dataclasses.replace(blue, detuning=3.0 * blue.detuning),))
+        monkeypatch.setattr(langevin, "integrate_langevin", integrate)
+        with pytest.raises(ValidityError):
+            oracle_compare(p, baths, cfg, sim)
 
     def test_cooled_layout_has_floquet_slots(self):
         # the output step is a whole fraction of the cooling period 2 pi/(delta_c - delta)

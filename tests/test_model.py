@@ -16,10 +16,9 @@ from sideband_lab.model import (
     bose_occupation,
     derive_effective_mechanics,
     integrated_weight,
-    validate_stability,
 )
 
-from conftest import make_params, tone_with_gamma_opt
+from conftest import balanced_config, make_params, tone_with_gamma_opt
 
 rates = st.floats(min_value=1e2, max_value=1e7, allow_nan=False)
 
@@ -123,14 +122,14 @@ class TestDeriveEffectiveMechanics:
         p = make_params()
         baths = BathSpec(n_m=17.5)
         cooling = ToneSpec(detuning=-(p.omega_m + TWO_PI * 30e3), role="cooling", coupling=0.0)
-        gamma_m_eff, n_m_eff = derive_effective_mechanics(p, baths, cooling)
+        gamma_m_eff, n_m_eff = derive_effective_mechanics(p, baths, ToneConfig(tones=(cooling,)))
         assert gamma_m_eff == pytest.approx(p.gamma_m)
         assert n_m_eff == pytest.approx(17.5)
 
     def test_no_cooling_tone(self):
         p = make_params()
         baths = BathSpec(n_r=0.3, n_l=0.2, n_i=1.0, n_m=17.5)
-        assert derive_effective_mechanics(p, baths, None) == (p.gamma_m, 17.5)
+        assert derive_effective_mechanics(p, baths, ToneConfig(tones=())) == (p.gamma_m, 17.5)
 
     def test_hand_arithmetic_example(self):
         # gamma_m = 2pi*10 Hz, n_m = 1e4, gamma_cool = 2pi*350 Hz, n_c = 0.24
@@ -139,7 +138,7 @@ class TestDeriveEffectiveMechanics:
         baths = BathSpec(n_r=0.3, n_l=0.3, n_i=n_i, n_m=1e4)
         cooling = tone_with_gamma_opt(p, TWO_PI * 350.0, "cooling",
                                       detuning=-(p.omega_m + TWO_PI * 30e3))
-        gamma_m_eff, n_m_eff = derive_effective_mechanics(p, baths, cooling)
+        gamma_m_eff, n_m_eff = derive_effective_mechanics(p, baths, ToneConfig(tones=(cooling,)))
         assert gamma_m_eff == pytest.approx(TWO_PI * 360.0, rel=1e-12)
         assert n_m_eff == pytest.approx((10 * 1e4 + 350 * 0.24) / 360.0, rel=1e-10)
         assert n_m_eff == pytest.approx(278.011, abs=5e-4)
@@ -151,27 +150,33 @@ class TestDeriveEffectiveMechanics:
         for gamma_cool_hz in (1.0, 350.0, 5000.0):
             cooling = tone_with_gamma_opt(p, TWO_PI * gamma_cool_hz, "cooling",
                                           detuning=-(p.omega_m + TWO_PI * 30e3))
-            _, n_m_eff = derive_effective_mechanics(p, baths, cooling)
+            _, n_m_eff = derive_effective_mechanics(p, baths, ToneConfig(tones=(cooling,)))
             assert n_m_eff == pytest.approx(n_common, rel=1e-12)
 
-    def test_requires_cooling_role(self):
+    def test_probes_do_not_dress_the_mechanics(self):
+        # only the cooling tone of the configuration enters gamma_M and n_M
         p = make_params()
-        probe = tone_with_gamma_opt(p, TWO_PI, "red_probe")
-        with pytest.raises(ConfigError):
-            derive_effective_mechanics(p, BathSpec(), probe)
+        baths = BathSpec(n_r=0.3, n_m=17.5)
+        cooling = tone_with_gamma_opt(p, TWO_PI * 350.0, "cooling",
+                                      detuning=-(p.omega_m + TWO_PI * 30e3))
+        probes = balanced_config(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 100.0).tones
+        alone = derive_effective_mechanics(p, baths, ToneConfig(tones=(cooling,)))
+        assert derive_effective_mechanics(p, baths, ToneConfig(tones=(*probes, cooling))) == alone
+        assert derive_effective_mechanics(p, baths, ToneConfig(tones=probes)) == (p.gamma_m, 17.5)
 
 
 class TestStability:
     def test_balanced_tones_stable(self):
         p = make_params()
         cfg = ToneConfig.balanced(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 100.0)
-        validate_stability(p, cfg)  # no raise
+        assert cfg.gamma_tot(p) == pytest.approx(p.gamma_m, rel=1e-12)  # no raise
 
     def test_lone_blue_tone_unstable(self):
         p = make_params(gamma_m_hz=10.0)
         blue = tone_with_gamma_opt(p, 2.0 * p.gamma_m, "blue_probe")
-        with pytest.raises(InstabilityError):
-            validate_stability(p, blue)
+        with pytest.raises(InstabilityError) as err:
+            ToneConfig(tones=(blue,)).gamma_tot(p)
+        assert err.value.gamma_tot == p.gamma_m - blue.gamma_opt(p)
 
     def test_arithmetic_example(self):
         # gamma_M = 2pi*360, gamma_opt+ = 2pi*100, gamma_opt- = 2pi*500
@@ -186,7 +191,7 @@ class TestStability:
         )
         cfg = ToneConfig(tones=tones, delta=TWO_PI * 5e3, delta_c=TWO_PI * 30e3)
         with pytest.raises(InstabilityError) as err:
-            validate_stability(p, cfg)
+            cfg.gamma_tot(p)
         assert err.value.gamma_tot == pytest.approx(-TWO_PI * 40.0, rel=1e-9)
 
 

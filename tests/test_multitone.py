@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sideband_lab.errors import UnbalancedError, ValidityError
+from sideband_lab.errors import InstabilityError, UnbalancedError, ValidityError
 from sideband_lab.fitting import fit_lorentzian
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec, integrated_weight
 from sideband_lab.multitone import (
@@ -82,6 +83,54 @@ class TestSxxSpectrum:
         spec = sxx_spectrum(p, baths, cfg, np.array([0.0]))
         bare = sxx_spectrum(make_params(gamma_m_hz=10.0), baths, cfg, np.array([0.0]))
         assert spec.values[0] == pytest.approx(bare.values[0] * (2e-15) ** 2, rel=1e-12)
+
+
+class TestStabilityGate:
+    """Every multitone form goes through `ToneConfig.gamma_tot`, so an
+    anti-damped drive raises InstabilityError carrying gamma_tot."""
+
+    def unstable(self):
+        p = make_params(gamma_m_hz=10.0)
+        delta = TWO_PI * 5e3
+        cfg = ToneConfig(tones=(
+            tone_with_gamma_opt(p, TWO_PI * 10.0, "red_probe", -(p.omega_m + delta)),
+            tone_with_gamma_opt(p, TWO_PI * 50.0, "blue_probe", +(p.omega_m + delta)),
+        ), delta=delta)
+        return p, BathSpec(n_m=5.0), cfg
+
+    @pytest.mark.parametrize("form", [
+        lambda p, b, c: sxx_integrated_weight(p, b, c),
+        lambda p, b, c: sxx_spectrum(p, b, c, np.array([0.0])),
+        lambda p, b, c: averaged_occupation(p, b, c),
+        lambda p, b, c: sideband_weights(p, b, c),
+        lambda p, b, c: multitone_integrated_asymmetry(p, b, c),
+        lambda p, b, c: multitone_spectra(p, b, c, "symmetrized", np.array([0.0]),
+                                          enforce_separation=False),
+    ], ids=["sxx_integrated_weight", "sxx_spectrum", "averaged_occupation",
+            "sideband_weights", "multitone_integrated_asymmetry", "multitone_spectra"])
+    def test_unstable_drive_raises(self, form):
+        p, baths, cfg = self.unstable()
+        with pytest.raises(InstabilityError) as err:
+            form(p, baths, cfg)
+        assert err.value.gamma_tot == pytest.approx(TWO_PI * (10.0 + 10.0 - 50.0), rel=1e-9)
+
+
+class TestVacuumWeightGate:
+    """The multitone brackets are written for unit vacuum weights; any other
+    weight is a ValidityError that names it, not a silently wrong weight."""
+
+    @pytest.mark.parametrize("name", ["alpha_r", "alpha_l", "alpha_i", "beta"])
+    def test_non_unit_weight_is_named(self, name):
+        p, baths, cfg = si_figure_like()
+        odd = replace(baths, **{name: 1.5})
+        grid = np.array([0.0])
+        forms = (lambda: sideband_weights(p, odd, cfg),
+                 lambda: multitone_integrated_asymmetry(p, odd, cfg),
+                 lambda: multitone_spectra(p, odd, cfg, "symmetrized", grid),
+                 lambda: full_rwa_spectrum(p, odd, cfg, grid))
+        for form in forms:
+            with pytest.raises(ValidityError, match=f"unit vacuum weights, got {name} = 1.5"):
+                form()
 
 
 class TestAveragedOccupation:

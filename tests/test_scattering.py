@@ -108,7 +108,7 @@ class TestScatteringMatrix:
         tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
         for sign in (+1, -1):
             for offset in (-3.0 * p.gamma_m, 0.0, 0.7 * p.gamma_m, 4.0 * p.gamma_m):
-                smat = scattering_matrix(p, tone, sign, sign * p.omega_m + offset)
+                smat = scattering_matrix(p, tone, sign, offset)
                 exact = exact_scattering_matrix(p, gamma_opt, sign, offset)
                 if sign == +1:
                     np.testing.assert_allclose(smat.entries, exact, atol=2e-4)
@@ -119,7 +119,7 @@ class TestScatteringMatrix:
     def test_decoupled_limit(self):
         p = make_params()
         tone = ToneSpec(detuning=-p.omega_m, role="red_probe", coupling=0.0)
-        smat = scattering_matrix(p, tone, +1, p.omega_m + 2.0 * p.gamma_m)
+        smat = scattering_matrix(p, tone, +1, 2.0 * p.gamma_m)
         k = p.kappa
         assert smat.entries[0, 0] == pytest.approx(1 - 2 * p.kappa_r / k)
         assert smat.entries[0, 1] == pytest.approx(-2 * math.sqrt(p.kappa_l * p.kappa_r) / k)
@@ -131,7 +131,7 @@ class TestScatteringMatrix:
         # kappa_r = kappa_l = kappa/2, gamma_opt = gamma_m, on resonance -> s11 = 1/2
         p = make_params(kappa_l_hz=435e3, kappa_r_hz=435e3, kappa_i_hz=0.0)
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
-        smat = scattering_matrix(p, tone, +1, p.omega_m)
+        smat = scattering_matrix(p, tone, +1, 0.0)
         assert smat.entries[0, 0] == pytest.approx(0.5, rel=1e-12)
 
     def test_graded_row_norm(self, rng):
@@ -143,7 +143,7 @@ class TestScatteringMatrix:
             for sign in (+1, -1):
                 for _ in range(20):
                     offset = rng.uniform(-5, 5) * p.gamma_m
-                    smat = scattering_matrix(p, tone, sign, sign * p.omega_m + offset)
+                    smat = scattering_matrix(p, tone, sign, offset)
                     s11, s12, s13 = smat.output_row
                     norm = abs(s11) ** 2 + abs(s12) ** 2 + sign * abs(s13) ** 2
                     assert norm == pytest.approx(1.0, abs=1e-10)
@@ -156,7 +156,7 @@ class TestScatteringMatrix:
         bare = 1 - 2 * p.kappa_r / p.kappa
         for sign in (+1, -1):
             offset = 1.7 * p.gamma_m
-            smat = scattering_matrix(p, tone, sign, sign * p.omega_m + offset)
+            smat = scattering_matrix(p, tone, sign, offset)
             n = complex(mech_denominator(offset, sign, p.gamma_m, gamma_opt))
             term = (smat.entries[0, 0] - bare) * n
             assert term == pytest.approx(sign * (p.kappa_r / p.kappa) * gamma_opt, rel=1e-9)
@@ -165,14 +165,45 @@ class TestScatteringMatrix:
         p = make_params()
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         with pytest.raises(ValidityError, match="window"):
-            scattering_matrix(p, tone, +1, p.omega_m + 0.3 * p.kappa)
-        scattering_matrix(p, tone, +1, p.omega_m + 0.3 * p.kappa, enforce_window=False)
+            scattering_matrix(p, tone, +1, 0.3 * p.kappa)
+        scattering_matrix(p, tone, +1, 0.3 * p.kappa, enforce_window=False)
 
     def test_good_cavity_gate(self):
         p = make_params(omega_m_hz=100e3)
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         with pytest.raises(ValidityError, match="good-cavity"):
-            scattering_matrix(p, tone, +1, p.omega_m)
+            scattering_matrix(p, tone, +1, 0.0)
+
+
+class TestDetuningGate:
+    """Every single-tone form takes the pump on its sideband: a tone kappa/4 or
+    more away from Delta = +-omega_m is a ValidityError, whatever the sign."""
+
+    def forms(self, p, tone):
+        b = BathSpec(n_m=3.0)
+        x = np.array([0.0])
+        for sign in (+1, -1):
+            yield lambda: single_tone_spectrum(p, b, tone, sign, "symmetrized", x)
+            yield lambda: single_tone_integrated_weight(p, b, tone, sign, "normal_ordered")
+            yield lambda: scattering_matrix(p, tone, sign, 0.0)
+            yield lambda: output_commutator(p, b, tone, sign, 0.0)
+        yield lambda: integrated_asymmetry(p, b, tone, "symmetrized")
+        yield lambda: imbalance(p, b, tone, "symmetrized", x)
+
+    @pytest.mark.parametrize("side", [-1, +1])
+    @pytest.mark.parametrize("role", ["red_probe", "blue_probe"])
+    def test_off_sideband_tone_is_gated(self, side, role):
+        p = make_params()
+        sideband = p.omega_m if role == "blue_probe" else -p.omega_m
+        for miss, gated in ((0.0, False), (0.24, False), (0.26, True), (3.0, True)):
+            detuning = sideband + side * miss * p.kappa
+            tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, role, detuning)
+            for form in self.forms(p, tone):  # each form runs before the next is made
+                if gated:
+                    with pytest.raises(ValidityError, match="detuning gate"):
+                        form()
+                else:
+                    form()
 
 
 class TestNoiseFloor:
@@ -197,7 +228,7 @@ class TestSpectrumComposition:
     def test_vacuum_symmetrized_on_resonance_is_half(self):
         p = make_params(kappa_i_hz=0.0)
         tone = tone_with_gamma_opt(p, 0.4 * p.gamma_m, "red_probe")
-        smat = scattering_matrix(p, tone, +1, p.omega_m)
+        smat = scattering_matrix(p, tone, +1, 0.0)
         val = spectrum_from_scattering(smat, BathSpec(), "symmetrized")
         assert val == pytest.approx(0.5, abs=1e-10)
 
@@ -205,14 +236,14 @@ class TestSpectrumComposition:
         p = make_params()
         tone = tone_with_gamma_opt(p, 0.4 * p.gamma_m, "red_probe")
         for offset in (-2.0, 0.0, 3.0):
-            smat = scattering_matrix(p, tone, +1, p.omega_m + offset * p.gamma_m)
+            smat = scattering_matrix(p, tone, +1, offset * p.gamma_m)
             assert spectrum_from_scattering(smat, BathSpec(), "normal_ordered") == 0.0
 
     def test_normal_ordered_vacuum_blue_is_mechanical_upconversion(self):
         p = make_params()
         tone = tone_with_gamma_opt(p, 0.4 * p.gamma_m, "blue_probe")
         baths = BathSpec(beta=1.7)
-        smat = scattering_matrix(p, tone, -1, -p.omega_m + 0.5 * p.gamma_m)
+        smat = scattering_matrix(p, tone, -1, 0.5 * p.gamma_m)
         expected = abs(smat.output_row[2]) ** 2 * 1.7
         assert spectrum_from_scattering(smat, baths, "normal_ordered") == \
             pytest.approx(expected, rel=1e-12)
@@ -231,10 +262,10 @@ class TestSpectrumComposition:
             kind = "symmetrized" if rng.random() < 0.5 else "normal_ordered"
             offset = rng.uniform(-5, 5) * p.gamma_m
             spec = single_tone_spectrum(p, b, tone, sign, kind, np.array([offset]))
-            smat = scattering_matrix(p, tone, sign, sign * p.omega_m + offset)
+            smat = scattering_matrix(p, tone, sign, offset)
             composed = spectrum_from_scattering(smat, b, kind)
             scale = max(abs(composed), noise_floor(p, b))
-            assert abs(spec.values[0] - composed) <= 1e-10 * scale
+            assert abs(spec.values[0] - composed) <= 1e-13 * scale
 
 
 unit_interval = st.floats(min_value=0.05, max_value=1.0)
@@ -259,13 +290,12 @@ class TestOrderingDifference:
                         gamma_m_hz=gamma_m_hz, omega_m_hz=50.0 * (kl + kr + ki) * 1e5)
         b = BathSpec(*n, *w)
         tone = tone_with_gamma_opt(p, u * p.gamma_m, "red_probe")
-        omegas = sign * p.omega_m + np.linspace(-5, 5, 11) * p.gamma_m
-        grid = omegas - sign * p.omega_m  # the offsets scattering_matrix sees
+        grid = np.linspace(-5, 5, 11) * p.gamma_m
         sym = single_tone_spectrum(p, b, tone, sign, "symmetrized", grid).values
         nrm = single_tone_spectrum(p, b, tone, sign, "normal_ordered", grid).values
-        half_c = np.array([output_commutator(p, b, tone, sign, om) for om in omegas]) / 2.0
+        half_c = np.array([output_commutator(p, b, tone, sign, x) for x in grid]) / 2.0
         scale = np.maximum(np.abs(sym), np.abs(nrm))
-        assert np.all(np.abs(sym - nrm - half_c) <= 1e-12 * scale)
+        assert np.all(np.abs(sym - nrm - half_c) <= 1e-13 * scale)
 
 
 class TestSingleToneSpectrum:
@@ -397,7 +427,7 @@ class TestOutputCommutator:
             b = random_baths(rng)  # alphas and beta all 1
             tone = tone_with_gamma_opt(p, rng.uniform(0.05, 0.8) * p.gamma_m, "red_probe")
             for sign in (+1, -1):
-                vals = [output_commutator(p, b, tone, sign, sign * p.omega_m + x)
+                vals = [output_commutator(p, b, tone, sign, x)
                         for x in np.linspace(-5, 5, 21) * p.gamma_m]
                 assert max(vals) - min(vals) < 1e-12
                 assert vals[0] == pytest.approx(1.0, abs=1e-12)
@@ -409,7 +439,7 @@ class TestOutputCommutator:
         tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
         b = BathSpec(beta=2.0)
         offset = 0.7 * p.gamma_m
-        val = output_commutator(p, b, tone, +1, p.omega_m + offset)
+        val = output_commutator(p, b, tone, +1, offset)
         gamma_tot = p.gamma_m + gamma_opt
         lorentz = p.gamma_m * gamma_opt / (offset**2 + gamma_tot**2 / 4.0)
         expected = 1.0 + (p.kappa_r / p.kappa) * lorentz * (2.0 - 1.0)
@@ -422,5 +452,5 @@ class TestOutputCommutator:
         k = p.kappa
         expected = 1.2 + (4 * p.kappa_r * p.kappa_l / k**2) * (0.7 - 1.2)
         for offset in (-2.0, 0.0, 3.0):
-            val = output_commutator(p, b, tone, +1, p.omega_m + offset * p.gamma_m)
+            val = output_commutator(p, b, tone, +1, offset * p.gamma_m)
             assert val == pytest.approx(expected, rel=1e-12)
