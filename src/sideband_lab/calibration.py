@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
 
 from .errors import ConfigError, DegenerateData, RankDeficient, ValidityError
 from .fitting import LorentzianFit, fit_lorentzian, gauss_newton
 from .model import (
+    HBAR,
     TWO_PI,
     BathSpec,
     Spectrum,
@@ -336,7 +336,8 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     temperature-sweep thermometry (conversion slopes), a sideband-imbalance
     closure from Lorentzian fits of the twin-peak spectra (n_eff), and the
     truth and error keys. Gaussian noise of relative size ``noise_level`` is
-    added to every synthetic measurement.
+    added to every synthetic measurement; at zero noise the fits are exact and
+    their standard errors are reported as 0.0.
     """
     shunt = shunt or ShuntModel(c_out=2.7e-15)
     n_p = np.logspace(3, 7, 9)
@@ -385,7 +386,7 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     report.update(conversion_slope_plus=slope_p, conversion_slope_minus=slope_m,
                   conversion_ratio=slope_m / slope_p)
     # through power of each probe at n_p = 500 is this times omega_pump (1 + Delta)
-    through = gains[1] * hbar * params.kappa_r * 500.0
+    through = gains[1] * HBAR * params.kappa_r * 500.0
     detuning = params.omega_m + config.delta
     through_p = through * (params.omega_c - detuning) * (1.0 + delta_plus)
     through_m = through * (params.omega_c + detuning) * (1.0 + delta_minus)
@@ -417,6 +418,11 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
         "stokes_amplitude": fits["stokes"].uncertainty("amplitude"),
         "anti_stokes_amplitude": fits["anti_stokes"].uncertainty("amplitude"),
     }
+    if noise_level == 0.0:
+        # noise-free tables are the forward models themselves, so every fit is
+        # exact: its standard error is zero, not the rounding residue of s^2
+        report["n_r_err"] = 0.0
+        report["uncertainties"] = dict.fromkeys(report["uncertainties"], 0.0)
     report["n_eff_fit"] = (n_minus - n_plus - 1.0) / 2.0
     report["n_eff_true"] = baths.n_eff(params)
     w_anti, w_stokes = sideband_weights(params, baths, config)

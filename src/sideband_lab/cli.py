@@ -147,25 +147,30 @@ def cmd_asymmetry(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     params, baths, config = _load(args)
+    # the analytic side first, so a gated configuration stops before the layout
+    # of the Monte Carlo is even derived
+    gamma_tot = config.gamma_tot(params)
+    grid = np.linspace(-8.0 * gamma_tot, 8.0 * gamma_tot, 1001)
+    if config.has_probe_pair:
+        spectra = multitone_spectra(params, baths, config, "symmetrized", grid,
+                                    enforce_separation=False)
+        analytic = {"anti_stokes": spectra.anti_stokes, "stokes": spectra.stokes}
+    else:
+        tone = config.tone("red_probe") or config.tone("blue_probe")
+        if tone is None:
+            raise ConfigError("oracle-compare needs a probe pair or a single probe tone")
+        sign = +1 if tone.role == "red_probe" else -1
+        analytic = single_tone_spectrum(params, baths, tone, sign, "symmetrized", grid)
     sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,
                          n_trajectories=args.trajectories)
     report, mc_spec = oracle_compare(params, baths, config, sim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(out / "mc_spectrum.csv", mc_spec)
-
-    gamma_tot = config.gamma_tot(params)
-    grid = np.linspace(-8.0 * gamma_tot, 8.0 * gamma_tot, 1001)
     if config.has_probe_pair:
-        spectra = multitone_spectra(params, baths, config, "symmetrized", grid,
-                                    enforce_separation=False)
-        write_components_csv(out / "analytic_spectrum.csv",
-                             {"anti_stokes": spectra.anti_stokes, "stokes": spectra.stokes})
+        write_components_csv(out / "analytic_spectrum.csv", analytic)
     else:
-        tone = config.tone("red_probe") or config.tone("blue_probe")
-        sign = +1 if tone.role == "red_probe" else -1
-        spec = single_tone_spectrum(params, baths, tone, sign, "symmetrized", grid)
-        write_spectrum_csv(out / "analytic_spectrum.csv", spec)
+        write_spectrum_csv(out / "analytic_spectrum.csv", analytic)
 
     (out / "report.json").write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
     layout = {key: report[key] for key in

@@ -15,14 +15,18 @@ Phi and noise covariance Q over the output step dt; a step is
 X+ = Phi X + eta, eta ~ N(0, Q). A cooling tone leaves e^{+-i Omega t},
 Omega = delta_c - delta, in the coefficients, so dt is a whole fraction
 2 pi/(|Omega| P) of that period and each of the P phase slots has its own
-(Phi_j, Q_j), composed from 64 piecewise-constant substeps.
+(Phi_j, Q_j), composed from 64 piecewise-constant substeps. `_expm`
+evaluates the exponentials of a whole stack of blocks at once, by scaling
+and squaring a Taylor series.
 
-The samples are Welch-averaged into a PSD in quanta (flat vacuum gives 1/2);
-`_measure_peak` reads floor, weights and centres from it, taking every
-feature to be a Lorentzian of full width gamma_tot. Trajectory j draws six
-standard normals per step from its own Philox-4x64-10 stream,
-SeedSequence(seed, spawn_key=(j,)), and its arithmetic is elementwise, so it
-is the same whatever the number of trajectories run beside it.
+The samples are Welch-averaged (Hann window, 50% overlap, `numpy.fft`) into
+a PSD in quanta (flat vacuum gives 1/2); `_measure_peak` reads floor,
+weights and centres from it, taking every feature to be a Lorentzian of full
+width gamma_tot. Trajectory j draws six standard normals per step from its
+own Philox-4x64-10 stream, SeedSequence(seed, spawn_key=(j,)), and its
+arithmetic is elementwise, so it is the same whatever the number of
+trajectories run beside it. The module needs numpy only; `SimConfig` refuses
+a layout whose output samples would take more than 2 GiB.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ from .scattering import noise_floor, single_tone_integrated_weight
 
 RNG_ALGORITHM = "numpy-philox-4x64-10"
 SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
+TAYLOR_DEGREE = 18  # of _expm's series
 CHUNK = 4096  # output steps drawn at a time
-WELCH_BLOCK = 16  # trajectories per signal.welch call
+WELCH_BLOCK = 16  # trajectories transformed at a time
+MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples held at once
 
 __all__ = ["SimConfig", "TrajectoryOutput", "propagator", "synthesize_input_noise",
            "integrate_langevin", "oracle_compare", "RNG_ALGORITHM"]
@@ -66,6 +72,11 @@ class SimConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not 0 <= self.burn_in < self.n_steps:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_steps")
+        output = 16 * self.n_trajectories * (self.n_steps - self.burn_in)  # complex128
+        if output > MAX_OUTPUT_BYTES:
+            raise ConfigError(f"the output would take {output / 2**30:.3g} GiB, more than the "
+                              f"{MAX_OUTPUT_BYTES / 2**30:g} GiB memory guard; "
+                              "ask for fewer segments or trajectories")
 
     @classmethod
     def auto(cls, params: SystemParams, config: ToneConfig, *, n_segments: int = 2000,
@@ -148,15 +159,29 @@ def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
     return a, llt
 
 
+def _expm(m: np.ndarray) -> np.ndarray:
+    """e^m of each matrix in the stack ``m``: scaling by 2^-s until every
+    1-norm is at most 1/4, a degree-18 Taylor series by Horner's rule, then s
+    squarings. The truncation error, (1/4)^19/19!, is far below rounding."""
+    norm = float(np.abs(m).sum(axis=-2).max())
+    s = math.ceil(math.log2(max(4.0 * norm, 1.0)))
+    m = m / 2.0**s
+    eye = np.eye(m.shape[-1])
+    e = eye + m / TAYLOR_DEGREE
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
+        e = eye + (m @ e) / k
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 def _van_loan(a: np.ndarray, llt: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact (Phi, Q) over dt for each drift in the stack ``a`` (Van Loan 1978)."""
-    from scipy.linalg import expm  # deferred: only the oracle needs it, not every CLI command
-
     block = np.zeros(a.shape[:-2] + (12, 12))
     block[..., :6, :6] = -a
     block[..., :6, 6:] = llt
     block[..., 6:, 6:] = np.swapaxes(a, -1, -2)
-    e = expm(block * dt)
+    e = _expm(block * dt)
     phi = np.swapaxes(e[..., 6:, 6:], -1, -2)
     q = phi @ e[..., :6, 6:]
     return phi, (q + np.swapaxes(q, -1, -2)) / 2.0
@@ -261,8 +286,6 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
 def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum, int]:
     """(PSD in quanta, segment count): two-sided Welch, Hann window, 50% overlap,
     averaged over segments and trajectories, on the offset-from-cavity grid."""
-    from scipy import signal  # deferred: only the oracle needs it, not every CLI command
-
     # The boxcar-averaged white background folds back to an exactly flat
     # density, so no response compensation is applied; SimConfig.auto's output
     # rate keeps the boxcar's attenuation of a peak below ~0.3%.
@@ -271,20 +294,22 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
     nperseg = min(kept, max(8, int(2 * kept / (segs_per_traj + 1))))
 
     def count(n):  # 50%-overlap segments of length n over every trajectory
-        return ntraj * (1 + max(0, kept - n) // max(1, n - n // 2))
+        return ntraj * (1 + (kept - n) // (n - n // 2))
 
     # shrink until the segment count actually reaches the request
     while nperseg > 8 and count(nperseg) < psd_segments:
         nperseg -= max(1, nperseg // 50)
-    # blocks of trajectories bound the memory of the segment copies
-    pxx = 0.0
+    hop = nperseg - nperseg // 2
+    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)  # periodic Hann
+    # blocks of trajectories bound the memory of the windowed segment copies
+    pxx = np.zeros(nperseg)
     for first in range(0, ntraj, WELCH_BLOCK):
-        f, block = signal.welch(traj.output_field[first:first + WELCH_BLOCK],
-                                fs=1.0 / traj.sampling, window="hann", nperseg=nperseg,
-                                noverlap=nperseg // 2, detrend=False, return_onesided=False,
-                                scaling="density", axis=-1)
-        pxx = pxx + block.sum(axis=0)
-    pxx = pxx / ntraj
+        segments = np.lib.stride_tricks.sliding_window_view(
+            traj.output_field[first:first + WELCH_BLOCK], nperseg, axis=-1)[:, ::hop]
+        spectra = np.fft.fft(segments * window, axis=-1)
+        pxx += (spectra.real**2 + spectra.imag**2).sum(axis=(0, 1))
+    pxx *= traj.sampling / (np.sum(window**2) * count(nperseg))
+    f = np.fft.fftfreq(nperseg, traj.sampling)
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention
     # f(omega) = int f(t) e^{i omega t} dt places it at omega = -2 pi f
     offsets = -TWO_PI * f

@@ -28,6 +28,9 @@ import numpy as np
 from .errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 
 TWO_PI = 2.0 * math.pi
+# reduced Planck and Boltzmann constants from the exact 2019 SI values
+HBAR = 6.62607015e-34 / (2 * math.pi)  # J s
+K_B = 1.380649e-23  # J/K
 
 #: roles a drive tone may take
 TONE_ROLES = ("red_probe", "blue_probe", "cooling", "generic")
@@ -373,9 +376,7 @@ def derive_effective_mechanics(params: SystemParams, baths: BathSpec,
 
 def bose_occupation(temperature_k: float, omega: float) -> float:
     """Thermal occupation 1/(exp(hbar*omega/kT) - 1) for omega in rad/s."""
-    from scipy.constants import hbar, k as k_b
-
     if not temperature_k > 0.0:
         raise ConfigError(f"temperature must be positive, got {temperature_k!r} K")
-    x = hbar * omega / (k_b * temperature_k)
+    x = HBAR * omega / (K_B * temperature_k)
     return 1.0 / math.expm1(x)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidityError
 from .model import BathSpec, Spectrum, SystemParams, ToneConfig, derive_effective_mechanics
-from .scattering import noise_floor
+from .scattering import _detuning_gate, noise_floor
 
 __all__ = [
     "MultitoneSpectra",
@@ -115,8 +115,11 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
     Both orderings share them: the normal-ordered Stokes bracket n_bar + n_eff
     + gamma_M/gamma_tot + (gamma_opt^+ - gamma_opt^-)/gamma_tot is the same
     number, since gamma_tot = gamma_M + gamma_opt^+ - gamma_opt^-. Written for
-    unit vacuum weights, so any other weight is a ValidityError.
+    unit vacuum weights and, like the single-tone forms, for tones within
+    kappa/4 of their sideband, so anything else is a ValidityError.
     """
+    for tone in config.tones:
+        _detuning_gate(params, tone)
     odd = [f"{name} = {getattr(baths, name):.6g}"
            for name in ("alpha_r", "alpha_l", "alpha_i", "beta") if getattr(baths, name) != 1.0]
     if odd:

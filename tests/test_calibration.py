@@ -259,6 +259,15 @@ class TestSyntheticPipeline:
         assert report["n_eff_fit"] == pytest.approx(baths.n_eff(params), abs=0.02 * (1 + baths.n_eff(params)))
         assert report["c_out_fit"] == pytest.approx(2.7e-15, rel=1e-6)
         assert isinstance(report["calibration_run"], CalibrationRun)
+        # exact tables give exact fits: zero standard errors, not rounding residue
+        assert report["n_r_err"] == 0.0
+        assert set(report["uncertainties"].values()) == {0.0}
+
+    def test_noisy_fits_report_their_standard_errors(self):
+        params, baths, config = preset("main-text")
+        report = run_synthetic_calibration(params, baths, config, seed=0, noise_level=0.01)
+        assert report["uncertainties"]["n_r"] == report["n_r_err"]
+        assert all(err > 0.0 for err in report["uncertainties"].values())
 
     def test_inversion_of_the_synthetic_tables(self):
         params, baths, config = preset("si-figure")

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,17 @@ def oracle_demo_variant(tmp_path, *, blue=None, **baths):
         cfg = ToneConfig(tones=(replace(cfg.tone("blue_probe"), **blue),))
     path = tmp_path / "cfg.json"
     save_config(path, params, replace(bath_spec, **baths), cfg)
+    return str(path)
+
+
+def tripled_probe_pair(tmp_path):
+    """`oracle-demo` saved as a config file with both probe detunings tripled
+    (delta = 20.0 MHz against kappa/4 = 21 kHz)."""
+    d = config_to_dict(*preset("oracle-demo"))
+    for tone in d["tones"]:
+        tone["detuning_hz"] *= 3.0
+    path = tmp_path / "tripled.json"
+    path.write_text(json.dumps(d))
     return str(path)
 
 
@@ -108,6 +123,16 @@ class TestSpectrumCommand:
         path = oracle_demo_variant(tmp_path, blue={"detuning": 3.0 * cfg.tone("blue_probe").detuning})
         out = tmp_path / "out"
         rc = main(["spectrum", "--config", path, "--mode", "single", "--sign", "blue",
+                   "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("ValidityError: detuning gate: ")
+        assert not (out / "spectrum.csv").exists()
+
+    def test_off_sideband_probe_pair_is_a_validity_gate(self, tmp_path, capsys):
+        # both probes at three times their sideband detuning: the twin-sideband
+        # brackets take the tones within kappa/4 of their sidebands too
+        out = tmp_path / "out"
+        rc = main(["spectrum", "--config", tripled_probe_pair(tmp_path), "--mode", "multitone",
                    "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("ValidityError: detuning gate: ")
@@ -374,6 +399,27 @@ class TestOracleCompareCommand:
         assert all(t >= 0.0 for t in report["timings_s"].values())
         assert report["floquet_slots"] == 1
 
+    def test_gated_probe_pair_stops_before_the_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        # the analytic side runs first: the layout of this config alone would
+        # be 85 million output steps
+        import sideband_lab.langevin as langevin
+
+        def layout(*args, **kwargs):
+            raise AssertionError("derived a Monte-Carlo layout for a gated configuration")
+
+        monkeypatch.setattr(langevin.SimConfig, "auto", layout)
+        rc = main(["oracle-compare", "--config", tripled_probe_pair(tmp_path),
+                   "--trajectories", "8", "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("ValidityError: detuning gate: ")
+
+    def test_memory_guard_is_a_config_error(self, tmp_path, capsys):
+        rc = main(["oracle-compare", "--preset", "oracle-demo", "--segments", "100000000",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "GiB memory guard" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_determinism_across_runs(self, tmp_path):
         params, baths, _ = preset("oracle-demo")
         tone = tone_with_gamma_opt(params, 0.2 * params.gamma_m, "red_probe")
@@ -391,3 +437,23 @@ class TestOracleCompareCommand:
             spectra.append((out / "mc_spectrum.csv").read_bytes())
         assert reports[0] == reports[1]
         assert spectra[0] == spectra[1]
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy alone at run time: scipy is a test dependency only
+    script = f"""
+import sys
+from sideband_lab.cli import main
+out = {str(tmp_path)!r}
+assert main(["spectrum", "--preset", "si-figure", "--out", out + "/s"]) == 0
+assert main(["calibrate", "--preset", "main-text", "--synthetic", "--out", out + "/c"]) == 0
+assert main(["oracle-compare", "--preset", "oracle-demo", "--segments", "40",
+             "--trajectories", "4", "--out", out + "/o"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

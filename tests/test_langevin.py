@@ -14,9 +14,11 @@ import pytest
 
 from sideband_lab.errors import ConfigError, StepSizeError, ValidityError
 from sideband_lab.langevin import (
+    MAX_OUTPUT_BYTES,
     RNG_ALGORITHM,
     SimConfig,
     TrajectoryOutput,
+    _expm,
     _measure_peak,
     _sde_matrices,
     _welch_spectrum,
@@ -194,6 +196,19 @@ class TestIntegratorContracts:
     def test_rng_algorithm_documented(self):
         assert "philox" in RNG_ALGORITHM
 
+    def test_memory_guard(self):
+        # 16 bytes per kept output sample and trajectory; arithmetic only
+        layout = dict(dt=1e-6, seed=0, burn_in=10, psd_segments=100)
+        limit = MAX_OUTPUT_BYTES // 16
+        SimConfig(n_steps=limit // 4 + 10, n_trajectories=4, **layout)
+        with pytest.raises(ConfigError, match="memory guard"):
+            SimConfig(n_steps=limit // 4 + 11, n_trajectories=4, **layout)
+        p, _, cfg = preset("oracle-demo")
+        criterion_1 = SimConfig.auto(p, cfg, n_segments=4000, seed=0, n_trajectories=128)
+        assert 16 * 128 * (criterion_1.n_steps - criterion_1.burn_in) < 0.05 * MAX_OUTPUT_BYTES
+        with pytest.raises(ConfigError, match="memory guard"):
+            SimConfig.auto(p, cfg, n_segments=100_000_000, seed=0, n_trajectories=64)
+
 
 class TestEquilibration:
     def test_mechanical_occupation_fluctuation_dissipation(self):
@@ -339,6 +354,34 @@ class TestMeasurePeak:
         _, (w_anti, w_stokes), _ = _measure_peak(spec, [-cfg.delta, cfg.delta], gamma_tot)
         imbalance = (w_stokes - w_anti) / (p.kappa_r / p.kappa * gamma_opt)
         assert imbalance == pytest.approx(1.0, abs=1e-4)
+
+
+class TestMatrixExponential:
+    @pytest.mark.parametrize("name", ["oracle-demo", "main-text", "cooled"])
+    def test_matches_scipy_on_the_propagators(self, name, monkeypatch):
+        from scipy.linalg import expm
+
+        import sideband_lab.langevin as langevin
+
+        params, baths, cfg = equivalence_case("cooling")[:3] if name == "cooled" else preset(name)
+        blocks = []  # the Van Loan blocks propagator exponentiates, one stack per call
+        monkeypatch.setattr(langevin, "_expm", lambda m: blocks.append(m) or _expm(m))
+        propagator(params, baths, cfg, SimConfig.auto(params, cfg).dt)
+        (m,) = blocks
+        np.testing.assert_allclose(_expm(m), expm(m), rtol=0, atol=1e-13 * np.abs(expm(m)).max())
+
+    def test_matches_scipy_with_squarings(self):
+        from scipy.linalg import expm
+
+        m = np.random.default_rng(7).standard_normal((20, 12, 12))
+        assert np.abs(m).sum(axis=-2).max() > 16.0  # at least six squarings
+        np.testing.assert_allclose(_expm(m), expm(m), rtol=0, atol=1e-13 * np.abs(expm(m)).max())
+
+    def test_identities(self):
+        np.testing.assert_array_equal(_expm(np.zeros((2, 12, 12))),
+                                      np.broadcast_to(np.eye(12), (2, 12, 12)))
+        d = np.diag(np.linspace(-3.0, 3.0, 12))[None]
+        np.testing.assert_allclose(_expm(d)[0], np.diag(np.exp(np.diag(d[0]))), rtol=1e-14)
 
 
 class TestOracleCompare:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from sideband_lab.errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 from sideband_lab.model import (
+    HBAR,
+    K_B,
     TWO_PI,
     BathSpec,
     Spectrum,
@@ -227,6 +229,11 @@ def test_bose_occupation_values():
     # high-temperature linearity within 0.1%
     from scipy.constants import hbar, k
     assert n == pytest.approx(k * 0.2 / (hbar * omega_m), rel=1e-3)
+
+
+def test_si_constants_are_exact():
+    from scipy.constants import hbar, k
+    assert (HBAR, K_B) == (hbar, k)  # bit for bit
 
 
 @pytest.mark.parametrize("temperature", [0.0, -0.1])

@@ -133,6 +133,30 @@ class TestVacuumWeightGate:
                 form()
 
 
+class TestDetuningGate:
+    """The multitone brackets take every tone within kappa/4 of its sideband,
+    the window of the single-tone forms; a tone outside it is a ValidityError."""
+
+    @pytest.mark.parametrize("role", ["probes", "cooling"])
+    def test_far_tone_is_a_validity_error(self, role):
+        p, baths, cfg = si_figure_like()
+        quarter = 1.01 * p.kappa / 4.0
+        if role == "probes":
+            far = balanced_config(p, delta=quarter, probe_gamma_opt=TWO_PI * 117.7,
+                                  delta_c=2.0 * quarter, cooling_gamma_opt=TWO_PI * 350.0)
+        else:
+            far = balanced_config(p, delta=cfg.delta, probe_gamma_opt=TWO_PI * 117.7,
+                                  delta_c=quarter, cooling_gamma_opt=TWO_PI * 350.0)
+        grid = np.array([0.0])
+        forms = (lambda c: sideband_weights(p, baths, c),
+                 lambda c: multitone_spectra(p, baths, c, "symmetrized", grid),
+                 lambda c: full_rwa_spectrum(p, baths, c, grid))
+        for form in forms:
+            form(cfg)  # delta = 0.023 and delta_c = 0.14 of kappa/4
+            with pytest.raises(ValidityError, match=r"detuning gate: \|\|Delta\| - omega_m\|"):
+                form(far)
+
+
 class TestAveragedOccupation:
     def test_probes_off(self):
         p, baths, cfg = si_figure_like()
