@@ -54,12 +54,15 @@ __all__ = [
 ]
 
 
+R_L = 50.0  # ohms, impedance of the output line
+
+
 @dataclass(frozen=True)
 class ShuntModel:
     """Output transmission-line discontinuity as a shunt capacitor."""
 
     c_out: float  # farads
-    r_l: float = 50.0  # ohms
+    r_l: float = R_L  # ohms
 
     def __post_init__(self):
         if self.c_out < 0.0:
@@ -259,8 +262,8 @@ def delta_from_power_ratio(ratio_db: float) -> float:
 
 
 def fit_shunt_capacitance(omega: np.ndarray, s21_mag: np.ndarray,
-                          params: SystemParams, r_l: float = 50.0) -> ShuntModel:
-    """Estimate C_out from an |S21| magnitude trace (linear units)."""
+                          params: SystemParams) -> ShuntModel:
+    """Estimate C_out from an |S21| magnitude trace (linear units), line impedance `R_L`."""
     w = np.asarray(omega, dtype=float)
     mag = np.asarray(s21_mag, dtype=float)
     if w.size < 5:
@@ -269,18 +272,18 @@ def fit_shunt_capacitance(omega: np.ndarray, s21_mag: np.ndarray,
 
     def residual_jac(p):
         c_out = p[0]
-        shunted = base + 2.0 * r_l * 1j * params.omega_c * c_out
+        shunted = base + 2.0 * R_L * 1j * params.omega_c * c_out
         model = np.abs(shunted)
         # d|z|/dC = Im(z) * 2 R_L omega_c / |z|
-        jac = (np.imag(shunted) * 2.0 * r_l * params.omega_c / np.maximum(model, 1e-300))
+        jac = (np.imag(shunted) * 2.0 * R_L * params.omega_c / np.maximum(model, 1e-300))
         return model - mag, jac[:, None]
 
     p, _, _, _ = gauss_newton(residual_jac, np.array([1e-15]))
-    return ShuntModel(c_out=float(abs(p[0])), r_l=r_l)
+    return ShuntModel(c_out=float(abs(p[0])))
 
 
 def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, *,
-                        lambda_conv: float = 0.27, r_l: float = 50.0) -> dict:
+                        lambda_conv: float = 0.27) -> dict:
     """Fit the calibration chain to measurement tables in their file units.
 
     ``tables`` maps any names of `dataio.CALIBRATION_TABLES` to (x, y) arrays.
@@ -299,7 +302,7 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
                    g0_fit=math.sqrt(max(slope, 0.0) * params.kappa / 4.0))
     if "s21_db" in tables:
         f_hz, mag_db = tables["s21_db"]
-        shunt = fit_shunt_capacitance(TWO_PI * f_hz, 10.0 ** (mag_db / 20.0), params, r_l)
+        shunt = fit_shunt_capacitance(TWO_PI * f_hz, 10.0 ** (mag_db / 20.0), params)
         detuning = params.omega_m + config.delta
         delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
         delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
@@ -325,9 +328,7 @@ def _linear_slope_through_origin(x: np.ndarray, y: np.ndarray) -> float:
 
 def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
                               config: ToneConfig, *, lambda_conv: float = 0.27,
-                              shunt: ShuntModel | None = None, seed: int = 0,
-                              noise_level: float = 0.0,
-                              gains=(1.0, 1.0)) -> dict:
+                              seed: int = 0, noise_level: float = 0.0) -> dict:
     """Generate synthetic measurements from the forward models and invert them.
 
     The linewidth-vs-power sweep, |S21| trace and pump-off floor are built as
@@ -339,7 +340,8 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     added to every synthetic measurement; at zero noise the fits are exact and
     their standard errors are reported as 0.0.
     """
-    shunt = shunt or ShuntModel(c_out=2.7e-15)
+    shunt = ShuntModel(c_out=2.7e-15)
+    gains = (1.0, 1.0)  # cavity and pump-line gains of the synthetic chain
     n_p = np.logspace(3, 7, 9)
     span = 10.0 * (params.omega_m + config.delta)
     # probe frequencies in Hz as the tables record them; the models are
@@ -369,7 +371,7 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     }
     report: dict = {
         "seed": seed, "noise_level": noise_level, "measurements": tables,
-        **invert_measurements(params, config, tables, lambda_conv=lambda_conv, r_l=shunt.r_l),
+        **invert_measurements(params, config, tables, lambda_conv=lambda_conv),
         "g0_true": params.g0, "c_out_true": shunt.c_out, "n_r_true": baths.n_r,
     }
     g0_fit, delta_plus, delta_minus = report["g0_fit"], report["delta_plus"], report["delta_minus"]

@@ -43,13 +43,12 @@ def write_xy_csv(path, header: str, x, y) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_spectrum_csv(path, spec: Spectrum, header: str = "# offset_hz,value_quanta") -> None:
-    write_xy_csv(path, header, spec.freq_offsets / TWO_PI, spec.values)
+def write_spectrum_csv(path, spec: Spectrum) -> None:
+    write_xy_csv(path, "# offset_hz,value_quanta", spec.freq_offsets / TWO_PI, spec.values)
 
 
-def write_components_csv(path, components: dict[str, Spectrum],
-                         header: str = "# offset_hz,value_quanta,component") -> None:
-    lines = [header]
+def write_components_csv(path, components: dict[str, Spectrum]) -> None:
+    lines = ["# offset_hz,value_quanta,component"]
     for name, spec in components.items():
         for x, v in zip(spec.freq_offsets, spec.values):
             lines.append(f"{float(x) / TWO_PI!r},{float(v)!r},{name}")

@@ -130,9 +130,6 @@ def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
     """(A per time, LL^T) of dZ = A Z dt + L dW, Z = (Re d, Re c~, Im d, Im c~, Re I, Im I)."""
     rates = {"red_probe": 0.0, "blue_probe": 0.0, "cooling": 0.0}
     for tone in config.tones:
-        if tone.role not in rates:
-            raise ConfigError("generic-role tones are ambiguous for time-domain integration; "
-                              "use red_probe/blue_probe/cooling")
         rates[tone.role] = tone.coupling_rate(params)
     gp, gm, gc = rates.values()
     rot = gc * np.exp(1j * ((config.delta_c or 0.0) - config.delta) * np.asarray(times))
@@ -369,10 +366,9 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         w_anti, w_stokes = sideband_weights(params, baths, config)
         peaks = [("anti_stokes", -config.delta, w_anti), ("stokes", +config.delta, w_stokes)]
     else:
-        single = [t for t in config.tones if t.role in ("red_probe", "blue_probe")]
-        if len(single) != 1:
+        tone = config.tone("red_probe") or config.tone("blue_probe")
+        if tone is None:
             raise ConfigError("oracle_compare needs a probe pair or a single probe tone")
-        tone = single[0]
         sign = +1 if tone.role == "red_probe" else -1
         w = single_tone_integrated_weight(params, baths, tone, sign, "symmetrized")
         peaks = [("peak", -config.delta if sign == +1 else config.delta, w)]

@@ -200,10 +200,9 @@ def output_spectrum_lr(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     near-resonant cavity image (the far image only shifts the
     frequency-independent floor), so at weak coupling this reproduces the
     single-tone scattering spectrum, floor and Lorentzian weight alike.
-    Grid is offsets from the spectral peak.
+    Grid is offsets from the spectral peak; the gates are those of
+    `detector_correlators`.
     """
-    params.require_good_cavity()
-    _two_port_gate(params)
     g = tone.coupling_rate(params)
     kr, kl, k = params.kappa_r, params.kappa_l, params.kappa
     c0 = complex(chi_cavity(0.0, k))

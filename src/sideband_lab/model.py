@@ -15,6 +15,13 @@ Conventions used everywhere in this package:
   gamma_opt^+ - gamma_opt^- > 0. `ToneConfig.gamma_tot` is the one place
   that decides it for a configuration (InstabilityError otherwise), and
   `derive_effective_mechanics` reads gamma_M from `ToneConfig.gamma_big_m`.
+* Each validity decision has one home. `SystemParams.require_good_cavity`
+  (omega_m > kappa) runs in the detuning gate that every scattering and
+  multitone form passes, in `linear_response.detector_correlators` and, so
+  that the oracle stays independent, in `langevin.integrate_langevin`.
+  `ToneConfig.__post_init__` refuses a tone without a probe or cooling role
+  and a delta_c <= delta; `ToneConfig.require_balanced` is the
+  balanced-probe gate.
 """
 
 from __future__ import annotations
@@ -32,8 +39,11 @@ TWO_PI = 2.0 * math.pi
 HBAR = 6.62607015e-34 / (2 * math.pi)  # J s
 K_B = 1.380649e-23  # J/K
 
-#: roles a drive tone may take
-TONE_ROLES = ("red_probe", "blue_probe", "cooling", "generic")
+#: roles a tone of a `ToneConfig` may take
+CONFIG_ROLES = ("red_probe", "blue_probe", "cooling")
+#: roles a drive tone may take; a "generic" tone only enters the single-tone
+#: forms, which take the pump sign as an argument
+TONE_ROLES = (*CONFIG_ROLES, "generic")
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -205,7 +215,8 @@ class ToneConfig:
     For the balanced three-tone scheme the probes sit at
     omega_c -+ (omega_m + delta) and the cooling tone at
     omega_c - (omega_m + delta_c). A configuration may also hold a single
-    tone (delta = 0 meaning "on the sideband") or no tones at all.
+    tone (delta = 0 meaning "on the sideband") or no tones at all. Each role
+    of `CONFIG_ROLES` is used at most once and a given delta_c exceeds delta.
     """
 
     tones: tuple[ToneSpec, ...]
@@ -215,9 +226,15 @@ class ToneConfig:
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
         roles = [t.role for t in self.tones]
-        for r in ("red_probe", "blue_probe", "cooling"):
+        for i, role in enumerate(roles):
+            if role not in CONFIG_ROLES:
+                raise ConfigError(f"tones[{i}] needs a role in {CONFIG_ROLES}, got {role!r}")
+        for r in CONFIG_ROLES:
             if roles.count(r) > 1:
                 raise ConfigError(f"at most one {r} tone allowed, got {roles.count(r)}")
+        if self.delta_c is not None and not self.delta_c > self.delta:
+            raise ConfigError(f"cooling detuning delta_c = {self.delta_c:.6g} "
+                              f"must exceed delta = {self.delta:.6g}")
 
     def tone(self, role: str) -> ToneSpec | None:
         for t in self.tones:
@@ -228,26 +245,6 @@ class ToneConfig:
     @property
     def has_probe_pair(self) -> bool:
         return self.tone("red_probe") is not None and self.tone("blue_probe") is not None
-
-    def validate_three_tone(self, params: SystemParams, *, allow_small_separation: bool = False) -> None:
-        """Well-separated-sidebands gate for the probe-pair scheme.
-
-        Enforces delta_c > delta and delta > 10*gamma_m; pass
-        ``allow_small_separation=True`` to override deliberately.
-        """
-        if not self.has_probe_pair:
-            raise ConfigError("probe pair (red_probe + blue_probe) required")
-        if self.tone("cooling") is not None:
-            if self.delta_c is None or not (self.delta_c > self.delta):
-                raise ConfigError(
-                    f"cooling detuning delta_c = {self.delta_c!r} must exceed delta = {self.delta:.6g}"
-                )
-        if not allow_small_separation and not (self.delta > 10.0 * params.gamma_m):
-            raise ValidityError(
-                "sideband separation gate: delta > 10*gamma_m required "
-                f"(delta = {self.delta:.6g}, gamma_m = {params.gamma_m:.6g}); "
-                "pass allow_small_separation=True to override"
-            )
 
     def gamma_opt_pair(self, params: SystemParams) -> tuple[float, float]:
         """(gamma_opt^+, gamma_opt^-) from the red and blue probe tones (0 when absent)."""
@@ -274,11 +271,15 @@ class ToneConfig:
             raise InstabilityError(gamma_tot)
         return gamma_tot
 
-    def require_balanced(self, params: SystemParams, rel_tol: float = 1e-12) -> float:
-        """Balanced-probe gate: the common gamma_opt, or UnbalancedError when
-        gamma_opt^+ and gamma_opt^- differ by more than ``rel_tol``."""
+    def require_balanced(self, params: SystemParams) -> float:
+        """Balanced-probe gate: the common gamma_opt; ConfigError without a
+        probe tone, UnbalancedError when gamma_opt^+ and gamma_opt^- differ by
+        more than 1e-12 relative, as they do for a lone probe."""
+        if self.tone("red_probe") is None and self.tone("blue_probe") is None:
+            raise ConfigError("balanced probes required: the configuration has neither "
+                              "a red_probe nor a blue_probe tone")
         gp, gm = self.gamma_opt_pair(params)
-        if not abs(gp - gm) <= rel_tol * max(gp, gm, 1e-300):
+        if not abs(gp - gm) <= 1e-12 * max(gp, gm, 1e-300):
             raise UnbalancedError(
                 f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
             )
@@ -286,8 +287,7 @@ class ToneConfig:
 
     @classmethod
     def balanced(cls, params: SystemParams, *, delta: float, probe_gamma_opt: float,
-                 delta_c: float | None = None, cooling_gamma_opt: float = 0.0,
-                 allow_small_separation: bool = False) -> "ToneConfig":
+                 delta_c: float | None = None, cooling_gamma_opt: float = 0.0) -> "ToneConfig":
         """Build the balanced probe pair (optionally plus cooling tone) from target rates."""
         g_probe = math.sqrt(probe_gamma_opt * params.kappa) / 2.0
         tones = [
@@ -300,9 +300,7 @@ class ToneConfig:
             g_cool = math.sqrt(cooling_gamma_opt * params.kappa) / 2.0
             tones.append(ToneSpec(detuning=-(params.omega_m + delta_c), role="cooling",
                                   coupling=g_cool))
-        cfg = cls(tones=tuple(tones), delta=delta, delta_c=delta_c)
-        cfg.validate_three_tone(params, allow_small_separation=allow_small_separation)
-        return cfg
+        return cls(tones=tuple(tones), delta=delta, delta_c=delta_c)
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,6 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
     floor s_r + (4 kappa_r/kappa)(s_c - s_r) of `noise_floor`. The returned
     spectra carry absolute offsets (peak center -+delta plus the supplied grid).
     """
-    params.require_good_cavity()
     gamma_tot = _separation_gate(params, config, enforce_separation)
     gp, gm = config.gamma_opt_pair(params)
     anti_br, stokes_br = _brackets(params, baths, config)
@@ -204,7 +203,6 @@ def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
     With ``components=True`` returns a dict with entries
     {"total", "floor", "mixing", "stokes", "anti_stokes"}.
     """
-    params.require_good_cavity()
     gamma_opt = config.require_balanced(params)
     gamma_big_m = config.gamma_big_m(params)
     delta = config.delta

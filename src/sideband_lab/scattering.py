@@ -13,11 +13,13 @@ function here takes the offset x = omega - sign*omega_m from that resonance
 instead, which is also the lab-frame offset omega - omega_c of the spectra;
 x is never formed as a difference of two large frequencies.
 
-Validity gates (`ValidityError`): the good-cavity limit omega_m > kappa, the
-frequency window |x| < kappa/4 (overridable) and the detuning window
-||Delta| - omega_m| < kappa/4 of the tone, since every form here takes the
-pump to sit on its sideband. `_lorentzian` is the single-tone stability gate
-(`InstabilityError` unless gamma_m +- gamma_opt > 0).
+Validity gates (`ValidityError`): the frequency window |x| < kappa/4
+(overridable) and `_detuning_gate`, which every form here and every
+multitone form passes: the good-cavity limit omega_m > kappa, then the
+detuning window ||Delta| - omega_m| < kappa/4 of the tone, since these
+forms take the pump to sit on its sideband. `_lorentzian` is the
+single-tone stability gate (`InstabilityError` unless gamma_m +- gamma_opt
+> 0).
 """
 
 from __future__ import annotations
@@ -124,6 +126,8 @@ def _window_gate(params: SystemParams, x, enforce_window: bool) -> None:
 
 
 def _detuning_gate(params: SystemParams, tone: ToneSpec) -> None:
+    """Good-cavity gate, then ||Delta| - omega_m| < kappa/4 for ``tone``."""
+    params.require_good_cavity()
     _quarter_kappa_gate(params, abs(tone.detuning) - params.omega_m,
                         "detuning gate: ||Delta| - omega_m|")
 
@@ -136,7 +140,6 @@ def scattering_matrix(params: SystemParams, tone: ToneSpec, detuning_sign: int,
     tone within kappa/4 of its sideband and in the good-cavity limit
     omega_m > kappa.
     """
-    params.require_good_cavity()
     sign = int(detuning_sign)
     if sign not in (+1, -1):
         raise ConfigError("detuning_sign must be +1 or -1")
@@ -240,7 +243,6 @@ def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     default; ``weak_coupling=True`` selects the gamma_tot ~ gamma_m form.
     Agrees with the scattering-row composition at every point.
     """
-    params.require_good_cavity()
     amplitude, width = _lorentzian(params, baths, tone, detuning_sign, kind, weak_coupling)
     x = np.asarray(grid, dtype=float)
     _window_gate(params, x, enforce_window)

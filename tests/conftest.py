@@ -49,12 +49,10 @@ def random_baths(rng: np.random.Generator, *, max_n=5.0) -> BathSpec:
 
 
 def balanced_config(params: SystemParams, *, delta: float, probe_gamma_opt: float,
-                    delta_c: float | None = None, cooling_gamma_opt: float = 0.0,
-                    allow_small_separation: bool = True) -> ToneConfig:
+                    delta_c: float | None = None, cooling_gamma_opt: float = 0.0) -> ToneConfig:
     return ToneConfig.balanced(
         params, delta=delta, probe_gamma_opt=probe_gamma_opt, delta_c=delta_c,
         cooling_gamma_opt=cooling_gamma_opt,
-        allow_small_separation=allow_small_separation,
     )
 
 

@@ -40,6 +40,34 @@ def tripled_probe_pair(tmp_path):
     return str(path)
 
 
+def cooling_variant(tmp_path, row):
+    """The three-tone cooling system (balanced probes at delta/2pi = 4.2 kHz, a
+    cooling tone at delta_c = 3 delta, n_m = 80) saved as a config file, changed
+    as the gate-consistency ``row`` says."""
+    p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_l_hz=20e3,
+                    kappa_r_hz=120e3, kappa_i_hz=20e3, gamma_m_hz=300.0)
+    cfg = ToneConfig.balanced(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
+                              delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
+    d = config_to_dict(p, BathSpec(n_m=80.0), cfg)
+    red, blue, cooling = d["tones"]
+    if row == "bad-cavity":  # omega_m/2pi = 100 kHz < kappa/2pi = 160 kHz
+        d["system"]["omega_m_hz"] = 100e3
+        red["detuning_hz"], blue["detuning_hz"] = -104.2e3, 104.2e3
+        d["tones"] = [red, blue]
+    elif row == "cooling-at-delta":
+        cooling["detuning_hz"] = red["detuning_hz"]
+    elif row == "generic-tone":
+        cooling["role"] = "generic"
+    elif row == "no-roles":
+        for tone in d["tones"]:
+            del tone["role"]
+    elif row == "cooling-only":
+        d["tones"] = [cooling]
+    path = tmp_path / f"{row}.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
 #: a lone blue probe that anti-damps oracle-demo: gamma_opt = 2 pi * 428.6 Hz
 #: against gamma_m = 2 pi * 400 Hz
 UNSTABLE_BLUE = {"coupling": TWO_PI * 3000.0}
@@ -115,6 +143,37 @@ class TestSpectrumCommand:
         assert main([*command, "--config", cfg, *out]) == 3
         assert capsys.readouterr().err == \
             "InstabilityError: total damping gamma_tot = -179.52 rad/s <= 0\n"
+
+    @pytest.mark.parametrize("row, command", [
+        *[(row, c) for row in ("bad-cavity", "cooling-at-delta", "generic-tone")
+          for c in ("multitone", "full-rwa", "asymmetry", "oracle-compare")],
+        ("no-roles", "multitone"), ("no-roles", "full-rwa"), ("cooling-only", "full-rwa"),
+    ])
+    def test_every_command_applies_the_same_gates(self, tmp_path, capsys, monkeypatch,
+                                                  row, command):
+        # each gate has one home, so every command refuses these configurations
+        # the same way, and oracle-compare before any Monte-Carlo layout
+        import sideband_lab.langevin as langevin
+
+        def layout(*args, **kwargs):
+            raise AssertionError("derived a Monte-Carlo layout for a gated configuration")
+
+        monkeypatch.setattr(langevin.SimConfig, "auto", layout)
+        argv = {"multitone": ["spectrum", "--mode", "multitone"],
+                "full-rwa": ["spectrum", "--mode", "full-rwa"],
+                "asymmetry": ["asymmetry"],
+                "oracle-compare": ["oracle-compare", "--trajectories", "8"]}[command]
+        code, error = {
+            "bad-cavity": (3, "ValidityError: good-cavity gate: "),
+            "cooling-at-delta": (2, "ConfigError: cooling detuning delta_c = "),
+            "generic-tone": (2, "ConfigError: tones[2] needs a role"),
+            "no-roles": (2, "ConfigError: tones[0] needs a role"),
+            "cooling-only": (2, "ConfigError: balanced probes required: the configuration "
+                                "has neither a red_probe nor a blue_probe tone"),
+        }[row]
+        out = [] if command == "asymmetry" else ["--out", str(tmp_path / "out")]
+        assert main([*argv, "--config", cooling_variant(tmp_path, row), *out]) == code
+        assert capsys.readouterr().err.startswith(error)
 
     def test_off_sideband_probe_is_a_validity_gate(self, tmp_path, capsys):
         # a stable lone blue probe at three times its sideband detuning: the

@@ -1,0 +1,86 @@
+"""Each validity gate has one home that every public form passes.
+
+The good-cavity limit omega_m > kappa is decided in the scattering detuning
+gate (every single-tone and multitone form) and in the detector correlators
+(every linear-response form); a tone configuration refuses a tone without a
+probe or cooling role and a cooling tone not detuned beyond the probes when
+it is built.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sideband_lab.errors import ConfigError, ValidityError
+from sideband_lab.linear_response import detector_correlators, output_spectrum_lr
+from sideband_lab.model import TWO_PI, ToneConfig, ToneSpec
+from sideband_lab.multitone import full_rwa_spectrum, multitone_spectra, sideband_weights
+from sideband_lab.scattering import (
+    integrated_asymmetry,
+    output_commutator,
+    scattering_matrix,
+    single_tone_integrated_weight,
+    single_tone_spectrum,
+)
+
+from conftest import balanced_config, make_params, random_baths, random_system, tone_with_gamma_opt
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       factor=st.floats(min_value=0.05, max_value=1.0),
+       u=st.floats(min_value=0.01, max_value=0.9),
+       sign=st.sampled_from((+1, -1)))
+def test_bad_cavity_is_refused_by_every_closed_form(seed, factor, u, sign):
+    # a stable tone on its sideband and a well-separated balanced pair, so
+    # that only omega_m <= kappa is wrong
+    rng = np.random.default_rng(seed)
+    p = random_system(rng, good_cavity_factor=factor)
+    baths = random_baths(rng)
+    tone = tone_with_gamma_opt(p, u * p.gamma_m, "red_probe" if sign == +1 else "blue_probe")
+    cfg = balanced_config(p, delta=20.0 * p.gamma_m, probe_gamma_opt=u * p.gamma_m)
+    grid = np.array([0.0])
+    forms = (
+        lambda: scattering_matrix(p, tone, sign, 0.0),
+        lambda: single_tone_spectrum(p, baths, tone, sign, "symmetrized", grid),
+        lambda: single_tone_integrated_weight(p, baths, tone, sign, "symmetrized"),
+        lambda: integrated_asymmetry(p, baths, tone, "symmetrized"),
+        lambda: output_commutator(p, baths, tone, sign, 0.0),
+        lambda: sideband_weights(p, baths, cfg),
+        lambda: multitone_spectra(p, baths, cfg, "symmetrized", grid),
+        lambda: full_rwa_spectrum(p, baths, cfg, grid),
+        lambda: detector_correlators(p, baths, tone, sign, p.omega_m),
+        lambda: output_spectrum_lr(p, baths, tone, sign, grid),
+    )
+    for form in forms:
+        with pytest.raises(ValidityError, match="good-cavity gate"):
+            form()
+
+
+def _probe_pair(p, delta):
+    return (ToneSpec(detuning=-(p.omega_m + delta), role="red_probe", coupling=TWO_PI * 1e3),
+            ToneSpec(detuning=+(p.omega_m + delta), role="blue_probe", coupling=TWO_PI * 1e3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(delta_hz=st.floats(min_value=-1e5, max_value=1e5),
+       shortfall_hz=st.floats(min_value=0.0, max_value=1e5))
+def test_cooling_tone_inside_the_probes_is_refused(delta_hz, shortfall_hz):
+    p = make_params()
+    delta = TWO_PI * delta_hz
+    delta_c = delta - TWO_PI * shortfall_hz
+    cooling = ToneSpec(detuning=-(p.omega_m + delta_c), role="cooling", coupling=TWO_PI * 1e3)
+    with pytest.raises(ConfigError, match="must exceed delta"):
+        ToneConfig(tones=(*_probe_pair(p, delta), cooling), delta=delta, delta_c=delta_c)
+
+
+@settings(max_examples=50, deadline=None)
+@given(position=st.integers(min_value=0, max_value=2),
+       detuning_hz=st.floats(min_value=-1e7, max_value=1e7))
+def test_generic_tone_is_refused(position, detuning_hz):
+    p = make_params()
+    tones = list(_probe_pair(p, TWO_PI * 5e3))
+    tones.insert(position, ToneSpec(detuning=TWO_PI * detuning_hz, coupling=TWO_PI * 1e3))
+    with pytest.raises(ConfigError, match=rf"tones\[{position}\] needs a role"):
+        ToneConfig(tones=tuple(tones), delta=TWO_PI * 5e3)

@@ -186,12 +186,11 @@ class TestIntegratorContracts:
             integrate_langevin(p, BathSpec(), cfg, too_short)
 
     def test_generic_tone_rejected(self):
+        # the oracle takes each tone's rotating phase from its role, and a
+        # configuration refuses a generic tone when it is built
         p = fast_params()
-        cfg = ToneConfig(tones=(ToneSpec(detuning=-p.omega_m, role="generic",
-                                         coupling=1.0),))
-        sim = SimConfig.auto(p, cfg, n_segments=20, seed=0, n_trajectories=2)
         with pytest.raises(ConfigError, match="generic"):
-            integrate_langevin(p, BathSpec(), cfg, sim)
+            ToneConfig(tones=(ToneSpec(detuning=-p.omega_m, role="generic", coupling=1.0),))
 
     def test_rng_algorithm_documented(self):
         assert "philox" in RNG_ALGORITHM
@@ -270,8 +269,7 @@ def equivalence_case(name):
     if name == "balanced":
         p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_l_hz=4e3,
                         kappa_r_hz=80e3, kappa_i_hz=0.0, gamma_m_hz=400.0)
-        cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 200.0,
-                              allow_small_separation=False)
+        cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 200.0)
         return p, BathSpec(n_m=60.0), cfg, dict(n_segments=800, seed=5,
                                                 n_trajectories=64)
     if name == "cooling":
@@ -280,8 +278,7 @@ def equivalence_case(name):
         p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_l_hz=20e3,
                         kappa_r_hz=120e3, kappa_i_hz=20e3, gamma_m_hz=300.0)
         cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
-                              delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0,
-                              allow_small_separation=False)
+                              delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
         return p, BathSpec(n_m=80.0), cfg, dict(n_segments=1500, seed=5,
                                                 n_trajectories=64)
     if name == "squashing":

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sideband_lab.config import config_from_dict, config_to_dict
 from sideband_lab.errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 from sideband_lab.model import (
     HBAR,
@@ -19,6 +20,7 @@ from sideband_lab.model import (
     derive_effective_mechanics,
     integrated_weight,
 )
+from sideband_lab.presets import preset
 
 from conftest import balanced_config, make_params, tone_with_gamma_opt
 
@@ -99,18 +101,22 @@ class TestToneSpec:
 
 
 class TestToneConfig:
-    def test_separation_gate(self):
-        p = make_params(gamma_m_hz=10.0)
-        with pytest.raises(ValidityError, match="separation"):
-            ToneConfig.balanced(p, delta=TWO_PI * 50.0, probe_gamma_opt=TWO_PI * 1.0)
-        ToneConfig.balanced(p, delta=TWO_PI * 50.0, probe_gamma_opt=TWO_PI * 1.0,
-                            allow_small_separation=True)
-
     def test_cooling_must_be_further_detuned(self):
         p = make_params()
         with pytest.raises(ConfigError):
             ToneConfig.balanced(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 1.0,
                                 delta_c=TWO_PI * 1e3, cooling_gamma_opt=TWO_PI * 10.0)
+        delta = TWO_PI * 5e3
+        probes = balanced_config(p, delta=delta, probe_gamma_opt=TWO_PI * 1.0).tones
+        cooling = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + delta))
+        for delta_c in (0.2 * delta, delta):
+            with pytest.raises(ConfigError, match="must exceed delta"):
+                ToneConfig(tones=(*probes, cooling), delta=delta, delta_c=delta_c)
+        # a config file with the cooling tone at the probes' detuning, delta_c = delta
+        d = config_to_dict(*preset("main-text"))
+        d["tones"][2]["detuning_hz"] = d["tones"][0]["detuning_hz"]
+        with pytest.raises(ConfigError, match="must exceed delta"):
+            config_from_dict(d)
 
     def test_duplicate_roles_rejected(self):
         p = make_params()
@@ -255,3 +261,8 @@ def test_require_balanced_gate():
     with pytest.raises(UnbalancedError) as err:
         unbalanced.require_balanced(p)
     assert str(err.value) == f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
+    with pytest.raises(UnbalancedError):
+        ToneConfig(tones=(red,), delta=delta).require_balanced(p)
+    cooling = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + 6.0 * delta))
+    with pytest.raises(ConfigError, match="neither a red_probe nor a blue_probe"):
+        ToneConfig(tones=(cooling,), delta_c=6.0 * delta).require_balanced(p)

@@ -28,8 +28,7 @@ def si_figure_like():
     n_i = (0.24 * 870e3 - 0.3 * 605e3) / 265e3
     baths = BathSpec(n_r=0.3, n_l=0.3, n_i=n_i, n_m=(100.0 * 360.0 - 350.0 * 0.24) / 10.0)
     config = balanced_config(params, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 117.7,
-                             delta_c=TWO_PI * 30e3, cooling_gamma_opt=TWO_PI * 350.0,
-                             allow_small_separation=False)
+                             delta_c=TWO_PI * 30e3, cooling_gamma_opt=TWO_PI * 350.0)
     return params, baths, config
 
 
