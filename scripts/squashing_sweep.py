@@ -32,8 +32,8 @@ def main() -> None:
     print(f"{'n_eff':>8} {'weight (rad/s)':>16} {'Im S_zF':>10}")
     for n_eff in np.linspace(0.0, 2.5, 11):
         baths = BathSpec(n_r=n_eff, n_l=n_eff, n_m=n_m)  # uniform: n_eff = n_c
-        weight = single_tone_integrated_weight(params, baths, tone, +1, "symmetrized")
-        s_zf = resonance_correlators(params, baths, tone, +1).s_zf
+        weight = single_tone_integrated_weight(params, baths, tone, "symmetrized")
+        s_zf = resonance_correlators(params, baths, tone).s_zf
         marker = " <- squashed below the floor" if weight < 0 else ""
         print(f"{n_eff:8.2f} {weight:16.6g} {s_zf.imag:10.4f}{marker}")
 

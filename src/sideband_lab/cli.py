@@ -84,14 +84,6 @@ def _add_source_args(parser):
     parser.add_argument("--preset", choices=PRESET_NAMES, help="named parameter set")
 
 
-def _probe_tone(config, sign_name: str):
-    role = "red_probe" if sign_name == "red" else "blue_probe"
-    tone = config.tone(role)
-    if tone is None:
-        raise ConfigError(f"config has no {role} tone")
-    return tone, (+1 if sign_name == "red" else -1)
-
-
 def cmd_spectrum(args) -> int:
     params, baths, config = _load(args)
     kind = {"sym": "symmetrized", "normal": "normal_ordered"}[args.kind]
@@ -100,10 +92,12 @@ def cmd_spectrum(args) -> int:
     path = out / "spectrum.csv"
 
     if args.mode == "single":
-        tone, sign = _probe_tone(config, args.sign)
+        tone = config.tone(f"{args.sign}_probe")
+        if tone is None:
+            raise ConfigError(f"config has no {args.sign}_probe tone")
         gamma_tot = ToneConfig(tones=(tone,)).gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
-        write_spectrum_csv(path, single_tone_spectrum(params, baths, tone, sign, kind, grid))
+        write_spectrum_csv(path, single_tone_spectrum(params, baths, tone, kind, grid))
     elif args.mode == "multitone":
         gamma_tot = config.gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
@@ -126,11 +120,11 @@ def cmd_spectrum(args) -> int:
 
 def cmd_asymmetry(args) -> int:
     params, baths, config = _load(args)
-    n_bar = averaged_occupation(params, baths, config)  # gated before the pair check
+    delta_i = multitone_integrated_asymmetry(params, baths, config)  # gated before the pair check
     if not config.has_probe_pair:
         raise ConfigError("asymmetry needs a red_probe + blue_probe pair")
+    n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)
-    delta_i = multitone_integrated_asymmetry(params, baths, config)
     report = {
         "delta_I_sym": delta_i,
         "delta_I_normal": delta_i,
@@ -156,21 +150,15 @@ def cmd_oracle_compare(args) -> int:
                                     enforce_separation=False)
         analytic = {"anti_stokes": spectra.anti_stokes, "stokes": spectra.stokes}
     else:
-        tone = config.tone("red_probe") or config.tone("blue_probe")
-        if tone is None:
-            raise ConfigError("oracle-compare needs a probe pair or a single probe tone")
-        sign = +1 if tone.role == "red_probe" else -1
-        analytic = single_tone_spectrum(params, baths, tone, sign, "symmetrized", grid)
+        analytic = single_tone_spectrum(params, baths, config.probe(), "symmetrized", grid)
     sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,
                          n_trajectories=args.trajectories)
     report, mc_spec = oracle_compare(params, baths, config, sim)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(out / "mc_spectrum.csv", mc_spec)
-    if config.has_probe_pair:
-        write_components_csv(out / "analytic_spectrum.csv", analytic)
-    else:
-        write_spectrum_csv(out / "analytic_spectrum.csv", analytic)
+    write = write_components_csv if config.has_probe_pair else write_spectrum_csv
+    write(out / "analytic_spectrum.csv", analytic)
 
     (out / "report.json").write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
     layout = {key: report[key] for key in
@@ -214,12 +202,11 @@ def cmd_calibrate(args) -> int:
 
 def cmd_noise_constraint(args) -> int:
     params, baths, config = _load(args)
-    tone = config.tone("red_probe") or config.tone("blue_probe")
-    if tone is None:
-        raise ConfigError("noise-constraint needs a probe tone")
+    tone = config.probe()
     report = {}
-    for name, sign in (("red", +1), ("blue", -1)):
-        noise = resonance_correlators(params, baths, tone, sign)
+    # both sidebands at the probe's strength: the probe and its mirror image
+    for name, pump in zip(("red", "blue"), tone.sidebands()):
+        noise = resonance_correlators(params, baths, pump)
         gap = heisenberg_gap(noise.s_zz, noise.s_ff, noise.s_zf)
         report[name] = {
             "S_zF": {"re": noise.s_zf.real, "im": noise.s_zf.imag},
@@ -247,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("sym", "normal"), default="sym")
     p.add_argument("--mode", choices=("single", "multitone", "full-rwa"), default="multitone")
     p.add_argument("--sign", choices=("red", "blue"), default="red",
-                   help="pump detuning for --mode single")
+                   help="which probe tone --mode single uses")
     p.add_argument("--points", type=int, default=4001)
     p.add_argument("--span-linewidths", type=float, default=25.0,
                    help="half-span of the grid in units of gamma_tot (single/multitone)")

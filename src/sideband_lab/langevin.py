@@ -366,12 +366,9 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         w_anti, w_stokes = sideband_weights(params, baths, config)
         peaks = [("anti_stokes", -config.delta, w_anti), ("stokes", +config.delta, w_stokes)]
     else:
-        tone = config.tone("red_probe") or config.tone("blue_probe")
-        if tone is None:
-            raise ConfigError("oracle_compare needs a probe pair or a single probe tone")
-        sign = +1 if tone.role == "red_probe" else -1
-        w = single_tone_integrated_weight(params, baths, tone, sign, "symmetrized")
-        peaks = [("peak", -config.delta if sign == +1 else config.delta, w)]
+        tone = config.probe()
+        w = single_tone_integrated_weight(params, baths, tone, "symmetrized")
+        peaks = [("peak", -tone.detuning_sign * config.delta, w)]
     floor_analytic = noise_floor(params, baths)
 
     traj = integrate_langevin(params, baths, config, sim)

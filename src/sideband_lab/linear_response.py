@@ -106,18 +106,16 @@ def _two_port_gate(params: SystemParams) -> None:
 
 
 def detector_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                         detuning_sign: int, omega: float) -> DetectorNoise:
+                         omega: float) -> DetectorNoise:
     """chi_IF, S_II, S_FF, S_IF and S_zF at rotating-frame frequency ``omega``.
 
     Both frequency images of the driven cavity enter: with Delta =
-    detuning_sign * omega_m, the response factors are chi_c(omega - Delta)
-    and chi_c(omega + Delta).
+    `ToneSpec.detuning_sign` * omega_m, the response factors are
+    chi_c(omega - Delta) and chi_c(omega + Delta).
     """
     params.require_good_cavity()
     _two_port_gate(params)
-    sign = int(detuning_sign)
-    if sign not in (+1, -1):
-        raise ConfigError("detuning_sign must be +1 or -1")
+    sign = tone.detuning_sign
     delta_drive = sign * params.omega_m
     g = tone.coupling_rate(params)
     kr, kl, k = params.kappa_r, params.kappa_l, params.kappa
@@ -145,14 +143,13 @@ def detector_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                          detuning_sign=sign)
 
 
-def resonance_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                          detuning_sign: int) -> DetectorNoise:
+def resonance_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec) -> DetectorNoise:
     """Correlators at the mechanical feature (positive-frequency image omega = omega_m).
 
     In the good-cavity limit S_zF here is -+ i (1/2 + 2 n_c - n_r) for the
     red/blue pump, the value controlling squashing and the sideband imbalance.
     """
-    return detector_correlators(params, baths, tone, detuning_sign, params.omega_m)
+    return detector_correlators(params, baths, tone, params.omega_m)
 
 
 def _chi_uu(params: SystemParams, omega):
@@ -162,8 +159,7 @@ def _chi_uu(params: SystemParams, omega):
 
 
 def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                  detuning_sign: int, grid: np.ndarray, *,
-                  weak_coupling: bool = True) -> Spectrum:
+                  grid: np.ndarray, *, weak_coupling: bool = True) -> Spectrum:
     """Effective position spectrum including squashing (units x_zp^2 * s).
 
     -Im chi_xx[omega] * ((1 + 2 n_m) + 2 Im S_zF) on a grid of offsets from
@@ -172,7 +168,7 @@ def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     zero. ``weak_coupling=False`` adds the second-order backaction term
     |chi_xx|^2 S_FF.
     """
-    noise = resonance_correlators(params, baths, tone, detuning_sign)
+    noise = resonance_correlators(params, baths, tone)
     x = np.asarray(grid, dtype=float)
     omega = params.omega_m + x
     chi = _chi_uu(params, omega)
@@ -183,17 +179,16 @@ def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
 
 def sxx_backaction(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                   detuning_sign: int, grid: np.ndarray) -> Spectrum:
+                   grid: np.ndarray) -> Spectrum:
     """Standalone backaction-driven position spectrum |chi_xx|^2 S_FF (x_zp^2 * s)."""
-    noise = resonance_correlators(params, baths, tone, detuning_sign)
+    noise = resonance_correlators(params, baths, tone)
     x = np.asarray(grid, dtype=float)
     chi = _chi_uu(params, params.omega_m + x)
     return Spectrum(x, np.abs(chi) ** 2 * noise.s_ff)
 
 
 def output_spectrum_lr(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                       detuning_sign: int, grid: np.ndarray, *,
-                       weak_coupling: bool = True) -> Spectrum:
+                       grid: np.ndarray, *, weak_coupling: bool = True) -> Spectrum:
     """Output spectrum S_II + |chi_IF|^2 S_xx,eff near the mechanical feature.
 
     Lab-frame normalization: the imprecision floor and gain keep only the
@@ -208,8 +203,7 @@ def output_spectrum_lr(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     c0 = complex(chi_cavity(0.0, k))
     floor = abs(1.0 - kr * c0) ** 2 * (baths.n_r + 0.5) + kr * kl * abs(c0) ** 2 * (baths.n_l + 0.5)
     gain = kr * g * g * abs(c0) ** 2
-    eff = sxx_effective(params, baths, tone, detuning_sign, grid,
-                        weak_coupling=weak_coupling)
+    eff = sxx_effective(params, baths, tone, grid, weak_coupling=weak_coupling)
     return Spectrum(eff.freq_offsets, floor + gain * eff.values)
 
 

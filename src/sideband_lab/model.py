@@ -20,8 +20,9 @@ Conventions used everywhere in this package:
   multitone form passes, in `linear_response.detector_correlators` and, so
   that the oracle stays independent, in `langevin.integrate_langevin`.
   `ToneConfig.__post_init__` refuses a tone without a probe or cooling role
-  and a delta_c <= delta; `ToneConfig.require_balanced` is the
-  balanced-probe gate.
+  or on the wrong side of the cavity for it, and a delta_c <= delta;
+  `ToneConfig.probe` and `ToneConfig.require_balanced` are the probe and
+  balanced-probe gates. A tone's side is `ToneSpec.detuning_sign`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ K_B = 1.380649e-23  # J/K
 #: roles a tone of a `ToneConfig` may take
 CONFIG_ROLES = ("red_probe", "blue_probe", "cooling")
 #: roles a drive tone may take; a "generic" tone only enters the single-tone
-#: forms, which take the pump sign as an argument
+#: forms, which read its sideband from its detuning
 TONE_ROLES = (*CONFIG_ROLES, "generic")
 
 
@@ -191,6 +192,18 @@ class ToneSpec:
         if self.coupling is not None and (self.coupling < 0 or not math.isfinite(self.coupling)):
             raise ConfigError(f"coupling must be >= 0, got {self.coupling!r}")
 
+    @property
+    def detuning_sign(self) -> int:
+        """+1 for a tone below the cavity (red), -1 above it (blue)."""
+        if self.detuning == 0.0:
+            raise ConfigError("a tone on the cavity resonance has no sideband")
+        return 1 if self.detuning < 0.0 else -1
+
+    def sidebands(self) -> tuple["ToneSpec", "ToneSpec"]:
+        """(red, blue): this tone and its generic mirror image across the cavity."""
+        mirror = replace(self, detuning=-self.detuning, role="generic")
+        return (self, mirror)[::self.detuning_sign]
+
     def coupling_rate(self, params: SystemParams) -> float:
         """G in rad/s."""
         if self.coupling is not None:
@@ -216,7 +229,8 @@ class ToneConfig:
     omega_c -+ (omega_m + delta) and the cooling tone at
     omega_c - (omega_m + delta_c). A configuration may also hold a single
     tone (delta = 0 meaning "on the sideband") or no tones at all. Each role
-    of `CONFIG_ROLES` is used at most once and a given delta_c exceeds delta.
+    of `CONFIG_ROLES` is used at most once, on its side of the cavity (a
+    blue_probe above it, the others below), and a given delta_c exceeds delta.
     """
 
     tones: tuple[ToneSpec, ...]
@@ -226,9 +240,13 @@ class ToneConfig:
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
         roles = [t.role for t in self.tones]
-        for i, role in enumerate(roles):
-            if role not in CONFIG_ROLES:
-                raise ConfigError(f"tones[{i}] needs a role in {CONFIG_ROLES}, got {role!r}")
+        for i, t in enumerate(self.tones):
+            if t.role not in CONFIG_ROLES:
+                raise ConfigError(f"tones[{i}] needs a role in {CONFIG_ROLES}, got {t.role!r}")
+            side = "above" if t.role == "blue_probe" else "below"
+            if not (t.detuning > 0.0 if side == "above" else t.detuning < 0.0):
+                raise ConfigError(f"tones[{i}]: a {t.role} tone sits {side} the cavity, "
+                                  f"got detuning {t.detuning:.6g} rad/s")
         for r in CONFIG_ROLES:
             if roles.count(r) > 1:
                 raise ConfigError(f"at most one {r} tone allowed, got {roles.count(r)}")
@@ -241,6 +259,14 @@ class ToneConfig:
             if t.role == role:
                 return t
         return None
+
+    def probe(self) -> ToneSpec:
+        """The red probe, else the blue probe; ConfigError when there is neither."""
+        tone = self.tone("red_probe") or self.tone("blue_probe")
+        if tone is None:
+            raise ConfigError("no probe tone: the configuration has neither "
+                              "a red_probe nor a blue_probe tone")
+        return tone
 
     @property
     def has_probe_pair(self) -> bool:
@@ -273,11 +299,9 @@ class ToneConfig:
 
     def require_balanced(self, params: SystemParams) -> float:
         """Balanced-probe gate: the common gamma_opt; ConfigError without a
-        probe tone, UnbalancedError when gamma_opt^+ and gamma_opt^- differ by
-        more than 1e-12 relative, as they do for a lone probe."""
-        if self.tone("red_probe") is None and self.tone("blue_probe") is None:
-            raise ConfigError("balanced probes required: the configuration has neither "
-                              "a red_probe nor a blue_probe tone")
+        probe tone (`probe`), UnbalancedError when gamma_opt^+ and gamma_opt^-
+        differ by more than 1e-12 relative, as they do for a lone probe."""
+        self.probe()
         gp, gm = self.gamma_opt_pair(params)
         if not abs(gp - gm) <= 1e-12 * max(gp, gm, 1e-300):
             raise UnbalancedError(

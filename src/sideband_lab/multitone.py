@@ -116,8 +116,9 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
     + gamma_M/gamma_tot + (gamma_opt^+ - gamma_opt^-)/gamma_tot is the same
     number, since gamma_tot = gamma_M + gamma_opt^+ - gamma_opt^-. Written for
     unit vacuum weights and, like the single-tone forms, for tones within
-    kappa/4 of their sideband, so anything else is a ValidityError.
+    kappa/4 of their sideband (else ValidityError) and a probe (`ToneConfig.probe`).
     """
+    config.probe()
     for tone in config.tones:
         _detuning_gate(params, tone)
     odd = [f"{name} = {getattr(baths, name):.6g}"
@@ -140,9 +141,9 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
     floor s_r + (4 kappa_r/kappa)(s_c - s_r) of `noise_floor`. The returned
     spectra carry absolute offsets (peak center -+delta plus the supplied grid).
     """
+    anti_br, stokes_br = _brackets(params, baths, config)
     gamma_tot = _separation_gate(params, config, enforce_separation)
     gp, gm = config.gamma_opt_pair(params)
-    anti_br, stokes_br = _brackets(params, baths, config)
     floor = noise_floor(params, baths, kind)
     x = np.asarray(grid, dtype=float)
     lor = gamma_tot / (x**2 + gamma_tot**2 / 4.0)

@@ -1,8 +1,10 @@
 """Single-tone scattering theory of the driven cavity.
 
-A pump at omega_p = omega_c - Delta with Delta = +-omega_m (detuning_sign =
-+1 for red, -1 for blue) couples the right/left port fields and the
-mechanical bath field through a 3x3 scattering matrix. This module builds
+A pump at omega_p = omega_c - Delta with Delta = +-omega_m couples the
+right/left port fields and the mechanical bath field through a 3x3
+scattering matrix. The sign of Delta is the tone's side of the cavity,
+`ToneSpec.detuning_sign` (+1 for a red pump below it, -1 for a blue pump
+above it), so every form here reads it from the tone. This module builds
 that matrix, the closed-form symmetrized / normal-ordered output spectra of
 the right port, the red/blue imbalance, the integrated sideband weights, and
 the output-field commutator.
@@ -132,19 +134,17 @@ def _detuning_gate(params: SystemParams, tone: ToneSpec) -> None:
                         "detuning gate: ||Delta| - omega_m|")
 
 
-def scattering_matrix(params: SystemParams, tone: ToneSpec, detuning_sign: int,
-                      offset: float, *, enforce_window: bool = True) -> ScatteringMatrix:
+def scattering_matrix(params: SystemParams, tone: ToneSpec, offset: float, *,
+                      enforce_window: bool = True) -> ScatteringMatrix:
     """Full 3x3 scattering matrix at the offset x = omega - sign*omega_m.
 
     Valid within |x| < kappa/4 of the mechanical feature (overridable), for a
     tone within kappa/4 of its sideband and in the good-cavity limit
     omega_m > kappa.
     """
-    sign = int(detuning_sign)
-    if sign not in (+1, -1):
-        raise ConfigError("detuning_sign must be +1 or -1")
     _detuning_gate(params, tone)
     _window_gate(params, offset, enforce_window)
+    sign = tone.detuning_sign
 
     k = params.kappa
     gamma_opt = tone.gamma_opt(params)
@@ -216,25 +216,25 @@ def _lorentzian_brackets(params: SystemParams, baths: BathSpec, gamma_opt: float
     return s_m - detuning_sign * (2.0 * s_c - s_r) - u * (s_c - s_r)
 
 
-def _lorentzian(params: SystemParams, baths: BathSpec, tone: ToneSpec, detuning_sign: int,
+def _lorentzian(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                 kind: str, weak_coupling: bool) -> tuple[float, float]:
     """(amplitude, width) of the single-tone feature amplitude / (x^2 + width^2/4).
 
-    The stability and detuning gates of every single-tone form.
+    The detuning and stability gates of every single-tone form.
     """
-    sign = int(detuning_sign)
+    _detuning_gate(params, tone)
+    sign = tone.detuning_sign
     gamma_opt = tone.gamma_opt(params)
     gamma_tot = params.gamma_m + sign * gamma_opt
     if not gamma_tot > 0.0:
         raise InstabilityError(gamma_tot)
-    _detuning_gate(params, tone)
     bracket = _lorentzian_brackets(params, baths, gamma_opt, sign, kind)
     amplitude = (params.kappa_r / params.kappa) * params.gamma_m * gamma_opt * bracket
     return amplitude, params.gamma_m if weak_coupling else gamma_tot
 
 
 def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                         detuning_sign: int, kind: str, grid: np.ndarray, *,
+                         kind: str, grid: np.ndarray, *,
                          weak_coupling: bool = False,
                          enforce_window: bool = True) -> Spectrum:
     """Closed-form output spectrum on a lab-offset grid x = omega - omega_c.
@@ -243,35 +243,34 @@ def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     default; ``weak_coupling=True`` selects the gamma_tot ~ gamma_m form.
     Agrees with the scattering-row composition at every point.
     """
-    amplitude, width = _lorentzian(params, baths, tone, detuning_sign, kind, weak_coupling)
+    amplitude, width = _lorentzian(params, baths, tone, kind, weak_coupling)
     x = np.asarray(grid, dtype=float)
     _window_gate(params, x, enforce_window)
     return Spectrum(x, noise_floor(params, baths, kind) + amplitude / (x**2 + width**2 / 4.0))
 
 
 def single_tone_integrated_weight(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                                  detuning_sign: int, kind: str, *,
+                                  kind: str, *,
                                   weak_coupling: bool = False) -> float:
     """Analytic integral (domega/2pi) of the single-tone Lorentzian feature.
 
     amplitude / width, the exact integral of the closed-form Lorentzian over
     all frequencies.
     """
-    amplitude, width = _lorentzian(params, baths, tone, detuning_sign, kind, weak_coupling)
+    amplitude, width = _lorentzian(params, baths, tone, kind, weak_coupling)
     return amplitude / width
 
 
 def imbalance(params: SystemParams, baths: BathSpec, tone: ToneSpec, kind: str,
               grid: np.ndarray, *, weak_coupling: bool = False,
               enforce_window: bool = True) -> Spectrum:
-    """Pointwise blue-minus-red spectrum difference, both re-centered on their peaks.
+    """Pointwise blue-minus-red difference of ``tone`` and its mirror image
+    (`ToneSpec.sidebands`), both spectra re-centered on their peaks.
 
     The grid is the common offset-from-peak axis; the constant floor cancels.
     """
-    blue = single_tone_spectrum(params, baths, tone, -1, kind, grid,
-                                weak_coupling=weak_coupling, enforce_window=enforce_window)
-    red = single_tone_spectrum(params, baths, tone, +1, kind, grid,
-                               weak_coupling=weak_coupling, enforce_window=enforce_window)
+    red, blue = (single_tone_spectrum(params, baths, t, kind, grid, weak_coupling=weak_coupling,
+                                      enforce_window=enforce_window) for t in tone.sidebands())
     return Spectrum(np.asarray(grid, dtype=float), blue.values - red.values)
 
 
@@ -298,16 +297,14 @@ def integrated_asymmetry(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
 
 def output_commutator(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                      detuning_sign: int, offset: float, *,
-                      enforce_window: bool = True) -> float:
+                      offset: float, *, enforce_window: bool = True) -> float:
     """Coefficient of delta(omega + Omega) in [d_R,out, d_R,out^dagger] at ``offset``.
 
     Composed from the scattering row with the graded mechanical weight
     (+beta for red, -beta for blue); equals alpha_r everywhere when
     alpha_l = alpha_r = beta, and otherwise carries a Lorentzian residue.
     """
-    smat = scattering_matrix(params, tone, detuning_sign, offset,
-                             enforce_window=enforce_window)
+    smat = scattering_matrix(params, tone, offset, enforce_window=enforce_window)
     s11, s12, s13 = smat.output_row
     return float(
         abs(s11) ** 2 * baths.alpha_r

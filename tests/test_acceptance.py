@@ -120,11 +120,11 @@ def test_criterion_3_commutator_constancy(rng):
     for _ in range(100):
         p = random_system(rng)
         b = random_baths(rng)  # physical vacuum weights
-        tone = tone_with_gamma_opt(p, rng.uniform(0.05, 0.8) * p.gamma_m, "red_probe")
-        sign = +1 if rng.random() < 0.5 else -1
+        gamma_opt = rng.uniform(0.05, 0.8) * p.gamma_m
+        role = "red_probe" if rng.random() < 0.5 else "blue_probe"
+        tone = tone_with_gamma_opt(p, gamma_opt, role)
         window = np.linspace(-0.24, 0.24, 21) * p.kappa
-        vals = [output_commutator(p, b, tone, sign, x)
-                for x in window]
+        vals = [output_commutator(p, b, tone, x) for x in window]
         worst_var = max(worst_var, max(vals) - min(vals))
         assert max(vals) - min(vals) < 1e-12
 
@@ -134,8 +134,7 @@ def test_criterion_3_commutator_constancy(rng):
     window = np.linspace(-5, 5, 41) * p.gamma_m
     spans = []
     for beta in (1.001, 1.002):
-        vals = [output_commutator(p, BathSpec(beta=beta), tone, +1, x)
-                for x in window]
+        vals = [output_commutator(p, BathSpec(beta=beta), tone, x) for x in window]
         spans.append(max(vals) - min(vals))
     assert spans[0] > 1e-6  # detectable against the 1e-12 constancy bound
     assert spans[1] / spans[0] == pytest.approx(2.0, rel=1e-6)
@@ -150,11 +149,12 @@ def test_criterion_4_symmetrized_minus_normal_is_half(rng):
     for _ in range(20):
         p = random_system(rng)
         b = random_baths(rng)
-        tone = tone_with_gamma_opt(p, rng.uniform(0.01, 0.8) * p.gamma_m, "red_probe")
-        sign = +1 if rng.random() < 0.5 else -1
+        gamma_opt = rng.uniform(0.01, 0.8) * p.gamma_m
+        role = "red_probe" if rng.random() < 0.5 else "blue_probe"
+        tone = tone_with_gamma_opt(p, gamma_opt, role)
         grid = np.linspace(-5, 5, 11) * p.gamma_m
-        sym = single_tone_spectrum(p, b, tone, sign, "symmetrized", grid)
-        nrm = single_tone_spectrum(p, b, tone, sign, "normal_ordered", grid)
+        sym = single_tone_spectrum(p, b, tone, "symmetrized", grid)
+        nrm = single_tone_spectrum(p, b, tone, "normal_ordered", grid)
         worst = max(worst, np.max(np.abs(sym.values - nrm.values - 0.5)))
     params, baths, config = preset("si-figure")
     grid = np.linspace(-5, 5, 11) * config.gamma_tot(params)
@@ -169,21 +169,21 @@ def test_criterion_4_symmetrized_minus_normal_is_half(rng):
 
 def test_criterion_5_linear_response_scattering_equivalence():
     p = make_params(kappa_i_hz=0.0, gamma_m_hz=100.0, omega_m_hz=400e6)
-    tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, "red_probe")  # cooperativity 1e-4
-    undriven = tone_with_gamma_opt(p, 0.0, "red_probe")
     grid = np.linspace(-40, 40, 30001) * p.gamma_m
     cases = [
-        ("red", BathSpec(n_r=0.2, n_l=0.4, n_m=2.0), +1),
-        ("blue", BathSpec(n_r=0.2, n_l=0.4, n_m=2.0), -1),
-        ("squashing", BathSpec(n_r=2.0, n_l=2.0, n_m=0.5), +1),
+        ("red", BathSpec(n_r=0.2, n_l=0.4, n_m=2.0), "red_probe"),
+        ("blue", BathSpec(n_r=0.2, n_l=0.4, n_m=2.0), "blue_probe"),
+        ("squashing", BathSpec(n_r=2.0, n_l=2.0, n_m=0.5), "red_probe"),
     ]
     results = []
-    for name, baths, sign in cases:
-        lr = output_spectrum_lr(p, baths, tone, sign, grid)
-        floor_lr = output_spectrum_lr(p, baths, undriven, sign, np.array([0.0])).values[0]
+    for name, baths, role in cases:
+        tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, role)  # cooperativity 1e-4
+        undriven = tone_with_gamma_opt(p, 0.0, role)
+        lr = output_spectrum_lr(p, baths, tone, grid)
+        floor_lr = output_spectrum_lr(p, baths, undriven, np.array([0.0])).values[0]
         assert floor_lr == pytest.approx(noise_floor(p, baths), rel=1e-3)
         w_lr = integrated_weight(Spectrum(grid, lr.values - floor_lr), 0.0, center=0.0)
-        w_sc = single_tone_integrated_weight(p, baths, tone, sign, "symmetrized",
+        w_sc = single_tone_integrated_weight(p, baths, tone, "symmetrized",
                                              weak_coupling=True)
         assert w_lr == pytest.approx(w_sc, rel=1e-3)
         if name == "squashing":
@@ -204,9 +204,9 @@ def test_criterion_6_heisenberg_constraint(rng):
     for _ in range(100):
         p = random_system(rng, kappa_i_zero=True, good_cavity_factor=200.0)
         baths = random_baths(rng)
-        tone = tone_with_gamma_opt(p, rng.uniform(1e-4, 0.5) * p.gamma_m, "red_probe")
-        for sign in (+1, -1):
-            noise = resonance_correlators(p, baths, tone, sign)
+        gamma_opt = rng.uniform(1e-4, 0.5) * p.gamma_m
+        for role in ("red_probe", "blue_probe"):
+            noise = resonance_correlators(p, baths, tone_with_gamma_opt(p, gamma_opt, role))
             gap = heisenberg_gap(noise.s_zz, noise.s_ff, noise.s_zf)
             min_gap = min(min_gap, gap.gap)
             assert gap.gap >= -1e-10

@@ -29,6 +29,18 @@ def oracle_demo_variant(tmp_path, *, blue=None, **baths):
     return str(path)
 
 
+def wrong_side_probe(tmp_path):
+    """`oracle-demo`'s red probe alone, moved to the blue sideband (+10.0042 MHz)
+    and still labelled red_probe, saved as a config file."""
+    d = config_to_dict(*preset("oracle-demo"))
+    red = d["tones"][0]
+    red["detuning_hz"] = -red["detuning_hz"]
+    d["tones"] = [red]
+    path = tmp_path / "wrong-side.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
 def tripled_probe_pair(tmp_path):
     """`oracle-demo` saved as a config file with both probe detunings tripled
     (delta = 20.0 MHz against kappa/4 = 21 kHz)."""
@@ -147,7 +159,10 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("row, command", [
         *[(row, c) for row in ("bad-cavity", "cooling-at-delta", "generic-tone")
           for c in ("multitone", "full-rwa", "asymmetry", "oracle-compare")],
-        ("no-roles", "multitone"), ("no-roles", "full-rwa"), ("cooling-only", "full-rwa"),
+        ("no-roles", "multitone"), ("no-roles", "full-rwa"),
+        *[("cooling-only", c) for c in ("multitone", "full-rwa", "asymmetry", "oracle-compare")],
+        *[("wrong-side", c) for c in ("single", "multitone", "asymmetry", "oracle-compare",
+                                      "noise-constraint")],
     ])
     def test_every_command_applies_the_same_gates(self, tmp_path, capsys, monkeypatch,
                                                   row, command):
@@ -159,20 +174,25 @@ class TestSpectrumCommand:
             raise AssertionError("derived a Monte-Carlo layout for a gated configuration")
 
         monkeypatch.setattr(langevin.SimConfig, "auto", layout)
-        argv = {"multitone": ["spectrum", "--mode", "multitone"],
+        argv = {"single": ["spectrum", "--mode", "single", "--sign", "red"],
+                "multitone": ["spectrum", "--mode", "multitone"],
                 "full-rwa": ["spectrum", "--mode", "full-rwa"],
                 "asymmetry": ["asymmetry"],
-                "oracle-compare": ["oracle-compare", "--trajectories", "8"]}[command]
+                "oracle-compare": ["oracle-compare", "--trajectories", "8"],
+                "noise-constraint": ["noise-constraint"]}[command]
         code, error = {
             "bad-cavity": (3, "ValidityError: good-cavity gate: "),
             "cooling-at-delta": (2, "ConfigError: cooling detuning delta_c = "),
             "generic-tone": (2, "ConfigError: tones[2] needs a role"),
             "no-roles": (2, "ConfigError: tones[0] needs a role"),
-            "cooling-only": (2, "ConfigError: balanced probes required: the configuration "
-                                "has neither a red_probe nor a blue_probe tone"),
+            "cooling-only": (2, "ConfigError: no probe tone: the configuration "
+                                "has neither a red_probe nor a blue_probe tone\n"),
+            "wrong-side": (2, "ConfigError: tones[0]: a red_probe tone sits below the cavity"),
         }[row]
-        out = [] if command == "asymmetry" else ["--out", str(tmp_path / "out")]
-        assert main([*argv, "--config", cooling_variant(tmp_path, row), *out]) == code
+        out = [] if command in ("asymmetry", "noise-constraint") else \
+            ["--out", str(tmp_path / "out")]
+        path = wrong_side_probe(tmp_path) if row == "wrong-side" else cooling_variant(tmp_path, row)
+        assert main([*argv, "--config", path, *out]) == code
         assert capsys.readouterr().err.startswith(error)
 
     def test_off_sideband_probe_is_a_validity_gate(self, tmp_path, capsys):
@@ -308,6 +328,23 @@ class TestNoiseConstraintCommand:
             assert entry["rhs"] < 1e-3
             assert entry["gap"] >= -1e-10
             assert entry["satisfied"]
+
+    def test_lone_blue_probe_mirrors_the_red_report(self, tmp_path, capsys):
+        # the same strength on the other sideband: both sides are reported
+        # either way, so only the hash of the configuration differs
+        params = make_params(kappa_i_hz=0.0, omega_m_hz=400e6)
+        baths = BathSpec(n_r=0.3, n_l=0.8, n_m=2.0)
+        reports = []
+        for role in ("red_probe", "blue_probe"):
+            cfg = ToneConfig(tones=(tone_with_gamma_opt(params, 0.01 * params.gamma_m, role),))
+            path = tmp_path / f"{role}.json"
+            save_config(path, params, baths, cfg)
+            assert main(["noise-constraint", "--config", str(path)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        red, blue = reports
+        assert red.pop("config_hash") != blue.pop("config_hash")
+        assert red == blue
+        assert red["red"] != red["blue"]
 
     def test_internal_loss_gate(self, tmp_path, capsys):
         params, baths, config = preset("si-figure")  # kappa_i > 0

@@ -3,8 +3,8 @@
 The good-cavity limit omega_m > kappa is decided in the scattering detuning
 gate (every single-tone and multitone form) and in the detector correlators
 (every linear-response form); a tone configuration refuses a tone without a
-probe or cooling role and a cooling tone not detuned beyond the probes when
-it is built.
+probe or cooling role, a tone on the wrong side of the cavity for its role
+and a cooling tone not detuned beyond the probes when it is built.
 """
 
 import numpy as np
@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from sideband_lab.errors import ConfigError, ValidityError
 from sideband_lab.linear_response import detector_correlators, output_spectrum_lr
-from sideband_lab.model import TWO_PI, ToneConfig, ToneSpec
+from sideband_lab.model import CONFIG_ROLES, TWO_PI, ToneConfig, ToneSpec
 from sideband_lab.multitone import full_rwa_spectrum, multitone_spectra, sideband_weights
+from sideband_lab.presets import PRESET_NAMES, preset
 from sideband_lab.scattering import (
     integrated_asymmetry,
     output_commutator,
@@ -31,27 +32,27 @@ from conftest import balanced_config, make_params, random_baths, random_system, 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        factor=st.floats(min_value=0.05, max_value=1.0),
        u=st.floats(min_value=0.01, max_value=0.9),
-       sign=st.sampled_from((+1, -1)))
-def test_bad_cavity_is_refused_by_every_closed_form(seed, factor, u, sign):
+       role=st.sampled_from(("red_probe", "blue_probe")))
+def test_bad_cavity_is_refused_by_every_closed_form(seed, factor, u, role):
     # a stable tone on its sideband and a well-separated balanced pair, so
     # that only omega_m <= kappa is wrong
     rng = np.random.default_rng(seed)
     p = random_system(rng, good_cavity_factor=factor)
     baths = random_baths(rng)
-    tone = tone_with_gamma_opt(p, u * p.gamma_m, "red_probe" if sign == +1 else "blue_probe")
+    tone = tone_with_gamma_opt(p, u * p.gamma_m, role)
     cfg = balanced_config(p, delta=20.0 * p.gamma_m, probe_gamma_opt=u * p.gamma_m)
     grid = np.array([0.0])
     forms = (
-        lambda: scattering_matrix(p, tone, sign, 0.0),
-        lambda: single_tone_spectrum(p, baths, tone, sign, "symmetrized", grid),
-        lambda: single_tone_integrated_weight(p, baths, tone, sign, "symmetrized"),
+        lambda: scattering_matrix(p, tone, 0.0),
+        lambda: single_tone_spectrum(p, baths, tone, "symmetrized", grid),
+        lambda: single_tone_integrated_weight(p, baths, tone, "symmetrized"),
         lambda: integrated_asymmetry(p, baths, tone, "symmetrized"),
-        lambda: output_commutator(p, baths, tone, sign, 0.0),
+        lambda: output_commutator(p, baths, tone, 0.0),
         lambda: sideband_weights(p, baths, cfg),
         lambda: multitone_spectra(p, baths, cfg, "symmetrized", grid),
         lambda: full_rwa_spectrum(p, baths, cfg, grid),
-        lambda: detector_correlators(p, baths, tone, sign, p.omega_m),
-        lambda: output_spectrum_lr(p, baths, tone, sign, grid),
+        lambda: detector_correlators(p, baths, tone, p.omega_m),
+        lambda: output_spectrum_lr(p, baths, tone, grid),
     )
     for form in forms:
         with pytest.raises(ValidityError, match="good-cavity gate"):
@@ -84,3 +85,28 @@ def test_generic_tone_is_refused(position, detuning_hz):
     tones.insert(position, ToneSpec(detuning=TWO_PI * detuning_hz, coupling=TWO_PI * 1e3))
     with pytest.raises(ConfigError, match=rf"tones\[{position}\] needs a role"):
         ToneConfig(tones=tuple(tones), delta=TWO_PI * 5e3)
+
+
+@pytest.mark.parametrize("side", [+1, 0, -1])
+@pytest.mark.parametrize("role", CONFIG_ROLES)
+def test_tone_on_the_wrong_side_of_the_cavity_is_refused(role, side):
+    # a blue_probe sits above the cavity (detuning_sign -1), a red_probe or a
+    # cooling tone below it (+1); a tone on the cavity has no side at all
+    p = make_params()
+    tone = ToneSpec(detuning=-side * p.omega_m, role=role, coupling=TWO_PI * 1e3)
+    if side == (-1 if role == "blue_probe" else +1):
+        assert ToneConfig(tones=(tone,)).tones[0].detuning_sign == side
+        return
+    if side == 0:
+        with pytest.raises(ConfigError, match="no sideband"):
+            tone.detuning_sign
+    with pytest.raises(ConfigError, match=rf"tones\[0\]: a {role} tone sits"):
+        ToneConfig(tones=(tone,))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_tones_sit_on_their_role_side(name):
+    side = {"red_probe": +1, "cooling": +1, "blue_probe": -1}
+    _, _, config = preset(name)
+    for tone in config.tones:
+        assert tone.detuning_sign == side[tone.role]

@@ -334,10 +334,10 @@ class TestMeasurePeak:
             exact = sideband_weights(p, baths, cfg)
         else:
             tone = cfg.tones[0]
-            spec = single_tone_spectrum(p, baths, tone, +1, "symmetrized", grid,
+            spec = single_tone_spectrum(p, baths, tone, "symmetrized", grid,
                                         enforce_window=False)
             centers = [0.0]
-            exact = [single_tone_integrated_weight(p, baths, tone, +1, "symmetrized")]
+            exact = [single_tone_integrated_weight(p, baths, tone, "symmetrized")]
         _, weights, centroids = _measure_peak(spec, centers, gamma_tot)
         np.testing.assert_allclose(weights, exact, rtol=1e-3)
         np.testing.assert_allclose(centroids, centers, rtol=0, atol=gamma_tot / 50.0)

@@ -47,13 +47,14 @@ class TestDetectorCorrelators:
         p = make_params(kappa_i_hz=265e3)
         tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, "red_probe")
         with pytest.raises(ValidityError, match="two-port"):
-            detector_correlators(p, BathSpec(), tone, +1, p.omega_m)
+            detector_correlators(p, BathSpec(), tone, p.omega_m)
 
     def test_vacuum_resonance_cross_correlator(self):
         p = two_port_params()
-        tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, "red_probe")
-        for sign in (+1, -1):
-            noise = resonance_correlators(p, BathSpec(), tone, sign)
+        for role in ("red_probe", "blue_probe"):
+            tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, role)
+            sign = tone.detuning_sign
+            noise = resonance_correlators(p, BathSpec(), tone)
             # the real part carries the finite-sideband-resolution correction
             assert abs(noise.s_zf.real) < p.kappa / (2.0 * p.omega_m)
             assert noise.s_zf.imag == pytest.approx(-sign * 0.5, rel=1e-5)
@@ -61,18 +62,17 @@ class TestDetectorCorrelators:
     def test_thermal_resonance_cross_correlator(self):
         p = two_port_params()
         baths = BathSpec(n_r=0.4, n_l=1.1)
-        tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, "red_probe")
         expected = 0.5 + 2.0 * baths.n_c(p) - baths.n_r
-        for sign in (+1, -1):
-            noise = resonance_correlators(p, baths, tone, sign)
-            assert noise.s_zf.imag == pytest.approx(-sign * expected, rel=1e-5)
+        for role in ("red_probe", "blue_probe"):
+            tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, role)
+            noise = resonance_correlators(p, baths, tone)
+            assert noise.s_zf.imag == pytest.approx(-tone.detuning_sign * expected, rel=1e-5)
 
     def test_detunings_share_magnitudes_at_resonance(self):
         p = two_port_params()
         baths = BathSpec(n_r=0.3, n_l=0.8)
-        tone = tone_with_gamma_opt(p, 0.05 * p.gamma_m, "red_probe")
-        red = resonance_correlators(p, baths, tone, +1)
-        blue = resonance_correlators(p, baths, tone, -1)
+        red, blue = (resonance_correlators(p, baths, tone_with_gamma_opt(p, 0.05 * p.gamma_m, role))
+                     for role in ("red_probe", "blue_probe"))
         assert abs(red.chi_if) == pytest.approx(abs(blue.chi_if), rel=1e-12)
         assert red.s_ii == pytest.approx(blue.s_ii, rel=1e-12)
         assert red.s_ff == pytest.approx(blue.s_ff, rel=1e-12)
@@ -80,9 +80,8 @@ class TestDetectorCorrelators:
     def test_cross_correlator_antisymmetry_exact(self):
         p = two_port_params(omega_m_hz=40e6)  # moderate sideband resolution
         baths = BathSpec(n_r=0.3, n_l=0.8)
-        tone = tone_with_gamma_opt(p, 0.05 * p.gamma_m, "red_probe")
-        red = resonance_correlators(p, baths, tone, +1)
-        blue = resonance_correlators(p, baths, tone, -1)
+        red, blue = (resonance_correlators(p, baths, tone_with_gamma_opt(p, 0.05 * p.gamma_m, role))
+                     for role in ("red_probe", "blue_probe"))
         assert red.s_zf == pytest.approx(-blue.s_zf, rel=1e-12)
 
 
@@ -91,17 +90,18 @@ class TestSxxEffective:
         p = two_port_params(gamma_m_hz=10.0)
         tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, "red_probe")
         grid = np.linspace(-5, 5, 101) * p.gamma_m
-        cold = sxx_effective(p, BathSpec(n_m=0.0), tone, +1, grid)
-        warm = sxx_effective(p, BathSpec(n_m=1.0), tone, +1, grid)
+        cold = sxx_effective(p, BathSpec(n_m=0.0), tone, grid)
+        warm = sxx_effective(p, BathSpec(n_m=1.0), tone, grid)
         assert np.max(np.abs(cold.values)) < 1e-4 * np.max(warm.values)
 
     def test_blue_vacuum_emission_factor(self):
         # blue drive at n_m = 0 weighs like red at n_m = 1 (the n_m + 1 factor)
         p = two_port_params(gamma_m_hz=10.0)
-        tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, "red_probe")
+        red, blue = (tone_with_gamma_opt(p, 1e-4 * p.gamma_m, role)
+                     for role in ("red_probe", "blue_probe"))
         grid = np.linspace(-5, 5, 101) * p.gamma_m
-        blue_cold = sxx_effective(p, BathSpec(n_m=0.0), tone, -1, grid)
-        red_warm = sxx_effective(p, BathSpec(n_m=1.0), tone, +1, grid)
+        blue_cold = sxx_effective(p, BathSpec(n_m=0.0), blue, grid)
+        red_warm = sxx_effective(p, BathSpec(n_m=1.0), red, grid)
         np.testing.assert_allclose(blue_cold.values, red_warm.values, rtol=1e-4)
 
     def test_zero_correlation_gives_bare_thermal(self):
@@ -109,10 +109,9 @@ class TestSxxEffective:
         # comparing the average of red and blue (the S_zF terms cancel)
         p = two_port_params(gamma_m_hz=10.0)
         baths = BathSpec(n_m=3.0)
-        tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, "red_probe")
         grid = np.linspace(-5, 5, 101) * p.gamma_m
-        red = sxx_effective(p, baths, tone, +1, grid)
-        blue = sxx_effective(p, baths, tone, -1, grid)
+        red, blue = (sxx_effective(p, baths, tone_with_gamma_opt(p, 1e-4 * p.gamma_m, role), grid)
+                     for role in ("red_probe", "blue_probe"))
         avg = 0.5 * (red.values + blue.values)
         omega = p.omega_m + grid
         chi = 2.0 * p.omega_m / ((omega**2 - p.omega_m**2) + 1j * omega * p.gamma_m)
@@ -123,9 +122,9 @@ class TestSxxEffective:
         p = two_port_params(gamma_m_hz=10.0)
         tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, "red_probe")
         grid = np.linspace(-2, 2, 21) * p.gamma_m
-        weak = sxx_effective(p, BathSpec(n_m=1.0), tone, +1, grid)
-        full = sxx_effective(p, BathSpec(n_m=1.0), tone, +1, grid, weak_coupling=False)
-        ba = sxx_backaction(p, BathSpec(n_m=1.0), tone, +1, grid)
+        weak = sxx_effective(p, BathSpec(n_m=1.0), tone, grid)
+        full = sxx_effective(p, BathSpec(n_m=1.0), tone, grid, weak_coupling=False)
+        ba = sxx_backaction(p, BathSpec(n_m=1.0), tone, grid)
         np.testing.assert_allclose(full.values, weak.values + ba.values, rtol=1e-12)
         assert np.all(ba.values > 0)
 
@@ -135,16 +134,15 @@ class TestOutputSpectrumCrossFormulation:
         # cooperativity 1e-4: Lorentzian weights agree to 1e-3 for both signs
         p = two_port_params(gamma_m_hz=100.0, omega_m_hz=400e6)
         baths = BathSpec(n_r=0.2, n_l=0.4, n_m=2.0)
-        tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, "red_probe")
-        undriven = tone_with_gamma_opt(p, 0.0, "red_probe")
         grid = np.linspace(-40, 40, 30001) * p.gamma_m
-        for sign in (+1, -1):
-            lr = output_spectrum_lr(p, baths, tone, sign, grid)
-            floor_lr = output_spectrum_lr(p, baths, undriven, sign,
-                                          np.array([0.0])).values[0]
+        for role in ("red_probe", "blue_probe"):
+            tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, role)
+            undriven = tone_with_gamma_opt(p, 0.0, role)
+            lr = output_spectrum_lr(p, baths, tone, grid)
+            floor_lr = output_spectrum_lr(p, baths, undriven, np.array([0.0])).values[0]
             assert floor_lr == pytest.approx(noise_floor(p, baths), rel=1e-3)
             w_lr = integrated_weight(Spectrum(grid, lr.values - floor_lr), 0.0, center=0.0)
-            w_scatt = single_tone_integrated_weight(p, baths, tone, sign, "symmetrized",
+            w_scatt = single_tone_integrated_weight(p, baths, tone, "symmetrized",
                                                     weak_coupling=True)
             assert w_lr == pytest.approx(w_scatt, rel=1e-3)
 
@@ -155,10 +153,10 @@ class TestOutputSpectrumCrossFormulation:
         tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, "red_probe")
         undriven = tone_with_gamma_opt(p, 0.0, "red_probe")
         grid = np.linspace(-40, 40, 30001) * p.gamma_m
-        lr = output_spectrum_lr(p, baths, tone, +1, grid)
-        floor_lr = output_spectrum_lr(p, baths, undriven, +1, np.array([0.0])).values[0]
+        lr = output_spectrum_lr(p, baths, tone, grid)
+        floor_lr = output_spectrum_lr(p, baths, undriven, np.array([0.0])).values[0]
         w_lr = integrated_weight(Spectrum(grid, lr.values - floor_lr), 0.0, center=0.0)
-        w_scatt = single_tone_integrated_weight(p, baths, tone, +1, "symmetrized",
+        w_scatt = single_tone_integrated_weight(p, baths, tone, "symmetrized",
                                                 weak_coupling=True)
         assert w_lr < 0
         assert w_lr == pytest.approx(w_scatt, rel=1e-3)
@@ -167,7 +165,7 @@ class TestOutputSpectrumCrossFormulation:
         p = two_port_params()
         tone = tone_with_gamma_opt(p, 0.0, "red_probe")
         grid = np.linspace(-3, 3, 11) * p.gamma_m
-        lr = output_spectrum_lr(p, BathSpec(n_r=0.3, n_l=0.1), tone, +1, grid)
+        lr = output_spectrum_lr(p, BathSpec(n_r=0.3, n_l=0.1), tone, grid)
         np.testing.assert_allclose(lr.values, lr.values[0], rtol=1e-12)
 
 
@@ -193,16 +191,16 @@ class TestHeisenbergGap:
         for _ in range(100):
             p = random_system(rng, kappa_i_zero=True, good_cavity_factor=200.0)
             baths = random_baths(rng)
-            tone = tone_with_gamma_opt(p, rng.uniform(1e-4, 0.5) * p.gamma_m, "red_probe")
-            for sign in (+1, -1):
-                noise = resonance_correlators(p, baths, tone, sign)
+            gamma_opt = rng.uniform(1e-4, 0.5) * p.gamma_m
+            for role in ("red_probe", "blue_probe"):
+                noise = resonance_correlators(p, baths, tone_with_gamma_opt(p, gamma_opt, role))
                 gap = heisenberg_gap(noise.s_zz, noise.s_ff, noise.s_zf)
                 assert gap.lhs >= gap.rhs - 1e-10
 
     def test_vacuum_resonance_rhs_vanishes(self):
         p = two_port_params()
         tone = tone_with_gamma_opt(p, 1e-3 * p.gamma_m, "red_probe")
-        noise = resonance_correlators(p, BathSpec(), tone, +1)
+        noise = resonance_correlators(p, BathSpec(), tone)
         gap = heisenberg_gap(noise.s_zz, noise.s_ff, noise.s_zf)
         # at the ideal point S_zF = -i/2 the bound is exactly zero; the
         # computed correlator sits within finite-kappa corrections of it

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sideband_lab.errors import InstabilityError, UnbalancedError, ValidityError
+from sideband_lab.errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 from sideband_lab.fitting import fit_lorentzian
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec, integrated_weight
 from sideband_lab.multitone import (
@@ -154,6 +154,25 @@ class TestDetuningGate:
             form(cfg)  # delta = 0.023 and delta_c = 0.14 of kappa/4
             with pytest.raises(ValidityError, match=r"detuning gate: \|\|Delta\| - omega_m\|"):
                 form(far)
+
+
+@pytest.mark.parametrize("tones", ["none", "cooling-only"])
+def test_config_without_probe_is_refused_by_every_multitone_form(tones):
+    # the multitone brackets ask for a probe tone (`ToneConfig.probe`); a
+    # toneless configuration used to get weights of 0, a cooling-only one a
+    # separation-gate error from `multitone_spectra`
+    p = make_params()
+    delta_c = TWO_PI * 30e3
+    cooling = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + delta_c))
+    cfg = ToneConfig(tones=()) if tones == "none" else ToneConfig(tones=(cooling,), delta_c=delta_c)
+    b, grid = BathSpec(), np.array([0.0])
+    forms = (lambda: sideband_weights(p, b, cfg),
+             lambda: multitone_spectra(p, b, cfg, "symmetrized", grid),
+             lambda: multitone_integrated_asymmetry(p, b, cfg),
+             lambda: full_rwa_spectrum(p, b, cfg, grid))
+    for form in forms:
+        with pytest.raises(ConfigError, match="^no probe tone: "):
+            form()
 
 
 class TestAveragedOccupation:

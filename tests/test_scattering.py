@@ -105,10 +105,11 @@ class TestScatteringMatrix:
         # only the moduli are compared there.
         p = make_params(gamma_m_hz=1.0, kappa_i_hz=0.0)
         gamma_opt = 0.5 * p.gamma_m
-        tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
-        for sign in (+1, -1):
+        for role in ("red_probe", "blue_probe"):
+            tone = tone_with_gamma_opt(p, gamma_opt, role)
+            sign = tone.detuning_sign
             for offset in (-3.0 * p.gamma_m, 0.0, 0.7 * p.gamma_m, 4.0 * p.gamma_m):
-                smat = scattering_matrix(p, tone, sign, offset)
+                smat = scattering_matrix(p, tone, offset)
                 exact = exact_scattering_matrix(p, gamma_opt, sign, offset)
                 if sign == +1:
                     np.testing.assert_allclose(smat.entries, exact, atol=2e-4)
@@ -119,7 +120,7 @@ class TestScatteringMatrix:
     def test_decoupled_limit(self):
         p = make_params()
         tone = ToneSpec(detuning=-p.omega_m, role="red_probe", coupling=0.0)
-        smat = scattering_matrix(p, tone, +1, 2.0 * p.gamma_m)
+        smat = scattering_matrix(p, tone, 2.0 * p.gamma_m)
         k = p.kappa
         assert smat.entries[0, 0] == pytest.approx(1 - 2 * p.kappa_r / k)
         assert smat.entries[0, 1] == pytest.approx(-2 * math.sqrt(p.kappa_l * p.kappa_r) / k)
@@ -131,7 +132,7 @@ class TestScatteringMatrix:
         # kappa_r = kappa_l = kappa/2, gamma_opt = gamma_m, on resonance -> s11 = 1/2
         p = make_params(kappa_l_hz=435e3, kappa_r_hz=435e3, kappa_i_hz=0.0)
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
-        smat = scattering_matrix(p, tone, +1, 0.0)
+        smat = scattering_matrix(p, tone, 0.0)
         assert smat.entries[0, 0] == pytest.approx(0.5, rel=1e-12)
 
     def test_graded_row_norm(self, rng):
@@ -139,24 +140,25 @@ class TestScatteringMatrix:
         for _ in range(10):
             p = random_system(rng, kappa_i_zero=True)
             gamma_opt = rng.uniform(0.01, 0.8) * p.gamma_m
-            tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
-            for sign in (+1, -1):
+            for role in ("red_probe", "blue_probe"):
+                tone = tone_with_gamma_opt(p, gamma_opt, role)
                 for _ in range(20):
                     offset = rng.uniform(-5, 5) * p.gamma_m
-                    smat = scattering_matrix(p, tone, sign, offset)
+                    smat = scattering_matrix(p, tone, offset)
                     s11, s12, s13 = smat.output_row
-                    norm = abs(s11) ** 2 + abs(s12) ** 2 + sign * abs(s13) ** 2
+                    norm = abs(s11) ** 2 + abs(s12) ** 2 + tone.detuning_sign * abs(s13) ** 2
                     assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_sign_structure_of_mechanical_term(self, rng):
         # s11 - (1 - 2 kappa_r/kappa) equals +-(kappa_r/kappa) gamma_opt / N^+-
         p = random_system(rng)
         gamma_opt = 0.3 * p.gamma_m
-        tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
         bare = 1 - 2 * p.kappa_r / p.kappa
-        for sign in (+1, -1):
+        for role in ("red_probe", "blue_probe"):
+            tone = tone_with_gamma_opt(p, gamma_opt, role)
+            sign = tone.detuning_sign
             offset = 1.7 * p.gamma_m
-            smat = scattering_matrix(p, tone, sign, offset)
+            smat = scattering_matrix(p, tone, offset)
             n = complex(mech_denominator(offset, sign, p.gamma_m, gamma_opt))
             term = (smat.entries[0, 0] - bare) * n
             assert term == pytest.approx(sign * (p.kappa_r / p.kappa) * gamma_opt, rel=1e-9)
@@ -165,28 +167,27 @@ class TestScatteringMatrix:
         p = make_params()
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         with pytest.raises(ValidityError, match="window"):
-            scattering_matrix(p, tone, +1, 0.3 * p.kappa)
-        scattering_matrix(p, tone, +1, 0.3 * p.kappa, enforce_window=False)
+            scattering_matrix(p, tone, 0.3 * p.kappa)
+        scattering_matrix(p, tone, 0.3 * p.kappa, enforce_window=False)
 
     def test_good_cavity_gate(self):
         p = make_params(omega_m_hz=100e3)
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         with pytest.raises(ValidityError, match="good-cavity"):
-            scattering_matrix(p, tone, +1, 0.0)
+            scattering_matrix(p, tone, 0.0)
 
 
 class TestDetuningGate:
     """Every single-tone form takes the pump on its sideband: a tone kappa/4 or
-    more away from Delta = +-omega_m is a ValidityError, whatever the sign."""
+    more away from Delta = +-omega_m is a ValidityError, whatever the side."""
 
     def forms(self, p, tone):
         b = BathSpec(n_m=3.0)
         x = np.array([0.0])
-        for sign in (+1, -1):
-            yield lambda: single_tone_spectrum(p, b, tone, sign, "symmetrized", x)
-            yield lambda: single_tone_integrated_weight(p, b, tone, sign, "normal_ordered")
-            yield lambda: scattering_matrix(p, tone, sign, 0.0)
-            yield lambda: output_commutator(p, b, tone, sign, 0.0)
+        yield lambda: single_tone_spectrum(p, b, tone, "symmetrized", x)
+        yield lambda: single_tone_integrated_weight(p, b, tone, "normal_ordered")
+        yield lambda: scattering_matrix(p, tone, 0.0)
+        yield lambda: output_commutator(p, b, tone, 0.0)
         yield lambda: integrated_asymmetry(p, b, tone, "symmetrized")
         yield lambda: imbalance(p, b, tone, "symmetrized", x)
 
@@ -228,7 +229,7 @@ class TestSpectrumComposition:
     def test_vacuum_symmetrized_on_resonance_is_half(self):
         p = make_params(kappa_i_hz=0.0)
         tone = tone_with_gamma_opt(p, 0.4 * p.gamma_m, "red_probe")
-        smat = scattering_matrix(p, tone, +1, 0.0)
+        smat = scattering_matrix(p, tone, 0.0)
         val = spectrum_from_scattering(smat, BathSpec(), "symmetrized")
         assert val == pytest.approx(0.5, abs=1e-10)
 
@@ -236,14 +237,14 @@ class TestSpectrumComposition:
         p = make_params()
         tone = tone_with_gamma_opt(p, 0.4 * p.gamma_m, "red_probe")
         for offset in (-2.0, 0.0, 3.0):
-            smat = scattering_matrix(p, tone, +1, offset * p.gamma_m)
+            smat = scattering_matrix(p, tone, offset * p.gamma_m)
             assert spectrum_from_scattering(smat, BathSpec(), "normal_ordered") == 0.0
 
     def test_normal_ordered_vacuum_blue_is_mechanical_upconversion(self):
         p = make_params()
         tone = tone_with_gamma_opt(p, 0.4 * p.gamma_m, "blue_probe")
         baths = BathSpec(beta=1.7)
-        smat = scattering_matrix(p, tone, -1, 0.5 * p.gamma_m)
+        smat = scattering_matrix(p, tone, 0.5 * p.gamma_m)
         expected = abs(smat.output_row[2]) ** 2 * 1.7
         assert spectrum_from_scattering(smat, baths, "normal_ordered") == \
             pytest.approx(expected, rel=1e-12)
@@ -257,12 +258,12 @@ class TestSpectrumComposition:
                 a_r, a_l, a_i, beta = rng.uniform(0.3, 2.0, size=4)
                 b = replace(b, alpha_r=a_r, alpha_l=a_l, alpha_i=a_i, beta=beta)
             gamma_opt = rng.uniform(0.01, 0.9) * p.gamma_m
-            tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
-            sign = +1 if rng.random() < 0.5 else -1
+            role = "red_probe" if rng.random() < 0.5 else "blue_probe"
+            tone = tone_with_gamma_opt(p, gamma_opt, role)
             kind = "symmetrized" if rng.random() < 0.5 else "normal_ordered"
             offset = rng.uniform(-5, 5) * p.gamma_m
-            spec = single_tone_spectrum(p, b, tone, sign, kind, np.array([offset]))
-            smat = scattering_matrix(p, tone, sign, offset)
+            spec = single_tone_spectrum(p, b, tone, kind, np.array([offset]))
+            smat = scattering_matrix(p, tone, offset)
             composed = spectrum_from_scattering(smat, b, kind)
             scale = max(abs(composed), noise_floor(p, b))
             assert abs(spec.values[0] - composed) <= 1e-13 * scale
@@ -281,19 +282,19 @@ class TestOrderingDifference:
            n=st.tuples(occupation, occupation, occupation,
                        st.floats(min_value=0.0, max_value=100.0)),
            w=st.tuples(vacuum_weight, vacuum_weight, vacuum_weight, vacuum_weight),
-           sign=st.sampled_from((+1, -1)))
+           role=st.sampled_from(("red_probe", "blue_probe")))
     def test_symmetrized_minus_normal_is_half_commutator(self, kl, kr, ki, gamma_m_hz, u,
-                                                         n, w, sign):
+                                                         n, w, role):
         # general form of sym - normal = 1/2: for any vacuum weights the two
         # orderings differ by half the output commutator at every frequency
         p = make_params(kappa_l_hz=kl * 1e5, kappa_r_hz=kr * 1e5, kappa_i_hz=ki * 1e5,
                         gamma_m_hz=gamma_m_hz, omega_m_hz=50.0 * (kl + kr + ki) * 1e5)
         b = BathSpec(*n, *w)
-        tone = tone_with_gamma_opt(p, u * p.gamma_m, "red_probe")
+        tone = tone_with_gamma_opt(p, u * p.gamma_m, role)
         grid = np.linspace(-5, 5, 11) * p.gamma_m
-        sym = single_tone_spectrum(p, b, tone, sign, "symmetrized", grid).values
-        nrm = single_tone_spectrum(p, b, tone, sign, "normal_ordered", grid).values
-        half_c = np.array([output_commutator(p, b, tone, sign, x) for x in grid]) / 2.0
+        sym = single_tone_spectrum(p, b, tone, "symmetrized", grid).values
+        nrm = single_tone_spectrum(p, b, tone, "normal_ordered", grid).values
+        half_c = np.array([output_commutator(p, b, tone, x) for x in grid]) / 2.0
         scale = np.maximum(np.abs(sym), np.abs(nrm))
         assert np.all(np.abs(sym - nrm - half_c) <= 1e-13 * scale)
 
@@ -304,8 +305,8 @@ class TestSingleToneSpectrum:
         b = BathSpec(n_r=0.2, n_l=0.4, n_i=0.1, n_m=50.0)
         tone = ToneSpec(detuning=-p.omega_m, role="red_probe", coupling=0.0)
         grid = np.linspace(-5, 5, 11) * p.gamma_m
-        sym = single_tone_spectrum(p, b, tone, +1, "symmetrized", grid)
-        nrm = single_tone_spectrum(p, b, tone, +1, "normal_ordered", grid)
+        sym = single_tone_spectrum(p, b, tone, "symmetrized", grid)
+        nrm = single_tone_spectrum(p, b, tone, "normal_ordered", grid)
         np.testing.assert_allclose(sym.values, noise_floor(p, b), rtol=1e-14)
         np.testing.assert_allclose(nrm.values, noise_floor(p, b) - 0.5, rtol=1e-13)
 
@@ -314,12 +315,13 @@ class TestSingleToneSpectrum:
         for _ in range(20):
             p = random_system(rng)
             b = random_baths(rng)
-            tone = tone_with_gamma_opt(p, rng.uniform(0.01, 0.8) * p.gamma_m, "red_probe")
-            sign = +1 if rng.random() < 0.5 else -1
+            gamma_opt = rng.uniform(0.01, 0.8) * p.gamma_m
+            role = "red_probe" if rng.random() < 0.5 else "blue_probe"
+            tone = tone_with_gamma_opt(p, gamma_opt, role)
             grid = rng.uniform(-5, 5, size=7) * p.gamma_m
             grid.sort()
-            sym = single_tone_spectrum(p, b, tone, sign, "symmetrized", grid)
-            nrm = single_tone_spectrum(p, b, tone, sign, "normal_ordered", grid)
+            sym = single_tone_spectrum(p, b, tone, "symmetrized", grid)
+            nrm = single_tone_spectrum(p, b, tone, "normal_ordered", grid)
             np.testing.assert_allclose(sym.values - nrm.values, 0.5, atol=1e-12)
 
     def test_perfect_squashing_cancellation(self):
@@ -329,15 +331,14 @@ class TestSingleToneSpectrum:
         b = BathSpec(n_r=n, n_l=n, n_i=n, n_m=n)  # n_c = n_r, n_eff = n
         tone = tone_with_gamma_opt(p, 0.2 * p.gamma_m, "red_probe")
         grid = np.linspace(-3, 3, 21) * p.gamma_m
-        spec = single_tone_spectrum(p, b, tone, +1, "symmetrized", grid)
+        spec = single_tone_spectrum(p, b, tone, "symmetrized", grid)
         np.testing.assert_allclose(spec.values, noise_floor(p, b), rtol=1e-12)
 
     def test_blue_instability_raises(self):
         p = make_params()
         tone = tone_with_gamma_opt(p, 2.0 * p.gamma_m, "blue_probe")
         with pytest.raises(InstabilityError):
-            single_tone_spectrum(p, BathSpec(), tone, -1, "symmetrized",
-                                 np.array([0.0]))
+            single_tone_spectrum(p, BathSpec(), tone, "symmetrized", np.array([0.0]))
 
 
 class TestImbalance:
@@ -413,10 +414,9 @@ class TestSingleToneWeight:
         tone = tone_with_gamma_opt(p, 0.2 * p.gamma_m, "red_probe")
         gamma_tot = p.gamma_m + tone.gamma_opt(p)
         grid = np.linspace(-60, 60, 40001) * gamma_tot
-        spec = single_tone_spectrum(p, b, tone, +1, "symmetrized", grid,
-                                    enforce_window=False)
+        spec = single_tone_spectrum(p, b, tone, "symmetrized", grid, enforce_window=False)
         quad = integrated_weight(spec, noise_floor(p, b), center=0.0)
-        closed = single_tone_integrated_weight(p, b, tone, +1, "symmetrized")
+        closed = single_tone_integrated_weight(p, b, tone, "symmetrized")
         assert quad == pytest.approx(closed, rel=1e-5)
 
 
@@ -425,9 +425,10 @@ class TestOutputCommutator:
         for _ in range(10):
             p = random_system(rng, kappa_i_zero=True)
             b = random_baths(rng)  # alphas and beta all 1
-            tone = tone_with_gamma_opt(p, rng.uniform(0.05, 0.8) * p.gamma_m, "red_probe")
-            for sign in (+1, -1):
-                vals = [output_commutator(p, b, tone, sign, x)
+            gamma_opt = rng.uniform(0.05, 0.8) * p.gamma_m
+            for role in ("red_probe", "blue_probe"):
+                tone = tone_with_gamma_opt(p, gamma_opt, role)
+                vals = [output_commutator(p, b, tone, x)
                         for x in np.linspace(-5, 5, 21) * p.gamma_m]
                 assert max(vals) - min(vals) < 1e-12
                 assert vals[0] == pytest.approx(1.0, abs=1e-12)
@@ -439,7 +440,7 @@ class TestOutputCommutator:
         tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
         b = BathSpec(beta=2.0)
         offset = 0.7 * p.gamma_m
-        val = output_commutator(p, b, tone, +1, offset)
+        val = output_commutator(p, b, tone, offset)
         gamma_tot = p.gamma_m + gamma_opt
         lorentz = p.gamma_m * gamma_opt / (offset**2 + gamma_tot**2 / 4.0)
         expected = 1.0 + (p.kappa_r / p.kappa) * lorentz * (2.0 - 1.0)
@@ -452,5 +453,5 @@ class TestOutputCommutator:
         k = p.kappa
         expected = 1.2 + (4 * p.kappa_r * p.kappa_l / k**2) * (0.7 - 1.2)
         for offset in (-2.0, 0.0, 3.0):
-            val = output_commutator(p, b, tone, +1, offset * p.gamma_m)
+            val = output_commutator(p, b, tone, offset * p.gamma_m)
             assert val == pytest.approx(expected, rel=1e-12)
