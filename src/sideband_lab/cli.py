@@ -40,7 +40,7 @@ from .errors import (
 )
 from .langevin import SimConfig, oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
-from .model import ToneConfig
+from .model import Spectrum, ToneConfig
 from .multitone import (
     averaged_occupation,
     full_rwa_spectrum,
@@ -149,8 +149,10 @@ def cmd_oracle_compare(args) -> int:
         spectra = multitone_spectra(params, baths, config, "symmetrized", grid,
                                     enforce_separation=False)
         analytic = {"anti_stokes": spectra.anti_stokes, "stokes": spectra.stokes}
-    else:
-        analytic = single_tone_spectrum(params, baths, config.probe(), "symmetrized", grid)
+    else:  # the lone feature sits at -sign delta, where the Monte Carlo puts it
+        tone = config.probe()
+        spec = single_tone_spectrum(params, baths, tone, "symmetrized", grid)
+        analytic = Spectrum(spec.freq_offsets - tone.detuning_sign * config.delta, spec.values)
     sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,
                          n_trajectories=args.trajectories)
     report, mc_spec = oracle_compare(params, baths, config, sim)

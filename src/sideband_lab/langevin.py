@@ -27,10 +27,22 @@ own Philox-4x64-10 stream, SeedSequence(seed, spawn_key=(j,)), and its
 arithmetic is elementwise, so it is the same whatever the number of
 trajectories run beside it. The module needs numpy only; `SimConfig` refuses
 a layout whose output samples would take more than 2 GiB.
+
+Layout of the hot path, per chunk of CHUNK output steps: each stream fills
+its own contiguous (steps, 6) row of a (trajectories, steps, 6) buffer. Blocks
+of steps whose planes hold about PLANE_BLOCK values are moved, TRANSPOSE_TILE
+trajectories at a time, to cache-sized trajectories-last planes (6, steps,
+trajectories), where the lower-triangular factor maps them into eta of shape
+(steps, 6, trajectories). The step loop writes X into a preallocated (steps +
+1, 4, trajectories) array with ufunc ``out=`` arguments, and the output rows
+are mapped over the same blocks of steps. Every value goes through the same
+operations in the same order as in an unblocked evaluation, so no output
+depends on the block or tile sizes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -47,6 +59,8 @@ SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
 TAYLOR_DEGREE = 18  # of _expm's series
 CHUNK = 4096  # output steps drawn at a time
 WELCH_BLOCK = 16  # trajectories transformed at a time
+PLANE_BLOCK = 8192  # values of a (steps, trajectories) plane mapped at a time
+TRANSPOSE_TILE = 16  # trajectories moved to the last axis at a time
 MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples held at once
 
 __all__ = ["SimConfig", "TrajectoryOutput", "propagator", "synthesize_input_noise",
@@ -210,6 +224,20 @@ def propagator(params: SystemParams, baths: BathSpec, config: ToneConfig,
     return phi, q, factor
 
 
+def _step_blocks(n_steps: int, ntraj: int) -> list[slice]:
+    """Ranges of steps whose (steps, trajectories) planes hold about PLANE_BLOCK values."""
+    size = max(1, PLANE_BLOCK // ntraj)
+    return [slice(s, min(s + size, n_steps)) for s in range(0, n_steps, size)]
+
+
+def _slot_coefficients(matrices: np.ndarray, first_step: int, n_steps: int) -> np.ndarray:
+    """The entries of each step's slot matrix: (rows, cols) scalars for one slot,
+    else a (rows, cols, n_steps, 1) stack that broadcasts over trajectories."""
+    if len(matrices) == 1:
+        return matrices[0]
+    return matrices[(first_step + np.arange(n_steps)) % len(matrices)].transpose(1, 2, 0)[..., None]
+
+
 def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
                            first_step: int, n_steps: int) -> np.ndarray:
     """Noise eta of output steps first_step .. first_step + n_steps - 1.
@@ -219,13 +247,33 @@ def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
     standard normals of ``rngs[j]`` elementwise, so it does not depend on the
     other streams, not even in rounding.
     """
-    z = np.empty((n_steps, 6, len(rngs)))
-    for j, rng in enumerate(rngs):
-        z[:, :, j] = rng.standard_normal((n_steps, 6))
-    factor = factor[(first_step + np.arange(n_steps)) % len(factor)]
-    eta = factor[:, :, 0, None] * z[:, None, 0, :]
-    for k in range(1, 6):  # the factor is lower triangular
-        eta[:, k:] += factor[:, k:, k, None] * z[:, None, k, :]
+    ntraj = len(rngs)
+    raw = np.empty((ntraj, n_steps, 6))
+    for rng, row in zip(rngs, raw):
+        rng.standard_normal(out=row)
+    eta = np.empty((n_steps, 6, ntraj))
+    coef = _slot_coefficients(factor, first_step, n_steps)
+    blocks = _step_blocks(n_steps, ntraj)
+    # one block of normals at a time goes to cache-sized trajectories-last planes
+    planes = np.empty((6, blocks[0].stop, ntraj))
+    acc, term = np.empty((2, blocks[0].stop, ntraj))
+    for block in blocks:
+        size = block.stop - block.start
+        z, a, t = planes[:, :size], acc[:size], term[:size]
+        f = coef if coef.ndim == 2 else coef[:, :, block]
+        # a few trajectories at a time keep the strided reads within the TLB
+        for j in range(0, ntraj, TRANSPOSE_TILE):
+            tile = slice(j, j + TRANSPOSE_TILE)
+            np.copyto(z[:, :, tile], raw[tile, block].transpose(2, 1, 0))
+        # the factor is lower triangular: row i adds terms 0..i in order
+        np.multiply(f[0, 0], z[0], out=eta[block, 0])
+        for i in range(1, 6):
+            np.multiply(f[i, 0], z[0], out=a)
+            for k in range(1, i):
+                np.multiply(f[i, k], z[k], out=t)
+                np.add(a, t, out=a)
+            np.multiply(f[i, i], z[i], out=t)
+            np.add(a, t, out=eta[block, i])
     return eta
 
 
@@ -248,34 +296,54 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     start = time.perf_counter()
     phi, _, factor = propagator(params, baths, config, sim.dt)
     setup = time.perf_counter() - start
-    slots, phi_x = len(phi), phi[:, :4, :4, None]
-    ntraj = sim.n_trajectories
+    slots, ntraj = len(phi), sim.n_trajectories
+    # Phi_xx spread over the trajectories, so that the product of a step is one contiguous pass
+    phi_x = np.ascontiguousarray(np.broadcast_to(phi[:, :4, :4, None], (slots, 4, 4, ntraj)))
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(j,))))
             for j in range(ntraj)]
     out = np.empty((ntraj, sim.n_steps - sim.burn_in), dtype=np.complex128)
     mech_acc = np.zeros(ntraj)
-    x = np.zeros((4, ntraj))
+    state = np.zeros((min(CHUNK, sim.n_steps) + 1, 4, ntraj))  # state[s] meets step s's noise
+    products = np.empty((4, 4, ntraj))
+    noise = 0.0
     step = 0
     while step < sim.n_steps:
         # burn-in ends on a chunk boundary
         n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
+        began = time.perf_counter()
         eta = synthesize_input_noise(factor, rngs, step, n)
-        states = np.empty((n, 4, ntraj))
-        # a sum over a short middle axis adds in a fixed order, unlike BLAS,
-        # so a trajectory does not depend on the ensemble size
-        for s in range(n):
-            states[s] = x
-            x = (phi_x[(step + s) % slots] * x).sum(axis=1) + eta[s, :4]
+        noise += time.perf_counter() - began
+        # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
+        # trajectory does not depend on the ensemble size; out= is positional
+        # because the per-call overhead is most of a step
+        for phi_s, x, x_next, eta_s in zip(itertools.islice(itertools.cycle(phi_x), step % slots, None),
+                                           state[:n], state[1:], eta[:, :4]):
+            np.multiply(phi_s, x, products)
+            np.add.reduce(products, 1, None, x_next)
+            np.add(x_next, eta_s, x_next)
         if step >= sim.burn_in:
-            phi_i = phi[(step + np.arange(n)) % slots, 4:, :4]
-            y = eta[:, 4:]
-            for k in range(4):
-                y += phi_i[:, :, k, None] * states[:, None, k, :]
-            out[:, step - sim.burn_in:step - sim.burn_in + n] = (y[:, 0] + 1j * y[:, 1]).T / sim.dt
+            # the output rows: eta_I + Phi_I x, terms added in the order of x
+            phi_i = _slot_coefficients(phi[:, 4:, :4], step, n)
+            first = step - sim.burn_in
+            blocks = _step_blocks(n, ntraj)
+            term = np.empty((blocks[0].stop, ntraj))
+            for block in blocks:
+                t = term[:block.stop - block.start]
+                f = phi_i if phi_i.ndim == 2 else phi_i[:, :, block]
+                dest = out[:, first + block.start:first + block.stop]
+                for r, part in enumerate((dest.real, dest.imag)):
+                    y = eta[block, 4 + r]
+                    for k in range(4):
+                        np.multiply(f[r, k], state[block, k], out=t)
+                        np.add(y, t, out=y)
+                    np.copyto(part, y.T)
+                np.divide(dest, sim.dt, out=dest)  # complex division: (y0 + 1j y1)/dt to the bit
             if record_mech:
-                mech_acc += np.ascontiguousarray((states[:, 1] ** 2 + states[:, 3] ** 2).T).sum(axis=1)
+                mech_acc += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
+        state[0] = state[n]
         step += n
-    timings = {"propagator_setup": setup, "propagate": time.perf_counter() - start - setup}
+    timings = {"propagator_setup": setup, "propagate": time.perf_counter() - start - setup,
+               "noise": noise}
     return TrajectoryOutput(output_field=out, sampling=sim.dt, slots=slots, timings=timings,
                             mech_abs2=mech_acc / out.shape[1] if record_mech else None)
 
@@ -298,13 +366,20 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
         nperseg -= max(1, nperseg // 50)
     hop = nperseg - nperseg // 2
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)  # periodic Hann
-    # blocks of trajectories bound the memory of the windowed segment copies
+    # blocks of trajectories bound the memory of the windowed segment copies,
+    # and every block reuses one set of buffers
     pxx = np.zeros(nperseg)
+    shape = (min(WELCH_BLOCK, ntraj), count(nperseg) // ntraj, nperseg)
+    spectra, power, imag2 = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
     for first in range(0, ntraj, WELCH_BLOCK):
         segments = np.lib.stride_tricks.sliding_window_view(
             traj.output_field[first:first + WELCH_BLOCK], nperseg, axis=-1)[:, ::hop]
-        spectra = np.fft.fft(segments * window, axis=-1)
-        pxx += (spectra.real**2 + spectra.imag**2).sum(axis=(0, 1))
+        spec, p, q = spectra[:len(segments)], power[:len(segments)], imag2[:len(segments)]
+        np.multiply(segments, window, out=spec)
+        np.fft.fft(spec, axis=-1, out=spec)
+        np.square(spec.real, out=p)
+        np.square(spec.imag, out=q)
+        pxx += np.add(p, q, out=p).sum(axis=(0, 1))
     pxx *= traj.sampling / (np.sum(window**2) * count(nperseg))
     f = np.fft.fftfreq(nperseg, traj.sampling)
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention

@@ -185,6 +185,8 @@ class ToneSpec:
     def __post_init__(self):
         if self.role not in TONE_ROLES:
             raise ConfigError(f"unknown tone role {self.role!r}; expected one of {TONE_ROLES}")
+        if not math.isfinite(self.detuning):
+            raise ConfigError(f"detuning must be finite, got {self.detuning!r}")
         if (self.n_photons is None) == (self.coupling is None):
             raise ConfigError("exactly one of n_photons or coupling must be given")
         if self.n_photons is not None and (self.n_photons < 0 or not math.isfinite(self.n_photons)):

@@ -491,9 +491,30 @@ class TestOracleCompareCommand:
         assert "decimation" not in report
         for key in ("output_step_s", "floquet_slots", "n_output_samples", "timings_s"):
             assert manifest[key] == report[key]
-        assert set(report["timings_s"]) == {"propagator_setup", "propagate", "welch", "peaks"}
+        assert set(report["timings_s"]) == {"propagator_setup", "propagate", "noise", "welch",
+                                            "peaks"}
+        assert report["timings_s"]["noise"] <= report["timings_s"]["propagate"]
         assert all(t >= 0.0 for t in report["timings_s"].values())
         assert report["floquet_slots"] == 1
+
+    @pytest.mark.parametrize("role", ["red_probe", "blue_probe"])
+    def test_lone_probe_analytic_spectrum_at_its_peak(self, tmp_path, capsys, role):
+        # a lone probe detuned delta from its sideband puts its feature at
+        # -delta (red) or +delta (blue): the analytic CSV is centred there too
+        # (warm mechanics, so that the red feature is not flat)
+        params, baths, pair = preset("oracle-demo")
+        lone = ToneConfig(tones=(pair.tone(role),))
+        path = tmp_path / "cfg.json"
+        save_config(path, params, replace(baths, n_m=5.0), lone)
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(path), "--seed", "1",
+                     "--trajectories", "4", "--segments", "40", "--out", str(out)]) == 0
+        center, gamma_tot = -pair.tone(role).detuning_sign * pair.delta, lone.gamma_tot(params)
+        assert abs(center) > 4.0 * gamma_tot  # far from 0 Hz
+        x_hz, y = read_xy_csv(out / "analytic_spectrum.csv")
+        assert abs(TWO_PI * x_hz[np.argmax(y)] - center) < gamma_tot
+        report = json.loads((out / "report.json").read_text())
+        assert abs(report["mc_center"]["peak"] - center) < gamma_tot
 
     def test_gated_probe_pair_stops_before_the_monte_carlo(self, tmp_path, capsys, monkeypatch):
         # the analytic side runs first: the layout of this config alone would

@@ -14,6 +14,7 @@ import pytest
 
 from sideband_lab.errors import ConfigError, StepSizeError, ValidityError
 from sideband_lab.langevin import (
+    CHUNK,
     MAX_OUTPUT_BYTES,
     RNG_ALGORITHM,
     SimConfig,
@@ -133,6 +134,79 @@ class TestNoiseSynthesis:
         z = philox_streams(7, 3)[2].standard_normal((50, 6))
         expected = [factor[(5 + s) % slots] @ z[s] for s in range(50)]
         np.testing.assert_allclose(full[:, :, 2], expected, rtol=1e-13, atol=0)
+
+
+def reference_noise(factor, rngs, first_step, n_steps):
+    """The noise draw as first written: strided copies and a gathered factor stack."""
+    z = np.empty((n_steps, 6, len(rngs)))
+    for j, rng in enumerate(rngs):
+        z[:, :, j] = rng.standard_normal((n_steps, 6))
+    factor = factor[(first_step + np.arange(n_steps)) % len(factor)]
+    eta = factor[:, :, 0, None] * z[:, None, 0, :]
+    for k in range(1, 6):
+        eta[:, k:] += factor[:, k:, k, None] * z[:, None, k, :]
+    return eta
+
+
+def reference_integrate(params, baths, config, sim, record_mech=False):
+    """(output_field, mech_abs2) of integrate_langevin's loop as first written."""
+    phi, _, factor = propagator(params, baths, config, sim.dt)
+    slots, phi_x = len(phi), phi[:, :4, :4, None]
+    ntraj = sim.n_trajectories
+    rngs = philox_streams(sim.seed, ntraj)
+    out = np.empty((ntraj, sim.n_steps - sim.burn_in), dtype=np.complex128)
+    mech_acc = np.zeros(ntraj)
+    x = np.zeros((4, ntraj))
+    step = 0
+    while step < sim.n_steps:
+        n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
+        eta = reference_noise(factor, rngs, step, n)
+        states = np.empty((n, 4, ntraj))
+        for s in range(n):
+            states[s] = x
+            x = (phi_x[(step + s) % slots] * x).sum(axis=1) + eta[s, :4]
+        if step >= sim.burn_in:
+            phi_i = phi[(step + np.arange(n)) % slots, 4:, :4]
+            y = eta[:, 4:]
+            for k in range(4):
+                y += phi_i[:, :, k, None] * states[:, None, k, :]
+            out[:, step - sim.burn_in:step - sim.burn_in + n] = (y[:, 0] + 1j * y[:, 1]).T / sim.dt
+            if record_mech:
+                mech_acc += np.ascontiguousarray((states[:, 1] ** 2 + states[:, 3] ** 2).T).sum(axis=1)
+        step += n
+    return out, mech_acc / out.shape[1] if record_mech else None
+
+
+def bitwise_case(name):
+    """(params, baths, config) of oracle-demo (one slot) or the cooled case (35 slots)."""
+    return preset(name) if name == "oracle-demo" else equivalence_case("cooling")[:3]
+
+
+class TestBitwiseReference:
+    """The blocked hot path gives exactly the values of the plain one."""
+
+    @pytest.mark.parametrize("name, first_step", [("oracle-demo", 0), ("cooled", 11)])
+    @pytest.mark.parametrize("n_steps", [1, 257, 4097])
+    @pytest.mark.parametrize("ntraj", [1, 3, 16])
+    def test_noise(self, name, first_step, n_steps, ntraj):
+        p, baths, cfg = bitwise_case(name)
+        factor = propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[2]
+        assert (len(factor) > 1) == (name == "cooled")
+        eta = synthesize_input_noise(factor, philox_streams(5, ntraj), first_step, n_steps)
+        assert eta.shape == (n_steps, 6, ntraj)
+        np.testing.assert_array_equal(
+            eta, reference_noise(factor, philox_streams(5, ntraj), first_step, n_steps))
+
+    @pytest.mark.parametrize("name", ["oracle-demo", "cooled"])
+    @pytest.mark.parametrize("ntraj", [1, 3, 16])
+    def test_integrator(self, name, ntraj):
+        p, baths, cfg = bitwise_case(name)
+        sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=13, n_trajectories=ntraj)
+        assert sim.n_steps - sim.burn_in > CHUNK  # more than one chunk, and a tail
+        traj = integrate_langevin(p, baths, cfg, sim, record_mech=True)
+        out, mech = reference_integrate(p, baths, cfg, sim, record_mech=True)
+        np.testing.assert_array_equal(traj.output_field, out)
+        np.testing.assert_array_equal(traj.mech_abs2, mech)
 
 
 class TestIntegratorContracts:

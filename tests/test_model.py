@@ -85,6 +85,12 @@ class TestToneSpec:
         with pytest.raises(ConfigError):
             ToneSpec(detuning=0.0)
 
+    @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detuning_rejected(self, detuning):
+        # a NaN would pass every sideband gate and be taken for a blue pump
+        with pytest.raises(ConfigError, match="detuning"):
+            ToneSpec(detuning=detuning, coupling=1.0)
+
     @given(n_p=st.floats(min_value=1e-3, max_value=1e12))
     @settings(max_examples=50)
     def test_coupling_photon_round_trip(self, n_p):
