@@ -23,14 +23,13 @@ from .model import (
     ToneSpec,
     bose_occupation,
     derive_effective_mechanics,
-    integrated_weight,
 )
 from .presets import PRESET_NAMES, preset
 
 __all__ = [
     "__version__",
     "BathSpec", "Spectrum", "SystemParams", "ToneConfig", "ToneSpec",
-    "bose_occupation", "derive_effective_mechanics", "integrated_weight",
+    "bose_occupation", "derive_effective_mechanics",
     "PRESET_NAMES", "preset",
     "SidebandLabError", "ConfigError", "ValidityError", "InstabilityError",
     "UnbalancedError", "StepSizeError", "NonConvergence", "DegenerateData",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, RankDeficient, ValidityError
-from .fitting import LorentzianFit, fit_lorentzian, gauss_newton
+from .fitting import LorentzianFit, fit_lorentzian, gauss_newton, median
 from .model import (
     HBAR,
     TWO_PI,
@@ -221,7 +221,7 @@ def fit_output_occupation(spec: Spectrum, params: SystemParams,
         jac = np.column_stack([basis_n, np.ones_like(x)])
         return model - v, jac
 
-    p, cov, rnorm, _ = gauss_newton(residual_jac, np.array([0.1, float(np.median(v))]))
+    p, cov, rnorm, _ = gauss_newton(residual_jac, np.array([0.1, median(v)]))
     return OccupationFit(n_r=float(p[0]), amplifier_floor=float(p[1]),
                          residual_norm=rnorm, n_r_err=float(np.sqrt(abs(cov[0, 0]))))
 

@@ -7,6 +7,7 @@ iteration and convergence thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,10 +16,24 @@ import numpy as np
 from .errors import DegenerateData, NonConvergence
 from .model import Spectrum
 
-__all__ = ["LorentzianFit", "gauss_newton", "fit_lorentzian"]
+__all__ = ["LorentzianFit", "gauss_newton", "fit_lorentzian", "median"]
 
 MAX_ITER = 200
 STEP_TOL = 1e-10
+
+
+def median(values: np.ndarray) -> float:
+    """The median of a 1-d array, equal to ``np.median`` to the bit: the middle
+    value, or the mean of the two middle values, of the sorted array; NaN if
+    any value is NaN or there are none. Unlike ``np.median`` it does not
+    import ``numpy.ma``, which costs 10-30 ms at start-up."""
+    s = np.sort(values)
+    n = s.size
+    if n == 0 or np.isnan(s[-1]):  # the sort puts NaN last
+        return math.nan
+    if n % 2:  # np.mean's sum starts from +0.0, which turns -0.0 into 0.0
+        return float(0.0 + s[n // 2])
+    return float((0.0 + s[n // 2 - 1] + s[n // 2]) / 2.0)
 
 
 def gauss_newton(residual_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -95,8 +110,7 @@ class LorentzianFit:
 
 
 def _lorentzian_initial_guess(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    floor = float(np.median(np.concatenate([v[: max(2, x.size // 10)],
-                                            v[-max(2, x.size // 10):]])))
+    floor = median(np.concatenate([v[: max(2, x.size // 10)], v[-max(2, x.size // 10):]]))
     dev = v - floor
     peak_idx = int(np.argmax(np.abs(dev)))
     amp = float(dev[peak_idx])

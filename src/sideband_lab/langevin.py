@@ -28,28 +28,39 @@ arithmetic is elementwise, so it is the same whatever the number of
 trajectories run beside it. The module needs numpy only; `SimConfig` refuses
 a layout whose output samples would take more than 2 GiB.
 
-Layout of the hot path, per chunk of CHUNK output steps: each stream fills
-its own contiguous (steps, 6) row of a (trajectories, steps, 6) buffer. Blocks
-of steps whose planes hold about PLANE_BLOCK values are moved, TRANSPOSE_TILE
-trajectories at a time, to cache-sized trajectories-last planes (6, steps,
-trajectories), where the lower-triangular factor maps them into eta of shape
-(steps, 6, trajectories). The step loop writes X into a preallocated (steps +
-1, 4, trajectories) array with ufunc ``out=`` arguments, and the output rows
-are mapped over the same blocks of steps. Every value goes through the same
-operations in the same order as in an unblocked evaluation, so no output
-depends on the block or tile sizes.
+Layout of the hot path, per chunk of CHUNK = 512 output steps: each stream
+fills its own contiguous (steps, 6) row of a (trajectories, steps, 6) buffer.
+Blocks of steps whose planes hold about PLANE_BLOCK values are moved,
+TRANSPOSE_TILE trajectories at a time, to cache-sized trajectories-last
+planes (6, steps, trajectories), where the lower-triangular factor maps them
+into eta of shape (steps, 6, trajectories), one buffer reused by every chunk.
+The step loop writes X into a preallocated (steps + 1, 4, trajectories) array
+with ufunc ``out=`` arguments, and the output rows are mapped over the same
+blocks of steps. Every value goes through the same operations in the same
+order as in an unblocked evaluation, so no output sample depends on the
+chunk, block or tile sizes. The chunk is a fixed number of steps, whatever
+the number of trajectories, so a trajectory's mean |c|^2, summed per chunk,
+does not depend on the ensemble. Beside the output samples the chunk's
+buffers take about 3 x CHUNK x 6 x 8 bytes per trajectory.
+
+Welch transforms WELCH_BLOCK trajectories at a time on a thread per CPU
+(``os.sched_getaffinity``, at most one per block); each thread squares its
+FFTs in place in one complex buffer of its own, and the block sums are added
+in trajectory order, so the spectrum does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, StepSizeError
+from .fitting import median
 from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
 from .multitone import sideband_weights
 from .scattering import noise_floor, single_tone_integrated_weight
@@ -57,7 +68,7 @@ from .scattering import noise_floor, single_tone_integrated_weight
 RNG_ALGORITHM = "numpy-philox-4x64-10"
 SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
 TAYLOR_DEGREE = 18  # of _expm's series
-CHUNK = 4096  # output steps drawn at a time
+CHUNK = 512  # output steps drawn at a time
 WELCH_BLOCK = 16  # trajectories transformed at a time
 PLANE_BLOCK = 8192  # values of a (steps, trajectories) plane mapped at a time
 TRANSPOSE_TILE = 16  # trajectories moved to the last axis at a time
@@ -239,19 +250,21 @@ def _slot_coefficients(matrices: np.ndarray, first_step: int, n_steps: int) -> n
 
 
 def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
-                           first_step: int, n_steps: int) -> np.ndarray:
+                           first_step: int, n_steps: int, *,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Noise eta of output steps first_step .. first_step + n_steps - 1.
 
-    Shape (n_steps, 6, len(rngs)); eta ~ N(0, factor factor^T) of the step's
-    slot, independent between steps and columns. Column j maps (n_steps, 6)
-    standard normals of ``rngs[j]`` elementwise, so it does not depend on the
-    other streams, not even in rounding.
+    Shape (n_steps, 6, len(rngs)), written into ``out[:n_steps]`` when a
+    buffer is given; eta ~ N(0, factor factor^T) of the step's slot,
+    independent between steps and columns. Column j maps (n_steps, 6) standard
+    normals of ``rngs[j]`` elementwise, so it does not depend on the other
+    streams, not even in rounding.
     """
     ntraj = len(rngs)
     raw = np.empty((ntraj, n_steps, 6))
     for rng, row in zip(rngs, raw):
         rng.standard_normal(out=row)
-    eta = np.empty((n_steps, 6, ntraj))
+    eta = np.empty((n_steps, 6, ntraj)) if out is None else out[:n_steps]
     coef = _slot_coefficients(factor, first_step, n_steps)
     blocks = _step_blocks(n_steps, ntraj)
     # one block of normals at a time goes to cache-sized trajectories-last planes
@@ -304,6 +317,9 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     out = np.empty((ntraj, sim.n_steps - sim.burn_in), dtype=np.complex128)
     mech_acc = np.zeros(ntraj)
     state = np.zeros((min(CHUNK, sim.n_steps) + 1, 4, ntraj))  # state[s] meets step s's noise
+    # one noise buffer for every chunk: the loops' views of a chunk's eta would
+    # otherwise keep it alive while the next chunk's is drawn
+    noise_buffer = np.empty((min(CHUNK, sim.n_steps), 6, ntraj))
     products = np.empty((4, 4, ntraj))
     noise = 0.0
     step = 0
@@ -311,7 +327,7 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         # burn-in ends on a chunk boundary
         n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
         began = time.perf_counter()
-        eta = synthesize_input_noise(factor, rngs, step, n)
+        eta = synthesize_input_noise(factor, rngs, step, n, out=noise_buffer)
         noise += time.perf_counter() - began
         # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
         # trajectory does not depend on the ensemble size; out= is positional
@@ -366,20 +382,38 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
         nperseg -= max(1, nperseg // 50)
     hop = nperseg - nperseg // 2
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)  # periodic Hann
-    # blocks of trajectories bound the memory of the windowed segment copies,
-    # and every block reuses one set of buffers
-    pxx = np.zeros(nperseg)
+    # blocks of trajectories bound the memory of the windowed segment copies;
+    # a thread per CPU takes every workers-th block through one buffer of its own
+    # (numpy's FFT and ufuncs release the GIL)
+    blocks = [traj.output_field[first:first + WELCH_BLOCK] for first in range(0, ntraj, WELCH_BLOCK)]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(blocks))
     shape = (min(WELCH_BLOCK, ntraj), count(nperseg) // ntraj, nperseg)
-    spectra, power, imag2 = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
-    for first in range(0, ntraj, WELCH_BLOCK):
-        segments = np.lib.stride_tricks.sliding_window_view(
-            traj.output_field[first:first + WELCH_BLOCK], nperseg, axis=-1)[:, ::hop]
-        spec, p, q = spectra[:len(segments)], power[:len(segments)], imag2[:len(segments)]
-        np.multiply(segments, window, out=spec)
-        np.fft.fft(spec, axis=-1, out=spec)
-        np.square(spec.real, out=p)
-        np.square(spec.imag, out=q)
-        pxx += np.add(p, q, out=p).sum(axis=(0, 1))
+
+    def block_sums(worker: int) -> list[np.ndarray]:
+        spectra = np.empty(shape, dtype=np.complex128)
+        sums = []
+        for rows in blocks[worker::workers]:
+            segments = np.lib.stride_tricks.sliding_window_view(rows, nperseg, axis=-1)[:, ::hop]
+            spec = spectra[:len(segments)]
+            np.multiply(segments, window, out=spec)
+            np.fft.fft(spec, axis=-1, out=spec)
+            re, im = spec.real, spec.imag  # |X|^2 squared in place
+            np.square(re, out=re)
+            np.square(im, out=im)
+            sums.append(np.add(re, im, out=re).sum(axis=(0, 1)))
+        return sums
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        per_worker = list(pool.map(block_sums, range(workers)))
+    pxx = np.zeros(nperseg)
+    for i in range(len(blocks)):  # in trajectory order, so the worker count changes no bit
+        pxx += per_worker[i % workers][i // workers]
     pxx *= traj.sampling / (np.sum(window**2) * count(nperseg))
     f = np.fft.fftfreq(nperseg, traj.sampling)
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention
@@ -404,7 +438,7 @@ def _measure_peak(spec: Spectrum, centers: list[float], gamma_tot: float):
     far = np.ones(x.size, dtype=bool)
     for center in centers:
         far &= np.abs(x - center) > 12.0 * gamma_tot
-    floor = float(np.median(spec.values[far]))
+    floor = median(spec.values[far])
     step = (x[-1] - x[0]) / (x.size - 1)
     sums = np.empty(centers.size)
     shares = np.empty((centers.size, centers.size))

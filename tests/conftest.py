@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sideband_lab.model import TWO_PI, BathSpec, SystemParams, ToneConfig, ToneSpec
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, ToneSpec
 
 
 def make_params(*, kappa_l_hz=155e3, kappa_r_hz=450e3, kappa_i_hz=265e3,
@@ -54,6 +54,31 @@ def balanced_config(params: SystemParams, *, delta: float, probe_gamma_opt: floa
         params, delta=delta, probe_gamma_opt=probe_gamma_opt, delta_c=delta_c,
         cooling_gamma_opt=cooling_gamma_opt,
     )
+
+
+def integrated_weight(spec: Spectrum, floor: float = 0.0, *, tail_correction: bool = True,
+                      center: float | None = None) -> float:
+    """Integral (domega / 2pi) of (values - floor) over the grid: the tests'
+    trapezoid quadrature reference for closed-form weights.
+
+    A Lorentzian feature loses ~gamma/(pi*X) of its weight outside a +-X
+    window; when ``tail_correction`` is set the 1/x^2 tails are estimated from
+    the edge samples and added back, which makes +-50 linewidth windows good
+    to ~1e-6 relative.
+    """
+    x = spec.freq_offsets
+    v = spec.values - floor
+    w = np.trapezoid(v, x)
+    if tail_correction and x.size >= 4:
+        if center is None:
+            tot = np.trapezoid(np.abs(v), x)
+            center = float(np.trapezoid(x * np.abs(v), x) / tot) if tot > 0 else 0.5 * (x[0] + x[-1])
+        left = abs(x[0] - center)
+        right = abs(x[-1] - center)
+        if left > 0 and right > 0:
+            w += v[0] * left + v[-1] * right
+    return float(w / TWO_PI)
+
 
 
 @pytest.fixture

@@ -31,7 +31,6 @@ from sideband_lab.model import (
     Spectrum,
     SystemParams,
     ToneConfig,
-    integrated_weight,
 )
 from sideband_lab.multitone import (
     averaged_occupation,
@@ -48,7 +47,8 @@ from sideband_lab.scattering import (
     single_tone_integrated_weight,
 )
 
-from conftest import balanced_config, make_params, random_baths, random_system, tone_with_gamma_opt
+from conftest import (balanced_config, integrated_weight, make_params, random_baths, random_system,
+                      tone_with_gamma_opt)
 
 
 def test_criterion_1_quantum_imbalance_plus_one():

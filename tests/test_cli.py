@@ -557,7 +557,8 @@ class TestOracleCompareCommand:
 
 
 def test_commands_run_without_scipy(tmp_path):
-    # numpy alone at run time: scipy is a test dependency only
+    # numpy alone at run time: scipy is a test dependency only; numpy.ma, whose
+    # import costs 10-30 ms, stays unloaded too
     script = f"""
 import sys
 from sideband_lab.cli import main
@@ -566,7 +567,8 @@ assert main(["spectrum", "--preset", "si-figure", "--out", out + "/s"]) == 0
 assert main(["calibrate", "--preset", "main-text", "--synthetic", "--out", out + "/c"]) == 0
 assert main(["oracle-compare", "--preset", "oracle-demo", "--segments", "40",
              "--trajectories", "4", "--out", out + "/o"]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -2,12 +2,37 @@ import numpy as np
 import pytest
 
 from sideband_lab.errors import DegenerateData
-from sideband_lab.fitting import LorentzianFit, fit_lorentzian, gauss_newton
+from sideband_lab.fitting import LorentzianFit, fit_lorentzian, gauss_newton, median
 from sideband_lab.model import Spectrum
 
 
 def lorentzian(x, center, width, amplitude, floor):
     return floor + amplitude / (1.0 + ((x - center) / (width / 2.0)) ** 2)
+
+
+class TestMedian:
+    """`median` is np.median to the bit, without importing numpy.ma."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 101, 2000])
+    def test_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for values in (rng.standard_normal(n) * 1e3, np.round(rng.standard_normal(n)),
+                       rng.integers(0, 3, n) * 0.1, np.full(n, -0.0)):
+            expected = np.median(values)
+            got = median(values)
+            assert type(got) is float
+            assert got == expected and np.signbit(got) == np.signbit(expected), values
+
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan], [np.nan, 2.0, 1.0],
+                                        [3.0, 1.0, np.nan, 2.0, 0.0], [np.inf, -np.inf]])
+    def test_nan_in_nan_out(self, values):
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(np.median(values))
+            assert np.isnan(median(np.array(values)))
+
+    def test_underflowing_mean_keeps_numpys_sign(self):
+        values = np.array([-5e-324, 0.0])  # (0 + a + b)/2 rounds to -0.0
+        assert np.signbit(median(values)) == np.signbit(np.median(values))
 
 
 class TestGaussNewton:

@@ -8,6 +8,8 @@ streams, equilibration, floor normalization, analytic agreement).
 
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from sideband_lab.langevin import (
     CHUNK,
     MAX_OUTPUT_BYTES,
     RNG_ALGORITHM,
+    WELCH_BLOCK,
     SimConfig,
     TrajectoryOutput,
     _expm,
@@ -207,6 +210,108 @@ class TestBitwiseReference:
         out, mech = reference_integrate(p, baths, cfg, sim, record_mech=True)
         np.testing.assert_array_equal(traj.output_field, out)
         np.testing.assert_array_equal(traj.mech_abs2, mech)
+
+
+def reference_welch(traj, psd_segments):
+    """(offsets, pxx, segment count) of _welch_spectrum's block loop as written
+    before its threads: one thread, and separate buffers for |X|^2."""
+    ntraj, kept = traj.output_field.shape
+    segs_per_traj = max(1, math.ceil(psd_segments / ntraj))
+    nperseg = min(kept, max(8, int(2 * kept / (segs_per_traj + 1))))
+
+    def count(n):
+        return ntraj * (1 + (kept - n) // (n - n // 2))
+
+    while nperseg > 8 and count(nperseg) < psd_segments:
+        nperseg -= max(1, nperseg // 50)
+    hop = nperseg - nperseg // 2
+    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)
+    pxx = np.zeros(nperseg)
+    shape = (min(WELCH_BLOCK, ntraj), count(nperseg) // ntraj, nperseg)
+    spectra, power, imag2 = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
+    for first in range(0, ntraj, WELCH_BLOCK):
+        segments = np.lib.stride_tricks.sliding_window_view(
+            traj.output_field[first:first + WELCH_BLOCK], nperseg, axis=-1)[:, ::hop]
+        spec, p, q = spectra[:len(segments)], power[:len(segments)], imag2[:len(segments)]
+        np.multiply(segments, window, out=spec)
+        np.fft.fft(spec, axis=-1, out=spec)
+        np.square(spec.real, out=p)
+        np.square(spec.imag, out=q)
+        pxx += np.add(p, q, out=p).sum(axis=(0, 1))
+    pxx *= traj.sampling / (np.sum(window**2) * count(nperseg))
+    offsets = -TWO_PI * np.fft.fftfreq(nperseg, traj.sampling)
+    order = np.argsort(offsets)
+    return offsets[order], pxx[order], count(nperseg)
+
+
+def recorded_workers(monkeypatch, cpus):
+    """Make the machine show ``cpus`` CPUs; return the list that collects the
+    worker count of every thread pool started."""
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    if cpus is None:  # a platform without sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return started
+
+
+class TestWelchThreads:
+    """Welch gives exactly the single-threaded values for any thread count."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, None])
+    @pytest.mark.parametrize("ntraj", [1, 16, 40])  # 40: a ragged last block
+    def test_matches_serial_reference(self, monkeypatch, cpus, ntraj):
+        rng = np.random.default_rng(ntraj)
+        field = rng.standard_normal((ntraj, 3001)) + 1j * rng.standard_normal((ntraj, 3001))
+        traj = TrajectoryOutput(output_field=field, sampling=2e-7)
+        started = recorded_workers(monkeypatch, cpus)
+        spec, n_segments = _welch_spectrum(traj, 4 * ntraj)
+        offsets, pxx, expected_segments = reference_welch(traj, 4 * ntraj)
+        assert started == [min(3 if cpus is None else cpus, math.ceil(ntraj / WELCH_BLOCK))]
+        assert n_segments == expected_segments
+        np.testing.assert_array_equal(spec.freq_offsets, offsets)
+        np.testing.assert_array_equal(spec.values, pxx)
+
+
+class TestFootprint:
+    """Beside the output samples the oracle holds a few noise chunks and one
+    Welch buffer per thread. CHUNK = 512 steps was set to keep that small:
+    a longer chunk, or one more buffer of its size, fails here."""
+
+    def test_integrator_and_welch(self, monkeypatch):
+        p, baths, cfg = preset("oracle-demo")
+        ntraj = 128
+        sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=2, n_trajectories=ntraj)
+        assert sim.n_steps > 4 * CHUNK
+        tracemalloc.start()
+        try:
+            traj = integrate_langevin(p, baths, cfg, sim)
+            integrate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            base = tracemalloc.get_traced_memory()[0]
+            spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
+            welch_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the normals, the mapped noise and the states take 2 2/3 draws of a
+        # 512-step chunk, the planes of the noise map a little more
+        draw = 512 * 6 * ntraj * 8
+        assert CHUNK <= 512
+        assert integrate_peak - traj.output_field.nbytes < 3.5 * draw
+        # two threads, one complex (WELCH_BLOCK, segments, nperseg) buffer each
+        buffer = WELCH_BLOCK * n_segments // ntraj * spec.freq_offsets.size * 16
+        assert welch_peak < 2 * 1.25 * buffer
 
 
 class TestIntegratorContracts:

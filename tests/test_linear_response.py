@@ -13,10 +13,10 @@ from sideband_lab.linear_response import (
     sxx_backaction,
     sxx_effective,
 )
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, integrated_weight
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum
 from sideband_lab.scattering import noise_floor, single_tone_integrated_weight
 
-from conftest import make_params, random_baths, random_system, tone_with_gamma_opt
+from conftest import integrated_weight, make_params, random_baths, random_system, tone_with_gamma_opt
 
 
 def two_port_params(**kw):

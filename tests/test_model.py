@@ -18,11 +18,10 @@ from sideband_lab.model import (
     ToneSpec,
     bose_occupation,
     derive_effective_mechanics,
-    integrated_weight,
 )
 from sideband_lab.presets import preset
 
-from conftest import balanced_config, make_params, tone_with_gamma_opt
+from conftest import balanced_config, integrated_weight, make_params, tone_with_gamma_opt
 
 rates = st.floats(min_value=1e2, max_value=1e7, allow_nan=False)
 

@@ -6,7 +6,7 @@ import pytest
 
 from sideband_lab.errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 from sideband_lab.fitting import fit_lorentzian
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec, integrated_weight
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec
 from sideband_lab.multitone import (
     averaged_occupation,
     full_rwa_spectrum,
@@ -20,7 +20,8 @@ from sideband_lab.multitone import (
 )
 from sideband_lab.scattering import noise_floor
 
-from conftest import balanced_config, make_params, random_baths, random_system, tone_with_gamma_opt
+from conftest import (balanced_config, integrated_weight, make_params, random_baths, random_system,
+                      tone_with_gamma_opt)
 
 
 def si_figure_like():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sideband_lab.errors import InstabilityError, ValidityError
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneSpec, integrated_weight
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneSpec
 from sideband_lab.scattering import (
     drive_amplitude_for_photons,
     imbalance,
@@ -22,7 +22,7 @@ from sideband_lab.scattering import (
     spectrum_from_scattering,
 )
 
-from conftest import make_params, random_baths, random_system, tone_with_gamma_opt
+from conftest import integrated_weight, make_params, random_baths, random_system, tone_with_gamma_opt
 
 
 def exact_scattering_matrix(params, gamma_opt, sign, offset):
