@@ -31,7 +31,8 @@ def main() -> None:
     out = Path("out_twin_peak")
     out.mkdir(exist_ok=True)
 
-    grid = np.linspace(-4.0 * config.delta, 4.0 * config.delta, 4001)
+    delta = config.delta(params)
+    grid = np.linspace(-4.0 * delta, 4.0 * delta, 4001)
     comps = full_rwa_spectrum(params, baths, config, grid, components=True)
     write_components_csv(out / "full_rwa.csv", comps)
 

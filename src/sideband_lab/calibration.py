@@ -303,7 +303,7 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     if "s21_db" in tables:
         f_hz, mag_db = tables["s21_db"]
         shunt = fit_shunt_capacitance(TWO_PI * f_hz, 10.0 ** (mag_db / 20.0), params)
-        detuning = params.omega_m + config.delta
+        detuning = params.omega_m + config.delta(params)
         delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
         delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
         if max(abs(delta_minus), abs(delta_plus)) >= 1.0:
@@ -343,7 +343,7 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     shunt = ShuntModel(c_out=2.7e-15)
     gains = (1.0, 1.0)  # cavity and pump-line gains of the synthetic chain
     n_p = np.logspace(3, 7, 9)
-    span = 10.0 * (params.omega_m + config.delta)
+    span = 10.0 * (params.omega_m + config.delta(params))
     # probe frequencies in Hz as the tables record them; the models are
     # evaluated at the rates read back from them, so noise-free tables are exact
     s21_hz = (params.omega_c + np.linspace(-span, span, 801)) / TWO_PI
@@ -389,7 +389,7 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
                   conversion_ratio=slope_m / slope_p)
     # through power of each probe at n_p = 500 is this times omega_pump (1 + Delta)
     through = gains[1] * HBAR * params.kappa_r * 500.0
-    detuning = params.omega_m + config.delta
+    detuning = params.omega_m + config.delta(params)
     through_p = through * (params.omega_c - detuning) * (1.0 + delta_plus)
     through_m = through * (params.omega_c + detuning) * (1.0 + delta_minus)
     report["calibration_run"] = CalibrationRun(

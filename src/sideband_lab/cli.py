@@ -40,7 +40,7 @@ from .errors import (
 )
 from .langevin import SimConfig, oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
-from .model import Spectrum, ToneConfig
+from .model import ToneConfig
 from .multitone import (
     averaged_occupation,
     full_rwa_spectrum,
@@ -105,7 +105,8 @@ def cmd_spectrum(args) -> int:
         write_components_csv(path, {"anti_stokes": spectra.anti_stokes,
                                     "stokes": spectra.stokes})
     else:  # full-rwa
-        grid = np.linspace(-4.0 * config.delta, 4.0 * config.delta, args.points)
+        delta = config.delta(params)
+        grid = np.linspace(-4.0 * delta, 4.0 * delta, args.points)
         comps = full_rwa_spectrum(params, baths, config, grid, kind=kind, components=True)
         write_components_csv(path, {k: comps[k] for k in
                                     ("total", "floor", "mixing", "stokes", "anti_stokes")})
@@ -152,7 +153,7 @@ def cmd_oracle_compare(args) -> int:
     else:  # the lone feature sits at -sign delta, where the Monte Carlo puts it
         tone = config.probe()
         spec = single_tone_spectrum(params, baths, tone, "symmetrized", grid)
-        analytic = Spectrum(spec.freq_offsets - tone.detuning_sign * config.delta, spec.values)
+        analytic = spec.shifted(-tone.detuning_sign * config.delta(params))
     sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,
                          n_trajectories=args.trajectories)
     report, mc_spec = oracle_compare(params, baths, config, sim)

@@ -104,9 +104,8 @@ def tones_to_list(config: ToneConfig) -> list[dict]:
     return out
 
 
-def tones_from_list(entries: list[dict], params: SystemParams) -> ToneConfig:
-    """Build a ToneConfig; probe/cooling detunings delta, delta_c are derived
-    from the tone placements omega_c -+ (omega_m + delta)."""
+def tones_from_list(entries: list[dict]) -> ToneConfig:
+    """Build a ToneConfig from its tone entries."""
     if not isinstance(entries, list):
         raise ConfigError(f"tones must be a JSON list, got {type(entries).__name__}")
     tones = []
@@ -125,28 +124,7 @@ def tones_from_list(entries: list[dict], params: SystemParams) -> ToneConfig:
             raise ConfigError("tone needs n_photons or coupling_hz")
         tones.append(ToneSpec(**kwargs))
 
-    deltas = {}
-    for tone in tones:
-        if tone.role == "red_probe":
-            deltas["red"] = -tone.detuning - params.omega_m
-        elif tone.role == "blue_probe":
-            deltas["blue"] = tone.detuning - params.omega_m
-        elif tone.role == "cooling":
-            deltas["cool"] = -tone.detuning - params.omega_m
-    delta = 0.0
-    if "red" in deltas and "blue" in deltas:
-        scale = max(abs(deltas["red"]), abs(deltas["blue"]), 1e-9)
-        if abs(deltas["red"] - deltas["blue"]) > 1e-9 * scale:
-            raise ConfigError(
-                "probe tones are not symmetric about the sidebands: "
-                f"delta_red = {deltas['red']:.6g}, delta_blue = {deltas['blue']:.6g}"
-            )
-        delta = deltas["red"]
-    elif "red" in deltas:
-        delta = deltas["red"]
-    elif "blue" in deltas:
-        delta = deltas["blue"]
-    return ToneConfig(tones=tuple(tones), delta=delta, delta_c=deltas.get("cool"))
+    return ToneConfig(tones=tuple(tones))
 
 
 def config_to_dict(params: SystemParams, baths: BathSpec, config: ToneConfig) -> dict:
@@ -165,7 +143,8 @@ def config_from_dict(d: dict) -> tuple[SystemParams, BathSpec, ToneConfig]:
             raise ConfigError(f"config missing top-level key {key!r}")
     params = params_from_dict(d["system"])
     baths = baths_from_dict(d["baths"])
-    config = tones_from_list(d["tones"], params)
+    config = tones_from_list(d["tones"])
+    config.delta_c(params)  # the symmetric-probe and cooling-order gates, at load
     return params, baths, config
 
 

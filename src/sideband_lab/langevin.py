@@ -112,10 +112,10 @@ class SimConfig:
         the boxcar attenuation of a peak below ~0.32%; a cooling tone rounds
         dt down to a whole fraction of its period."""
         gamma_tot = config.gamma_tot(params)
-        dt = TWO_PI / (32.0 * (abs(config.delta) + 12.0 * gamma_tot))
-        period = _cooling_period(config)
-        if period is not None:
-            dt = period / math.ceil(period / dt)
+        dt = TWO_PI / (32.0 * (abs(config.delta(params)) + 12.0 * gamma_tot))
+        omega = _cooling_rate(params, config)
+        if omega is not None:
+            dt = TWO_PI / omega / math.ceil(TWO_PI / omega / dt)
         t_seg = TWO_PI * 4.0 / gamma_tot
         steps_per_seg = max(2, math.ceil(t_seg / dt))
         segs_per_traj = max(2, math.ceil(n_segments / n_trajectories))
@@ -144,10 +144,10 @@ class TrajectoryOutput:
             raise StepSizeError("trajectory diverged: non-finite output samples")
 
 
-def _cooling_period(config: ToneConfig) -> float | None:
-    """2 pi/|delta_c - delta|, the period of a cooling tone's coefficients; None if none."""
-    omega = (config.delta_c or 0.0) - config.delta
-    return TWO_PI / abs(omega) if config.tone("cooling") is not None and omega else None
+def _cooling_rate(params: SystemParams, config: ToneConfig) -> float | None:
+    """Omega = delta_c - delta > 0, the rate of a cooling tone's rotating coefficients, or None."""
+    delta_c = config.delta_c(params)
+    return None if delta_c is None else delta_c - config.delta(params)
 
 
 def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
@@ -157,13 +157,13 @@ def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
     for tone in config.tones:
         rates[tone.role] = tone.coupling_rate(params)
     gp, gm, gc = rates.values()
-    rot = gc * np.exp(1j * ((config.delta_c or 0.0) - config.delta) * np.asarray(times))
+    rot = gc * np.exp(1j * (_cooling_rate(params, config) or 0.0) * np.asarray(times))
     # (d, c~)' = m (d, c~) + n (d, c~)^*, written out in real and imaginary parts
     m = np.empty(rot.shape + (2, 2), dtype=np.complex128)
     m[:, 0, 0] = -params.kappa / 2.0
     m[:, 0, 1] = -1j * (gp + rot)
     m[:, 1, 0] = -1j * (gp + np.conj(rot))
-    m[:, 1, 1] = -params.gamma_m / 2.0 + 1j * config.delta
+    m[:, 1, 1] = -params.gamma_m / 2.0 + 1j * config.delta(params)
     n = np.array([[0.0, -1j * gm], [-1j * gm, 0.0]])
     a = np.zeros(rot.shape + (6, 6))
     a[:, :4, :4] = np.block([[(m + n).real, (n - m).imag], [(m + n).imag, (m - n).real]])
@@ -215,9 +215,10 @@ def propagator(params: SystemParams, baths: BathSpec, config: ToneConfig,
     covariance over the output step ``dt`` for each phase slot j = step mod P
     of the cooling period (P = 1 without one), and the Cholesky factor of q
     (zero where a coordinate gets no noise)."""
-    period = _cooling_period(config)
+    omega = _cooling_rate(params, config)
     slots, substeps = 1, 1
-    if period is not None:
+    if omega is not None:
+        period = TWO_PI / omega
         slots, substeps = round(period / dt), SUBSTEPS
         if slots < 1 or abs(slots * dt - period) > 1e-9 * period:
             raise StepSizeError(f"output step {dt:.6g} s is not a whole fraction of the "
@@ -473,11 +474,12 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
 
     if config.has_probe_pair:
         w_anti, w_stokes = sideband_weights(params, baths, config)
-        peaks = [("anti_stokes", -config.delta, w_anti), ("stokes", +config.delta, w_stokes)]
+        delta = config.delta(params)
+        peaks = [("anti_stokes", -delta, w_anti), ("stokes", +delta, w_stokes)]
     else:
         tone = config.probe()
         w = single_tone_integrated_weight(params, baths, tone, "symmetrized")
-        peaks = [("peak", -tone.detuning_sign * config.delta, w)]
+        peaks = [("peak", -tone.detuning_sign * config.delta(params), w)]
     floor_analytic = noise_floor(params, baths)
 
     traj = integrate_langevin(params, baths, config, sim)

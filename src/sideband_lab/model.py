@@ -20,7 +20,9 @@ Conventions used everywhere in this package:
   multitone form passes, in `linear_response.detector_correlators` and, so
   that the oracle stays independent, in `langevin.integrate_langevin`.
   `ToneConfig.__post_init__` refuses a tone without a probe or cooling role
-  or on the wrong side of the cavity for it, and a delta_c <= delta;
+  or on the wrong side of the cavity for it. `ToneConfig.delta` and
+  `ToneConfig.delta_c` derive the detunings from the tones and are the
+  symmetric-probe and cooling-order (delta_c > delta) gates;
   `ToneConfig.probe` and `ToneConfig.require_balanced` are the probe and
   balanced-probe gates. A tone's side is `ToneSpec.detuning_sign`.
 """
@@ -225,19 +227,17 @@ class ToneSpec:
 
 @dataclass(frozen=True)
 class ToneConfig:
-    """An ordered set of drive tones plus the probe/cooling detunings.
+    """An ordered set of drive tones.
 
     For the balanced three-tone scheme the probes sit at
     omega_c -+ (omega_m + delta) and the cooling tone at
-    omega_c - (omega_m + delta_c). A configuration may also hold a single
-    tone (delta = 0 meaning "on the sideband") or no tones at all. Each role
-    of `CONFIG_ROLES` is used at most once, on its side of the cavity (a
-    blue_probe above it, the others below), and a given delta_c exceeds delta.
+    omega_c - (omega_m + delta_c); `delta` and `delta_c` read both detunings
+    off the tones. A configuration may also hold a single tone or no tones at
+    all. Each role of `CONFIG_ROLES` is used at most once, on its side of the
+    cavity (a blue_probe above it, the others below).
     """
 
     tones: tuple[ToneSpec, ...]
-    delta: float = 0.0
-    delta_c: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tones", tuple(self.tones))
@@ -252,9 +252,6 @@ class ToneConfig:
         for r in CONFIG_ROLES:
             if roles.count(r) > 1:
                 raise ConfigError(f"at most one {r} tone allowed, got {roles.count(r)}")
-        if self.delta_c is not None and not self.delta_c > self.delta:
-            raise ConfigError(f"cooling detuning delta_c = {self.delta_c:.6g} "
-                              f"must exceed delta = {self.delta:.6g}")
 
     def tone(self, role: str) -> ToneSpec | None:
         for t in self.tones:
@@ -269,6 +266,25 @@ class ToneConfig:
             raise ConfigError("no probe tone: the configuration has neither "
                               "a red_probe nor a blue_probe tone")
         return tone
+
+    def delta(self, params: SystemParams) -> float:
+        """Probe detuning |Delta| - omega_m of the red probe, else of the blue one (each on its
+        side), 0.0 without a probe; ConfigError if the two differ by over 1e-9 relative."""
+        deltas = [abs(t.detuning) - params.omega_m
+                  for t in (self.tone("red_probe"), self.tone("blue_probe")) if t is not None]
+        if len(deltas) == 2 and abs(deltas[0] - deltas[1]) > 1e-9 * max(*map(abs, deltas), 1e-9):
+            raise ConfigError("probe tones are not symmetric about the sidebands: "
+                              f"delta_red = {deltas[0]:.6g}, delta_blue = {deltas[1]:.6g}")
+        return deltas[0] if deltas else 0.0
+
+    def delta_c(self, params: SystemParams) -> float | None:
+        """Cooling detuning -Delta_cool - omega_m or None; ConfigError unless it exceeds `delta`."""
+        delta, cool = self.delta(params), self.tone("cooling")
+        delta_c = None if cool is None else -cool.detuning - params.omega_m
+        if delta_c is not None and not delta_c > delta:
+            raise ConfigError(f"cooling detuning delta_c = {delta_c:.6g} "
+                              f"must exceed delta = {delta:.6g}")
+        return delta_c
 
     @property
     def has_probe_pair(self) -> bool:
@@ -326,7 +342,9 @@ class ToneConfig:
             g_cool = math.sqrt(cooling_gamma_opt * params.kappa) / 2.0
             tones.append(ToneSpec(detuning=-(params.omega_m + delta_c), role="cooling",
                                   coupling=g_cool))
-        return cls(tones=tuple(tones), delta=delta, delta_c=delta_c)
+        config = cls(tones=tuple(tones))
+        config.delta_c(params)  # the cooling-order gate, met as a loaded file meets it
+        return config
 
 
 @dataclass(frozen=True)

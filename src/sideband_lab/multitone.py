@@ -56,10 +56,10 @@ class MultitoneSpectra:
 
 def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) -> float:
     gamma_tot = config.gamma_tot(params)
-    if enforce and not (config.delta > 10.0 * gamma_tot):
+    if enforce and not (config.delta(params) > 10.0 * gamma_tot):
         raise ValidityError(
             "sideband separation gate: delta > 10*gamma_tot required "
-            f"(delta = {config.delta:.6g}, gamma_tot = {gamma_tot:.6g}); "
+            f"(delta = {config.delta(params):.6g}, gamma_tot = {gamma_tot:.6g}); "
             "pass enforce_separation=False to override"
         )
     return gamma_tot
@@ -115,10 +115,11 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
     Both orderings share them: the normal-ordered Stokes bracket n_bar + n_eff
     + gamma_M/gamma_tot + (gamma_opt^+ - gamma_opt^-)/gamma_tot is the same
     number, since gamma_tot = gamma_M + gamma_opt^+ - gamma_opt^-. Written for
-    unit vacuum weights and, like the single-tone forms, for tones within
-    kappa/4 of their sideband (else ValidityError) and a probe (`ToneConfig.probe`).
+    unit vacuum weights, tones within kappa/4 of their sideband (else ValidityError,
+    as in the single-tone forms) that pass `ToneConfig.probe` and `ToneConfig.delta_c`.
     """
     config.probe()
+    config.delta_c(params)
     for tone in config.tones:
         _detuning_gate(params, tone)
     odd = [f"{name} = {getattr(baths, name):.6g}"
@@ -151,8 +152,8 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
     anti = floor + pref * gp * lor * anti_br
     stokes = floor + pref * gm * lor * stokes_br
     return MultitoneSpectra(
-        anti_stokes=Spectrum(x - config.delta, anti),
-        stokes=Spectrum(x + config.delta, stokes),
+        anti_stokes=Spectrum(x - config.delta(params), anti),
+        stokes=Spectrum(x + config.delta(params), stokes),
         floor=floor,
         gamma_tot=gamma_tot,
         n_bar_m=averaged_occupation(params, baths, config),
@@ -206,7 +207,7 @@ def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
     """
     gamma_opt = config.require_balanced(params)
     gamma_big_m = config.gamma_big_m(params)
-    delta = config.delta
+    delta = config.delta(params)
     anti_br, stokes_br = _brackets(params, baths, config)
     n_c = baths.n_c(params)
     pref = params.kappa_r / params.kappa
@@ -244,7 +245,7 @@ def peak_ratio_correction(params: SystemParams, baths: BathSpec, config: ToneCon
     gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
     n_c = baths.n_c(params)
     n_eff = baths.n_eff(params)
-    prefactor = 1.0 / ((4.0 * config.delta / gamma_big_m) ** 2 + 1.0)
+    prefactor = 1.0 / ((4.0 * config.delta(params) / gamma_big_m) ** 2 + 1.0)
     base = (gamma_opt / gamma_big_m) * (2.0 * n_c + 1.0)
     if side == "stokes":
         n_opt = base + n_eff

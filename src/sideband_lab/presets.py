@@ -22,14 +22,14 @@ __all__ = ["PRESET_NAMES", "preset"]
 def _device_tones(params: SystemParams, *, delta_hz: float, delta_c_hz: float,
                   probe_photons: float, cooling_gamma_hz: float) -> ToneConfig:
     delta = TWO_PI * delta_hz
-    delta_c = TWO_PI * delta_c_hz
-    g_cool = math.sqrt(TWO_PI * cooling_gamma_hz * params.kappa) / 2.0
-    tones = (
+    # quoted in Hz, as a saved file holds it, so the file loads the same coupling
+    g_cool_hz = math.sqrt(TWO_PI * cooling_gamma_hz * params.kappa) / 2.0 / TWO_PI
+    return ToneConfig(tones=(
         ToneSpec(detuning=-(params.omega_m + delta), role="red_probe", n_photons=probe_photons),
         ToneSpec(detuning=+(params.omega_m + delta), role="blue_probe", n_photons=probe_photons),
-        ToneSpec(detuning=-(params.omega_m + delta_c), role="cooling", coupling=g_cool),
-    )
-    return ToneConfig(tones=tones, delta=delta, delta_c=delta_c)
+        ToneSpec(detuning=-(params.omega_m + TWO_PI * delta_c_hz), role="cooling",
+                 coupling=TWO_PI * g_cool_hz),
+    ))
 
 
 def _main_text() -> tuple[SystemParams, BathSpec, ToneConfig]:
@@ -67,11 +67,10 @@ def _oracle_demo() -> tuple[SystemParams, BathSpec, ToneConfig]:
     baths = BathSpec()  # vacuum everywhere
     delta = TWO_PI * 4200.0
     g_probe = math.sqrt(TWO_PI * 200.0 * params.kappa) / 2.0
-    tones = (
+    return params, baths, ToneConfig(tones=(
         ToneSpec(detuning=-(params.omega_m + delta), role="red_probe", coupling=g_probe),
         ToneSpec(detuning=+(params.omega_m + delta), role="blue_probe", coupling=g_probe),
-    )
-    return params, baths, ToneConfig(tones=tones, delta=delta)
+    ))
 
 
 _BUILDERS = {

@@ -220,7 +220,7 @@ def test_criterion_7_twin_peak_corrections():
     floor = noise_floor(params, baths)
     peaks = multitone_spectra(params, baths, config, "symmetrized", np.array([0.0]))
     full = full_rwa_spectrum(params, baths, config,
-                             np.array([-config.delta, config.delta]))
+                             np.array([-config.delta(params), config.delta(params)]))
     worst = 0.0
     for idx, (side, spec) in enumerate((("anti_stokes", peaks.anti_stokes),
                                         ("stokes", peaks.stokes))):
@@ -246,7 +246,7 @@ def test_criterion_7_twin_peak_corrections():
 def test_criterion_8_shunt_transmission():
     params, _, config = preset("si-figure")
     shunt = ShuntModel(c_out=2.7e-15, r_l=50.0)
-    detuning = params.omega_m + config.delta
+    detuning = params.omega_m + config.delta(params)
     up = abs(s21_shunt(params, shunt, params.omega_c + detuning))
     down = abs(s21_shunt(params, shunt, params.omega_c - detuning))
     ratio_db = 20.0 * math.log10(up / down)

@@ -160,7 +160,7 @@ class TestSidebandDifferenceAndAverage:
                                 -(params.omega_m + delta)),
             tone_with_gamma_opt(params, TWO_PI * 20.0, "blue_probe",
                                 +(params.omega_m + delta)),
-        ), delta=delta)
+        ))
         with pytest.raises(UnbalancedError):
             sideband_difference_and_average(params, baths, cfg, 0.27, 0.0)
 
@@ -278,7 +278,7 @@ class TestSyntheticPipeline:
         assert sorted(only_s21) == ["c_out_fit", "delta_minus", "delta_plus"]
         for key, value in only_s21.items():
             assert report[key] == value
-        omega_minus = params.omega_c + params.omega_m + config.delta
+        omega_minus = params.omega_c + params.omega_m + config.delta(params)
         shunt = ShuntModel(c_out=only_s21["c_out_fit"])
         assert only_s21["delta_minus"] == pytest.approx(
             transmission_delta(params, shunt, omega_minus), rel=1e-12)
@@ -287,7 +287,7 @@ class TestSyntheticPipeline:
         # |Delta(omega_+-)| >= 1 leaves the first-order correction; oracle-demo's
         # probes sit at Delta = -+1.897 for C_out = 2.7 fF
         params, _, config = preset("oracle-demo")
-        span = 10.0 * (params.omega_m + config.delta)
+        span = 10.0 * (params.omega_m + config.delta(params))
         f_hz = (params.omega_c + np.linspace(-span, span, 801)) / TWO_PI
         mag = np.abs(s21_shunt(params, ShuntModel(c_out=2.7e-15), TWO_PI * f_hz))
         with pytest.raises(ValidityError, match=r"Delta_plus = -1\.897.*C_out = 2\.7 fF"):

@@ -13,7 +13,7 @@ from sideband_lab.cli import main
 from sideband_lab.config import config_to_dict, save_config
 from sideband_lab.dataio import read_xy_csv
 from sideband_lab.model import TWO_PI, BathSpec, ToneConfig, ToneSpec
-from sideband_lab.presets import preset
+from sideband_lab.presets import PRESET_NAMES, preset
 
 from conftest import make_params, tone_with_gamma_opt
 
@@ -115,7 +115,7 @@ class TestSpectrumCommand:
         cfg = ToneConfig(tones=(
             ToneSpec(detuning=-(params.omega_m + TWO_PI * 5e3), role="red_probe", coupling=0.0),
             ToneSpec(detuning=+(params.omega_m + TWO_PI * 5e3), role="blue_probe", coupling=0.0),
-        ), delta=TWO_PI * 5e3)
+        ))
         path = tmp_path / "cfg.json"
         save_config(path, params, baths, cfg)
         rc = main(["spectrum", "--config", str(path), "--mode", "multitone",
@@ -133,7 +133,7 @@ class TestSpectrumCommand:
                                 -(params.omega_m + delta)),
             tone_with_gamma_opt(params, TWO_PI * 5000.0, "blue_probe",
                                 +(params.omega_m + delta)),
-        ), delta=delta)
+        ))
         path = tmp_path / "cfg.json"
         save_config(path, params, baths, cfg)
         rc = main(["spectrum", "--config", str(path), "--mode", "multitone",
@@ -301,7 +301,7 @@ class TestAsymmetryCommand:
                                 -(params.omega_m + delta)),
             tone_with_gamma_opt(params, TWO_PI * 60.0, "blue_probe",
                                 +(params.omega_m + delta)),
-        ), delta=delta)
+        ))
         path = tmp_path / "cfg.json"
         save_config(path, params, baths, cfg)
         rc = main(["asymmetry", "--config", str(path)])
@@ -460,6 +460,48 @@ class TestCalibrateCommand:
         assert "Traceback" not in err
 
 
+PRESET_RUNS = [
+    *[["spectrum", "--mode", "single", "--kind", kind, "--sign", sign]
+      for kind in ("sym", "normal") for sign in ("red", "blue")],
+    *[["spectrum", "--mode", mode, "--kind", kind]
+      for mode in ("multitone", "full-rwa") for kind in ("sym", "normal")],
+    ["asymmetry"],
+    ["noise-constraint"],
+    ["calibrate", "--synthetic", "--seed", "2"],
+    ["oracle-compare", "--seed", "1", "--segments", "200", "--trajectories", "8"],
+]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_and_its_saved_file_are_one_configuration(tmp_path, capsys, name):
+    # every command writes the same bytes, manifests and exit code for a
+    # preset and for the file it saves, but for the measured seconds
+    path = tmp_path / "preset.json"
+    save_config(path, *preset(name))
+
+    def untimed(text):
+        if not text.startswith("{"):
+            return text
+        data = json.loads(text)
+        data.pop("timings_s", None)
+        return data
+
+    def run(argv, source):
+        out = tmp_path / argv[0] / source[0]
+        writes = argv[0] in ("spectrum", "calibrate", "oracle-compare")
+        code = main([argv[0], *source, *argv[1:], *(["--out", str(out)] if writes else [])])
+        printed = capsys.readouterr()
+        files = {f.name: untimed(f.read_text())
+                 for f in (sorted(out.iterdir()) if writes and out.exists() else ())}
+        return code, untimed(printed.out.replace(str(out), "<out>")), printed.err, files
+
+    for argv in PRESET_RUNS:
+        by_preset = run(argv, ["--preset", name])
+        assert run(argv, ["--config", str(path)]) == by_preset, argv
+        if "multitone" in argv or "full-rwa" in argv or argv[0] == "oracle-compare":
+            assert by_preset[0] == 0, argv  # so that written outputs are compared
+
+
 def test_unwritable_out_is_named_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -509,7 +551,8 @@ class TestOracleCompareCommand:
         out = tmp_path / "out"
         assert main(["oracle-compare", "--config", str(path), "--seed", "1",
                      "--trajectories", "4", "--segments", "40", "--out", str(out)]) == 0
-        center, gamma_tot = -pair.tone(role).detuning_sign * pair.delta, lone.gamma_tot(params)
+        center = -pair.tone(role).detuning_sign * pair.delta(params)
+        gamma_tot = lone.gamma_tot(params)
         assert abs(center) > 4.0 * gamma_tot  # far from 0 Hz
         x_hz, y = read_xy_csv(out / "analytic_spectrum.csv")
         assert abs(TWO_PI * x_hz[np.argmax(y)] - center) < gamma_tot

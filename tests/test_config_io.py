@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from sideband_lab.dataio import (
     write_spectrum_csv,
 )
 from sideband_lab.errors import ConfigError
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum
+from sideband_lab.langevin import SimConfig, oracle_compare
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig
+from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import PRESET_NAMES, preset
 
 
@@ -36,9 +39,8 @@ class TestConfigRoundTrip:
         params2, baths2, config2 = load_config(path)
         assert params2 == params
         assert baths2 == baths
-        # delta is re-derived from the tone placements; the cancellation
-        # against omega_m limits it to ~eps*omega_m absolute
-        assert config2.delta == pytest.approx(config.delta, abs=1e-6, rel=1e-9)
+        # delta is derived from the tone placements, which the file holds exactly
+        assert config2.delta(params2) == config.delta(params)
         assert len(config2.tones) == len(config.tones)
         for a, b in zip(config.tones, config2.tones):
             assert a.role == b.role
@@ -71,9 +73,9 @@ class TestConfigRoundTrip:
     def test_delta_derived_from_tones(self):
         params, _, config = preset("si-figure")
         d = config_to_dict(params, BathSpec(), config)
-        _, _, config2 = config_from_dict(d)
-        assert config2.delta == pytest.approx(TWO_PI * 5e3, rel=1e-12)
-        assert config2.delta_c == pytest.approx(TWO_PI * 30e3, rel=1e-12)
+        params2, _, config2 = config_from_dict(d)
+        assert config2.delta(params2) == pytest.approx(TWO_PI * 5e3, rel=1e-12)
+        assert config2.delta_c(params2) == pytest.approx(TWO_PI * 30e3, rel=1e-12)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -82,6 +84,34 @@ class TestConfigRoundTrip:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+class TestMemoryConfigIsFileConfig:
+    """A configuration built in Python is the one its saved file loads: delta
+    and delta_c come from the tones, through the loader's gates."""
+
+    @pytest.mark.parametrize("role", ["red_probe", "blue_probe"])
+    def test_lone_probe_keeps_its_detuning(self, role):
+        params, baths, pair = preset("oracle-demo")
+        lone = ToneConfig(tones=(pair.tone(role),))
+        assert lone.delta(params) == pair.delta(params)
+        # warm mechanics, so that the red feature is not flat
+        sim = SimConfig.auto(params, lone, n_segments=40, seed=1, n_trajectories=4)
+        report, _ = oracle_compare(params, replace(baths, n_m=5.0), lone, sim)
+        center = -pair.tone(role).detuning_sign * pair.delta(params)
+        assert abs(report["mc_center"]["peak"] - center) < lone.gamma_tot(params)
+
+    def test_asymmetric_probes_are_refused_as_the_loader_refuses_them(self):
+        params, baths, config = preset("si-figure")
+        red, blue, cooling = config.tones
+        shifted = ToneConfig(tones=(replace(red, detuning=red.detuning - TWO_PI), blue, cooling))
+        with pytest.raises(ConfigError, match="^probe tones are not symmetric") as loaded:
+            config_from_dict(config_to_dict(params, baths, shifted))
+        for form in (lambda: shifted.delta(params),
+                     lambda: sideband_weights(params, baths, shifted)):
+            with pytest.raises(ConfigError) as err:
+                form()
+            assert str(err.value) == str(loaded.value)
 
 
 json_values = st.recursive(

@@ -3,8 +3,9 @@
 The good-cavity limit omega_m > kappa is decided in the scattering detuning
 gate (every single-tone and multitone form) and in the detector correlators
 (every linear-response form); a tone configuration refuses a tone without a
-probe or cooling role, a tone on the wrong side of the cavity for its role
-and a cooling tone not detuned beyond the probes when it is built.
+probe or cooling role and a tone on the wrong side of the cavity for its role
+when it is built, and `ToneConfig.delta_c` refuses a cooling tone not detuned
+beyond the probes wherever the multitone forms or the oracle read it.
 """
 
 import numpy as np
@@ -13,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sideband_lab.errors import ConfigError, ValidityError
+from sideband_lab.langevin import SimConfig
 from sideband_lab.linear_response import detector_correlators, output_spectrum_lr
-from sideband_lab.model import CONFIG_ROLES, TWO_PI, ToneConfig, ToneSpec
+from sideband_lab.model import CONFIG_ROLES, TWO_PI, BathSpec, ToneConfig, ToneSpec
 from sideband_lab.multitone import full_rwa_spectrum, multitone_spectra, sideband_weights
 from sideband_lab.presets import PRESET_NAMES, preset
 from sideband_lab.scattering import (
@@ -72,8 +74,11 @@ def test_cooling_tone_inside_the_probes_is_refused(delta_hz, shortfall_hz):
     delta = TWO_PI * delta_hz
     delta_c = delta - TWO_PI * shortfall_hz
     cooling = ToneSpec(detuning=-(p.omega_m + delta_c), role="cooling", coupling=TWO_PI * 1e3)
-    with pytest.raises(ConfigError, match="must exceed delta"):
-        ToneConfig(tones=(*_probe_pair(p, delta), cooling), delta=delta, delta_c=delta_c)
+    cfg = ToneConfig(tones=(*_probe_pair(p, delta), cooling))
+    for gate in (lambda: cfg.delta_c(p), lambda: sideband_weights(p, BathSpec(), cfg),
+                 lambda: SimConfig.auto(p, cfg)):
+        with pytest.raises(ConfigError, match="must exceed delta"):
+            gate()
 
 
 @settings(max_examples=50, deadline=None)
@@ -84,7 +89,7 @@ def test_generic_tone_is_refused(position, detuning_hz):
     tones = list(_probe_pair(p, TWO_PI * 5e3))
     tones.insert(position, ToneSpec(detuning=TWO_PI * detuning_hz, coupling=TWO_PI * 1e3))
     with pytest.raises(ConfigError, match=rf"tones\[{position}\] needs a role"):
-        ToneConfig(tones=tuple(tones), delta=TWO_PI * 5e3)
+        ToneConfig(tones=tuple(tones))
 
 
 @pytest.mark.parametrize("side", [+1, 0, -1])

@@ -423,8 +423,7 @@ class TestEstimatePsd:
         p = fast_params(gamma_m_hz=800.0)
         delta = TWO_PI * 12e3
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.5 * p.gamma_m, "red_probe",
-                                                    -(p.omega_m + delta)),),
-                         delta=delta)
+                                                    -(p.omega_m + delta)),))
         sim = SimConfig.auto(p, cfg, n_segments=400, seed=4, n_trajectories=16)
         traj = integrate_langevin(p, BathSpec(n_m=30.0), cfg, sim)
         spec, _ = _welch_spectrum(traj, sim.psd_segments)
@@ -483,7 +482,7 @@ class TestOracleEquivalence:
         report, _ = oracle_compare(p, baths, cfg, sim)
         gamma_tot = cfg.gamma_tot(p)
         assert report["floor_rel_err"] < 0.02
-        centers = {"anti_stokes": -cfg.delta, "stokes": +cfg.delta, "peak": 0.0}
+        centers = {"anti_stokes": -cfg.delta(p), "stokes": +cfg.delta(p), "peak": 0.0}
         for peak, err in report["rel_err"].items():
             assert err < 0.05, (name, peak, err)
             assert abs(report["mc_center"][peak] - centers[peak]) < gamma_tot / 10.0
@@ -509,7 +508,7 @@ class TestMeasurePeak:
         grid = exact_oracle_grid(gamma_tot)
         if cfg.has_probe_pair:
             spec = full_rwa_spectrum(p, baths, cfg, grid)
-            centers = [-cfg.delta, cfg.delta]
+            centers = [-cfg.delta(p), cfg.delta(p)]
             exact = sideband_weights(p, baths, cfg)
         else:
             tone = cfg.tones[0]
@@ -527,7 +526,7 @@ class TestMeasurePeak:
         gamma_opt, _ = cfg.gamma_opt_pair(p)
         gamma_tot = cfg.gamma_tot(p)
         spec = full_rwa_spectrum(p, baths, cfg, exact_oracle_grid(gamma_tot))
-        _, (w_anti, w_stokes), _ = _measure_peak(spec, [-cfg.delta, cfg.delta], gamma_tot)
+        _, (w_anti, w_stokes), _ = _measure_peak(spec, [-cfg.delta(p), cfg.delta(p)], gamma_tot)
         imbalance = (w_stokes - w_anti) / (p.kappa_r / p.kappa * gamma_opt)
         assert imbalance == pytest.approx(1.0, abs=1e-4)
 
@@ -621,7 +620,7 @@ class TestOracleCompare:
         p, baths, cfg, _ = equivalence_case("cooling")
         sim = SimConfig.auto(p, cfg, n_segments=100, seed=0, n_trajectories=8)
         report, _ = oracle_compare(p, baths, cfg, sim)
-        period = TWO_PI / (cfg.delta_c - cfg.delta)
+        period = TWO_PI / (cfg.delta_c(p) - cfg.delta(p))
         assert report["floquet_slots"] * sim.dt == pytest.approx(period, rel=1e-12)
         assert report["floquet_slots"] > 1
         with pytest.raises(StepSizeError, match="cooling period"):

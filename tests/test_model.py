@@ -107,16 +107,23 @@ class TestToneSpec:
 
 class TestToneConfig:
     def test_cooling_must_be_further_detuned(self):
+        # the cooling-order gate is `ToneConfig.delta_c`, which reads both
+        # detunings off the tones
         p = make_params()
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="must exceed delta"):
             ToneConfig.balanced(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 1.0,
                                 delta_c=TWO_PI * 1e3, cooling_gamma_opt=TWO_PI * 10.0)
         delta = TWO_PI * 5e3
         probes = balanced_config(p, delta=delta, probe_gamma_opt=TWO_PI * 1.0).tones
-        cooling = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + delta))
         for delta_c in (0.2 * delta, delta):
-            with pytest.raises(ConfigError, match="must exceed delta"):
-                ToneConfig(tones=(*probes, cooling), delta=delta, delta_c=delta_c)
+            cooling = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + delta_c))
+            cfg = ToneConfig(tones=(*probes, cooling))
+            with pytest.raises(ConfigError) as err:
+                cfg.delta_c(p)
+            assert str(err.value) == (f"cooling detuning delta_c = {delta_c:.6g} "
+                                      f"must exceed delta = {delta:.6g}")
+        outside = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + 6.0 * delta))
+        assert ToneConfig(tones=(*probes, outside)).delta_c(p) == pytest.approx(6.0 * delta)
         # a config file with the cooling tone at the probes' detuning, delta_c = delta
         d = config_to_dict(*preset("main-text"))
         d["tones"][2]["detuning_hz"] = d["tones"][0]["detuning_hz"]
@@ -202,7 +209,7 @@ class TestStability:
             tone_with_gamma_opt(p, TWO_PI * 350.0, "cooling",
                                 detuning=-(p.omega_m + TWO_PI * 30e3)),
         )
-        cfg = ToneConfig(tones=tones, delta=TWO_PI * 5e3, delta_c=TWO_PI * 30e3)
+        cfg = ToneConfig(tones=tones)
         with pytest.raises(InstabilityError) as err:
             cfg.gamma_tot(p)
         assert err.value.gamma_tot == pytest.approx(-TWO_PI * 40.0, rel=1e-9)
@@ -258,16 +265,16 @@ def test_require_balanced_gate():
     delta = TWO_PI * 5e3
     red = tone_with_gamma_opt(p, TWO_PI * 10.0, "red_probe", -(p.omega_m + delta))
     balanced = ToneConfig(tones=(red, tone_with_gamma_opt(p, TWO_PI * 10.0, "blue_probe",
-                                                          p.omega_m + delta)), delta=delta)
+                                                          p.omega_m + delta)))
     assert balanced.require_balanced(p) == red.gamma_opt(p)
     unbalanced = ToneConfig(tones=(red, tone_with_gamma_opt(p, TWO_PI * 20.0, "blue_probe",
-                                                            p.omega_m + delta)), delta=delta)
+                                                            p.omega_m + delta)))
     gp, gm = unbalanced.gamma_opt_pair(p)
     with pytest.raises(UnbalancedError) as err:
         unbalanced.require_balanced(p)
     assert str(err.value) == f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
     with pytest.raises(UnbalancedError):
-        ToneConfig(tones=(red,), delta=delta).require_balanced(p)
+        ToneConfig(tones=(red,)).require_balanced(p)
     cooling = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + 6.0 * delta))
     with pytest.raises(ConfigError, match="neither a red_probe nor a blue_probe"):
-        ToneConfig(tones=(cooling,), delta_c=6.0 * delta).require_balanced(p)
+        ToneConfig(tones=(cooling,)).require_balanced(p)

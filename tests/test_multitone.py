@@ -52,7 +52,7 @@ class TestSxxSpectrum:
     def test_probes_off_thermal_lorentzian(self):
         p = make_params(gamma_m_hz=10.0)
         baths = BathSpec(n_m=40.0)
-        cfg = ToneConfig(tones=(), delta=0.0)
+        cfg = ToneConfig(tones=())
         grid = np.array([0.0])
         spec = sxx_spectrum(p, baths, cfg, grid)
         assert spec.values[0] == pytest.approx(
@@ -95,7 +95,7 @@ class TestStabilityGate:
         cfg = ToneConfig(tones=(
             tone_with_gamma_opt(p, TWO_PI * 10.0, "red_probe", -(p.omega_m + delta)),
             tone_with_gamma_opt(p, TWO_PI * 50.0, "blue_probe", +(p.omega_m + delta)),
-        ), delta=delta)
+        ))
         return p, BathSpec(n_m=5.0), cfg
 
     @pytest.mark.parametrize("form", [
@@ -145,7 +145,7 @@ class TestDetuningGate:
             far = balanced_config(p, delta=quarter, probe_gamma_opt=TWO_PI * 117.7,
                                   delta_c=2.0 * quarter, cooling_gamma_opt=TWO_PI * 350.0)
         else:
-            far = balanced_config(p, delta=cfg.delta, probe_gamma_opt=TWO_PI * 117.7,
+            far = balanced_config(p, delta=cfg.delta(p), probe_gamma_opt=TWO_PI * 117.7,
                                   delta_c=quarter, cooling_gamma_opt=TWO_PI * 350.0)
         grid = np.array([0.0])
         forms = (lambda c: sideband_weights(p, baths, c),
@@ -165,7 +165,7 @@ def test_config_without_probe_is_refused_by_every_multitone_form(tones):
     p = make_params()
     delta_c = TWO_PI * 30e3
     cooling = tone_with_gamma_opt(p, TWO_PI * 10.0, "cooling", -(p.omega_m + delta_c))
-    cfg = ToneConfig(tones=()) if tones == "none" else ToneConfig(tones=(cooling,), delta_c=delta_c)
+    cfg = ToneConfig(tones=()) if tones == "none" else ToneConfig(tones=(cooling,))
     b, grid = BathSpec(), np.array([0.0])
     forms = (lambda: sideband_weights(p, b, cfg),
              lambda: multitone_spectra(p, b, cfg, "symmetrized", grid),
@@ -179,8 +179,7 @@ def test_config_without_probe_is_refused_by_every_multitone_form(tones):
 class TestAveragedOccupation:
     def test_probes_off(self):
         p, baths, cfg = si_figure_like()
-        no_probes = ToneConfig(tones=(cfg.tone("cooling"),), delta=0.0,
-                               delta_c=cfg.delta_c)
+        no_probes = ToneConfig(tones=(cfg.tone("cooling"),))
         n_bar = averaged_occupation(p, baths, no_probes)
         assert n_bar == pytest.approx(100.0, rel=1e-6)
 
@@ -244,8 +243,8 @@ class TestMultitoneSpectra:
         p, baths, cfg = si_figure_like()
         grid = np.linspace(-2, 2, 5) * cfg.gamma_tot(p)
         spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid)
-        assert spectra.anti_stokes.freq_offsets[2] == pytest.approx(-cfg.delta)
-        assert spectra.stokes.freq_offsets[2] == pytest.approx(+cfg.delta)
+        assert spectra.anti_stokes.freq_offsets[2] == pytest.approx(-cfg.delta(p))
+        assert spectra.stokes.freq_offsets[2] == pytest.approx(+cfg.delta(p))
 
     def test_width_extractable_by_fit(self):
         p, baths, cfg = si_figure_like()
@@ -302,7 +301,7 @@ class TestIntegratedAsymmetry:
             cfg = ToneConfig(tones=(
                 ToneSpec(detuning=-(p.omega_m + delta), role="red_probe", coupling=g_plus),
                 ToneSpec(detuning=+(p.omega_m + delta), role="blue_probe", coupling=g_minus),
-            ), delta=delta)
+            ))
             gamma_tot = cfg.gamma_tot(p)
             grid = np.linspace(-50, 50, 20001) * gamma_tot
             spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid,
@@ -321,7 +320,7 @@ class TestIntegratedAsymmetry:
         cfg = ToneConfig(tones=(
             tone_with_gamma_opt(p, 0.5 * p.gamma_m, "red_probe", -(p.omega_m + delta)),
             tone_with_gamma_opt(p, 0.2 * p.gamma_m, "blue_probe", +(p.omega_m + delta)),
-        ), delta=delta)
+        ))
         w_anti, w_stokes = sideband_weights(p, baths, cfg)
         assert w_stokes - w_anti == pytest.approx(
             multitone_integrated_asymmetry(p, baths, cfg), rel=1e-12)
@@ -351,7 +350,7 @@ class TestFullRwaSpectrum:
     def test_flat_floor_when_undriven(self):
         p, baths, _ = si_figure_like()
         cfg = balanced_config(p, delta=TWO_PI * 5e3, probe_gamma_opt=0.0)
-        grid = np.linspace(-4, 4, 101) * cfg.delta
+        grid = np.linspace(-4, 4, 101) * cfg.delta(p)
         spec = full_rwa_spectrum(p, baths, cfg, grid)
         np.testing.assert_allclose(spec.values, noise_floor(p, baths), rtol=1e-12)
 
@@ -361,13 +360,13 @@ class TestFullRwaSpectrum:
         cfg = ToneConfig(tones=(
             tone_with_gamma_opt(p, TWO_PI * 10.0, "red_probe", -(p.omega_m + delta)),
             tone_with_gamma_opt(p, TWO_PI * 20.0, "blue_probe", +(p.omega_m + delta)),
-        ), delta=delta)
+        ))
         with pytest.raises(UnbalancedError):
             full_rwa_spectrum(p, baths, cfg, np.array([0.0]))
 
     def test_peaks_match_single_lorentzians_with_correction(self):
         p, baths, cfg = si_figure_like()
-        delta = cfg.delta
+        delta = cfg.delta(p)
         floor = noise_floor(p, baths)
         spectra = multitone_spectra(p, baths, cfg, "symmetrized", np.array([0.0]))
         full = full_rwa_spectrum(p, baths, cfg, np.array([-delta, delta]))
@@ -396,7 +395,7 @@ class TestFullRwaSpectrum:
 
     def test_components_sum_to_total(self):
         p, baths, cfg = si_figure_like()
-        grid = np.linspace(-4 * cfg.delta, 4 * cfg.delta, 101)
+        grid = np.linspace(-4 * cfg.delta(p), 4 * cfg.delta(p), 101)
         comps = full_rwa_spectrum(p, baths, cfg, grid, components=True)
         total = (comps["floor"].values + comps["mixing"].values
                  + comps["stokes"].values + comps["anti_stokes"].values)
@@ -425,7 +424,7 @@ class TestPeakRatioCorrection:
         cfg = balanced_config(p, delta=TWO_PI * 90.0, probe_gamma_opt=TWO_PI * 117.7,
                               delta_c=TWO_PI * 30e3, cooling_gamma_opt=gamma_cool)
         gamma_big_m = cfg.gamma_big_m(p)
-        assert cfg.delta == pytest.approx(gamma_big_m / 4.0, rel=1e-9)
+        assert cfg.delta(p) == pytest.approx(gamma_big_m / 4.0, rel=1e-9)
         n_big_m = (p.gamma_m * baths.n_m + gamma_cool * baths.n_c(p)) / gamma_big_m
         gamma_opt = TWO_PI * 117.7
         n_opt = (gamma_opt / gamma_big_m) * (2.0 * baths.n_c(p) + 1.0) + baths.n_eff(p)
@@ -444,7 +443,7 @@ class TestPeakRatioCorrection:
                                   delta_c=TWO_PI * 10 * delta_hz,
                                   cooling_gamma_opt=TWO_PI * 350.0)
             gamma_big_m = cfg.gamma_big_m(p)
-            pref = (4.0 * cfg.delta / gamma_big_m) ** 2 + 1.0
+            pref = (4.0 * cfg.delta(p) / gamma_big_m) ** 2 + 1.0
             corr = peak_ratio_correction(p, baths, cfg, "stokes")
             corrections.append(corr - 1.0)
             residues.append((corr - 1.0) * pref)
