@@ -11,7 +11,6 @@ errors (the gate's exception name is printed verbatim on stderr).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -64,8 +63,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 

@@ -1,8 +1,10 @@
 """JSON parameter files: {"system": {...}, "baths": {...}, "tones": [...]}.
 
 All frequencies in config files are plain Hz; the 2*pi conversion to the
-angular rates used internally happens here and only here. Serialization
-round-trips exactly (floats survive JSON via shortest-repr).
+angular rates used internally happens here and only here. A file's Hz values
+round-trip exactly (floats survive JSON via shortest-repr); a configuration
+built in Python in rad/s can move by one ulp through the /2*pi on save and
+the *2*pi on load.
 """
 
 from __future__ import annotations

@@ -29,11 +29,17 @@ __all__ = [
 
 #: Calibration measurement tables, stored as ``<name>.csv``: name -> header.
 #: Units: pump power (any unit) vs total linewidth in Hz; probe frequency in
-#: Hz vs |S21| in dB; frequency in Hz vs pump-off detected floor.
+#: Hz vs |S21| in dB; frequency in Hz vs pump-off detected floor; temperature
+#: in K vs sideband-to-through power ratio of the red (plus) or blue (minus)
+#: probe; each sideband's offset in Hz vs value in quanta, as in spectrum CSVs.
 CALIBRATION_TABLES = {
     "linewidth_vs_power": "# power,gamma_tot_hz",
     "s21_db": "# freq_hz,mag_db",
     "output_floor": "# freq_hz,value",
+    "thermometry_plus": "# temperature_k,power_ratio",
+    "thermometry_minus": "# temperature_k,power_ratio",
+    "sideband_anti_stokes": "# offset_hz,value_quanta",
+    "sideband_stokes": "# offset_hz,value_quanta",
 }
 
 

@@ -122,11 +122,11 @@ def _lorentzian_initial_guess(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([x[peak_idx], width, amp, floor])
 
 
-def fit_lorentzian(spec: Spectrum, init: LorentzianFit | None = None) -> LorentzianFit:
+def fit_lorentzian(spec: Spectrum) -> LorentzianFit:
     """Four-parameter Lorentzian least squares on a spectrum window.
 
-    Initialization from a peak/half-maximum scan when ``init`` is absent;
-    dips (negative amplitude) are handled. Needs at least 20 points.
+    Initialized from a peak/half-maximum scan; dips (negative amplitude) are
+    handled. Needs at least 20 points.
     """
     x = spec.freq_offsets
     v = spec.values
@@ -134,10 +134,7 @@ def fit_lorentzian(spec: Spectrum, init: LorentzianFit | None = None) -> Lorentz
         raise DegenerateData(f"need >= 20 points to fit, got {x.size}")
     if np.ptp(v) <= 1e-14 * max(np.max(np.abs(v)), 1.0):
         raise DegenerateData("flat spectrum: no peak to fit")
-    if init is not None:
-        x0 = np.array([init.center, init.width, init.amplitude, init.floor])
-    else:
-        x0 = _lorentzian_initial_guess(x, v)
+    x0 = _lorentzian_initial_guess(x, v)
 
     def residual_jac(p):
         center, width, amp, floor = p

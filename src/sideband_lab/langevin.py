@@ -78,6 +78,13 @@ __all__ = ["SimConfig", "TrajectoryOutput", "propagator", "synthesize_input_nois
            "integrate_langevin", "oracle_compare", "RNG_ALGORITHM"]
 
 
+def _ceil(x: float) -> int:
+    """``math.ceil``, except that a ratio within 1e-9 relative of an integer is
+    that integer: a layout must not move with the last bit of a detuning."""
+    n = round(x)
+    return n if abs(x - n) <= 1e-9 * abs(x) else math.ceil(x)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Layout of one stochastic run: output step dt (s), lengths in output steps."""
@@ -115,13 +122,13 @@ class SimConfig:
         dt = TWO_PI / (32.0 * (abs(config.delta(params)) + 12.0 * gamma_tot))
         omega = _cooling_rate(params, config)
         if omega is not None:
-            dt = TWO_PI / omega / math.ceil(TWO_PI / omega / dt)
+            dt = TWO_PI / omega / _ceil(TWO_PI / omega / dt)
         t_seg = TWO_PI * 4.0 / gamma_tot
-        steps_per_seg = max(2, math.ceil(t_seg / dt))
-        segs_per_traj = max(2, math.ceil(n_segments / n_trajectories))
-        kept = math.ceil((segs_per_traj + 1) / 2 * steps_per_seg)
-        kept = max(kept, math.ceil(51.0 / (gamma_tot * dt)))
-        burn = math.ceil(8.0 / (gamma_tot * dt))
+        steps_per_seg = max(2, _ceil(t_seg / dt))
+        segs_per_traj = max(2, _ceil(n_segments / n_trajectories))
+        kept = _ceil((segs_per_traj + 1) / 2 * steps_per_seg)
+        kept = max(kept, _ceil(51.0 / (gamma_tot * dt)))
+        burn = _ceil(8.0 / (gamma_tot * dt))
         return cls(dt=dt, n_steps=kept + burn, n_trajectories=n_trajectories,
                    seed=seed, burn_in=burn, psd_segments=n_segments)
 

@@ -245,7 +245,7 @@ def test_criterion_7_twin_peak_corrections():
 
 def test_criterion_8_shunt_transmission():
     params, _, config = preset("si-figure")
-    shunt = ShuntModel(c_out=2.7e-15, r_l=50.0)
+    shunt = ShuntModel(c_out=2.7e-15)
     detuning = params.omega_m + config.delta(params)
     up = abs(s21_shunt(params, shunt, params.omega_c + detuning))
     down = abs(s21_shunt(params, shunt, params.omega_c - detuning))

@@ -1,10 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sideband_lab.calibration import (
-    CalibrationRun,
     OccupationFit,
     ShuntModel,
     delta_from_power_ratio,
@@ -22,8 +22,8 @@ from sideband_lab.calibration import (
     thermometry_ratio,
     transmission_delta,
 )
-from sideband_lab.errors import RankDeficient, UnbalancedError, ValidityError
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, bose_occupation
+from sideband_lab.errors import ConfigError, RankDeficient, UnbalancedError, ValidityError
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec, bose_occupation
 from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import preset
 
@@ -66,23 +66,37 @@ class TestLinewidthVsPower:
             fit_linewidth_vs_power([(1.0, 10.0), (1.0, 12.0)])
 
 
+def probe(p, role, delta=0.0):
+    """A probe tone on its sideband, delta beyond it."""
+    sign = -1.0 if role == "red_probe" else 1.0
+    return ToneSpec(detuning=sign * (p.omega_m + delta), role=role, n_photons=1e4)
+
+
 class TestThermometry:
     def test_unity_gain_term_isolation(self):
         p = make_params()
         n_m = 250.0
-        ratio = thermometry_ratio(p, (1.0, 1.0), 0.0, +1, n_m)
+        ratio = thermometry_ratio(p, (1.0, 1.0), 0.0, probe(p, "red_probe"), n_m)
         omega_pump = p.omega_c - p.omega_m
         assert ratio == pytest.approx(
             (p.omega_c / omega_pump) * (2.0 * p.g0 / p.kappa) ** 2 * n_m, rel=1e-12)
 
+    def test_pump_sits_at_the_probe_tone(self):
+        # the pump frequency is omega_c + detuning, delta included
+        p = make_params()
+        for role in ("red_probe", "blue_probe"):
+            tone = probe(p, role, TWO_PI * 5e3)
+            ratio = thermometry_ratio(p, (1.0, 1.0), 0.0, tone, 1.0)
+            assert ratio == pytest.approx(
+                (p.omega_c / (p.omega_c + tone.detuning)) * (2.0 * p.g0 / p.kappa) ** 2, rel=1e-12)
+
     def test_inverse_forward_identity(self):
         p = make_params()
-        for side, delta_corr in ((+1, -0.29), (-1, +0.29)):
+        for role, delta_corr in (("red_probe", -0.29), ("blue_probe", +0.29)):
+            tone = probe(p, role, TWO_PI * 500.0)
             for n_m in (0.5, 10.0, 1e4):
-                ratio = thermometry_ratio(p, (1.3, 0.8), delta_corr, side, n_m,
-                                          delta=TWO_PI * 500.0)
-                back = thermometry_occupation(p, (1.3, 0.8), delta_corr, side, ratio,
-                                              delta=TWO_PI * 500.0)
+                ratio = thermometry_ratio(p, (1.3, 0.8), delta_corr, tone, n_m)
+                back = thermometry_occupation(p, (1.3, 0.8), delta_corr, tone, ratio)
                 assert back == pytest.approx(n_m, rel=1e-12)
 
     def test_conversion_constant_asymmetry(self):
@@ -91,8 +105,8 @@ class TestThermometry:
         p = make_params()
         delta_minus = delta_from_power_ratio(2.6)
         n_m = 1.0
-        c_plus = n_m / thermometry_ratio(p, (1.0, 1.0), -delta_minus, +1, n_m)
-        c_minus = n_m / thermometry_ratio(p, (1.0, 1.0), +delta_minus, -1, n_m)
+        c_plus = n_m / thermometry_ratio(p, (1.0, 1.0), -delta_minus, probe(p, "red_probe"), n_m)
+        c_minus = n_m / thermometry_ratio(p, (1.0, 1.0), +delta_minus, probe(p, "blue_probe"), n_m)
         big, small = max(c_plus, c_minus), min(c_plus, c_minus)
         assert big / small == pytest.approx(10.0 ** 0.26, rel=2e-3)
         assert big / small == pytest.approx(9.9 / 5.4, rel=0.02)
@@ -221,7 +235,7 @@ class TestShuntTransmission:
         # C_out = 2.7 fF, R_L = 50, omega_c = 2pi*5.4 GHz: 2.4 dB ratio at
         # the pump detunings +-(omega_m + delta)
         p = make_params()
-        shunt = ShuntModel(c_out=2.7e-15, r_l=50.0)
+        shunt = ShuntModel(c_out=2.7e-15)
         detuning = p.omega_m + TWO_PI * 5e3
         up = abs(s21_shunt(p, shunt, p.omega_c + detuning))
         down = abs(s21_shunt(p, shunt, p.omega_c - detuning))
@@ -258,7 +272,21 @@ class TestSyntheticPipeline:
         assert report["n_r_fit"] == pytest.approx(baths.n_r, rel=1e-6)
         assert report["n_eff_fit"] == pytest.approx(baths.n_eff(params), abs=0.02 * (1 + baths.n_eff(params)))
         assert report["c_out_fit"] == pytest.approx(2.7e-15, rel=1e-6)
-        assert isinstance(report["calibration_run"], CalibrationRun)
+        # each thermometry sweep lies on its conversion slope, whose corrections
+        # are the true shunt's Delta at the probe tone
+        shunt = ShuntModel(c_out=2.7e-15)
+        for sign, role in (("plus", "red_probe"), ("minus", "blue_probe")):
+            temps, ratios = report["measurements"][f"thermometry_{sign}"]
+            np.testing.assert_array_equal(temps, np.linspace(0.02, 0.2, 8))
+            n_m = np.array([bose_occupation(t, params.omega_m) for t in temps])
+            slope = report[f"conversion_slope_{sign}"]
+            np.testing.assert_allclose(ratios, slope * n_m, rtol=1e-12)
+            tone = config.tone(role)
+            delta_corr = transmission_delta(params, shunt, params.omega_c + tone.detuning)
+            assert slope == pytest.approx(
+                thermometry_ratio(params, (1.0, 1.0), delta_corr, tone, 1.0), rel=1e-12)
+        assert report["conversion_ratio"] == \
+            report["conversion_slope_minus"] / report["conversion_slope_plus"]
         # exact tables give exact fits: zero standard errors, not rounding residue
         assert report["n_r_err"] == 0.0
         assert set(report["uncertainties"].values()) == {0.0}
@@ -273,7 +301,9 @@ class TestSyntheticPipeline:
         params, baths, config = preset("si-figure")
         report = run_synthetic_calibration(params, baths, config, seed=1, noise_level=0.01)
         tables = report["measurements"]
-        assert sorted(tables) == ["linewidth_vs_power", "output_floor", "s21_db"]
+        assert sorted(tables) == ["linewidth_vs_power", "output_floor", "s21_db",
+                                  "sideband_anti_stokes", "sideband_stokes",
+                                  "thermometry_minus", "thermometry_plus"]
         only_s21 = invert_measurements(params, config, {"s21_db": tables["s21_db"]})
         assert sorted(only_s21) == ["c_out_fit", "delta_minus", "delta_plus"]
         for key, value in only_s21.items():
@@ -282,6 +312,49 @@ class TestSyntheticPipeline:
         shunt = ShuntModel(c_out=only_s21["c_out_fit"])
         assert only_s21["delta_minus"] == pytest.approx(
             transmission_delta(params, shunt, omega_minus), rel=1e-12)
+
+    @pytest.mark.parametrize("name, keys", [
+        ("output_floor", ["amplifier_floor_fit", "n_r_err", "n_r_fit", "uncertainties.n_r"]),
+        ("thermometry_plus", ["conversion_slope_plus"]),
+        ("thermometry_minus", ["conversion_slope_minus"]),
+        *[(f"sideband_{side}", [key, f"uncertainties.{side}_amplitude", f"uncertainties.{side}_width"])
+          for side, key in (("anti_stokes", "n_plus_fit"), ("stokes", "n_minus_fit"))],
+    ])
+    def test_each_table_writes_only_its_own_keys(self, name, keys):
+        params, baths, config = preset("si-figure")
+        report = run_synthetic_calibration(params, baths, config, seed=1, noise_level=0.01)
+        alone = invert_measurements(params, config, {name: report["measurements"][name]})
+        errors = alone.pop("uncertainties", {})
+        assert sorted(alone) + sorted(f"uncertainties.{k}" for k in errors) == keys
+        assert alone == {k: report[k] for k in alone}
+        assert errors == {k: report["uncertainties"][k] for k in errors}
+
+    def test_each_sideband_divides_by_its_own_probe(self):
+        # doubling the blue probe's photons doubles gamma_opt^-, which halves
+        # n_minus_fit of the same Stokes table and leaves n_plus_fit alone
+        params, baths, config = preset("main-text")
+        tables = run_synthetic_calibration(params, baths, config, seed=2,
+                                           noise_level=0.01)["measurements"]
+        sidebands = {name: tables[name] for name in ("sideband_anti_stokes", "sideband_stokes")}
+        blue = config.tone("blue_probe")
+        louder = ToneConfig(tones=tuple(
+            replace(t, n_photons=2.0 * t.photon_number(params), coupling=None) if t is blue else t
+            for t in config.tones))
+        assert louder.tone("blue_probe").gamma_opt(params) == \
+            pytest.approx(2.0 * blue.gamma_opt(params), rel=1e-12)
+        base = invert_measurements(params, config, sidebands)
+        moved = invert_measurements(params, louder, sidebands)
+        assert moved["n_plus_fit"] == base["n_plus_fit"]
+        assert moved["n_minus_fit"] == pytest.approx(base["n_minus_fit"] / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("name, role", [("sideband_anti_stokes", "red_probe"),
+                                            ("sideband_stokes", "blue_probe")])
+    def test_sideband_without_its_probe_is_a_config_error(self, name, role):
+        params, baths, config = preset("main-text")
+        table = run_synthetic_calibration(params, baths, config)["measurements"][name]
+        lone = ToneConfig(tones=tuple(t for t in config.tones if t.role != role))
+        with pytest.raises(ConfigError, match=f"{name}.csv needs the {role} tone"):
+            invert_measurements(params, lone, {name: table})
 
     def test_shunt_correction_validity_gate(self):
         # |Delta(omega_+-)| >= 1 leaves the first-order correction; oracle-demo's

@@ -615,6 +615,24 @@ class TestOracleCompare:
         with pytest.raises(ValidityError):
             oracle_compare(p, baths, cfg, sim)
 
+    @pytest.mark.parametrize("direction", ["towards", "away"])
+    def test_layout_survives_a_one_ulp_detuning(self, direction):
+        # criterion 1's t_seg/dt sits 4e-15 relative below 2880 steps, so a
+        # plain ceil moved its layout with the last bit of the probe detunings;
+        # dt follows delta continuously, every count stays
+        p, _, cfg = preset("oracle-demo")
+        target = {"towards": 0.0, "away": math.inf}[direction]  # the cavity, or away from it
+        nudged = ToneConfig(tones=tuple(
+            dataclasses.replace(t, detuning=math.nextafter(t.detuning,
+                                                           math.copysign(target, t.detuning)))
+            if t.role.endswith("_probe") else t for t in cfg.tones))
+        assert nudged.tones != cfg.tones
+        sim = SimConfig.auto(p, cfg, n_segments=4000, seed=3, n_trajectories=128)
+        assert sim.n_steps == 48_437
+        moved = SimConfig.auto(p, nudged, n_segments=4000, seed=3, n_trajectories=128)
+        assert moved.dt == pytest.approx(sim.dt, rel=1e-12)
+        assert dataclasses.replace(moved, dt=sim.dt) == sim
+
     def test_cooled_layout_has_floquet_slots(self):
         # the output step is a whole fraction of the cooling period 2 pi/(delta_c - delta)
         p, baths, cfg, _ = equivalence_case("cooling")
