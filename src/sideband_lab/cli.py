@@ -108,8 +108,9 @@ def cmd_spectrum(args) -> int:
         write_components_csv(path, {k: comps[k] for k in
                                     ("total", "floor", "mixing", "stokes", "anti_stokes")})
 
-    desc = describe_run(params, baths, config, extra={"command": "spectrum",
-                                                      "kind": kind, "mode": args.mode})
+    desc = describe_run(params, baths, config, extra={
+        "command": "spectrum", "kind": kind, "mode": args.mode, "sign": args.sign,
+        "points": args.points, "span_linewidths": args.span_linewidths})
     write_manifest(out, RunManifest(command="spectrum", config_hash=desc["config_hash"],
                                     outputs=[path.name]))
     print(str(path))

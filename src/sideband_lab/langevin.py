@@ -43,6 +43,15 @@ the number of trajectories, so a trajectory's mean |c|^2, summed per chunk,
 does not depend on the ensemble. Beside the output samples the chunk's
 buffers take about 3 x CHUNK x 6 x 8 bytes per trajectory.
 
+The integration runs in two processes. A producer, forked with the streams,
+draws each chunk's normals into the one normal buffer, an anonymous shared
+mapping, while the main process runs the previous chunk's step loop and
+output rows; one byte on a pipe each way per chunk hands the buffer over
+("ready" once drawn, "free" once mapped). The draws and their order are those
+of one process, so no output bit depends on the producer, and without
+``os.fork`` the same draws run inline. ``timings["noise"]`` is the map plus
+``noise_wait``, the time the main process waited for the normals.
+
 Welch transforms WELCH_BLOCK trajectories at a time on a thread per CPU
 (``os.sched_getaffinity``, at most one per block); each thread squares its
 FFTs in place in one complex buffer of its own, and the block sums are added
@@ -53,6 +62,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
 import os
 import time
 from dataclasses import dataclass, field
@@ -257,21 +267,18 @@ def _slot_coefficients(matrices: np.ndarray, first_step: int, n_steps: int) -> n
     return matrices[(first_step + np.arange(n_steps)) % len(matrices)].transpose(1, 2, 0)[..., None]
 
 
-def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
-                           first_step: int, n_steps: int, *,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """Noise eta of output steps first_step .. first_step + n_steps - 1.
-
-    Shape (n_steps, 6, len(rngs)), written into ``out[:n_steps]`` when a
-    buffer is given; eta ~ N(0, factor factor^T) of the step's slot,
-    independent between steps and columns. Column j maps (n_steps, 6) standard
-    normals of ``rngs[j]`` elementwise, so it does not depend on the other
-    streams, not even in rounding.
-    """
-    ntraj = len(rngs)
-    raw = np.empty((ntraj, n_steps, 6))
+def _draw_normals(rngs: list[np.random.Generator], raw: np.ndarray) -> None:
+    """Fill row j of ``raw`` (trajectories, steps, 6) with standard normals of ``rngs[j]``."""
     for rng, row in zip(rngs, raw):
         rng.standard_normal(out=row)
+
+
+def _map_normals(factor: np.ndarray, raw: np.ndarray, first_step: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """eta (steps, 6, trajectories) of the standard normals ``raw`` (trajectories,
+    steps, 6) of steps first_step, ..., each mapped by its slot's factor;
+    written into ``out[:steps]`` when a buffer is given."""
+    ntraj, n_steps = raw.shape[:2]
     eta = np.empty((n_steps, 6, ntraj)) if out is None else out[:n_steps]
     coef = _slot_coefficients(factor, first_step, n_steps)
     blocks = _step_blocks(n_steps, ntraj)
@@ -298,6 +305,97 @@ def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
     return eta
 
 
+def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
+                           first_step: int, n_steps: int) -> np.ndarray:
+    """Noise eta of output steps first_step .. first_step + n_steps - 1.
+
+    Shape (n_steps, 6, len(rngs)); eta ~ N(0, factor factor^T) of the step's
+    slot, independent between steps and columns. Column j maps (n_steps, 6)
+    standard normals of ``rngs[j]`` elementwise, so it does not depend on the
+    other streams, not even in rounding. The draw and the map are the two
+    halves that `integrate_langevin` runs in separate processes.
+    """
+    raw = np.empty((len(rngs), n_steps, 6))
+    _draw_normals(rngs, raw)
+    return _map_normals(factor, raw, first_step)
+
+
+def _produce(rngs: list[np.random.Generator], raw: np.ndarray, chunks: list[tuple[int, int]],
+             ready: int, free: int) -> None:
+    """The producer process: draw each chunk's normals into the shared ``raw``,
+    write a byte to ``ready`` after each, and before overwriting ``raw`` wait
+    for a byte on ``free``. It ends on EOF or EPIPE, when the consumer is gone,
+    and never returns."""
+    status = 1
+    try:
+        for i, (_, n) in enumerate(chunks):
+            if i and not os.read(free, 1):
+                break
+            _draw_normals(rngs, raw[:, :n])
+            os.write(ready, b"\0")
+        status = 0
+    except BrokenPipeError:
+        status = 0
+    except Exception:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _noise_chunks(factor: np.ndarray, rngs: list[np.random.Generator],
+                  chunks: list[tuple[int, int]], out: np.ndarray, timings: dict):
+    """Yield the noise eta of each (first step, steps) chunk in turn, mapped into ``out``.
+
+    A forked producer holds the streams and draws the next chunk's normals into
+    one shared buffer while the caller steps through the current chunk; the
+    buffer is handed back once mapped, one pipe byte each way per chunk.
+    Without ``os.fork`` the same draws run inline. ``timings`` accumulates
+    ``noise_wait``, the seconds spent waiting for the normals (drawing them,
+    inline), and ``noise``, that wait plus the map. Close the generator to end
+    and reap the producer.
+    """
+    ntraj, size = len(rngs), max(n for _, n in chunks)
+    raw = np.frombuffer(mmap.mmap(-1, ntraj * size * 6 * 8)).reshape(ntraj, size, 6)
+    producer = None
+    if hasattr(os, "fork"):
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        try:
+            producer = os.fork()
+        except OSError:
+            for fd in (ready_r, ready_w, free_r, free_w):
+                os.close(fd)
+            raise
+        if producer == 0:
+            os.close(ready_r)
+            os.close(free_w)
+            _produce(rngs, raw, chunks, ready_w, free_r)
+        os.close(ready_w)
+        os.close(free_r)
+    try:
+        for i, (step, n) in enumerate(chunks):
+            began = time.perf_counter()
+            if producer is None:
+                _draw_normals(rngs, raw[:, :n])
+            elif not os.read(ready_r, 1):
+                raise ChildProcessError(f"the noise producer ended before chunk {i} of "
+                                        f"{len(chunks)} was drawn")
+            drawn = time.perf_counter()
+            eta = _map_normals(factor, raw[:, :n], step, out)
+            if producer is not None and i + 1 < len(chunks):
+                os.write(free_w, b"\0")
+            timings["noise_wait"] += drawn - began
+            timings["noise"] += time.perf_counter() - began
+            yield eta
+    finally:
+        if producer is not None:
+            os.close(ready_r)
+            os.close(free_w)
+            os.waitpid(producer, 0)
+
+
 def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig,
                        sim: SimConfig, *, record_mech: bool = False) -> TrajectoryOutput:
     """Exact output-rate propagation of the coupled cavity/mechanics envelopes.
@@ -322,52 +420,55 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     phi_x = np.ascontiguousarray(np.broadcast_to(phi[:, :4, :4, None], (slots, 4, 4, ntraj)))
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(j,))))
             for j in range(ntraj)]
+    chunks, step = [], 0  # (first step, steps); burn-in ends on a chunk boundary
+    while step < sim.n_steps:
+        n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
+        chunks.append((step, n))
+        step += n
     out = np.empty((ntraj, sim.n_steps - sim.burn_in), dtype=np.complex128)
     mech_acc = np.zeros(ntraj)
     state = np.zeros((min(CHUNK, sim.n_steps) + 1, 4, ntraj))  # state[s] meets step s's noise
     # one noise buffer for every chunk: the loops' views of a chunk's eta would
-    # otherwise keep it alive while the next chunk's is drawn
+    # otherwise keep it alive while the next chunk's is mapped
     noise_buffer = np.empty((min(CHUNK, sim.n_steps), 6, ntraj))
     products = np.empty((4, 4, ntraj))
-    noise = 0.0
-    step = 0
-    while step < sim.n_steps:
-        # burn-in ends on a chunk boundary
-        n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
-        began = time.perf_counter()
-        eta = synthesize_input_noise(factor, rngs, step, n, out=noise_buffer)
-        noise += time.perf_counter() - began
-        # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
-        # trajectory does not depend on the ensemble size; out= is positional
-        # because the per-call overhead is most of a step
-        for phi_s, x, x_next, eta_s in zip(itertools.islice(itertools.cycle(phi_x), step % slots, None),
-                                           state[:n], state[1:], eta[:, :4]):
-            np.multiply(phi_s, x, products)
-            np.add.reduce(products, 1, None, x_next)
-            np.add(x_next, eta_s, x_next)
-        if step >= sim.burn_in:
-            # the output rows: eta_I + Phi_I x, terms added in the order of x
-            phi_i = _slot_coefficients(phi[:, 4:, :4], step, n)
-            first = step - sim.burn_in
-            blocks = _step_blocks(n, ntraj)
-            term = np.empty((blocks[0].stop, ntraj))
-            for block in blocks:
-                t = term[:block.stop - block.start]
-                f = phi_i if phi_i.ndim == 2 else phi_i[:, :, block]
-                dest = out[:, first + block.start:first + block.stop]
-                for r, part in enumerate((dest.real, dest.imag)):
-                    y = eta[block, 4 + r]
-                    for k in range(4):
-                        np.multiply(f[r, k], state[block, k], out=t)
-                        np.add(y, t, out=y)
-                    np.copyto(part, y.T)
-                np.divide(dest, sim.dt, out=dest)  # complex division: (y0 + 1j y1)/dt to the bit
-            if record_mech:
-                mech_acc += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
-        state[0] = state[n]
-        step += n
-    timings = {"propagator_setup": setup, "propagate": time.perf_counter() - start - setup,
-               "noise": noise}
+    inv_dt = 1.0 / sim.dt
+    timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0}
+    noise = _noise_chunks(factor, rngs, chunks, noise_buffer, timings)
+    try:
+        for (step, n), eta in zip(chunks, noise):
+            # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
+            # trajectory does not depend on the ensemble size; out= is positional
+            # because the per-call overhead is most of a step
+            for phi_s, x, x_next, eta_s in zip(itertools.islice(itertools.cycle(phi_x), step % slots, None),
+                                               state[:n], state[1:], eta[:, :4]):
+                np.multiply(phi_s, x, products)
+                np.add.reduce(products, 1, None, x_next)
+                np.add(x_next, eta_s, x_next)
+            if step >= sim.burn_in:
+                # the output rows: (eta_I + Phi_I x)/dt, terms added in the order of x;
+                # times 1/dt is to the bit numpy's complex division by the real dt
+                phi_i = _slot_coefficients(phi[:, 4:, :4], step, n)
+                first = step - sim.burn_in
+                blocks = _step_blocks(n, ntraj)
+                term = np.empty((blocks[0].stop, ntraj))
+                for block in blocks:
+                    t = term[:block.stop - block.start]
+                    f = phi_i if phi_i.ndim == 2 else phi_i[:, :, block]
+                    dest = out[:, first + block.start:first + block.stop]
+                    for r, part in enumerate((dest.real, dest.imag)):
+                        y = eta[block, 4 + r]
+                        for k in range(4):
+                            np.multiply(f[r, k], state[block, k], out=t)
+                            np.add(y, t, out=y)
+                        np.multiply(y, inv_dt, out=y)
+                        np.copyto(part, y.T)
+                if record_mech:
+                    mech_acc += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
+            state[0] = state[n]
+    finally:
+        noise.close()
+    timings["propagate"] = time.perf_counter() - start - setup
     return TrajectoryOutput(output_field=out, sampling=sim.dt, slots=slots, timings=timings,
                             mech_abs2=mech_acc / out.shape[1] if record_mech else None)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sideband_lab.cli import main
+from sideband_lab.cli import build_parser, main
 from sideband_lab.config import config_to_dict, save_config
 from sideband_lab.dataio import CALIBRATION_TABLES, read_xy_csv
 from sideband_lab.model import TWO_PI, BathSpec, ToneConfig, ToneSpec
@@ -93,6 +94,24 @@ def read_component_csv(path):
         offset, value, comp = line.split(",")
         rows.append((float(offset), float(value), comp))
     return rows
+
+
+SPECTRUM = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices["spectrum"]
+
+
+def spectrum_variants():
+    """(flag, a second valid value) of every `spectrum` option but the source and --out."""
+    variants = []
+    for action in SPECTRUM._actions:
+        if action.dest in {"help", "config", "preset", "out"}:
+            continue
+        if action.choices:
+            value = next(choice for choice in action.choices if choice != action.default)
+        else:
+            value = action.type(action.default / 2)
+        variants.append((action.option_strings[-1], str(value)))
+    return variants
 
 
 class TestSpectrumCommand:
@@ -256,6 +275,21 @@ class TestSpectrumCommand:
 
     def test_missing_source_is_config_error(self, capsys):
         assert main(["spectrum", "--mode", "multitone"]) == 2
+
+    @pytest.mark.parametrize("mode", next(a.choices for a in SPECTRUM._actions if a.dest == "mode"))
+    @pytest.mark.parametrize("flag, value", spectrum_variants())
+    def test_every_option_that_changes_the_csv_changes_the_hash(self, tmp_path, capsys,
+                                                                mode, flag, value):
+        def run(*extra):
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            assert main(["spectrum", "--preset", "oracle-demo", "--mode", mode, *extra,
+                         "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            return (out / "spectrum.csv").read_bytes(), manifest["config_hash"]
+
+        (csv, digest), (changed_csv, changed_digest) = run(), run(flag, value)
+        if changed_csv != csv:
+            assert changed_digest != digest
 
 
 class TestAsymmetryCommand:
@@ -555,9 +589,10 @@ class TestOracleCompareCommand:
         assert "decimation" not in report
         for key in ("output_step_s", "floquet_slots", "n_output_samples", "timings_s"):
             assert manifest[key] == report[key]
-        assert set(report["timings_s"]) == {"propagator_setup", "propagate", "noise", "welch",
-                                            "peaks"}
-        assert report["timings_s"]["noise"] <= report["timings_s"]["propagate"]
+        assert set(report["timings_s"]) == {"propagator_setup", "propagate", "noise", "noise_wait",
+                                            "welch", "peaks"}
+        timings = report["timings_s"]
+        assert timings["noise_wait"] <= timings["noise"] <= timings["propagate"]
         assert all(t >= 0.0 for t in report["timings_s"].values())
         assert report["floquet_slots"] == 1
 

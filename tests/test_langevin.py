@@ -8,12 +8,15 @@ streams, equilibration, floor normalization, analytic agreement).
 
 import dataclasses
 import math
+import mmap
 import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import sideband_lab.langevin as langevin
 from sideband_lab.errors import ConfigError, StepSizeError, ValidityError
 from sideband_lab.langevin import (
     CHUNK,
@@ -293,10 +296,18 @@ class TestFootprint:
         ntraj = 128
         sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=2, n_trajectories=ntraj)
         assert sim.n_steps > 4 * CHUNK
+        # tracemalloc does not see the shared mapping that the producer draws the normals into
+        shared, real_mmap = [], mmap.mmap
+
+        def recording_mmap(fileno, length, *args, **kwargs):
+            shared.append(length)
+            return real_mmap(fileno, length, *args, **kwargs)
+
+        monkeypatch.setattr(mmap, "mmap", recording_mmap)
         tracemalloc.start()
         try:
             traj = integrate_langevin(p, baths, cfg, sim)
-            integrate_peak = tracemalloc.get_traced_memory()[1]
+            integrate_peak = tracemalloc.get_traced_memory()[1] + sum(shared)
             tracemalloc.reset_peak()
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
             base = tracemalloc.get_traced_memory()[0]
@@ -312,6 +323,101 @@ class TestFootprint:
         # two threads, one complex (WELCH_BLOCK, segments, nperseg) buffer each
         buffer = WELCH_BLOCK * n_segments // ntraj * spec.freq_offsets.size * 16
         assert welch_peak < 2 * 1.25 * buffer
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the draws run inline without os.fork")
+class TestNoiseProducer:
+    """integrate_langevin draws its normals in a forked producer process: it
+    leaves none behind, whether it returns or raises, and a producer that dies
+    makes it raise rather than wait."""
+
+    @staticmethod
+    def run(**kw):
+        p, baths, cfg = preset("oracle-demo")
+        sim = SimConfig.auto(p, cfg, n_segments=16, seed=4, n_trajectories=8)
+        assert sim.n_steps > 4 * CHUNK
+        return integrate_langevin(p, baths, cfg, sim, **kw)
+
+    @pytest.fixture
+    def producers(self, monkeypatch):
+        """The pids of the producers forked; a test still running after 60 s
+        fails, and a producer it left running is killed."""
+        pids, real_fork = [], os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def expire(signum, frame):
+            raise TimeoutError("integrate_langevin waited on its producer")
+
+        monkeypatch.setattr(os, "fork", fork)
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield pids
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for pid in pids:
+                try:
+                    if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running, so still ours
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                except ChildProcessError:  # reaped already
+                    pass
+
+    @staticmethod
+    def assert_reaped(pids):
+        assert len(pids) == 1
+        with pytest.raises(ChildProcessError):  # no such child: neither running nor a zombie
+            os.waitpid(pids[0], os.WNOHANG)
+
+    def test_no_process_left_after_a_run(self, producers):
+        traj = self.run()
+        assert 0.0 <= traj.timings["noise_wait"] <= traj.timings["noise"] <= traj.timings["propagate"]
+        self.assert_reaped(producers)
+
+    def test_no_process_left_after_a_failure(self, producers, monkeypatch):
+        calls, real_map = [], langevin._map_normals
+
+        def failing_map(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ArithmeticError("injected in the third chunk's map")
+            return real_map(*args)
+
+        monkeypatch.setattr(langevin, "_map_normals", failing_map)
+        with pytest.raises(ArithmeticError, match="third chunk"):
+            self.run()
+        self.assert_reaped(producers)
+
+    @pytest.mark.parametrize("death", ["raises", "killed"])
+    def test_a_dead_producer_raises(self, producers, monkeypatch, death):
+        calls, real_draw = [], langevin._draw_normals
+
+        def dying_draw(rngs, raw):  # runs in the producer
+            calls.append(None)
+            if len(calls) == 3:
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("injected in the third chunk's draw")
+            real_draw(rngs, raw)
+
+        monkeypatch.setattr(langevin, "_draw_normals", dying_draw)
+        with pytest.raises(ChildProcessError, match="noise producer ended before chunk 2 "):
+            self.run()
+        self.assert_reaped(producers)
+
+    def test_inline_draws_without_fork(self, monkeypatch):
+        forked = self.run(record_mech=True)
+        monkeypatch.delattr(os, "fork")
+        inline = self.run(record_mech=True)
+        assert inline.output_field.tobytes() == forked.output_field.tobytes()
+        assert inline.mech_abs2.tobytes() == forked.mech_abs2.tobytes()
+        assert set(inline.timings) == set(forked.timings)
 
 
 class TestIntegratorContracts:
