@@ -29,6 +29,7 @@ from .model import (
     SystemParams,
     ToneConfig,
     ToneSpec,
+    _require_positive,
     bose_occupation,
 )
 from .multitone import multitone_spectra, sideband_weights
@@ -119,8 +120,7 @@ def noise_floor_increase(params: SystemParams, baths: BathSpec, lambda_conv: flo
 
     Delta_eta = (1/2 lambda) [n_eff - ((2 kappa_r - kappa)/(2 kappa_r)) n_r].
     """
-    if not lambda_conv > 0.0:
-        raise ConfigError("lambda_conv must be positive")
+    _require_positive("lambda_conv", lambda_conv)
     corr = (2.0 * params.kappa_r - params.kappa) / (2.0 * params.kappa_r)
     return (baths.n_eff(params) - corr * baths.n_r) / (2.0 * lambda_conv)
 
@@ -277,8 +277,9 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     (kappa_r/kappa) gamma_opt of the red/blue probe (a ConfigError without
     it), and both give n_eff_fit. The standard errors of n_r and of each
     sideband's width and amplitude go under "uncertainties". Absent tables
-    leave their keys out.
+    leave their keys out. ``lambda_conv`` must be positive (ConfigError).
     """
+    _require_positive("lambda_conv", lambda_conv)
     fit: dict = {}
     uncertainties: dict = {}
     if "linewidth_vs_power" in tables:
@@ -344,8 +345,12 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     fits them all; the truth and error keys follow. Gaussian noise of
     relative size ``noise_level`` multiplies every synthetic measurement; at
     zero noise the fits are exact and their standard errors are reported as
-    0.0.
+    0.0. A ``noise_level`` that is negative or not finite, or a ``lambda_conv``
+    that is not positive, is a ConfigError.
     """
+    if not (noise_level >= 0.0 and math.isfinite(noise_level)):
+        raise ConfigError(f"noise_level must be >= 0 and finite, got {noise_level!r}")
+    _require_positive("lambda_conv", lambda_conv)
     shunt = ShuntModel(c_out=2.7e-15)
     gains = (1.0, 1.0)  # cavity and pump-line gains of the synthetic chain
     n_p = np.logspace(3, 7, 9)

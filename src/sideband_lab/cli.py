@@ -83,6 +83,8 @@ def _add_source_args(parser):
 
 def cmd_spectrum(args) -> int:
     params, baths, config = _load(args)
+    if args.points < 2:
+        raise ConfigError(f"--points must be at least 2, got {args.points}")
     kind = {"sym": "symmetrized", "normal": "normal_ordered"}[args.kind]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,14 +182,12 @@ def cmd_calibrate(args) -> int:
                                            seed=args.seed, noise_level=args.noise)
         tables = report.pop("measurements")
         extra.update(mode="synthetic", seed=args.seed, noise=args.noise)
-    elif args.data:
+    else:
         data = Path(args.data)
         tables = read_calibration_tables(data)
         report = invert_measurements(params, config, tables, lambda_conv=args.lambda_conv)
         report["inputs"] = {f"{name}.csv": file_sha256(data / f"{name}.csv") for name in tables}
         extra.update(mode="data", inputs=report["inputs"])
-    else:
-        raise ConfigError("either --synthetic or --data DIR is required")
     report["mode"] = extra["mode"]
     report["config_hash"] = describe_run(params, baths, config, extra=extra)["config_hash"]
     out = Path(args.out)
@@ -256,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="run the calibration pipeline")
     _add_source_args(p)
-    p.add_argument("--synthetic", action="store_true")
-    p.add_argument("--data", help="directory with measurement CSVs")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--synthetic", action="store_true")
+    mode.add_argument("--data", help="directory with measurement CSVs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--lambda-conv", type=float, default=0.27, dest="lambda_conv")

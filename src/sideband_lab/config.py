@@ -1,7 +1,10 @@
 """JSON parameter files: {"system": {...}, "baths": {...}, "tones": [...]}.
 
-All frequencies in config files are plain Hz; the 2*pi conversion to the
-angular rates used internally happens here and only here. A file's Hz values
+`SYSTEM_KEYS` and `BATH_KEYS` are the file format of their blocks, read by
+save and load alike; the system block may add "x_zp_m", and a tone entry
+holds "role", "detuning_hz" and one of "n_photons" or "coupling_hz". All
+frequencies in config files are plain Hz; the 2*pi conversion to the angular
+rates used internally happens here and only here. A file's Hz values
 round-trip exactly (floats survive JSON via shortest-repr); a configuration
 built in Python in rad/s can move by one ulp through the /2*pi on save and
 the *2*pi on load.
@@ -9,6 +12,7 @@ the *2*pi on load.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -23,19 +27,21 @@ __all__ = [
     "tones_to_list", "tones_from_list",
     "config_to_dict", "config_from_dict",
     "load_config", "save_config",
-    "canonical_json", "config_hash", "describe_run",
+    "canonical_json", "config_hash", "describe_run", "SYSTEM_KEYS", "BATH_KEYS",
 ]
 
+#: file key -> `SystemParams` rate, in Hz; all required but kappa_internal_hz (0.0)
+SYSTEM_KEYS = {"omega_c_hz": "omega_c", "omega_m_hz": "omega_m", "g0_hz": "g0",
+               "kappa_left_hz": "kappa_l", "kappa_right_hz": "kappa_r",
+               "kappa_internal_hz": "kappa_i", "gamma_m_hz": "gamma_m"}
+#: file key -> `BathSpec` attribute; an absent key takes the dataclass default
+BATH_KEYS = {"n_right": "n_r", "n_left": "n_l", "n_internal": "n_i", "n_mech": "n_m",
+             "alpha_right": "alpha_r", "alpha_left": "alpha_l",
+             "alpha_internal": "alpha_i", "beta": "beta"}
+
+
 def params_to_dict(params: SystemParams) -> dict:
-    d = {
-        "omega_c_hz": params.omega_c / TWO_PI,
-        "omega_m_hz": params.omega_m / TWO_PI,
-        "g0_hz": params.g0 / TWO_PI,
-        "kappa_left_hz": params.kappa_l / TWO_PI,
-        "kappa_right_hz": params.kappa_r / TWO_PI,
-        "kappa_internal_hz": params.kappa_i / TWO_PI,
-        "gamma_m_hz": params.gamma_m / TWO_PI,
-    }
+    d = {key: getattr(params, attr) / TWO_PI for key, attr in SYSTEM_KEYS.items()}
     if params.x_zp is not None:
         d["x_zp_m"] = params.x_zp
     return d
@@ -62,36 +68,21 @@ def _object(block: str, value) -> dict:
 
 def params_from_dict(d: dict) -> SystemParams:
     d = _object("system", d)
-    return SystemParams.from_hz(
-        omega_c_hz=_number("system", d, "omega_c_hz"),
-        omega_m_hz=_number("system", d, "omega_m_hz"),
-        g0_hz=_number("system", d, "g0_hz"),
-        kappa_l_hz=_number("system", d, "kappa_left_hz"),
-        kappa_r_hz=_number("system", d, "kappa_right_hz"),
-        kappa_i_hz=_number("system", d, "kappa_internal_hz", 0.0),
-        gamma_m_hz=_number("system", d, "gamma_m_hz"),
-        x_zp_m=None if d.get("x_zp_m") is None else _number("system", d, "x_zp_m"),
-    )
+    rates = {attr: TWO_PI * _number("system", d, key, 0.0 if attr == "kappa_i" else None)
+             for key, attr in SYSTEM_KEYS.items()}
+    x_zp = None if d.get("x_zp_m") is None else _number("system", d, "x_zp_m")
+    return SystemParams(**rates, x_zp=x_zp)
 
 
 def baths_to_dict(baths: BathSpec) -> dict:
-    return {
-        "n_right": baths.n_r, "n_left": baths.n_l, "n_internal": baths.n_i,
-        "n_mech": baths.n_m, "alpha_right": baths.alpha_r, "alpha_left": baths.alpha_l,
-        "alpha_internal": baths.alpha_i, "beta": baths.beta,
-    }
+    return {key: getattr(baths, attr) for key, attr in BATH_KEYS.items()}
 
 
 def baths_from_dict(d: dict) -> BathSpec:
     d = _object("baths", d)
-    return BathSpec(
-        n_r=_number("baths", d, "n_right", 0.0), n_l=_number("baths", d, "n_left", 0.0),
-        n_i=_number("baths", d, "n_internal", 0.0), n_m=_number("baths", d, "n_mech", 0.0),
-        alpha_r=_number("baths", d, "alpha_right", 1.0),
-        alpha_l=_number("baths", d, "alpha_left", 1.0),
-        alpha_i=_number("baths", d, "alpha_internal", 1.0),
-        beta=_number("baths", d, "beta", 1.0),
-    )
+    default = BathSpec()
+    return BathSpec(**{attr: _number("baths", d, key, getattr(default, attr))
+                       for key, attr in BATH_KEYS.items()})
 
 
 def tones_to_list(config: ToneConfig) -> list[dict]:
@@ -114,27 +105,20 @@ def tones_from_list(entries: list[dict]) -> ToneConfig:
     for i, entry in enumerate(entries):
         block = f"tones[{i}]"
         entry = _object(block, entry)
-        kwargs: dict = {"role": entry.get("role", "generic"),
-                        "detuning": TWO_PI * _number(block, entry, "detuning_hz")}
-        if "n_photons" in entry and "coupling_hz" in entry:
-            raise ConfigError("tone may carry n_photons or coupling_hz, not both")
-        if "n_photons" in entry:
-            kwargs["n_photons"] = _number(block, entry, "n_photons")
-        elif "coupling_hz" in entry:
-            kwargs["coupling"] = TWO_PI * _number(block, entry, "coupling_hz")
-        else:
-            raise ConfigError("tone needs n_photons or coupling_hz")
-        tones.append(ToneSpec(**kwargs))
-
+        # ToneSpec refuses an entry with both or neither of the two
+        tones.append(ToneSpec(
+            role=entry.get("role", "generic"),
+            detuning=TWO_PI * _number(block, entry, "detuning_hz"),
+            n_photons=_number(block, entry, "n_photons") if "n_photons" in entry else None,
+            coupling=TWO_PI * _number(block, entry, "coupling_hz")
+            if "coupling_hz" in entry else None,
+        ))
     return ToneConfig(tones=tuple(tones))
 
 
 def config_to_dict(params: SystemParams, baths: BathSpec, config: ToneConfig) -> dict:
-    return {
-        "system": params_to_dict(params),
-        "baths": baths_to_dict(baths),
-        "tones": tones_to_list(config),
-    }
+    return {"system": params_to_dict(params), "baths": baths_to_dict(baths),
+            "tones": tones_to_list(config)}
 
 
 def config_from_dict(d: dict) -> tuple[SystemParams, BathSpec, ToneConfig]:
@@ -177,10 +161,7 @@ def describe_run(params: SystemParams, baths: BathSpec, config: ToneConfig,
     """Fully resolved run description plus its hash."""
     resolved = config_to_dict(params, baths, config)
     if sim is not None:
-        resolved["sim"] = {
-            "dt": sim.dt, "n_steps": sim.n_steps, "n_trajectories": sim.n_trajectories,
-            "seed": sim.seed, "burn_in": sim.burn_in, "psd_segments": sim.psd_segments,
-        }
+        resolved["sim"] = dataclasses.asdict(sim)
     if extra:
         resolved["extra"] = extra
     return {"config_hash": config_hash(resolved), "resolved": resolved}

@@ -128,6 +128,8 @@ class SimConfig:
         Sampling 32x the span to 12 gamma_tot beyond the farthest peak keeps
         the boxcar attenuation of a peak below ~0.32%; a cooling tone rounds
         dt down to a whole fraction of its period."""
+        if n_trajectories < 1:  # before it divides the segments
+            raise ConfigError("n_trajectories must be >= 1")
         gamma_tot = config.gamma_tot(params)
         dt = TWO_PI / (32.0 * (abs(config.delta(params)) + 12.0 * gamma_tot))
         omega = _cooling_rate(params, config)

@@ -15,8 +15,10 @@ Frequency convention: correlators are functions of the rotating-frame
 frequency built from chi_c(y) = 1/(-i y + kappa/2) evaluated at
 y = omega -+ |Delta|. "At resonance" means the positive-frequency image of
 the mechanical feature, omega = omega_m, for either pump detuning; there the
-occupation form of the thermal factor (1 + 2 n_m) applies, and
-S_zF(Delta=+omega_m) = -S_zF(Delta=-omega_m) exactly.
+occupation form of the thermal factor (2 n_m + beta) applies, and
+S_zF(Delta=+omega_m) = -S_zF(Delta=-omega_m) exactly. Every input enters at
+its symmetrized strength n + w/2 of `BathSpec.strengths`, vacuum weight w
+included.
 """
 
 from __future__ import annotations
@@ -119,8 +121,7 @@ def detector_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     delta_drive = sign * params.omega_m
     g = tone.coupling_rate(params)
     kr, kl, k = params.kappa_r, params.kappa_l, params.kappa
-    x_r = baths.n_r + 0.5
-    x_l = baths.n_l + 0.5
+    x_r, x_l, _, _ = baths.strengths("symmetrized")
 
     c_p = complex(chi_cavity(omega - delta_drive, k))
     c_m = complex(chi_cavity(omega + delta_drive, k))
@@ -162,7 +163,7 @@ def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                   grid: np.ndarray, *, weak_coupling: bool = True) -> Spectrum:
     """Effective position spectrum including squashing (units x_zp^2 * s).
 
-    -Im chi_xx[omega] * ((1 + 2 n_m) + 2 Im S_zF) on a grid of offsets from
+    -Im chi_xx[omega] * ((2 n_m + beta) + 2 Im S_zF) on a grid of offsets from
     the mechanical resonance. The S_zF term raises (blue) or lowers (red) the
     Lorentzian weight; at a thermal cavity it can squash the feature below
     zero. ``weak_coupling=False`` adds the second-order backaction term
@@ -172,7 +173,7 @@ def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     x = np.asarray(grid, dtype=float)
     omega = params.omega_m + x
     chi = _chi_uu(params, omega)
-    values = -np.imag(chi) * ((1.0 + 2.0 * baths.n_m) + 2.0 * noise.s_zf.imag)
+    values = -np.imag(chi) * (2.0 * baths.strengths("symmetrized")[3] + 2.0 * noise.s_zf.imag)
     if not weak_coupling:
         values = values + np.abs(chi) ** 2 * noise.s_ff
     return Spectrum(x, values)
@@ -201,7 +202,8 @@ def output_spectrum_lr(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     g = tone.coupling_rate(params)
     kr, kl, k = params.kappa_r, params.kappa_l, params.kappa
     c0 = complex(chi_cavity(0.0, k))
-    floor = abs(1.0 - kr * c0) ** 2 * (baths.n_r + 0.5) + kr * kl * abs(c0) ** 2 * (baths.n_l + 0.5)
+    x_r, x_l, _, _ = baths.strengths("symmetrized")
+    floor = abs(1.0 - kr * c0) ** 2 * x_r + kr * kl * abs(c0) ** 2 * x_l
     gain = kr * g * g * abs(c0) ** 2
     eff = sxx_effective(params, baths, tone, grid, weak_coupling=weak_coupling)
     return Spectrum(eff.freq_offsets, floor + gain * eff.values)

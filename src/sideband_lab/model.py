@@ -25,6 +25,8 @@ Conventions used everywhere in this package:
   symmetric-probe and cooling-order (delta_c > delta) gates;
   `ToneConfig.probe` and `ToneConfig.require_balanced` are the probe and
   balanced-probe gates. A tone's side is `ToneSpec.detuning_sign`.
+  `BathSpec.require_unit_vacuum` gates the multitone forms, which are written
+  for unit vacuum weights.
 """
 
 from __future__ import annotations
@@ -168,6 +170,15 @@ class BathSpec:
             return (self.n_r, self.n_l, self.n_i,
                     self.n_m + (self.beta if detuning_sign == -1 else 0.0))
         raise ConfigError(f"unknown spectrum kind {kind!r}")
+
+    def require_unit_vacuum(self) -> None:
+        """Gate of the multitone forms, which are written for unit vacuum weights:
+        ValidityError naming each alpha or beta that is not 1."""
+        odd = [f"{name} = {getattr(self, name):.6g}"
+               for name in ("alpha_r", "alpha_l", "alpha_i", "beta") if getattr(self, name) != 1.0]
+        if odd:
+            raise ValidityError("multitone brackets assume unit vacuum weights, "
+                                f"got {', '.join(odd)}")
 
 
 @dataclass(frozen=True)

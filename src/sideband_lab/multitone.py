@@ -8,7 +8,8 @@ omega_c - (omega_m + delta_c) folds into the enhanced linewidth gamma_M and
 occupation n_M.
 
 Sideband Lorentzian weights are always computed analytically from their
-brackets here; curve fitting lives in `calibration`.
+brackets here; curve fitting lives in `calibration`. Every form that reads
+the baths passes `BathSpec.require_unit_vacuum`: all assume unit vacuum weights.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) ->
 def _sxx_lorentzian(params: SystemParams, baths: BathSpec,
                     config: ToneConfig) -> tuple[float, float]:
     """(amplitude, width) of S_xx = amplitude / (omega^2 + width^2/4)."""
+    baths.require_unit_vacuum()
     gamma_tot = config.gamma_tot(params)
     gp, gm = config.gamma_opt_pair(params)
     gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
@@ -101,6 +103,7 @@ def averaged_occupation(params: SystemParams, baths: BathSpec, config: ToneConfi
     n_bar = (gamma_M/gamma_tot) n_M + (gamma_opt^-/gamma_tot)(n_c + 1)
           + (gamma_opt^+/gamma_tot) n_c.
     """
+    baths.require_unit_vacuum()
     gamma_tot = config.gamma_tot(params)
     gp, gm = config.gamma_opt_pair(params)
     gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
@@ -122,10 +125,7 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
     config.delta_c(params)
     for tone in config.tones:
         _detuning_gate(params, tone)
-    odd = [f"{name} = {getattr(baths, name):.6g}"
-           for name in ("alpha_r", "alpha_l", "alpha_i", "beta") if getattr(baths, name) != 1.0]
-    if odd:
-        raise ValidityError(f"multitone brackets assume unit vacuum weights, got {', '.join(odd)}")
+    baths.require_unit_vacuum()
     n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)
     return n_bar - n_eff, n_bar + n_eff + 1.0
@@ -242,6 +242,7 @@ def peak_ratio_correction(params: SystemParams, baths: BathSpec, config: ToneCon
     (a, b) = (0, 1) for the Stokes side, (1, 0) for the anti-Stokes side.
     """
     gamma_opt = config.require_balanced(params)
+    baths.require_unit_vacuum()
     gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
     n_c = baths.n_c(params)
     n_eff = baths.n_eff(params)

@@ -65,12 +65,8 @@ def _oracle_demo() -> tuple[SystemParams, BathSpec, ToneConfig]:
         kappa_l_hz=4e3, kappa_r_hz=80e3, kappa_i_hz=0.0, gamma_m_hz=400.0,
     )
     baths = BathSpec()  # vacuum everywhere
-    delta = TWO_PI * 4200.0
-    g_probe = math.sqrt(TWO_PI * 200.0 * params.kappa) / 2.0
-    return params, baths, ToneConfig(tones=(
-        ToneSpec(detuning=-(params.omega_m + delta), role="red_probe", coupling=g_probe),
-        ToneSpec(detuning=+(params.omega_m + delta), role="blue_probe", coupling=g_probe),
-    ))
+    return params, baths, ToneConfig.balanced(params, delta=TWO_PI * 4200.0,
+                                              probe_gamma_opt=TWO_PI * 200.0)
 
 
 _BUILDERS = {

@@ -135,6 +135,19 @@ class TestNoiseFloorLedger:
         corr = ((2.0 * params.kappa_r - params.kappa) / params.kappa_r) * baths.n_r
         assert corr == pytest.approx(0.03, abs=0.005)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.27, float("nan")])
+    def test_lambda_gate_is_shared(self, lam):
+        # the ledger and the inversion refuse a non-positive lambda alike, even
+        # where no table divides by it
+        params, baths, config = preset("main-text")
+        message = f"lambda_conv must be strictly positive and finite, got {lam!r}"
+        for form in (lambda: noise_floor_increase(params, baths, lam),
+                     lambda: invert_measurements(params, config, {}, lambda_conv=lam),
+                     lambda: run_synthetic_calibration(params, baths, config, lambda_conv=lam)):
+            with pytest.raises(ConfigError) as err:
+                form()
+            assert str(err.value) == message
+
 
 class TestSidebandDifferenceAndAverage:
     def test_quantum_offset(self):

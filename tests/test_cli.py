@@ -421,6 +421,13 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--preset", "main-text",
                      "--out", str(tmp_path)]) == 2
 
+    def test_synthetic_and_data_are_exclusive(self, tmp_path, capsys):
+        assert main(["calibrate", "--preset", "main-text", "--synthetic",
+                     "--data", str(tmp_path), "--out", str(tmp_path)]) == 2
+        assert "argument --data: not allowed with argument --synthetic" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "calibration_report.json").exists()
+
     def test_invalid_shunt_correction_is_a_gate(self, tmp_path, capsys):
         # oracle-demo's probes sit where |Delta| = 1.9 at C_out = 2.7 fF
         assert main(["calibrate", "--preset", "oracle-demo", "--synthetic",
@@ -514,6 +521,46 @@ class TestCalibrateCommand:
         assert err.startswith("ConfigError: ")
         assert "linewidth_vs_power.csv:3" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--points", "-1"], "ConfigError: --points must be at least 2, got -1"),
+    (["spectrum", "--mode", "single", "--points", "1"],
+     "ConfigError: --points must be at least 2, got 1"),
+    (["oracle-compare", "--trajectories", "0"], "ConfigError: n_trajectories must be >= 1"),
+    (["calibrate", "--synthetic", "--noise", "nan"],
+     "ConfigError: noise_level must be >= 0 and finite, got nan"),
+    (["calibrate", "--synthetic", "--noise", "-1"],
+     "ConfigError: noise_level must be >= 0 and finite, got -1.0"),
+    (["calibrate", "--synthetic", "--noise", "inf"],
+     "ConfigError: noise_level must be >= 0 and finite, got inf"),
+    (["calibrate", "--synthetic", "--lambda-conv", "-0.27"],
+     "ConfigError: lambda_conv must be strictly positive and finite, got -0.27"),
+    (["calibrate", "--synthetic", "--lambda-conv", "0"],
+     "ConfigError: lambda_conv must be strictly positive and finite, got 0.0"),
+], ids=["points-negative", "points-one", "trajectories-zero", "noise-nan", "noise-negative",
+        "noise-inf", "lambda-negative", "lambda-zero"])
+def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message):
+    rc = main([argv[0], "--preset", "si-figure", *argv[1:], "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fields", [{"n_photons": 1e5, "coupling_hz": 1e3}, {}],
+                         ids=["both", "neither"])
+def test_tone_needs_exactly_one_strength(tmp_path, capsys, fields):
+    d = config_to_dict(*preset("si-figure"))
+    for key in ("n_photons", "coupling_hz"):
+        d["tones"][0].pop(key, None)
+    d["tones"][0].update(fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    assert main(["asymmetry", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "ConfigError: exactly one of n_photons or coupling must be given\n"
 
 
 PRESET_RUNS = [

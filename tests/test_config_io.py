@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import sideband_lab
 from sideband_lab.config import (
+    BATH_KEYS,
+    SYSTEM_KEYS,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -25,7 +27,7 @@ from sideband_lab.dataio import (
 )
 from sideband_lab.errors import ConfigError
 from sideband_lab.langevin import SimConfig, oracle_compare
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
 from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import PRESET_NAMES, preset
 
@@ -84,6 +86,38 @@ class TestConfigRoundTrip:
         bad.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+hz_rates = st.floats(min_value=1e-3, max_value=1e12, allow_nan=False, allow_infinity=False)
+occupations = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+class TestKeyTables:
+    """`SYSTEM_KEYS` and `BATH_KEYS` are the file format: every key is saved,
+    and what is saved loads back equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(system=st.fixed_dictionaries(
+               {key: (st.just(0.0) | hz_rates) if key == "kappa_internal_hz" else hz_rates
+                for key in SYSTEM_KEYS}),
+           x_zp_m=st.none() | st.floats(min_value=1e-20, max_value=1e-10),
+           baths=st.fixed_dictionaries({key: occupations for key in BATH_KEYS}))
+    def test_round_trip_from_hz(self, system, x_zp_m, baths):
+        params = SystemParams(**{attr: TWO_PI * system[key] for key, attr in SYSTEM_KEYS.items()},
+                              x_zp=x_zp_m)
+        bath_spec = BathSpec(**{attr: baths[key] for key, attr in BATH_KEYS.items()})
+        saved = config_to_dict(params, bath_spec, ToneConfig(tones=()))
+        optional = {"x_zp_m"} if x_zp_m is not None else set()
+        assert set(saved["system"]) == set(SYSTEM_KEYS) | optional
+        assert set(saved["baths"]) == set(BATH_KEYS)
+        params2, baths2, _ = config_from_dict(json.loads(json.dumps(saved)))
+        assert params2 == params
+        assert baths2 == bath_spec
+
+    def test_tables_name_every_field(self):
+        assert sorted(SYSTEM_KEYS.values()) == sorted(
+            f.name for f in fields(SystemParams) if f.name != "x_zp")
+        assert sorted(BATH_KEYS.values()) == sorted(f.name for f in fields(BathSpec))
 
 
 class TestMemoryConfigIsFileConfig:
@@ -241,3 +275,14 @@ class TestManifest:
         assert h1 == h2
         other = describe_run(params, BathSpec(n_r=0.9), config)["config_hash"]
         assert other != h1
+
+    def test_every_sim_field_enters_the_hash(self):
+        params, baths, config = preset("oracle-demo")
+        sim = SimConfig(dt=1e-6, n_steps=100, n_trajectories=4, seed=0, burn_in=10,
+                        psd_segments=8)
+        base = describe_run(params, baths, config, sim)
+        assert base["resolved"]["sim"] == {f.name: getattr(sim, f.name) for f in fields(sim)}
+        for f in fields(sim):
+            changed = replace(sim, **{f.name: getattr(sim, f.name) + 1})
+            assert describe_run(params, baths, config, changed)["config_hash"] != \
+                base["config_hash"], f.name

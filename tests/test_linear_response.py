@@ -129,11 +129,19 @@ class TestSxxEffective:
         assert np.all(ba.values > 0)
 
 
+_VACUUM_WEIGHTS = [dict(zip(("alpha_r", "alpha_l", "alpha_i", "beta"), w))
+                   for w in [(1.0, 1.0, 1.0, 1.0),
+                             *np.random.default_rng(1404).uniform(0.1, 2.0, (3, 4)).tolist()]]
+
+
 class TestOutputSpectrumCrossFormulation:
-    def test_weights_and_floor_match_scattering(self):
-        # cooperativity 1e-4: Lorentzian weights agree to 1e-3 for both signs
+    @pytest.mark.parametrize("weights", _VACUUM_WEIGHTS, ids=["unit", "random0", "random1",
+                                                              "random2"])
+    def test_weights_and_floor_match_scattering(self, weights):
+        # cooperativity 1e-4: Lorentzian weights agree to 1e-3 for both signs,
+        # whatever the vacuum weights
         p = two_port_params(gamma_m_hz=100.0, omega_m_hz=400e6)
-        baths = BathSpec(n_r=0.2, n_l=0.4, n_m=2.0)
+        baths = BathSpec(n_r=0.2, n_l=0.4, n_m=2.0, **weights)
         grid = np.linspace(-40, 40, 30001) * p.gamma_m
         for role in ("red_probe", "blue_probe"):
             tone = tone_with_gamma_opt(p, 1e-4 * p.gamma_m, role)

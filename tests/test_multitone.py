@@ -116,8 +116,8 @@ class TestStabilityGate:
 
 
 class TestVacuumWeightGate:
-    """The multitone brackets are written for unit vacuum weights; any other
-    weight is a ValidityError that names it, not a silently wrong weight."""
+    """The multitone forms are written for unit vacuum weights; any other
+    weight is a ValidityError that names it, not a silently wrong number."""
 
     @pytest.mark.parametrize("name", ["alpha_r", "alpha_l", "alpha_i", "beta"])
     def test_non_unit_weight_is_named(self, name):
@@ -127,7 +127,11 @@ class TestVacuumWeightGate:
         forms = (lambda: sideband_weights(p, odd, cfg),
                  lambda: multitone_integrated_asymmetry(p, odd, cfg),
                  lambda: multitone_spectra(p, odd, cfg, "symmetrized", grid),
-                 lambda: full_rwa_spectrum(p, odd, cfg, grid))
+                 lambda: full_rwa_spectrum(p, odd, cfg, grid),
+                 lambda: sxx_spectrum(p, odd, cfg, grid),
+                 lambda: sxx_integrated_weight(p, odd, cfg),
+                 lambda: averaged_occupation(p, odd, cfg),
+                 lambda: peak_ratio_correction(p, odd, cfg, "stokes"))
         for form in forms:
             with pytest.raises(ValidityError, match=f"unit vacuum weights, got {name} = 1.5"):
                 form()
