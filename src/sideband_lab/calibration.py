@@ -345,12 +345,14 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     fits them all; the truth and error keys follow. Gaussian noise of
     relative size ``noise_level`` multiplies every synthetic measurement; at
     zero noise the fits are exact and their standard errors are reported as
-    0.0. A ``noise_level`` that is negative or not finite, or a ``lambda_conv``
-    that is not positive, is a ConfigError.
+    0.0. A ``noise_level`` that is negative or not finite, a ``lambda_conv``
+    that is not positive, or a negative ``seed`` is a ConfigError.
     """
     if not (noise_level >= 0.0 and math.isfinite(noise_level)):
         raise ConfigError(f"noise_level must be >= 0 and finite, got {noise_level!r}")
     _require_positive("lambda_conv", lambda_conv)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     shunt = ShuntModel(c_out=2.7e-15)
     gains = (1.0, 1.0)  # cavity and pump-line gains of the synthetic chain
     n_p = np.logspace(3, 7, 9)

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .langevin import SimConfig, oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
-from .model import ToneConfig
+from .model import ToneConfig, _require_positive
 from .multitone import (
     averaged_occupation,
     full_rwa_spectrum,
@@ -52,18 +52,6 @@ from .presets import PRESET_NAMES, preset
 from .scattering import single_tone_spectrum
 
 _GATE_ERRORS = (ValidityError, InstabilityError, UnbalancedError, StepSizeError)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
 
 
 def _load(args) -> tuple:
@@ -85,6 +73,7 @@ def cmd_spectrum(args) -> int:
     params, baths, config = _load(args)
     if args.points < 2:
         raise ConfigError(f"--points must be at least 2, got {args.points}")
+    _require_positive("--span-linewidths", args.span_linewidths)
     kind = {"sym": "symmetrized", "normal": "normal_ordered"}[args.kind]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -136,7 +125,7 @@ def cmd_asymmetry(args) -> int:
                             sideband_weights(params, baths, config))),
         "config_hash": describe_run(params, baths, config)["config_hash"],
     }
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -163,13 +152,13 @@ def cmd_oracle_compare(args) -> int:
     write = write_components_csv if config.has_probe_pair else write_spectrum_csv
     write(out / "analytic_spectrum.csv", analytic)
 
-    (out / "report.json").write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     layout = {key: report[key] for key in
               ("timings_s", "output_step_s", "floquet_slots", "n_output_samples")}
     write_manifest(out, RunManifest(command="oracle-compare", config_hash=report["config_hash"],
                                     outputs=["report.json", "mc_spectrum.csv", "analytic_spectrum.csv"],
                                     seed=args.seed, extra=layout))
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
@@ -193,7 +182,7 @@ def cmd_calibrate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "calibration_report.json"
-    path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     outputs = [path.name] + (write_calibration_tables(out, tables) if args.synthetic else [])
     write_manifest(out, RunManifest(command="calibrate", config_hash=report["config_hash"],
                                     outputs=outputs, seed=args.seed if args.synthetic else None))
@@ -217,7 +206,7 @@ def cmd_noise_constraint(args) -> int:
             "satisfied": gap.satisfied,
         }
     report["config_hash"] = describe_run(params, baths, config)["config_hash"]
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

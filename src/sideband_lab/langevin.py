@@ -43,19 +43,13 @@ the number of trajectories, so a trajectory's mean |c|^2, summed per chunk,
 does not depend on the ensemble. Beside the output samples the chunk's
 buffers take about 3 x CHUNK x 6 x 8 bytes per trajectory.
 
-The integration runs in two processes. A producer, forked with the streams,
-draws each chunk's normals into the one normal buffer, an anonymous shared
-mapping, while the main process runs the previous chunk's step loop and
-output rows; one byte on a pipe each way per chunk hands the buffer over
-("ready" once drawn, "free" once mapped). The draws and their order are those
-of one process, so no output bit depends on the producer, and without
-``os.fork`` the same draws run inline. ``timings["noise"]`` is the map plus
-``noise_wait``, the time the main process waited for the normals.
-
-Welch transforms WELCH_BLOCK trajectories at a time on a thread per CPU
-(``os.sched_getaffinity``, at most one per block); each thread squares its
-FFTs in place in one complex buffer of its own, and the block sums are added
-in trajectory order, so the spectrum does not depend on the thread count.
+Trajectories are split between workers, one per CPU that the process may run
+on, at most one per block of work: `_fork_join` runs worker 0 here and forks
+the others, which write into anonymous shared mappings. The integrator gives
+each worker a contiguous range of trajectories, Welch every workers-th block
+of WELCH_BLOCK trajectories, whose sums it adds in trajectory order; so no
+output bit depends on the worker count. ``timings`` are the calling process's:
+``noise`` is its draws and map, ``noise_wait`` the draws alone.
 """
 
 from __future__ import annotations
@@ -69,7 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, StepSizeError
+from .errors import ConfigError, StepSizeError, ValidityError
 from .fitting import median
 from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
 from .multitone import sideband_weights
@@ -112,6 +106,8 @@ class SimConfig:
         for name in ("n_steps", "n_trajectories", "psd_segments"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.burn_in < self.n_steps:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_steps")
         output = 16 * self.n_trajectories * (self.n_steps - self.burn_in)  # complex128
@@ -315,87 +311,63 @@ def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
     slot, independent between steps and columns. Column j maps (n_steps, 6)
     standard normals of ``rngs[j]`` elementwise, so it does not depend on the
     other streams, not even in rounding. The draw and the map are the two
-    halves that `integrate_langevin` runs in separate processes.
+    halves of `integrate_langevin`'s ``noise`` stage.
     """
     raw = np.empty((len(rngs), n_steps, 6))
     _draw_normals(rngs, raw)
     return _map_normals(factor, raw, first_step)
 
 
-def _produce(rngs: list[np.random.Generator], raw: np.ndarray, chunks: list[tuple[int, int]],
-             ready: int, free: int) -> None:
-    """The producer process: draw each chunk's normals into the shared ``raw``,
-    write a byte to ``ready`` after each, and before overwriting ``raw`` wait
-    for a byte on ``free``. It ends on EOF or EPIPE, when the consumer is gone,
-    and never returns."""
-    status = 1
+def _workers(blocks: int) -> int:
+    """One worker per CPU that this process may run on, at most one per block of work."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _shared(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping, which forked workers write into."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+
+
+def _fork_join(workers: int, run) -> None:
+    """Run ``run(0)`` here and ``run(1)``, ..., ``run(workers - 1)`` in forked
+    children (all here, in turn, without ``os.fork``), which report through
+    shared mappings only and call no BLAS: a forked child has one thread. Every
+    child is reaped, and killed first if ``run(0)`` raises; one that fails
+    prints its traceback and makes this raise ChildProcessError."""
+    if not hasattr(os, "fork"):
+        for worker in range(workers):
+            run(worker)
+        return
+    children = []
     try:
-        for i, (_, n) in enumerate(chunks):
-            if i and not os.read(free, 1):
-                break
-            _draw_normals(rngs, raw[:, :n])
-            os.write(ready, b"\0")
-        status = 0
-    except BrokenPipeError:
-        status = 0
-    except Exception:
-        import traceback
+        for worker in range(1, workers):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    run(worker)
+                    os._exit(0)
+                except BaseException:
+                    import traceback
 
-        os.write(2, traceback.format_exc().encode())
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(1)
+            children.append(pid)
+        run(0)
+    except BaseException:
+        import signal
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        os._exit(status)
-
-
-def _noise_chunks(factor: np.ndarray, rngs: list[np.random.Generator],
-                  chunks: list[tuple[int, int]], out: np.ndarray, timings: dict):
-    """Yield the noise eta of each (first step, steps) chunk in turn, mapped into ``out``.
-
-    A forked producer holds the streams and draws the next chunk's normals into
-    one shared buffer while the caller steps through the current chunk; the
-    buffer is handed back once mapped, one pipe byte each way per chunk.
-    Without ``os.fork`` the same draws run inline. ``timings`` accumulates
-    ``noise_wait``, the seconds spent waiting for the normals (drawing them,
-    inline), and ``noise``, that wait plus the map. Close the generator to end
-    and reap the producer.
-    """
-    ntraj, size = len(rngs), max(n for _, n in chunks)
-    raw = np.frombuffer(mmap.mmap(-1, ntraj * size * 6 * 8)).reshape(ntraj, size, 6)
-    producer = None
-    if hasattr(os, "fork"):
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
-        try:
-            producer = os.fork()
-        except OSError:
-            for fd in (ready_r, ready_w, free_r, free_w):
-                os.close(fd)
-            raise
-        if producer == 0:
-            os.close(ready_r)
-            os.close(free_w)
-            _produce(rngs, raw, chunks, ready_w, free_r)
-        os.close(ready_w)
-        os.close(free_r)
-    try:
-        for i, (step, n) in enumerate(chunks):
-            began = time.perf_counter()
-            if producer is None:
-                _draw_normals(rngs, raw[:, :n])
-            elif not os.read(ready_r, 1):
-                raise ChildProcessError(f"the noise producer ended before chunk {i} of "
-                                        f"{len(chunks)} was drawn")
-            drawn = time.perf_counter()
-            eta = _map_normals(factor, raw[:, :n], step, out)
-            if producer is not None and i + 1 < len(chunks):
-                os.write(free_w, b"\0")
-            timings["noise_wait"] += drawn - began
-            timings["noise"] += time.perf_counter() - began
-            yield eta
-    finally:
-        if producer is not None:
-            os.close(ready_r)
-            os.close(free_w)
-            os.waitpid(producer, 0)
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    for worker, status in enumerate(statuses, 1):
+        if status:
+            raise ChildProcessError(f"forked worker {worker} of {workers} failed with exit "
+                                    f"code {os.waitstatus_to_exitcode(status)}")
 
 
 def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig,
@@ -418,8 +390,6 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     phi, _, factor = propagator(params, baths, config, sim.dt)
     setup = time.perf_counter() - start
     slots, ntraj = len(phi), sim.n_trajectories
-    # Phi_xx spread over the trajectories, so that the product of a step is one contiguous pass
-    phi_x = np.ascontiguousarray(np.broadcast_to(phi[:, :4, :4, None], (slots, 4, 4, ntraj)))
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(j,))))
             for j in range(ntraj)]
     chunks, step = [], 0  # (first step, steps); burn-in ends on a chunk boundary
@@ -427,18 +397,31 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
         chunks.append((step, n))
         step += n
-    out = np.empty((ntraj, sim.n_steps - sim.burn_in), dtype=np.complex128)
-    mech_acc = np.zeros(ntraj)
-    state = np.zeros((min(CHUNK, sim.n_steps) + 1, 4, ntraj))  # state[s] meets step s's noise
-    # one noise buffer for every chunk: the loops' views of a chunk's eta would
-    # otherwise keep it alive while the next chunk's is mapped
-    noise_buffer = np.empty((min(CHUNK, sim.n_steps), 6, ntraj))
-    products = np.empty((4, 4, ntraj))
+    out = _shared((ntraj, sim.n_steps - sim.burn_in), np.complex128)
+    mech_acc = _shared((ntraj,))
     inv_dt = 1.0 / sim.dt
     timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0}
-    noise = _noise_chunks(factor, rngs, chunks, noise_buffer, timings)
-    try:
-        for (step, n), eta in zip(chunks, noise):
+    workers = _workers(ntraj)
+
+    def run(worker: int) -> None:  # a contiguous range of trajectories
+        rows = slice(ntraj * worker // workers, ntraj * (worker + 1) // workers)
+        streams, dest_rows, mech = rngs[rows], out[rows], mech_acc[rows]
+        size, width = min(CHUNK, sim.n_steps), len(streams)
+        # Phi_xx spread over the trajectories, so that the product of a step is one contiguous pass
+        phi_x = np.ascontiguousarray(np.broadcast_to(phi[:, :4, :4, None], (slots, 4, 4, width)))
+        raw = np.empty((width, size, 6))
+        state = np.zeros((size + 1, 4, width))  # state[s] meets step s's noise
+        # one noise buffer for every chunk: the loops' views of a chunk's eta would
+        # otherwise keep it alive while the next chunk's is mapped
+        noise_buffer = np.empty((size, 6, width))
+        products = np.empty((4, 4, width))
+        for step, n in chunks:
+            began = time.perf_counter()
+            _draw_normals(streams, raw[:, :n])
+            drawn = time.perf_counter()
+            eta = _map_normals(factor, raw[:, :n], step, noise_buffer)
+            timings["noise_wait"] += drawn - began
+            timings["noise"] += time.perf_counter() - began
             # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
             # trajectory does not depend on the ensemble size; out= is positional
             # because the per-call overhead is most of a step
@@ -452,12 +435,12 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                 # times 1/dt is to the bit numpy's complex division by the real dt
                 phi_i = _slot_coefficients(phi[:, 4:, :4], step, n)
                 first = step - sim.burn_in
-                blocks = _step_blocks(n, ntraj)
-                term = np.empty((blocks[0].stop, ntraj))
+                blocks = _step_blocks(n, width)
+                term = np.empty((blocks[0].stop, width))
                 for block in blocks:
                     t = term[:block.stop - block.start]
                     f = phi_i if phi_i.ndim == 2 else phi_i[:, :, block]
-                    dest = out[:, first + block.start:first + block.stop]
+                    dest = dest_rows[:, first + block.start:first + block.stop]
                     for r, part in enumerate((dest.real, dest.imag)):
                         y = eta[block, 4 + r]
                         for k in range(4):
@@ -466,10 +449,10 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                         np.multiply(y, inv_dt, out=y)
                         np.copyto(part, y.T)
                 if record_mech:
-                    mech_acc += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
+                    mech += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
             state[0] = state[n]
-    finally:
-        noise.close()
+
+    _fork_join(workers, run)
     timings["propagate"] = time.perf_counter() - start - setup
     return TrajectoryOutput(output_field=out, sampling=sim.dt, slots=slots, timings=timings,
                             mech_abs2=mech_acc / out.shape[1] if record_mech else None)
@@ -494,20 +477,16 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
     hop = nperseg - nperseg // 2
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)  # periodic Hann
     # blocks of trajectories bound the memory of the windowed segment copies;
-    # a thread per CPU takes every workers-th block through one buffer of its own
-    # (numpy's FFT and ufuncs release the GIL)
-    blocks = [traj.output_field[first:first + WELCH_BLOCK] for first in range(0, ntraj, WELCH_BLOCK)]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(blocks))
+    # each worker takes every workers-th block through one buffer of its own
+    firsts = range(0, ntraj, WELCH_BLOCK)
+    workers = _workers(len(firsts))
+    sums = _shared((len(firsts), nperseg))
     shape = (min(WELCH_BLOCK, ntraj), count(nperseg) // ntraj, nperseg)
 
-    def block_sums(worker: int) -> list[np.ndarray]:
+    def run(worker: int) -> None:
         spectra = np.empty(shape, dtype=np.complex128)
-        sums = []
-        for rows in blocks[worker::workers]:
+        for i in range(worker, len(firsts), workers):
+            rows = traj.output_field[firsts[i]:firsts[i] + WELCH_BLOCK]
             segments = np.lib.stride_tricks.sliding_window_view(rows, nperseg, axis=-1)[:, ::hop]
             spec = spectra[:len(segments)]
             np.multiply(segments, window, out=spec)
@@ -515,17 +494,11 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
             re, im = spec.real, spec.imag  # |X|^2 squared in place
             np.square(re, out=re)
             np.square(im, out=im)
-            sums.append(np.add(re, im, out=re).sum(axis=(0, 1)))
-        return sums
+            sums[i] = np.add(re, im, out=re).sum(axis=(0, 1))
 
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        per_worker = list(pool.map(block_sums, range(workers)))
-    pxx = np.zeros(nperseg)
-    for i in range(len(blocks)):  # in trajectory order, so the worker count changes no bit
-        pxx += per_worker[i % workers][i // workers]
-    pxx *= traj.sampling / (np.sum(window**2) * count(nperseg))
+    _fork_join(workers, run)
+    # the block sums in trajectory order, so the worker count changes no bit
+    pxx = sums.sum(axis=0) * (traj.sampling / (np.sum(window**2) * count(nperseg)))
     f = np.fft.fftfreq(nperseg, traj.sampling)
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention
     # f(omega) = int f(t) e^{i omega t} dt places it at omega = -2 pi f
@@ -588,6 +561,9 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         peaks = [("anti_stokes", -delta, w_anti), ("stokes", +delta, w_stokes)]
     else:
         tone = config.probe()
+        if config.tone("cooling") is not None:
+            raise ValidityError("lone-probe gate: the single-tone closed form leaves out the "
+                                "cooling tone; add the mirror probe or drop the cooling tone")
         w = single_tone_integrated_weight(params, baths, tone, "symmetrized")
         peaks = [("peak", -tone.detuning_sign * config.delta(params), w)]
     floor_analytic = noise_floor(params, baths)

@@ -76,6 +76,8 @@ def cooling_variant(tmp_path, row):
             del tone["role"]
     elif row == "cooling-only":
         d["tones"] = [cooling]
+    elif row == "lone-red":
+        d["tones"] = [red, cooling]
     path = tmp_path / f"{row}.json"
     path.write_text(json.dumps(d))
     return str(path)
@@ -96,21 +98,29 @@ def read_component_csv(path):
     return rows
 
 
-SPECTRUM = next(action for action in build_parser()._actions
-                if isinstance(action, argparse._SubParsersAction)).choices["spectrum"]
+def subcommand(name):
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices[name]
 
 
-def spectrum_variants():
-    """(flag, a second valid value) of every `spectrum` option but the source and --out."""
+SPECTRUM = subcommand("spectrum")
+
+
+def option_variants(command, base=()):
+    """(flag, a second valid value) of every option of ``command`` but the
+    source, the calibrate mode and --out: another choice, else half the value
+    given in ``base`` or by default, else 1 where that value is 0."""
     variants = []
-    for action in SPECTRUM._actions:
-        if action.dest in {"help", "config", "preset", "out"}:
+    for action in subcommand(command)._actions:
+        flag = action.option_strings[-1]
+        if action.dest in {"help", "config", "preset", "out", "synthetic", "data"}:
             continue
         if action.choices:
             value = next(choice for choice in action.choices if choice != action.default)
         else:
-            value = action.type(action.default / 2)
-        variants.append((action.option_strings[-1], str(value)))
+            given = action.type(base[base.index(flag) + 1]) if flag in base else action.default
+            value = action.type(given / 2) if given else action.type(1)
+        variants.append((flag, str(value)))
     return variants
 
 
@@ -277,7 +287,7 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--mode", "multitone"]) == 2
 
     @pytest.mark.parametrize("mode", next(a.choices for a in SPECTRUM._actions if a.dest == "mode"))
-    @pytest.mark.parametrize("flag, value", spectrum_variants())
+    @pytest.mark.parametrize("flag, value", option_variants("spectrum"))
     def test_every_option_that_changes_the_csv_changes_the_hash(self, tmp_path, capsys,
                                                                 mode, flag, value):
         def run(*extra):
@@ -538,8 +548,19 @@ class TestCalibrateCommand:
      "ConfigError: lambda_conv must be strictly positive and finite, got -0.27"),
     (["calibrate", "--synthetic", "--lambda-conv", "0"],
      "ConfigError: lambda_conv must be strictly positive and finite, got 0.0"),
+    (["oracle-compare", "--seed", "-1"], "ConfigError: seed must be >= 0, got -1"),
+    (["calibrate", "--synthetic", "--seed", "-1"], "ConfigError: seed must be >= 0, got -1"),
+    (["spectrum", "--span-linewidths", "0"],
+     "ConfigError: --span-linewidths must be strictly positive and finite, got 0.0"),
+    (["spectrum", "--span-linewidths", "-5"],
+     "ConfigError: --span-linewidths must be strictly positive and finite, got -5.0"),
+    (["spectrum", "--span-linewidths", "nan"],
+     "ConfigError: --span-linewidths must be strictly positive and finite, got nan"),
+    (["spectrum", "--mode", "single", "--span-linewidths", "inf"],
+     "ConfigError: --span-linewidths must be strictly positive and finite, got inf"),
 ], ids=["points-negative", "points-one", "trajectories-zero", "noise-nan", "noise-negative",
-        "noise-inf", "lambda-negative", "lambda-zero"])
+        "noise-inf", "lambda-negative", "lambda-zero", "oracle-seed-negative",
+        "calibrate-seed-negative", "span-zero", "span-negative", "span-nan", "span-inf"])
 def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message):
     rc = main([argv[0], "--preset", "si-figure", *argv[1:], "--out", str(tmp_path)])
     assert rc == 2
@@ -547,6 +568,33 @@ def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message)
     assert err.startswith(message)
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+#: the other commands that write files, each with a small base run
+WRITERS = {"oracle-compare": ("--preset", "oracle-demo", "--segments", "20", "--trajectories", "2"),
+           "calibrate": ("--preset", "main-text", "--synthetic", "--noise", "0.01")}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, *variant) for command, base in WRITERS.items()
+    for variant in option_variants(command, base)])
+def test_every_option_that_changes_an_output_changes_the_hash(tmp_path, capsys,
+                                                              command, flag, value):
+    def run(*extra):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert main([command, *WRITERS[command], *extra, "--out", str(out)]) == 0
+        files = {}
+        for path in out.iterdir():
+            files[path.name] = path.read_bytes()
+            if path.suffix == ".json":  # all but the measured seconds and the hash itself
+                files[path.name] = json.loads(files[path.name])
+                files[path.name].pop("timings_s", None)
+                files[path.name].pop("config_hash")
+        return files, json.loads((out / "manifest.json").read_text())["config_hash"]
+
+    (files, digest), (changed, changed_digest) = run(), run(flag, value)
+    assert changed != files  # each of these options changes an output
+    assert changed_digest != digest
 
 
 @pytest.mark.parametrize("fields", [{"n_photons": 1e5, "coupling_hz": 1e3}, {}],
@@ -676,6 +724,15 @@ class TestOracleCompareCommand:
                    "--trajectories", "8", "--out", str(tmp_path / "out")])
         assert rc == 3
         assert capsys.readouterr().err.startswith("ValidityError: detuning gate: ")
+
+    def test_lone_probe_beside_a_cooling_tone_is_a_validity_gate(self, tmp_path, capsys):
+        # the single-tone closed form leaves the cooling tone out
+        out = tmp_path / "out"
+        rc = main(["oracle-compare", "--config", cooling_variant(tmp_path, "lone-red"),
+                   "--trajectories", "8", "--segments", "100", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("ValidityError: lone-probe gate: ")
+        assert not out.exists()
 
     def test_memory_guard_is_a_config_error(self, tmp_path, capsys):
         rc = main(["oracle-compare", "--preset", "oracle-demo", "--segments", "100000000",
