@@ -13,7 +13,7 @@ at each step.
 import numpy as np
 
 from sideband_lab.linear_response import resonance_correlators
-from sideband_lab.model import TWO_PI, BathSpec, SystemParams, ToneSpec
+from sideband_lab.model import BathSpec, SystemParams, ToneSpec
 from sideband_lab.scattering import single_tone_integrated_weight
 
 TONE_COOPERATIVITY = 1e-3

@@ -131,6 +131,9 @@ def cmd_asymmetry(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     params, baths, config = _load(args)
+    for option, value in (("--segments", args.segments), ("--trajectories", args.trajectories)):
+        if value < 1:
+            raise ConfigError(f"{option} must be at least 1, got {value}")
     # the analytic side first, so a gated configuration stops before the layout
     # of the Monte Carlo is even derived
     gamma_tot = config.gamma_tot(params)

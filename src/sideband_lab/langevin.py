@@ -30,18 +30,17 @@ a layout whose output samples would take more than 2 GiB.
 
 Layout of the hot path, per chunk of CHUNK = 512 output steps: each stream
 fills its own contiguous (steps, 6) row of a (trajectories, steps, 6) buffer.
-Blocks of steps whose planes hold about PLANE_BLOCK values are moved,
-TRANSPOSE_TILE trajectories at a time, to cache-sized trajectories-last
-planes (6, steps, trajectories), where the lower-triangular factor maps them
-into eta of shape (steps, 6, trajectories), one buffer reused by every chunk.
-The step loop writes X into a preallocated (steps + 1, 4, trajectories) array
-with ufunc ``out=`` arguments, and the output rows are mapped over the same
-blocks of steps. Every value goes through the same operations in the same
-order as in an unblocked evaluation, so no output sample depends on the
-chunk, block or tile sizes. The chunk is a fixed number of steps, whatever
-the number of trajectories, so a trajectory's mean |c|^2, summed per chunk,
-does not depend on the ensemble. Beside the output samples the chunk's
-buffers take about 3 x CHUNK x 6 x 8 bytes per trajectory.
+One copy moves the chunk to a trajectories-last noise buffer (6, steps,
+trajectories), where the lower-triangular factor maps it in place, last row
+first, through two scratch planes. The step loop writes X into a
+(steps + 1, 4, trajectories) array with ufunc ``out=`` arguments, and the
+output rows are mapped over the whole chunk. Every buffer is allocated once
+per worker. Each value goes through the same operations in the same order
+whatever the chunk length, so no output sample depends on CHUNK. The chunk is
+a fixed number of steps, whatever the number of trajectories, so a
+trajectory's mean |c|^2, summed per chunk, does not depend on the ensemble.
+Beside the output samples the buffers take about 3 x CHUNK x 6 x 8 bytes per
+trajectory.
 
 Trajectories are split between workers, one per CPU that the process may run
 on, at most one per block of work: `_fork_join` runs worker 0 here and forks
@@ -74,8 +73,6 @@ SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
 TAYLOR_DEGREE = 18  # of _expm's series
 CHUNK = 512  # output steps drawn at a time
 WELCH_BLOCK = 16  # trajectories transformed at a time
-PLANE_BLOCK = 8192  # values of a (steps, trajectories) plane mapped at a time
-TRANSPOSE_TILE = 16  # trajectories moved to the last axis at a time
 MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples held at once
 
 __all__ = ["SimConfig", "TrajectoryOutput", "propagator", "synthesize_input_noise",
@@ -251,12 +248,6 @@ def propagator(params: SystemParams, baths: BathSpec, config: ToneConfig,
     return phi, q, factor
 
 
-def _step_blocks(n_steps: int, ntraj: int) -> list[slice]:
-    """Ranges of steps whose (steps, trajectories) planes hold about PLANE_BLOCK values."""
-    size = max(1, PLANE_BLOCK // ntraj)
-    return [slice(s, min(s + size, n_steps)) for s in range(0, n_steps, size)]
-
-
 def _slot_coefficients(matrices: np.ndarray, first_step: int, n_steps: int) -> np.ndarray:
     """The entries of each step's slot matrix: (rows, cols) scalars for one slot,
     else a (rows, cols, n_steps, 1) stack that broadcasts over trajectories."""
@@ -272,50 +263,44 @@ def _draw_normals(rngs: list[np.random.Generator], raw: np.ndarray) -> None:
 
 
 def _map_normals(factor: np.ndarray, raw: np.ndarray, first_step: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """eta (steps, 6, trajectories) of the standard normals ``raw`` (trajectories,
-    steps, 6) of steps first_step, ..., each mapped by its slot's factor;
-    written into ``out[:steps]`` when a buffer is given."""
-    ntraj, n_steps = raw.shape[:2]
-    eta = np.empty((n_steps, 6, ntraj)) if out is None else out[:n_steps]
-    coef = _slot_coefficients(factor, first_step, n_steps)
-    blocks = _step_blocks(n_steps, ntraj)
-    # one block of normals at a time goes to cache-sized trajectories-last planes
-    planes = np.empty((6, blocks[0].stop, ntraj))
-    acc, term = np.empty((2, blocks[0].stop, ntraj))
-    for block in blocks:
-        size = block.stop - block.start
-        z, a, t = planes[:, :size], acc[:size], term[:size]
-        f = coef if coef.ndim == 2 else coef[:, :, block]
-        # a few trajectories at a time keep the strided reads within the TLB
-        for j in range(0, ntraj, TRANSPOSE_TILE):
-            tile = slice(j, j + TRANSPOSE_TILE)
-            np.copyto(z[:, :, tile], raw[tile, block].transpose(2, 1, 0))
-        # the factor is lower triangular: row i adds terms 0..i in order
-        np.multiply(f[0, 0], z[0], out=eta[block, 0])
-        for i in range(1, 6):
-            np.multiply(f[i, 0], z[0], out=a)
-            for k in range(1, i):
-                np.multiply(f[i, k], z[k], out=t)
-                np.add(a, t, out=a)
-            np.multiply(f[i, i], z[i], out=t)
-            np.add(a, t, out=eta[block, i])
-    return eta
+                 eta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """eta[:, :steps], (6, steps, trajectories), of the standard normals ``raw``
+    (trajectories, steps, 6) of steps first_step, ..., each mapped by its slot's
+    factor in place; ``scratch`` holds two (steps, trajectories) planes."""
+    n_steps = raw.shape[1]
+    z = eta[:, :n_steps]
+    np.copyto(z, raw.transpose(2, 1, 0))
+    f = _slot_coefficients(factor, first_step, n_steps)
+    acc, term = scratch[:, :n_steps]
+    # the factor is lower triangular: row i adds terms 0..i in order, and
+    # overwrites z[i] once no later row needs it
+    for i in range(5, 0, -1):
+        np.multiply(f[i, 0], z[0], out=acc)
+        for k in range(1, i):
+            np.multiply(f[i, k], z[k], out=term)
+            np.add(acc, term, out=acc)
+        np.multiply(f[i, i], z[i], out=term)
+        np.add(acc, term, out=z[i])
+    np.multiply(f[0, 0], z[0], out=z[0])
+    return z
 
 
 def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
                            first_step: int, n_steps: int) -> np.ndarray:
     """Noise eta of output steps first_step .. first_step + n_steps - 1.
 
-    Shape (n_steps, 6, len(rngs)); eta ~ N(0, factor factor^T) of the step's
-    slot, independent between steps and columns. Column j maps (n_steps, 6)
+    Shape (n_steps, 6, len(rngs)), a view of the integrator's (6, n_steps,
+    len(rngs)) layout; eta ~ N(0, factor factor^T) of the step's slot,
+    independent between steps and columns. Column j maps (n_steps, 6)
     standard normals of ``rngs[j]`` elementwise, so it does not depend on the
     other streams, not even in rounding. The draw and the map are the two
     halves of `integrate_langevin`'s ``noise`` stage.
     """
     raw = np.empty((len(rngs), n_steps, 6))
     _draw_normals(rngs, raw)
-    return _map_normals(factor, raw, first_step)
+    eta = _map_normals(factor, raw, first_step, np.empty((6, n_steps, len(rngs))),
+                       np.empty((2, n_steps, len(rngs))))
+    return eta.transpose(1, 0, 2)
 
 
 def _workers(blocks: int) -> int:
@@ -410,44 +395,38 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         # Phi_xx spread over the trajectories, so that the product of a step is one contiguous pass
         phi_x = np.ascontiguousarray(np.broadcast_to(phi[:, :4, :4, None], (slots, 4, 4, width)))
         raw = np.empty((width, size, 6))
+        # one noise buffer and two scratch planes, mapped in place by every chunk
+        noise, scratch = np.empty((6, size, width)), np.empty((2, size, width))
         state = np.zeros((size + 1, 4, width))  # state[s] meets step s's noise
-        # one noise buffer for every chunk: the loops' views of a chunk's eta would
-        # otherwise keep it alive while the next chunk's is mapped
-        noise_buffer = np.empty((size, 6, width))
         products = np.empty((4, 4, width))
         for step, n in chunks:
             began = time.perf_counter()
             _draw_normals(streams, raw[:, :n])
             drawn = time.perf_counter()
-            eta = _map_normals(factor, raw[:, :n], step, noise_buffer)
+            eta = _map_normals(factor, raw[:, :n], step, noise, scratch)
             timings["noise_wait"] += drawn - began
             timings["noise"] += time.perf_counter() - began
             # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
             # trajectory does not depend on the ensemble size; out= is positional
             # because the per-call overhead is most of a step
             for phi_s, x, x_next, eta_s in zip(itertools.islice(itertools.cycle(phi_x), step % slots, None),
-                                               state[:n], state[1:], eta[:, :4]):
+                                               state[:n], state[1:], eta[:4].swapaxes(0, 1)):
                 np.multiply(phi_s, x, products)
                 np.add.reduce(products, 1, None, x_next)
                 np.add(x_next, eta_s, x_next)
             if step >= sim.burn_in:
                 # the output rows: (eta_I + Phi_I x)/dt, terms added in the order of x;
                 # times 1/dt is to the bit numpy's complex division by the real dt
-                phi_i = _slot_coefficients(phi[:, 4:, :4], step, n)
-                first = step - sim.burn_in
-                blocks = _step_blocks(n, width)
-                term = np.empty((blocks[0].stop, width))
-                for block in blocks:
-                    t = term[:block.stop - block.start]
-                    f = phi_i if phi_i.ndim == 2 else phi_i[:, :, block]
-                    dest = dest_rows[:, first + block.start:first + block.stop]
-                    for r, part in enumerate((dest.real, dest.imag)):
-                        y = eta[block, 4 + r]
-                        for k in range(4):
-                            np.multiply(f[r, k], state[block, k], out=t)
-                            np.add(y, t, out=y)
-                        np.multiply(y, inv_dt, out=y)
-                        np.copyto(part, y.T)
+                f = _slot_coefficients(phi[:, 4:, :4], step, n)
+                dest = dest_rows[:, step - sim.burn_in:step - sim.burn_in + n]
+                term = scratch[1, :n]
+                for r, part in enumerate((dest.real, dest.imag)):
+                    y = eta[4 + r]
+                    for k in range(4):
+                        np.multiply(f[r, k], state[:n, k], out=term)
+                        np.add(y, term, out=y)
+                    np.multiply(y, inv_dt, out=y)
+                    np.copyto(part, y.T)
                 if record_mech:
                     mech += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
             state[0] = state[n]

@@ -32,8 +32,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -14,7 +14,6 @@ the baths passes `BathSpec.require_unit_vacuum`: all assume unit vacuum weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

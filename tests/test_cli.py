@@ -537,7 +537,10 @@ class TestCalibrateCommand:
     (["spectrum", "--points", "-1"], "ConfigError: --points must be at least 2, got -1"),
     (["spectrum", "--mode", "single", "--points", "1"],
      "ConfigError: --points must be at least 2, got 1"),
-    (["oracle-compare", "--trajectories", "0"], "ConfigError: n_trajectories must be >= 1"),
+    (["oracle-compare", "--trajectories", "0"],
+     "ConfigError: --trajectories must be at least 1, got 0"),
+    (["oracle-compare", "--segments", "0"], "ConfigError: --segments must be at least 1, got 0"),
+    (["oracle-compare", "--segments", "-5"], "ConfigError: --segments must be at least 1, got -5"),
     (["calibrate", "--synthetic", "--noise", "nan"],
      "ConfigError: noise_level must be >= 0 and finite, got nan"),
     (["calibrate", "--synthetic", "--noise", "-1"],
@@ -558,7 +561,8 @@ class TestCalibrateCommand:
      "ConfigError: --span-linewidths must be strictly positive and finite, got nan"),
     (["spectrum", "--mode", "single", "--span-linewidths", "inf"],
      "ConfigError: --span-linewidths must be strictly positive and finite, got inf"),
-], ids=["points-negative", "points-one", "trajectories-zero", "noise-nan", "noise-negative",
+], ids=["points-negative", "points-one", "trajectories-zero", "segments-zero",
+        "segments-negative", "noise-nan", "noise-negative",
         "noise-inf", "lambda-negative", "lambda-zero", "oracle-seed-negative",
         "calibrate-seed-negative", "span-zero", "span-negative", "span-nan", "span-inf"])
 def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message):

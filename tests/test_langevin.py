@@ -316,8 +316,9 @@ class TestFootprint:
         finally:
             tracemalloc.stop()
         assert started == [2, 2]
-        # worker 0's normals, mapped noise and states take 2 2/3 draws of a
-        # 512-step chunk of its 64 trajectories, the planes of the noise map a little more
+        # worker 0's normals, noise buffer, two scratch planes and states take 3
+        # draws of a 512-step chunk of its 64 trajectories; the first integration in
+        # an interpreter also counts the lazy import of numpy.random, about 0.5 draw
         draw = 512 * 6 * (ntraj // 2) * 8
         assert CHUNK <= 512
         assert integrate_peak - traj.output_field.nbytes < 3.5 * draw
