@@ -33,14 +33,12 @@ def main() -> None:
 
     delta = config.delta(params)
     grid = np.linspace(-4.0 * delta, 4.0 * delta, 4001)
-    comps = full_rwa_spectrum(params, baths, config, grid, components=True)
-    write_components_csv(out / "full_rwa.csv", comps)
+    write_components_csv(out / "full_rwa.csv", full_rwa_spectrum(params, baths, config, grid))
 
     gamma_tot = config.gamma_tot(params)
     local = np.linspace(-25.0, 25.0, 2001) * gamma_tot
-    spectra = multitone_spectra(params, baths, config, "symmetrized", local)
     write_components_csv(out / "single_lorentzians.csv",
-                         {"anti_stokes": spectra.anti_stokes, "stokes": spectra.stokes})
+                         multitone_spectra(params, baths, config, "symmetrized", local))
 
     n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)

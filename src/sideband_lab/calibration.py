@@ -392,7 +392,7 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
         delta_corr = float(transmission_delta(params, shunt, params.omega_c + probe.detuning))
         tables[f"thermometry_{sign}"] = (
             temps, thermometry_ratio(params, gains, delta_corr, probe, n_m) * f_therm)
-        peak = getattr(spectra, name)
+        peak = spectra[name]
         tables[f"sideband_{name}"] = (peak.freq_offsets / TWO_PI, peak.values * f_peak)
 
     report: dict = {

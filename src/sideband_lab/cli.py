@@ -37,13 +37,12 @@ from .errors import (
     UnbalancedError,
     ValidityError,
 )
-from .langevin import SimConfig, oracle_compare
+from .langevin import SimConfig, lone_probe, oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
 from .model import ToneConfig, _require_positive
 from .multitone import (
     averaged_occupation,
     full_rwa_spectrum,
-    multitone_integrated_asymmetry,
     multitone_spectra,
     sideband_ratio_model,
     sideband_weights,
@@ -55,18 +54,13 @@ _GATE_ERRORS = (ValidityError, InstabilityError, UnbalancedError, StepSizeError)
 
 
 def _load(args) -> tuple:
-    if args.config and args.preset:
-        raise ConfigError("give either --config or --preset, not both")
-    if args.config:
-        return load_config(args.config)
-    if args.preset:
-        return preset(args.preset)
-    raise ConfigError("one of --config or --preset is required")
+    return load_config(args.config) if args.config else preset(args.preset)
 
 
 def _add_source_args(parser):
-    parser.add_argument("--config", help="JSON parameter file")
-    parser.add_argument("--preset", choices=PRESET_NAMES, help="named parameter set")
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON parameter file")
+    source.add_argument("--preset", choices=PRESET_NAMES, help="named parameter set")
 
 
 def cmd_spectrum(args) -> int:
@@ -89,15 +83,11 @@ def cmd_spectrum(args) -> int:
     elif args.mode == "multitone":
         gamma_tot = config.gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
-        spectra = multitone_spectra(params, baths, config, kind, grid)
-        write_components_csv(path, {"anti_stokes": spectra.anti_stokes,
-                                    "stokes": spectra.stokes})
+        write_components_csv(path, multitone_spectra(params, baths, config, kind, grid))
     else:  # full-rwa
         delta = config.delta(params)
         grid = np.linspace(-4.0 * delta, 4.0 * delta, args.points)
-        comps = full_rwa_spectrum(params, baths, config, grid, kind=kind, components=True)
-        write_components_csv(path, {k: comps[k] for k in
-                                    ("total", "floor", "mixing", "stokes", "anti_stokes")})
+        write_components_csv(path, full_rwa_spectrum(params, baths, config, grid, kind=kind))
 
     desc = describe_run(params, baths, config, extra={
         "command": "spectrum", "kind": kind, "mode": args.mode, "sign": args.sign,
@@ -110,9 +100,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_asymmetry(args) -> int:
     params, baths, config = _load(args)
-    delta_i = multitone_integrated_asymmetry(params, baths, config)  # gated before the pair check
+    w_anti, w_stokes = sideband_weights(params, baths, config)  # gated before the pair check
     if not config.has_probe_pair:
         raise ConfigError("asymmetry needs a red_probe + blue_probe pair")
+    delta_i = w_stokes - w_anti
     n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)
     report = {
@@ -121,8 +112,7 @@ def cmd_asymmetry(args) -> int:
         "n_eff": n_eff,
         "n_bar_m": n_bar,
         "ratio_model": sideband_ratio_model(n_bar - n_eff, n_eff),
-        "weights": dict(zip(("anti_stokes", "stokes"),
-                            sideband_weights(params, baths, config))),
+        "weights": {"anti_stokes": w_anti, "stokes": w_stokes},
         "config_hash": describe_run(params, baths, config)["config_hash"],
     }
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -139,11 +129,10 @@ def cmd_oracle_compare(args) -> int:
     gamma_tot = config.gamma_tot(params)
     grid = np.linspace(-8.0 * gamma_tot, 8.0 * gamma_tot, 1001)
     if config.has_probe_pair:
-        spectra = multitone_spectra(params, baths, config, "symmetrized", grid,
-                                    enforce_separation=False)
-        analytic = {"anti_stokes": spectra.anti_stokes, "stokes": spectra.stokes}
+        analytic = multitone_spectra(params, baths, config, "symmetrized", grid,
+                                     enforce_separation=False)
     else:  # the lone feature sits at -sign delta, where the Monte Carlo puts it
-        tone = config.probe()
+        tone = lone_probe(config)
         spec = single_tone_spectrum(params, baths, tone, "symmetrized", grid)
         analytic = spec.shifted(-tone.detuning_sign * config.delta(params))
     sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,

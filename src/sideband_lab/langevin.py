@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import ConfigError, StepSizeError, ValidityError
 from .fitting import median
-from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
+from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, ToneSpec
 from .multitone import sideband_weights
 from .scattering import noise_floor, single_tone_integrated_weight
 
@@ -76,7 +76,7 @@ WELCH_BLOCK = 16  # trajectories transformed at a time
 MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples held at once
 
 __all__ = ["SimConfig", "TrajectoryOutput", "propagator", "synthesize_input_noise",
-           "integrate_langevin", "oracle_compare", "RNG_ALGORITHM"]
+           "integrate_langevin", "lone_probe", "oracle_compare", "RNG_ALGORITHM"]
 
 
 def _ceil(x: float) -> int:
@@ -520,6 +520,17 @@ def _measure_peak(spec: Spectrum, centers: list[float], gamma_tot: float):
     return floor, [float(w) for w in weights], centroids
 
 
+def lone_probe(config: ToneConfig) -> ToneSpec:
+    """The probe of a configuration without a probe pair, which the oracle
+    compares against the single-tone closed form; that form leaves out a
+    cooling tone, so a configuration with one is refused (ValidityError)."""
+    tone = config.probe()
+    if config.tone("cooling") is not None:
+        raise ValidityError("lone-probe gate: the single-tone closed form leaves out the "
+                            "cooling tone; add the mirror probe or drop the cooling tone")
+    return tone
+
+
 def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
                    sim: SimConfig) -> tuple[dict, Spectrum]:
     """Run the stochastic oracle and compare against the analytic spectra.
@@ -539,10 +550,7 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         delta = config.delta(params)
         peaks = [("anti_stokes", -delta, w_anti), ("stokes", +delta, w_stokes)]
     else:
-        tone = config.probe()
-        if config.tone("cooling") is not None:
-            raise ValidityError("lone-probe gate: the single-tone closed form leaves out the "
-                                "cooling tone; add the mirror probe or drop the cooling tone")
+        tone = lone_probe(config)
         w = single_tone_integrated_weight(params, baths, tone, "symmetrized")
         peaks = [("peak", -tone.detuning_sign * config.delta(params), w)]
     floor_analytic = noise_floor(params, baths)

@@ -54,8 +54,6 @@ class DetectorNoise:
     s_ff: float
     s_if: complex
     s_zf: complex
-    evaluated_at: float
-    detuning_sign: int
 
     def __post_init__(self):
         if self.s_ii < 0.0 or self.s_ff < 0.0:
@@ -117,8 +115,7 @@ def detector_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     """
     params.require_good_cavity()
     _two_port_gate(params)
-    sign = tone.detuning_sign
-    delta_drive = sign * params.omega_m
+    delta_drive = tone.detuning_sign * params.omega_m
     g = tone.coupling_rate(params)
     kr, kl, k = params.kappa_r, params.kappa_l, params.kappa
     x_r, x_l, _, _ = baths.strengths("symmetrized")
@@ -139,9 +136,7 @@ def detector_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec,
         - kl * (abs(c_p) ** 2 + abs(c_m) ** 2) * x_l
     )
     s_zf = s_if / chi_if if chi_if != 0.0 else 0.0j  # undriven detector
-    return DetectorNoise(chi_if=chi_if, s_ii=float(s_ii), s_ff=float(s_ff),
-                         s_if=s_if, s_zf=s_zf, evaluated_at=float(omega),
-                         detuning_sign=sign)
+    return DetectorNoise(chi_if=chi_if, s_ii=float(s_ii), s_ff=float(s_ff), s_if=s_if, s_zf=s_zf)
 
 
 def resonance_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec) -> DetectorNoise:

@@ -14,8 +14,6 @@ the baths passes `BathSpec.require_unit_vacuum`: all assume unit vacuum weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, ValidityError
@@ -23,7 +21,6 @@ from .model import BathSpec, Spectrum, SystemParams, ToneConfig, derive_effectiv
 from .scattering import _detuning_gate, noise_floor
 
 __all__ = [
-    "MultitoneSpectra",
     "sxx_spectrum",
     "sxx_integrated_weight",
     "averaged_occupation",
@@ -34,24 +31,6 @@ __all__ = [
     "full_rwa_spectrum",
     "peak_ratio_correction",
 ]
-
-
-@dataclass(frozen=True)
-class MultitoneSpectra:
-    """The two independently-resolved sideband Lorentzians.
-
-    ``anti_stokes``/``stokes`` grids are absolute offsets from the cavity
-    (centered at -delta and +delta). ``floor`` is the flat background of the
-    returned spectra, `noise_floor` s_r + (4 kappa_r/kappa)(s_c - s_r) in the
-    input strengths of the requested ordering; ``gamma_tot`` is the common
-    Lorentzian full width and ``n_bar_m`` the averaged mechanical occupation.
-    """
-
-    anti_stokes: Spectrum
-    stokes: Spectrum
-    floor: float
-    gamma_tot: float
-    n_bar_m: float
 
 
 def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) -> float:
@@ -132,14 +111,15 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
 
 def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
                       kind: str, grid: np.ndarray, *,
-                      enforce_separation: bool = True) -> MultitoneSpectra:
+                      enforce_separation: bool = True) -> dict[str, Spectrum]:
     """Both sideband Lorentzians on a shared offset-from-peak grid.
 
     Each peak has prefactor (kappa_r/kappa) gamma_tot gamma_opt^+- /
     (omega^2 + gamma_tot^2/4) with brackets [n_bar - n_eff] (anti-Stokes) and
-    [n_bar + n_eff + 1] (Stokes) for either ordering; ``kind`` selects the
-    floor s_r + (4 kappa_r/kappa)(s_c - s_r) of `noise_floor`. The returned
-    spectra carry absolute offsets (peak center -+delta plus the supplied grid).
+    [n_bar + n_eff + 1] (Stokes) for either ordering, on the flat floor
+    s_r + (4 kappa_r/kappa)(s_c - s_r) of `noise_floor` that ``kind`` selects.
+    Returns {"anti_stokes", "stokes"}, each on absolute offsets from the
+    cavity (peak center -+delta plus the supplied grid).
     """
     anti_br, stokes_br = _brackets(params, baths, config)
     gamma_tot = _separation_gate(params, config, enforce_separation)
@@ -148,15 +128,11 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
     x = np.asarray(grid, dtype=float)
     lor = gamma_tot / (x**2 + gamma_tot**2 / 4.0)
     pref = params.kappa_r / params.kappa
-    anti = floor + pref * gp * lor * anti_br
-    stokes = floor + pref * gm * lor * stokes_br
-    return MultitoneSpectra(
-        anti_stokes=Spectrum(x - config.delta(params), anti),
-        stokes=Spectrum(x + config.delta(params), stokes),
-        floor=floor,
-        gamma_tot=gamma_tot,
-        n_bar_m=averaged_occupation(params, baths, config),
-    )
+    delta = config.delta(params)
+    return {
+        "anti_stokes": Spectrum(x - delta, floor + pref * gp * lor * anti_br),
+        "stokes": Spectrum(x + delta, floor + pref * gm * lor * stokes_br),
+    }
 
 
 def sideband_weights(params: SystemParams, baths: BathSpec,
@@ -192,17 +168,15 @@ def sideband_ratio_model(n_m_plus: float, n_eff: float) -> float:
 
 
 def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                      grid: np.ndarray, *, kind: str = "symmetrized", components: bool = False):
+                      grid: np.ndarray, *, kind: str = "symmetrized") -> dict[str, Spectrum]:
     """Complete twin-peak spectrum for balanced probes, including the mixing term.
 
     S[omega] = S0 + mixing + anti-Stokes Lorentzian + Stokes Lorentzian, with
     mixing = -(4 kappa_r/kappa) gamma_opt^2 [(omega - delta)(omega + delta)
     + gamma_M^2/4] / (both Lorentzian denominators) * (n_c + 1/2). Grid is
     absolute offsets from the cavity; peaks sit at -+delta. ``kind`` picks the
-    ordering of the floor, as in `multitone_spectra`.
-
-    With ``components=True`` returns a dict with entries
-    {"total", "floor", "mixing", "stokes", "anti_stokes"}.
+    ordering of the floor, as in `multitone_spectra`. Returns S and its parts,
+    {"total", "floor", "mixing", "stokes", "anti_stokes"}, on that grid.
     """
     gamma_opt = config.require_balanced(params)
     gamma_big_m = config.gamma_big_m(params)
@@ -219,15 +193,12 @@ def full_rwa_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
         / (d_as * d_s) * (n_c + 0.5)
     anti = pref * gamma_big_m * gamma_opt / d_as * anti_br
     stokes = pref * gamma_big_m * gamma_opt / d_s * stokes_br
-    total = floor + mixing + anti + stokes
-    if not components:
-        return Spectrum(x, total)
     return {
-        "total": Spectrum(x, total),
+        "total": Spectrum(x, floor + mixing + anti + stokes),
         "floor": Spectrum(x, np.full_like(x, floor)),
         "mixing": Spectrum(x, mixing),
-        "anti_stokes": Spectrum(x, anti),
         "stokes": Spectrum(x, stokes),
+        "anti_stokes": Spectrum(x, anti),
     }
 
 

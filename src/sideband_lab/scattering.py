@@ -66,7 +66,6 @@ class ScatteringMatrix:
     entries: np.ndarray
     detuning_sign: int
     s_loss: complex = 0.0 + 0.0j
-    offset: float = 0.0
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -167,7 +166,7 @@ def scattering_matrix(params: SystemParams, tone: ToneSpec, offset: float, *,
          [s13, s23, s33]],
         dtype=complex,
     )
-    return ScatteringMatrix(entries=entries, detuning_sign=sign, s_loss=s_loss, offset=offset)
+    return ScatteringMatrix(entries=entries, detuning_sign=sign, s_loss=s_loss)
 
 
 def _port_strengths(params: SystemParams, baths: BathSpec, kind: str,

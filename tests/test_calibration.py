@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sideband_lab.calibration import (
-    OccupationFit,
     ShuntModel,
     delta_from_power_ratio,
     fit_linewidth_vs_power,
@@ -27,7 +26,7 @@ from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec,
 from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import preset
 
-from conftest import balanced_config, make_params, tone_with_gamma_opt
+from conftest import make_params, tone_with_gamma_opt
 
 
 class TestLinewidthVsPower:

@@ -1,6 +1,5 @@
 import argparse
 import json
-import math
 import os
 import subprocess
 import sys
@@ -192,6 +191,7 @@ class TestSpectrumCommand:
         *[("cooling-only", c) for c in ("multitone", "full-rwa", "asymmetry", "oracle-compare")],
         *[("wrong-side", c) for c in ("single", "multitone", "asymmetry", "oracle-compare",
                                       "noise-constraint")],
+        ("lone-red", "oracle-compare"),
     ])
     def test_every_command_applies_the_same_gates(self, tmp_path, capsys, monkeypatch,
                                                   row, command):
@@ -217,6 +217,7 @@ class TestSpectrumCommand:
             "cooling-only": (2, "ConfigError: no probe tone: the configuration "
                                 "has neither a red_probe nor a blue_probe tone\n"),
             "wrong-side": (2, "ConfigError: tones[0]: a red_probe tone sits below the cavity"),
+            "lone-red": (3, "ValidityError: lone-probe gate: "),
         }[row]
         out = [] if command in ("asymmetry", "noise-constraint") else \
             ["--out", str(tmp_path / "out")]
@@ -572,6 +573,21 @@ def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message)
     assert err.startswith(message)
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectrum", "asymmetry", "oracle-compare", "calibrate",
+                                     "noise-constraint"])
+@pytest.mark.parametrize("source, message", [
+    ((), "error: one of the arguments --config --preset is required\n"),
+    (("--preset", "si-figure", "--config", "cfg.json"),
+     "error: argument --config: not allowed with argument --preset\n"),
+], ids=["neither", "both"])
+def test_exactly_one_source_is_required(capsys, command, source, message):
+    mode = ["--synthetic"] if command == "calibrate" else []
+    assert main([command, *source, *mode]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(message)
+    assert "Traceback" not in err
 
 
 #: the other commands that write files, each with a small base run

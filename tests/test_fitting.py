@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sideband_lab.errors import DegenerateData
-from sideband_lab.fitting import LorentzianFit, fit_lorentzian, gauss_newton, median
+from sideband_lab.fitting import fit_lorentzian, gauss_newton, median
 from sideband_lab.model import Spectrum
 
 

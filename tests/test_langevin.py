@@ -35,7 +35,7 @@ from sideband_lab.langevin import (
     propagator,
     synthesize_input_noise,
 )
-from sideband_lab.model import TWO_PI, BathSpec, SystemParams, Spectrum, ToneConfig, ToneSpec
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec
 from sideband_lab.multitone import full_rwa_spectrum, sideband_weights
 from sideband_lab.presets import preset
 from sideband_lab.scattering import single_tone_integrated_weight, single_tone_spectrum
@@ -630,7 +630,7 @@ class TestMeasurePeak:
         gamma_tot = cfg.gamma_tot(p)
         grid = exact_oracle_grid(gamma_tot)
         if cfg.has_probe_pair:
-            spec = full_rwa_spectrum(p, baths, cfg, grid)
+            spec = full_rwa_spectrum(p, baths, cfg, grid)["total"]
             centers = [-cfg.delta(p), cfg.delta(p)]
             exact = sideband_weights(p, baths, cfg)
         else:
@@ -648,7 +648,7 @@ class TestMeasurePeak:
         p, baths, cfg = preset("oracle-demo")
         gamma_opt, _ = cfg.gamma_opt_pair(p)
         gamma_tot = cfg.gamma_tot(p)
-        spec = full_rwa_spectrum(p, baths, cfg, exact_oracle_grid(gamma_tot))
+        spec = full_rwa_spectrum(p, baths, cfg, exact_oracle_grid(gamma_tot))["total"]
         _, (w_anti, w_stokes), _ = _measure_peak(spec, [-cfg.delta(p), cfg.delta(p)], gamma_tot)
         imbalance = (w_stokes - w_anti) / (p.kappa_r / p.kappa * gamma_opt)
         assert imbalance == pytest.approx(1.0, abs=1e-4)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from sideband_lab.linear_response import (
     sxx_backaction,
     sxx_effective,
 )
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum
+from sideband_lab.model import BathSpec, Spectrum
 from sideband_lab.scattering import noise_floor, single_tone_integrated_weight
 
 from conftest import integrated_weight, make_params, random_baths, random_system, tone_with_gamma_opt

@@ -230,8 +230,9 @@ class TestMultitoneSpectra:
         assert averaged_occupation(p, baths, cfg) == pytest.approx(4.7, rel=1e-12)
         grid = np.array([0.0])
         spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid)
-        ratio = (spectra.stokes.values[0] - spectra.floor) / \
-            (spectra.anti_stokes.values[0] - spectra.floor)
+        floor = noise_floor(p, baths)
+        ratio = (spectra["stokes"].values[0] - floor) / \
+            (spectra["anti_stokes"].values[0] - floor)
         assert ratio == pytest.approx(6.3 / 4.1, rel=1e-9)
 
     def test_normal_equals_symmetrized_brackets_when_balanced(self):
@@ -239,23 +240,22 @@ class TestMultitoneSpectra:
         grid = np.linspace(-3, 3, 7) * cfg.gamma_tot(p)
         sym = multitone_spectra(p, baths, cfg, "symmetrized", grid)
         nrm = multitone_spectra(p, baths, cfg, "normal_ordered", grid)
-        np.testing.assert_allclose(sym.stokes.values - nrm.stokes.values, 0.5, atol=1e-12)
-        np.testing.assert_allclose(sym.anti_stokes.values - nrm.anti_stokes.values,
-                                   0.5, atol=1e-12)
+        for side in ("stokes", "anti_stokes"):
+            np.testing.assert_allclose(sym[side].values - nrm[side].values, 0.5, atol=1e-12)
 
     def test_peak_offsets_are_centered_at_deltas(self):
         p, baths, cfg = si_figure_like()
         grid = np.linspace(-2, 2, 5) * cfg.gamma_tot(p)
         spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid)
-        assert spectra.anti_stokes.freq_offsets[2] == pytest.approx(-cfg.delta(p))
-        assert spectra.stokes.freq_offsets[2] == pytest.approx(+cfg.delta(p))
+        assert spectra["anti_stokes"].freq_offsets[2] == pytest.approx(-cfg.delta(p))
+        assert spectra["stokes"].freq_offsets[2] == pytest.approx(+cfg.delta(p))
 
     def test_width_extractable_by_fit(self):
         p, baths, cfg = si_figure_like()
         gamma_tot = cfg.gamma_tot(p)
         grid = np.linspace(-20, 20, 2001) * gamma_tot
         spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid)
-        fit = fit_lorentzian(Spectrum(grid, spectra.stokes.values))
+        fit = fit_lorentzian(Spectrum(grid, spectra["stokes"].values))
         assert fit.width == pytest.approx(gamma_tot, rel=1e-2)
         assert fit.center == pytest.approx(0.0, abs=1e-3 * gamma_tot)
 
@@ -310,7 +310,7 @@ class TestIntegratedAsymmetry:
             grid = np.linspace(-50, 50, 20001) * gamma_tot
             spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid,
                                         enforce_separation=False)
-            diff = Spectrum(grid, spectra.stokes.values - spectra.anti_stokes.values)
+            diff = Spectrum(grid, spectra["stokes"].values - spectra["anti_stokes"].values)
             quad = integrated_weight(diff, 0.0, center=0.0)
             assert quad == pytest.approx(multitone_integrated_asymmetry(p, baths, cfg),
                                          rel=1e-4)
@@ -355,7 +355,7 @@ class TestFullRwaSpectrum:
         p, baths, _ = si_figure_like()
         cfg = balanced_config(p, delta=TWO_PI * 5e3, probe_gamma_opt=0.0)
         grid = np.linspace(-4, 4, 101) * cfg.delta(p)
-        spec = full_rwa_spectrum(p, baths, cfg, grid)
+        spec = full_rwa_spectrum(p, baths, cfg, grid)["total"]
         np.testing.assert_allclose(spec.values, noise_floor(p, baths), rtol=1e-12)
 
     def test_unbalanced_rejected(self):
@@ -373,9 +373,9 @@ class TestFullRwaSpectrum:
         delta = cfg.delta(p)
         floor = noise_floor(p, baths)
         spectra = multitone_spectra(p, baths, cfg, "symmetrized", np.array([0.0]))
-        full = full_rwa_spectrum(p, baths, cfg, np.array([-delta, delta]))
-        anti_peak = spectra.anti_stokes.values[0] - floor
-        stokes_peak = spectra.stokes.values[0] - floor
+        full = full_rwa_spectrum(p, baths, cfg, np.array([-delta, delta]))["total"]
+        anti_peak = spectra["anti_stokes"].values[0] - floor
+        stokes_peak = spectra["stokes"].values[0] - floor
         corr_as = peak_ratio_correction(p, baths, cfg, "anti_stokes")
         corr_s = peak_ratio_correction(p, baths, cfg, "stokes")
         assert full.values[0] - floor == pytest.approx(anti_peak * corr_as, rel=1e-9)
@@ -391,16 +391,25 @@ class TestFullRwaSpectrum:
         gamma_big_m = cfg_small.gamma_big_m(p)
         n_big_m = (p.gamma_m * baths.n_m + TWO_PI * 350.0 * baths.n_c(p)) / gamma_big_m
         grid = np.linspace(-60, 60, 120001) * gamma_big_m
-        spec = full_rwa_spectrum(p, baths, cfg_small, grid)
+        spec = full_rwa_spectrum(p, baths, cfg_small, grid)["total"]
         floor = noise_floor(p, baths)
         quad = integrated_weight(Spectrum(grid, spec.values - floor), 0.0, center=0.0)
         expected = (p.kappa_r / p.kappa) * gamma_opt * (2.0 * n_big_m + 1.0)
         assert quad == pytest.approx(expected, rel=1e-3)
 
+    def test_components_are_named_in_the_order_the_csv_lists_them(self):
+        # both forms return what `write_components_csv` takes, as they are
+        p, baths, cfg = si_figure_like()
+        grid = np.array([0.0])
+        assert list(multitone_spectra(p, baths, cfg, "symmetrized", grid)) == \
+            ["anti_stokes", "stokes"]
+        assert list(full_rwa_spectrum(p, baths, cfg, grid)) == \
+            ["total", "floor", "mixing", "stokes", "anti_stokes"]
+
     def test_components_sum_to_total(self):
         p, baths, cfg = si_figure_like()
         grid = np.linspace(-4 * cfg.delta(p), 4 * cfg.delta(p), 101)
-        comps = full_rwa_spectrum(p, baths, cfg, grid, components=True)
+        comps = full_rwa_spectrum(p, baths, cfg, grid)
         total = (comps["floor"].values + comps["mixing"].values
                  + comps["stokes"].values + comps["anti_stokes"].values)
         np.testing.assert_allclose(total, comps["total"].values, rtol=1e-12)

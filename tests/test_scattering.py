@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sideband_lab.errors import InstabilityError, ValidityError
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneSpec
+from sideband_lab.model import TWO_PI, BathSpec, ToneSpec
 from sideband_lab.scattering import (
     drive_amplitude_for_photons,
     imbalance,

@@ -1,4 +1,4 @@
-"""No module of the package or the scripts imports a name it does not use.
+"""No module of the package, the scripts or the tests imports a name it does not use.
 
 No linter is a dependency, so the check is an `ast` scan: a name bound by an
 import must be read somewhere in the module or be listed in its `__all__`.
@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(REPO / "src" / "sideband_lab").glob("*.py"), *(REPO / "scripts").glob("*.py")])
+MODULES = sorted([*(REPO / "src" / "sideband_lab").glob("*.py"), *(REPO / "scripts").glob("*.py"),
+                  *(REPO / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
