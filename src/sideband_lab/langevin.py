@@ -40,15 +40,20 @@ whatever the chunk length, so no output sample depends on CHUNK. The chunk is
 a fixed number of steps, whatever the number of trajectories, so a
 trajectory's mean |c|^2, summed per chunk, does not depend on the ensemble.
 Beside the output samples the buffers take about 3 x CHUNK x 6 x 8 bytes per
-trajectory.
+trajectory; Welch transforms one trajectory at a time, through one complex
+(segments, nperseg) buffer per worker.
 
 Trajectories are split between workers, one per CPU that the process may run
 on, at most one per block of work: `_fork_join` runs worker 0 here and forks
-the others, which write into anonymous shared mappings. The integrator gives
-each worker a contiguous range of trajectories, Welch every workers-th block
-of WELCH_BLOCK trajectories, whose sums it adds in trajectory order; so no
-output bit depends on the worker count. ``timings`` are the calling process's:
-``noise`` is its draws and map, ``noise_wait`` the draws alone.
+the others, which write into anonymous shared mappings. The integrator and
+Welch split by `_share`, the integrator into contiguous ranges of
+trajectories, Welch into contiguous ranges of WELCH_BLOCK-trajectory blocks,
+so that with whole blocks a worker reads back only the rows it wrote. Each
+worker flags its non-finite output chunks, and the caller raises for them.
+Welch adds every segment's |X|^2 into its block's sum in trajectory order, and
+the block sums in order; so no output bit depends on the worker count.
+``timings`` are the calling process's: ``noise`` is its draws and map,
+``noise_wait`` the draws alone.
 """
 
 from __future__ import annotations
@@ -72,11 +77,11 @@ RNG_ALGORITHM = "numpy-philox-4x64-10"
 SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
 TAYLOR_DEGREE = 18  # of _expm's series
 CHUNK = 512  # output steps drawn at a time
-WELCH_BLOCK = 16  # trajectories transformed at a time
+WELCH_BLOCK = 16  # trajectories per Welch partial sum, the unit workers split
 MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples held at once
 
-__all__ = ["SimConfig", "TrajectoryOutput", "propagator", "synthesize_input_noise",
-           "integrate_langevin", "lone_probe", "oracle_compare", "RNG_ALGORITHM"]
+__all__ = ["SimConfig", "TrajectoryOutput", "propagator", "integrate_langevin",
+           "lone_probe", "oracle_compare", "RNG_ALGORITHM"]
 
 
 def _ceil(x: float) -> int:
@@ -142,7 +147,8 @@ class SimConfig:
 class TrajectoryOutput:
     """Right-port output, (n_trajectories, n_steps - burn_in) samples averaged
     over ``sampling`` seconds each, Floquet ``slots``, stage ``timings`` and the
-    optional per-trajectory mean |c|^2. ``decimation`` (1) is kept for the tracer."""
+    optional per-trajectory mean |c|^2. ``decimation`` (1) is kept for the tracer.
+    `integrate_langevin` refuses non-finite samples; this class checks nothing."""
 
     output_field: np.ndarray
     sampling: float
@@ -150,10 +156,6 @@ class TrajectoryOutput:
     timings: dict = field(default_factory=dict)
     mech_abs2: np.ndarray | None = None
     decimation: int = 1
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.output_field)):
-            raise StepSizeError("trajectory diverged: non-finite output samples")
 
 
 def _cooling_rate(params: SystemParams, config: ToneConfig) -> float | None:
@@ -285,28 +287,15 @@ def _map_normals(factor: np.ndarray, raw: np.ndarray, first_step: int,
     return z
 
 
-def synthesize_input_noise(factor: np.ndarray, rngs: list[np.random.Generator],
-                           first_step: int, n_steps: int) -> np.ndarray:
-    """Noise eta of output steps first_step .. first_step + n_steps - 1.
-
-    Shape (n_steps, 6, len(rngs)), a view of the integrator's (6, n_steps,
-    len(rngs)) layout; eta ~ N(0, factor factor^T) of the step's slot,
-    independent between steps and columns. Column j maps (n_steps, 6)
-    standard normals of ``rngs[j]`` elementwise, so it does not depend on the
-    other streams, not even in rounding. The draw and the map are the two
-    halves of `integrate_langevin`'s ``noise`` stage.
-    """
-    raw = np.empty((len(rngs), n_steps, 6))
-    _draw_normals(rngs, raw)
-    eta = _map_normals(factor, raw, first_step, np.empty((6, n_steps, len(rngs))),
-                       np.empty((2, n_steps, len(rngs))))
-    return eta.transpose(1, 0, 2)
-
-
 def _workers(blocks: int) -> int:
     """One worker per CPU that this process may run on, at most one per block of work."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, blocks)
+
+
+def _share(n: int, workers: int, worker: int) -> slice:
+    """Worker ``worker``'s contiguous share of n items split between ``workers``."""
+    return slice(n * worker // workers, n * (worker + 1) // workers)
 
 
 def _shared(shape: tuple, dtype=np.float64) -> np.ndarray:
@@ -387,9 +376,10 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     inv_dt = 1.0 / sim.dt
     timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0}
     workers = _workers(ntraj)
+    diverged = _shared((workers,), np.bool_)
 
     def run(worker: int) -> None:  # a contiguous range of trajectories
-        rows = slice(ntraj * worker // workers, ntraj * (worker + 1) // workers)
+        rows = _share(ntraj, workers, worker)
         streams, dest_rows, mech = rngs[rows], out[rows], mech_acc[rows]
         size, width = min(CHUNK, sim.n_steps), len(streams)
         # Phi_xx spread over the trajectories, so that the product of a step is one contiguous pass
@@ -427,11 +417,14 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                         np.add(y, term, out=y)
                     np.multiply(y, inv_dt, out=y)
                     np.copyto(part, y.T)
+                diverged[worker] |= not np.isfinite(dest).all()
                 if record_mech:
                     mech += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
             state[0] = state[n]
 
     _fork_join(workers, run)
+    if diverged.any():  # raised here: a child's raise would be a ChildProcessError
+        raise StepSizeError("trajectory diverged: non-finite output samples")
     timings["propagate"] = time.perf_counter() - start - setup
     return TrajectoryOutput(output_field=out, sampling=sim.dt, slots=slots, timings=timings,
                             mech_abs2=mech_acc / out.shape[1] if record_mech else None)
@@ -455,25 +448,24 @@ def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum
         nperseg -= max(1, nperseg // 50)
     hop = nperseg - nperseg // 2
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)  # periodic Hann
-    # blocks of trajectories bound the memory of the windowed segment copies;
-    # each worker takes every workers-th block through one buffer of its own
+    # each worker sums a contiguous range of blocks (with whole blocks, the rows
+    # it integrated), one trajectory at a time through one buffer of its own
     firsts = range(0, ntraj, WELCH_BLOCK)
     workers = _workers(len(firsts))
     sums = _shared((len(firsts), nperseg))
-    shape = (min(WELCH_BLOCK, ntraj), count(nperseg) // ntraj, nperseg)
 
     def run(worker: int) -> None:
-        spectra = np.empty(shape, dtype=np.complex128)
-        for i in range(worker, len(firsts), workers):
-            rows = traj.output_field[firsts[i]:firsts[i] + WELCH_BLOCK]
-            segments = np.lib.stride_tricks.sliding_window_view(rows, nperseg, axis=-1)[:, ::hop]
-            spec = spectra[:len(segments)]
-            np.multiply(segments, window, out=spec)
-            np.fft.fft(spec, axis=-1, out=spec)
-            re, im = spec.real, spec.imag  # |X|^2 squared in place
-            np.square(re, out=re)
-            np.square(im, out=im)
-            sums[i] = np.add(re, im, out=re).sum(axis=(0, 1))
+        spec = np.empty((count(nperseg) // ntraj, nperseg), dtype=np.complex128)
+        re, im = spec.real, spec.imag  # |X|^2 squared in place
+        for i in range(len(firsts))[_share(len(firsts), workers, worker)]:
+            for row in traj.output_field[firsts[i]:firsts[i] + WELCH_BLOCK]:
+                np.multiply(np.lib.stride_tricks.sliding_window_view(row, nperseg)[::hop],
+                            window, out=spec)
+                np.fft.fft(spec, axis=-1, out=spec)
+                np.square(re, out=re)
+                np.square(im, out=im)
+                for power in np.add(re, im, out=re):  # in (trajectory, segment) order
+                    np.add(sums[i], power, out=sums[i])
 
     _fork_join(workers, run)
     # the block sums in trajectory order, so the worker count changes no bit

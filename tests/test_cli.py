@@ -761,6 +761,27 @@ class TestOracleCompareCommand:
         assert "GiB memory guard" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("trajectories", ["1", "8"])  # one worker, or one per CPU
+    def test_diverged_oracle_is_a_step_size_error(self, tmp_path, capsys, monkeypatch,
+                                                  trajectories):
+        import sideband_lab.langevin as langevin
+
+        real_propagator = langevin.propagator
+
+        def unstable(*args):  # every step multiplies the state by about 1e200
+            phi, q, factor = real_propagator(*args)
+            return phi * 1e200, q, factor
+
+        monkeypatch.setattr(langevin, "propagator", unstable)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["oracle-compare", "--preset", "oracle-demo", "--segments", "16",
+                       "--trajectories", trajectories, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.endswith("StepSizeError: trajectory diverged: non-finite output samples\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_determinism_across_runs(self, tmp_path):
         params, baths, _ = preset("oracle-demo")
         tone = tone_with_gamma_opt(params, 0.2 * params.gamma_m, "red_probe")

@@ -33,7 +33,6 @@ from sideband_lab.langevin import (
     integrate_langevin,
     oracle_compare,
     propagator,
-    synthesize_input_noise,
 )
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec
 from sideband_lab.multitone import full_rwa_spectrum, sideband_weights
@@ -57,6 +56,19 @@ def fast_params(**kw):
 def philox_streams(seed, n):
     return [np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,))))
             for j in range(n)]
+
+
+def synthesize_input_noise(factor, rngs, first_step, n_steps):
+    """Noise eta of output steps first_step .. first_step + n_steps - 1, drawn
+    and mapped by integrate_langevin's ``noise`` stage as one chunk.
+
+    Shape (n_steps, 6, len(rngs)), a view of the integrator's (6, n_steps,
+    len(rngs)) layout; eta ~ N(0, factor factor^T) of the step's slot."""
+    raw = np.empty((len(rngs), n_steps, 6))
+    langevin._draw_normals(rngs, raw)
+    eta = langevin._map_normals(factor, raw, first_step, np.empty((6, n_steps, len(rngs))),
+                                np.empty((2, n_steps, len(rngs))))
+    return eta.transpose(1, 0, 2)
 
 
 def rows_of(eta):
@@ -283,18 +295,73 @@ class TestWelchWorkers:
         np.testing.assert_array_equal(spec.freq_offsets, offsets)
         np.testing.assert_array_equal(spec.values, pxx)
 
+    @pytest.mark.parametrize("cpus, ntraj", [(2, 128), (3, 128), (2, 40), (3, 40)])
+    def test_each_worker_transforms_a_contiguous_range_of_blocks(self, monkeypatch, cpus, ntraj):
+        # the workers run here, in turn, so that one process sees which
+        # trajectories each one draws and windows
+        running = []
+
+        def inline_fork_join(workers, run):
+            for worker in range(workers):
+                running.append(worker)
+                run(worker)
+
+        monkeypatch.setattr(langevin, "_fork_join", inline_fork_join)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        integrated, transformed = {}, {}
+        real_draw, real_view = langevin._draw_normals, np.lib.stride_tricks.sliding_window_view
+
+        def draw(rngs, raw):
+            integrated.setdefault(running[-1], set()).update(
+                rng.bit_generator.seed_seq.spawn_key[0] for rng in rngs)
+            real_draw(rngs, raw)
+
+        monkeypatch.setattr(langevin, "_draw_normals", draw)
+        p, baths, cfg = preset("oracle-demo")
+        sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=3, n_trajectories=ntraj)
+        field = integrate_langevin(p, baths, cfg, sim).output_field
+
+        def view(row, *args, **kwargs):
+            transformed.setdefault(running[-1], []).append(
+                (row.ctypes.data - field.ctypes.data) // field.strides[0])
+            return real_view(row, *args, **kwargs)
+
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", view)
+        _welch_spectrum(TrajectoryOutput(output_field=field, sampling=sim.dt), sim.psd_segments)
+        workers = min(cpus, math.ceil(ntraj / WELCH_BLOCK))
+        assert sorted(transformed) == list(range(workers))
+        # in worker order, each a run of whole blocks, every trajectory once
+        assert [j for w in range(workers) for j in transformed[w]] == list(range(ntraj))
+        assert all(rows[0] % WELCH_BLOCK == 0 for rows in transformed.values())
+        if (cpus, ntraj) == (2, 128):  # eight blocks: each worker windows the rows it integrated
+            assert {w: set(rows) for w, rows in transformed.items()} == integrated
+
+
+def resident_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
 
 class TestFootprint:
     """Beside the output samples each worker process holds a few noise chunks
-    of its trajectories and one Welch buffer. CHUNK = 512 steps was set to keep
-    that small: a longer chunk, or one more buffer of its size, fails here.
-    tracemalloc sees the test process, which runs worker 0 of two."""
+    of its trajectories and one Welch buffer of one trajectory's segments.
+    CHUNK = 512 steps was set to keep that small: a longer chunk, or one more
+    buffer of its size, fails here. tracemalloc sees the test process, which
+    runs worker 0 of two."""
+
+    NTRAJ = 128
+    SEGMENTS = 16  # per trajectory, so that the Welch buffer outweighs its vectors
+
+    def layout(self):
+        p, baths, cfg = preset("oracle-demo")
+        sim = SimConfig.auto(p, cfg, n_segments=self.SEGMENTS * self.NTRAJ, seed=2,
+                             n_trajectories=self.NTRAJ)
+        assert sim.n_steps > 4 * CHUNK
+        return p, baths, cfg, sim
 
     def test_integrator_and_welch(self, monkeypatch):
-        p, baths, cfg = preset("oracle-demo")
-        ntraj = 128
-        sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=2, n_trajectories=ntraj)
-        assert sim.n_steps > 4 * CHUNK
+        p, baths, cfg, sim = self.layout()
+        ntraj = self.NTRAJ
         started = recorded_workers(monkeypatch, 2)
         # tracemalloc does not see the shared mappings that the workers write into
         shared, real_mmap = [], mmap.mmap
@@ -318,13 +385,30 @@ class TestFootprint:
         assert started == [2, 2]
         # worker 0's normals, noise buffer, two scratch planes and states take 3
         # draws of a 512-step chunk of its 64 trajectories; the first integration in
-        # an interpreter also counts the lazy import of numpy.random, about 0.5 draw
+        # an interpreter also counts the lazy import of numpy.random, about 0.5 draw.
+        # Finiteness is checked chunk by chunk: a check of its whole rows would add
+        # one bool per sample, about a draw here and 2 at criterion 1
         draw = 512 * 6 * (ntraj // 2) * 8
         assert CHUNK <= 512
         assert integrate_peak - traj.output_field.nbytes < 3.5 * draw
-        # one complex (WELCH_BLOCK, segments, nperseg) buffer in this process
-        buffer = WELCH_BLOCK * n_segments // ntraj * spec.freq_offsets.size * 16
-        assert welch_peak < 1.25 * buffer
+        # one complex (segments, nperseg) buffer of one trajectory in this
+        # process, beside the shared block sums, nperseg floats per WELCH_BLOCK trajectories
+        nperseg = spec.freq_offsets.size
+        buffer = n_segments // ntraj * nperseg * 16
+        assert welch_peak < 1.25 * buffer + math.ceil(ntraj / WELCH_BLOCK) * nperseg * 8
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="no /proc/self/statm")
+    def test_this_process_touches_only_its_own_rows(self, monkeypatch):
+        # worker 0 integrates and transforms the first half of the rows; reading
+        # the child's half would make that half resident here too
+        p, baths, cfg, sim = self.layout()
+        recorded_workers(monkeypatch, 2)
+        small = SimConfig.auto(p, cfg, n_segments=16, seed=2, n_trajectories=8)
+        _welch_spectrum(integrate_langevin(p, baths, cfg, small), small.psd_segments)  # lazy imports
+        before = resident_bytes()
+        traj = integrate_langevin(p, baths, cfg, sim)
+        _welch_spectrum(traj, sim.psd_segments)
+        assert resident_bytes() - before < 0.6 * traj.output_field.nbytes
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers run inline without os.fork")
@@ -422,6 +506,42 @@ class TestForkedWorkers:
         self.assert_reaped(children)
         traceback = "MemoryError: injected in the child's third chunk" in capfd.readouterr().err
         assert traceback == (death == "raises")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_a_diverged_run_is_a_step_size_error(self, children, monkeypatch, cpus):
+        real_propagator = langevin.propagator
+
+        def unstable(*args):  # every step multiplies the state by about 1e200
+            phi, q, factor = real_propagator(*args)
+            return phi * 1e200, q, factor
+
+        monkeypatch.setattr(langevin, "propagator", unstable)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        with pytest.raises(StepSizeError, match="^trajectory diverged: non-finite output samples$"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.run()
+        self.assert_reaped(children, forked=cpus - 1)
+
+    @pytest.mark.parametrize("worker", [0, 1])
+    def test_either_workers_divergence_is_a_step_size_error(self, children, monkeypatch, worker):
+        # a NaN drawn for one trajectory of one worker, in the last step of its
+        # last chunk only; burn-in ends on a chunk boundary
+        p, baths, cfg = preset("oracle-demo")
+        sim = SimConfig.auto(p, cfg, n_segments=16, seed=4, n_trajectories=8)  # run's layout
+        chunks = math.ceil(sim.burn_in / CHUNK) + math.ceil((sim.n_steps - sim.burn_in) / CHUNK)
+        test_pid, calls, real_draw = os.getpid(), [], langevin._draw_normals
+
+        def draw(rngs, raw):
+            real_draw(rngs, raw)
+            if (os.getpid() == test_pid) == (worker == 0):
+                calls.append(None)
+                if len(calls) == chunks:
+                    raw[-1, -1, 0] = np.nan
+
+        monkeypatch.setattr(langevin, "_draw_normals", draw)
+        with pytest.raises(StepSizeError, match="^trajectory diverged: non-finite output samples$"):
+            self.run()
+        self.assert_reaped(children)
 
     def test_output_does_not_depend_on_the_workers(self, children, monkeypatch):
         runs = []
