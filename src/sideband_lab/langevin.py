@@ -34,26 +34,33 @@ One copy moves the chunk to a trajectories-last noise buffer (6, steps,
 trajectories), where the lower-triangular factor maps it in place, last row
 first, through two scratch planes. The step loop writes X into a
 (steps + 1, 4, trajectories) array with ufunc ``out=`` arguments, and the
-output rows are mapped over the whole chunk. Every buffer is allocated once
-per worker. Each value goes through the same operations in the same order
-whatever the chunk length, so no output sample depends on CHUNK. The chunk is
-a fixed number of steps, whatever the number of trajectories, so a
-trajectory's mean |c|^2, summed per chunk, does not depend on the ensemble.
-Beside the output samples the buffers take about 3 x CHUNK x 6 x 8 bytes per
-trajectory; Welch transforms one trajectory at a time, through one complex
-(segments, nperseg) buffer per worker.
+output rows are mapped over the whole chunk into a ring of nperseg + CHUNK
+samples per trajectory, which keeps the samples of unfinished segments.
+Every buffer is allocated once per worker. Each value goes through the same
+operations in the same order whatever the chunk length, so no output sample
+depends on CHUNK. The chunk is a fixed number of steps, whatever the number
+of trajectories, so a trajectory's mean |c|^2, summed per chunk, does not
+depend on the ensemble. The chunk buffers take about 3 x CHUNK x 6 x 8 bytes
+per trajectory, the ring (nperseg + CHUNK) x 16.
+
+Welch runs inside the integrator: `_welch_layout` fixes nperseg, the hop and
+the segments per trajectory before the run. As soon as a segment's last
+sample is in the ring, the worker windows and transforms it, WELCH_BLOCK
+trajectories at a time through one complex (WELCH_BLOCK, nperseg) buffer, and
+adds |X|^2 into its trajectories' rows of a shared (trajectories, nperseg)
+sum; so each trajectory's segments are summed in order, and
+`_welch_spectrum` sums the rows in trajectory order. No process holds the
+output samples unless a caller records them.
 
 Trajectories are split between workers, one per CPU that the process may run
-on, at most one per block of work: `_fork_join` runs worker 0 here and forks
-the others, which write into anonymous shared mappings. The integrator and
-Welch split by `_share`, the integrator into contiguous ranges of
-trajectories, Welch into contiguous ranges of WELCH_BLOCK-trajectory blocks,
-so that with whole blocks a worker reads back only the rows it wrote. Each
-worker flags its non-finite output chunks, and the caller raises for them.
-Welch adds every segment's |X|^2 into its block's sum in trajectory order, and
-the block sums in order; so no output bit depends on the worker count.
-``timings`` are the calling process's: ``noise`` is its draws and map,
-``noise_wait`` the draws alone.
+on, at most one per trajectory: `_fork_join` runs worker 0 here and forks the
+others, which write into anonymous shared mappings. `_share` gives each
+worker a contiguous range of trajectories, which it integrates and
+transforms, so no process touches another's rows. Each worker flags its
+non-finite output chunks, and the caller raises for them. No output bit
+depends on the worker count. ``timings`` are the calling process's:
+``noise`` is its draws and map, ``noise_wait`` the draws alone, ``welch`` its
+transforms; all three are part of ``propagate``.
 """
 
 from __future__ import annotations
@@ -77,8 +84,8 @@ RNG_ALGORITHM = "numpy-philox-4x64-10"
 SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
 TAYLOR_DEGREE = 18  # of _expm's series
 CHUNK = 512  # output steps drawn at a time
-WELCH_BLOCK = 16  # trajectories per Welch partial sum, the unit workers split
-MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples held at once
+WELCH_BLOCK = 16  # trajectories transformed at once, which bounds the transform buffer
+MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples a run produces
 
 __all__ = ["SimConfig", "TrajectoryOutput", "propagator", "integrate_langevin",
            "lone_probe", "oracle_compare", "RNG_ALGORITHM"]
@@ -145,13 +152,19 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrajectoryOutput:
-    """Right-port output, (n_trajectories, n_steps - burn_in) samples averaged
-    over ``sampling`` seconds each, Floquet ``slots``, stage ``timings`` and the
-    optional per-trajectory mean |c|^2. ``decimation`` (1) is kept for the tracer.
-    `integrate_langevin` refuses non-finite samples; this class checks nothing."""
+    """Welch power of a run: ``power[j]`` sums |FFT|^2 over the ``segments``
+    Hann-windowed segments of trajectory j, in segment order, of the
+    right-port output averaged over ``sampling`` seconds per sample. Also the
+    Floquet ``slots``, stage ``timings``, the optional per-trajectory mean
+    |c|^2 and the output samples, (n_trajectories, n_steps - burn_in) if the
+    run recorded them, else (n_trajectories, 0). ``decimation`` (1) is kept
+    for the tracer. `integrate_langevin` refuses non-finite samples; this
+    class checks nothing."""
 
-    output_field: np.ndarray
+    power: np.ndarray
+    segments: int
     sampling: float
+    output_field: np.ndarray
     slots: int = 1
     timings: dict = field(default_factory=dict)
     mech_abs2: np.ndarray | None = None
@@ -344,13 +357,37 @@ def _fork_join(workers: int, run) -> None:
                                     f"code {os.waitstatus_to_exitcode(status)}")
 
 
+def _welch_layout(kept: int, ntraj: int, psd_segments: int) -> tuple[int, int, int]:
+    """(nperseg, hop, segments per trajectory) of Welch with 50% overlap over
+    ``kept`` samples of each of ``ntraj`` trajectories: the longest segment
+    whose count over every trajectory reaches ``psd_segments``."""
+    segs_per_traj = max(1, math.ceil(psd_segments / ntraj))
+    nperseg = min(kept, max(8, int(2 * kept / (segs_per_traj + 1))))
+
+    def count(n):  # 50%-overlap segments of length n over one trajectory
+        return 1 + (kept - n) // (n - n // 2)
+
+    # shrink until the segment count actually reaches the request
+    while nperseg > 8 and ntraj * count(nperseg) < psd_segments:
+        nperseg -= max(1, nperseg // 50)
+    return nperseg, nperseg - nperseg // 2, count(nperseg)
+
+
+def _hann(n: int) -> np.ndarray:
+    """The periodic Hann window of n points."""
+    return 0.5 - 0.5 * np.cos(TWO_PI * np.arange(n) / n)
+
+
 def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                       sim: SimConfig, *, record_mech: bool = False) -> TrajectoryOutput:
-    """Exact output-rate propagation of the coupled cavity/mechanics envelopes.
+                       sim: SimConfig, *, record_mech: bool = False,
+                       record_field: bool = False) -> TrajectoryOutput:
+    """Exact output-rate propagation of the coupled cavity/mechanics envelopes,
+    with each trajectory's Welch power summed as its segments complete.
 
     All configured tones are applied with their rotating phases
     (e^{-+i delta t} beamsplitter / two-mode-squeezing pair, e^{-i delta_c t}
-    cooling). Deterministic for a fixed seed.
+    cooling). Deterministic for a fixed seed. The output samples are kept only
+    with ``record_field``.
     """
     params.require_good_cavity()
     gamma_tot = config.gamma_tot(params)
@@ -363,7 +400,7 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     start = time.perf_counter()
     phi, _, factor = propagator(params, baths, config, sim.dt)
     setup = time.perf_counter() - start
-    slots, ntraj = len(phi), sim.n_trajectories
+    slots, ntraj, kept = len(phi), sim.n_trajectories, sim.n_steps - sim.burn_in
     rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(j,))))
             for j in range(ntraj)]
     chunks, step = [], 0  # (first step, steps); burn-in ends on a chunk boundary
@@ -371,16 +408,19 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
         chunks.append((step, n))
         step += n
-    out = _shared((ntraj, sim.n_steps - sim.burn_in), np.complex128)
+    nperseg, hop, segments = _welch_layout(kept, ntraj, sim.psd_segments)
+    window = _hann(nperseg)
+    power = _shared((ntraj, nperseg))
+    out = _shared((ntraj, kept), np.complex128) if record_field else np.empty((ntraj, 0), np.complex128)
     mech_acc = _shared((ntraj,))
     inv_dt = 1.0 / sim.dt
-    timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0}
+    timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0, "welch": 0.0}
     workers = _workers(ntraj)
     diverged = _shared((workers,), np.bool_)
 
     def run(worker: int) -> None:  # a contiguous range of trajectories
         rows = _share(ntraj, workers, worker)
-        streams, dest_rows, mech = rngs[rows], out[rows], mech_acc[rows]
+        streams, power_rows, mech = rngs[rows], power[rows], mech_acc[rows]
         size, width = min(CHUNK, sim.n_steps), len(streams)
         # Phi_xx spread over the trajectories, so that the product of a step is one contiguous pass
         phi_x = np.ascontiguousarray(np.broadcast_to(phi[:, :4, :4, None], (slots, 4, 4, width)))
@@ -389,6 +429,11 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         noise, scratch = np.empty((6, size, width)), np.empty((2, size, width))
         state = np.zeros((size + 1, 4, width))  # state[s] meets step s's noise
         products = np.empty((4, 4, width))
+        # ring[:, i] holds kept sample base + i; a segment is transformed once complete,
+        # and a chunk that would run past the end first moves the unfinished ones to the front
+        ring = np.empty((width, nperseg + CHUNK), np.complex128)
+        spec = np.empty((min(WELCH_BLOCK, width), nperseg), np.complex128)
+        base = done = 0  # the ring's first sample, and the segments transformed
         for step, n in chunks:
             began = time.perf_counter()
             _draw_normals(streams, raw[:, :n])
@@ -405,10 +450,16 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                 np.add.reduce(products, 1, None, x_next)
                 np.add(x_next, eta_s, x_next)
             if step >= sim.burn_in:
+                t = step - sim.burn_in
+                if t + n > base + ring.shape[1]:  # keep only the unfinished segments' samples
+                    keep = min(done * hop, t)
+                    for row in ring:
+                        row[:t - keep] = row[keep - base:t - base]
+                    base = keep
                 # the output rows: (eta_I + Phi_I x)/dt, terms added in the order of x;
                 # times 1/dt is to the bit numpy's complex division by the real dt
                 f = _slot_coefficients(phi[:, 4:, :4], step, n)
-                dest = dest_rows[:, step - sim.burn_in:step - sim.burn_in + n]
+                dest = ring[:, t - base:t - base + n]
                 term = scratch[1, :n]
                 for r, part in enumerate((dest.real, dest.imag)):
                     y = eta[4 + r]
@@ -418,64 +469,53 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                     np.multiply(y, inv_dt, out=y)
                     np.copyto(part, y.T)
                 diverged[worker] |= not np.isfinite(dest).all()
+                if record_field:
+                    out[rows, t:t + n] = dest
                 if record_mech:
                     mech += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
+                began = time.perf_counter()
+                # each trajectory's |X|^2 added in segment order, WELCH_BLOCK rows at a time
+                while done < segments and done * hop + nperseg <= t + n:
+                    first = done * hop - base
+                    for i in range(0, width, WELCH_BLOCK):
+                        block = spec[:min(WELCH_BLOCK, width - i)]
+                        np.multiply(ring[i:i + len(block), first:first + nperseg], window, out=block)
+                        np.fft.fft(block, axis=-1, out=block)
+                        re, im = block.real, block.imag  # |X|^2 squared in place
+                        np.square(re, out=re)
+                        np.square(im, out=im)
+                        np.add(power_rows[i:i + len(block)], np.add(re, im, out=re),
+                               out=power_rows[i:i + len(block)])
+                    done += 1
+                timings["welch"] += time.perf_counter() - began
             state[0] = state[n]
 
-    _fork_join(workers, run)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged run raises below
+        _fork_join(workers, run)
     if diverged.any():  # raised here: a child's raise would be a ChildProcessError
         raise StepSizeError("trajectory diverged: non-finite output samples")
     timings["propagate"] = time.perf_counter() - start - setup
-    return TrajectoryOutput(output_field=out, sampling=sim.dt, slots=slots, timings=timings,
-                            mech_abs2=mech_acc / out.shape[1] if record_mech else None)
+    return TrajectoryOutput(power=power, segments=segments, sampling=sim.dt, output_field=out,
+                            slots=slots, timings=timings,
+                            mech_abs2=mech_acc / kept if record_mech else None)
 
 
-def _welch_spectrum(traj: TrajectoryOutput, psd_segments: int) -> tuple[Spectrum, int]:
+def _welch_spectrum(traj: TrajectoryOutput) -> tuple[Spectrum, int]:
     """(PSD in quanta, segment count): two-sided Welch, Hann window, 50% overlap,
     averaged over segments and trajectories, on the offset-from-cavity grid."""
     # The boxcar-averaged white background folds back to an exactly flat
     # density, so no response compensation is applied; SimConfig.auto's output
     # rate keeps the boxcar's attenuation of a peak below ~0.3%.
-    ntraj, kept = traj.output_field.shape
-    segs_per_traj = max(1, math.ceil(psd_segments / ntraj))
-    nperseg = min(kept, max(8, int(2 * kept / (segs_per_traj + 1))))
-
-    def count(n):  # 50%-overlap segments of length n over every trajectory
-        return ntraj * (1 + (kept - n) // (n - n // 2))
-
-    # shrink until the segment count actually reaches the request
-    while nperseg > 8 and count(nperseg) < psd_segments:
-        nperseg -= max(1, nperseg // 50)
-    hop = nperseg - nperseg // 2
-    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)  # periodic Hann
-    # each worker sums a contiguous range of blocks (with whole blocks, the rows
-    # it integrated), one trajectory at a time through one buffer of its own
-    firsts = range(0, ntraj, WELCH_BLOCK)
-    workers = _workers(len(firsts))
-    sums = _shared((len(firsts), nperseg))
-
-    def run(worker: int) -> None:
-        spec = np.empty((count(nperseg) // ntraj, nperseg), dtype=np.complex128)
-        re, im = spec.real, spec.imag  # |X|^2 squared in place
-        for i in range(len(firsts))[_share(len(firsts), workers, worker)]:
-            for row in traj.output_field[firsts[i]:firsts[i] + WELCH_BLOCK]:
-                np.multiply(np.lib.stride_tricks.sliding_window_view(row, nperseg)[::hop],
-                            window, out=spec)
-                np.fft.fft(spec, axis=-1, out=spec)
-                np.square(re, out=re)
-                np.square(im, out=im)
-                for power in np.add(re, im, out=re):  # in (trajectory, segment) order
-                    np.add(sums[i], power, out=sums[i])
-
-    _fork_join(workers, run)
-    # the block sums in trajectory order, so the worker count changes no bit
-    pxx = sums.sum(axis=0) * (traj.sampling / (np.sum(window**2) * count(nperseg)))
+    ntraj, nperseg = traj.power.shape
+    count = ntraj * traj.segments
+    # the trajectories in order, so the worker count changes no bit
+    pxx = traj.power.sum(axis=0) * (traj.sampling / (np.sum(_hann(nperseg) ** 2) * count))
     f = np.fft.fftfreq(nperseg, traj.sampling)
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention
     # f(omega) = int f(t) e^{i omega t} dt places it at omega = -2 pi f
     offsets = -TWO_PI * f
     order = np.argsort(offsets)
-    return Spectrum(offsets[order], pxx[order]), count(nperseg)
+    return Spectrum(offsets[order], pxx[order]), count
 
 
 def _measure_peak(spec: Spectrum, centers: list[float], gamma_tot: float):
@@ -549,8 +589,8 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
 
     traj = integrate_langevin(params, baths, config, sim)
     start = time.perf_counter()
-    spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
-    welch = time.perf_counter() - start
+    spec, n_segments = _welch_spectrum(traj)
+    welch = traj.timings["welch"] + time.perf_counter() - start
     start = time.perf_counter()
     mc_floor, mc_weights, mc_centers = _measure_peak(spec, [c for _, c, _ in peaks],
                                                      config.gamma_tot(params))
@@ -561,7 +601,7 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         "n_segments": int(n_segments),
         "output_step_s": sim.dt,
         "floquet_slots": traj.slots,
-        "n_output_samples": traj.output_field.shape[1],
+        "n_output_samples": sim.n_steps - sim.burn_in,
         "timings_s": {**traj.timings, "welch": welch, "peaks": time.perf_counter() - start},
         "analytic_floor": floor_analytic,
         "mc_floor": mc_floor,

@@ -35,11 +35,11 @@ def test_oracle_counters_read_real_calls():
     params, baths, config = preset("oracle-demo")
     sim = SimConfig.auto(params, config, n_segments=40, seed=1, n_trajectories=4)
     args = (params, baths, config, sim)
-    traj = integrate_langevin(*args)
-    welch = _welch_spectrum(traj, sim.psd_segments)
+    traj = integrate_langevin(*args, record_field=True)  # the tracer counts recorded samples
+    welch = _welch_spectrum(traj)
     tracer = tracing.Tracer()
     tracing._integrate_counts(tracer, args, traj)
-    tracing._welch_counts(tracer, (traj, sim.psd_segments), welch)
+    tracing._welch_counts(tracer, (traj,), welch)
     values = {**tracer.counts, **tracer.gauges}
     for name in ("langevin.trajectory_steps", "langevin.kept_steps", "langevin.output_samples",
                  "langevin.output_bytes", "langevin.decimation", "langevin.welch_segments"):

@@ -762,24 +762,31 @@ class TestOracleCompareCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("trajectories", ["1", "8"])  # one worker, or one per CPU
-    def test_diverged_oracle_is_a_step_size_error(self, tmp_path, capsys, monkeypatch,
-                                                  trajectories):
-        import sideband_lab.langevin as langevin
+    def test_diverged_oracle_is_a_step_size_error(self, tmp_path, trajectories):
+        # in a fresh interpreter, so that stderr shows what every worker prints
+        script = f"""
+import sys
+import sideband_lab.langevin as langevin
+from sideband_lab.cli import main
 
-        real_propagator = langevin.propagator
+real_propagator = langevin.propagator
 
-        def unstable(*args):  # every step multiplies the state by about 1e200
-            phi, q, factor = real_propagator(*args)
-            return phi * 1e200, q, factor
+def unstable(*args):  # every step multiplies the state by about 1e200
+    phi, q, factor = real_propagator(*args)
+    return phi * 1e200, q, factor
 
-        monkeypatch.setattr(langevin, "propagator", unstable)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rc = main(["oracle-compare", "--preset", "oracle-demo", "--segments", "16",
-                       "--trajectories", trajectories, "--out", str(tmp_path / "out")])
-        assert rc == 3
-        err = capsys.readouterr().err
-        assert err.endswith("StepSizeError: trajectory diverged: non-finite output samples\n")
-        assert "Traceback" not in err
+langevin.propagator = unstable
+sys.exit(main(["oracle-compare", "--preset", "oracle-demo", "--segments", "16",
+               "--trajectories", "{trajectories}", "--out", {str(tmp_path / "out")!r}]))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True)
+        assert done.returncode == 3
+        assert done.stderr.endswith("StepSizeError: trajectory diverged: non-finite output samples\n")
+        assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
         assert not (tmp_path / "out").exists()
 
     def test_determinism_across_runs(self, tmp_path):

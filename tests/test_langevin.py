@@ -11,8 +11,11 @@ import math
 import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,6 @@ from sideband_lab.langevin import (
     RNG_ALGORITHM,
     WELCH_BLOCK,
     SimConfig,
-    TrajectoryOutput,
     _expm,
     _measure_peak,
     _sde_matrices,
@@ -202,7 +204,7 @@ def bitwise_case(name):
 
 
 class TestBitwiseReference:
-    """The blocked hot path gives exactly the values of the plain one."""
+    """The chunked, in-place hot path gives exactly the values of the plain one."""
 
     @pytest.mark.parametrize("name, first_step", [("oracle-demo", 0), ("cooled", 11)])
     @pytest.mark.parametrize("n_steps", [1, 257, 4097])
@@ -222,15 +224,17 @@ class TestBitwiseReference:
         p, baths, cfg = bitwise_case(name)
         sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=13, n_trajectories=ntraj)
         assert sim.n_steps - sim.burn_in > CHUNK  # more than one chunk, and a tail
-        traj = integrate_langevin(p, baths, cfg, sim, record_mech=True)
+        traj = integrate_langevin(p, baths, cfg, sim, record_mech=True, record_field=True)
         out, mech = reference_integrate(p, baths, cfg, sim, record_mech=True)
         np.testing.assert_array_equal(traj.output_field, out)
         np.testing.assert_array_equal(traj.mech_abs2, mech)
 
 
 def reference_welch(traj, psd_segments):
-    """(offsets, pxx, segment count) of _welch_spectrum's block loop as written
-    before its workers: one process, and separate buffers for |X|^2."""
+    """(offsets, pxx, segment count) of Welch over the recorded output samples
+    as first written: one process, one trajectory's segments at a time, with
+    separate buffers for |X|^2; each trajectory's segments are summed in order,
+    then the trajectories in order."""
     ntraj, kept = traj.output_field.shape
     segs_per_traj = max(1, math.ceil(psd_segments / ntraj))
     nperseg = min(kept, max(8, int(2 * kept / (segs_per_traj + 1))))
@@ -243,17 +247,10 @@ def reference_welch(traj, psd_segments):
     hop = nperseg - nperseg // 2
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(nperseg) / nperseg)
     pxx = np.zeros(nperseg)
-    shape = (min(WELCH_BLOCK, ntraj), count(nperseg) // ntraj, nperseg)
-    spectra, power, imag2 = np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape)
-    for first in range(0, ntraj, WELCH_BLOCK):
-        segments = np.lib.stride_tricks.sliding_window_view(
-            traj.output_field[first:first + WELCH_BLOCK], nperseg, axis=-1)[:, ::hop]
-        spec, p, q = spectra[:len(segments)], power[:len(segments)], imag2[:len(segments)]
-        np.multiply(segments, window, out=spec)
-        np.fft.fft(spec, axis=-1, out=spec)
-        np.square(spec.real, out=p)
-        np.square(spec.imag, out=q)
-        pxx += np.add(p, q, out=p).sum(axis=(0, 1))
+    for row in traj.output_field:
+        spec = np.fft.fft(np.lib.stride_tricks.sliding_window_view(row, nperseg)[::hop] * window,
+                          axis=-1)
+        pxx += (np.square(spec.real) + np.square(spec.imag)).sum(axis=0)
     pxx *= traj.sampling / (np.sum(window**2) * count(nperseg))
     offsets = -TWO_PI * np.fft.fftfreq(nperseg, traj.sampling)
     order = np.argsort(offsets)
@@ -278,79 +275,88 @@ def recorded_workers(monkeypatch, cpus):
     return started
 
 
-class TestWelchWorkers:
-    """Welch gives exactly the single-process values for any worker count."""
+def welch_case(ntraj, segments_per_trajectory):
+    """oracle-demo with 6146 kept samples per trajectory. At 45 segments per
+    trajectory a 262-point segment is complete every 131 steps, several per
+    chunk, and the last chunk moves the ring after the last segment is done;
+    at 2 the hop is 2049 steps, four chunks."""
+    p, baths, cfg = preset("oracle-demo")
+    auto = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=ntraj, n_trajectories=ntraj)
+    sim = dataclasses.replace(auto, n_steps=auto.burn_in + 6146,
+                              psd_segments=segments_per_trajectory * ntraj)
+    return p, baths, cfg, sim
 
+
+class TestWelchWorkers:
+    """The integrator's workers, which transform each segment as soon as it is
+    complete, give exactly the single-process Welch of the recorded samples
+    for any worker count."""
+
+    @pytest.mark.parametrize("fork", [True, False])
     @pytest.mark.parametrize("cpus", [1, 2, 3, None])
-    @pytest.mark.parametrize("ntraj", [1, 16, 40])  # 40: a ragged last block
-    def test_matches_serial_reference(self, monkeypatch, cpus, ntraj):
-        rng = np.random.default_rng(ntraj)
-        field = rng.standard_normal((ntraj, 3001)) + 1j * rng.standard_normal((ntraj, 3001))
-        traj = TrajectoryOutput(output_field=field, sampling=2e-7)
+    @pytest.mark.parametrize("ntraj, per_trajectory", [(1, 45), (16, 2), (40, 45)])  # 40: a ragged block
+    def test_matches_serial_reference(self, monkeypatch, cpus, fork, ntraj, per_trajectory):
+        p, baths, cfg, sim = welch_case(ntraj, per_trajectory)
         started = recorded_workers(monkeypatch, cpus)
-        spec, n_segments = _welch_spectrum(traj, 4 * ntraj)
-        offsets, pxx, expected_segments = reference_welch(traj, 4 * ntraj)
-        assert started == [min(3 if cpus is None else cpus, math.ceil(ntraj / WELCH_BLOCK))]
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        traj = integrate_langevin(p, baths, cfg, sim, record_field=True)
+        spec, n_segments = _welch_spectrum(traj)
+        offsets, pxx, expected_segments = reference_welch(traj, sim.psd_segments)
+        assert started == [min(3 if cpus is None else cpus, ntraj)]  # one fork-join per run
         assert n_segments == expected_segments
         np.testing.assert_array_equal(spec.freq_offsets, offsets)
         np.testing.assert_array_equal(spec.values, pxx)
+        # recording the samples changes no bit of the spectrum
+        unrecorded = integrate_langevin(p, baths, cfg, sim)
+        assert unrecorded.output_field.shape == (ntraj, 0)
+        assert _welch_spectrum(unrecorded)[0].values.tobytes() == spec.values.tobytes()
 
-    @pytest.mark.parametrize("cpus, ntraj", [(2, 128), (3, 128), (2, 40), (3, 40)])
-    def test_each_worker_transforms_a_contiguous_range_of_blocks(self, monkeypatch, cpus, ntraj):
-        # the workers run here, in turn, so that one process sees which
-        # trajectories each one draws and windows
-        running = []
+    @pytest.mark.parametrize("ntraj", [128, 40])
+    def test_each_worker_transforms_the_rows_it_integrates(self, monkeypatch, ntraj):
+        # three workers run here, in turn, so that one process sees which
+        # trajectories each one draws and which rows of the power sums it fills
+        started, running, integrated, transformed, shared = [], [], {}, {}, []
+        real_shared, real_draw = langevin._shared, langevin._draw_normals
 
         def inline_fork_join(workers, run):
+            started.append(workers)
+            (power,) = [a for a in shared if a.ndim == 2]
             for worker in range(workers):
                 running.append(worker)
+                filled = power.any(axis=1)
                 run(worker)
-
-        monkeypatch.setattr(langevin, "_fork_join", inline_fork_join)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        integrated, transformed = {}, {}
-        real_draw, real_view = langevin._draw_normals, np.lib.stride_tricks.sliding_window_view
+                transformed[worker] = np.flatnonzero(power.any(axis=1) & ~filled).tolist()
 
         def draw(rngs, raw):
             integrated.setdefault(running[-1], set()).update(
                 rng.bit_generator.seed_seq.spawn_key[0] for rng in rngs)
             real_draw(rngs, raw)
 
+        monkeypatch.setattr(langevin, "_fork_join", inline_fork_join)
+        monkeypatch.setattr(langevin, "_shared", lambda *a: shared.append(real_shared(*a)) or shared[-1])
         monkeypatch.setattr(langevin, "_draw_normals", draw)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         p, baths, cfg = preset("oracle-demo")
         sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=3, n_trajectories=ntraj)
-        field = integrate_langevin(p, baths, cfg, sim).output_field
-
-        def view(row, *args, **kwargs):
-            transformed.setdefault(running[-1], []).append(
-                (row.ctypes.data - field.ctypes.data) // field.strides[0])
-            return real_view(row, *args, **kwargs)
-
-        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", view)
-        _welch_spectrum(TrajectoryOutput(output_field=field, sampling=sim.dt), sim.psd_segments)
-        workers = min(cpus, math.ceil(ntraj / WELCH_BLOCK))
-        assert sorted(transformed) == list(range(workers))
-        # in worker order, each a run of whole blocks, every trajectory once
-        assert [j for w in range(workers) for j in transformed[w]] == list(range(ntraj))
-        assert all(rows[0] % WELCH_BLOCK == 0 for rows in transformed.values())
-        if (cpus, ntraj) == (2, 128):  # eight blocks: each worker windows the rows it integrated
-            assert {w: set(rows) for w, rows in transformed.items()} == integrated
-
-
-def resident_bytes():
-    with open("/proc/self/statm") as statm:
-        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+        integrate_langevin(p, baths, cfg, sim)
+        assert started == [3]
+        # in worker order, each a contiguous run, every trajectory once
+        assert [j for w in range(3) for j in transformed[w]] == list(range(ntraj))
+        assert {w: set(rows) for w, rows in transformed.items()} == integrated
 
 
 class TestFootprint:
-    """Beside the output samples each worker process holds a few noise chunks
-    of its trajectories and one Welch buffer of one trajectory's segments.
-    CHUNK = 512 steps was set to keep that small: a longer chunk, or one more
-    buffer of its size, fails here. tracemalloc sees the test process, which
+    """Each worker process holds a few noise chunks of its trajectories, a ring
+    of nperseg + CHUNK output samples per trajectory and one transform block of
+    WELCH_BLOCK segments; the per-trajectory power sums are shared, and the
+    output samples are held only when a caller records them. CHUNK = 512 steps
+    was set to keep the chunks small: a longer chunk, or one more buffer of the
+    size of any of these, fails here. tracemalloc sees the test process, which
     runs worker 0 of two."""
 
     NTRAJ = 128
-    SEGMENTS = 16  # per trajectory, so that the Welch buffer outweighs its vectors
+    SEGMENTS = 4  # per trajectory: 2880-point segments, over more than four chunks
 
     def layout(self):
         p, baths, cfg = preset("oracle-demo")
@@ -374,15 +380,10 @@ class TestFootprint:
         tracemalloc.start()
         try:
             traj = integrate_langevin(p, baths, cfg, sim)
-            integrate_peak = tracemalloc.get_traced_memory()[1] + sum(shared)
-            tracemalloc.reset_peak()
-            shared.clear()
-            base = tracemalloc.get_traced_memory()[0]
-            spec, n_segments = _welch_spectrum(traj, sim.psd_segments)
-            welch_peak = tracemalloc.get_traced_memory()[1] - base + sum(shared)
+            peak = tracemalloc.get_traced_memory()[1] + sum(shared)
         finally:
             tracemalloc.stop()
-        assert started == [2, 2]
+        assert started == [2]
         # worker 0's normals, noise buffer, two scratch planes and states take 3
         # draws of a 512-step chunk of its 64 trajectories; the first integration in
         # an interpreter also counts the lazy import of numpy.random, about 0.5 draw.
@@ -390,25 +391,66 @@ class TestFootprint:
         # one bool per sample, about a draw here and 2 at criterion 1
         draw = 512 * 6 * (ntraj // 2) * 8
         assert CHUNK <= 512
-        assert integrate_peak - traj.output_field.nbytes < 3.5 * draw
-        # one complex (segments, nperseg) buffer of one trajectory in this
-        # process, beside the shared block sums, nperseg floats per WELCH_BLOCK trajectories
-        nperseg = spec.freq_offsets.size
-        buffer = n_segments // ntraj * nperseg * 16
-        assert welch_peak < 1.25 * buffer + math.ceil(ntraj / WELCH_BLOCK) * nperseg * 8
+        nperseg = traj.power.shape[1]
+        ring = (ntraj // 2) * (nperseg + CHUNK) * 16
+        block = WELCH_BLOCK * nperseg * 16
+        assert traj.power.nbytes == ntraj * nperseg * 8  # shared, all rows
+        assert peak < 3.5 * draw + ring + block + traj.power.nbytes
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="no /proc/self/statm")
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc/self/smaps")
     def test_this_process_touches_only_its_own_rows(self, monkeypatch):
-        # worker 0 integrates and transforms the first half of the rows; reading
-        # the child's half would make that half resident here too
+        # worker 0 writes the first half of the rows of each shared array;
+        # touching the child's half would make that half resident here too
         p, baths, cfg, sim = self.layout()
         recorded_workers(monkeypatch, 2)
-        small = SimConfig.auto(p, cfg, n_segments=16, seed=2, n_trajectories=8)
-        _welch_spectrum(integrate_langevin(p, baths, cfg, small), small.psd_segments)  # lazy imports
-        before = resident_bytes()
-        traj = integrate_langevin(p, baths, cfg, sim)
-        _welch_spectrum(traj, sim.psd_segments)
-        assert resident_bytes() - before < 0.6 * traj.output_field.nbytes
+        traj = integrate_langevin(p, baths, cfg, sim, record_field=True)
+        for array in (traj.output_field, traj.power):
+            assert resident_bytes(array) < 0.6 * array.nbytes
+
+    def test_oracle_compare_holds_no_output_samples(self, tmp_path):
+        # the calling process's peak above a bare import of what it runs; holding
+        # the samples of its share of the trajectories would take at least that share
+        ntraj, segments = 64, 2000
+        p, _, cfg = preset("oracle-demo")
+        sim = SimConfig.auto(p, cfg, n_segments=segments, seed=3, n_trajectories=ntraj)
+        rows = langevin._share(ntraj, langevin._workers(ntraj), 0)
+        share = 16 * (rows.stop - rows.start) * (sim.n_steps - sim.burn_in)
+        assert share > 4 * 3 * CHUNK * 6 * 8 * (rows.stop - rows.start)  # 4x its chunk buffers
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def peak(code):
+            # started from a bare interpreter: a child's ru_maxrss counts the
+            # resident set of the process it was forked from, up to its exec
+            launch = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], "
+                      "stdout=subprocess.DEVNULL); _, status, usage = os.wait4(child.pid, 0); "
+                      "print(status, usage.ru_maxrss)")
+            done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code],
+                                  env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+            status, maxrss = map(int, done.stdout.split())
+            assert status == 0
+            return maxrss * 1024
+
+        bare = peak("import sideband_lab.cli, numpy.random, numpy.fft")
+        run = peak("from sideband_lab.cli import main; raise SystemExit(main(['oracle-compare', "
+                   f"'--preset', 'oracle-demo', '--seed', '3', '--segments', '{segments}', "
+                   f"'--trajectories', '{ntraj}', '--out', 'out']))")
+        assert run - bare < share / 2
+
+
+def resident_bytes(array):
+    """Resident bytes of the mapping that starts at ``array``'s data, from /proc/self/smaps."""
+    address = array.ctypes.data
+    with open("/proc/self/smaps") as smaps:
+        inside = False
+        for line in smaps:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                start, end = (int(x, 16) for x in head.split("-"))
+                inside = start <= address < end
+            elif inside and head == "Rss:":
+                return int(line.split()[1]) * 1024
+    raise LookupError("no mapping holds the array")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers run inline without os.fork")
@@ -467,6 +509,7 @@ class TestForkedWorkers:
     def test_no_process_left_after_a_run(self, children):
         traj = self.run()
         assert 0.0 <= traj.timings["noise_wait"] <= traj.timings["noise"] <= traj.timings["propagate"]
+        assert 0.0 < traj.timings["welch"] < traj.timings["propagate"] - traj.timings["noise"]
         self.assert_reaped(children)
 
     def test_no_process_left_after_a_failure_in_worker_0(self, children, monkeypatch):
@@ -547,12 +590,13 @@ class TestForkedWorkers:
         runs = []
         for cpus in (1, 2, 3):  # three workers: more than this machine may have CPUs
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            runs.append(self.run(record_mech=True))
+            runs.append(self.run(record_mech=True, record_field=True))
         self.assert_reaped(children, forked=0 + 1 + 2)
         monkeypatch.delattr(os, "fork")
-        inline = self.run(record_mech=True)  # three workers, one after another
+        inline = self.run(record_mech=True, record_field=True)  # three workers, one after another
         for traj in runs:
             assert traj.output_field.tobytes() == inline.output_field.tobytes()
+            assert traj.power.tobytes() == inline.power.tobytes()
             assert traj.mech_abs2.tobytes() == inline.mech_abs2.tobytes()
             assert set(traj.timings) == set(inline.timings)
 
@@ -563,16 +607,18 @@ class TestIntegratorContracts:
         dead = BathSpec(alpha_r=0.0, alpha_l=0.0, alpha_i=0.0, beta=0.0)
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
         sim = SimConfig.auto(p, cfg, n_segments=20, seed=0, n_trajectories=4)
-        traj = integrate_langevin(p, dead, cfg, sim)
-        assert np.all(traj.output_field == 0.0)
+        traj = integrate_langevin(p, dead, cfg, sim, record_field=True)
+        assert traj.output_field.size and np.all(traj.output_field == 0.0)
+        assert np.all(traj.power == 0.0)
 
     def test_seed_determinism_bit_identical(self):
         p = fast_params()
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
         sim = SimConfig.auto(p, cfg, n_segments=30, seed=42, n_trajectories=4)
-        a = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim)
-        b = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim)
+        a = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_field=True)
+        b = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_field=True)
         np.testing.assert_array_equal(a.output_field, b.output_field)
+        np.testing.assert_array_equal(a.power, b.power)
 
     def test_trajectory_streams_do_not_depend_on_the_ensemble(self):
         # trajectory j draws from its own Philox stream, so the first k
@@ -580,10 +626,10 @@ class TestIntegratorContracts:
         p = fast_params()
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
         sim = SimConfig.auto(p, cfg, n_segments=30, seed=42, n_trajectories=6)
-        full = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_mech=True)
+        full = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_mech=True, record_field=True)
         for k in (1, 4):
-            part = integrate_langevin(p, BathSpec(n_m=1.0), cfg,
-                                      dataclasses.replace(sim, n_trajectories=k), record_mech=True)
+            part = integrate_langevin(p, BathSpec(n_m=1.0), cfg, dataclasses.replace(sim, n_trajectories=k),
+                                      record_mech=True, record_field=True)
             np.testing.assert_array_equal(full.output_field[:k], part.output_field)
             np.testing.assert_array_equal(full.mech_abs2[:k], part.mech_abs2)
 
@@ -594,8 +640,8 @@ class TestIntegratorContracts:
         sim = SimConfig.auto(p, cfg, n_segments=40, seed=9, n_trajectories=4)
         base = BathSpec(n_m=1.0)
         doubled = BathSpec(n_r=0.5, n_l=0.5, n_i=0.5, n_m=2.5)  # n + 1/2 doubled
-        s1, _ = _welch_spectrum(integrate_langevin(p, base, cfg, sim), sim.psd_segments)
-        s2, _ = _welch_spectrum(integrate_langevin(p, doubled, cfg, sim), sim.psd_segments)
+        s1, _ = _welch_spectrum(integrate_langevin(p, base, cfg, sim))
+        s2, _ = _welch_spectrum(integrate_langevin(p, doubled, cfg, sim))
         np.testing.assert_allclose(s2.values, 2.0 * s1.values, rtol=1e-10)
 
     def test_step_gates(self):
@@ -655,7 +701,7 @@ class TestEstimatePsd:
         cfg = ToneConfig(tones=())
         sim = SimConfig.auto(p, cfg, n_segments=400, seed=1, n_trajectories=16)
         traj = integrate_langevin(p, BathSpec(), cfg, sim)
-        spec, _ = _welch_spectrum(traj, sim.psd_segments)
+        spec, _ = _welch_spectrum(traj)
         assert np.mean(spec.values) == pytest.approx(0.5, rel=0.01)
         # pointwise scatter consistent with segment averaging
         assert np.std(spec.values) < 0.5 * 5.0 / math.sqrt(sim.psd_segments)
@@ -669,7 +715,7 @@ class TestEstimatePsd:
                                                     -(p.omega_m + delta)),))
         sim = SimConfig.auto(p, cfg, n_segments=400, seed=4, n_trajectories=16)
         traj = integrate_langevin(p, BathSpec(n_m=30.0), cfg, sim)
-        spec, _ = _welch_spectrum(traj, sim.psd_segments)
+        spec, _ = _welch_spectrum(traj)
         peak_offset = spec.freq_offsets[np.argmax(spec.values)]
         assert peak_offset == pytest.approx(-delta, abs=3.0 * cfg.gamma_tot(p))
 
@@ -911,8 +957,8 @@ class TestOracleCompare:
         p = fast_params()
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
         sim = SimConfig.auto(p, cfg, n_segments=200, seed=4, n_trajectories=40)
-        traj = integrate_langevin(p, BathSpec(n_m=20.0), cfg, sim)
-        spec, _ = _welch_spectrum(traj, sim.psd_segments)
+        traj = integrate_langevin(p, BathSpec(n_m=20.0), cfg, sim, record_field=True)
+        spec, _ = _welch_spectrum(traj)
         nperseg = spec.freq_offsets.size  # two-sided: one bin per sample of a segment
         f, pxx = signal.welch(traj.output_field, fs=1.0 / traj.sampling, window="hann",
                               nperseg=nperseg, noverlap=nperseg // 2, detrend=False,
