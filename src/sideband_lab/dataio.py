@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .model import TWO_PI, Spectrum
 
 __all__ = [
-    "write_spectrum_csv", "read_spectrum_csv", "read_xy_csv", "write_xy_csv",
+    "write_spectrum_csv", "read_xy_csv", "write_xy_csv",
     "write_components_csv", "CALIBRATION_TABLES", "read_calibration_tables",
     "write_calibration_tables", "RunManifest", "write_manifest", "file_sha256",
 ]
@@ -101,13 +101,6 @@ def write_calibration_tables(directory, tables: dict) -> list[str]:
     for name, (x, y) in tables.items():
         write_xy_csv(Path(directory) / f"{name}.csv", CALIBRATION_TABLES[name], x, y)
     return [f"{name}.csv" for name in tables]
-
-
-def read_spectrum_csv(path) -> Spectrum:
-    """Read a spectrum CSV (offsets in Hz) back into rad/s offsets."""
-    x, y = read_xy_csv(path)
-    order = np.argsort(x)
-    return Spectrum(TWO_PI * x[order], y[order])
 
 
 def file_sha256(path) -> str:

@@ -16,8 +16,9 @@ X+ = Phi X + eta, eta ~ N(0, Q). A cooling tone leaves e^{+-i Omega t},
 Omega = delta_c - delta, in the coefficients, so dt is a whole fraction
 2 pi/(|Omega| P) of that period and each of the P phase slots has its own
 (Phi_j, Q_j), composed from 64 piecewise-constant substeps. `_expm`
-evaluates the exponentials of a whole stack of blocks at once, by scaling
-and squaring a Taylor series.
+evaluates the exponentials of a stack of blocks at once, by scaling and
+squaring a Taylor series; `propagator` passes it one substep of every slot
+at a time, with the squarings that the whole period's stack needs.
 
 The samples are Welch-averaged (Hann window, 50% overlap, `numpy.fft`) into
 a PSD in quanta (flat vacuum gives 1/2); `_measure_peak` reads floor,
@@ -28,39 +29,48 @@ arithmetic is elementwise, so it is the same whatever the number of
 trajectories run beside it. The module needs numpy only; `SimConfig` refuses
 a layout whose output samples would take more than 2 GiB.
 
-Layout of the hot path, per chunk of CHUNK = 512 output steps: each stream
-fills its own contiguous (steps, 6) row of a (trajectories, steps, 6) buffer.
-One copy moves the chunk to a trajectories-last noise buffer (6, steps,
+Layout of the hot path. A worker runs its trajectories in blocks of at most
+BLOCK = 64, one block after another through one set of buffers, allocated
+once per worker for its widest block and viewed contiguous at each block's
+width. Per chunk of CHUNK = 256 output steps, each stream fills its own
+contiguous (steps, 6) row of a (trajectories, steps, 6) buffer. One copy
+moves the chunk to a trajectories-last noise buffer (6, steps,
 trajectories), where the lower-triangular factor maps it in place, last row
 first, through two scratch planes. The step loop writes X into a
 (steps + 1, 4, trajectories) array with ufunc ``out=`` arguments, and the
 output rows are mapped over the whole chunk into a ring of nperseg + CHUNK
 samples per trajectory, which keeps the samples of unfinished segments.
-Every buffer is allocated once per worker. Each value goes through the same
-operations in the same order whatever the chunk length, so no output sample
-depends on CHUNK. The chunk is a fixed number of steps, whatever the number
-of trajectories, so a trajectory's mean |c|^2, summed per chunk, does not
-depend on the ensemble. The chunk buffers take about 3 x CHUNK x 6 x 8 bytes
-per trajectory, the ring (nperseg + CHUNK) x 16.
+Each value goes through the same operations in the same order whatever the
+chunk length or the block, so no output sample depends on CHUNK or BLOCK.
+The chunk is a fixed number of steps, whatever the number of trajectories,
+so a trajectory's mean |c|^2, summed per chunk, does not depend on the
+ensemble. Per trajectory of a block, the chunk buffers take about
+3 x CHUNK x 6 x 8 bytes, the ring (nperseg + CHUNK) x 16 and the power sums
+nperseg x 8: about 37, 50 and 23 KB at criterion 1 (nperseg = 2880).
 
 Welch runs inside the integrator: `_welch_layout` fixes nperseg, the hop and
 the segments per trajectory before the run. As soon as a segment's last
-sample is in the ring, the worker windows and transforms it, WELCH_BLOCK
+sample is in the ring, the worker windows and transforms it, WELCH_BLOCK = 4
 trajectories at a time through one complex (WELCH_BLOCK, nperseg) buffer, and
-adds |X|^2 into its trajectories' rows of a shared (trajectories, nperseg)
-sum; so each trajectory's segments are summed in order, and
-`_welch_spectrum` sums the rows in trajectory order. No process holds the
-output samples unless a caller records them.
+adds |X|^2 into its block's (trajectories, nperseg) power sums, so each
+trajectory's segments are summed in order. When a block is done, worker 0
+adds its rows, in trajectory order, into the calling process's (nperseg,)
+sum; the other workers copy theirs into shared rows, which the caller adds
+in order after the join. The additions are those of summing all the rows in
+trajectory order, whatever the workers and blocks, and `_welch_spectrum`
+only scales and orders the sum. No process holds the output samples unless
+a caller records them.
 
 Trajectories are split between workers, one per CPU that the process may run
 on, at most one per trajectory: `_fork_join` runs worker 0 here and forks the
 others, which write into anonymous shared mappings. `_share` gives each
 worker a contiguous range of trajectories, which it integrates and
-transforms, so no process touches another's rows. Each worker flags its
-non-finite output chunks, and the caller raises for them. No output bit
-depends on the worker count. ``timings`` are the calling process's:
-``noise`` is its draws and map, ``noise_wait`` the draws alone, ``welch`` its
-transforms; all three are part of ``propagate``.
+transforms, and splits that range into near-equal blocks, so no process
+touches another's rows. Each worker flags its non-finite output chunks, and
+the caller raises for them. No output bit depends on the worker count.
+``timings`` are the calling process's: ``noise`` is its draws and map,
+``noise_wait`` the draws alone, ``welch`` its transforms; all three are part
+of ``propagate``.
 """
 
 from __future__ import annotations
@@ -83,8 +93,9 @@ from .scattering import noise_floor, single_tone_integrated_weight
 RNG_ALGORITHM = "numpy-philox-4x64-10"
 SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
 TAYLOR_DEGREE = 18  # of _expm's series
-CHUNK = 512  # output steps drawn at a time
-WELCH_BLOCK = 16  # trajectories transformed at once, which bounds the transform buffer
+CHUNK = 256  # output steps drawn at a time
+BLOCK = 64  # trajectories a worker integrates at a time, which bounds its buffers
+WELCH_BLOCK = 4  # trajectories transformed at once, which bounds the transform buffer
 MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples a run produces
 
 __all__ = ["SimConfig", "TrajectoryOutput", "propagator", "integrate_langevin",
@@ -152,14 +163,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TrajectoryOutput:
-    """Welch power of a run: ``power[j]`` sums |FFT|^2 over the ``segments``
-    Hann-windowed segments of trajectory j, in segment order, of the
-    right-port output averaged over ``sampling`` seconds per sample. Also the
-    Floquet ``slots``, stage ``timings``, the optional per-trajectory mean
-    |c|^2 and the output samples, (n_trajectories, n_steps - burn_in) if the
-    run recorded them, else (n_trajectories, 0). ``decimation`` (1) is kept
-    for the tracer. `integrate_langevin` refuses non-finite samples; this
-    class checks nothing."""
+    """Welch power of a run: ``power``, (nperseg,), sums |FFT|^2 over the
+    Hann-windowed segments of every trajectory, each trajectory's segments in
+    order and then the trajectories in order, of the right-port output
+    averaged over ``sampling`` seconds per sample; ``segments`` counts them
+    over all trajectories. Also the Floquet ``slots``, stage ``timings``, the
+    optional per-trajectory mean |c|^2 and the output samples,
+    (n_trajectories, n_steps - burn_in) if the run recorded them, else
+    (n_trajectories, 0). ``decimation`` (1) is kept for the tracer.
+    `integrate_langevin` refuses non-finite samples; this class checks
+    nothing."""
 
     power: np.ndarray
     segments: int
@@ -193,7 +206,8 @@ def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
     m[:, 1, 1] = -params.gamma_m / 2.0 + 1j * config.delta(params)
     n = np.array([[0.0, -1j * gm], [-1j * gm, 0.0]])
     a = np.zeros(rot.shape + (6, 6))
-    a[:, :4, :4] = np.block([[(m + n).real, (n - m).imag], [(m + n).imag, (m - n).real]])
+    a[:, :2, :2], a[:, :2, 2:4] = (m + n).real, (n - m).imag
+    a[:, 2:4, :2], a[:, 2:4, 2:4] = (m + n).imag, (m - n).real
     sqrt_kr = math.sqrt(params.kappa_r)
     a[:, 4, 0] = a[:, 5, 2] = sqrt_kr
     # white inputs, half in each quadrature: the right port enters d as
@@ -208,12 +222,17 @@ def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
     return a, llt
 
 
-def _expm(m: np.ndarray) -> np.ndarray:
-    """e^m of each matrix in the stack ``m``: scaling by 2^-s until every
-    1-norm is at most 1/4, a degree-18 Taylor series by Horner's rule, then s
-    squarings. The truncation error, (1/4)^19/19!, is far below rounding."""
+def _squarings(m: np.ndarray) -> int:
+    """The squarings s of `_expm` that bring every 1-norm of the stack ``m`` to at most 1/4."""
     norm = float(np.abs(m).sum(axis=-2).max())
-    s = math.ceil(math.log2(max(4.0 * norm, 1.0)))
+    return math.ceil(math.log2(max(4.0 * norm, 1.0)))
+
+
+def _expm(m: np.ndarray, s: int) -> np.ndarray:
+    """e^m of each matrix in the stack ``m``: scaling by 2^-s, a degree-18
+    Taylor series by Horner's rule, then s squarings. With s at least
+    ``_squarings(m)`` the truncation error, (1/4)^19/19!, is far below
+    rounding; each matrix's result depends only on that matrix and s."""
     m = m / 2.0**s
     eye = np.eye(m.shape[-1])
     e = eye + m / TAYLOR_DEGREE
@@ -224,13 +243,18 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def _van_loan(a: np.ndarray, llt: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (Phi, Q) over dt for each drift in the stack ``a`` (Van Loan 1978)."""
+def _van_loan_block(a: np.ndarray, llt: np.ndarray, dt: float) -> np.ndarray:
+    """The 12x12 Van Loan matrix over dt (Van Loan 1978) of each drift in the stack ``a``."""
     block = np.zeros(a.shape[:-2] + (12, 12))
     block[..., :6, :6] = -a
     block[..., :6, 6:] = llt
     block[..., 6:, 6:] = np.swapaxes(a, -1, -2)
-    e = _expm(block * dt)
+    return block * dt
+
+
+def _van_loan(block: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (Phi, Q) of each Van Loan matrix in the stack ``block``, exponentiated with s squarings."""
+    e = _expm(block, s)
     phi = np.swapaxes(e[..., 6:, 6:], -1, -2)
     q = phi @ e[..., :6, 6:]
     return phi, (q + np.swapaxes(q, -1, -2)) / 2.0
@@ -241,7 +265,12 @@ def propagator(params: SystemParams, baths: BathSpec, config: ToneConfig,
     """(phi, q, factor), each (P, 6, 6): the exact transition and noise
     covariance over the output step ``dt`` for each phase slot j = step mod P
     of the cooling period (P = 1 without one), and the Cholesky factor of q
-    (zero where a coordinate gets no noise)."""
+    (zero where a coordinate gets no noise).
+
+    With a cooling tone, slot j composes SUBSTEPS piecewise-constant
+    substeps. Substep k of every slot is exponentiated in one call, so no
+    more than P Van Loan matrices are held at a time; the squarings are those
+    of the whole stack of P x SUBSTEPS matrices, found in a first pass."""
     omega = _cooling_rate(params, config)
     slots, substeps = 1, 1
     if omega is not None:
@@ -251,12 +280,16 @@ def propagator(params: SystemParams, baths: BathSpec, config: ToneConfig,
             raise StepSizeError(f"output step {dt:.6g} s is not a whole fraction of the "
                                 f"cooling period {period:.6g} s")
     h = dt / substeps
-    phi_k, q_k = _van_loan(*_sde_matrices(params, baths, config,
-                                          (np.arange(slots * substeps) + 0.5) * h), h)
+
+    def blocks(k):  # substep k of every slot, at its midpoint time
+        return _van_loan_block(*_sde_matrices(params, baths, config,
+                                              (np.arange(slots) * substeps + k + 0.5) * h), h)
+
+    s = max(_squarings(blocks(k)) for k in range(substeps))
     phi, q = np.broadcast_to(np.eye(6), (slots, 6, 6)), np.zeros((slots, 6, 6))
     for k in range(substeps):  # compose the substeps of every slot at once
-        sub = phi_k[k::substeps]
-        phi, q = sub @ phi, sub @ q @ np.swapaxes(sub, -1, -2) + q_k[k::substeps]
+        sub, q_k = _van_loan(blocks(k), s)
+        phi, q = sub @ phi, sub @ q @ np.swapaxes(sub, -1, -2) + q_k
     live = np.flatnonzero(np.diagonal(q[0]) > 0.0)[:, None]
     factor = np.zeros_like(q)
     factor[:, live, live.T] = np.linalg.cholesky(q[:, live, live.T])
@@ -313,8 +346,9 @@ def _share(n: int, workers: int, worker: int) -> slice:
 
 def _shared(shape: tuple, dtype=np.float64) -> np.ndarray:
     """A zeroed array in an anonymous shared mapping, which forked workers write into."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(count * np.dtype(dtype).itemsize, 1))  # an empty mapping is refused
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 def _fork_join(workers: int, run) -> None:
@@ -410,93 +444,117 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         step += n
     nperseg, hop, segments = _welch_layout(kept, ntraj, sim.psd_segments)
     window = _hann(nperseg)
-    power = _shared((ntraj, nperseg))
     out = _shared((ntraj, kept), np.complex128) if record_field else np.empty((ntraj, 0), np.complex128)
     mech_acc = _shared((ntraj,))
     inv_dt = 1.0 / sim.dt
     timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0, "welch": 0.0}
     workers = _workers(ntraj)
     diverged = _shared((workers,), np.bool_)
+    # the calling process folds its trajectories' power into the sum as their blocks
+    # finish; the other workers leave theirs in shared rows, folded in after the join
+    total = np.zeros(nperseg)
+    rest_start = _share(ntraj, workers, 0).stop
+    rest = _shared((ntraj - rest_start, nperseg))
+    size = min(CHUNK, sim.n_steps)
 
-    def run(worker: int) -> None:  # a contiguous range of trajectories
+    def shapes(w):
+        """The buffers of a block of w trajectories: normals, Phi_xx spread over the
+        trajectories (so that the product of a step is one contiguous pass), noise, two
+        scratch planes, states (state[s] meets step s's noise), products, a ring of output
+        samples, as float64 pairs, and the trajectories' power sums."""
+        return ((w, size, 6), (slots, 4, 4, w), (6, size, w), (2, size, w), (size + 1, 4, w),
+                (4, 4, w), (w, nperseg + CHUNK, 2), (w, nperseg))
+
+    def run(worker: int) -> None:  # a contiguous range of trajectories, a block at a time
         rows = _share(ntraj, workers, worker)
-        streams, power_rows, mech = rngs[rows], power[rows], mech_acc[rows]
-        size, width = min(CHUNK, sim.n_steps), len(streams)
-        # Phi_xx spread over the trajectories, so that the product of a step is one contiguous pass
-        phi_x = np.ascontiguousarray(np.broadcast_to(phi[:, :4, :4, None], (slots, 4, 4, width)))
-        raw = np.empty((width, size, 6))
-        # one noise buffer and two scratch planes, mapped in place by every chunk
-        noise, scratch = np.empty((6, size, width)), np.empty((2, size, width))
-        state = np.zeros((size + 1, 4, width))  # state[s] meets step s's noise
-        products = np.empty((4, 4, width))
-        # ring[:, i] holds kept sample base + i; a segment is transformed once complete,
-        # and a chunk that would run past the end first moves the unfinished ones to the front
-        ring = np.empty((width, nperseg + CHUNK), np.complex128)
-        spec = np.empty((min(WELCH_BLOCK, width), nperseg), np.complex128)
-        base = done = 0  # the ring's first sample, and the segments transformed
-        for step, n in chunks:
-            began = time.perf_counter()
-            _draw_normals(streams, raw[:, :n])
-            drawn = time.perf_counter()
-            eta = _map_normals(factor, raw[:, :n], step, noise, scratch)
-            timings["noise_wait"] += drawn - began
-            timings["noise"] += time.perf_counter() - began
-            # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
-            # trajectory does not depend on the ensemble size; out= is positional
-            # because the per-call overhead is most of a step
-            for phi_s, x, x_next, eta_s in zip(itertools.islice(itertools.cycle(phi_x), step % slots, None),
-                                               state[:n], state[1:], eta[:4].swapaxes(0, 1)):
-                np.multiply(phi_s, x, products)
-                np.add.reduce(products, 1, None, x_next)
-                np.add(x_next, eta_s, x_next)
-            if step >= sim.burn_in:
-                t = step - sim.burn_in
-                if t + n > base + ring.shape[1]:  # keep only the unfinished segments' samples
-                    keep = min(done * hop, t)
-                    for row in ring:
-                        row[:t - keep] = row[keep - base:t - base]
-                    base = keep
-                # the output rows: (eta_I + Phi_I x)/dt, terms added in the order of x;
-                # times 1/dt is to the bit numpy's complex division by the real dt
-                f = _slot_coefficients(phi[:, 4:, :4], step, n)
-                dest = ring[:, t - base:t - base + n]
-                term = scratch[1, :n]
-                for r, part in enumerate((dest.real, dest.imag)):
-                    y = eta[4 + r]
-                    for k in range(4):
-                        np.multiply(f[r, k], state[:n, k], out=term)
-                        np.add(y, term, out=y)
-                    np.multiply(y, inv_dt, out=y)
-                    np.copyto(part, y.T)
-                diverged[worker] |= not np.isfinite(dest).all()
-                if record_field:
-                    out[rows, t:t + n] = dest
-                if record_mech:
-                    mech += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
+        n_rows = rows.stop - rows.start
+        n_blocks = math.ceil(n_rows / BLOCK)
+        widest = math.ceil(n_rows / n_blocks)
+        # one flat store per buffer, sized for the widest block, viewed contiguous at each width
+        stores = [np.empty(math.prod(shape)) for shape in shapes(widest)]
+        spec = np.empty((min(WELCH_BLOCK, widest), nperseg), np.complex128)
+        multiply, add_reduce, add = np.multiply, np.add.reduce, np.add
+        for b in range(n_blocks):
+            share = _share(n_rows, n_blocks, b)
+            block = slice(rows.start + share.start, rows.start + share.stop)
+            streams, mech, width = rngs[block], mech_acc[block], share.stop - share.start
+            raw, phi_x, noise, scratch, state, products, ring, power = (
+                store[:math.prod(shape)].reshape(shape) for store, shape in zip(stores, shapes(width)))
+            ring = ring.view(np.complex128)[..., 0]
+            np.copyto(phi_x, phi[:, :4, :4, None])
+            state[0], power[:] = 0.0, 0.0
+            # ring[:, i] holds kept sample base + i; a segment is transformed once complete,
+            # and a chunk that would run past the end first moves the unfinished ones to the front
+            base = done = 0  # the ring's first sample, and the segments transformed
+            for step, n in chunks:
                 began = time.perf_counter()
-                # each trajectory's |X|^2 added in segment order, WELCH_BLOCK rows at a time
-                while done < segments and done * hop + nperseg <= t + n:
-                    first = done * hop - base
-                    for i in range(0, width, WELCH_BLOCK):
-                        block = spec[:min(WELCH_BLOCK, width - i)]
-                        np.multiply(ring[i:i + len(block), first:first + nperseg], window, out=block)
-                        np.fft.fft(block, axis=-1, out=block)
-                        re, im = block.real, block.imag  # |X|^2 squared in place
-                        np.square(re, out=re)
-                        np.square(im, out=im)
-                        np.add(power_rows[i:i + len(block)], np.add(re, im, out=re),
-                               out=power_rows[i:i + len(block)])
-                    done += 1
-                timings["welch"] += time.perf_counter() - began
-            state[0] = state[n]
+                _draw_normals(streams, raw[:, :n])
+                drawn = time.perf_counter()
+                eta = _map_normals(factor, raw[:, :n], step, noise, scratch)
+                timings["noise_wait"] += drawn - began
+                timings["noise"] += time.perf_counter() - began
+                # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
+                # trajectory does not depend on the ensemble size; out= is positional
+                # and the ufuncs are locals because the per-call overhead is most of a step
+                for phi_s, x, x_next, eta_s in zip(itertools.islice(itertools.cycle(phi_x), step % slots, None),
+                                                   state[:n], state[1:], eta[:4].swapaxes(0, 1)):
+                    multiply(phi_s, x, products)
+                    add_reduce(products, 1, None, x_next)
+                    add(x_next, eta_s, x_next)
+                if step >= sim.burn_in:
+                    t = step - sim.burn_in
+                    if t + n > base + ring.shape[1]:  # keep only the unfinished segments' samples
+                        keep = min(done * hop, t)
+                        for row in ring:
+                            row[:t - keep] = row[keep - base:t - base]
+                        base = keep
+                    # the output rows: (eta_I + Phi_I x)/dt, terms added in the order of x;
+                    # times 1/dt is to the bit numpy's complex division by the real dt
+                    f = _slot_coefficients(phi[:, 4:, :4], step, n)
+                    dest = ring[:, t - base:t - base + n]
+                    term = scratch[1, :n]
+                    for r, part in enumerate((dest.real, dest.imag)):
+                        y = eta[4 + r]
+                        for k in range(4):
+                            np.multiply(f[r, k], state[:n, k], out=term)
+                            np.add(y, term, out=y)
+                        np.multiply(y, inv_dt, out=y)
+                        np.copyto(part, y.T)
+                    diverged[worker] |= not np.isfinite(dest).all()
+                    if record_field:
+                        out[block, t:t + n] = dest
+                    if record_mech:
+                        mech += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
+                    began = time.perf_counter()
+                    # each trajectory's |X|^2 added in segment order, WELCH_BLOCK rows at a time
+                    while done < segments and done * hop + nperseg <= t + n:
+                        first = done * hop - base
+                        for i in range(0, width, WELCH_BLOCK):
+                            buf = spec[:min(WELCH_BLOCK, width - i)]
+                            np.multiply(ring[i:i + len(buf), first:first + nperseg], window, out=buf)
+                            np.fft.fft(buf, axis=-1, out=buf)
+                            re, im = buf.real, buf.imag  # |X|^2 squared in place
+                            np.square(re, out=re)
+                            np.square(im, out=im)
+                            np.add(power[i:i + len(buf)], np.add(re, im, out=re), out=power[i:i + len(buf)])
+                        done += 1
+                    timings["welch"] += time.perf_counter() - began
+                state[0] = state[n]
+            if worker:  # a shared row per trajectory
+                rest[block.start - rest_start:block.stop - rest_start] = power
+            else:  # the sum in trajectory order, as each block finishes
+                for row in power:
+                    np.add(total, row, out=total)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run raises below
         _fork_join(workers, run)
     if diverged.any():  # raised here: a child's raise would be a ChildProcessError
         raise StepSizeError("trajectory diverged: non-finite output samples")
+    for row in rest:  # the other workers' trajectories, in order
+        total += row
     timings["propagate"] = time.perf_counter() - start - setup
-    return TrajectoryOutput(power=power, segments=segments, sampling=sim.dt, output_field=out,
-                            slots=slots, timings=timings,
+    return TrajectoryOutput(power=total, segments=ntraj * segments, sampling=sim.dt,
+                            output_field=out, slots=slots, timings=timings,
                             mech_abs2=mech_acc / kept if record_mech else None)
 
 
@@ -506,16 +564,14 @@ def _welch_spectrum(traj: TrajectoryOutput) -> tuple[Spectrum, int]:
     # The boxcar-averaged white background folds back to an exactly flat
     # density, so no response compensation is applied; SimConfig.auto's output
     # rate keeps the boxcar's attenuation of a peak below ~0.3%.
-    ntraj, nperseg = traj.power.shape
-    count = ntraj * traj.segments
-    # the trajectories in order, so the worker count changes no bit
-    pxx = traj.power.sum(axis=0) * (traj.sampling / (np.sum(_hann(nperseg) ** 2) * count))
+    nperseg = traj.power.size
+    pxx = traj.power * (traj.sampling / (np.sum(_hann(nperseg) ** 2) * traj.segments))
     f = np.fft.fftfreq(nperseg, traj.sampling)
     # engineer's +f axis holds e^{+i 2 pi f t} content; the physics convention
     # f(omega) = int f(t) e^{i omega t} dt places it at omega = -2 pi f
     offsets = -TWO_PI * f
     order = np.argsort(offsets)
-    return Spectrum(offsets[order], pxx[order]), count
+    return Spectrum(offsets[order], pxx[order]), traj.segments
 
 
 def _measure_peak(spec: Spectrum, centers: list[float], gamma_tot: float):

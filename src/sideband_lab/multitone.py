@@ -21,8 +21,6 @@ from .model import BathSpec, Spectrum, SystemParams, ToneConfig, derive_effectiv
 from .scattering import _detuning_gate, noise_floor
 
 __all__ = [
-    "sxx_spectrum",
-    "sxx_integrated_weight",
     "averaged_occupation",
     "multitone_spectra",
     "sideband_weights",
@@ -42,37 +40,6 @@ def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) ->
             "pass enforce_separation=False to override"
         )
     return gamma_tot
-
-
-def _sxx_lorentzian(params: SystemParams, baths: BathSpec,
-                    config: ToneConfig) -> tuple[float, float]:
-    """(amplitude, width) of S_xx = amplitude / (omega^2 + width^2/4)."""
-    baths.require_unit_vacuum()
-    gamma_tot = config.gamma_tot(params)
-    gp, gm = config.gamma_opt_pair(params)
-    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
-    bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (baths.n_c(params) + 0.5)
-    xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
-    return gamma_big_m * bracket * xzp2, gamma_tot
-
-
-def sxx_spectrum(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                 grid: np.ndarray) -> Spectrum:
-    """Symmetrized mechanical position spectrum (units x_zp^2 * s).
-
-    S_xx[omega] = gamma_M/(omega^2 + gamma_tot^2/4) *
-    [(n_M + 1/2) + ((gamma_opt^- + gamma_opt^+)/gamma_M)(n_c + 1/2)] * x_zp^2
-    on a grid of offsets from the dressed mechanical resonance.
-    """
-    amplitude, width = _sxx_lorentzian(params, baths, config)
-    x = np.asarray(grid, dtype=float)
-    return Spectrum(x, amplitude / (x**2 + width**2 / 4.0))
-
-
-def sxx_integrated_weight(params: SystemParams, baths: BathSpec, config: ToneConfig) -> float:
-    """Analytic integral (domega/2pi) of sxx_spectrum over all frequencies."""
-    amplitude, width = _sxx_lorentzian(params, baths, config)
-    return amplitude / width
 
 
 def averaged_occupation(params: SystemParams, baths: BathSpec, config: ToneConfig) -> float:

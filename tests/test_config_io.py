@@ -19,7 +19,6 @@ from sideband_lab.config import (
 )
 from sideband_lab.dataio import (
     RunManifest,
-    read_spectrum_csv,
     read_xy_csv,
     write_components_csv,
     write_manifest,
@@ -30,6 +29,13 @@ from sideband_lab.langevin import SimConfig, oracle_compare
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
 from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import PRESET_NAMES, preset
+
+
+def read_spectrum_csv(path):
+    """A spectrum CSV (offsets in Hz) read back into rad/s offsets, in order."""
+    x, y = read_xy_csv(path)
+    order = np.argsort(x)
+    return Spectrum(TWO_PI * x[order], y[order])
 
 
 class TestConfigRoundTrip:

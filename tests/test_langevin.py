@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import sideband_lab.langevin as langevin
+from sideband_lab.config import save_config
 from sideband_lab.errors import ConfigError, StepSizeError, ValidityError
 from sideband_lab.langevin import (
     CHUNK,
@@ -31,6 +32,7 @@ from sideband_lab.langevin import (
     _expm,
     _measure_peak,
     _sde_matrices,
+    _squarings,
     _welch_spectrum,
     integrate_langevin,
     oracle_compare,
@@ -312,21 +314,25 @@ class TestWelchWorkers:
         assert unrecorded.output_field.shape == (ntraj, 0)
         assert _welch_spectrum(unrecorded)[0].values.tobytes() == spec.values.tobytes()
 
-    @pytest.mark.parametrize("ntraj", [128, 40])
-    def test_each_worker_transforms_the_rows_it_integrates(self, monkeypatch, ntraj):
+    @pytest.mark.parametrize("ntraj, block", [(128, 64), (128, 16), (40, 64)])
+    def test_each_worker_transforms_the_rows_it_integrates(self, monkeypatch, ntraj, block):
         # three workers run here, in turn, so that one process sees which
-        # trajectories each one draws and which rows of the power sums it fills
-        started, running, integrated, transformed, shared = [], [], {}, {}, []
+        # trajectories each one draws and which rows of the shared power sums
+        # it writes; those rows start as NaN, so a write of any value shows
+        started, running, integrated, written, shared, shared_rows = [], [], {}, {}, [], []
         real_shared, real_draw = langevin._shared, langevin._draw_normals
 
         def inline_fork_join(workers, run):
             started.append(workers)
-            (power,) = [a for a in shared if a.ndim == 2]
+            (rest,) = [a for a in shared if a.ndim == 2]
+            rest[:] = np.nan
             for worker in range(workers):
                 running.append(worker)
-                filled = power.any(axis=1)
+                untouched = np.isnan(rest).all(axis=1)
                 run(worker)
-                transformed[worker] = np.flatnonzero(power.any(axis=1) & ~filled).tolist()
+                written[worker] = np.flatnonzero(untouched & ~np.isnan(rest).all(axis=1)).tolist()
+            assert not np.isnan(rest).any()  # every shared row written
+            shared_rows.append(len(rest))
 
         def draw(rngs, raw):
             integrated.setdefault(running[-1], set()).update(
@@ -336,24 +342,33 @@ class TestWelchWorkers:
         monkeypatch.setattr(langevin, "_fork_join", inline_fork_join)
         monkeypatch.setattr(langevin, "_shared", lambda *a: shared.append(real_shared(*a)) or shared[-1])
         monkeypatch.setattr(langevin, "_draw_normals", draw)
+        monkeypatch.setattr(langevin, "BLOCK", block)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         p, baths, cfg = preset("oracle-demo")
         sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=3, n_trajectories=ntraj)
         integrate_langevin(p, baths, cfg, sim)
         assert started == [3]
         # in worker order, each a contiguous run, every trajectory once
-        assert [j for w in range(3) for j in transformed[w]] == list(range(ntraj))
-        assert {w: set(rows) for w, rows in transformed.items()} == integrated
+        ranges = [sorted(integrated[w]) for w in range(3)]
+        assert [j for r in ranges for j in r] == list(range(ntraj))
+        # worker 0 writes no shared row: it folds its trajectories into the sum here;
+        # the shared rows are the other workers' trajectories, each worker's own
+        first = len(ranges[0])
+        assert written[0] == [] and shared_rows == [ntraj - first]
+        for w in (1, 2):
+            assert [first + r for r in written[w]] == ranges[w]
 
 
 class TestFootprint:
-    """Each worker process holds a few noise chunks of its trajectories, a ring
-    of nperseg + CHUNK output samples per trajectory and one transform block of
-    WELCH_BLOCK segments; the per-trajectory power sums are shared, and the
-    output samples are held only when a caller records them. CHUNK = 512 steps
-    was set to keep the chunks small: a longer chunk, or one more buffer of the
-    size of any of these, fails here. tracemalloc sees the test process, which
-    runs worker 0 of two."""
+    """Each worker runs its trajectories in blocks of at most BLOCK, one after
+    another through one set of buffers: a few noise chunks, a ring of
+    nperseg + CHUNK output samples per trajectory, the block's power sums and
+    one transform block of WELCH_BLOCK segments. The calling process folds its
+    blocks into one (nperseg,) sum; the other workers' power sums are shared
+    rows. The output samples are held only when a caller records them.
+    CHUNK = 256 steps and WELCH_BLOCK = 4 keep the chunk and transform buffers
+    small: a wider block, a longer chunk, or one more buffer of the size of
+    any of these, fails here. tracemalloc sees the test process."""
 
     NTRAJ = 128
     SEGMENTS = 4  # per trajectory: 2880-point segments, over more than four chunks
@@ -365,10 +380,10 @@ class TestFootprint:
         assert sim.n_steps > 4 * CHUNK
         return p, baths, cfg, sim
 
-    def test_integrator_and_welch(self, monkeypatch):
+    def peak(self, monkeypatch):
+        """(run, peak bytes of tracemalloc plus the shared mappings, the block
+        bound) of an integration of the layout, on the workers already set."""
         p, baths, cfg, sim = self.layout()
-        ntraj = self.NTRAJ
-        started = recorded_workers(monkeypatch, 2)
         # tracemalloc does not see the shared mappings that the workers write into
         shared, real_mmap = [], mmap.mmap
 
@@ -377,35 +392,63 @@ class TestFootprint:
             return real_mmap(fileno, length, *args, **kwargs)
 
         monkeypatch.setattr(mmap, "mmap", recording_mmap)
+        np.random.Philox, np.fft.fft  # imported lazily, at the first integration
         tracemalloc.start()
         try:
             traj = integrate_langevin(p, baths, cfg, sim)
             peak = tracemalloc.get_traced_memory()[1] + sum(shared)
         finally:
             tracemalloc.stop()
+        # one block's normals, noise buffer, two scratch planes and states take 3
+        # draws of a chunk of its trajectories; the run's streams (0.12 MB) and the
+        # per-chunk temporaries, under a quarter draw more. Finiteness is checked chunk
+        # by chunk: a check of whole rows would add one bool per sample, about 4 draws here
+        draw = CHUNK * 6 * langevin.BLOCK * 8
+        assert CHUNK <= 256 and langevin.BLOCK <= 64 and WELCH_BLOCK <= 4
+        nperseg = langevin._welch_layout(sim.n_steps - sim.burn_in, self.NTRAJ, sim.psd_segments)[0]
+        ring = langevin.BLOCK * (nperseg + CHUNK) * 16
+        # numpy's FFT copies its input when it writes over it: two transform blocks
+        transform = 2 * WELCH_BLOCK * nperseg * 16
+        block = 3.25 * draw + ring + transform + langevin.BLOCK * nperseg * 8
+        return traj, peak, block, shared
+
+    def test_integrator_and_welch(self, monkeypatch):
+        # worker 0 of two holds one 64-trajectory block
+        started = recorded_workers(monkeypatch, 2)
+        traj, peak, block, shared = self.peak(monkeypatch)
         assert started == [2]
-        # worker 0's normals, noise buffer, two scratch planes and states take 3
-        # draws of a 512-step chunk of its 64 trajectories; the first integration in
-        # an interpreter also counts the lazy import of numpy.random, about 0.5 draw.
-        # Finiteness is checked chunk by chunk: a check of its whole rows would add
-        # one bool per sample, about a draw here and 2 at criterion 1
-        draw = 512 * 6 * (ntraj // 2) * 8
-        assert CHUNK <= 512
-        nperseg = traj.power.shape[1]
-        ring = (ntraj // 2) * (nperseg + CHUNK) * 16
-        block = WELCH_BLOCK * nperseg * 16
-        assert traj.power.nbytes == ntraj * nperseg * 8  # shared, all rows
-        assert peak < 3.5 * draw + ring + block + traj.power.nbytes
+        nperseg = traj.power.size
+        assert traj.power.shape == (nperseg,)
+        assert max(shared) == (self.NTRAJ // 2) * nperseg * 8  # worker 1's rows
+        assert peak < block + traj.power.nbytes + sum(shared)
+
+    def test_one_worker_holds_one_block_at_a_time(self, monkeypatch):
+        # one worker runs all 128 trajectories in two blocks of 64 through one set of buffers
+        started = recorded_workers(monkeypatch, 1)
+        traj, peak, block, shared = self.peak(monkeypatch)
+        assert started == [1] and self.NTRAJ == 2 * langevin.BLOCK
+        assert peak < block + traj.power.nbytes  # and the sum
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc/self/smaps")
     def test_this_process_touches_only_its_own_rows(self, monkeypatch):
-        # worker 0 writes the first half of the rows of each shared array;
-        # touching the child's half would make that half resident here too
+        # worker 0 writes the first half of the recorded output rows, and none of
+        # the shared power rows; touching the child's rows would make them resident
+        # here too. Measured at the join, before this process folds the power rows
         p, baths, cfg, sim = self.layout()
         recorded_workers(monkeypatch, 2)
+        arrays, resident = [], []
+        real_shared, real_fork_join = langevin._shared, langevin._fork_join
+        monkeypatch.setattr(langevin, "_shared", lambda *a: arrays.append(real_shared(*a)) or arrays[-1])
+
+        def measuring_fork_join(workers, run):
+            real_fork_join(workers, run)
+            resident.extend((resident_bytes(a), a.nbytes) for a in arrays if a.ndim == 2)
+
+        monkeypatch.setattr(langevin, "_fork_join", measuring_fork_join)
         traj = integrate_langevin(p, baths, cfg, sim, record_field=True)
-        for array in (traj.output_field, traj.power):
-            assert resident_bytes(array) < 0.6 * array.nbytes
+        (field, field_bytes), (power, power_bytes) = resident
+        assert field_bytes == traj.output_field.nbytes and field < 0.6 * field_bytes
+        assert power_bytes == (self.NTRAJ // 2) * traj.power.nbytes and power == 0
 
     def test_oracle_compare_holds_no_output_samples(self, tmp_path):
         # the calling process's peak above a bare import of what it runs; holding
@@ -416,26 +459,43 @@ class TestFootprint:
         rows = langevin._share(ntraj, langevin._workers(ntraj), 0)
         share = 16 * (rows.stop - rows.start) * (sim.n_steps - sim.burn_in)
         assert share > 4 * 3 * CHUNK * 6 * 8 * (rows.stop - rows.start)  # 4x its chunk buffers
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-        def peak(code):
-            # started from a bare interpreter: a child's ru_maxrss counts the
-            # resident set of the process it was forked from, up to its exec
-            launch = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], "
-                      "stdout=subprocess.DEVNULL); _, status, usage = os.wait4(child.pid, 0); "
-                      "print(status, usage.ru_maxrss)")
-            done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code],
-                                  env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
-            status, maxrss = map(int, done.stdout.split())
-            assert status == 0
-            return maxrss * 1024
-
-        bare = peak("import sideband_lab.cli, numpy.random, numpy.fft")
-        run = peak("from sideband_lab.cli import main; raise SystemExit(main(['oracle-compare', "
-                   f"'--preset', 'oracle-demo', '--seed', '3', '--segments', '{segments}', "
-                   f"'--trajectories', '{ntraj}', '--out', 'out']))")
+        bare = fresh_peak(tmp_path, "import sideband_lab.cli, numpy.random, numpy.fft")
+        run = fresh_peak(tmp_path, "from sideband_lab.cli import main; raise SystemExit(main(["
+                         "'oracle-compare', '--preset', 'oracle-demo', '--seed', '3', "
+                         f"'--segments', '{segments}', '--trajectories', '{ntraj}', '--out', 'out']))")
         assert run - bare < share / 2
+
+    def test_cooled_oracle_compare_holds_no_van_loan_stack(self, tmp_path):
+        # the cooled case (35 Floquet slots) on one worker, made to see one CPU,
+        # with 65 trajectories: two blocks. Exponentiating the whole period's
+        # 35 x 64 Van Loan matrices at once took over five times their size
+        p, baths, cfg, _ = equivalence_case("cooling")
+        save_config(tmp_path / "cooled.json", p, baths, cfg)
+        slots = len(propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[0])
+        stack = slots * langevin.SUBSTEPS * 12 * 12 * 8
+        bare = fresh_peak(tmp_path, "import sideband_lab.cli, numpy.random, numpy.fft")
+        run = fresh_peak(tmp_path, "import os; os.sched_getaffinity = lambda pid: {0}; "
+                         "from sideband_lab.cli import main; raise SystemExit(main(["
+                         "'oracle-compare', '--config', 'cooled.json', '--seed', '3', "
+                         "'--segments', '130', '--trajectories', '65', '--out', 'out']))")
+        assert run - bare < 4 * stack
+
+
+def fresh_peak(cwd, code):
+    """Peak resident bytes (ru_maxrss) of a fresh interpreter that runs ``code``
+    with this checkout's sources. It is started from a bare interpreter: a
+    child's ru_maxrss counts the resident set of the process it was forked
+    from, up to its exec."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    launch = ("import os, subprocess, sys; child = subprocess.Popen(sys.argv[1:], "
+              "stdout=subprocess.DEVNULL); _, status, usage = os.wait4(child.pid, 0); "
+              "print(status, usage.ru_maxrss)")
+    done = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", code],
+                          env=env, cwd=cwd, capture_output=True, text=True, check=True)
+    status, maxrss = map(int, done.stdout.split())
+    assert status == 0
+    return maxrss * 1024
 
 
 def resident_bytes(array):
@@ -461,9 +521,9 @@ class TestForkedWorkers:
     bit depends on the number of workers."""
 
     @staticmethod
-    def run(**kw):
+    def run(ntraj=8, **kw):
         p, baths, cfg = preset("oracle-demo")
-        sim = SimConfig.auto(p, cfg, n_segments=16, seed=4, n_trajectories=8)
+        sim = SimConfig.auto(p, cfg, n_segments=16, seed=4, n_trajectories=ntraj)
         assert sim.n_steps > 4 * CHUNK
         return integrate_langevin(p, baths, cfg, sim, **kw)
 
@@ -586,19 +646,26 @@ class TestForkedWorkers:
             self.run()
         self.assert_reaped(children)
 
-    def test_output_does_not_depend_on_the_workers(self, children, monkeypatch):
+    @pytest.mark.parametrize("block", [64, 8])
+    def test_output_does_not_depend_on_the_workers(self, children, monkeypatch, block):
+        # with 8-trajectory blocks, 40 trajectories are 5 blocks on one worker, 3 on
+        # each of two and 2 on each of three; the reference runs one block per worker
+        ntraj = 8 if block == 64 else 40
+        reference = self.run(ntraj, record_mech=True, record_field=True)
+        monkeypatch.setattr(langevin, "BLOCK", block)
         runs = []
         for cpus in (1, 2, 3):  # three workers: more than this machine may have CPUs
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            runs.append(self.run(record_mech=True, record_field=True))
-        self.assert_reaped(children, forked=0 + 1 + 2)
+            runs.append(self.run(ntraj, record_mech=True, record_field=True))
+        self.assert_reaped(children, forked=1 + 0 + 1 + 2)
         monkeypatch.delattr(os, "fork")
-        inline = self.run(record_mech=True, record_field=True)  # three workers, one after another
+        runs.append(self.run(ntraj, record_mech=True, record_field=True))  # three workers, in turn
+        assert reference.power.ndim == 1  # the sum over the trajectories
         for traj in runs:
-            assert traj.output_field.tobytes() == inline.output_field.tobytes()
-            assert traj.power.tobytes() == inline.power.tobytes()
-            assert traj.mech_abs2.tobytes() == inline.mech_abs2.tobytes()
-            assert set(traj.timings) == set(inline.timings)
+            assert traj.output_field.tobytes() == reference.output_field.tobytes()
+            assert traj.power.tobytes() == reference.power.tobytes()
+            assert traj.mech_abs2.tobytes() == reference.mech_abs2.tobytes()
+            assert set(traj.timings) == set(reference.timings)
 
 
 class TestIntegratorContracts:
@@ -618,6 +685,7 @@ class TestIntegratorContracts:
         a = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_field=True)
         b = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_field=True)
         np.testing.assert_array_equal(a.output_field, b.output_field)
+        assert a.power.ndim == 1  # the sum over the trajectories
         np.testing.assert_array_equal(a.power, b.power)
 
     def test_trajectory_streams_do_not_depend_on_the_ensemble(self):
@@ -825,27 +893,77 @@ class TestMatrixExponential:
     def test_matches_scipy_on_the_propagators(self, name, monkeypatch):
         from scipy.linalg import expm
 
-        import sideband_lab.langevin as langevin
-
         params, baths, cfg = equivalence_case("cooling")[:3] if name == "cooled" else preset(name)
-        blocks = []  # the Van Loan blocks propagator exponentiates, one stack per call
-        monkeypatch.setattr(langevin, "_expm", lambda m: blocks.append(m) or _expm(m))
-        propagator(params, baths, cfg, SimConfig.auto(params, cfg).dt)
-        (m,) = blocks
-        np.testing.assert_allclose(_expm(m), expm(m), rtol=0, atol=1e-13 * np.abs(expm(m)).max())
+        calls = []  # the Van Loan blocks propagator exponentiates and their squarings, per call
+        monkeypatch.setattr(langevin, "_expm", lambda m, s: calls.append((m, s)) or _expm(m, s))
+        phi = propagator(params, baths, cfg, SimConfig.auto(params, cfg).dt)[0]
+        # one call per substep, each with one block per slot
+        assert len(calls) == (1 if len(phi) == 1 else langevin.SUBSTEPS)
+        for m, s in calls:
+            assert m.shape == (len(phi), 12, 12)
+            np.testing.assert_allclose(_expm(m, s), expm(m), rtol=0, atol=1e-13 * np.abs(expm(m)).max())
 
     def test_matches_scipy_with_squarings(self):
         from scipy.linalg import expm
 
         m = np.random.default_rng(7).standard_normal((20, 12, 12))
-        assert np.abs(m).sum(axis=-2).max() > 16.0  # at least six squarings
-        np.testing.assert_allclose(_expm(m), expm(m), rtol=0, atol=1e-13 * np.abs(expm(m)).max())
+        assert _squarings(m) >= 6
+        np.testing.assert_allclose(_expm(m, _squarings(m)), expm(m), rtol=0,
+                                   atol=1e-13 * np.abs(expm(m)).max())
 
     def test_identities(self):
-        np.testing.assert_array_equal(_expm(np.zeros((2, 12, 12))),
-                                      np.broadcast_to(np.eye(12), (2, 12, 12)))
+        z = np.zeros((2, 12, 12))
+        np.testing.assert_array_equal(_expm(z, _squarings(z)), np.broadcast_to(np.eye(12), (2, 12, 12)))
         d = np.diag(np.linspace(-3.0, 3.0, 12))[None]
-        np.testing.assert_allclose(_expm(d)[0], np.diag(np.exp(np.diag(d[0]))), rtol=1e-14)
+        np.testing.assert_allclose(_expm(d, _squarings(d))[0], np.diag(np.exp(np.diag(d[0]))), rtol=1e-14)
+
+
+def whole_stack_propagator(params, baths, config, dt):
+    """propagator as first written: the Van Loan matrices of every slot and
+    substep exponentiated as one stack, with the squarings that stack needs."""
+    slots = round(TWO_PI / (config.delta_c(params) - config.delta(params)) / dt)
+    h = dt / langevin.SUBSTEPS
+    a, llt = _sde_matrices(params, baths, config, (np.arange(slots * langevin.SUBSTEPS) + 0.5) * h)
+    block = np.zeros(a.shape[:-2] + (12, 12))
+    block[..., :6, :6] = -a
+    block[..., :6, 6:] = llt
+    block[..., 6:, 6:] = np.swapaxes(a, -1, -2)
+    block *= h
+    e = _expm(block, _squarings(block))
+    phi_k = np.swapaxes(e[..., 6:, 6:], -1, -2)
+    q_k = phi_k @ e[..., :6, 6:]
+    q_k = (q_k + np.swapaxes(q_k, -1, -2)) / 2.0
+    phi, q = np.broadcast_to(np.eye(6), (slots, 6, 6)), np.zeros((slots, 6, 6))
+    for k in range(langevin.SUBSTEPS):
+        sub = phi_k[k::langevin.SUBSTEPS]
+        phi, q = sub @ phi, sub @ q @ np.swapaxes(sub, -1, -2) + q_k[k::langevin.SUBSTEPS]
+    live = np.flatnonzero(np.diagonal(q[0]) > 0.0)[:, None]
+    factor = np.zeros_like(q)
+    factor[:, live, live.T] = np.linalg.cholesky(q[:, live, live.T])
+    return phi, q, factor
+
+
+class TestVanLoanBySubstep:
+    """propagator exponentiates one substep of every slot at a time, so it
+    never holds the whole period's stack of Van Loan matrices, and gives the
+    whole-stack values to the bit."""
+
+    def test_cooled_case(self):
+        p, baths, cfg, _ = equivalence_case("cooling")
+        dt = SimConfig.auto(p, cfg).dt
+        propagator(p, baths, cfg, dt)  # lazy imports and caches out of the measurement
+        tracemalloc.start()
+        try:
+            result = propagator(p, baths, cfg, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result[0]) == 35
+        # the whole stack is 35 x 64 matrices of 12 x 12, 2.6 MB, and its Taylor
+        # series held about 14 MB
+        assert peak < 1e6
+        for got, expected in zip(result, whole_stack_propagator(p, baths, cfg, dt)):
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestOracleCompare:

@@ -6,7 +6,7 @@ import pytest
 
 from sideband_lab.errors import ConfigError, InstabilityError, UnbalancedError, ValidityError
 from sideband_lab.fitting import fit_lorentzian
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec
+from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec, derive_effective_mechanics
 from sideband_lab.multitone import (
     averaged_occupation,
     full_rwa_spectrum,
@@ -15,13 +15,41 @@ from sideband_lab.multitone import (
     peak_ratio_correction,
     sideband_ratio_model,
     sideband_weights,
-    sxx_integrated_weight,
-    sxx_spectrum,
 )
 from sideband_lab.scattering import noise_floor
 
 from conftest import (balanced_config, integrated_weight, make_params, random_baths, random_system,
                       tone_with_gamma_opt)
+
+
+def _sxx_lorentzian(params, baths, config):
+    """(amplitude, width) of S_xx = amplitude / (omega^2 + width^2/4)."""
+    baths.require_unit_vacuum()
+    gamma_tot = config.gamma_tot(params)
+    gp, gm = config.gamma_opt_pair(params)
+    gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
+    bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (baths.n_c(params) + 0.5)
+    xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
+    return gamma_big_m * bracket * xzp2, gamma_tot
+
+
+def sxx_spectrum(params, baths, config, grid):
+    """Symmetrized mechanical position spectrum (units x_zp^2 * s), a check on
+    the dressed mechanics that the multitone brackets use.
+
+    S_xx[omega] = gamma_M/(omega^2 + gamma_tot^2/4) *
+    [(n_M + 1/2) + ((gamma_opt^- + gamma_opt^+)/gamma_M)(n_c + 1/2)] * x_zp^2
+    on a grid of offsets from the dressed mechanical resonance.
+    """
+    amplitude, width = _sxx_lorentzian(params, baths, config)
+    x = np.asarray(grid, dtype=float)
+    return Spectrum(x, amplitude / (x**2 + width**2 / 4.0))
+
+
+def sxx_integrated_weight(params, baths, config):
+    """Analytic integral (domega/2pi) of sxx_spectrum over all frequencies."""
+    amplitude, width = _sxx_lorentzian(params, baths, config)
+    return amplitude / width
 
 
 def si_figure_like():
