@@ -1,24 +1,9 @@
 """Exact time-domain cross-check of the analytic spectra.
 
-The linearized rotating-frame equations for the cavity and mechanical
-envelopes are driven by classical complex Gaussian inputs of intensity
-n_sigma + w_sigma/2, which for linear dynamics gives exactly the symmetrized
-quantum spectra (normal-ordered ones are checked analytically elsewhere).
-
-Linear equations need no small steps: each output sample is one exact
-Gaussian transition (Van Loan, IEEE TAC 23, 395 (1978)). In the frame
-c~ = c e^{i delta t} the probe tones have constant coefficients. The state
-(Re d, Re c~, Im d, Im c~) is augmented with the integral I of the right-port
-output d_in + sqrt(kappa_r) d, reset at every sample, so I/dt is the exact
-boxcar-averaged output. One 12x12 matrix exponential gives the transition
-Phi and noise covariance Q over the output step dt; a step is
-X+ = Phi X + eta, eta ~ N(0, Q). A cooling tone leaves e^{+-i Omega t},
-Omega = delta_c - delta, in the coefficients, so dt is a whole fraction
-2 pi/(|Omega| P) of that period and each of the P phase slots has its own
-(Phi_j, Q_j), composed from 64 piecewise-constant substeps. `_expm`
-evaluates the exponentials of a stack of blocks at once, by scaling and
-squaring a Taylor series; `propagator` passes it one substep of every slot
-at a time, with the squarings that the whole period's stack needs.
+The linear model of `sde` is driven by classical complex Gaussian inputs of
+intensity n_sigma + w_sigma/2, which for linear dynamics gives exactly the
+symmetrized quantum spectra (normal-ordered ones are checked analytically
+elsewhere); each output sample is one exact transition of `sde.propagator`.
 
 The samples are Welch-averaged (Hann window, 50% overlap, `numpy.fft`) into
 a PSD in quanta (flat vacuum gives 1/2); `_measure_peak` reads floor,
@@ -42,11 +27,9 @@ output rows are mapped over the whole chunk into a ring of nperseg + CHUNK
 samples per trajectory, which keeps the samples of unfinished segments.
 Each value goes through the same operations in the same order whatever the
 chunk length or the block, so no output sample depends on CHUNK or BLOCK.
-The chunk is a fixed number of steps, whatever the number of trajectories,
-so a trajectory's mean |c|^2, summed per chunk, does not depend on the
-ensemble. Per trajectory of a block, the chunk buffers take about
-3 x CHUNK x 6 x 8 bytes, the ring (nperseg + CHUNK) x 16 and the power sums
-nperseg x 8: about 37, 50 and 23 KB at criterion 1 (nperseg = 2880).
+Per trajectory of a block, the chunk buffers take about 3 x CHUNK x 6 x 8
+bytes, the ring (nperseg + CHUNK) x 16 and the power sums nperseg x 8:
+about 37, 50 and 23 KB at criterion 1 (nperseg = 2880).
 
 Welch runs inside the integrator: `_welch_layout` fixes nperseg, the hop and
 the segments per trajectory before the run. As soon as a segment's last
@@ -89,17 +72,16 @@ from .fitting import median
 from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, ToneSpec
 from .multitone import sideband_weights
 from .scattering import noise_floor, single_tone_integrated_weight
+from .sde import cooling_rate, propagator
 
 RNG_ALGORITHM = "numpy-philox-4x64-10"
-SUBSTEPS = 64  # piecewise-constant Van Loan substeps per Floquet slot
-TAYLOR_DEGREE = 18  # of _expm's series
 CHUNK = 256  # output steps drawn at a time
 BLOCK = 64  # trajectories a worker integrates at a time, which bounds its buffers
 WELCH_BLOCK = 4  # trajectories transformed at once, which bounds the transform buffer
 MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples a run produces
 
-__all__ = ["SimConfig", "TrajectoryOutput", "propagator", "integrate_langevin",
-           "lone_probe", "oracle_compare", "RNG_ALGORITHM"]
+__all__ = ["SimConfig", "TrajectoryOutput", "integrate_langevin", "lone_probe",
+           "oracle_compare", "RNG_ALGORITHM"]
 
 
 def _ceil(x: float) -> int:
@@ -148,7 +130,7 @@ class SimConfig:
             raise ConfigError("n_trajectories must be >= 1")
         gamma_tot = config.gamma_tot(params)
         dt = TWO_PI / (32.0 * (abs(config.delta(params)) + 12.0 * gamma_tot))
-        omega = _cooling_rate(params, config)
+        omega = cooling_rate(params, config)
         if omega is not None:
             dt = TWO_PI / omega / _ceil(TWO_PI / omega / dt)
         t_seg = TWO_PI * 4.0 / gamma_tot
@@ -167,12 +149,11 @@ class TrajectoryOutput:
     Hann-windowed segments of every trajectory, each trajectory's segments in
     order and then the trajectories in order, of the right-port output
     averaged over ``sampling`` seconds per sample; ``segments`` counts them
-    over all trajectories. Also the Floquet ``slots``, stage ``timings``, the
-    optional per-trajectory mean |c|^2 and the output samples,
-    (n_trajectories, n_steps - burn_in) if the run recorded them, else
-    (n_trajectories, 0). ``decimation`` (1) is kept for the tracer.
-    `integrate_langevin` refuses non-finite samples; this class checks
-    nothing."""
+    over all trajectories. Also the Floquet ``slots``, stage ``timings`` and
+    the output samples, (n_trajectories, n_steps - burn_in) if the run
+    recorded them, else (n_trajectories, 0). ``decimation`` (1) is kept for
+    the tracer. `integrate_langevin` refuses non-finite samples; this class
+    checks nothing."""
 
     power: np.ndarray
     segments: int
@@ -180,120 +161,7 @@ class TrajectoryOutput:
     output_field: np.ndarray
     slots: int = 1
     timings: dict = field(default_factory=dict)
-    mech_abs2: np.ndarray | None = None
     decimation: int = 1
-
-
-def _cooling_rate(params: SystemParams, config: ToneConfig) -> float | None:
-    """Omega = delta_c - delta > 0, the rate of a cooling tone's rotating coefficients, or None."""
-    delta_c = config.delta_c(params)
-    return None if delta_c is None else delta_c - config.delta(params)
-
-
-def _sde_matrices(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                  times) -> tuple[np.ndarray, np.ndarray]:
-    """(A per time, LL^T) of dZ = A Z dt + L dW, Z = (Re d, Re c~, Im d, Im c~, Re I, Im I)."""
-    rates = {"red_probe": 0.0, "blue_probe": 0.0, "cooling": 0.0}
-    for tone in config.tones:
-        rates[tone.role] = tone.coupling_rate(params)
-    gp, gm, gc = rates.values()
-    rot = gc * np.exp(1j * (_cooling_rate(params, config) or 0.0) * np.asarray(times))
-    # (d, c~)' = m (d, c~) + n (d, c~)^*, written out in real and imaginary parts
-    m = np.empty(rot.shape + (2, 2), dtype=np.complex128)
-    m[:, 0, 0] = -params.kappa / 2.0
-    m[:, 0, 1] = -1j * (gp + rot)
-    m[:, 1, 0] = -1j * (gp + np.conj(rot))
-    m[:, 1, 1] = -params.gamma_m / 2.0 + 1j * config.delta(params)
-    n = np.array([[0.0, -1j * gm], [-1j * gm, 0.0]])
-    a = np.zeros(rot.shape + (6, 6))
-    a[:, :2, :2], a[:, :2, 2:4] = (m + n).real, (n - m).imag
-    a[:, 2:4, :2], a[:, 2:4, 2:4] = (m + n).imag, (m - n).real
-    sqrt_kr = math.sqrt(params.kappa_r)
-    a[:, 4, 0] = a[:, 5, 2] = sqrt_kr
-    # white inputs, half in each quadrature: the right port enters d as
-    # -sqrt(kappa_r) d_in and I as +d_in; left + intrinsic enter d, mechanics c~
-    w_r, w_l, w_i, w_m = baths.strengths("symmetrized")
-    llt = np.zeros((6, 6))
-    for d, c, i in ((0, 1, 4), (2, 3, 5)):
-        llt[np.ix_((d, i), (d, i))] = w_r / 2.0 * np.array([[params.kappa_r, -sqrt_kr],
-                                                            [-sqrt_kr, 1.0]])
-        llt[d, d] += (params.kappa_l * w_l + params.kappa_i * w_i) / 2.0
-        llt[c, c] = params.gamma_m * w_m / 2.0
-    return a, llt
-
-
-def _squarings(m: np.ndarray) -> int:
-    """The squarings s of `_expm` that bring every 1-norm of the stack ``m`` to at most 1/4."""
-    norm = float(np.abs(m).sum(axis=-2).max())
-    return math.ceil(math.log2(max(4.0 * norm, 1.0)))
-
-
-def _expm(m: np.ndarray, s: int) -> np.ndarray:
-    """e^m of each matrix in the stack ``m``: scaling by 2^-s, a degree-18
-    Taylor series by Horner's rule, then s squarings. With s at least
-    ``_squarings(m)`` the truncation error, (1/4)^19/19!, is far below
-    rounding; each matrix's result depends only on that matrix and s."""
-    m = m / 2.0**s
-    eye = np.eye(m.shape[-1])
-    e = eye + m / TAYLOR_DEGREE
-    for k in range(TAYLOR_DEGREE - 1, 0, -1):
-        e = eye + (m @ e) / k
-    for _ in range(s):
-        e = e @ e
-    return e
-
-
-def _van_loan_block(a: np.ndarray, llt: np.ndarray, dt: float) -> np.ndarray:
-    """The 12x12 Van Loan matrix over dt (Van Loan 1978) of each drift in the stack ``a``."""
-    block = np.zeros(a.shape[:-2] + (12, 12))
-    block[..., :6, :6] = -a
-    block[..., :6, 6:] = llt
-    block[..., 6:, 6:] = np.swapaxes(a, -1, -2)
-    return block * dt
-
-
-def _van_loan(block: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (Phi, Q) of each Van Loan matrix in the stack ``block``, exponentiated with s squarings."""
-    e = _expm(block, s)
-    phi = np.swapaxes(e[..., 6:, 6:], -1, -2)
-    q = phi @ e[..., :6, 6:]
-    return phi, (q + np.swapaxes(q, -1, -2)) / 2.0
-
-
-def propagator(params: SystemParams, baths: BathSpec, config: ToneConfig,
-               dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi, q, factor), each (P, 6, 6): the exact transition and noise
-    covariance over the output step ``dt`` for each phase slot j = step mod P
-    of the cooling period (P = 1 without one), and the Cholesky factor of q
-    (zero where a coordinate gets no noise).
-
-    With a cooling tone, slot j composes SUBSTEPS piecewise-constant
-    substeps. Substep k of every slot is exponentiated in one call, so no
-    more than P Van Loan matrices are held at a time; the squarings are those
-    of the whole stack of P x SUBSTEPS matrices, found in a first pass."""
-    omega = _cooling_rate(params, config)
-    slots, substeps = 1, 1
-    if omega is not None:
-        period = TWO_PI / omega
-        slots, substeps = round(period / dt), SUBSTEPS
-        if slots < 1 or abs(slots * dt - period) > 1e-9 * period:
-            raise StepSizeError(f"output step {dt:.6g} s is not a whole fraction of the "
-                                f"cooling period {period:.6g} s")
-    h = dt / substeps
-
-    def blocks(k):  # substep k of every slot, at its midpoint time
-        return _van_loan_block(*_sde_matrices(params, baths, config,
-                                              (np.arange(slots) * substeps + k + 0.5) * h), h)
-
-    s = max(_squarings(blocks(k)) for k in range(substeps))
-    phi, q = np.broadcast_to(np.eye(6), (slots, 6, 6)), np.zeros((slots, 6, 6))
-    for k in range(substeps):  # compose the substeps of every slot at once
-        sub, q_k = _van_loan(blocks(k), s)
-        phi, q = sub @ phi, sub @ q @ np.swapaxes(sub, -1, -2) + q_k
-    live = np.flatnonzero(np.diagonal(q[0]) > 0.0)[:, None]
-    factor = np.zeros_like(q)
-    factor[:, live, live.T] = np.linalg.cholesky(q[:, live, live.T])
-    return phi, q, factor
 
 
 def _slot_coefficients(matrices: np.ndarray, first_step: int, n_steps: int) -> np.ndarray:
@@ -413,8 +281,7 @@ def _hann(n: int) -> np.ndarray:
 
 
 def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                       sim: SimConfig, *, record_mech: bool = False,
-                       record_field: bool = False) -> TrajectoryOutput:
+                       sim: SimConfig, *, record_field: bool = False) -> TrajectoryOutput:
     """Exact output-rate propagation of the coupled cavity/mechanics envelopes,
     with each trajectory's Welch power summed as its segments complete.
 
@@ -445,7 +312,6 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     nperseg, hop, segments = _welch_layout(kept, ntraj, sim.psd_segments)
     window = _hann(nperseg)
     out = _shared((ntraj, kept), np.complex128) if record_field else np.empty((ntraj, 0), np.complex128)
-    mech_acc = _shared((ntraj,))
     inv_dt = 1.0 / sim.dt
     timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0, "welch": 0.0}
     workers = _workers(ntraj)
@@ -477,7 +343,7 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         for b in range(n_blocks):
             share = _share(n_rows, n_blocks, b)
             block = slice(rows.start + share.start, rows.start + share.stop)
-            streams, mech, width = rngs[block], mech_acc[block], share.stop - share.start
+            streams, width = rngs[block], share.stop - share.start
             raw, phi_x, noise, scratch, state, products, ring, power = (
                 store[:math.prod(shape)].reshape(shape) for store, shape in zip(stores, shapes(width)))
             ring = ring.view(np.complex128)[..., 0]
@@ -523,8 +389,6 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                     diverged[worker] |= not np.isfinite(dest).all()
                     if record_field:
                         out[block, t:t + n] = dest
-                    if record_mech:
-                        mech += np.ascontiguousarray((state[:n, 1] ** 2 + state[:n, 3] ** 2).T).sum(axis=1)
                     began = time.perf_counter()
                     # each trajectory's |X|^2 added in segment order, WELCH_BLOCK rows at a time
                     while done < segments and done * hop + nperseg <= t + n:
@@ -554,8 +418,7 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         total += row
     timings["propagate"] = time.perf_counter() - start - setup
     return TrajectoryOutput(power=total, segments=ntraj * segments, sampling=sim.dt,
-                            output_field=out, slots=slots, timings=timings,
-                            mech_abs2=mech_acc / kept if record_mech else None)
+                            output_field=out, slots=slots, timings=timings)
 
 
 def _welch_spectrum(traj: TrajectoryOutput) -> tuple[Spectrum, int]:

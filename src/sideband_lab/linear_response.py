@@ -176,7 +176,8 @@ def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
 def sxx_backaction(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                    grid: np.ndarray) -> Spectrum:
-    """Standalone backaction-driven position spectrum |chi_xx|^2 S_FF (x_zp^2 * s)."""
+    """Standalone backaction-driven position spectrum |chi_xx|^2 S_FF (x_zp^2 * s).
+    It exists for the tests, which check it against `sxx_effective`."""
     noise = resonance_correlators(params, baths, tone)
     x = np.asarray(grid, dtype=float)
     chi = _chi_uu(params, params.omega_m + x)
@@ -192,7 +193,7 @@ def output_spectrum_lr(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     frequency-independent floor), so at weak coupling this reproduces the
     single-tone scattering spectrum, floor and Lorentzian weight alike.
     Grid is offsets from the spectral peak; the gates are those of
-    `detector_correlators`.
+    `detector_correlators`. It exists for the invariant tests of linear response == scattering.
     """
     g = tone.coupling_rate(params)
     kr, kl, k = params.kappa_r, params.kappa_l, params.kappa

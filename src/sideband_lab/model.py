@@ -224,11 +224,6 @@ class ToneSpec:
             return self.coupling
         return params.g0 * math.sqrt(self.n_photons)
 
-    def photon_number(self, params: SystemParams) -> float:
-        if self.n_photons is not None:
-            return self.n_photons
-        return (self.coupling / params.g0) ** 2
-
     def gamma_opt(self, params: SystemParams) -> float:
         """Optical damping (red) / anti-damping (blue) rate 4 G^2 / kappa."""
         g = self.coupling_rate(params)

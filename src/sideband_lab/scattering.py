@@ -39,7 +39,6 @@ from .model import BathSpec, Spectrum, SystemParams, ToneSpec
 __all__ = [
     "ScatteringMatrix",
     "intracavity_amplitude",
-    "drive_amplitude_for_photons",
     "mech_denominator",
     "scattering_matrix",
     "noise_floor",
@@ -91,12 +90,6 @@ def intracavity_amplitude(params: SystemParams, tone: ToneSpec, drive_amplitude:
     return math.sqrt(params.kappa_l) * drive_amplitude / (
         params.kappa / 2.0 - 1j * tone.detuning
     )
-
-
-def drive_amplitude_for_photons(params: SystemParams, tone: ToneSpec) -> float:
-    """Inverse map of |intracavity_amplitude|**2 = n_photons: required drive strength."""
-    n_p = tone.photon_number(params)
-    return math.sqrt(n_p) * abs(params.kappa / 2.0 - 1j * tone.detuning) / math.sqrt(params.kappa_l)
 
 
 def mech_denominator(offset, detuning_sign: int, gamma_m: float, gamma_opt: float):
@@ -194,7 +187,7 @@ def spectrum_from_scattering(smat: ScatteringMatrix, baths: BathSpec, kind: str)
     S = sum_j |s_1j|^2 s_j over the (right, left, intrinsic, mechanical)
     inputs, with the strengths s_j = `BathSpec.strengths(kind, sign)` of the
     matrix's pump sign. The intrinsic-loss channel enters through
-    ``smat.s_loss``.
+    ``smat.s_loss``. It exists for the tests, which check the closed forms against it.
     """
     s11, s12, s13 = smat.output_row
     a = (abs(s11) ** 2, abs(s12) ** 2, abs(smat.s_loss) ** 2, abs(s13) ** 2)
@@ -302,6 +295,7 @@ def output_commutator(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     Composed from the scattering row with the graded mechanical weight
     (+beta for red, -beta for blue); equals alpha_r everywhere when
     alpha_l = alpha_r = beta, and otherwise carries a Lorentzian residue.
+    It exists for the invariant tests of commutator constancy.
     """
     smat = scattering_matrix(params, tone, offset, enforce_window=enforce_window)
     s11, s12, s13 = smat.output_row

@@ -56,6 +56,56 @@ def balanced_config(params: SystemParams, *, delta: float, probe_gamma_opt: floa
     )
 
 
+def fast_params(**kw):
+    kw.setdefault("omega_c_hz", 1e9)
+    kw.setdefault("omega_m_hz", 10e6)
+    kw.setdefault("g0_hz", 50.0)
+    kw.setdefault("kappa_l_hz", 10e3)
+    kw.setdefault("kappa_r_hz", 35e3)
+    kw.setdefault("kappa_i_hz", 5e3)
+    kw.setdefault("gamma_m_hz", 500.0)
+    return make_params(**kw)
+
+
+def equivalence_case(name):
+    """The five canonical configurations for the oracle-equivalence check."""
+    if name == "red":
+        # single red tone, cooperativity 0.1, warm mechanics, >= 2000 segments
+        p = fast_params()
+        tone = tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe")
+        return p, BathSpec(n_m=100.0), ToneConfig(tones=(tone,)), dict(
+            n_segments=2000, seed=7, n_trajectories=64)
+    if name == "blue":
+        p = fast_params()
+        tone = tone_with_gamma_opt(p, 0.1 * p.gamma_m, "blue_probe", +p.omega_m)
+        return p, BathSpec(n_m=100.0), ToneConfig(tones=(tone,)), dict(
+            n_segments=1000, seed=8, n_trajectories=64)
+    if name == "balanced":
+        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_l_hz=4e3,
+                        kappa_r_hz=80e3, kappa_i_hz=0.0, gamma_m_hz=400.0)
+        cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 200.0)
+        return p, BathSpec(n_m=60.0), cfg, dict(n_segments=800, seed=5,
+                                                n_trajectories=64)
+    if name == "cooling":
+        # gentle cooling keeps the finite-delta_c folding bias of gamma_M small;
+        # stronger cooling shows the documented analytic/oracle discrepancy
+        p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_l_hz=20e3,
+                        kappa_r_hz=120e3, kappa_i_hz=20e3, gamma_m_hz=300.0)
+        cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
+                              delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
+        return p, BathSpec(n_m=80.0), cfg, dict(n_segments=1500, seed=5,
+                                                n_trajectories=64)
+    if name == "squashing":
+        # hot cavity, cold mechanics: the feature is a dip with negative weight
+        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_l_hz=5e3,
+                        kappa_r_hz=90e3, kappa_i_hz=5e3, gamma_m_hz=1000.0)
+        tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
+        baths = BathSpec(n_r=1.0, n_l=1.0, n_i=1.0, n_m=0.0)
+        return p, baths, ToneConfig(tones=(tone,)), dict(
+            n_segments=4000, seed=2, n_trajectories=128)
+    raise KeyError(name)
+
+
 def integrated_weight(spec: Spectrum, floor: float = 0.0, *, tail_correction: bool = True,
                       center: float | None = None) -> float:
     """Integral (domega / 2pi) of (values - floor) over the grid: the tests'

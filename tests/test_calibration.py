@@ -350,7 +350,7 @@ class TestSyntheticPipeline:
         sidebands = {name: tables[name] for name in ("sideband_anti_stokes", "sideband_stokes")}
         blue = config.tone("blue_probe")
         louder = ToneConfig(tones=tuple(
-            replace(t, n_photons=2.0 * t.photon_number(params), coupling=None) if t is blue else t
+            replace(t, n_photons=2.0 * (t.coupling_rate(params) / params.g0) ** 2, coupling=None) if t is blue else t
             for t in config.tones))
         assert louder.tone("blue_probe").gamma_opt(params) == \
             pytest.approx(2.0 * blue.gamma_opt(params), rel=1e-12)

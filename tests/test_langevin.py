@@ -3,7 +3,8 @@
 The heavier Monte-Carlo comparisons live in test_acceptance; configurations
 here are rate-scaled so each run stays in the seconds range while still
 exercising every contract (noise synthesis, determinism, per-trajectory
-streams, equilibration, floor normalization, analytic agreement).
+streams, floor normalization, analytic agreement). The model's exact
+transitions are tested in test_sde.
 """
 
 import dataclasses
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 import sideband_lab.langevin as langevin
+import sideband_lab.sde as sde
 from sideband_lab.config import save_config
 from sideband_lab.errors import ConfigError, StepSizeError, ValidityError
 from sideband_lab.langevin import (
@@ -29,32 +31,18 @@ from sideband_lab.langevin import (
     RNG_ALGORITHM,
     WELCH_BLOCK,
     SimConfig,
-    _expm,
     _measure_peak,
-    _sde_matrices,
-    _squarings,
     _welch_spectrum,
     integrate_langevin,
     oracle_compare,
-    propagator,
 )
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec
 from sideband_lab.multitone import full_rwa_spectrum, sideband_weights
 from sideband_lab.presets import preset
 from sideband_lab.scattering import single_tone_integrated_weight, single_tone_spectrum
+from sideband_lab.sde import propagator
 
-from conftest import balanced_config, make_params, tone_with_gamma_opt
-
-
-def fast_params(**kw):
-    kw.setdefault("omega_c_hz", 1e9)
-    kw.setdefault("omega_m_hz", 10e6)
-    kw.setdefault("g0_hz", 50.0)
-    kw.setdefault("kappa_l_hz", 10e3)
-    kw.setdefault("kappa_r_hz", 35e3)
-    kw.setdefault("kappa_i_hz", 5e3)
-    kw.setdefault("gamma_m_hz", 500.0)
-    return make_params(**kw)
+from conftest import equivalence_case, fast_params, tone_with_gamma_opt
 
 
 def philox_streams(seed, n):
@@ -171,14 +159,13 @@ def reference_noise(factor, rngs, first_step, n_steps):
     return eta
 
 
-def reference_integrate(params, baths, config, sim, record_mech=False):
-    """(output_field, mech_abs2) of integrate_langevin's loop as first written."""
+def reference_integrate(params, baths, config, sim):
+    """The output samples of integrate_langevin's loop as first written."""
     phi, _, factor = propagator(params, baths, config, sim.dt)
     slots, phi_x = len(phi), phi[:, :4, :4, None]
     ntraj = sim.n_trajectories
     rngs = philox_streams(sim.seed, ntraj)
     out = np.empty((ntraj, sim.n_steps - sim.burn_in), dtype=np.complex128)
-    mech_acc = np.zeros(ntraj)
     x = np.zeros((4, ntraj))
     step = 0
     while step < sim.n_steps:
@@ -194,10 +181,8 @@ def reference_integrate(params, baths, config, sim, record_mech=False):
             for k in range(4):
                 y += phi_i[:, :, k, None] * states[:, None, k, :]
             out[:, step - sim.burn_in:step - sim.burn_in + n] = (y[:, 0] + 1j * y[:, 1]).T / sim.dt
-            if record_mech:
-                mech_acc += np.ascontiguousarray((states[:, 1] ** 2 + states[:, 3] ** 2).T).sum(axis=1)
         step += n
-    return out, mech_acc / out.shape[1] if record_mech else None
+    return out
 
 
 def bitwise_case(name):
@@ -226,10 +211,8 @@ class TestBitwiseReference:
         p, baths, cfg = bitwise_case(name)
         sim = SimConfig.auto(p, cfg, n_segments=2 * ntraj, seed=13, n_trajectories=ntraj)
         assert sim.n_steps - sim.burn_in > CHUNK  # more than one chunk, and a tail
-        traj = integrate_langevin(p, baths, cfg, sim, record_mech=True, record_field=True)
-        out, mech = reference_integrate(p, baths, cfg, sim, record_mech=True)
-        np.testing.assert_array_equal(traj.output_field, out)
-        np.testing.assert_array_equal(traj.mech_abs2, mech)
+        traj = integrate_langevin(p, baths, cfg, sim, record_field=True)
+        np.testing.assert_array_equal(traj.output_field, reference_integrate(p, baths, cfg, sim))
 
 
 def reference_welch(traj, psd_segments):
@@ -472,7 +455,7 @@ class TestFootprint:
         p, baths, cfg, _ = equivalence_case("cooling")
         save_config(tmp_path / "cooled.json", p, baths, cfg)
         slots = len(propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[0])
-        stack = slots * langevin.SUBSTEPS * 12 * 12 * 8
+        stack = slots * sde.SUBSTEPS * 12 * 12 * 8
         bare = fresh_peak(tmp_path, "import sideband_lab.cli, numpy.random, numpy.fft")
         run = fresh_peak(tmp_path, "import os; os.sched_getaffinity = lambda pid: {0}; "
                          "from sideband_lab.cli import main; raise SystemExit(main(["
@@ -651,20 +634,19 @@ class TestForkedWorkers:
         # with 8-trajectory blocks, 40 trajectories are 5 blocks on one worker, 3 on
         # each of two and 2 on each of three; the reference runs one block per worker
         ntraj = 8 if block == 64 else 40
-        reference = self.run(ntraj, record_mech=True, record_field=True)
+        reference = self.run(ntraj, record_field=True)
         monkeypatch.setattr(langevin, "BLOCK", block)
         runs = []
         for cpus in (1, 2, 3):  # three workers: more than this machine may have CPUs
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
-            runs.append(self.run(ntraj, record_mech=True, record_field=True))
+            runs.append(self.run(ntraj, record_field=True))
         self.assert_reaped(children, forked=1 + 0 + 1 + 2)
         monkeypatch.delattr(os, "fork")
-        runs.append(self.run(ntraj, record_mech=True, record_field=True))  # three workers, in turn
+        runs.append(self.run(ntraj, record_field=True))  # three workers, in turn
         assert reference.power.ndim == 1  # the sum over the trajectories
         for traj in runs:
             assert traj.output_field.tobytes() == reference.output_field.tobytes()
             assert traj.power.tobytes() == reference.power.tobytes()
-            assert traj.mech_abs2.tobytes() == reference.mech_abs2.tobytes()
             assert set(traj.timings) == set(reference.timings)
 
 
@@ -694,12 +676,11 @@ class TestIntegratorContracts:
         p = fast_params()
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
         sim = SimConfig.auto(p, cfg, n_segments=30, seed=42, n_trajectories=6)
-        full = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_mech=True, record_field=True)
+        full = integrate_langevin(p, BathSpec(n_m=1.0), cfg, sim, record_field=True)
         for k in (1, 4):
             part = integrate_langevin(p, BathSpec(n_m=1.0), cfg, dataclasses.replace(sim, n_trajectories=k),
-                                      record_mech=True, record_field=True)
+                                      record_field=True)
             np.testing.assert_array_equal(full.output_field[:k], part.output_field)
-            np.testing.assert_array_equal(full.mech_abs2[:k], part.mech_abs2)
 
     def test_linearity_in_noise_power(self):
         # doubling every (n + w/2) scales the same noise draws by sqrt(2)
@@ -745,24 +726,6 @@ class TestIntegratorContracts:
             SimConfig.auto(p, cfg, n_segments=100_000_000, seed=0, n_trajectories=64)
 
 
-class TestEquilibration:
-    def test_mechanical_occupation_fluctuation_dissipation(self):
-        # drive off, thermal mechanics: <|c|^2> -> n_m + 1/2 within 2%
-        p = fast_params(kappa_l_hz=50.0, kappa_r_hz=100.0, kappa_i_hz=0.0,
-                        gamma_m_hz=40.0, omega_m_hz=1e5)
-        n_m = 4.0
-        cfg = ToneConfig(tones=())
-        # 1200/gamma_m per trajectory puts the seed-to-seed spread near 0.4%,
-        # so the 2% gate has power; the output step only needs to resolve 1/gamma_m
-        dt = 0.05 / p.gamma_m
-        n_steps = int(1200.0 / (p.gamma_m * dt))
-        sim = SimConfig(dt=dt, n_steps=n_steps, n_trajectories=64, seed=11,
-                        burn_in=int(3.0 / (p.gamma_m * dt)), psd_segments=10)
-        traj = integrate_langevin(p, BathSpec(n_m=n_m), cfg, sim, record_mech=True)
-        mean_abs2 = float(np.mean(traj.mech_abs2))
-        assert mean_abs2 == pytest.approx(n_m + 0.5, rel=0.02)
-
-
 class TestEstimatePsd:
     def test_vacuum_floor_is_half(self):
         p = fast_params()
@@ -786,45 +749,6 @@ class TestEstimatePsd:
         spec, _ = _welch_spectrum(traj)
         peak_offset = spec.freq_offsets[np.argmax(spec.values)]
         assert peak_offset == pytest.approx(-delta, abs=3.0 * cfg.gamma_tot(p))
-
-
-def equivalence_case(name):
-    """The five canonical configurations for the oracle-equivalence check."""
-    if name == "red":
-        # single red tone, cooperativity 0.1, warm mechanics, >= 2000 segments
-        p = fast_params()
-        tone = tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe")
-        return p, BathSpec(n_m=100.0), ToneConfig(tones=(tone,)), dict(
-            n_segments=2000, seed=7, n_trajectories=64)
-    if name == "blue":
-        p = fast_params()
-        tone = tone_with_gamma_opt(p, 0.1 * p.gamma_m, "blue_probe", +p.omega_m)
-        return p, BathSpec(n_m=100.0), ToneConfig(tones=(tone,)), dict(
-            n_segments=1000, seed=8, n_trajectories=64)
-    if name == "balanced":
-        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_l_hz=4e3,
-                        kappa_r_hz=80e3, kappa_i_hz=0.0, gamma_m_hz=400.0)
-        cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 200.0)
-        return p, BathSpec(n_m=60.0), cfg, dict(n_segments=800, seed=5,
-                                                n_trajectories=64)
-    if name == "cooling":
-        # gentle cooling keeps the finite-delta_c folding bias of gamma_M small;
-        # stronger cooling shows the documented analytic/oracle discrepancy
-        p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_l_hz=20e3,
-                        kappa_r_hz=120e3, kappa_i_hz=20e3, gamma_m_hz=300.0)
-        cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
-                              delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
-        return p, BathSpec(n_m=80.0), cfg, dict(n_segments=1500, seed=5,
-                                                n_trajectories=64)
-    if name == "squashing":
-        # hot cavity, cold mechanics: the feature is a dip with negative weight
-        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_l_hz=5e3,
-                        kappa_r_hz=90e3, kappa_i_hz=5e3, gamma_m_hz=1000.0)
-        tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
-        baths = BathSpec(n_r=1.0, n_l=1.0, n_i=1.0, n_m=0.0)
-        return p, baths, ToneConfig(tones=(tone,)), dict(
-            n_segments=4000, seed=2, n_trajectories=128)
-    raise KeyError(name)
 
 
 class TestOracleEquivalence:
@@ -888,109 +812,7 @@ class TestMeasurePeak:
         assert imbalance == pytest.approx(1.0, abs=1e-4)
 
 
-class TestMatrixExponential:
-    @pytest.mark.parametrize("name", ["oracle-demo", "main-text", "cooled"])
-    def test_matches_scipy_on_the_propagators(self, name, monkeypatch):
-        from scipy.linalg import expm
-
-        params, baths, cfg = equivalence_case("cooling")[:3] if name == "cooled" else preset(name)
-        calls = []  # the Van Loan blocks propagator exponentiates and their squarings, per call
-        monkeypatch.setattr(langevin, "_expm", lambda m, s: calls.append((m, s)) or _expm(m, s))
-        phi = propagator(params, baths, cfg, SimConfig.auto(params, cfg).dt)[0]
-        # one call per substep, each with one block per slot
-        assert len(calls) == (1 if len(phi) == 1 else langevin.SUBSTEPS)
-        for m, s in calls:
-            assert m.shape == (len(phi), 12, 12)
-            np.testing.assert_allclose(_expm(m, s), expm(m), rtol=0, atol=1e-13 * np.abs(expm(m)).max())
-
-    def test_matches_scipy_with_squarings(self):
-        from scipy.linalg import expm
-
-        m = np.random.default_rng(7).standard_normal((20, 12, 12))
-        assert _squarings(m) >= 6
-        np.testing.assert_allclose(_expm(m, _squarings(m)), expm(m), rtol=0,
-                                   atol=1e-13 * np.abs(expm(m)).max())
-
-    def test_identities(self):
-        z = np.zeros((2, 12, 12))
-        np.testing.assert_array_equal(_expm(z, _squarings(z)), np.broadcast_to(np.eye(12), (2, 12, 12)))
-        d = np.diag(np.linspace(-3.0, 3.0, 12))[None]
-        np.testing.assert_allclose(_expm(d, _squarings(d))[0], np.diag(np.exp(np.diag(d[0]))), rtol=1e-14)
-
-
-def whole_stack_propagator(params, baths, config, dt):
-    """propagator as first written: the Van Loan matrices of every slot and
-    substep exponentiated as one stack, with the squarings that stack needs."""
-    slots = round(TWO_PI / (config.delta_c(params) - config.delta(params)) / dt)
-    h = dt / langevin.SUBSTEPS
-    a, llt = _sde_matrices(params, baths, config, (np.arange(slots * langevin.SUBSTEPS) + 0.5) * h)
-    block = np.zeros(a.shape[:-2] + (12, 12))
-    block[..., :6, :6] = -a
-    block[..., :6, 6:] = llt
-    block[..., 6:, 6:] = np.swapaxes(a, -1, -2)
-    block *= h
-    e = _expm(block, _squarings(block))
-    phi_k = np.swapaxes(e[..., 6:, 6:], -1, -2)
-    q_k = phi_k @ e[..., :6, 6:]
-    q_k = (q_k + np.swapaxes(q_k, -1, -2)) / 2.0
-    phi, q = np.broadcast_to(np.eye(6), (slots, 6, 6)), np.zeros((slots, 6, 6))
-    for k in range(langevin.SUBSTEPS):
-        sub = phi_k[k::langevin.SUBSTEPS]
-        phi, q = sub @ phi, sub @ q @ np.swapaxes(sub, -1, -2) + q_k[k::langevin.SUBSTEPS]
-    live = np.flatnonzero(np.diagonal(q[0]) > 0.0)[:, None]
-    factor = np.zeros_like(q)
-    factor[:, live, live.T] = np.linalg.cholesky(q[:, live, live.T])
-    return phi, q, factor
-
-
-class TestVanLoanBySubstep:
-    """propagator exponentiates one substep of every slot at a time, so it
-    never holds the whole period's stack of Van Loan matrices, and gives the
-    whole-stack values to the bit."""
-
-    def test_cooled_case(self):
-        p, baths, cfg, _ = equivalence_case("cooling")
-        dt = SimConfig.auto(p, cfg).dt
-        propagator(p, baths, cfg, dt)  # lazy imports and caches out of the measurement
-        tracemalloc.start()
-        try:
-            result = propagator(p, baths, cfg, dt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(result[0]) == 35
-        # the whole stack is 35 x 64 matrices of 12 x 12, 2.6 MB, and its Taylor
-        # series held about 14 MB
-        assert peak < 1e6
-        for got, expected in zip(result, whole_stack_propagator(p, baths, cfg, dt)):
-            assert got.tobytes() == expected.tobytes()
-
-
 class TestOracleCompare:
-
-    def test_dt_halving_consistency(self):
-        # the propagator is exact: one step of 2 dt is two steps of dt, and its
-        # stationary covariance solves the SDE's Lyapunov equation
-        from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
-
-        p = fast_params(gamma_m_hz=1000.0)
-        red = ToneConfig(tones=(tone_with_gamma_opt(p, 0.2 * p.gamma_m, "red_probe"),))
-        bp, bbaths, balanced, _ = equivalence_case("balanced")
-        for params, baths, cfg in ((p, BathSpec(n_m=50.0), red), (bp, bbaths, balanced)):
-            dt = SimConfig.auto(params, cfg).dt
-            (phi,), (q,), _ = propagator(params, baths, cfg, dt)
-            (phi2,), (q2,), _ = propagator(params, baths, cfg, 2.0 * dt)
-            np.testing.assert_allclose(phi2, phi @ phi, rtol=1e-12, atol=1e-15)
-            np.testing.assert_allclose(q2, phi @ q @ phi.T + q, rtol=1e-12,
-                                       atol=1e-12 * np.abs(q).max())
-            a, llt = _sde_matrices(params, baths, cfg, [0.0])
-            a, llt = a[0, :4, :4], llt[:4, :4]
-            sigma = solve_discrete_lyapunov(phi[:4, :4], q[:4, :4])
-            np.testing.assert_allclose(a @ sigma + sigma @ a.T + llt, 0.0,
-                                       atol=1e-12 * np.abs(llt).max())
-            np.testing.assert_allclose(sigma, solve_continuous_lyapunov(a, -llt), rtol=1e-12,
-                                       atol=1e-12 * np.abs(sigma).max())
-
     def test_report_fields(self):
         p = fast_params()
         tone = tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe")

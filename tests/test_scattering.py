@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sideband_lab.errors import InstabilityError, ValidityError
 from sideband_lab.model import TWO_PI, BathSpec, ToneSpec
 from sideband_lab.scattering import (
-    drive_amplitude_for_photons,
     imbalance,
     integrated_asymmetry,
     intracavity_amplitude,
@@ -73,12 +72,6 @@ class TestIntracavityAmplitude:
         expected = math.sqrt(TWO_PI * 155e3) / abs(complex(TWO_PI * 435e3, TWO_PI * 4e6))
         assert abs(amp) == pytest.approx(expected, rel=1e-12)
         assert abs(amp) == pytest.approx(3.9036e-5, rel=1e-3)
-
-    def test_photon_number_inverse_map(self):
-        p = make_params()
-        tone = ToneSpec(detuning=-TWO_PI * 4e6, role="red_probe", n_photons=2.5e4)
-        drive = drive_amplitude_for_photons(p, tone)
-        assert abs(intracavity_amplitude(p, tone, drive)) ** 2 == pytest.approx(2.5e4, rel=1e-12)
 
 
 class TestMechDenominator:
