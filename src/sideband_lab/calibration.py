@@ -272,7 +272,8 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     "output_floor" gives n_r_fit, n_r_err and amplifier_floor_fit;
     "thermometry_plus"/"_minus" give conversion_slope_plus/_minus, the slope
     through the origin of the red/blue probe's power ratio against the Bose
-    occupation, and both give conversion_ratio; "sideband_anti_stokes"/
+    occupation (DegenerateData if 0 or not finite), and both give
+    conversion_ratio (DegenerateData if not finite); "sideband_anti_stokes"/
     "sideband_stokes" give n_plus_fit/n_minus_fit, a Lorentzian weight over
     (kappa_r/kappa) gamma_opt of the red/blue probe (a ConfigError without
     it), and both give n_eff_fit. The standard errors of n_r and of each
@@ -309,9 +310,18 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
         if f"thermometry_{sign}" in tables:
             temps, ratios = tables[f"thermometry_{sign}"]
             n_m = np.array([bose_occupation(t, params.omega_m) for t in temps.tolist()])
-            fit[f"conversion_slope_{sign}"] = float(n_m @ ratios / (n_m @ n_m))
+            slope = float(n_m @ ratios / (n_m @ n_m))
+            if slope == 0.0 or not math.isfinite(slope):
+                raise DegenerateData(f"thermometry_{sign}.csv: the power ratios give a conversion "
+                                     f"slope of {slope:g}, so the probe shows no usable conversion")
+            fit[f"conversion_slope_{sign}"] = slope
     if "conversion_slope_plus" in fit and "conversion_slope_minus" in fit:
-        fit["conversion_ratio"] = fit["conversion_slope_minus"] / fit["conversion_slope_plus"]
+        ratio = fit["conversion_slope_minus"] / fit["conversion_slope_plus"]
+        if not math.isfinite(ratio):
+            raise DegenerateData("thermometry_plus.csv: its conversion slope, "
+                                 f"{fit['conversion_slope_plus']:g}, is too small for a finite "
+                                 "conversion ratio minus/plus")
+        fit["conversion_ratio"] = ratio
     pref = params.kappa_r / params.kappa
     for name, key, role in (("anti_stokes", "n_plus_fit", "red_probe"),
                             ("stokes", "n_minus_fit", "blue_probe")):

@@ -37,23 +37,23 @@ sample is in the ring, the worker windows and transforms it, WELCH_BLOCK = 4
 trajectories at a time through one complex (WELCH_BLOCK, nperseg) buffer, and
 adds |X|^2 into its block's (trajectories, nperseg) power sums, so each
 trajectory's segments are summed in order. When a block is done, worker 0
-adds its rows, in trajectory order, into the calling process's (nperseg,)
-sum; the other workers copy theirs into shared rows, which the caller adds
-in order after the join. The additions are those of summing all the rows in
-trajectory order, whatever the workers and blocks, and `_welch_spectrum`
-only scales and orders the sum. No process holds the output samples unless
-a caller records them.
+adds its rows, in trajectory order, into a shared (nperseg,) sum; the other
+workers copy theirs into shared rows, which the caller adds in order after
+the join. The additions are those of summing all the rows in trajectory
+order, whatever the workers and blocks, and `_welch_spectrum` only scales
+and orders the sum. No process holds the output samples unless a caller
+records them.
 
 Trajectories are split between workers, one per CPU that the process may run
-on, at most one per trajectory: `_fork_join` runs worker 0 here and forks the
-others, which write into anonymous shared mappings. `_share` gives each
-worker a contiguous range of trajectories, which it integrates and
-transforms, and splits that range into near-equal blocks, so no process
-touches another's rows. Each worker flags its non-finite output chunks, and
-the caller raises for them. No output bit depends on the worker count.
-``timings`` are the calling process's: ``noise`` is its draws and map,
-``noise_wait`` the draws alone, ``welch`` its transforms; all three are part
-of ``propagate``.
+on, at most one per trajectory: `_fork_join` forks every worker, and each
+writes into anonymous shared mappings, so the calling process holds no
+block's buffers. `_share` gives each worker a contiguous range of
+trajectories, which it integrates and transforms, and splits that range into
+near-equal blocks, so no process touches another's rows. Each worker flags
+its non-finite output chunks, and the caller raises for them. No output bit
+depends on the worker count. ``timings`` are worker 0's: ``noise`` is its
+draws and map, ``noise_wait`` the draws alone, ``welch`` its transforms; all
+three are part of ``propagate``, which the caller times.
 """
 
 from __future__ import annotations
@@ -220,18 +220,18 @@ def _shared(shape: tuple, dtype=np.float64) -> np.ndarray:
 
 
 def _fork_join(workers: int, run) -> None:
-    """Run ``run(0)`` here and ``run(1)``, ..., ``run(workers - 1)`` in forked
-    children (all here, in turn, without ``os.fork``), which report through
-    shared mappings only and call no BLAS: a forked child has one thread. Every
-    child is reaped, and killed first if ``run(0)`` raises; one that fails
-    prints its traceback and makes this raise ChildProcessError."""
+    """Run ``run(0)``, ..., ``run(workers - 1)`` in forked children (here, in
+    turn, without ``os.fork``), which report through shared mappings only and
+    call no BLAS: a forked child has one thread. They are awaited in worker
+    order; the first failure seen has the rest killed and raises
+    ChildProcessError naming it. A child that raises prints its traceback."""
     if not hasattr(os, "fork"):
         for worker in range(workers):
             run(worker)
         return
-    children = []
+    pids = []  # the children not yet reaped, in worker order
     try:
-        for worker in range(1, workers):
+        for worker in range(workers):
             pid = os.fork()
             if pid == 0:
                 try:
@@ -243,20 +243,17 @@ def _fork_join(workers: int, run) -> None:
                     os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(1)
-            children.append(pid)
-        run(0)
-    except BaseException:
-        import signal
-
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+            pids.append(pid)
+        for worker in range(workers):
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            if status:
+                raise ChildProcessError(f"forked worker {worker} of {workers} failed with exit "
+                                        f"code {os.waitstatus_to_exitcode(status)}")
     finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in children]
-    for worker, status in enumerate(statuses, 1):
-        if status:
-            raise ChildProcessError(f"forked worker {worker} of {workers} failed with exit "
-                                    f"code {os.waitstatus_to_exitcode(status)}")
+        for pid in pids:  # left after a failure, or if this process is interrupted
+            os.kill(pid, 9)  # SIGKILL; importing signal would cost every command its enums
+            os.waitpid(pid, 0)
 
 
 def _welch_layout(kept: int, ntraj: int, psd_segments: int) -> tuple[int, int, int]:
@@ -313,12 +310,11 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     window = _hann(nperseg)
     out = _shared((ntraj, kept), np.complex128) if record_field else np.empty((ntraj, 0), np.complex128)
     inv_dt = 1.0 / sim.dt
-    timings = {"propagator_setup": setup, "noise": 0.0, "noise_wait": 0.0, "welch": 0.0}
     workers = _workers(ntraj)
     diverged = _shared((workers,), np.bool_)
-    # the calling process folds its trajectories' power into the sum as their blocks
-    # finish; the other workers leave theirs in shared rows, folded in after the join
-    total = np.zeros(nperseg)
+    stages = _shared((3,))  # worker 0's noise, noise_wait and welch seconds
+    # worker 0 folds its blocks' power into the sum; the others' rows are folded after the join
+    total = _shared((nperseg,))
     rest_start = _share(ntraj, workers, 0).stop
     rest = _shared((ntraj - rest_start, nperseg))
     size = min(CHUNK, sim.n_steps)
@@ -340,6 +336,7 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         stores = [np.empty(math.prod(shape)) for shape in shapes(widest)]
         spec = np.empty((min(WELCH_BLOCK, widest), nperseg), np.complex128)
         multiply, add_reduce, add = np.multiply, np.add.reduce, np.add
+        noise_s = noise_wait_s = welch_s = 0.0
         for b in range(n_blocks):
             share = _share(n_rows, n_blocks, b)
             block = slice(rows.start + share.start, rows.start + share.stop)
@@ -357,8 +354,8 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                 _draw_normals(streams, raw[:, :n])
                 drawn = time.perf_counter()
                 eta = _map_normals(factor, raw[:, :n], step, noise, scratch)
-                timings["noise_wait"] += drawn - began
-                timings["noise"] += time.perf_counter() - began
+                noise_wait_s += drawn - began
+                noise_s += time.perf_counter() - began
                 # a sum over a short middle axis adds in a fixed order, unlike BLAS, so a
                 # trajectory does not depend on the ensemble size; out= is positional
                 # and the ufuncs are locals because the per-call overhead is most of a step
@@ -402,21 +399,23 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
                             np.square(im, out=im)
                             np.add(power[i:i + len(buf)], np.add(re, im, out=re), out=power[i:i + len(buf)])
                         done += 1
-                    timings["welch"] += time.perf_counter() - began
+                    welch_s += time.perf_counter() - began
                 state[0] = state[n]
             if worker:  # a shared row per trajectory
                 rest[block.start - rest_start:block.stop - rest_start] = power
             else:  # the sum in trajectory order, as each block finishes
                 for row in power:
                     np.add(total, row, out=total)
+                stages[:] = noise_s, noise_wait_s, welch_s  # its stage times so far
 
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged run raises below
         _fork_join(workers, run)
     if diverged.any():  # raised here: a child's raise would be a ChildProcessError
         raise StepSizeError("trajectory diverged: non-finite output samples")
     for row in rest:  # the other workers' trajectories, in order
-        total += row
-    timings["propagate"] = time.perf_counter() - start - setup
+        np.add(total, row, out=total)
+    stage_s = dict(zip(("noise", "noise_wait", "welch"), stages.tolist()))
+    timings = {"propagator_setup": setup, **stage_s, "propagate": time.perf_counter() - start - setup}
     return TrajectoryOutput(power=total, segments=ntraj * segments, sampling=sim.dt,
                             output_field=out, slots=slots, timings=timings)
 

@@ -520,6 +520,29 @@ class TestCalibrateCommand:
         assert err.startswith("ConfigError: temperature must be positive, got 0.0 K")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("table, ratio, message", [
+        ("thermometry_plus", "0.0", "the power ratios give a conversion slope of 0,"),
+        ("thermometry_minus", "0.0", "the power ratios give a conversion slope of 0,"),
+        # a subnormal slope, which a zero check misses: minus/plus would be inf
+        ("thermometry_plus", "1e-315", "its conversion slope, 1.35677e-318, is too small")])
+    def test_degenerate_conversion_slope(self, tmp_path, capsys, table, ratio, message):
+        # the tables of a synthetic run, with every power ratio of one thermometry table set
+        data = tmp_path / "data"
+        assert main(["calibrate", "--preset", "main-text", "--synthetic", "--seed", "1",
+                     "--out", str(data)]) == 0
+        path = data / f"{table}.csv"
+        temps, _ = read_xy_csv(path)
+        header = path.read_text().splitlines()[0]
+        path.write_text("\n".join([header] + [f"{float(t)!r},{ratio}" for t in temps]) + "\n")
+        capsys.readouterr()
+        rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"DegenerateData: {table}.csv: {message}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_csv_is_named_config_error(self, tmp_path, capsys):
         data = tmp_path / "data"
         data.mkdir()
@@ -760,6 +783,31 @@ class TestOracleCompareCommand:
         assert rc == 2
         assert "GiB memory guard" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers run inline without os.fork")
+    def test_a_failed_worker_is_a_named_error(self, tmp_path, capfd, monkeypatch):
+        # worker 1 of 2 raises in its forked child, which prints its traceback;
+        # the calling process prints only the named error
+        import sideband_lab.langevin as langevin
+
+        real_draw = langevin._draw_normals
+
+        def draw(rngs, raw):
+            if rngs[0].bit_generator.seed_seq.spawn_key == (4,):  # worker 1's first stream
+                raise MemoryError("injected in worker 1")
+            real_draw(rngs, raw)
+
+        monkeypatch.setattr(langevin, "_draw_normals", draw)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "out"
+        rc = main(["oracle-compare", "--preset", "oracle-demo", "--segments", "16",
+                   "--trajectories", "8", "--out", str(out)])
+        err = capfd.readouterr().err.splitlines()
+        assert rc == 2
+        assert err[-1] == "ChildProcessError: forked worker 1 of 2 failed with exit code 1"
+        assert err[-2] == "MemoryError: injected in worker 1"  # the end of the child's traceback
+        assert sum(line.startswith("Traceback") for line in err) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("trajectories", ["1", "8"])  # one worker, or one per CPU
     def test_diverged_oracle_is_a_step_size_error(self, tmp_path, trajectories):

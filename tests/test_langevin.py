@@ -346,12 +346,13 @@ class TestFootprint:
     """Each worker runs its trajectories in blocks of at most BLOCK, one after
     another through one set of buffers: a few noise chunks, a ring of
     nperseg + CHUNK output samples per trajectory, the block's power sums and
-    one transform block of WELCH_BLOCK segments. The calling process folds its
-    blocks into one (nperseg,) sum; the other workers' power sums are shared
+    one transform block of WELCH_BLOCK segments. Worker 0 folds its blocks
+    into one shared (nperseg,) sum; the other workers' power sums are shared
     rows. The output samples are held only when a caller records them.
     CHUNK = 256 steps and WELCH_BLOCK = 4 keep the chunk and transform buffers
     small: a wider block, a longer chunk, or one more buffer of the size of
-    any of these, fails here. tracemalloc sees the test process."""
+    any of these, fails here. tracemalloc sees the test process, so the
+    workers that it measures run here, in turn."""
 
     NTRAJ = 128
     SEGMENTS = 4  # per trajectory: 2880-point segments, over more than four chunks
@@ -365,8 +366,10 @@ class TestFootprint:
 
     def peak(self, monkeypatch):
         """(run, peak bytes of tracemalloc plus the shared mappings, the block
-        bound) of an integration of the layout, on the workers already set."""
+        bound, the shared mappings' sizes) of an integration of the layout, on
+        the workers already set, run here in turn."""
         p, baths, cfg, sim = self.layout()
+        monkeypatch.delattr(os, "fork", raising=False)
         # tracemalloc does not see the shared mappings that the workers write into
         shared, real_mmap = [], mmap.mmap
 
@@ -396,7 +399,7 @@ class TestFootprint:
         return traj, peak, block, shared
 
     def test_integrator_and_welch(self, monkeypatch):
-        # worker 0 of two holds one 64-trajectory block
+        # each of two workers holds one 64-trajectory block, in turn
         started = recorded_workers(monkeypatch, 2)
         traj, peak, block, shared = self.peak(monkeypatch)
         assert started == [2]
@@ -413,10 +416,11 @@ class TestFootprint:
         assert peak < block + traj.power.nbytes  # and the sum
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="no /proc/self/smaps")
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers run inline without os.fork")
     def test_this_process_touches_only_its_own_rows(self, monkeypatch):
-        # worker 0 writes the first half of the recorded output rows, and none of
-        # the shared power rows; touching the child's rows would make them resident
-        # here too. Measured at the join, before this process folds the power rows
+        # both workers are forked children, which write the recorded output rows,
+        # and worker 1 the shared power rows; touching either here would make them
+        # resident here too. Measured at the join, before this process folds the power rows
         p, baths, cfg, sim = self.layout()
         recorded_workers(monkeypatch, 2)
         arrays, resident = [], []
@@ -430,8 +434,27 @@ class TestFootprint:
         monkeypatch.setattr(langevin, "_fork_join", measuring_fork_join)
         traj = integrate_langevin(p, baths, cfg, sim, record_field=True)
         (field, field_bytes), (power, power_bytes) = resident
-        assert field_bytes == traj.output_field.nbytes and field < 0.6 * field_bytes
+        assert field_bytes == traj.output_field.nbytes and field == 0
         assert power_bytes == (self.NTRAJ // 2) * traj.power.nbytes and power == 0
+
+    def test_the_caller_holds_no_block_buffers(self, tmp_path):
+        # the calling process's peak above a bare import of what it runs, with two
+        # forked workers; ru_maxrss counts them too, but each touches only its own
+        # block buffers and rows. Running a worker here would add one block's ring and
+        # chunk buffers; what is left is mostly worker 1's shared power rows, folded
+        # after the join, which are smaller, so the bound tells the two apart
+        sim = self.layout()[3]
+        nperseg = langevin._welch_layout(sim.n_steps - sim.burn_in, self.NTRAJ, sim.psd_segments)[0]
+        buffers = langevin.BLOCK * ((nperseg + CHUNK) * 16 + 3 * CHUNK * 6 * 8)
+        powers = (self.NTRAJ // 2) * nperseg * 8
+        assert powers < buffers
+        bare = fresh_peak(tmp_path, "import sideband_lab.cli, numpy.random, numpy.fft")
+        run = fresh_peak(tmp_path, "import os; os.sched_getaffinity = lambda pid: {0, 1}; "
+                         "from sideband_lab.cli import main; raise SystemExit(main(["
+                         "'oracle-compare', '--preset', 'oracle-demo', '--seed', '2', "
+                         f"'--segments', '{sim.psd_segments}', '--trajectories', '{self.NTRAJ}', "
+                         "'--out', 'out']))")
+        assert run - bare < buffers
 
     def test_oracle_compare_holds_no_output_samples(self, tmp_path):
         # the calling process's peak above a bare import of what it runs; holding
@@ -498,10 +521,11 @@ def resident_bytes(array):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers run inline without os.fork")
 class TestForkedWorkers:
-    """integrate_langevin runs worker 0 in the calling process and the others
-    in forked children: it leaves no child behind, whether it returns or
-    raises, a child that fails makes it raise rather than wait, and no output
-    bit depends on the number of workers."""
+    """integrate_langevin runs every worker in a forked child: it leaves no
+    child behind, whether it returns or raises, a child that fails makes it
+    raise and kill the rest once the children before it are done, and no
+    output bit depends on the number of workers. ``run``'s 8 trajectories are 4 per worker on two CPUs, so a
+    worker is told by the spawn key of its first stream: 0 or 4."""
 
     @staticmethod
     def run(ntraj=8, **kw):
@@ -509,6 +533,10 @@ class TestForkedWorkers:
         sim = SimConfig.auto(p, cfg, n_segments=16, seed=4, n_trajectories=ntraj)
         assert sim.n_steps > 4 * CHUNK
         return integrate_langevin(p, baths, cfg, sim, **kw)
+
+    @staticmethod
+    def first_stream(rngs):
+        return rngs[0].bit_generator.seed_seq.spawn_key[0]
 
     @pytest.fixture
     def children(self, monkeypatch):
@@ -543,7 +571,7 @@ class TestForkedWorkers:
                     pass
 
     @staticmethod
-    def assert_reaped(pids, forked=1):
+    def assert_reaped(pids, forked=2):
         assert len(pids) == forked
         for pid in pids:
             with pytest.raises(ChildProcessError):  # no such child: neither running nor a zombie
@@ -555,29 +583,30 @@ class TestForkedWorkers:
         assert 0.0 < traj.timings["welch"] < traj.timings["propagate"] - traj.timings["noise"]
         self.assert_reaped(children)
 
-    def test_no_process_left_after_a_failure_in_worker_0(self, children, monkeypatch):
-        # the child never finishes: the run returns only because it is killed
-        test_pid, calls, real_map = os.getpid(), [], langevin._map_normals
+    def test_no_process_left_after_a_failure_in_worker_0(self, children, monkeypatch, capfd):
+        # worker 1 never finishes: the run returns only because it is killed
+        calls, real_draw = [], langevin._draw_normals
 
-        def failing_map(*args):
-            if os.getpid() != test_pid:
+        def failing_draw(rngs, raw):
+            if self.first_stream(rngs) != 0:
                 time.sleep(3600)
             calls.append(None)
             if len(calls) == 3:
                 raise ArithmeticError("injected in worker 0's third chunk")
-            return real_map(*args)
+            real_draw(rngs, raw)
 
-        monkeypatch.setattr(langevin, "_map_normals", failing_map)
-        with pytest.raises(ArithmeticError, match="worker 0's third chunk"):
+        monkeypatch.setattr(langevin, "_draw_normals", failing_draw)
+        with pytest.raises(ChildProcessError, match="^forked worker 0 of 2 failed with exit code 1$"):
             self.run()
         self.assert_reaped(children)
+        assert "ArithmeticError: injected in worker 0's third chunk" in capfd.readouterr().err
 
     @pytest.mark.parametrize("death, code", [("raises", 1), ("killed", -signal.SIGKILL)])
     def test_a_failed_child_raises(self, children, monkeypatch, capfd, death, code):
-        test_pid, calls, real_draw = os.getpid(), [], langevin._draw_normals
+        calls, real_draw = [], langevin._draw_normals
 
         def dying_draw(rngs, raw):
-            if os.getpid() != test_pid:
+            if self.first_stream(rngs) == 4:  # worker 1
                 calls.append(None)
                 if len(calls) == 3:
                     if death == "killed":
@@ -606,7 +635,7 @@ class TestForkedWorkers:
         with pytest.raises(StepSizeError, match="^trajectory diverged: non-finite output samples$"):
             with np.errstate(over="ignore", invalid="ignore"):
                 self.run()
-        self.assert_reaped(children, forked=cpus - 1)
+        self.assert_reaped(children, forked=cpus)
 
     @pytest.mark.parametrize("worker", [0, 1])
     def test_either_workers_divergence_is_a_step_size_error(self, children, monkeypatch, worker):
@@ -615,11 +644,11 @@ class TestForkedWorkers:
         p, baths, cfg = preset("oracle-demo")
         sim = SimConfig.auto(p, cfg, n_segments=16, seed=4, n_trajectories=8)  # run's layout
         chunks = math.ceil(sim.burn_in / CHUNK) + math.ceil((sim.n_steps - sim.burn_in) / CHUNK)
-        test_pid, calls, real_draw = os.getpid(), [], langevin._draw_normals
+        calls, real_draw = [], langevin._draw_normals
 
         def draw(rngs, raw):
             real_draw(rngs, raw)
-            if (os.getpid() == test_pid) == (worker == 0):
+            if self.first_stream(rngs) == 4 * worker:
                 calls.append(None)
                 if len(calls) == chunks:
                     raw[-1, -1, 0] = np.nan
@@ -640,7 +669,7 @@ class TestForkedWorkers:
         for cpus in (1, 2, 3):  # three workers: more than this machine may have CPUs
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
             runs.append(self.run(ntraj, record_field=True))
-        self.assert_reaped(children, forked=1 + 0 + 1 + 2)
+        self.assert_reaped(children, forked=2 + 1 + 2 + 3)
         monkeypatch.delattr(os, "fork")
         runs.append(self.run(ntraj, record_field=True))  # three workers, in turn
         assert reference.power.ndim == 1  # the sum over the trajectories
