@@ -278,43 +278,57 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     (kappa_r/kappa) gamma_opt of the red/blue probe (a ConfigError without
     it), and both give n_eff_fit. The standard errors of n_r and of each
     sideband's width and amplitude go under "uncertainties". Absent tables
-    leave their keys out. ``lambda_conv`` must be positive (ConfigError).
+    leave their keys out. ``lambda_conv`` must be positive (ConfigError). A
+    floating-point overflow, invalid value or zero division while a table is
+    fitted is DegenerateData naming the table, and numpy prints no warning.
     """
     _require_positive("lambda_conv", lambda_conv)
     fit: dict = {}
     uncertainties: dict = {}
-    if "linewidth_vs_power" in tables:
-        power, gamma_hz = tables["linewidth_vs_power"]
-        gamma_m, slope = fit_linewidth_vs_power(np.column_stack([power, TWO_PI * gamma_hz]))
-        fit.update(gamma_m_fit=gamma_m, linewidth_slope=slope,
-                   g0_fit=math.sqrt(max(slope, 0.0) * params.kappa / 4.0))
-    if "s21_db" in tables:
-        f_hz, mag_db = tables["s21_db"]
-        shunt = fit_shunt_capacitance(TWO_PI * f_hz, 10.0 ** (mag_db / 20.0), params)
-        detuning = params.omega_m + config.delta(params)
-        delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
-        delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
-        if max(abs(delta_minus), abs(delta_plus)) >= 1.0:
-            raise ValidityError(
-                "first-order shunt correction needs |Delta(omega_+-)| < 1: "
-                f"Delta_plus = {delta_plus:.4g}, Delta_minus = {delta_minus:.4g} "
-                f"at C_out = {shunt.c_out * 1e15:.4g} fF"
-            )
-        fit.update(c_out_fit=shunt.c_out, delta_minus=delta_minus, delta_plus=delta_plus)
-    if "output_floor" in tables:
-        occ = fit_output_occupation(_spectrum(tables["output_floor"], params.omega_c),
-                                    params, lambda_conv)
-        fit.update(n_r_fit=occ.n_r, n_r_err=occ.n_r_err, amplifier_floor_fit=occ.amplifier_floor)
-        uncertainties["n_r"] = occ.n_r_err
-    for sign in ("plus", "minus"):
-        if f"thermometry_{sign}" in tables:
-            temps, ratios = tables[f"thermometry_{sign}"]
-            n_m = np.array([bose_occupation(t, params.omega_m) for t in temps.tolist()])
-            slope = float(n_m @ ratios / (n_m @ n_m))
-            if slope == 0.0 or not math.isfinite(slope):
-                raise DegenerateData(f"thermometry_{sign}.csv: the power ratios give a conversion "
-                                     f"slope of {slope:g}, so the probe shows no usable conversion")
-            fit[f"conversion_slope_{sign}"] = slope
+    pref = params.kappa_r / params.kappa
+
+    def degenerate(kind, flag):  # numpy's call on an overflow, invalid value or zero division
+        raise DegenerateData(f"{table}.csv: floating-point {kind} in its fit")
+
+    with np.errstate(over="call", invalid="call", divide="call", call=degenerate):
+        for table, (x, y) in tables.items():
+            if table == "linewidth_vs_power":
+                gamma_m, slope = fit_linewidth_vs_power(np.column_stack([x, TWO_PI * y]))
+                fit.update(gamma_m_fit=gamma_m, linewidth_slope=slope,
+                           g0_fit=math.sqrt(max(slope, 0.0) * params.kappa / 4.0))
+            elif table == "s21_db":
+                shunt = fit_shunt_capacitance(TWO_PI * x, 10.0 ** (y / 20.0), params)
+                detuning = params.omega_m + config.delta(params)
+                delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
+                delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
+                if max(abs(delta_minus), abs(delta_plus)) >= 1.0:
+                    raise ValidityError("first-order shunt correction needs |Delta(omega_+-)| < 1: "
+                                        f"Delta_plus = {delta_plus:.4g}, Delta_minus = "
+                                        f"{delta_minus:.4g} at C_out = {shunt.c_out * 1e15:.4g} fF")
+                fit.update(c_out_fit=shunt.c_out, delta_minus=delta_minus, delta_plus=delta_plus)
+            elif table == "output_floor":
+                occ = fit_output_occupation(_spectrum((x, y), params.omega_c), params, lambda_conv)
+                fit.update(n_r_fit=occ.n_r, n_r_err=occ.n_r_err,
+                           amplifier_floor_fit=occ.amplifier_floor)
+                uncertainties["n_r"] = occ.n_r_err
+            elif table in ("thermometry_plus", "thermometry_minus"):
+                n_m = np.array([bose_occupation(t, params.omega_m) for t in x.tolist()])
+                slope = float(n_m @ y / (n_m @ n_m))
+                if slope == 0.0 or not math.isfinite(slope):
+                    raise DegenerateData(f"{table}.csv: the power ratios give a conversion slope "
+                                         f"of {slope:g}, so the probe shows no usable conversion")
+                fit[table.replace("thermometry", "conversion_slope")] = slope
+            elif table in ("sideband_anti_stokes", "sideband_stokes"):
+                name, red = table.removeprefix("sideband_"), table == "sideband_anti_stokes"
+                key, role = ("n_plus_fit", "red_probe") if red else ("n_minus_fit", "blue_probe")
+                probe = config.tone(role)
+                if probe is None:
+                    raise ConfigError(f"{table}.csv needs the {role} tone, "
+                                      "which the configuration lacks")
+                peak = fit_lorentzian(_spectrum((x, y)))
+                fit[key] = peak.amplitude * peak.width / 4.0 / (pref * probe.gamma_opt(params))
+                uncertainties[f"{name}_width"] = peak.uncertainty("width")
+                uncertainties[f"{name}_amplitude"] = peak.uncertainty("amplitude")
     if "conversion_slope_plus" in fit and "conversion_slope_minus" in fit:
         ratio = fit["conversion_slope_minus"] / fit["conversion_slope_plus"]
         if not math.isfinite(ratio):
@@ -322,19 +336,6 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
                                  f"{fit['conversion_slope_plus']:g}, is too small for a finite "
                                  "conversion ratio minus/plus")
         fit["conversion_ratio"] = ratio
-    pref = params.kappa_r / params.kappa
-    for name, key, role in (("anti_stokes", "n_plus_fit", "red_probe"),
-                            ("stokes", "n_minus_fit", "blue_probe")):
-        if f"sideband_{name}" not in tables:
-            continue
-        probe = config.tone(role)
-        if probe is None:
-            raise ConfigError(f"sideband_{name}.csv needs the {role} tone, "
-                              "which the configuration lacks")
-        peak = fit_lorentzian(_spectrum(tables[f"sideband_{name}"]))
-        fit[key] = peak.amplitude * peak.width / 4.0 / (pref * probe.gamma_opt(params))
-        uncertainties[f"{name}_width"] = peak.uncertainty("width")
-        uncertainties[f"{name}_amplitude"] = peak.uncertainty("amplitude")
     if "n_plus_fit" in fit and "n_minus_fit" in fit:
         fit["n_eff_fit"] = (fit["n_minus_fit"] - fit["n_plus_fit"] - 1.0) / 2.0
     if uncertainties:

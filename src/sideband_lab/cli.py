@@ -4,14 +4,14 @@ Subcommands: spectrum, asymmetry, oracle-compare, calibrate,
 noise-constraint. All file outputs come with a manifest.json whose hash
 covers the fully resolved configuration, so reruns are verifiable.
 
-Exit codes: 0 success, 2 configuration errors, 3 validity/stability gate
-errors (the gate's exception name is printed verbatim on stderr).
+Exit codes: 0 success, 2 configuration errors and reports that are not
+strict JSON (`dataio.dump_json`), 3 validity/stability gate errors (the
+gate's exception name is printed verbatim on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,7 +21,7 @@ from . import __version__
 from .calibration import invert_measurements, run_synthetic_calibration
 from .config import describe_run, load_config
 from .dataio import (
-    RunManifest,
+    dump_json,
     file_sha256,
     read_calibration_tables,
     write_calibration_tables,
@@ -29,14 +29,7 @@ from .dataio import (
     write_manifest,
     write_spectrum_csv,
 )
-from .errors import (
-    ConfigError,
-    InstabilityError,
-    SidebandLabError,
-    StepSizeError,
-    UnbalancedError,
-    ValidityError,
-)
+from .errors import GATE_ERRORS, ConfigError, SidebandLabError
 from .langevin import SimConfig, lone_probe, oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
 from .model import ToneConfig, _require_positive
@@ -49,8 +42,6 @@ from .multitone import (
 )
 from .presets import PRESET_NAMES, preset
 from .scattering import single_tone_spectrum
-
-_GATE_ERRORS = (ValidityError, InstabilityError, UnbalancedError, StepSizeError)
 
 
 def _load(args) -> tuple:
@@ -92,8 +83,7 @@ def cmd_spectrum(args) -> int:
     desc = describe_run(params, baths, config, extra={
         "command": "spectrum", "kind": kind, "mode": args.mode, "sign": args.sign,
         "points": args.points, "span_linewidths": args.span_linewidths})
-    write_manifest(out, RunManifest(command="spectrum", config_hash=desc["config_hash"],
-                                    outputs=[path.name]))
+    write_manifest(out, "spectrum", desc["config_hash"], [path.name])
     print(str(path))
     return 0
 
@@ -115,7 +105,7 @@ def cmd_asymmetry(args) -> int:
         "weights": {"anti_stokes": w_anti, "stokes": w_stokes},
         "config_hash": describe_run(params, baths, config)["config_hash"],
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(dump_json(report))
     return 0
 
 
@@ -138,19 +128,18 @@ def cmd_oracle_compare(args) -> int:
     sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,
                          n_trajectories=args.trajectories)
     report, mc_spec = oracle_compare(params, baths, config, sim)
+    text = dump_json(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_spectrum_csv(out / "mc_spectrum.csv", mc_spec)
     write = write_components_csv if config.has_probe_pair else write_spectrum_csv
     write(out / "analytic_spectrum.csv", analytic)
-
-    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    layout = {key: report[key] for key in
-              ("timings_s", "output_step_s", "floquet_slots", "n_output_samples")}
-    write_manifest(out, RunManifest(command="oracle-compare", config_hash=report["config_hash"],
-                                    outputs=["report.json", "mc_spectrum.csv", "analytic_spectrum.csv"],
-                                    seed=args.seed, extra=layout))
-    print(json.dumps(report, indent=2, sort_keys=True))
+    (out / "report.json").write_text(text)
+    outputs = ["report.json", "mc_spectrum.csv", "analytic_spectrum.csv"]
+    layout = ("timings_s", "output_step_s", "floquet_slots", "n_output_samples")
+    write_manifest(out, "oracle-compare", report["config_hash"], outputs, seed=args.seed,
+                   extra={key: report[key] for key in layout})
+    sys.stdout.write(text)
     return 0
 
 
@@ -171,13 +160,14 @@ def cmd_calibrate(args) -> int:
         extra.update(mode="data", inputs=report["inputs"])
     report["mode"] = extra["mode"]
     report["config_hash"] = describe_run(params, baths, config, extra=extra)["config_hash"]
+    text = dump_json(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "calibration_report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
     outputs = [path.name] + (write_calibration_tables(out, tables) if args.synthetic else [])
-    write_manifest(out, RunManifest(command="calibrate", config_hash=report["config_hash"],
-                                    outputs=outputs, seed=args.seed if args.synthetic else None))
+    write_manifest(out, "calibrate", report["config_hash"], outputs,
+                   seed=args.seed if args.synthetic else None)
     print(str(path))
     return 0
 
@@ -198,7 +188,7 @@ def cmd_noise_constraint(args) -> int:
             "satisfied": gap.satisfied,
         }
     report["config_hash"] = describe_run(params, baths, config)["config_hash"]
-    print(json.dumps(report, indent=2, sort_keys=True))
+    sys.stdout.write(dump_json(report))
     return 0
 
 
@@ -260,7 +250,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _GATE_ERRORS as exc:
+    except GATE_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except (SidebandLabError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""CSV spectrum files and run manifests.
+"""CSV spectrum files, and `dump_json`: the one strict JSON writer of reports and manifests.
 
 Spectrum CSV format: a `# offset_hz,value_quanta` header line, one row per
 grid point, offsets in Hz (angular rates divided by 2*pi at this boundary).
@@ -12,19 +12,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateData
 from .model import TWO_PI, Spectrum
 
 __all__ = [
     "write_spectrum_csv", "read_xy_csv", "write_xy_csv",
     "write_components_csv", "CALIBRATION_TABLES", "read_calibration_tables",
-    "write_calibration_tables", "RunManifest", "write_manifest", "file_sha256",
+    "write_calibration_tables", "dump_json", "write_manifest", "file_sha256",
 ]
 
 #: Calibration measurement tables, stored as ``<name>.csv``: name -> header.
@@ -107,24 +106,24 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a CLI invocation did: inputs hashed, outputs listed, and any
-    command-specific ``extra`` fields at the top level."""
-
-    command: str
-    config_hash: str
-    outputs: list[str] = field(default_factory=list)
-    seed: int | None = None
-    tool_version: str = __version__
-    extra: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        fields = asdict(self)
-        return {**fields.pop("extra"), **fields}
+def dump_json(obj) -> str:
+    """``obj`` as strict JSON: indent 2, sorted keys, one trailing newline. A value that
+    is not a finite number is DegenerateData naming its dotted key path (``rel_err.peak``)."""
+    stack = [("", obj)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DegenerateData(f"{path} is {value}, which strict JSON cannot hold")
+        items = value.items() if isinstance(value, dict) else (
+            enumerate(value) if isinstance(value, (list, tuple)) else ())
+        stack.extend((f"{path}.{key}".lstrip("."), item) for key, item in items)
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_manifest(directory, manifest: RunManifest) -> Path:
+def write_manifest(directory, command: str, config_hash: str, outputs: list[str], *,
+                   seed: int | None = None, extra: dict | None = None) -> Path:
+    """manifest.json: a CLI run's command, input hash and outputs, ``extra`` at the top level."""
     path = Path(directory) / "manifest.json"
-    path.write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(dump_json({**(extra or {}), "command": command, "config_hash": config_hash,
+                               "outputs": outputs, "seed": seed, "tool_version": __version__}))
     return path

@@ -46,3 +46,7 @@ class DegenerateData(SidebandLabError):
 
 class RankDeficient(SidebandLabError):
     """Regression design matrix is rank deficient."""
+
+
+#: The validity and stability gates: exit code 3 in the CLI, where any other error is 2.
+GATE_ERRORS = (ValidityError, InstabilityError, UnbalancedError, StepSizeError)

@@ -490,10 +490,15 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
     present, the output layout (``output_step_s``, ``floquet_slots``,
     ``n_output_samples`` per trajectory) and the seconds per stage
     (``timings_s``), plus the estimated spectrum. Disagreement is reported
-    as-is; nothing is rescaled. The analytic side comes first, so a gated
-    configuration fails before the Monte Carlo.
+    as-is; nothing is rescaled. A relative error (``floor_rel_err``,
+    ``rel_err``) against an analytic value of exactly 0 has no scale and is
+    None. The analytic side comes first, so a gated configuration fails
+    before the Monte Carlo.
     """
     from .config import describe_run
+
+    def rel_err(mc: float, analytic: float) -> float | None:
+        return abs(mc - analytic) / abs(analytic) if analytic else None
 
     if config.has_probe_pair:
         w_anti, w_stokes = sideband_weights(params, baths, config)
@@ -523,7 +528,7 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         "timings_s": {**traj.timings, "welch": welch, "peaks": time.perf_counter() - start},
         "analytic_floor": floor_analytic,
         "mc_floor": mc_floor,
-        "floor_rel_err": abs(mc_floor - floor_analytic) / abs(floor_analytic),
+        "floor_rel_err": rel_err(mc_floor, floor_analytic),
         "analytic_weight": {},
         "mc_weight": {},
         "rel_err": {},
@@ -532,6 +537,6 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
     for (name, _, w_analytic), w_mc, centroid in zip(peaks, mc_weights, mc_centers):
         report["analytic_weight"][name] = w_analytic
         report["mc_weight"][name] = w_mc
-        report["rel_err"][name] = abs(w_mc - w_analytic) / abs(w_analytic) if w_analytic else math.inf
+        report["rel_err"][name] = rel_err(w_mc, w_analytic)
         report["mc_center"][name] = centroid
     return report, spec

@@ -2,8 +2,8 @@
 
 Conventions used everywhere in this package:
 
-* hbar = 1; spectra are dimensionless ("quanta"). Mechanical position spectra
-  are reported in units of x_zp**2 unless ``x_zp`` is supplied.
+* hbar = 1; spectra are dimensionless ("quanta"), position spectra in units of
+  x_zp**2. ``x_zp`` itself is carried and hashed, but no output uses it.
 * All frequencies and rates are angular (rad/s). Configuration files quote Hz;
   the conversion by 2*pi happens only at the config boundary (`config.py`)
   and in the ``from_hz`` constructors.
@@ -59,9 +59,9 @@ def _require_positive(name: str, value: float) -> None:
 class SystemParams:
     """Static device constants.
 
-    All rates angular (rad/s). ``x_zp`` is the mechanical zero-point amplitude
-    in meters and may be omitted; position spectra are then reported in units
-    of x_zp**2.
+    All rates angular (rad/s). ``x_zp``, the mechanical zero-point amplitude in
+    meters, may be omitted: it is carried in configurations and hashed, but no
+    output uses it (position spectra are in units of x_zp**2 either way).
     """
 
     omega_c: float

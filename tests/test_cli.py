@@ -1,14 +1,17 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sideband_lab.cli as cli
 from sideband_lab.cli import build_parser, main
 from sideband_lab.config import config_to_dict, save_config
 from sideband_lab.dataio import CALIBRATION_TABLES, read_xy_csv
@@ -85,6 +88,26 @@ def cooling_variant(tmp_path, row):
 #: a lone blue probe that anti-damps oracle-demo: gamma_opt = 2 pi * 428.6 Hz
 #: against gamma_m = 2 pi * 400 Hz
 UNSTABLE_BLUE = {"coupling": TWO_PI * 3000.0}
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def synthetic_tables_with(tmp_path, table, value):
+    """The tables of `calibrate --synthetic --seed 1` on main-text, with every
+    value of ``table`` set to ``value``; returns their directory."""
+    data = tmp_path / "data"
+    assert main(["calibrate", "--preset", "main-text", "--synthetic", "--seed", "1",
+                 "--out", str(data)]) == 0
+    path = data / f"{table}.csv"
+    x, _ = read_xy_csv(path)
+    header = path.read_text().splitlines()[0]
+    path.write_text("\n".join([header] + [f"{float(a)!r},{value}" for a in x]) + "\n")
+    return data
 
 
 def read_component_csv(path):
@@ -527,13 +550,7 @@ class TestCalibrateCommand:
         ("thermometry_plus", "1e-315", "its conversion slope, 1.35677e-318, is too small")])
     def test_degenerate_conversion_slope(self, tmp_path, capsys, table, ratio, message):
         # the tables of a synthetic run, with every power ratio of one thermometry table set
-        data = tmp_path / "data"
-        assert main(["calibrate", "--preset", "main-text", "--synthetic", "--seed", "1",
-                     "--out", str(data)]) == 0
-        path = data / f"{table}.csv"
-        temps, _ = read_xy_csv(path)
-        header = path.read_text().splitlines()[0]
-        path.write_text("\n".join([header] + [f"{float(t)!r},{ratio}" for t in temps]) + "\n")
+        data = synthetic_tables_with(tmp_path, table, ratio)
         capsys.readouterr()
         rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
                    "--out", str(tmp_path / "out")])
@@ -541,6 +558,22 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"DegenerateData: {table}.csv: {message}")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table", ["linewidth_vs_power", "s21_db", "output_floor"])
+    def test_overflowing_table_is_degenerate_data(self, tmp_path, capsys, table):
+        # every value of one table at 1e308: its fit overflows, which numpy
+        # would print as a RuntimeWarning before a report of meaningless fits
+        data = synthetic_tables_with(tmp_path, table, "1e308")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"DegenerateData: {table}.csv: "
+                                           "floating-point overflow in its fit\n")
+        assert [str(w.message) for w in caught] == []
         assert not (tmp_path / "out").exists()
 
     def test_malformed_csv_is_named_config_error(self, tmp_path, capsys):
@@ -696,6 +729,34 @@ def test_preset_and_its_saved_file_are_one_configuration(tmp_path, capsys, name)
             assert by_preset[0] == 0, argv  # so that written outputs are compared
 
 
+@pytest.mark.parametrize("argv, producer, key", [
+    (["oracle-compare", "--preset", "oracle-demo", "--segments", "64", "--trajectories", "4"],
+     "oracle_compare", "rel_err.anti_stokes"),
+    (["calibrate", "--preset", "main-text", "--synthetic"], "run_synthetic_calibration",
+     "uncertainties.n_r")], ids=["oracle-compare", "calibrate"])
+def test_a_non_finite_report_value_is_a_named_error(tmp_path, capsys, monkeypatch, argv,
+                                                     producer, key):
+    # the report is serialized, and refused, before any file is written
+    real = getattr(cli, producer)
+
+    def poisoned(*args, **kwargs):
+        result = real(*args, **kwargs)
+        *parents, leaf = key.split(".")
+        target = result[0] if isinstance(result, tuple) else result
+        for part in parents:
+            target = target[part]
+        target[leaf] = math.nan
+        return result
+
+    monkeypatch.setattr(cli, producer, poisoned)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"DegenerateData: {key} is nan, which strict JSON cannot hold\n"
+    assert captured.out == ""
+    assert not (out / "manifest.json").exists()
+
+
 def test_unwritable_out_is_named_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -753,6 +814,24 @@ class TestOracleCompareCommand:
         assert abs(TWO_PI * x_hz[np.argmax(y)] - center) < gamma_tot
         report = json.loads((out / "report.json").read_text())
         assert abs(report["mc_center"]["peak"] - center) < gamma_tot
+
+    @pytest.mark.parametrize("vacuum", [1.0, 0.0])
+    def test_relative_error_against_a_zero_closed_form_is_null(self, tmp_path, capsys, vacuum):
+        # a lone red probe on mechanics in its ground state has a feature of
+        # weight exactly 0; with every vacuum weight 0 the analytic floor is 0 too
+        params, _, pair = preset("oracle-demo")
+        path = tmp_path / "cfg.json"
+        save_config(path, params, BathSpec(alpha_r=vacuum, alpha_l=vacuum, alpha_i=vacuum,
+                                           beta=vacuum), ToneConfig(tones=(pair.tone("red_probe"),)))
+        out = tmp_path / "out"
+        assert main(["oracle-compare", "--config", str(path), "--segments", "64",
+                     "--trajectories", "4", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == (out / "report.json").read_text()
+        report = strict_json(stdout)
+        assert report["analytic_weight"] == {"peak": 0.0}
+        assert report["rel_err"] == {"peak": None}
+        assert (report["analytic_floor"] == 0.0) == (report["floor_rel_err"] is None) == (vacuum == 0.0)
 
     def test_gated_probe_pair_stops_before_the_monte_carlo(self, tmp_path, capsys, monkeypatch):
         # the analytic side runs first: the layout of this config alone would

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,13 +19,13 @@ from sideband_lab.config import (
     save_config,
 )
 from sideband_lab.dataio import (
-    RunManifest,
+    dump_json,
     read_xy_csv,
     write_components_csv,
     write_manifest,
     write_spectrum_csv,
 )
-from sideband_lab.errors import ConfigError
+from sideband_lab.errors import ConfigError, DegenerateData
 from sideband_lab.langevin import SimConfig, oracle_compare
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
 from sideband_lab.multitone import sideband_weights
@@ -264,15 +265,27 @@ class TestSpectrumCsv:
 
 class TestManifest:
     def test_write_and_content(self, tmp_path):
-        manifest = RunManifest(command="spectrum", config_hash="ab" * 32,
-                               outputs=["spectrum.csv"], seed=7)
-        path = write_manifest(tmp_path, manifest)
+        path = write_manifest(tmp_path, command="spectrum", config_hash="ab" * 32,
+                              outputs=["spectrum.csv"], seed=7)
         data = json.loads(path.read_text())
         assert data["command"] == "spectrum"
         assert data["config_hash"] == "ab" * 32
         assert data["outputs"] == ["spectrum.csv"]
         assert data["seed"] == 7
         assert data["tool_version"] == sideband_lab.__version__
+
+    def test_dump_json_format(self):
+        assert dump_json({"b": [1, "x"], "a": {"d": 0.1, "c": None}}) == (
+            '{\n  "a": {\n    "c": null,\n    "d": 0.1\n  },\n  "b": [\n    1,\n    "x"\n  ]\n}\n')
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(-math.inf)],
+                             ids=["nan", "inf", "-inf", "numpy-inf"])
+    @pytest.mark.parametrize("where, path", [
+        (lambda v: {"rel_err": {"peak": v}, "seed": 3}, "rel_err.peak"),
+        (lambda v: {"runs": [{"w": 1.0}, {"w": v}]}, "runs.1.w")], ids=["dict", "list"])
+    def test_dump_json_names_a_non_finite_value(self, value, where, path):
+        with pytest.raises(DegenerateData, match=rf"^{path} is {value}, which strict JSON"):
+            dump_json(where(value))
 
     def test_describe_run_hash_stable(self):
         params, baths, config = preset("si-figure")
