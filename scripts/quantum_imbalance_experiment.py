@@ -14,7 +14,7 @@ import argparse
 import json
 import time
 
-from sideband_lab.langevin import SimConfig, oracle_compare
+from sideband_lab.langevin import oracle_compare
 from sideband_lab.presets import preset
 
 
@@ -26,10 +26,9 @@ def main() -> None:
     args = parser.parse_args()
 
     params, baths, config = preset("oracle-demo")
-    sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,
-                         n_trajectories=args.trajectories)
     start = time.monotonic()
-    report, _ = oracle_compare(params, baths, config, sim)
+    report, _, _ = oracle_compare(params, baths, config, n_segments=args.segments,
+                                  seed=args.seed, n_trajectories=args.trajectories)
     runtime = time.monotonic() - start
 
     gamma_opt, _ = config.gamma_opt_pair(params)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, RankDeficient, ValidityError
-from .fitting import LorentzianFit, fit_lorentzian, gauss_newton, median
+from .errors import ConfigError, DegenerateData, RankDeficient, SidebandLabError, ValidityError
+from .fitting import fit_lorentzian, gauss_newton, median
 from .model import (
     TWO_PI,
     BathSpec,
@@ -35,13 +35,10 @@ from .model import (
 from .multitone import multitone_spectra, sideband_weights
 
 __all__ = [
-    "LorentzianFit",
-    "fit_lorentzian",
     "ShuntModel",
     "OccupationFit",
     "fit_linewidth_vs_power",
     "thermometry_ratio",
-    "thermometry_occupation",
     "noise_floor_increase",
     "sideband_difference_and_average",
     "fit_output_occupation",
@@ -90,16 +87,6 @@ def fit_linewidth_vs_power(points) -> tuple[float, float]:
     return float(coef[0]), float(coef[1])
 
 
-def _thermometry_coefficient(params: SystemParams, gains, delta_corr: float,
-                             tone: ToneSpec) -> float:
-    gain_cavity, gain_pump = gains
-    if gain_cavity <= 0.0 or gain_pump <= 0.0:
-        raise ConfigError("gains must be positive")
-    omega_pump = params.omega_c + tone.detuning
-    return (params.omega_c / omega_pump) * (gain_cavity / gain_pump) \
-        / (1.0 + delta_corr) * (2.0 * params.g0 / params.kappa) ** 2
-
-
 def thermometry_ratio(params: SystemParams, gains, delta_corr: float, tone: ToneSpec, n_m):
     """Sideband-to-through power ratio P_m/P_thru for the probe ``tone``.
 
@@ -107,18 +94,21 @@ def thermometry_ratio(params: SystemParams, gains, delta_corr: float, tone: Tone
     * (2 g0/kappa)^2 * n_m with omega_pump = omega_c + tone.detuning: the red
     probe's sideband is up-converted, the blue probe's down-converted.
     """
-    return _thermometry_coefficient(params, gains, delta_corr, tone) * n_m
-
-
-def thermometry_occupation(params: SystemParams, gains, delta_corr: float, tone: ToneSpec, ratio):
-    """Inverse of `thermometry_ratio`: mechanical occupation from a measured ratio."""
-    return ratio / _thermometry_coefficient(params, gains, delta_corr, tone)
+    gain_cavity, gain_pump = gains
+    if gain_cavity <= 0.0 or gain_pump <= 0.0:
+        raise ConfigError("gains must be positive")
+    omega_pump = params.omega_c + tone.detuning
+    return (params.omega_c / omega_pump) * (gain_cavity / gain_pump) \
+        / (1.0 + delta_corr) * (2.0 * params.g0 / params.kappa) ** 2 * n_m
 
 
 def noise_floor_increase(params: SystemParams, baths: BathSpec, lambda_conv: float) -> float:
     """Noise-floor increase (power-density units) implied by the cavity baths.
 
     Delta_eta = (1/2 lambda) [n_eff - ((2 kappa_r - kappa)/(2 kappa_r)) n_r].
+    The paper's calibration closure, which no command reports. It exists for
+    the tests: TestSidebandDifferenceAndAverage checks it against
+    `sideband_weights`, and TestNoiseFloorLedger against `output_floor_model`.
     """
     _require_positive("lambda_conv", lambda_conv)
     corr = (2.0 * params.kappa_r - params.kappa) / (2.0 * params.kappa_r)
@@ -133,6 +123,9 @@ def sideband_difference_and_average(params: SystemParams, baths: BathSpec,
     diff (Stokes minus anti-Stokes occupancy) = 4 lambda Delta_eta
     + ((2 kappa_r - kappa)/kappa_r) n_r + 1; the average adds the
     backaction-heating and cooling-dilution terms. Requires balanced probes.
+    The paper's calibration closure, which no command reports. It exists for
+    the tests: TestSidebandDifferenceAndAverage checks it against
+    `sideband_weights`.
     """
     gamma_opt = config.require_balanced(params)
     gamma_cool = config.cooling_gamma_opt(params)
@@ -227,7 +220,11 @@ def transmission_delta(params: SystemParams, shunt: ShuntModel, omega) -> np.nda
 
 def delta_from_power_ratio(ratio_db: float) -> float:
     """Delta(omega_-) from a measured (1+Delta-)/(1+Delta+) power ratio in dB,
-    using Delta(omega_-) = -Delta(omega_+)."""
+    using Delta(omega_-) = -Delta(omega_+). The paper's calibration closure,
+    which no command reports. It exists for the tests: acceptance criterion 8
+    checks it against the paper's 2.6 dB -> Delta = 0.29, and
+    TestThermometry::test_conversion_constant_asymmetry carries it through
+    `thermometry_ratio`."""
     ratio = 10.0 ** (ratio_db / 10.0)
     return (ratio - 1.0) / (ratio + 1.0)
 
@@ -280,7 +277,8 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     sideband's width and amplitude go under "uncertainties". Absent tables
     leave their keys out. ``lambda_conv`` must be positive (ConfigError). A
     floating-point overflow, invalid value or zero division while a table is
-    fitted is DegenerateData naming the table, and numpy prints no warning.
+    fitted is DegenerateData, and numpy prints no warning. Every error raised
+    while a table is fitted names it: its message starts with "<table>.csv".
     """
     _require_positive("lambda_conv", lambda_conv)
     fit: dict = {}
@@ -288,47 +286,55 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     pref = params.kappa_r / params.kappa
 
     def degenerate(kind, flag):  # numpy's call on an overflow, invalid value or zero division
-        raise DegenerateData(f"{table}.csv: floating-point {kind} in its fit")
+        raise DegenerateData(f"floating-point {kind} in its fit")
+
+    def fit_table(table, x, y):
+        if table == "linewidth_vs_power":
+            gamma_m, slope = fit_linewidth_vs_power(np.column_stack([x, TWO_PI * y]))
+            fit.update(gamma_m_fit=gamma_m, linewidth_slope=slope,
+                       g0_fit=math.sqrt(max(slope, 0.0) * params.kappa / 4.0))
+        elif table == "s21_db":
+            shunt = fit_shunt_capacitance(TWO_PI * x, 10.0 ** (y / 20.0), params)
+            detuning = params.omega_m + config.delta(params)
+            delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
+            delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
+            if max(abs(delta_minus), abs(delta_plus)) >= 1.0:
+                raise ValidityError("first-order shunt correction needs |Delta(omega_+-)| < 1: "
+                                    f"Delta_plus = {delta_plus:.4g}, Delta_minus = "
+                                    f"{delta_minus:.4g} at C_out = {shunt.c_out * 1e15:.4g} fF")
+            fit.update(c_out_fit=shunt.c_out, delta_minus=delta_minus, delta_plus=delta_plus)
+        elif table == "output_floor":
+            occ = fit_output_occupation(_spectrum((x, y), params.omega_c), params, lambda_conv)
+            fit.update(n_r_fit=occ.n_r, n_r_err=occ.n_r_err,
+                       amplifier_floor_fit=occ.amplifier_floor)
+            uncertainties["n_r"] = occ.n_r_err
+        elif table in ("thermometry_plus", "thermometry_minus"):
+            n_m = np.array([bose_occupation(t, params.omega_m) for t in x.tolist()])
+            slope = float(n_m @ y / (n_m @ n_m))
+            if slope == 0.0 or not math.isfinite(slope):
+                raise DegenerateData(f"the power ratios give a conversion slope of {slope:g}, "
+                                     "so the probe shows no usable conversion")
+            fit[table.replace("thermometry", "conversion_slope")] = slope
+        elif table in ("sideband_anti_stokes", "sideband_stokes"):
+            name, red = table.removeprefix("sideband_"), table == "sideband_anti_stokes"
+            key, role = ("n_plus_fit", "red_probe") if red else ("n_minus_fit", "blue_probe")
+            probe = config.tone(role)
+            if probe is None:
+                raise ConfigError(f"{table}.csv needs the {role} tone, "
+                                  "which the configuration lacks")
+            peak = fit_lorentzian(_spectrum((x, y)))
+            fit[key] = peak.amplitude * peak.width / 4.0 / (pref * probe.gamma_opt(params))
+            uncertainties[f"{name}_width"] = peak.uncertainty("width")
+            uncertainties[f"{name}_amplitude"] = peak.uncertainty("amplitude")
 
     with np.errstate(over="call", invalid="call", divide="call", call=degenerate):
         for table, (x, y) in tables.items():
-            if table == "linewidth_vs_power":
-                gamma_m, slope = fit_linewidth_vs_power(np.column_stack([x, TWO_PI * y]))
-                fit.update(gamma_m_fit=gamma_m, linewidth_slope=slope,
-                           g0_fit=math.sqrt(max(slope, 0.0) * params.kappa / 4.0))
-            elif table == "s21_db":
-                shunt = fit_shunt_capacitance(TWO_PI * x, 10.0 ** (y / 20.0), params)
-                detuning = params.omega_m + config.delta(params)
-                delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
-                delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
-                if max(abs(delta_minus), abs(delta_plus)) >= 1.0:
-                    raise ValidityError("first-order shunt correction needs |Delta(omega_+-)| < 1: "
-                                        f"Delta_plus = {delta_plus:.4g}, Delta_minus = "
-                                        f"{delta_minus:.4g} at C_out = {shunt.c_out * 1e15:.4g} fF")
-                fit.update(c_out_fit=shunt.c_out, delta_minus=delta_minus, delta_plus=delta_plus)
-            elif table == "output_floor":
-                occ = fit_output_occupation(_spectrum((x, y), params.omega_c), params, lambda_conv)
-                fit.update(n_r_fit=occ.n_r, n_r_err=occ.n_r_err,
-                           amplifier_floor_fit=occ.amplifier_floor)
-                uncertainties["n_r"] = occ.n_r_err
-            elif table in ("thermometry_plus", "thermometry_minus"):
-                n_m = np.array([bose_occupation(t, params.omega_m) for t in x.tolist()])
-                slope = float(n_m @ y / (n_m @ n_m))
-                if slope == 0.0 or not math.isfinite(slope):
-                    raise DegenerateData(f"{table}.csv: the power ratios give a conversion slope "
-                                         f"of {slope:g}, so the probe shows no usable conversion")
-                fit[table.replace("thermometry", "conversion_slope")] = slope
-            elif table in ("sideband_anti_stokes", "sideband_stokes"):
-                name, red = table.removeprefix("sideband_"), table == "sideband_anti_stokes"
-                key, role = ("n_plus_fit", "red_probe") if red else ("n_minus_fit", "blue_probe")
-                probe = config.tone(role)
-                if probe is None:
-                    raise ConfigError(f"{table}.csv needs the {role} tone, "
-                                      "which the configuration lacks")
-                peak = fit_lorentzian(_spectrum((x, y)))
-                fit[key] = peak.amplitude * peak.width / 4.0 / (pref * probe.gamma_opt(params))
-                uncertainties[f"{name}_width"] = peak.uncertainty("width")
-                uncertainties[f"{name}_amplitude"] = peak.uncertainty("amplitude")
+            try:
+                fit_table(table, x, y)
+            except SidebandLabError as exc:  # named once, its class and exit code kept
+                if not str(exc).startswith(f"{table}.csv"):
+                    exc.args = (f"{table}.csv: {exc}",)
+                raise
     if "conversion_slope_plus" in fit and "conversion_slope_minus" in fit:
         ratio = fit["conversion_slope_minus"] / fit["conversion_slope_plus"]
         if not math.isfinite(ratio):

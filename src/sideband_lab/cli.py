@@ -30,7 +30,7 @@ from .dataio import (
     write_spectrum_csv,
 )
 from .errors import GATE_ERRORS, ConfigError, SidebandLabError
-from .langevin import SimConfig, lone_probe, oracle_compare
+from .langevin import oracle_compare
 from .linear_response import heisenberg_gap, resonance_correlators
 from .model import ToneConfig, _require_positive
 from .multitone import (
@@ -114,20 +114,8 @@ def cmd_oracle_compare(args) -> int:
     for option, value in (("--segments", args.segments), ("--trajectories", args.trajectories)):
         if value < 1:
             raise ConfigError(f"{option} must be at least 1, got {value}")
-    # the analytic side first, so a gated configuration stops before the layout
-    # of the Monte Carlo is even derived
-    gamma_tot = config.gamma_tot(params)
-    grid = np.linspace(-8.0 * gamma_tot, 8.0 * gamma_tot, 1001)
-    if config.has_probe_pair:
-        analytic = multitone_spectra(params, baths, config, "symmetrized", grid,
-                                     enforce_separation=False)
-    else:  # the lone feature sits at -sign delta, where the Monte Carlo puts it
-        tone = lone_probe(config)
-        spec = single_tone_spectrum(params, baths, tone, "symmetrized", grid)
-        analytic = spec.shifted(-tone.detuning_sign * config.delta(params))
-    sim = SimConfig.auto(params, config, n_segments=args.segments, seed=args.seed,
-                         n_trajectories=args.trajectories)
-    report, mc_spec = oracle_compare(params, baths, config, sim)
+    report, mc_spec, analytic = oracle_compare(params, baths, config, n_segments=args.segments,
+                                               seed=args.seed, n_trajectories=args.trajectories)
     text = dump_json(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

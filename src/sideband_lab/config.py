@@ -1,8 +1,9 @@
 """JSON parameter files: {"system": {...}, "baths": {...}, "tones": [...]}.
 
 `SYSTEM_KEYS` and `BATH_KEYS` are the file format of their blocks, read by
-save and load alike; the system block may add "x_zp_m", and a tone entry
-holds "role", "detuning_hz" and one of "n_photons" or "coupling_hz". All
+save and load alike, and a tone entry holds "role", "detuning_hz" and one of
+"n_photons" or "coupling_hz"; a key the format does not name is ignored, and
+left out of the hash, since the hash covers the loaded values. All
 frequencies in config files are plain Hz; the 2*pi conversion to the angular
 rates used internally happens here and only here. A file's Hz values
 round-trip exactly (floats survive JSON via shortest-repr); a configuration
@@ -41,10 +42,7 @@ BATH_KEYS = {"n_right": "n_r", "n_left": "n_l", "n_internal": "n_i", "n_mech": "
 
 
 def params_to_dict(params: SystemParams) -> dict:
-    d = {key: getattr(params, attr) / TWO_PI for key, attr in SYSTEM_KEYS.items()}
-    if params.x_zp is not None:
-        d["x_zp_m"] = params.x_zp
-    return d
+    return {key: getattr(params, attr) / TWO_PI for key, attr in SYSTEM_KEYS.items()}
 
 
 def _number(block: str, d: dict, key: str, default: float | None = None):
@@ -70,8 +68,7 @@ def params_from_dict(d: dict) -> SystemParams:
     d = _object("system", d)
     rates = {attr: TWO_PI * _number("system", d, key, 0.0 if attr == "kappa_i" else None)
              for key, attr in SYSTEM_KEYS.items()}
-    x_zp = None if d.get("x_zp_m") is None else _number("system", d, "x_zp_m")
-    return SystemParams(**rates, x_zp=x_zp)
+    return SystemParams(**rates)
 
 
 def baths_to_dict(baths: BathSpec) -> dict:

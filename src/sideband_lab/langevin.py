@@ -69,9 +69,9 @@ import numpy as np
 
 from .errors import ConfigError, StepSizeError, ValidityError
 from .fitting import median
-from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, ToneSpec
-from .multitone import sideband_weights
-from .scattering import noise_floor, single_tone_integrated_weight
+from .model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
+from .multitone import multitone_spectra, sideband_weights
+from .scattering import noise_floor, single_tone_integrated_weight, single_tone_spectrum
 from .sde import cooling_rate, propagator
 
 RNG_ALGORITHM = "numpy-philox-4x64-10"
@@ -80,8 +80,8 @@ BLOCK = 64  # trajectories a worker integrates at a time, which bounds its buffe
 WELCH_BLOCK = 4  # trajectories transformed at once, which bounds the transform buffer
 MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples a run produces
 
-__all__ = ["SimConfig", "TrajectoryOutput", "integrate_langevin", "lone_probe",
-           "oracle_compare", "RNG_ALGORITHM"]
+__all__ = ["SimConfig", "TrajectoryOutput", "integrate_langevin", "oracle_compare",
+           "RNG_ALGORITHM"]
 
 
 def _ceil(x: float) -> int:
@@ -470,58 +470,62 @@ def _measure_peak(spec: Spectrum, centers: list[float], gamma_tot: float):
     return floor, [float(w) for w in weights], centroids
 
 
-def lone_probe(config: ToneConfig) -> ToneSpec:
-    """The probe of a configuration without a probe pair, which the oracle
-    compares against the single-tone closed form; that form leaves out a
-    cooling tone, so a configuration with one is refused (ValidityError)."""
-    tone = config.probe()
-    if config.tone("cooling") is not None:
-        raise ValidityError("lone-probe gate: the single-tone closed form leaves out the "
-                            "cooling tone; add the mirror probe or drop the cooling tone")
-    return tone
+def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig, *, n_segments: int,
+                   seed: int, n_trajectories: int
+                   ) -> tuple[dict, Spectrum, dict[str, Spectrum] | Spectrum]:
+    """Run the stochastic oracle in the layout of `SimConfig.auto` and compare
+    against the analytic spectra.
 
-
-def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                   sim: SimConfig) -> tuple[dict, Spectrum]:
-    """Run the stochastic oracle and compare against the analytic spectra.
-
-    Returns (report, mc_spectrum): a JSON-ready report with analytic and
-    Monte-Carlo Lorentzian weights, floors and centers for every sideband
+    Returns (report, mc_spectrum, analytic): a JSON-ready report with analytic
+    and Monte-Carlo Lorentzian weights, floors and centers for every sideband
     present, the output layout (``output_step_s``, ``floquet_slots``,
     ``n_output_samples`` per trajectory) and the seconds per stage
-    (``timings_s``), plus the estimated spectrum. Disagreement is reported
-    as-is; nothing is rescaled. A relative error (``floor_rel_err``,
-    ``rel_err``) against an analytic value of exactly 0 has no scale and is
-    None. The analytic side comes first, so a gated configuration fails
-    before the Monte Carlo.
+    (``timings_s``), the estimated spectrum, and the closed form on +-8
+    gamma_tot: `multitone_spectra` for a probe pair, else the lone probe's
+    single-tone spectrum at -sign delta, where the Monte Carlo puts it; that
+    form leaves out a cooling tone, so a lone probe beside one is refused
+    (ValidityError). Disagreement is reported as-is; nothing is rescaled. A
+    relative error (``floor_rel_err``, ``rel_err``) against an analytic value
+    of exactly 0 has no scale and is None. The closed-form side comes first,
+    so a gated configuration fails before the layout is derived.
     """
     from .config import describe_run
 
     def rel_err(mc: float, analytic: float) -> float | None:
         return abs(mc - analytic) / abs(analytic) if analytic else None
 
+    gamma_tot = config.gamma_tot(params)
+    grid = np.linspace(-8.0 * gamma_tot, 8.0 * gamma_tot, 1001)
     if config.has_probe_pair:
+        analytic = multitone_spectra(params, baths, config, "symmetrized", grid,
+                                     enforce_separation=False)
         w_anti, w_stokes = sideband_weights(params, baths, config)
         delta = config.delta(params)
         peaks = [("anti_stokes", -delta, w_anti), ("stokes", +delta, w_stokes)]
     else:
-        tone = lone_probe(config)
+        tone = config.probe()
+        if config.tone("cooling") is not None:
+            raise ValidityError("lone-probe gate: the single-tone closed form leaves out the "
+                                "cooling tone; add the mirror probe or drop the cooling tone")
+        center = -tone.detuning_sign * config.delta(params)
+        analytic = single_tone_spectrum(params, baths, tone, "symmetrized", grid).shifted(center)
         w = single_tone_integrated_weight(params, baths, tone, "symmetrized")
-        peaks = [("peak", -tone.detuning_sign * config.delta(params), w)]
+        peaks = [("peak", center, w)]
     floor_analytic = noise_floor(params, baths)
 
+    sim = SimConfig.auto(params, config, n_segments=n_segments, seed=seed,
+                         n_trajectories=n_trajectories)
     traj = integrate_langevin(params, baths, config, sim)
     start = time.perf_counter()
-    spec, n_segments = _welch_spectrum(traj)
+    spec, segments = _welch_spectrum(traj)
     welch = traj.timings["welch"] + time.perf_counter() - start
     start = time.perf_counter()
-    mc_floor, mc_weights, mc_centers = _measure_peak(spec, [c for _, c, _ in peaks],
-                                                     config.gamma_tot(params))
+    mc_floor, mc_weights, mc_centers = _measure_peak(spec, [c for _, c, _ in peaks], gamma_tot)
     report = {
         "config_hash": describe_run(params, baths, config, sim)["config_hash"],
         "seed": sim.seed,
         "rng": RNG_ALGORITHM,
-        "n_segments": int(n_segments),
+        "n_segments": int(segments),
         "output_step_s": sim.dt,
         "floquet_slots": traj.slots,
         "n_output_samples": sim.n_steps - sim.burn_in,
@@ -539,4 +543,4 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig,
         report["mc_weight"][name] = w_mc
         report["rel_err"][name] = rel_err(w_mc, w_analytic)
         report["mc_center"][name] = centroid
-    return report, spec
+    return report, spec, analytic

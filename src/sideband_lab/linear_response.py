@@ -8,8 +8,8 @@ flips sign between red and blue pump detunings; it carries the entire
 sideband asymmetry and the noise-squashing physics.
 
 Formulas assume a two-port cavity (kappa_i = 0) in the good-cavity limit.
-Position is handled in zero-point units u = x / x_zp throughout, so every
-returned spectral quantity is dimensionless (quanta) with hbar = 1.
+Position is in zero-point units u throughout, so every returned spectral
+quantity is dimensionless (quanta) with hbar = 1.
 
 Frequency convention: correlators are functions of the rotating-frame
 frequency built from chi_c(y) = 1/(-i y + kappa/2) evaluated at
@@ -35,7 +35,6 @@ __all__ = [
     "DetectorNoise",
     "HeisenbergGap",
     "chi_cavity",
-    "chi_xx",
     "detector_correlators",
     "resonance_correlators",
     "sxx_effective",
@@ -87,14 +86,6 @@ class HeisenbergGap:
 def chi_cavity(y, kappa: float):
     """Cavity response 1/(-i y + kappa/2) as a function of the detuned frequency y."""
     return 1.0 / (-1j * np.asarray(y, dtype=complex) + kappa / 2.0)
-
-
-def chi_xx(omega, m: float, omega_m: float, gamma_m: float):
-    """Mechanical force susceptibility (1/m) / ((omega^2 - omega_m^2) + i omega gamma_m)."""
-    if not m > 0.0:
-        raise ConfigError("mass must be positive")
-    w = np.asarray(omega, dtype=complex)
-    return (1.0 / m) / ((w**2 - omega_m**2) + 1j * w * gamma_m)
 
 
 def _two_port_gate(params: SystemParams) -> None:
@@ -149,20 +140,20 @@ def resonance_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec)
 
 
 def _chi_uu(params: SystemParams, omega):
-    """Mechanical susceptibility in zero-point units: chi_xx / x_zp^2 with hbar = 1."""
+    """Mechanical susceptibility chi_uu in zero-point units, with hbar = 1."""
     w = np.asarray(omega, dtype=complex)
     return 2.0 * params.omega_m / ((w**2 - params.omega_m**2) + 1j * w * params.gamma_m)
 
 
 def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                   grid: np.ndarray, *, weak_coupling: bool = True) -> Spectrum:
-    """Effective position spectrum including squashing (units x_zp^2 * s).
+    """Effective position spectrum including squashing (units u^2 * s).
 
-    -Im chi_xx[omega] * ((2 n_m + beta) + 2 Im S_zF) on a grid of offsets from
+    -Im chi_uu[omega] * ((2 n_m + beta) + 2 Im S_zF) on a grid of offsets from
     the mechanical resonance. The S_zF term raises (blue) or lowers (red) the
     Lorentzian weight; at a thermal cavity it can squash the feature below
     zero. ``weak_coupling=False`` adds the second-order backaction term
-    |chi_xx|^2 S_FF.
+    |chi_uu|^2 S_FF.
     """
     noise = resonance_correlators(params, baths, tone)
     x = np.asarray(grid, dtype=float)
@@ -176,7 +167,7 @@ def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
 def sxx_backaction(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                    grid: np.ndarray) -> Spectrum:
-    """Standalone backaction-driven position spectrum |chi_xx|^2 S_FF (x_zp^2 * s).
+    """Standalone backaction-driven position spectrum |chi_uu|^2 S_FF (u^2 * s).
     It exists for the tests, which check it against `sxx_effective`."""
     noise = resonance_correlators(params, baths, tone)
     x = np.asarray(grid, dtype=float)

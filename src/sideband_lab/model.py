@@ -2,8 +2,8 @@
 
 Conventions used everywhere in this package:
 
-* hbar = 1; spectra are dimensionless ("quanta"), position spectra in units of
-  x_zp**2. ``x_zp`` itself is carried and hashed, but no output uses it.
+* hbar = 1; spectra are dimensionless ("quanta") and position spectra are in
+  zero-point units, so no configuration carries the zero-point amplitude.
 * All frequencies and rates are angular (rad/s). Configuration files quote Hz;
   the conversion by 2*pi happens only at the config boundary (`config.py`)
   and in the ``from_hz`` constructors.
@@ -57,12 +57,7 @@ def _require_positive(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Static device constants.
-
-    All rates angular (rad/s). ``x_zp``, the mechanical zero-point amplitude in
-    meters, may be omitted: it is carried in configurations and hashed, but no
-    output uses it (position spectra are in units of x_zp**2 either way).
-    """
+    """Static device constants, all rates angular (rad/s)."""
 
     omega_c: float
     omega_m: float
@@ -71,27 +66,17 @@ class SystemParams:
     kappa_r: float
     kappa_i: float
     gamma_m: float
-    x_zp: float | None = None
 
     def __post_init__(self):
         for name in ("omega_c", "omega_m", "g0", "kappa_l", "kappa_r", "gamma_m"):
             _require_positive(name, getattr(self, name))
         if self.kappa_i < 0.0 or not math.isfinite(self.kappa_i):
             raise ConfigError(f"kappa_i must be >= 0, got {self.kappa_i!r}")
-        if self.x_zp is not None:
-            _require_positive("x_zp", self.x_zp)
 
     @property
     def kappa(self) -> float:
         """Total cavity linewidth, kappa_l + kappa_r + kappa_i (never stored)."""
         return self.kappa_l + self.kappa_r + self.kappa_i
-
-    @property
-    def mass(self) -> float | None:
-        """Effective mass from x_zp (hbar = 1), None when x_zp is absent."""
-        if self.x_zp is None:
-            return None
-        return 1.0 / (2.0 * self.omega_m * self.x_zp**2)
 
     def require_good_cavity(self) -> None:
         """Gate for every operation that relies on the rotating-wave step.
@@ -106,7 +91,7 @@ class SystemParams:
 
     @classmethod
     def from_hz(cls, *, omega_c_hz, omega_m_hz, g0_hz, kappa_l_hz, kappa_r_hz,
-                kappa_i_hz=0.0, gamma_m_hz, x_zp_m=None) -> "SystemParams":
+                kappa_i_hz=0.0, gamma_m_hz) -> "SystemParams":
         return cls(
             omega_c=TWO_PI * omega_c_hz,
             omega_m=TWO_PI * omega_m_hz,
@@ -115,7 +100,6 @@ class SystemParams:
             kappa_r=TWO_PI * kappa_r_hz,
             kappa_i=TWO_PI * kappa_i_hz,
             gamma_m=TWO_PI * gamma_m_hz,
-            x_zp=x_zp_m,
         )
 
 
@@ -357,7 +341,7 @@ class Spectrum:
     """A real spectral density on a strictly increasing frequency-offset grid.
 
     ``freq_offsets`` holds omega - omega_c in rad/s; ``values`` is in quanta
-    (or x_zp**2 * s for position spectra).
+    (or zero-point units squared times s for position spectra).
     """
 
     freq_offsets: np.ndarray

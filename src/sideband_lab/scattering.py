@@ -38,7 +38,6 @@ from .model import BathSpec, Spectrum, SystemParams, ToneSpec
 
 __all__ = [
     "ScatteringMatrix",
-    "intracavity_amplitude",
     "mech_denominator",
     "scattering_matrix",
     "noise_floor",
@@ -79,17 +78,6 @@ class ScatteringMatrix:
     def output_row(self) -> np.ndarray:
         """First row: right-port output onto (R, L, mech) inputs."""
         return self.entries[0]
-
-
-def intracavity_amplitude(params: SystemParams, tone: ToneSpec, drive_amplitude: float = 1.0) -> complex:
-    """Classical intracavity amplitude of a tone driven through the left port.
-
-    a_bar = sqrt(kappa_l) * alpha / (kappa/2 - i*(omega_p - omega_c)); the
-    squared modulus is the mean pump photon number for that drive strength.
-    """
-    return math.sqrt(params.kappa_l) * drive_amplitude / (
-        params.kappa / 2.0 - 1j * tone.detuning
-    )
 
 
 def mech_denominator(offset, detuning_sign: int, gamma_m: float, gamma_opt: float):

@@ -8,11 +8,11 @@ from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneCon
 
 def make_params(*, kappa_l_hz=155e3, kappa_r_hz=450e3, kappa_i_hz=265e3,
                 gamma_m_hz=10.0, omega_m_hz=4.0e6, g0_hz=16.0,
-                omega_c_hz=5.4e9, x_zp_m=None) -> SystemParams:
+                omega_c_hz=5.4e9) -> SystemParams:
     return SystemParams.from_hz(
         omega_c_hz=omega_c_hz, omega_m_hz=omega_m_hz, g0_hz=g0_hz,
         kappa_l_hz=kappa_l_hz, kappa_r_hz=kappa_r_hz, kappa_i_hz=kappa_i_hz,
-        gamma_m_hz=gamma_m_hz, x_zp_m=x_zp_m,
+        gamma_m_hz=gamma_m_hz,
     )
 
 

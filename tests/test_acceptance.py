@@ -19,7 +19,7 @@ from sideband_lab.calibration import (
     run_synthetic_calibration,
     s21_shunt,
 )
-from sideband_lab.langevin import SimConfig, oracle_compare
+from sideband_lab.langevin import oracle_compare
 from sideband_lab.linear_response import (
     heisenberg_gap,
     output_spectrum_lr,
@@ -58,9 +58,9 @@ def test_criterion_1_quantum_imbalance_plus_one():
     assert analytic == pytest.approx(1.0, abs=1e-9)
 
     # stochastic path: within 5% with >= 2000 Welch segments in under 2 min
-    sim = SimConfig.auto(params, config, n_segments=4000, seed=3, n_trajectories=128)
     start = time.monotonic()
-    report, _ = oracle_compare(params, baths, config, sim)
+    report, _, _ = oracle_compare(params, baths, config, n_segments=4000, seed=3,
+                                  n_trajectories=128)
     runtime = time.monotonic() - start
     mc = (report["mc_weight"]["stokes"] - report["mc_weight"]["anti_stokes"]) \
         / (pref * gamma_opt)
@@ -80,8 +80,8 @@ def test_criterion_1_seed_sweep():
     pref = params.kappa_r / params.kappa
     imbalances = []
     for seed in range(15):
-        sim = SimConfig.auto(params, config, n_segments=4000, seed=seed, n_trajectories=128)
-        report, _ = oracle_compare(params, baths, config, sim)
+        report, _, _ = oracle_compare(params, baths, config, n_segments=4000, seed=seed,
+                                      n_trajectories=128)
         imbalances.append((report["mc_weight"]["stokes"] - report["mc_weight"]["anti_stokes"])
                           / (pref * gamma_opt))
     imbalances = np.array(imbalances)

@@ -17,7 +17,6 @@ from sideband_lab.calibration import (
     s21_bare,
     s21_shunt,
     sideband_difference_and_average,
-    thermometry_occupation,
     thermometry_ratio,
     transmission_delta,
 )
@@ -89,14 +88,16 @@ class TestThermometry:
             assert ratio == pytest.approx(
                 (p.omega_c / (p.omega_c + tone.detuning)) * (2.0 * p.g0 / p.kappa) ** 2, rel=1e-12)
 
-    def test_inverse_forward_identity(self):
+    def test_gains_and_transmission_correction(self):
+        # the only test that varies the gains: they enter as G(omega_c)/G(omega_pump),
+        # the shunt correction as 1/(1 + Delta(omega_pump))
         p = make_params()
         for role, delta_corr in (("red_probe", -0.29), ("blue_probe", +0.29)):
             tone = probe(p, role, TWO_PI * 500.0)
             for n_m in (0.5, 10.0, 1e4):
+                bare = thermometry_ratio(p, (1.0, 1.0), 0.0, tone, n_m)
                 ratio = thermometry_ratio(p, (1.3, 0.8), delta_corr, tone, n_m)
-                back = thermometry_occupation(p, (1.3, 0.8), delta_corr, tone, ratio)
-                assert back == pytest.approx(n_m, rel=1e-12)
+                assert ratio == pytest.approx(bare * (1.3 / 0.8) / (1.0 + delta_corr), rel=1e-12)
 
     def test_conversion_constant_asymmetry(self):
         # equal gains: the two conversion constants differ by the measured

@@ -97,16 +97,18 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def synthetic_tables_with(tmp_path, table, value):
+def synthetic_tables_with(tmp_path, table, value=None, n_rows=None):
     """The tables of `calibrate --synthetic --seed 1` on main-text, with every
-    value of ``table`` set to ``value``; returns their directory."""
+    value of ``table`` set to ``value`` and only its first ``n_rows`` rows kept
+    (either if given); returns their directory."""
     data = tmp_path / "data"
     assert main(["calibrate", "--preset", "main-text", "--synthetic", "--seed", "1",
                  "--out", str(data)]) == 0
     path = data / f"{table}.csv"
-    x, _ = read_xy_csv(path)
-    header = path.read_text().splitlines()[0]
-    path.write_text("\n".join([header] + [f"{float(a)!r},{value}" for a in x]) + "\n")
+    x, y = read_xy_csv(path)
+    values = [repr(float(b)) for b in y] if value is None else [value] * len(x)
+    rows = [f"{float(a)!r},{b}" for a, b in zip(x, values)][:n_rows]
+    path.write_text("\n".join([path.read_text().splitlines()[0], *rows]) + "\n")
     return data
 
 
@@ -540,7 +542,8 @@ class TestCalibrateCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("ConfigError: temperature must be positive, got 0.0 K")
+        assert err.startswith("ConfigError: thermometry_plus.csv: temperature must be positive, "
+                              "got 0.0 K")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("table, ratio, message", [
@@ -574,6 +577,25 @@ class TestCalibrateCommand:
         assert capsys.readouterr().err == (f"DegenerateData: {table}.csv: "
                                            "floating-point overflow in its fit\n")
         assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table, value, n_rows, error", [
+        ("sideband_anti_stokes", "1e308", None, "DegenerateData: flat spectrum: no peak to fit"),
+        ("linewidth_vs_power", None, 1,
+         "RankDeficient: need at least two (power, linewidth) points"),
+        ("s21_db", None, 1, "DegenerateData: need at least 5 transmission points"),
+        ("output_floor", None, 1, "ConfigError: spectrum must span at least 3*kappa"),
+    ], ids=["flat-sideband", "one-row-linewidth", "one-row-s21", "one-row-floor"])
+    def test_a_fit_error_names_its_table(self, tmp_path, capsys, table, value, n_rows, error):
+        # each message comes from a fit that does not know the file; the
+        # inversion names the table once and keeps the class and exit code
+        data = synthetic_tables_with(tmp_path, table, value, n_rows)
+        capsys.readouterr()
+        rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        kind, message = error.split(": ", 1)
+        assert capsys.readouterr().err == f"{kind}: {table}.csv: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_malformed_csv_is_named_config_error(self, tmp_path, capsys):

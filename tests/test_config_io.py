@@ -107,23 +107,32 @@ class TestKeyTables:
     @given(system=st.fixed_dictionaries(
                {key: (st.just(0.0) | hz_rates) if key == "kappa_internal_hz" else hz_rates
                 for key in SYSTEM_KEYS}),
-           x_zp_m=st.none() | st.floats(min_value=1e-20, max_value=1e-10),
            baths=st.fixed_dictionaries({key: occupations for key in BATH_KEYS}))
-    def test_round_trip_from_hz(self, system, x_zp_m, baths):
-        params = SystemParams(**{attr: TWO_PI * system[key] for key, attr in SYSTEM_KEYS.items()},
-                              x_zp=x_zp_m)
+    def test_round_trip_from_hz(self, system, baths):
+        params = SystemParams(**{attr: TWO_PI * system[key] for key, attr in SYSTEM_KEYS.items()})
         bath_spec = BathSpec(**{attr: baths[key] for key, attr in BATH_KEYS.items()})
         saved = config_to_dict(params, bath_spec, ToneConfig(tones=()))
-        optional = {"x_zp_m"} if x_zp_m is not None else set()
-        assert set(saved["system"]) == set(SYSTEM_KEYS) | optional
+        assert set(saved["system"]) == set(SYSTEM_KEYS)
         assert set(saved["baths"]) == set(BATH_KEYS)
         params2, baths2, _ = config_from_dict(json.loads(json.dumps(saved)))
         assert params2 == params
         assert baths2 == bath_spec
 
+    @pytest.mark.parametrize("x_zp_m", [1e-15, None, "1 fm"])
+    def test_a_key_outside_the_format_is_ignored(self, tmp_path, x_zp_m):
+        # x_zp_m, the zero-point amplitude, was a system key; no output needs
+        # it, so a file that still sets it loads and hashes as one without it
+        params, baths, config = preset("main-text")
+        save_config(tmp_path / "plain.json", params, baths, config)
+        doc = json.loads((tmp_path / "plain.json").read_text())
+        doc["system"]["x_zp_m"] = x_zp_m
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        plain, old = (load_config(tmp_path / name) for name in ("plain.json", "old.json"))
+        assert old == plain
+        assert describe_run(*old)["config_hash"] == describe_run(*plain)["config_hash"]
+
     def test_tables_name_every_field(self):
-        assert sorted(SYSTEM_KEYS.values()) == sorted(
-            f.name for f in fields(SystemParams) if f.name != "x_zp")
+        assert sorted(SYSTEM_KEYS.values()) == sorted(f.name for f in fields(SystemParams))
         assert sorted(BATH_KEYS.values()) == sorted(f.name for f in fields(BathSpec))
 
 
@@ -137,8 +146,8 @@ class TestMemoryConfigIsFileConfig:
         lone = ToneConfig(tones=(pair.tone(role),))
         assert lone.delta(params) == pair.delta(params)
         # warm mechanics, so that the red feature is not flat
-        sim = SimConfig.auto(params, lone, n_segments=40, seed=1, n_trajectories=4)
-        report, _ = oracle_compare(params, replace(baths, n_m=5.0), lone, sim)
+        report, _, _ = oracle_compare(params, replace(baths, n_m=5.0), lone, n_segments=40,
+                                      seed=1, n_trajectories=4)
         center = -pair.tone(role).detuning_sign * pair.delta(params)
         assert abs(report["mc_center"]["peak"] - center) < lone.gamma_tot(params)
 

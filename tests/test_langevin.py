@@ -788,8 +788,7 @@ class TestOracleEquivalence:
                                       "squashing"])
     def test_configuration(self, name):
         p, baths, cfg, sim_kw = equivalence_case(name)
-        sim = SimConfig.auto(p, cfg, **sim_kw)
-        report, _ = oracle_compare(p, baths, cfg, sim)
+        report, _, _ = oracle_compare(p, baths, cfg, **sim_kw)
         gamma_tot = cfg.gamma_tot(p)
         assert report["floor_rel_err"] < 0.02
         centers = {"anti_stokes": -cfg.delta(p), "stokes": +cfg.delta(p), "peak": 0.0}
@@ -846,8 +845,9 @@ class TestOracleCompare:
         p = fast_params()
         tone = tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe")
         cfg = ToneConfig(tones=(tone,))
+        report, spec, _ = oracle_compare(p, BathSpec(n_m=20.0), cfg, n_segments=100, seed=0,
+                                         n_trajectories=8)
         sim = SimConfig.auto(p, cfg, n_segments=100, seed=0, n_trajectories=8)
-        report, spec = oracle_compare(p, BathSpec(n_m=20.0), cfg, sim)
         for key in ("config_hash", "seed", "rng", "n_segments",
                     "analytic_weight", "mc_weight", "rel_err"):
             assert key in report
@@ -863,7 +863,6 @@ class TestOracleCompare:
             raise AssertionError("integrated a gated configuration")
 
         p, baths, cfg = preset("oracle-demo")
-        sim = SimConfig.auto(p, cfg, n_segments=100, seed=0, n_trajectories=8)
         if case == "non-unit weight":
             baths = dataclasses.replace(baths, alpha_r=1.5)
         elif case == "off-sideband probe":
@@ -875,10 +874,9 @@ class TestOracleCompare:
             p, baths, cooled, _ = equivalence_case("cooling")
             dropped = "blue_probe" if "red" in case else "red_probe"
             cfg = ToneConfig(tones=tuple(t for t in cooled.tones if t.role != dropped))
-            sim = SimConfig.auto(p, cfg, n_segments=100, seed=0, n_trajectories=8)
         monkeypatch.setattr(langevin, "integrate_langevin", integrate)
         with pytest.raises(ValidityError):
-            oracle_compare(p, baths, cfg, sim)
+            oracle_compare(p, baths, cfg, n_segments=100, seed=0, n_trajectories=8)
 
     @pytest.mark.parametrize("direction", ["towards", "away"])
     def test_layout_survives_a_one_ulp_detuning(self, direction):
@@ -901,8 +899,8 @@ class TestOracleCompare:
     def test_cooled_layout_has_floquet_slots(self):
         # the output step is a whole fraction of the cooling period 2 pi/(delta_c - delta)
         p, baths, cfg, _ = equivalence_case("cooling")
+        report, _, _ = oracle_compare(p, baths, cfg, n_segments=100, seed=0, n_trajectories=8)
         sim = SimConfig.auto(p, cfg, n_segments=100, seed=0, n_trajectories=8)
-        report, _ = oracle_compare(p, baths, cfg, sim)
         period = TWO_PI / (cfg.delta_c(p) - cfg.delta(p))
         assert report["floquet_slots"] * sim.dt == pytest.approx(period, rel=1e-12)
         assert report["floquet_slots"] > 1

@@ -3,7 +3,6 @@ import pytest
 
 from sideband_lab.errors import ValidityError
 from sideband_lab.linear_response import (
-    chi_xx,
     detector_correlators,
     heisenberg_gap,
     output_spectrum_lr,
@@ -21,23 +20,6 @@ def two_port_params(**kw):
     kw.setdefault("kappa_i_hz", 0.0)
     kw.setdefault("omega_m_hz", 400e6)  # deep good-cavity so resonance values are sharp
     return make_params(**kw)
-
-
-class TestChiXx:
-    def test_static_limit_sign(self):
-        m, omega_m = 2.0, 5.0
-        assert chi_xx(0.0, m, omega_m, 0.1) == pytest.approx(-1.0 / (m * omega_m**2))
-
-    def test_on_resonance_purely_imaginary(self):
-        m, omega_m, gamma_m = 2.0, 5.0, 0.1
-        val = complex(chi_xx(omega_m, m, omega_m, gamma_m))
-        assert val.real == pytest.approx(0.0, abs=1e-15)
-        assert abs(val) == pytest.approx(1.0 / (m * omega_m * gamma_m))
-
-    def test_imaginary_part_negative_for_positive_frequency(self):
-        omega = np.linspace(0.01, 20.0, 500)
-        vals = chi_xx(omega, 1.0, 5.0, 0.3)
-        assert np.all(np.imag(vals) < 0.0)
 
 
 class TestDetectorCorrelators:

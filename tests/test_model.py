@@ -52,11 +52,6 @@ class TestSystemParams:
             bad.require_good_cavity()
         make_params().require_good_cavity()
 
-    def test_mass_from_zero_point(self):
-        p = make_params(x_zp_m=1e-15)
-        assert p.mass == pytest.approx(1.0 / (2.0 * p.omega_m * 1e-30))
-        assert make_params().mass is None
-
 
 class TestBathSpec:
     def test_weighted_cavity_occupation(self):

@@ -29,16 +29,15 @@ def _sxx_lorentzian(params, baths, config):
     gp, gm = config.gamma_opt_pair(params)
     gamma_big_m, n_big_m = derive_effective_mechanics(params, baths, config)
     bracket = (n_big_m + 0.5) + ((gm + gp) / gamma_big_m) * (baths.n_c(params) + 0.5)
-    xzp2 = params.x_zp**2 if params.x_zp is not None else 1.0
-    return gamma_big_m * bracket * xzp2, gamma_tot
+    return gamma_big_m * bracket, gamma_tot
 
 
 def sxx_spectrum(params, baths, config, grid):
-    """Symmetrized mechanical position spectrum (units x_zp^2 * s), a check on
-    the dressed mechanics that the multitone brackets use.
+    """Symmetrized mechanical position spectrum (zero-point units squared
+    times s), a check on the dressed mechanics that the multitone brackets use.
 
     S_xx[omega] = gamma_M/(omega^2 + gamma_tot^2/4) *
-    [(n_M + 1/2) + ((gamma_opt^- + gamma_opt^+)/gamma_M)(n_c + 1/2)] * x_zp^2
+    [(n_M + 1/2) + ((gamma_opt^- + gamma_opt^+)/gamma_M)(n_c + 1/2)]
     on a grid of offsets from the dressed mechanical resonance.
     """
     amplitude, width = _sxx_lorentzian(params, baths, config)
@@ -103,14 +102,6 @@ class TestSxxSpectrum:
         spec = sxx_spectrum(p, baths, cfg, grid)
         quad = integrated_weight(spec, 0.0, center=0.0)
         assert quad == pytest.approx(sxx_integrated_weight(p, baths, cfg), rel=1e-4)
-
-    def test_zero_point_units(self):
-        p = make_params(x_zp_m=2e-15, gamma_m_hz=10.0)
-        baths = BathSpec(n_m=1.0)
-        cfg = ToneConfig(tones=())
-        spec = sxx_spectrum(p, baths, cfg, np.array([0.0]))
-        bare = sxx_spectrum(make_params(gamma_m_hz=10.0), baths, cfg, np.array([0.0]))
-        assert spec.values[0] == pytest.approx(bare.values[0] * (2e-15) ** 2, rel=1e-12)
 
 
 class TestStabilityGate:

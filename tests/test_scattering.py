@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sideband_lab.errors import InstabilityError, ValidityError
-from sideband_lab.model import TWO_PI, BathSpec, ToneSpec
+from sideband_lab.model import BathSpec, ToneSpec
 from sideband_lab.scattering import (
     imbalance,
     integrated_asymmetry,
-    intracavity_amplitude,
     mech_denominator,
     noise_floor,
     output_commutator,
@@ -47,31 +46,6 @@ def exact_scattering_matrix(params, gamma_opt, sign, offset):
         out[1, col] = (1.0 if col == 1 else 0.0) + sqrt_rates[1] * d
         out[2, col] = (1.0 if col == 2 else 0.0) + sqrt_rates[2] * c
     return out
-
-
-class TestIntracavityAmplitude:
-    def test_on_resonance_real(self):
-        p = make_params()
-        tone = ToneSpec(detuning=0.0, role="generic", n_photons=1.0)
-        amp = intracavity_amplitude(p, tone, drive_amplitude=3.0)
-        assert amp.imag == 0.0
-        assert amp == pytest.approx(2.0 * math.sqrt(p.kappa_l) * 3.0 / p.kappa)
-
-    def test_far_detuned_vanishes(self):
-        p = make_params()
-        near = abs(intracavity_amplitude(p, ToneSpec(detuning=0.0, role="generic", n_photons=1.0)))
-        far = abs(intracavity_amplitude(
-            p, ToneSpec(detuning=TWO_PI * 1e12, role="generic", n_photons=1.0)))
-        assert far < 1e-5 * near
-
-    def test_closed_form_value(self):
-        # kappa = 2pi*870 kHz, kappa_l = 2pi*155 kHz, detuning = -2pi*4 MHz
-        p = make_params()
-        tone = ToneSpec(detuning=-TWO_PI * 4e6, role="red_probe", n_photons=1.0)
-        amp = intracavity_amplitude(p, tone, drive_amplitude=1.0)
-        expected = math.sqrt(TWO_PI * 155e3) / abs(complex(TWO_PI * 435e3, TWO_PI * 4e6))
-        assert abs(amp) == pytest.approx(expected, rel=1e-12)
-        assert abs(amp) == pytest.approx(3.9036e-5, rel=1e-3)
 
 
 class TestMechDenominator:
