@@ -179,13 +179,11 @@ def fit_output_occupation(spec: Spectrum, params: SystemParams,
     basis_n = (lor * (kr / k - 1.0) + k / (2.0 * kr)) / lambda_conv
     const = (k / (4.0 * kr)) / lambda_conv
 
-    def residual_jac(p):
+    def model_jac(p):
         n_r, floor = p
-        model = basis_n * n_r + const + floor
-        jac = np.column_stack([basis_n, np.ones_like(x)])
-        return model - v, jac
+        return basis_n * n_r + const + floor, np.column_stack([basis_n, np.ones_like(x)])
 
-    p, cov, rnorm, _ = gauss_newton(residual_jac, np.array([0.1, median(v)]))
+    p, cov, rnorm, _ = gauss_newton(model_jac, v, np.array([0.1, median(v)]))
     return OccupationFit(n_r=float(p[0]), amplifier_floor=float(p[1]),
                          residual_norm=rnorm, n_r_err=float(np.sqrt(abs(cov[0, 0]))))
 
@@ -238,15 +236,14 @@ def fit_shunt_capacitance(omega: np.ndarray, s21_mag: np.ndarray,
         raise DegenerateData("need at least 5 transmission points")
     base = s21_bare(params, w)
 
-    def residual_jac(p):
-        c_out = p[0]
-        shunted = base + 2.0 * R_L * 1j * params.omega_c * c_out
+    def model_jac(p):
+        shunted = base + 2.0 * R_L * 1j * params.omega_c * p[0]
         model = np.abs(shunted)
         # d|z|/dC = Im(z) * 2 R_L omega_c / |z|
         jac = (np.imag(shunted) * 2.0 * R_L * params.omega_c / np.maximum(model, 1e-300))
-        return model - mag, jac[:, None]
+        return model, jac[:, None]
 
-    p, _, _, _ = gauss_newton(residual_jac, np.array([1e-15]))
+    p, _, _, _ = gauss_newton(model_jac, mag, np.array([1e-15]))
     return ShuntModel(c_out=float(abs(p[0])))
 
 
@@ -361,9 +358,10 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     its sideband of `multitone_spectra`. One call of `invert_measurements`
     fits them all; the truth and error keys follow. Gaussian noise of
     relative size ``noise_level`` multiplies every synthetic measurement; at
-    zero noise the fits are exact and their standard errors are reported as
-    0.0. A ``noise_level`` that is negative or not finite, a ``lambda_conv``
-    that is not positive, or a negative ``seed`` is a ConfigError.
+    zero noise every fit is exact to rounding, and `gauss_newton` gives its
+    standard errors as 0.0, as for `calibrate --data` on the same tables. A
+    ``noise_level`` that is negative or not finite, a ``lambda_conv`` that is
+    not positive, or a negative ``seed`` is a ConfigError.
     """
     if not (noise_level >= 0.0 and math.isfinite(noise_level)):
         raise ConfigError(f"noise_level must be >= 0 and finite, got {noise_level!r}")
@@ -421,9 +419,4 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     report["g0_rel_err"] = abs(report["g0_fit"] - params.g0) / params.g0
     w_anti, w_stokes = sideband_weights(params, baths, config)
     report["weights_analytic"] = {"anti_stokes": w_anti, "stokes": w_stokes}
-    if noise_level == 0.0:
-        # noise-free tables are the forward models themselves, so every fit is
-        # exact: its standard error is zero, not the rounding residue of s^2
-        report["n_r_err"] = 0.0
-        report["uncertainties"] = dict.fromkeys(report["uncertainties"], 0.0)
     return report

@@ -136,11 +136,17 @@ def cmd_calibrate(args) -> int:
     params, baths, config = _load(args)
     extra = {"command": "calibrate", "lambda_conv": args.lambda_conv}
     if args.synthetic:
+        seed = 0 if args.seed is None else args.seed
+        noise = 0.0 if args.noise is None else args.noise
         report = run_synthetic_calibration(params, baths, config, lambda_conv=args.lambda_conv,
-                                           seed=args.seed, noise_level=args.noise)
+                                           seed=seed, noise_level=noise)
         tables = report.pop("measurements")
-        extra.update(mode="synthetic", seed=args.seed, noise=args.noise)
+        extra.update(mode="synthetic", seed=seed, noise=noise)
     else:
+        for option, value in (("--seed", args.seed), ("--noise", args.noise)):
+            if value is not None:
+                raise ConfigError(f"{option} applies to --synthetic only: --data fits the "
+                                  "tables as they are")
         data = Path(args.data)
         tables = read_calibration_tables(data)
         report = invert_measurements(params, config, tables, lambda_conv=args.lambda_conv)
@@ -154,8 +160,7 @@ def cmd_calibrate(args) -> int:
     path = out / "calibration_report.json"
     path.write_text(text)
     outputs = [path.name] + (write_calibration_tables(out, tables) if args.synthetic else [])
-    write_manifest(out, "calibrate", report["config_hash"], outputs,
-                   seed=args.seed if args.synthetic else None)
+    write_manifest(out, "calibrate", report["config_hash"], outputs, seed=extra.get("seed"))
     print(str(path))
     return 0
 
@@ -218,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--synthetic", action="store_true")
     mode.add_argument("--data", help="directory with measurement CSVs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--seed", type=int, help="--synthetic only (default 0)")
+    p.add_argument("--noise", type=float, help="--synthetic only (default 0.0)")
     p.add_argument("--lambda-conv", type=float, default=0.27, dest="lambda_conv")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_calibrate)

@@ -20,6 +20,9 @@ __all__ = ["LorentzianFit", "gauss_newton", "fit_lorentzian", "median"]
 
 MAX_ITER = 200
 STEP_TOL = 1e-10
+# exact to rounding: noise-free calibration tables of the presets fit to at most 5.4
+# eps ||data||, and with 1e-13 relative noise to at least 370, a factor of 6 either side
+EXACT_ULPS = 32.0
 
 
 def median(values: np.ndarray) -> float:
@@ -36,19 +39,20 @@ def median(values: np.ndarray) -> float:
     return float((0.0 + s[n // 2 - 1] + s[n // 2]) / 2.0)
 
 
-def gauss_newton(residual_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-                 x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Minimize ||r(x)||^2 given r and its Jacobian dr/dx.
+def gauss_newton(model_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 data: np.ndarray, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Minimize ||r(x)||^2, r = model(x) - data, given the model and its Jacobian.
 
     Damped Gauss-Newton: solve (J^T J + lam*diag(J^T J)) step = -J^T r,
     increase lam tenfold on a rejected step, relax threefold on acceptance.
     Converged when the relative step norm drops below 1e-10; raises
     NonConvergence after 200 iterations. Returns (x, covariance,
     residual_norm, n_iter); the covariance is s^2 (J^T J)^-1 with
-    s^2 = RSS/(N - p).
+    s^2 = RSS/(N - p), all zero if exact: ||r|| <= EXACT_ULPS eps ||data||.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r, jac = residual_jac(x)
+    model, jac = model_jac(x)
+    r = model - data
     cost = float(r @ r)
     lam = 0.0
     for iteration in range(1, MAX_ITER + 1):
@@ -61,7 +65,8 @@ def gauss_newton(residual_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarr
                 step = np.linalg.solve(jtj + lam * diag, -jtr)
             except np.linalg.LinAlgError:
                 raise DegenerateData("normal equations are singular") from None
-            r_new, jac_new = residual_jac(x + step)
+            model, jac_new = model_jac(x + step)
+            r_new = model - data
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
@@ -77,12 +82,15 @@ def gauss_newton(residual_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarr
             break
     else:
         raise NonConvergence(f"no convergence in {MAX_ITER} iterations")
+    rnorm = float(np.sqrt(cost))
+    if rnorm <= EXACT_ULPS * np.finfo(float).eps * np.linalg.norm(data):
+        return x, np.zeros((x.size, x.size)), rnorm, iteration
     dof = max(r.size - x.size, 1)
     try:
         cov = np.linalg.inv(jac.T @ jac) * (cost / dof)
     except np.linalg.LinAlgError:
         cov = np.full((x.size, x.size), np.nan)
-    return x, cov, float(np.sqrt(cost)), iteration
+    return x, cov, rnorm, iteration
 
 
 @dataclass(frozen=True)
@@ -136,22 +144,20 @@ def fit_lorentzian(spec: Spectrum) -> LorentzianFit:
         raise DegenerateData("flat spectrum: no peak to fit")
     x0 = _lorentzian_initial_guess(x, v)
 
-    def residual_jac(p):
+    def model_jac(p):
         center, width, amp, floor = p
         width = max(abs(width), 1e-300)
         dx = x - center
         denom = dx**2 + width**2 / 4.0
         shape = (width**2 / 4.0) / denom
-        model = floor + amp * shape
-        r = model - v
         jac = np.empty((x.size, 4))
         jac[:, 0] = amp * (width**2 / 4.0) * 2.0 * dx / denom**2
         jac[:, 1] = amp * (width / 2.0) * dx**2 / denom**2
         jac[:, 2] = shape
         jac[:, 3] = 1.0
-        return r, jac
+        return floor + amp * shape, jac
 
-    p, cov, rnorm, _ = gauss_newton(residual_jac, x0)
+    p, cov, rnorm, _ = gauss_newton(model_jac, v, x0)
     return LorentzianFit(center=float(p[0]), width=float(abs(p[1])),
                          amplitude=float(p[2]), floor=float(p[3]),
                          residual_norm=rnorm, covariance=cov)

@@ -17,7 +17,8 @@ a layout whose output samples would take more than 2 GiB.
 Layout of the hot path. A worker runs its trajectories in blocks of at most
 BLOCK = 64, one block after another through one set of buffers, allocated
 once per worker for its widest block and viewed contiguous at each block's
-width. Per chunk of CHUNK = 256 output steps, each stream fills its own
+width; a block builds its own trajectories' streams, so the calling process
+builds none. Per chunk of CHUNK = 256 output steps, each stream fills its own
 contiguous (steps, 6) row of a (trajectories, steps, 6) buffer. One copy
 moves the chunk to a trajectories-last noise buffer (6, steps,
 trajectories), where the lower-triangular factor maps it in place, last row
@@ -222,17 +223,29 @@ def _shared(shape: tuple, dtype=np.float64) -> np.ndarray:
 def _fork_join(workers: int, run) -> None:
     """Run ``run(0)``, ..., ``run(workers - 1)`` in forked children (here, in
     turn, without ``os.fork``), which report through shared mappings only and
-    call no BLAS: a forked child has one thread. They are awaited in worker
-    order; the first failure seen has the rest killed and raises
-    ChildProcessError naming it. A child that raises prints its traceback."""
+    call no BLAS: a forked child has one thread. Each child alone holds the
+    write end of its own pipe, so the pipe reaches EOF when the child exits,
+    and the children are reaped in the order they exit, by pid: no other
+    child of this process is reaped. The first failure seen has the rest
+    killed and raises ChildProcessError naming it. A child that raises prints
+    its traceback."""
     if not hasattr(os, "fork"):
         for worker in range(workers):
             run(worker)
         return
-    pids = []  # the children not yet reaped, in worker order
+    import select  # here: every command imports this module
+
+    children = {}  # the read end of each child not yet reaped -> (worker, pid), in worker order
+    pipes = select.poll()  # not select.select, which refuses a descriptor above 1023
     try:
         for worker in range(workers):
-            pid = os.fork()
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
             if pid == 0:
                 try:
                     run(worker)
@@ -243,17 +256,25 @@ def _fork_join(workers: int, run) -> None:
                     os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(1)
-            pids.append(pid)
-        for worker in range(workers):
-            status = os.waitpid(pids[0], 0)[1]
-            del pids[0]
-            if status:
-                raise ChildProcessError(f"forked worker {worker} of {workers} failed with exit "
-                                        f"code {os.waitstatus_to_exitcode(status)}")
+            os.close(write_end)  # the child's alone: the next child must not inherit it
+            children[read_end] = worker, pid
+            pipes.register(read_end, select.POLLIN)
+        while children:
+            exited = {fd for fd, _ in pipes.poll()}  # no child writes: only EOF makes one ready
+            for read_end in [fd for fd in children if fd in exited]:
+                worker, pid = children[read_end]
+                status = os.waitpid(pid, 0)[1]
+                del children[read_end]
+                pipes.unregister(read_end)
+                os.close(read_end)
+                if status:
+                    raise ChildProcessError(f"forked worker {worker} of {workers} failed with "
+                                            f"exit code {os.waitstatus_to_exitcode(status)}")
     finally:
-        for pid in pids:  # left after a failure, or if this process is interrupted
+        for read_end, (_, pid) in children.items():  # left after a failure or an interrupt
             os.kill(pid, 9)  # SIGKILL; importing signal would cost every command its enums
             os.waitpid(pid, 0)
+            os.close(read_end)
 
 
 def _welch_layout(kept: int, ntraj: int, psd_segments: int) -> tuple[int, int, int]:
@@ -299,8 +320,6 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
     phi, _, factor = propagator(params, baths, config, sim.dt)
     setup = time.perf_counter() - start
     slots, ntraj, kept = len(phi), sim.n_trajectories, sim.n_steps - sim.burn_in
-    rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(sim.seed, spawn_key=(j,))))
-            for j in range(ntraj)]
     chunks, step = [], 0  # (first step, steps); burn-in ends on a chunk boundary
     while step < sim.n_steps:
         n = min(CHUNK, (sim.n_steps if step >= sim.burn_in else sim.burn_in) - step)
@@ -340,7 +359,9 @@ def integrate_langevin(params: SystemParams, baths: BathSpec, config: ToneConfig
         for b in range(n_blocks):
             share = _share(n_rows, n_blocks, b)
             block = slice(rows.start + share.start, rows.start + share.stop)
-            streams, width = rngs[block], share.stop - share.start
+            width = share.stop - share.start
+            streams = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+                sim.seed, spawn_key=(j,)))) for j in range(block.start, block.stop)]
             raw, phi_x, noise, scratch, state, products, ring, power = (
                 store[:math.prod(shape)].reshape(shape) for store, shape in zip(stores, shapes(width)))
             ring = ring.view(np.complex128)[..., 0]

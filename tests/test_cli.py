@@ -493,10 +493,11 @@ class TestCalibrateCommand:
         replayed = json.loads((data / "calibration_report.json").read_text())
         assert replayed["mode"] == "data"
         assert set(replayed) == self.FIT_KEYS | {"mode", "config_hash", "inputs"}
-        # one inversion: the same fits to the bit; only the synthetic pipeline
-        # knows that its noise-free tables are exact, and zeroes their errors
-        keys = self.FIT_KEYS - ({"n_r_err", "uncertainties"} if noise == "0" else set())
-        assert {k: replayed[k] for k in keys} == {k: expected[k] for k in keys}
+        # one inversion: the same fits and standard errors to the bit, which are
+        # all 0.0 for the exact fits of noise-free tables
+        assert {k: replayed[k] for k in self.FIT_KEYS} == {k: expected[k] for k in self.FIT_KEYS}
+        errors = [replayed["n_r_err"], *replayed["uncertainties"].values()]
+        assert all(e == 0.0 for e in errors) == (noise == "0") and all(e >= 0.0 for e in errors)
 
     def test_hash_covers_what_produced_the_report(self, tmp_path):
         runs = iter(range(100))
@@ -632,6 +633,10 @@ class TestCalibrateCommand:
      "ConfigError: lambda_conv must be strictly positive and finite, got 0.0"),
     (["oracle-compare", "--seed", "-1"], "ConfigError: seed must be >= 0, got -1"),
     (["calibrate", "--synthetic", "--seed", "-1"], "ConfigError: seed must be >= 0, got -1"),
+    (["calibrate", "--data", "tables", "--seed", "0"],
+     "ConfigError: --seed applies to --synthetic only: --data fits the tables as they are"),
+    (["calibrate", "--data", "tables", "--noise", "0.01"],
+     "ConfigError: --noise applies to --synthetic only: --data fits the tables as they are"),
     (["spectrum", "--span-linewidths", "0"],
      "ConfigError: --span-linewidths must be strictly positive and finite, got 0.0"),
     (["spectrum", "--span-linewidths", "-5"],
@@ -643,7 +648,8 @@ class TestCalibrateCommand:
 ], ids=["points-negative", "points-one", "trajectories-zero", "segments-zero",
         "segments-negative", "noise-nan", "noise-negative",
         "noise-inf", "lambda-negative", "lambda-zero", "oracle-seed-negative",
-        "calibrate-seed-negative", "span-zero", "span-negative", "span-nan", "span-inf"])
+        "calibrate-seed-negative", "data-seed", "data-noise", "span-zero", "span-negative",
+        "span-nan", "span-inf"])
 def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message):
     rc = main([argv[0], "--preset", "si-figure", *argv[1:], "--out", str(tmp_path)])
     assert rc == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sideband_lab.errors import DegenerateData
-from sideband_lab.fitting import fit_lorentzian, gauss_newton, median
+from sideband_lab.fitting import EXACT_ULPS, fit_lorentzian, gauss_newton, median
 from sideband_lab.model import Spectrum
 
 
@@ -39,35 +39,48 @@ class TestGaussNewton:
     def test_quadratic_exact(self):
         target = np.array([2.0, -3.0])
 
-        def residual_jac(p):
-            r = p - target
-            return r, np.eye(2)
+        def model_jac(p):
+            return p, np.eye(2)
 
-        x, cov, rnorm, n_iter = gauss_newton(residual_jac, np.zeros(2))
+        x, cov, rnorm, n_iter = gauss_newton(model_jac, target, np.zeros(2))
         np.testing.assert_allclose(x, target, atol=1e-12)
         assert rnorm == pytest.approx(0.0, abs=1e-12)
+        assert not cov.any()  # an exact fit
 
     def test_deterministic_repeat(self):
         x = np.linspace(-5, 5, 101)
         data = lorentzian(x, 0.3, 1.7, 2.0, 0.5) + 0.01 * np.sin(17 * x)
 
-        def residual_jac(p):
+        def model_jac(p):
             c, w, a, f = p
             dx = x - c
             denom = dx**2 + w**2 / 4.0
             shape = (w**2 / 4.0) / denom
-            r = f + a * shape - data
             jac = np.column_stack([
                 a * (w**2 / 4.0) * 2 * dx / denom**2,
                 a * (w / 2.0) * dx**2 / denom**2,
                 shape,
                 np.ones_like(x),
             ])
-            return r, jac
+            return f + a * shape, jac
 
-        runs = [gauss_newton(residual_jac, np.array([0.0, 1.0, 1.0, 0.0]))
+        runs = [gauss_newton(model_jac, data, np.array([0.0, 1.0, 1.0, 0.0]))
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
+
+    def test_exact_fit_has_zero_covariance(self):
+        # a fit exact to rounding reports standard errors of 0.0, not the rounding
+        # residue of s^2; 1e-13 relative noise is far above rounding, and is reported
+        x = np.linspace(-10, 10, 401)
+        clean = lorentzian(x, 0.7, 2.3, 4.1, 0.9)
+        exact = fit_lorentzian(Spectrum(x, clean))
+        assert exact.residual_norm <= EXACT_ULPS * np.finfo(float).eps * np.linalg.norm(clean)
+        assert exact.covariance.shape == (4, 4) and not exact.covariance.any()
+        noisy = clean * (1.0 + 1e-13 * np.random.default_rng(3).standard_normal(x.size))
+        fit = fit_lorentzian(Spectrum(x, noisy))
+        assert fit.residual_norm > EXACT_ULPS * np.finfo(float).eps * np.linalg.norm(noisy)
+        for name in ("center", "width", "amplitude", "floor"):
+            assert fit.uncertainty(name) > 0.0
 
 
 class TestFitLorentzian:

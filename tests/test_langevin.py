@@ -523,9 +523,10 @@ def resident_bytes(array):
 class TestForkedWorkers:
     """integrate_langevin runs every worker in a forked child: it leaves no
     child behind, whether it returns or raises, a child that fails makes it
-    raise and kill the rest once the children before it are done, and no
-    output bit depends on the number of workers. ``run``'s 8 trajectories are 4 per worker on two CPUs, so a
-    worker is told by the spawn key of its first stream: 0 or 4."""
+    raise and kill the rest as soon as it exits, whichever worker it is, and
+    no output bit depends on the number of workers. ``run``'s 8 trajectories
+    are 4 per worker on two CPUs, so a worker is told by the spawn key of its
+    first stream: 0 or 4."""
 
     @staticmethod
     def run(ntraj=8, **kw):
@@ -600,6 +601,46 @@ class TestForkedWorkers:
             self.run()
         self.assert_reaped(children)
         assert "ArithmeticError: injected in worker 0's third chunk" in capfd.readouterr().err
+
+    def test_a_failed_child_is_noticed_while_an_earlier_one_runs(self, children, monkeypatch,
+                                                                 capfd):
+        # worker 0 never finishes: the run raises only because worker 1's failure is
+        # reaped first, and worker 0 is then killed
+        calls, real_draw = [], langevin._draw_normals
+
+        def draw(rngs, raw):
+            if self.first_stream(rngs) == 0:
+                time.sleep(3600)
+            calls.append(None)
+            if len(calls) == 3:
+                raise ArithmeticError("injected in worker 1's third chunk")
+            real_draw(rngs, raw)
+
+        monkeypatch.setattr(langevin, "_draw_normals", draw)
+        began = time.monotonic()
+        with pytest.raises(ChildProcessError, match="^forked worker 1 of 2 failed with exit code 1$"):
+            self.run()
+        assert time.monotonic() - began < 30.0
+        self.assert_reaped(children)
+        assert "ArithmeticError: injected in worker 1's third chunk" in capfd.readouterr().err
+
+    def test_a_forking_caller_seeds_no_stream(self, children, monkeypatch):
+        # each block builds its own streams in the worker that runs it
+        caller, seeded, real_seed_sequence = os.getpid(), [], np.random.SeedSequence
+
+        def seed_sequence(*args, **kwargs):
+            if os.getpid() == caller:
+                seeded.append(kwargs.get("spawn_key"))
+            return real_seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", seed_sequence)
+        reference = self.run(record_field=True)
+        assert seeded == []
+        self.assert_reaped(children)
+        monkeypatch.delattr(os, "fork")
+        unforked = self.run(record_field=True)  # the workers run here, in turn
+        assert seeded == [(j,) for j in range(8)]
+        assert unforked.output_field.tobytes() == reference.output_field.tobytes()
 
     @pytest.mark.parametrize("death, code", [("raises", 1), ("killed", -signal.SIGKILL)])
     def test_a_failed_child_raises(self, children, monkeypatch, capfd, death, code):

@@ -3,13 +3,17 @@
 No linter is a dependency, so the check is an `ast` scan, as in
 `test_unused_imports.py`. A public name is a module-level function or class
 whose name does not start with "_", an `__all__` entry, or a public method
-or property of a public class. It must be read (a name or an attribute
-lookup) somewhere in `src/` outside its own definition, or in `scripts/` or
-`bench/` outside the bench's own tests; an `__all__` entry and a definition
-are not reads. A name that only tests read belongs in `TEST_CARRIED`, with
-the test that carries it and why, or it goes. A module exports only names it
-defines or reads itself; the package `__init__` is the one module that
-exports what it imports.
+or property of a public class. It must be read somewhere in `src/` outside
+its own definition, or in `scripts/` or `bench/` outside the bench's own
+tests; an `__all__` entry and a definition are not reads. An attribute
+lookup reads every public name it spells. A bare name reads a module-level
+name only in its defining module or in a file that imports it from there
+(directly, or through a module that re-exports it, such as the package
+`__init__`), so a local variable that shares a public name reads nothing. A
+name that only tests read belongs in `TEST_CARRIED`, with the test that
+carries it and why, or it goes. A module exports only names it defines or
+reads itself; the package `__init__` is the one module that exports what it
+imports.
 """
 
 import ast
@@ -28,6 +32,9 @@ TEST_CARRIED = {
     "scattering.output_commutator":
         "test_acceptance.py::test_criterion_3_commutator_constancy and "
         "test_scattering.py::TestOutputCommutator: the paper's commutator invariant",
+    "scattering.imbalance":
+        "test_scattering.py::TestImbalance: the paper's single-tone red/blue imbalance, the "
+        "pointwise blue-minus-red difference whose weight integrated_asymmetry gives",
     "scattering.integrated_asymmetry":
         "test_scattering.py::TestIntegratedAsymmetry: the single-tone asymmetry 2 n_eff + 1, "
         "its brackets evaluated at both signs of one tone",
@@ -74,22 +81,39 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
-def _reads(tree: ast.Module) -> list[tuple[str, frozenset[int]]]:
-    """(name, ids of the definitions around it) of every name read and attribute looked up."""
+def _reads(tree: ast.Module) -> list[tuple[str, bool, frozenset[int]]]:
+    """(name, whether an attribute, ids of the definitions around it) of every
+    name read and attribute looked up."""
     reads = []
 
     def visit(node, around):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             around = around | {id(node)}
         elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            reads.append((node.id, around))
+            reads.append((node.id, False, around))
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-            reads.append((node.attr, around))
+            reads.append((node.attr, True, around))
         for child in ast.iter_child_nodes(node):
             visit(child, around)
 
     visit(tree, frozenset())
     return reads
+
+
+def _imports(tree: ast.Module) -> dict[str, tuple[str, str]]:
+    """local name -> (module, name) of every name ``tree`` imports from the package."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = node.module or "__init__"
+            elif node.level == 0 and (node.module or "").split(".")[0] == "sideband_lab":
+                module = node.module.partition(".")[2] or "__init__"
+            else:
+                continue
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (module, alias.name)
+    return bound
 
 
 def _assigned(tree: ast.Module) -> set[str]:
@@ -111,20 +135,36 @@ def scan(modules: dict[str, str], callers: list[str]) -> tuple[list[str], list[s
     are the sources of scripts and benchmarks, which only read.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    module_reads = {name: _reads(tree) for name, tree in trees.items()}
-    reads = [r for found in module_reads.values() for r in found]
-    reads += [r for source in callers for r in _reads(ast.parse(source))]
+    imports = {name: _imports(tree) for name, tree in trees.items()}
+
+    def origin(module, name):  # the module that defines a name bound from ``module``
+        while name in imports.get(module, {}):
+            module, name = imports[module][name]
+        return module, name
+
+    # (module, name) or the attribute name of every read, with the definitions around it
+    reads = []
+    for module, tree in [*trees.items(), *((None, ast.parse(source)) for source in callers)]:
+        bound = {local: origin(*source) for local, source in _imports(tree).items()}
+        for name, attribute, around in _reads(tree):
+            if attribute:
+                reads.append((name, around))
+            elif name in bound:
+                reads.append((bound[name], around))
+            elif module is not None:
+                reads.append(((module, name), around))
     uncalled, foreign = [], []
     for module, tree in trees.items():
         names = _definitions(tree)
-        local = {name for name, _ in module_reads[module]} | _assigned(tree)
+        local = {name for name, _, _ in _reads(tree)} | _assigned(tree)
         for export in _exports(tree):
             names.setdefault(export, None)  # a constant or a re-export: any read calls it
             if export not in local and module != "__init__":
                 foreign.append(f"{module}.{export}")
         for qualified, node in names.items():
             attr = qualified.rsplit(".", 1)[-1]
-            if not any(name == attr and id(node) not in around for name, around in reads):
+            targets = {attr} if "." in qualified else {attr, origin(module, attr)}
+            if not any(read in targets and id(node) not in around for read, around in reads):
                 uncalled.append(f"{module}.{qualified}")
     return uncalled, foreign
 
@@ -143,10 +183,14 @@ def test_the_scan_finds_an_uncalled_name():
               "    @property\n    def read(self):\n        return 2\n"
               "    def unread(self):\n        pass\n"),
         "b": "def g():\n    pass\ndef h():\n    pass\n",
+        "c": "def imbalance():\n    pass\n",
     }
-    uncalled, foreign = scan(modules, ["from sideband_lab.a import K, C\nC().used(K)\n"])
-    # f reads only itself, and a exports g, which it imports but never reads
-    assert sorted(uncalled) == ["a.C.unread", "a.f", "a.g", "b.g"]
+    callers = ["from sideband_lab.a import K, C\nC().used(K)\n",
+               "def check(w):\n    imbalance = w[1] - w[0]\n    return imbalance\n"]
+    uncalled, foreign = scan(modules, callers)
+    # f reads only itself, a exports g, which it imports but never reads, and the
+    # caller's imbalance is a local variable, not c's function
+    assert sorted(uncalled) == ["a.C.unread", "a.f", "a.g", "b.g", "c.imbalance"]
     assert foreign == ["a.g"]
 
 
