@@ -255,7 +255,7 @@ def _spectrum(table, center: float = 0.0) -> Spectrum:
 
 
 def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, *,
-                        lambda_conv: float = 0.27) -> dict:
+                        lambda_conv: float) -> dict:
     """Fit the calibration chain to measurement tables in their file units.
 
     ``tables`` maps any names of `dataio.CALIBRATION_TABLES` to (x, y) arrays.
@@ -347,8 +347,8 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
 
 
 def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
-                              config: ToneConfig, *, lambda_conv: float = 0.27,
-                              seed: int = 0, noise_level: float = 0.0) -> dict:
+                              config: ToneConfig, *, lambda_conv: float,
+                              seed: int, noise_level: float) -> dict:
     """Build the seven measurement tables from the forward models and invert them.
 
     The tables of `invert_measurements` (returned under "measurements") are

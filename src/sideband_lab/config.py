@@ -23,11 +23,7 @@ from .errors import ConfigError
 from .model import TWO_PI, BathSpec, SystemParams, ToneConfig, ToneSpec
 
 __all__ = [
-    "params_to_dict", "params_from_dict",
-    "baths_to_dict", "baths_from_dict",
-    "tones_to_list", "tones_from_list",
-    "config_to_dict", "config_from_dict",
-    "load_config", "save_config",
+    "config_to_dict", "config_from_dict", "load_config", "save_config",
     "canonical_json", "config_hash", "describe_run", "SYSTEM_KEYS", "BATH_KEYS",
 ]
 
@@ -39,10 +35,6 @@ SYSTEM_KEYS = {"omega_c_hz": "omega_c", "omega_m_hz": "omega_m", "g0_hz": "g0",
 BATH_KEYS = {"n_right": "n_r", "n_left": "n_l", "n_internal": "n_i", "n_mech": "n_m",
              "alpha_right": "alpha_r", "alpha_left": "alpha_l",
              "alpha_internal": "alpha_i", "beta": "beta"}
-
-
-def params_to_dict(params: SystemParams) -> dict:
-    return {key: getattr(params, attr) / TWO_PI for key, attr in SYSTEM_KEYS.items()}
 
 
 def _number(block: str, d: dict, key: str, default: float | None = None):
@@ -64,42 +56,37 @@ def _object(block: str, value) -> dict:
     return value
 
 
-def params_from_dict(d: dict) -> SystemParams:
-    d = _object("system", d)
-    rates = {attr: TWO_PI * _number("system", d, key, 0.0 if attr == "kappa_i" else None)
-             for key, attr in SYSTEM_KEYS.items()}
-    return SystemParams(**rates)
-
-
-def baths_to_dict(baths: BathSpec) -> dict:
-    return {key: getattr(baths, attr) for key, attr in BATH_KEYS.items()}
-
-
-def baths_from_dict(d: dict) -> BathSpec:
-    d = _object("baths", d)
-    default = BathSpec()
-    return BathSpec(**{attr: _number("baths", d, key, getattr(default, attr))
-                       for key, attr in BATH_KEYS.items()})
-
-
-def tones_to_list(config: ToneConfig) -> list[dict]:
-    out = []
+def config_to_dict(params: SystemParams, baths: BathSpec, config: ToneConfig) -> dict:
+    tones = []
     for tone in config.tones:
         entry: dict = {"role": tone.role, "detuning_hz": tone.detuning / TWO_PI}
         if tone.n_photons is not None:
             entry["n_photons"] = tone.n_photons
         else:
             entry["coupling_hz"] = tone.coupling / TWO_PI
-        out.append(entry)
-    return out
+        tones.append(entry)
+    return {"system": {key: getattr(params, attr) / TWO_PI for key, attr in SYSTEM_KEYS.items()},
+            "baths": {key: getattr(baths, attr) for key, attr in BATH_KEYS.items()},
+            "tones": tones}
 
 
-def tones_from_list(entries: list[dict]) -> ToneConfig:
-    """Build a ToneConfig from its tone entries."""
-    if not isinstance(entries, list):
-        raise ConfigError(f"tones must be a JSON list, got {type(entries).__name__}")
+def config_from_dict(d: dict) -> tuple[SystemParams, BathSpec, ToneConfig]:
+    """Parse a config object; any malformed input raises ConfigError."""
+    d = _object("config root", d)
+    for key in ("system", "baths", "tones"):
+        if key not in d:
+            raise ConfigError(f"config missing top-level key {key!r}")
+    system = _object("system", d["system"])
+    params = SystemParams(**{attr: TWO_PI * _number("system", system, key,
+                                                    0.0 if attr == "kappa_i" else None)
+                             for key, attr in SYSTEM_KEYS.items()})
+    bath, default = _object("baths", d["baths"]), BathSpec()
+    baths = BathSpec(**{attr: _number("baths", bath, key, getattr(default, attr))
+                        for key, attr in BATH_KEYS.items()})
+    if not isinstance(d["tones"], list):
+        raise ConfigError(f"tones must be a JSON list, got {type(d['tones']).__name__}")
     tones = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(d["tones"]):
         block = f"tones[{i}]"
         entry = _object(block, entry)
         # ToneSpec refuses an entry with both or neither of the two
@@ -110,23 +97,7 @@ def tones_from_list(entries: list[dict]) -> ToneConfig:
             coupling=TWO_PI * _number(block, entry, "coupling_hz")
             if "coupling_hz" in entry else None,
         ))
-    return ToneConfig(tones=tuple(tones))
-
-
-def config_to_dict(params: SystemParams, baths: BathSpec, config: ToneConfig) -> dict:
-    return {"system": params_to_dict(params), "baths": baths_to_dict(baths),
-            "tones": tones_to_list(config)}
-
-
-def config_from_dict(d: dict) -> tuple[SystemParams, BathSpec, ToneConfig]:
-    """Parse a config object; any malformed input raises ConfigError."""
-    d = _object("config root", d)
-    for key in ("system", "baths", "tones"):
-        if key not in d:
-            raise ConfigError(f"config missing top-level key {key!r}")
-    params = params_from_dict(d["system"])
-    baths = baths_from_dict(d["baths"])
-    config = tones_from_list(d["tones"])
+    config = ToneConfig(tones=tuple(tones))
     config.delta_c(params)  # the symmetric-probe and cooling-order gates, at load
     return params, baths, config
 

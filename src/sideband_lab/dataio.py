@@ -26,19 +26,22 @@ __all__ = [
     "write_calibration_tables", "dump_json", "write_manifest", "file_sha256",
 ]
 
-#: Calibration measurement tables, stored as ``<name>.csv``: name -> header.
-#: Units: pump power (any unit) vs total linewidth in Hz; probe frequency in
-#: Hz vs |S21| in dB; frequency in Hz vs pump-off detected floor; temperature
-#: in K vs sideband-to-through power ratio of the red (plus) or blue (minus)
-#: probe; each sideband's offset in Hz vs value in quanta, as in spectrum CSVs.
+#: Calibration measurement tables, stored as ``<name>.csv``: name -> (header,
+#: the domain of the second column, or None for any finite value). Units: pump
+#: power (any unit) vs total linewidth in Hz, which is positive; probe
+#: frequency in Hz vs |S21| in dB; frequency in Hz vs pump-off detected floor;
+#: temperature in K vs sideband-to-through power ratio of the red (plus) or
+#: blue (minus) probe, never negative (all zero is a degenerate conversion,
+#: which its fit names); each sideband's offset in Hz vs its positive value in
+#: quanta, as in spectrum CSVs.
 CALIBRATION_TABLES = {
-    "linewidth_vs_power": "# power,gamma_tot_hz",
-    "s21_db": "# freq_hz,mag_db",
-    "output_floor": "# freq_hz,value",
-    "thermometry_plus": "# temperature_k,power_ratio",
-    "thermometry_minus": "# temperature_k,power_ratio",
-    "sideband_anti_stokes": "# offset_hz,value_quanta",
-    "sideband_stokes": "# offset_hz,value_quanta",
+    "linewidth_vs_power": ("# power,gamma_tot_hz", "> 0"),
+    "s21_db": ("# freq_hz,mag_db", None),
+    "output_floor": ("# freq_hz,value", None),
+    "thermometry_plus": ("# temperature_k,power_ratio", ">= 0"),
+    "thermometry_minus": ("# temperature_k,power_ratio", ">= 0"),
+    "sideband_anti_stokes": ("# offset_hz,value_quanta", "> 0"),
+    "sideband_stokes": ("# offset_hz,value_quanta", "> 0"),
 }
 
 
@@ -84,10 +87,28 @@ def read_xy_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(xs), np.asarray(ys)
 
 
+def _line_of_row(path, row: int) -> int:
+    """The line number of data row ``row`` (from 0) of `read_xy_csv`."""
+    lines = (line.strip() for line in Path(path).read_text().splitlines())
+    return [n for n, line in enumerate(lines, start=1) if line and not line.startswith("#")][row]
+
+
 def read_calibration_tables(directory) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Every calibration table present in ``directory``, keyed by table name."""
-    paths = {name: Path(directory) / f"{name}.csv" for name in CALIBRATION_TABLES}
-    tables = {name: read_xy_csv(path) for name, path in paths.items() if path.exists()}
+    """Every calibration table present in ``directory``, keyed by table name. A
+    value outside its column's domain (`CALIBRATION_TABLES`) is a ConfigError
+    naming the file, the line and the column."""
+    tables = {}
+    for name, (header, domain) in CALIBRATION_TABLES.items():
+        path = Path(directory) / f"{name}.csv"
+        if not path.exists():
+            continue
+        x, y = read_xy_csv(path)
+        outside = np.flatnonzero(y <= 0.0 if domain == "> 0" else y < 0.0) if domain else []
+        if len(outside):
+            row = outside[0]
+            raise ConfigError(f"{path}:{_line_of_row(path, row)}: column 2, "
+                              f"{header.split(',')[1]}, must be {domain}, got {float(y[row])!r}")
+        tables[name] = x, y
     if not tables:
         expected = ", ".join(f"{name}.csv" for name in CALIBRATION_TABLES)
         raise ConfigError(f"no recognized calibration files in {directory} "
@@ -98,7 +119,7 @@ def read_calibration_tables(directory) -> dict[str, tuple[np.ndarray, np.ndarray
 def write_calibration_tables(directory, tables: dict) -> list[str]:
     """Write each (x, y) table as ``<name>.csv``; returns the file names."""
     for name, (x, y) in tables.items():
-        write_xy_csv(Path(directory) / f"{name}.csv", CALIBRATION_TABLES[name], x, y)
+        write_xy_csv(Path(directory) / f"{name}.csv", CALIBRATION_TABLES[name][0], x, y)
     return [f"{name}.csv" for name in tables]
 
 

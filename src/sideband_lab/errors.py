@@ -21,11 +21,9 @@ class ValidityError(SidebandLabError):
 class InstabilityError(SidebandLabError):
     """Total mechanical damping is non-positive for the requested drive."""
 
-    def __init__(self, gamma_tot: float, message: str | None = None):
+    def __init__(self, gamma_tot: float):
         self.gamma_tot = gamma_tot
-        super().__init__(
-            message or f"total damping gamma_tot = {gamma_tot:.6g} rad/s <= 0"
-        )
+        super().__init__(f"total damping gamma_tot = {gamma_tot:.6g} rad/s <= 0")
 
 
 class UnbalancedError(SidebandLabError):

@@ -120,8 +120,8 @@ class SimConfig:
                               "ask for fewer segments or trajectories")
 
     @classmethod
-    def auto(cls, params: SystemParams, config: ToneConfig, *, n_segments: int = 2000,
-             seed: int = 0, n_trajectories: int = 64) -> "SimConfig":
+    def auto(cls, params: SystemParams, config: ToneConfig, *, n_segments: int,
+             seed: int, n_trajectories: int) -> "SimConfig":
         """dt, lengths and an 8/gamma_tot burn-in; 4 PSD bins per gamma_tot.
 
         Sampling 32x the span to 12 gamma_tot beyond the farthest peak keeps
@@ -502,7 +502,8 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig, *,
     present, the output layout (``output_step_s``, ``floquet_slots``,
     ``n_output_samples`` per trajectory) and the seconds per stage
     (``timings_s``), the estimated spectrum, and the closed form on +-8
-    gamma_tot: `multitone_spectra` for a probe pair, else the lone probe's
+    gamma_tot: `multitone_spectra` for a probe pair, whose peaks must pass its
+    separation gate delta > 10 gamma_tot (ValidityError), else the lone probe's
     single-tone spectrum at -sign delta, where the Monte Carlo puts it; that
     form leaves out a cooling tone, so a lone probe beside one is refused
     (ValidityError). Disagreement is reported as-is; nothing is rescaled. A
@@ -518,8 +519,7 @@ def oracle_compare(params: SystemParams, baths: BathSpec, config: ToneConfig, *,
     gamma_tot = config.gamma_tot(params)
     grid = np.linspace(-8.0 * gamma_tot, 8.0 * gamma_tot, 1001)
     if config.has_probe_pair:
-        analytic = multitone_spectra(params, baths, config, "symmetrized", grid,
-                                     enforce_separation=False)
+        analytic = multitone_spectra(params, baths, config, "symmetrized", grid)
         w_anti, w_stokes = sideband_weights(params, baths, config)
         delta = config.delta(params)
         peaks = [("anti_stokes", -delta, w_anti), ("stokes", +delta, w_stokes)]

@@ -7,7 +7,9 @@ S_zF = S_IF / chi_IF is purely imaginary at the mechanical resonance and
 flips sign between red and blue pump detunings; it carries the entire
 sideband asymmetry and the noise-squashing physics.
 
-Formulas assume a two-port cavity (kappa_i = 0) in the good-cavity limit.
+Formulas assume a two-port cavity (kappa_i = 0) in the good-cavity limit,
+driven on a sideband: every form passes `scattering._detuning_gate`, as the
+scattering and multitone forms do, then the two-port gate.
 Position is in zero-point units u throughout, so every returned spectral
 quantity is dimensionless (quanta) with hbar = 1.
 
@@ -30,6 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidityError
 from .model import BathSpec, Spectrum, SystemParams, ToneSpec
+from .scattering import _detuning_gate
 
 __all__ = [
     "DetectorNoise",
@@ -38,7 +41,6 @@ __all__ = [
     "detector_correlators",
     "resonance_correlators",
     "sxx_effective",
-    "sxx_backaction",
     "output_spectrum_lr",
     "heisenberg_gap",
 ]
@@ -102,9 +104,10 @@ def detector_correlators(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
     Both frequency images of the driven cavity enter: with Delta =
     `ToneSpec.detuning_sign` * omega_m, the response factors are
-    chi_c(omega - Delta) and chi_c(omega + Delta).
+    chi_c(omega - Delta) and chi_c(omega + Delta). The gates are the
+    detuning gate of the scattering forms, then the two-port gate.
     """
-    params.require_good_cavity()
+    _detuning_gate(params, tone)
     _two_port_gate(params)
     delta_drive = tone.detuning_sign * params.omega_m
     g = tone.coupling_rate(params)
@@ -146,43 +149,30 @@ def _chi_uu(params: SystemParams, omega):
 
 
 def sxx_effective(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                  grid: np.ndarray, *, weak_coupling: bool = True) -> Spectrum:
-    """Effective position spectrum including squashing (units u^2 * s).
+                  grid: np.ndarray) -> Spectrum:
+    """Effective position spectrum including squashing (units u^2 * s), weak coupling.
 
     -Im chi_uu[omega] * ((2 n_m + beta) + 2 Im S_zF) on a grid of offsets from
     the mechanical resonance. The S_zF term raises (blue) or lowers (red) the
     Lorentzian weight; at a thermal cavity it can squash the feature below
-    zero. ``weak_coupling=False`` adds the second-order backaction term
-    |chi_uu|^2 S_FF.
+    zero. The second-order backaction term |chi_uu|^2 S_FF is left out.
     """
     noise = resonance_correlators(params, baths, tone)
     x = np.asarray(grid, dtype=float)
-    omega = params.omega_m + x
-    chi = _chi_uu(params, omega)
-    values = -np.imag(chi) * (2.0 * baths.strengths("symmetrized")[3] + 2.0 * noise.s_zf.imag)
-    if not weak_coupling:
-        values = values + np.abs(chi) ** 2 * noise.s_ff
-    return Spectrum(x, values)
-
-
-def sxx_backaction(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                   grid: np.ndarray) -> Spectrum:
-    """Standalone backaction-driven position spectrum |chi_uu|^2 S_FF (u^2 * s).
-    It exists for the tests, which check it against `sxx_effective`."""
-    noise = resonance_correlators(params, baths, tone)
-    x = np.asarray(grid, dtype=float)
     chi = _chi_uu(params, params.omega_m + x)
-    return Spectrum(x, np.abs(chi) ** 2 * noise.s_ff)
+    return Spectrum(x, -np.imag(chi) * (2.0 * baths.strengths("symmetrized")[3]
+                                        + 2.0 * noise.s_zf.imag))
 
 
 def output_spectrum_lr(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                       grid: np.ndarray, *, weak_coupling: bool = True) -> Spectrum:
-    """Output spectrum S_II + |chi_IF|^2 S_xx,eff near the mechanical feature.
+                       grid: np.ndarray) -> Spectrum:
+    """Output spectrum S_II + |chi_IF|^2 S_xx,eff near the mechanical feature, weak coupling.
 
     Lab-frame normalization: the imprecision floor and gain keep only the
     near-resonant cavity image (the far image only shifts the
-    frequency-independent floor), so at weak coupling this reproduces the
-    single-tone scattering spectrum, floor and Lorentzian weight alike.
+    frequency-independent floor), so this reproduces the single-tone
+    scattering spectrum to first order in gamma_opt/gamma_m, floor and
+    Lorentzian weight alike.
     Grid is offsets from the spectral peak; the gates are those of
     `detector_correlators`. It exists for the invariant tests of linear response == scattering.
     """
@@ -192,7 +182,7 @@ def output_spectrum_lr(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     x_r, x_l, _, _ = baths.strengths("symmetrized")
     floor = abs(1.0 - kr * c0) ** 2 * x_r + kr * kl * abs(c0) ** 2 * x_l
     gain = kr * g * g * abs(c0) ** 2
-    eff = sxx_effective(params, baths, tone, grid, weak_coupling=weak_coupling)
+    eff = sxx_effective(params, baths, tone, grid)
     return Spectrum(eff.freq_offsets, floor + gain * eff.values)
 
 

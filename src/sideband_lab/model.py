@@ -16,9 +16,9 @@ Conventions used everywhere in this package:
   that decides it for a configuration (InstabilityError otherwise), and
   `derive_effective_mechanics` reads gamma_M from `ToneConfig.gamma_big_m`.
 * Each validity decision has one home. `SystemParams.require_good_cavity`
-  (omega_m > kappa) runs in the detuning gate that every scattering and
-  multitone form passes, in `linear_response.detector_correlators` and, so
-  that the oracle stays independent, in `langevin.integrate_langevin`.
+  (omega_m > kappa) runs in the detuning gate that every scattering,
+  multitone and linear-response form passes and, so that the oracle stays
+  independent, in `langevin.integrate_langevin`.
   `ToneConfig.__post_init__` refuses a tone without a probe or cooling role
   or on the wrong side of the cavity for it. `ToneConfig.delta` and
   `ToneConfig.delta_c` derive the detunings from the tones and are the
@@ -91,7 +91,7 @@ class SystemParams:
 
     @classmethod
     def from_hz(cls, *, omega_c_hz, omega_m_hz, g0_hz, kappa_l_hz, kappa_r_hz,
-                kappa_i_hz=0.0, gamma_m_hz) -> "SystemParams":
+                kappa_i_hz, gamma_m_hz) -> "SystemParams":
         return cls(
             omega_c=TWO_PI * omega_c_hz,
             omega_m=TWO_PI * omega_m_hz,

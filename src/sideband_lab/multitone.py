@@ -31,13 +31,15 @@ __all__ = [
 ]
 
 
-def _separation_gate(params: SystemParams, config: ToneConfig, enforce: bool) -> float:
+def _separation_gate(params: SystemParams, config: ToneConfig) -> float:
+    """gamma_tot, once delta > 10 gamma_tot holds (else ValidityError): the gate of
+    `multitone_spectra`, so of `spectrum --mode multitone`, `calibrate --synthetic`
+    and `oracle-compare`."""
     gamma_tot = config.gamma_tot(params)
-    if enforce and not (config.delta(params) > 10.0 * gamma_tot):
+    if not config.delta(params) > 10.0 * gamma_tot:
         raise ValidityError(
             "sideband separation gate: delta > 10*gamma_tot required "
-            f"(delta = {config.delta(params):.6g}, gamma_tot = {gamma_tot:.6g}); "
-            "pass enforce_separation=False to override"
+            f"(delta = {config.delta(params):.6g}, gamma_tot = {gamma_tot:.6g})"
         )
     return gamma_tot
 
@@ -77,8 +79,7 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
 
 
 def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
-                      kind: str, grid: np.ndarray, *,
-                      enforce_separation: bool = True) -> dict[str, Spectrum]:
+                      kind: str, grid: np.ndarray) -> dict[str, Spectrum]:
     """Both sideband Lorentzians on a shared offset-from-peak grid.
 
     Each peak has prefactor (kappa_r/kappa) gamma_tot gamma_opt^+- /
@@ -89,7 +90,7 @@ def multitone_spectra(params: SystemParams, baths: BathSpec, config: ToneConfig,
     cavity (peak center -+delta plus the supplied grid).
     """
     anti_br, stokes_br = _brackets(params, baths, config)
-    gamma_tot = _separation_gate(params, config, enforce_separation)
+    gamma_tot = _separation_gate(params, config)
     gp, gm = config.gamma_opt_pair(params)
     floor = noise_floor(params, baths, kind)
     x = np.asarray(grid, dtype=float)

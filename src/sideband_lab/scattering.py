@@ -15,13 +15,13 @@ function here takes the offset x = omega - sign*omega_m from that resonance
 instead, which is also the lab-frame offset omega - omega_c of the spectra;
 x is never formed as a difference of two large frequencies.
 
-Validity gates (`ValidityError`): the frequency window |x| < kappa/4
-(overridable) and `_detuning_gate`, which every form here and every
-multitone form passes: the good-cavity limit omega_m > kappa, then the
-detuning window ||Delta| - omega_m| < kappa/4 of the tone, since these
-forms take the pump to sit on its sideband. `_lorentzian` is the
-single-tone stability gate (`InstabilityError` unless gamma_m +- gamma_opt
-> 0).
+Validity gates (`ValidityError`): the frequency window |x| < kappa/4 and
+`_detuning_gate`, which every form here, every multitone form and the
+detector correlators of `linear_response` pass: the good-cavity limit
+omega_m > kappa, then the detuning window ||Delta| - omega_m| < kappa/4 of
+the tone, since these forms take the pump to sit on its sideband.
+`_lorentzian` is the single-tone stability gate (`InstabilityError` unless
+gamma_m +- gamma_opt > 0).
 """
 
 from __future__ import annotations
@@ -92,19 +92,17 @@ def mech_denominator(offset, detuning_sign: int, gamma_m: float, gamma_opt: floa
     return -1j * np.asarray(offset, dtype=complex) + (gamma_m + detuning_sign * gamma_opt) / 2.0
 
 
-def _quarter_kappa_gate(params: SystemParams, x, gate: str, hint: str = "") -> None:
+def _quarter_kappa_gate(params: SystemParams, x, gate: str) -> None:
     """ValidityError naming ``gate`` unless every |x| < kappa/4."""
     x = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
     lim = params.kappa / 4.0
     if np.any(x >= lim):
         raise ValidityError(f"{gate} < kappa/4 required "
-                            f"(max offset {np.max(x):.6g}, kappa/4 = {lim:.6g}){hint}")
+                            f"(max offset {np.max(x):.6g}, kappa/4 = {lim:.6g})")
 
 
-def _window_gate(params: SystemParams, x, enforce_window: bool) -> None:
-    if enforce_window:
-        _quarter_kappa_gate(params, x, "frequency window gate: |omega -+ omega_m|",
-                            "; pass enforce_window=False to override")
+def _window_gate(params: SystemParams, x) -> None:
+    _quarter_kappa_gate(params, x, "frequency window gate: |omega -+ omega_m|")
 
 
 def _detuning_gate(params: SystemParams, tone: ToneSpec) -> None:
@@ -114,16 +112,14 @@ def _detuning_gate(params: SystemParams, tone: ToneSpec) -> None:
                         "detuning gate: ||Delta| - omega_m|")
 
 
-def scattering_matrix(params: SystemParams, tone: ToneSpec, offset: float, *,
-                      enforce_window: bool = True) -> ScatteringMatrix:
+def scattering_matrix(params: SystemParams, tone: ToneSpec, offset: float) -> ScatteringMatrix:
     """Full 3x3 scattering matrix at the offset x = omega - sign*omega_m.
 
-    Valid within |x| < kappa/4 of the mechanical feature (overridable), for a
-    tone within kappa/4 of its sideband and in the good-cavity limit
-    omega_m > kappa.
+    Valid within |x| < kappa/4 of the mechanical feature, for a tone within
+    kappa/4 of its sideband and in the good-cavity limit omega_m > kappa.
     """
     _detuning_gate(params, tone)
-    _window_gate(params, offset, enforce_window)
+    _window_gate(params, offset)
     sign = tone.detuning_sign
 
     k = params.kappa
@@ -197,7 +193,7 @@ def _lorentzian_brackets(params: SystemParams, baths: BathSpec, gamma_opt: float
 
 
 def _lorentzian(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                kind: str, weak_coupling: bool) -> tuple[float, float]:
+                kind: str) -> tuple[float, float]:
     """(amplitude, width) of the single-tone feature amplitude / (x^2 + width^2/4).
 
     The detuning and stability gates of every single-tone form.
@@ -210,47 +206,45 @@ def _lorentzian(params: SystemParams, baths: BathSpec, tone: ToneSpec,
         raise InstabilityError(gamma_tot)
     bracket = _lorentzian_brackets(params, baths, gamma_opt, sign, kind)
     amplitude = (params.kappa_r / params.kappa) * params.gamma_m * gamma_opt * bracket
-    return amplitude, params.gamma_m if weak_coupling else gamma_tot
+    return amplitude, gamma_tot
 
 
 def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
                          kind: str, grid: np.ndarray, *,
-                         weak_coupling: bool = False,
                          enforce_window: bool = True) -> Spectrum:
     """Closed-form output spectrum on a lab-offset grid x = omega - omega_c.
 
-    The exact Lorentzian width gamma_tot = gamma_m +- gamma_opt is used by
-    default; ``weak_coupling=True`` selects the gamma_tot ~ gamma_m form.
-    Agrees with the scattering-row composition at every point.
+    A Lorentzian of the exact width gamma_tot = gamma_m +- gamma_opt; it
+    agrees with the scattering-row composition at every point. Only tests,
+    which integrate the feature beyond kappa/4, lift the window gate.
     """
-    amplitude, width = _lorentzian(params, baths, tone, kind, weak_coupling)
+    amplitude, width = _lorentzian(params, baths, tone, kind)
     x = np.asarray(grid, dtype=float)
-    _window_gate(params, x, enforce_window)
+    if enforce_window:
+        _window_gate(params, x)
     return Spectrum(x, noise_floor(params, baths, kind) + amplitude / (x**2 + width**2 / 4.0))
 
 
 def single_tone_integrated_weight(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                                  kind: str, *,
-                                  weak_coupling: bool = False) -> float:
+                                  kind: str) -> float:
     """Analytic integral (domega/2pi) of the single-tone Lorentzian feature.
 
     amplitude / width, the exact integral of the closed-form Lorentzian over
     all frequencies.
     """
-    amplitude, width = _lorentzian(params, baths, tone, kind, weak_coupling)
+    amplitude, width = _lorentzian(params, baths, tone, kind)
     return amplitude / width
 
 
 def imbalance(params: SystemParams, baths: BathSpec, tone: ToneSpec, kind: str,
-              grid: np.ndarray, *, weak_coupling: bool = False,
-              enforce_window: bool = True) -> Spectrum:
+              grid: np.ndarray, *, enforce_window: bool = True) -> Spectrum:
     """Pointwise blue-minus-red difference of ``tone`` and its mirror image
     (`ToneSpec.sidebands`), both spectra re-centered on their peaks.
 
     The grid is the common offset-from-peak axis; the constant floor cancels.
     """
-    red, blue = (single_tone_spectrum(params, baths, t, kind, grid, weak_coupling=weak_coupling,
-                                      enforce_window=enforce_window) for t in tone.sidebands())
+    red, blue = (single_tone_spectrum(params, baths, t, kind, grid, enforce_window=enforce_window)
+                 for t in tone.sidebands())
     return Spectrum(np.asarray(grid, dtype=float), blue.values - red.values)
 
 
@@ -277,7 +271,7 @@ def integrated_asymmetry(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
 
 def output_commutator(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                      offset: float, *, enforce_window: bool = True) -> float:
+                      offset: float) -> float:
     """Coefficient of delta(omega + Omega) in [d_R,out, d_R,out^dagger] at ``offset``.
 
     Composed from the scattering row with the graded mechanical weight
@@ -285,7 +279,7 @@ def output_commutator(params: SystemParams, baths: BathSpec, tone: ToneSpec,
     alpha_l = alpha_r = beta, and otherwise carries a Lorentzian residue.
     It exists for the invariant tests of commutator constancy.
     """
-    smat = scattering_matrix(params, tone, offset, enforce_window=enforce_window)
+    smat = scattering_matrix(params, tone, offset)
     s11, s12, s13 = smat.output_row
     return float(
         abs(s11) ** 2 * baths.alpha_r

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sideband_lab.langevin import SimConfig
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, ToneSpec
+from sideband_lab.scattering import single_tone_integrated_weight
 
 
 def make_params(*, kappa_l_hz=155e3, kappa_r_hz=450e3, kappa_i_hz=265e3,
@@ -23,6 +25,14 @@ def tone_with_gamma_opt(params: SystemParams, gamma_opt: float, role: str,
     if detuning is None:
         detuning = -params.omega_m if role != "blue_probe" else params.omega_m
     return ToneSpec(detuning=detuning, role=role, coupling=g)
+
+
+def weak_coupling_weight(params: SystemParams, baths: BathSpec, tone: ToneSpec) -> float:
+    """Symmetrized single-tone weight in the gamma_tot ~ gamma_m form that linear
+    response reproduces: the exact weight, amplitude/gamma_tot, times gamma_tot/gamma_m."""
+    gamma_tot = params.gamma_m + tone.detuning_sign * tone.gamma_opt(params)
+    exact = single_tone_integrated_weight(params, baths, tone, "symmetrized")
+    return exact * gamma_tot / params.gamma_m
 
 
 def random_system(rng: np.random.Generator, *, kappa_i_zero=False,
@@ -54,6 +64,12 @@ def balanced_config(params: SystemParams, *, delta: float, probe_gamma_opt: floa
         params, delta=delta, probe_gamma_opt=probe_gamma_opt, delta_c=delta_c,
         cooling_gamma_opt=cooling_gamma_opt,
     )
+
+
+def default_layout(params: SystemParams, config: ToneConfig) -> SimConfig:
+    """`SimConfig.auto` in the default layout of `oracle-compare`: 2000 segments, seed 0,
+    64 trajectories."""
+    return SimConfig.auto(params, config, n_segments=2000, seed=0, n_trajectories=64)
 
 
 def fast_params(**kw):

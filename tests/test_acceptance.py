@@ -38,14 +38,10 @@ from sideband_lab.multitone import (
     sideband_weights,
 )
 from sideband_lab.presets import preset
-from sideband_lab.scattering import (
-    noise_floor,
-    output_commutator,
-    single_tone_integrated_weight,
-)
+from sideband_lab.scattering import noise_floor, output_commutator
 
 from conftest import (balanced_config, integrated_weight, make_params, random_baths, random_system,
-                      tone_with_gamma_opt)
+                      tone_with_gamma_opt, weak_coupling_weight)
 
 
 def test_criterion_1_quantum_imbalance_plus_one():
@@ -181,8 +177,7 @@ def test_criterion_5_linear_response_scattering_equivalence():
         floor_lr = output_spectrum_lr(p, baths, undriven, np.array([0.0])).values[0]
         assert floor_lr == pytest.approx(noise_floor(p, baths), rel=1e-3)
         w_lr = integrated_weight(Spectrum(grid, lr.values - floor_lr), 0.0, center=0.0)
-        w_sc = single_tone_integrated_weight(p, baths, tone, "symmetrized",
-                                             weak_coupling=True)
+        w_sc = weak_coupling_weight(p, baths, tone)
         assert w_lr == pytest.approx(w_sc, rel=1e-3)
         if name == "squashing":
             assert w_lr < 0.0
@@ -257,12 +252,13 @@ def test_criterion_8_shunt_transmission():
 
 def test_criterion_9_calibration_closure():
     params, baths, config = preset("main-text")
-    clean = run_synthetic_calibration(params, baths, config, seed=0, noise_level=0.0)
+    clean = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=0,
+                                      noise_level=0.0)
     assert clean["g0_rel_err"] < 0.01
 
     errs = []
     for seed in range(50):
-        noisy = run_synthetic_calibration(params, baths, config, seed=seed,
+        noisy = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=seed,
                                           noise_level=0.01)
         errs.append(noisy["g0_rel_err"])
     assert max(errs) < 0.10

@@ -143,7 +143,8 @@ class TestNoiseFloorLedger:
         message = f"lambda_conv must be strictly positive and finite, got {lam!r}"
         for form in (lambda: noise_floor_increase(params, baths, lam),
                      lambda: invert_measurements(params, config, {}, lambda_conv=lam),
-                     lambda: run_synthetic_calibration(params, baths, config, lambda_conv=lam)):
+                     lambda: run_synthetic_calibration(params, baths, config, lambda_conv=lam,
+                                                       seed=0, noise_level=0.0)):
             with pytest.raises(ConfigError) as err:
                 form()
             assert str(err.value) == message
@@ -280,7 +281,8 @@ class TestShuntTransmission:
 class TestSyntheticPipeline:
     def test_zero_noise_closure(self):
         params, baths, config = preset("main-text")
-        report = run_synthetic_calibration(params, baths, config, seed=0, noise_level=0.0)
+        report = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=0,
+                                           noise_level=0.0)
         assert report["g0_rel_err"] < 0.01
         assert report["n_r_fit"] == pytest.approx(baths.n_r, rel=1e-6)
         assert report["n_eff_fit"] == pytest.approx(baths.n_eff(params), abs=0.02 * (1 + baths.n_eff(params)))
@@ -306,18 +308,21 @@ class TestSyntheticPipeline:
 
     def test_noisy_fits_report_their_standard_errors(self):
         params, baths, config = preset("main-text")
-        report = run_synthetic_calibration(params, baths, config, seed=0, noise_level=0.01)
+        report = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=0,
+                                           noise_level=0.01)
         assert report["uncertainties"]["n_r"] == report["n_r_err"]
         assert all(err > 0.0 for err in report["uncertainties"].values())
 
     def test_inversion_of_the_synthetic_tables(self):
         params, baths, config = preset("si-figure")
-        report = run_synthetic_calibration(params, baths, config, seed=1, noise_level=0.01)
+        report = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=1,
+                                           noise_level=0.01)
         tables = report["measurements"]
         assert sorted(tables) == ["linewidth_vs_power", "output_floor", "s21_db",
                                   "sideband_anti_stokes", "sideband_stokes",
                                   "thermometry_minus", "thermometry_plus"]
-        only_s21 = invert_measurements(params, config, {"s21_db": tables["s21_db"]})
+        only_s21 = invert_measurements(params, config, {"s21_db": tables["s21_db"]},
+                                       lambda_conv=0.27)
         assert sorted(only_s21) == ["c_out_fit", "delta_minus", "delta_plus"]
         for key, value in only_s21.items():
             assert report[key] == value
@@ -335,8 +340,10 @@ class TestSyntheticPipeline:
     ])
     def test_each_table_writes_only_its_own_keys(self, name, keys):
         params, baths, config = preset("si-figure")
-        report = run_synthetic_calibration(params, baths, config, seed=1, noise_level=0.01)
-        alone = invert_measurements(params, config, {name: report["measurements"][name]})
+        report = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=1,
+                                           noise_level=0.01)
+        alone = invert_measurements(params, config, {name: report["measurements"][name]},
+                                    lambda_conv=0.27)
         errors = alone.pop("uncertainties", {})
         assert sorted(alone) + sorted(f"uncertainties.{k}" for k in errors) == keys
         assert alone == {k: report[k] for k in alone}
@@ -346,7 +353,7 @@ class TestSyntheticPipeline:
         # doubling the blue probe's photons doubles gamma_opt^-, which halves
         # n_minus_fit of the same Stokes table and leaves n_plus_fit alone
         params, baths, config = preset("main-text")
-        tables = run_synthetic_calibration(params, baths, config, seed=2,
+        tables = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=2,
                                            noise_level=0.01)["measurements"]
         sidebands = {name: tables[name] for name in ("sideband_anti_stokes", "sideband_stokes")}
         blue = config.tone("blue_probe")
@@ -355,8 +362,8 @@ class TestSyntheticPipeline:
             for t in config.tones))
         assert louder.tone("blue_probe").gamma_opt(params) == \
             pytest.approx(2.0 * blue.gamma_opt(params), rel=1e-12)
-        base = invert_measurements(params, config, sidebands)
-        moved = invert_measurements(params, louder, sidebands)
+        base = invert_measurements(params, config, sidebands, lambda_conv=0.27)
+        moved = invert_measurements(params, louder, sidebands, lambda_conv=0.27)
         assert moved["n_plus_fit"] == base["n_plus_fit"]
         assert moved["n_minus_fit"] == pytest.approx(base["n_minus_fit"] / 2.0, rel=1e-12)
 
@@ -364,10 +371,11 @@ class TestSyntheticPipeline:
                                             ("sideband_stokes", "blue_probe")])
     def test_sideband_without_its_probe_is_a_config_error(self, name, role):
         params, baths, config = preset("main-text")
-        table = run_synthetic_calibration(params, baths, config)["measurements"][name]
+        table = run_synthetic_calibration(params, baths, config, lambda_conv=0.27, seed=0,
+                                          noise_level=0.0)["measurements"][name]
         lone = ToneConfig(tones=tuple(t for t in config.tones if t.role != role))
         with pytest.raises(ConfigError, match=f"{name}.csv needs the {role} tone"):
-            invert_measurements(params, lone, {name: table})
+            invert_measurements(params, lone, {name: table}, lambda_conv=0.27)
 
     def test_shunt_correction_validity_gate(self):
         # |Delta(omega_+-)| >= 1 leaves the first-order correction; oracle-demo's
@@ -377,14 +385,15 @@ class TestSyntheticPipeline:
         f_hz = (params.omega_c + np.linspace(-span, span, 801)) / TWO_PI
         mag = np.abs(s21_shunt(params, ShuntModel(c_out=2.7e-15), TWO_PI * f_hz))
         with pytest.raises(ValidityError, match=r"Delta_plus = -1\.897.*C_out = 2\.7 fF"):
-            invert_measurements(params, config, {"s21_db": (f_hz, 20.0 * np.log10(mag))})
+            invert_measurements(params, config, {"s21_db": (f_hz, 20.0 * np.log10(mag))},
+                                lambda_conv=0.27)
 
     def test_noisy_g0_statistics(self):
         params, baths, config = preset("main-text")
         errs = []
         for seed in range(50):
-            report = run_synthetic_calibration(params, baths, config, seed=seed,
-                                               noise_level=0.01)
+            report = run_synthetic_calibration(params, baths, config, lambda_conv=0.27,
+                                               seed=seed, noise_level=0.01)
             errs.append(report["g0_rel_err"])
         assert max(errs) < 0.10
 

@@ -416,6 +416,23 @@ class TestNoiseConstraintCommand:
         assert red == blue
         assert red["red"] != red["blue"]
 
+    @pytest.mark.parametrize("command", ["noise-constraint", "asymmetry", "spectrum", "calibrate"])
+    def test_off_sideband_probes_are_a_detuning_gate(self, tmp_path, capsys, command):
+        # oracle-demo's two-port device with both probes kappa/2 off their
+        # sidebands: the detector correlators take the pump on its sideband,
+        # as the closed forms of the other commands do
+        params, baths, _ = preset("oracle-demo")
+        cfg = ToneConfig.balanced(params, delta=params.kappa / 2.0,
+                                  probe_gamma_opt=TWO_PI * 200.0)
+        path = tmp_path / "cfg.json"
+        save_config(path, params, baths, cfg)
+        out = tmp_path / "out"
+        argv = {"noise-constraint": [], "asymmetry": [], "spectrum": ["--out", str(out)],
+                "calibrate": ["--synthetic", "--out", str(out)]}[command]
+        assert main([command, "--config", str(path), *argv]) == 3
+        assert capsys.readouterr().err.startswith("ValidityError: detuning gate: ")
+        assert not any(out.glob("*"))
+
     def test_internal_loss_gate(self, tmp_path, capsys):
         params, baths, config = preset("si-figure")  # kappa_i > 0
         path = tmp_path / "cfg.json"
@@ -597,6 +614,31 @@ class TestCalibrateCommand:
         assert rc == 2
         kind, message = error.split(": ", 1)
         assert capsys.readouterr().err == f"{kind}: {table}.csv: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("table, every, value, column, domain", [
+        ("linewidth_vs_power", False, "-25.0", "gamma_tot_hz", "> 0"),
+        ("linewidth_vs_power", True, "0.0", "gamma_tot_hz", "> 0"),
+        ("sideband_stokes", False, "-0.5", "value_quanta", "> 0"),
+        ("thermometry_minus", False, "-1e-07", "power_ratio", ">= 0"),
+    ], ids=["negative-linewidth", "all-zero-linewidths", "negative-sideband-quanta",
+            "negative-power-ratio"])
+    def test_a_value_outside_its_domain_is_named_config_error(self, tmp_path, capsys, table,
+                                                              every, value, column, domain):
+        # the tables of a synthetic run with one value of a table (its line 4), or
+        # every value, where no measurement can be; each fit would return a report
+        data = synthetic_tables_with(tmp_path, table, value if every else None)
+        path = data / f"{table}.csv"
+        if not every:
+            lines = path.read_text().splitlines()
+            lines[3] = f"{lines[3].split(',')[0]},{value}"
+            path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"ConfigError: {path}:{2 if every else 4}: column 2, "
+                                           f"{column}, must be {domain}, got {float(value)!r}\n")
         assert not (tmp_path / "out").exists()
 
     def test_malformed_csv_is_named_config_error(self, tmp_path, capsys):
@@ -882,6 +924,20 @@ class TestOracleCompareCommand:
                    "--trajectories", "8", "--segments", "100", "--out", str(out)])
         assert rc == 3
         assert capsys.readouterr().err.startswith("ValidityError: lone-probe gate: ")
+        assert not out.exists()
+
+    def test_probe_pair_on_the_sidebands_is_a_separation_gate(self, tmp_path, capsys):
+        # oracle-demo's probes rebuilt at delta = 0: the two sidebands share one
+        # frequency, which the Monte-Carlo peak measurement cannot separate
+        params, baths, _ = preset("oracle-demo")
+        path = tmp_path / "cfg.json"
+        save_config(path, params, baths,
+                    ToneConfig.balanced(params, delta=0.0, probe_gamma_opt=TWO_PI * 200.0))
+        out = tmp_path / "out"
+        rc = main(["oracle-compare", "--config", str(path), "--trajectories", "8",
+                   "--segments", "100", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("ValidityError: sideband separation gate: ")
         assert not out.exists()
 
     def test_memory_guard_is_a_config_error(self, tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Each validity gate has one home that every public form passes.
 
-The good-cavity limit omega_m > kappa is decided in the scattering detuning
-gate (every single-tone and multitone form) and in the detector correlators
-(every linear-response form); a tone configuration refuses a tone without a
-probe or cooling role and a tone on the wrong side of the cavity for its role
-when it is built, and `ToneConfig.delta_c` refuses a cooling tone not detuned
-beyond the probes wherever the multitone forms or the oracle read it.
+The scattering detuning gate decides the good-cavity limit omega_m > kappa,
+then refuses a tone kappa/4 or more from its sideband, for every
+single-tone, multitone and linear-response form (the detector correlators
+pass it before their two-port gate); a tone configuration refuses a tone
+without a probe or cooling role and a tone on the wrong side of the cavity
+for its role when it is built, and `ToneConfig.delta_c` refuses a cooling
+tone not detuned beyond the probes wherever the multitone forms or the
+oracle read it.
 """
 
 import numpy as np
@@ -14,8 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sideband_lab.errors import ConfigError, ValidityError
-from sideband_lab.langevin import SimConfig
-from sideband_lab.linear_response import detector_correlators, output_spectrum_lr
+from sideband_lab.linear_response import (
+    detector_correlators,
+    output_spectrum_lr,
+    resonance_correlators,
+)
 from sideband_lab.model import CONFIG_ROLES, TWO_PI, BathSpec, ToneConfig, ToneSpec
 from sideband_lab.multitone import full_rwa_spectrum, multitone_spectra, sideband_weights
 from sideband_lab.presets import PRESET_NAMES, preset
@@ -27,7 +32,14 @@ from sideband_lab.scattering import (
     single_tone_spectrum,
 )
 
-from conftest import balanced_config, make_params, random_baths, random_system, tone_with_gamma_opt
+from conftest import (
+    balanced_config,
+    default_layout,
+    make_params,
+    random_baths,
+    random_system,
+    tone_with_gamma_opt,
+)
 
 
 @settings(max_examples=50, deadline=None)
@@ -61,6 +73,36 @@ def test_bad_cavity_is_refused_by_every_closed_form(seed, factor, u, role):
             form()
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       miss=st.floats(min_value=0.26, max_value=3.0),
+       side=st.sampled_from((-1, +1)),
+       role=st.sampled_from(("red_probe", "blue_probe")))
+def test_off_sideband_tone_is_refused_by_every_single_tone_form(seed, miss, side, role):
+    # a stable tone at least kappa/4 from its sideband, on a device that may
+    # have internal loss: the detector correlators meet the detuning gate
+    # before their two-port gate, as noise-constraint does
+    rng = np.random.default_rng(seed)
+    p = random_system(rng)
+    baths = random_baths(rng)
+    sideband = p.omega_m if role == "blue_probe" else -p.omega_m
+    tone = tone_with_gamma_opt(p, 0.05 * p.gamma_m, role, sideband + side * miss * p.kappa)
+    grid = np.array([0.0])
+    forms = (
+        lambda: scattering_matrix(p, tone, 0.0),
+        lambda: single_tone_spectrum(p, baths, tone, "symmetrized", grid),
+        lambda: single_tone_integrated_weight(p, baths, tone, "symmetrized"),
+        lambda: integrated_asymmetry(p, baths, tone, "symmetrized"),
+        lambda: output_commutator(p, baths, tone, 0.0),
+        lambda: detector_correlators(p, baths, tone, p.omega_m),
+        lambda: resonance_correlators(p, baths, tone),
+        lambda: output_spectrum_lr(p, baths, tone, grid),
+    )
+    for form in forms:
+        with pytest.raises(ValidityError, match=r"detuning gate: \|\|Delta\| - omega_m\|"):
+            form()
+
+
 def _probe_pair(p, delta):
     return (ToneSpec(detuning=-(p.omega_m + delta), role="red_probe", coupling=TWO_PI * 1e3),
             ToneSpec(detuning=+(p.omega_m + delta), role="blue_probe", coupling=TWO_PI * 1e3))
@@ -76,7 +118,7 @@ def test_cooling_tone_inside_the_probes_is_refused(delta_hz, shortfall_hz):
     cooling = ToneSpec(detuning=-(p.omega_m + delta_c), role="cooling", coupling=TWO_PI * 1e3)
     cfg = ToneConfig(tones=(*_probe_pair(p, delta), cooling))
     for gate in (lambda: cfg.delta_c(p), lambda: sideband_weights(p, BathSpec(), cfg),
-                 lambda: SimConfig.auto(p, cfg)):
+                 lambda: default_layout(p, cfg)):
         with pytest.raises(ConfigError, match="must exceed delta"):
             gate()
 

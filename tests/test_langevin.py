@@ -42,7 +42,7 @@ from sideband_lab.presets import preset
 from sideband_lab.scattering import single_tone_integrated_weight, single_tone_spectrum
 from sideband_lab.sde import propagator
 
-from conftest import equivalence_case, fast_params, tone_with_gamma_opt
+from conftest import default_layout, equivalence_case, fast_params, tone_with_gamma_opt
 
 
 def philox_streams(seed, n):
@@ -85,13 +85,13 @@ class TestNoiseSynthesis:
         """(q, factor) of a red tone: one slot."""
         p = fast_params()
         cfg = ToneConfig(tones=(tone_with_gamma_opt(p, 0.1 * p.gamma_m, "red_probe"),))
-        return propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[1:]
+        return propagator(p, baths, cfg, default_layout(p, cfg).dt)[1:]
 
     @staticmethod
     def cooled_propagator():
         """(q, factor) of the cooled case: one per Floquet slot."""
         p, baths, cfg, _ = equivalence_case("cooling")
-        return propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[1:]
+        return propagator(p, baths, cfg, default_layout(p, cfg).dt)[1:]
 
     def test_vacuum_per_sample_variance(self):
         # vacuum inputs: the draw has the exact one-step covariance Q
@@ -198,7 +198,7 @@ class TestBitwiseReference:
     @pytest.mark.parametrize("ntraj", [1, 3, 16])
     def test_noise(self, name, first_step, n_steps, ntraj):
         p, baths, cfg = bitwise_case(name)
-        factor = propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[2]
+        factor = propagator(p, baths, cfg, default_layout(p, cfg).dt)[2]
         assert (len(factor) > 1) == (name == "cooled")
         eta = synthesize_input_noise(factor, philox_streams(5, ntraj), first_step, n_steps)
         assert eta.shape == (n_steps, 6, ntraj)
@@ -477,7 +477,7 @@ class TestFootprint:
         # 35 x 64 Van Loan matrices at once took over five times their size
         p, baths, cfg, _ = equivalence_case("cooling")
         save_config(tmp_path / "cooled.json", p, baths, cfg)
-        slots = len(propagator(p, baths, cfg, SimConfig.auto(p, cfg).dt)[0])
+        slots = len(propagator(p, baths, cfg, default_layout(p, cfg).dt)[0])
         stack = slots * sde.SUBSTEPS * 12 * 12 * 8
         bare = fresh_peak(tmp_path, "import sideband_lab.cli, numpy.random, numpy.fft")
         run = fresh_peak(tmp_path, "import os; os.sched_getaffinity = lambda pid: {0}; "

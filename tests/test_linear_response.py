@@ -7,13 +7,19 @@ from sideband_lab.linear_response import (
     heisenberg_gap,
     output_spectrum_lr,
     resonance_correlators,
-    sxx_backaction,
     sxx_effective,
 )
 from sideband_lab.model import BathSpec, Spectrum
-from sideband_lab.scattering import noise_floor, single_tone_integrated_weight
+from sideband_lab.scattering import noise_floor
 
-from conftest import integrated_weight, make_params, random_baths, random_system, tone_with_gamma_opt
+from conftest import (
+    integrated_weight,
+    make_params,
+    random_baths,
+    random_system,
+    tone_with_gamma_opt,
+    weak_coupling_weight,
+)
 
 
 def two_port_params(**kw):
@@ -98,16 +104,6 @@ class TestSxxEffective:
         bare = -np.imag(chi) * (1.0 + 2.0 * baths.n_m)
         np.testing.assert_allclose(avg, bare, rtol=1e-4)
 
-    def test_backaction_accessor(self):
-        p = two_port_params(gamma_m_hz=10.0)
-        tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, "red_probe")
-        grid = np.linspace(-2, 2, 21) * p.gamma_m
-        weak = sxx_effective(p, BathSpec(n_m=1.0), tone, grid)
-        full = sxx_effective(p, BathSpec(n_m=1.0), tone, grid, weak_coupling=False)
-        ba = sxx_backaction(p, BathSpec(n_m=1.0), tone, grid)
-        np.testing.assert_allclose(full.values, weak.values + ba.values, rtol=1e-12)
-        assert np.all(ba.values > 0)
-
 
 _VACUUM_WEIGHTS = [dict(zip(("alpha_r", "alpha_l", "alpha_i", "beta"), w))
                    for w in [(1.0, 1.0, 1.0, 1.0),
@@ -130,8 +126,7 @@ class TestOutputSpectrumCrossFormulation:
             floor_lr = output_spectrum_lr(p, baths, undriven, np.array([0.0])).values[0]
             assert floor_lr == pytest.approx(noise_floor(p, baths), rel=1e-3)
             w_lr = integrated_weight(Spectrum(grid, lr.values - floor_lr), 0.0, center=0.0)
-            w_scatt = single_tone_integrated_weight(p, baths, tone, "symmetrized",
-                                                    weak_coupling=True)
+            w_scatt = weak_coupling_weight(p, baths, tone)
             assert w_lr == pytest.approx(w_scatt, rel=1e-3)
 
     def test_thermal_squashing_negative_weight(self):
@@ -144,8 +139,7 @@ class TestOutputSpectrumCrossFormulation:
         lr = output_spectrum_lr(p, baths, tone, grid)
         floor_lr = output_spectrum_lr(p, baths, undriven, np.array([0.0])).values[0]
         w_lr = integrated_weight(Spectrum(grid, lr.values - floor_lr), 0.0, center=0.0)
-        w_scatt = single_tone_integrated_weight(p, baths, tone, "symmetrized",
-                                                weak_coupling=True)
+        w_scatt = weak_coupling_weight(p, baths, tone)
         assert w_lr < 0
         assert w_lr == pytest.approx(w_scatt, rel=1e-3)
 

@@ -123,8 +123,7 @@ class TestStabilityGate:
         lambda p, b, c: averaged_occupation(p, b, c),
         lambda p, b, c: sideband_weights(p, b, c),
         lambda p, b, c: multitone_integrated_asymmetry(p, b, c),
-        lambda p, b, c: multitone_spectra(p, b, c, "symmetrized", np.array([0.0]),
-                                          enforce_separation=False),
+        lambda p, b, c: multitone_spectra(p, b, c, "symmetrized", np.array([0.0])),
     ], ids=["sxx_integrated_weight", "sxx_spectrum", "averaged_occupation",
             "sideband_weights", "multitone_integrated_asymmetry", "multitone_spectra"])
     def test_unstable_drive_raises(self, form):
@@ -294,8 +293,6 @@ class TestMultitoneSpectra:
                               delta_c=TWO_PI * 5e3, cooling_gamma_opt=TWO_PI * 100.0)
         with pytest.raises(ValidityError, match="separation"):
             multitone_spectra(p, BathSpec(), cfg, "symmetrized", np.array([0.0]))
-        multitone_spectra(p, BathSpec(), cfg, "symmetrized", np.array([0.0]),
-                          enforce_separation=False)
 
 
 class TestIntegratedAsymmetry:
@@ -327,8 +324,7 @@ class TestIntegratedAsymmetry:
             ))
             gamma_tot = cfg.gamma_tot(p)
             grid = np.linspace(-50, 50, 20001) * gamma_tot
-            spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid,
-                                        enforce_separation=False)
+            spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid)
             diff = Spectrum(grid, spectra["stokes"].values - spectra["anti_stokes"].values)
             quad = integrated_weight(diff, 0.0, center=0.0)
             assert quad == pytest.approx(multitone_integrated_asymmetry(p, baths, cfg),

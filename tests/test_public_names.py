@@ -42,9 +42,6 @@ TEST_CARRIED = {
         "test_acceptance.py::test_criterion_5_linear_response_scattering_equivalence and "
         "test_linear_response.py::TestOutputSpectrumCrossFormulation: linear response == "
         "scattering",
-    "linear_response.sxx_backaction":
-        "test_linear_response.py::TestSxxEffective::test_backaction_accessor: the backaction "
-        "term that sxx_effective adds beyond weak coupling",
     "calibration.noise_floor_increase":
         "test_calibration.py::TestNoiseFloorLedger and TestSidebandDifferenceAndAverage::"
         "test_consistency_with_spectral_weights: the paper's calibration closure",
@@ -128,6 +125,19 @@ def _assigned(tree: ast.Module) -> set[str]:
     return names
 
 
+def resolver(trees: dict[str, ast.Module]):
+    """origin(module, name): the (module, name) that defines a name that package
+    module ``module`` binds, through its imports and the re-exports they reach."""
+    imports = {name: _imports(tree) for name, tree in trees.items()}
+
+    def origin(module, name):
+        while name in imports.get(module, {}):
+            module, name = imports[module][name]
+        return module, name
+
+    return origin
+
+
 def scan(modules: dict[str, str], callers: list[str]) -> tuple[list[str], list[str]]:
     """(public names no caller reads, exports a module neither defines nor reads).
 
@@ -135,13 +145,7 @@ def scan(modules: dict[str, str], callers: list[str]) -> tuple[list[str], list[s
     are the sources of scripts and benchmarks, which only read.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
-    imports = {name: _imports(tree) for name, tree in trees.items()}
-
-    def origin(module, name):  # the module that defines a name bound from ``module``
-        while name in imports.get(module, {}):
-            module, name = imports[module][name]
-        return module, name
-
+    origin = resolver(trees)
     # (module, name) or the attribute name of every read, with the definitions around it
     reads = []
     for module, tree in [*trees.items(), *((None, ast.parse(source)) for source in callers)]:

@@ -135,7 +135,6 @@ class TestScatteringMatrix:
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         with pytest.raises(ValidityError, match="window"):
             scattering_matrix(p, tone, 0.3 * p.kappa)
-        scattering_matrix(p, tone, 0.3 * p.kappa, enforce_window=False)
 
     def test_good_cavity_gate(self):
         p = make_params(omega_m_hz=100e3)

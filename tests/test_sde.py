@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import sideband_lab.sde as sde
-from sideband_lab.langevin import SimConfig
 from sideband_lab.model import TWO_PI, BathSpec, ToneConfig
 from sideband_lab.presets import preset
 from sideband_lab.sde import _expm, _sde_matrices, _squarings, propagator
 
-from conftest import equivalence_case, fast_params, tone_with_gamma_opt
+from conftest import default_layout, equivalence_case, fast_params, tone_with_gamma_opt
 
 
 class TestMatrixExponential:
@@ -27,7 +26,7 @@ class TestMatrixExponential:
         params, baths, cfg = equivalence_case("cooling")[:3] if name == "cooled" else preset(name)
         calls = []  # the Van Loan blocks propagator exponentiates and their squarings, per call
         monkeypatch.setattr(sde, "_expm", lambda m, s: calls.append((m, s)) or _expm(m, s))
-        phi = propagator(params, baths, cfg, SimConfig.auto(params, cfg).dt)[0]
+        phi = propagator(params, baths, cfg, default_layout(params, cfg).dt)[0]
         # one call per substep, each with one block per slot
         assert len(calls) == (1 if len(phi) == 1 else sde.SUBSTEPS)
         for m, s in calls:
@@ -81,7 +80,7 @@ class TestVanLoanBySubstep:
 
     def test_cooled_case(self):
         p, baths, cfg, _ = equivalence_case("cooling")
-        dt = SimConfig.auto(p, cfg).dt
+        dt = default_layout(p, cfg).dt
         propagator(p, baths, cfg, dt)  # lazy imports and caches out of the measurement
         tracemalloc.start()
         try:
@@ -107,7 +106,7 @@ class TestPropagator:
         red = ToneConfig(tones=(tone_with_gamma_opt(p, 0.2 * p.gamma_m, "red_probe"),))
         bp, bbaths, balanced, _ = equivalence_case("balanced")
         for params, baths, cfg in ((p, BathSpec(n_m=50.0), red), (bp, bbaths, balanced)):
-            dt = SimConfig.auto(params, cfg).dt
+            dt = default_layout(params, cfg).dt
             (phi,), (q,), _ = propagator(params, baths, cfg, dt)
             (phi2,), (q2,), _ = propagator(params, baths, cfg, 2.0 * dt)
             np.testing.assert_allclose(phi2, phi @ phi, rtol=1e-12, atol=1e-15)
