@@ -145,7 +145,7 @@ class OccupationFit:
     n_r: float
     amplifier_floor: float
     residual_norm: float
-    n_r_err: float = float("nan")
+    n_r_err: float
 
 
 def output_floor_model(params: SystemParams, lambda_conv: float, offsets, n_r: float,
@@ -266,7 +266,7 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     "output_floor" gives n_r_fit, n_r_err and amplifier_floor_fit;
     "thermometry_plus"/"_minus" give conversion_slope_plus/_minus, the slope
     through the origin of the red/blue probe's power ratio against the Bose
-    occupation (DegenerateData if 0 or not finite), and both give
+    occupation (DegenerateData below two rows or if 0 or not finite), and both give
     conversion_ratio (DegenerateData if not finite); "sideband_anti_stokes"/
     "sideband_stokes" give n_plus_fit/n_minus_fit, a Lorentzian weight over
     (kappa_r/kappa) gamma_opt of the red/blue probe (a ConfigError without
@@ -306,6 +306,8 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
                        amplifier_floor_fit=occ.amplifier_floor)
             uncertainties["n_r"] = occ.n_r_err
         elif table in ("thermometry_plus", "thermometry_minus"):
+            if len(x) < 2:
+                raise DegenerateData("need at least two (temperature, power ratio) points")
             n_m = np.array([bose_occupation(t, params.omega_m) for t in x.tolist()])
             slope = float(n_m @ y / (n_m @ n_m))
             if slope == 0.0 or not math.isfinite(slope):

@@ -60,9 +60,6 @@ def cmd_spectrum(args) -> int:
         raise ConfigError(f"--points must be at least 2, got {args.points}")
     _require_positive("--span-linewidths", args.span_linewidths)
     kind = {"sym": "symmetrized", "normal": "normal_ordered"}[args.kind]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "spectrum.csv"
 
     if args.mode == "single":
         tone = config.tone(f"{args.sign}_probe")
@@ -70,15 +67,20 @@ def cmd_spectrum(args) -> int:
             raise ConfigError(f"config has no {args.sign}_probe tone")
         gamma_tot = ToneConfig(tones=(tone,)).gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
-        write_spectrum_csv(path, single_tone_spectrum(params, baths, tone, kind, grid))
+        spectrum = single_tone_spectrum(params, baths, tone, kind, grid)
     elif args.mode == "multitone":
         gamma_tot = config.gamma_tot(params)
         grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
-        write_components_csv(path, multitone_spectra(params, baths, config, kind, grid))
+        spectrum = multitone_spectra(params, baths, config, kind, grid)
     else:  # full-rwa
         delta = config.delta(params)
         grid = np.linspace(-4.0 * delta, 4.0 * delta, args.points)
-        write_components_csv(path, full_rwa_spectrum(params, baths, config, grid, kind=kind))
+        spectrum = full_rwa_spectrum(params, baths, config, grid, kind=kind)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / "spectrum.csv"
+    write = write_spectrum_csv if args.mode == "single" else write_components_csv
+    write(path, spectrum)
 
     desc = describe_run(params, baths, config, extra={
         "command": "spectrum", "kind": kind, "mode": args.mode, "sign": args.sign,

@@ -11,8 +11,9 @@ weights and centres from it, taking every feature to be a Lorentzian of full
 width gamma_tot. Trajectory j draws six standard normals per step from its
 own Philox-4x64-10 stream, SeedSequence(seed, spawn_key=(j,)), and its
 arithmetic is elementwise, so it is the same whatever the number of
-trajectories run beside it. The module needs numpy only; `SimConfig` refuses
-a layout whose output samples would take more than 2 GiB.
+trajectories run beside it. The module needs numpy only; `SimConfig` bounds
+the run length, refusing a layout whose output samples would take more than
+2 GiB, although no process holds them unless a caller records them.
 
 Layout of the hot path. A worker runs its trajectories in blocks of at most
 BLOCK = 64, one block after another through one set of buffers, allocated
@@ -64,7 +65,7 @@ import math
 import mmap
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +80,7 @@ RNG_ALGORITHM = "numpy-philox-4x64-10"
 CHUNK = 256  # output steps drawn at a time
 BLOCK = 64  # trajectories a worker integrates at a time, which bounds its buffers
 WELCH_BLOCK = 4  # trajectories transformed at once, which bounds the transform buffer
-MAX_OUTPUT_BYTES = 2 * 2**30  # memory guard on the output samples a run produces
+MAX_OUTPUT_BYTES = 2 * 2**30  # run-length bound: the bytes a run's output samples would take
 
 __all__ = ["SimConfig", "TrajectoryOutput", "integrate_langevin", "oracle_compare",
            "RNG_ALGORITHM"]
@@ -115,8 +116,9 @@ class SimConfig:
             raise ConfigError("burn_in must satisfy 0 <= burn_in < n_steps")
         output = 16 * self.n_trajectories * (self.n_steps - self.burn_in)  # complex128
         if output > MAX_OUTPUT_BYTES:
-            raise ConfigError(f"the output would take {output / 2**30:.3g} GiB, more than the "
-                              f"{MAX_OUTPUT_BYTES / 2**30:g} GiB memory guard; "
+            raise ConfigError(f"the run is too long: its output samples would take "
+                              f"{output / 2**30:.3g} GiB, more than the "
+                              f"{MAX_OUTPUT_BYTES / 2**30:g} GiB run-length bound; "
                               "ask for fewer segments or trajectories")
 
     @classmethod
@@ -152,17 +154,17 @@ class TrajectoryOutput:
     averaged over ``sampling`` seconds per sample; ``segments`` counts them
     over all trajectories. Also the Floquet ``slots``, stage ``timings`` and
     the output samples, (n_trajectories, n_steps - burn_in) if the run
-    recorded them, else (n_trajectories, 0). ``decimation`` (1) is kept for
-    the tracer. `integrate_langevin` refuses non-finite samples; this class
-    checks nothing."""
+    recorded them, else (n_trajectories, 0). ``decimation``, a class
+    attribute and no field, is 1 for the tracer. `integrate_langevin` refuses
+    non-finite samples; this class checks nothing."""
 
     power: np.ndarray
     segments: int
     sampling: float
     output_field: np.ndarray
-    slots: int = 1
-    timings: dict = field(default_factory=dict)
-    decimation: int = 1
+    slots: int
+    timings: dict
+    decimation = 1
 
 
 def _slot_coefficients(matrices: np.ndarray, first_step: int, n_steps: int) -> np.ndarray:

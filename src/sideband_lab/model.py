@@ -174,7 +174,7 @@ class ToneSpec:
     """
 
     detuning: float  # omega_pump - omega_c, signed, rad/s
-    role: str = "generic"
+    role: str
     n_photons: float | None = None
     coupling: float | None = None
 
@@ -317,23 +317,15 @@ class ToneConfig:
         return gp
 
     @classmethod
-    def balanced(cls, params: SystemParams, *, delta: float, probe_gamma_opt: float,
-                 delta_c: float | None = None, cooling_gamma_opt: float = 0.0) -> "ToneConfig":
-        """Build the balanced probe pair (optionally plus cooling tone) from target rates."""
+    def balanced(cls, params: SystemParams, *, delta: float,
+                 probe_gamma_opt: float) -> "ToneConfig":
+        """The balanced probe pair at omega_c -+ (omega_m + delta), each with gamma_opt =
+        ``probe_gamma_opt``."""
         g_probe = math.sqrt(probe_gamma_opt * params.kappa) / 2.0
-        tones = [
+        return cls(tones=(
             ToneSpec(detuning=-(params.omega_m + delta), role="red_probe", coupling=g_probe),
             ToneSpec(detuning=+(params.omega_m + delta), role="blue_probe", coupling=g_probe),
-        ]
-        if cooling_gamma_opt > 0.0:
-            if delta_c is None:
-                raise ConfigError("delta_c required when a cooling tone is present")
-            g_cool = math.sqrt(cooling_gamma_opt * params.kappa) / 2.0
-            tones.append(ToneSpec(detuning=-(params.omega_m + delta_c), role="cooling",
-                                  coupling=g_cool))
-        config = cls(tones=tuple(tones))
-        config.delta_c(params)  # the cooling-order gate, met as a loaded file meets it
-        return config
+        ))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ import math
 from .errors import ConfigError
 from .model import TWO_PI, BathSpec, SystemParams, ToneConfig, ToneSpec
 
-PRESET_NAMES = ("main-text", "si-figure", "oracle-demo")
-
 __all__ = ["PRESET_NAMES", "preset"]
 
 
@@ -74,6 +72,7 @@ _BUILDERS = {
     "si-figure": _si_figure,
     "oracle-demo": _oracle_demo,
 }
+PRESET_NAMES = tuple(_BUILDERS)
 
 
 def preset(name: str) -> tuple[SystemParams, BathSpec, ToneConfig]:

@@ -63,7 +63,7 @@ class ScatteringMatrix:
 
     entries: np.ndarray
     detuning_sign: int
-    s_loss: complex = 0.0 + 0.0j
+    s_loss: complex
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -210,18 +210,16 @@ def _lorentzian(params: SystemParams, baths: BathSpec, tone: ToneSpec,
 
 
 def single_tone_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec,
-                         kind: str, grid: np.ndarray, *,
-                         enforce_window: bool = True) -> Spectrum:
+                         kind: str, grid: np.ndarray) -> Spectrum:
     """Closed-form output spectrum on a lab-offset grid x = omega - omega_c.
 
     A Lorentzian of the exact width gamma_tot = gamma_m +- gamma_opt; it
-    agrees with the scattering-row composition at every point. Only tests,
-    which integrate the feature beyond kappa/4, lift the window gate.
+    agrees with the scattering-row composition at every point of the window
+    gate |x| < kappa/4.
     """
     amplitude, width = _lorentzian(params, baths, tone, kind)
     x = np.asarray(grid, dtype=float)
-    if enforce_window:
-        _window_gate(params, x)
+    _window_gate(params, x)
     return Spectrum(x, noise_floor(params, baths, kind) + amplitude / (x**2 + width**2 / 4.0))
 
 
@@ -237,14 +235,13 @@ def single_tone_integrated_weight(params: SystemParams, baths: BathSpec, tone: T
 
 
 def imbalance(params: SystemParams, baths: BathSpec, tone: ToneSpec, kind: str,
-              grid: np.ndarray, *, enforce_window: bool = True) -> Spectrum:
+              grid: np.ndarray) -> Spectrum:
     """Pointwise blue-minus-red difference of ``tone`` and its mirror image
     (`ToneSpec.sidebands`), both spectra re-centered on their peaks.
 
     The grid is the common offset-from-peak axis; the constant floor cancels.
     """
-    red, blue = (single_tone_spectrum(params, baths, t, kind, grid, enforce_window=enforce_window)
-                 for t in tone.sidebands())
+    red, blue = (single_tone_spectrum(params, baths, t, kind, grid) for t in tone.sidebands())
     return Spectrum(np.asarray(grid, dtype=float), blue.values - red.values)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from sideband_lab.langevin import SimConfig
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, ToneSpec
-from sideband_lab.scattering import single_tone_integrated_weight
+from sideband_lab.scattering import _lorentzian, noise_floor, single_tone_integrated_weight
 
 
 def make_params(*, kappa_l_hz=155e3, kappa_r_hz=450e3, kappa_i_hz=265e3,
@@ -60,10 +60,25 @@ def random_baths(rng: np.random.Generator, *, max_n=5.0) -> BathSpec:
 
 def balanced_config(params: SystemParams, *, delta: float, probe_gamma_opt: float,
                     delta_c: float | None = None, cooling_gamma_opt: float = 0.0) -> ToneConfig:
-    return ToneConfig.balanced(
-        params, delta=delta, probe_gamma_opt=probe_gamma_opt, delta_c=delta_c,
-        cooling_gamma_opt=cooling_gamma_opt,
-    )
+    """`ToneConfig.balanced`'s probe pair, plus a cooling tone at omega_c - (omega_m +
+    delta_c) when ``cooling_gamma_opt`` > 0; the cooling-order gate runs as a loaded
+    file meets it."""
+    config = ToneConfig.balanced(params, delta=delta, probe_gamma_opt=probe_gamma_opt)
+    if cooling_gamma_opt > 0.0:
+        g_cool = math.sqrt(cooling_gamma_opt * params.kappa) / 2.0
+        cooling = ToneSpec(detuning=-(params.omega_m + delta_c), role="cooling", coupling=g_cool)
+        config = ToneConfig(tones=(*config.tones, cooling))
+    config.delta_c(params)
+    return config
+
+
+def lorentzian_spectrum(params: SystemParams, baths: BathSpec, tone: ToneSpec, kind: str,
+                        grid: np.ndarray) -> Spectrum:
+    """`single_tone_spectrum` without its kappa/4 window gate, built from the same
+    (amplitude, width) and floor: the quadrature tests integrate past the window."""
+    amplitude, width = _lorentzian(params, baths, tone, kind)
+    x = np.asarray(grid, dtype=float)
+    return Spectrum(x, noise_floor(params, baths, kind) + amplitude / (x**2 + width**2 / 4.0))
 
 
 def default_layout(params: SystemParams, config: ToneConfig) -> SimConfig:

@@ -18,7 +18,7 @@ from sideband_lab.dataio import CALIBRATION_TABLES, read_xy_csv
 from sideband_lab.model import TWO_PI, BathSpec, ToneConfig, ToneSpec
 from sideband_lab.presets import PRESET_NAMES, preset
 
-from conftest import make_params, tone_with_gamma_opt
+from conftest import balanced_config, make_params, tone_with_gamma_opt
 
 
 def oracle_demo_variant(tmp_path, *, blue=None, **baths):
@@ -61,8 +61,8 @@ def cooling_variant(tmp_path, row):
     as the gate-consistency ``row`` says."""
     p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_l_hz=20e3,
                     kappa_r_hz=120e3, kappa_i_hz=20e3, gamma_m_hz=300.0)
-    cfg = ToneConfig.balanced(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
-                              delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
+    cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
+                          delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
     d = config_to_dict(p, BathSpec(n_m=80.0), cfg)
     red, blue, cooling = d["tones"]
     if row == "bad-cavity":  # omega_m/2pi = 100 kHz < kappa/2pi = 160 kHz
@@ -431,7 +431,7 @@ class TestNoiseConstraintCommand:
                 "calibrate": ["--synthetic", "--out", str(out)]}[command]
         assert main([command, "--config", str(path), *argv]) == 3
         assert capsys.readouterr().err.startswith("ValidityError: detuning gate: ")
-        assert not any(out.glob("*"))
+        assert not out.exists()
 
     def test_internal_loss_gate(self, tmp_path, capsys):
         params, baths, config = preset("si-figure")  # kappa_i > 0
@@ -603,7 +603,10 @@ class TestCalibrateCommand:
          "RankDeficient: need at least two (power, linewidth) points"),
         ("s21_db", None, 1, "DegenerateData: need at least 5 transmission points"),
         ("output_floor", None, 1, "ConfigError: spectrum must span at least 3*kappa"),
-    ], ids=["flat-sideband", "one-row-linewidth", "one-row-s21", "one-row-floor"])
+        ("thermometry_plus", None, 1,
+         "DegenerateData: need at least two (temperature, power ratio) points"),
+    ], ids=["flat-sideband", "one-row-linewidth", "one-row-s21", "one-row-floor",
+            "one-row-thermometry"])
     def test_a_fit_error_names_its_table(self, tmp_path, capsys, table, value, n_rows, error):
         # each message comes from a fit that does not know the file; the
         # inversion names the table once and keeps the class and exit code
@@ -940,11 +943,11 @@ class TestOracleCompareCommand:
         assert capsys.readouterr().err.startswith("ValidityError: sideband separation gate: ")
         assert not out.exists()
 
-    def test_memory_guard_is_a_config_error(self, tmp_path, capsys):
+    def test_run_length_bound_is_a_config_error(self, tmp_path, capsys):
         rc = main(["oracle-compare", "--preset", "oracle-demo", "--segments", "100000000",
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "GiB memory guard" in capsys.readouterr().err
+        assert "GiB run-length bound" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the workers run inline without os.fork")

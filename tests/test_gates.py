@@ -129,7 +129,8 @@ def test_cooling_tone_inside_the_probes_is_refused(delta_hz, shortfall_hz):
 def test_generic_tone_is_refused(position, detuning_hz):
     p = make_params()
     tones = list(_probe_pair(p, TWO_PI * 5e3))
-    tones.insert(position, ToneSpec(detuning=TWO_PI * detuning_hz, coupling=TWO_PI * 1e3))
+    tones.insert(position, ToneSpec(detuning=TWO_PI * detuning_hz, role="generic",
+                                    coupling=TWO_PI * 1e3))
     with pytest.raises(ConfigError, match=rf"tones\[{position}\] needs a role"):
         ToneConfig(tones=tuple(tones))
 

@@ -39,10 +39,11 @@ from sideband_lab.langevin import (
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec
 from sideband_lab.multitone import full_rwa_spectrum, sideband_weights
 from sideband_lab.presets import preset
-from sideband_lab.scattering import single_tone_integrated_weight, single_tone_spectrum
+from sideband_lab.scattering import single_tone_integrated_weight
 from sideband_lab.sde import propagator
 
-from conftest import default_layout, equivalence_case, fast_params, tone_with_gamma_opt
+from conftest import (default_layout, equivalence_case, fast_params, lorentzian_spectrum,
+                      tone_with_gamma_opt)
 
 
 def philox_streams(seed, n):
@@ -782,17 +783,17 @@ class TestIntegratorContracts:
     def test_rng_algorithm_documented(self):
         assert "philox" in RNG_ALGORITHM
 
-    def test_memory_guard(self):
-        # 16 bytes per kept output sample and trajectory; arithmetic only
+    def test_run_length_bound(self):
+        # 16 bytes per kept output sample and trajectory, recorded or not; arithmetic only
         layout = dict(dt=1e-6, seed=0, burn_in=10, psd_segments=100)
         limit = MAX_OUTPUT_BYTES // 16
         SimConfig(n_steps=limit // 4 + 10, n_trajectories=4, **layout)
-        with pytest.raises(ConfigError, match="memory guard"):
+        with pytest.raises(ConfigError, match="run-length bound"):
             SimConfig(n_steps=limit // 4 + 11, n_trajectories=4, **layout)
         p, _, cfg = preset("oracle-demo")
         criterion_1 = SimConfig.auto(p, cfg, n_segments=4000, seed=0, n_trajectories=128)
         assert 16 * 128 * (criterion_1.n_steps - criterion_1.burn_in) < 0.05 * MAX_OUTPUT_BYTES
-        with pytest.raises(ConfigError, match="memory guard"):
+        with pytest.raises(ConfigError, match="run-length bound"):
             SimConfig.auto(p, cfg, n_segments=100_000_000, seed=0, n_trajectories=64)
 
 
@@ -862,8 +863,7 @@ class TestMeasurePeak:
             exact = sideband_weights(p, baths, cfg)
         else:
             tone = cfg.tones[0]
-            spec = single_tone_spectrum(p, baths, tone, "symmetrized", grid,
-                                        enforce_window=False)
+            spec = lorentzian_spectrum(p, baths, tone, "symmetrized", grid)
             centers = [0.0]
             exact = [single_tone_integrated_weight(p, baths, tone, "symmetrized")]
         _, weights, centroids = _measure_peak(spec, centers, gamma_tot)

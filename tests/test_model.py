@@ -75,15 +75,15 @@ class TestBathSpec:
 class TestToneSpec:
     def test_exactly_one_of_photons_or_coupling(self):
         with pytest.raises(ConfigError):
-            ToneSpec(detuning=0.0, n_photons=1.0, coupling=1.0)
+            ToneSpec(detuning=0.0, role="generic", n_photons=1.0, coupling=1.0)
         with pytest.raises(ConfigError):
-            ToneSpec(detuning=0.0)
+            ToneSpec(detuning=0.0, role="generic")
 
     @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
     def test_non_finite_detuning_rejected(self, detuning):
         # a NaN would pass every sideband gate and be taken for a blue pump
         with pytest.raises(ConfigError, match="detuning"):
-            ToneSpec(detuning=detuning, coupling=1.0)
+            ToneSpec(detuning=detuning, role="generic", coupling=1.0)
 
     @given(n_p=st.floats(min_value=1e-3, max_value=1e12))
     @settings(max_examples=50)
@@ -106,8 +106,8 @@ class TestToneConfig:
         # detunings off the tones
         p = make_params()
         with pytest.raises(ConfigError, match="must exceed delta"):
-            ToneConfig.balanced(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 1.0,
-                                delta_c=TWO_PI * 1e3, cooling_gamma_opt=TWO_PI * 10.0)
+            balanced_config(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 1.0,
+                            delta_c=TWO_PI * 1e3, cooling_gamma_opt=TWO_PI * 10.0)
         delta = TWO_PI * 5e3
         probes = balanced_config(p, delta=delta, probe_gamma_opt=TWO_PI * 1.0).tones
         for delta_c in (0.2 * delta, delta):

@@ -3,17 +3,20 @@
 An option is a parameter with a default. The public functions are those of
 `test_public_names.py`: module-level functions, public methods of public
 classes, and a public class's ``__init__``, which a call of the class
-reaches. The callers are the calls in `src/`, in `scripts/` and in the
-bench's files outside its tests. Some call must leave each option out and
-some call must set it: an option that no caller sets is a branch that no run
-takes, and a default that no caller leaves out is a second copy of a value
-the caller holds already, such as an argparse default of the CLI. A call
-that passes an enclosing function's option of the same name on unchanged
-neither sets nor leaves out the option, since the enclosing function's
-callers decide it; passing on a required parameter sets it. A call of
-``*args`` or ``**kwargs`` sets every option. Calls resolve as reads do in
-`test_public_names.py`: a bare name through the imports, an attribute to
-every public function, method and class that it spells. A function with
+reaches. A ``@dataclass`` class without its own ``__init__`` gets the one
+the decorator writes: its parameters are the annotated fields in order,
+``ClassVar`` annotations and plain class attributes aside, and a field with
+a value is an option. The callers are the calls in `src/`, in `scripts/` and
+in the bench's files outside its tests. Some call must leave each option out
+and some call must set it: an option that no caller sets is a branch that no
+run takes, and a default that no caller leaves out is a second copy of a
+value the caller holds already, such as an argparse default of the CLI. A
+call that passes an enclosing function's option of the same name on
+unchanged neither sets nor leaves out the option, since the enclosing
+function's callers decide it; passing on a required parameter sets it. A
+call of ``*args`` or ``**kwargs`` sets every option. Calls resolve as reads
+do in `test_public_names.py`: a bare name through the imports, an attribute
+to every public function, method and class that it spells. A function with
 options that a caller reads without calling it is called where the scan
 cannot see, so its options are not checked; the one such function is
 ``cli.main``, which the bench hands to its job runner. An option that only
@@ -27,23 +30,10 @@ from test_public_names import CALLERS, PACKAGE, _imports, resolver
 
 #: options that only tests set: module.function.option -> the tests that set it, and why it stays
 TEST_SET = {
-    "scattering.single_tone_spectrum.enforce_window":
-        "test_scattering.py::TestSingleToneWeight::test_matches_quadrature and test_langevin.py::"
-        "TestMeasurePeak::test_weights_of_exact_spectra integrate the closed form over +-60 "
-        "gamma_tot and the oracle's grid, past the kappa/4 window",
-    "scattering.imbalance.enforce_window":
-        "test_scattering.py::TestIntegratedAsymmetry::test_quadrature_oracle integrates the "
-        "imbalance over +-50 gamma_m, past the kappa/4 window",
     "langevin.integrate_langevin.record_field":
         "the bit-level oracle tests of test_langevin.py compare recorded output samples, and "
         "test_bench_targets.py::test_oracle_counters_read_real_calls checks the tracer's sample "
         "counter against them",
-    "model.ToneConfig.balanced.delta_c":
-        "the cooled test configurations, built through conftest.balanced_config (such as "
-        "equivalence_case('cooling')), add a cooling tone",
-    "model.ToneConfig.balanced.cooling_gamma_opt":
-        "the cooled test configurations, built through conftest.balanced_config (such as "
-        "equivalence_case('cooling')), add a cooling tone",
 }
 
 
@@ -54,9 +44,28 @@ def _options(args: ast.arguments) -> list[str]:
         a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
 
 
+def _class_var(annotation: ast.expr) -> bool:
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return ast.unparse(annotation).rsplit(".", 1)[-1] == "ClassVar"
+
+
+def _fields(node: ast.ClassDef) -> tuple[list[str], list[str]] | None:
+    """(fields, options) of the ``__init__`` that ``@dataclass`` writes for ``node``,
+    or None if ``node`` is no dataclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    if not any(ast.unparse(d) in ("dataclass", "dataclasses.dataclass") for d in decorators):
+        return None
+    fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+              and isinstance(item.target, ast.Name) and not _class_var(item.annotation)]
+    return ([f.target.id for f in fields],
+            [f.target.id for f in fields if f.value is not None])
+
+
 def _signatures(tree: ast.Module) -> dict[str, tuple[list[str], list[str]]]:
     """qualified name -> (the parameters a call binds by position, the options) of every
-    public function of ``tree``; a class's entry is its ``__init__``."""
+    public function of ``tree``; a class's entry is its ``__init__``, written by
+    ``@dataclass`` where the class has none."""
     found = {}
 
     def add(name, node, bound_first):
@@ -67,6 +76,9 @@ def _signatures(tree: ast.Module) -> dict[str, tuple[list[str], list[str]]]:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             add(node.name, node, False)
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            fields = _fields(node)
+            if fields is not None:
+                found[node.name] = fields
             for item in node.body:
                 if not isinstance(item, ast.FunctionDef):
                     continue
@@ -176,20 +188,24 @@ def test_the_scan_finds_a_never_set_option_and_a_never_omitted_default():
               "class E(Exception):\n    def __init__(self, value, message=None):\n"
               "        super().__init__(message)\n"
               "    @classmethod\n    def build(cls, value, note=''):\n        return cls(value)\n"
-              "def main(argv=None):\n    raise E(1)\n"),
+              "def main(argv=None):\n    raise E(1)\n"
+              "from dataclasses import dataclass\nfrom typing import ClassVar\n"
+              "@dataclass(frozen=True)\nclass Row:\n    x: float\n    unit: str = 'Hz'\n"
+              "    tag: str = ''\n    scale: ClassVar[float] = 2.0\n    kind = 'row'\n"),
     }
     callers = [
-        "from sideband_lab import relay\nfrom sideband_lab.a import E, dead, floor, pick, twice\n"
+        "from sideband_lab import relay\nfrom sideband_lab.a import E, Row, dead, floor, pick, twice\n"
         "relay(1)\nrelay(2, k=3)\ndead(4)\ntwice(5, n=6)\npick(7, 'normal')\nfloor(8)\n"
-        "E.build(9)\nE.build(10, 'set')\n",
+        "E.build(9)\nE.build(10, 'set')\nRow(1.0, 'kHz')\nRow(2.0, unit='s')\n",
         "import sideband_lab.a as a\nrun = [a.main]\nlambda x, n=0: a.twice(x, n=n)\n",
     ]
     never_set, never_omitted, escaped = scan(modules, callers)
     # relay passes its option k on to inner, which sets nothing, while pick sets
     # floor's kind from a required parameter; the lambda's forward of n omits
-    # nothing, and main, handed on as a value, goes unchecked
-    assert never_set == ["a.E.message", "a.dead.flag", "a.inner.k"]
-    assert never_omitted == ["a.twice.n"]
+    # nothing, and main, handed on as a value, goes unchecked. Row's fields are
+    # its options, while its ClassVar and plain class attribute are none
+    assert never_set == ["a.E.message", "a.Row.tag", "a.dead.flag", "a.inner.k"]
+    assert never_omitted == ["a.Row.unit", "a.twice.n"]
     assert escaped == ["a.main"]
 
 

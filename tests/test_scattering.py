@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sideband_lab.errors import InstabilityError, ValidityError
-from sideband_lab.model import BathSpec, ToneSpec
+from sideband_lab.model import BathSpec, Spectrum, ToneSpec
 from sideband_lab.scattering import (
     imbalance,
     integrated_asymmetry,
@@ -20,7 +20,8 @@ from sideband_lab.scattering import (
     spectrum_from_scattering,
 )
 
-from conftest import integrated_weight, make_params, random_baths, random_system, tone_with_gamma_opt
+from conftest import (integrated_weight, lorentzian_spectrum, make_params, random_baths, random_system,
+                      tone_with_gamma_opt)
 
 
 def exact_scattering_matrix(params, gamma_opt, sign, offset):
@@ -131,10 +132,16 @@ class TestScatteringMatrix:
             assert term == pytest.approx(sign * (p.kappa_r / p.kappa) * gamma_opt, rel=1e-9)
 
     def test_window_gate(self):
-        p = make_params()
-        tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
-        with pytest.raises(ValidityError, match="window"):
-            scattering_matrix(p, tone, 0.3 * p.kappa)
+        # the spectra pass it too, with no override; a weak tone keeps the
+        # imbalance's blue mirror stable, so the window gate is what refuses
+        p, b = make_params(), BathSpec()
+        tone = tone_with_gamma_opt(p, 0.5 * p.gamma_m, "red_probe")
+        grid = np.array([0.0, 0.3 * p.kappa])
+        for form in (lambda: scattering_matrix(p, tone, 0.3 * p.kappa),
+                     lambda: single_tone_spectrum(p, b, tone, "symmetrized", grid),
+                     lambda: imbalance(p, b, tone, "symmetrized", grid)):
+            with pytest.raises(ValidityError, match="window"):
+                form()
 
     def test_good_cavity_gate(self):
         p = make_params(omega_m_hz=100e3)
@@ -362,7 +369,8 @@ class TestIntegratedAsymmetry:
             for kind in ("symmetrized", "normal_ordered"):
                 closed = integrated_asymmetry(p, b, tone, kind)
                 grid = np.linspace(-50, 50, 40001) * p.gamma_m
-                delta_s = imbalance(p, b, tone, kind, grid, enforce_window=False)
+                red, blue = (lorentzian_spectrum(p, b, t, kind, grid) for t in tone.sidebands())
+                delta_s = Spectrum(grid, blue.values - red.values)
                 quad = integrated_weight(delta_s, 0.0, center=0.0)
                 assert quad == pytest.approx(closed, rel=1e-4)
 
@@ -380,7 +388,7 @@ class TestSingleToneWeight:
         tone = tone_with_gamma_opt(p, 0.2 * p.gamma_m, "red_probe")
         gamma_tot = p.gamma_m + tone.gamma_opt(p)
         grid = np.linspace(-60, 60, 40001) * gamma_tot
-        spec = single_tone_spectrum(p, b, tone, "symmetrized", grid, enforce_window=False)
+        spec = lorentzian_spectrum(p, b, tone, "symmetrized", grid)
         quad = integrated_weight(spec, noise_floor(p, b), center=0.0)
         closed = single_tone_integrated_weight(p, b, tone, "symmetrized")
         assert quad == pytest.approx(closed, rel=1e-5)
