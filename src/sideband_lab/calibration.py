@@ -35,55 +35,32 @@ from .model import (
 from .multitone import multitone_spectra, sideband_weights
 
 __all__ = [
-    "ShuntModel",
-    "OccupationFit",
-    "fit_linewidth_vs_power",
-    "thermometry_ratio",
-    "noise_floor_increase",
-    "sideband_difference_and_average",
-    "fit_output_occupation",
-    "s21_shunt",
-    "s21_bare",
-    "transmission_delta",
-    "delta_from_power_ratio",
-    "fit_shunt_capacitance",
-    "invert_measurements",
-    "run_synthetic_calibration",
+    "OccupationFit", "fit_linewidth_vs_power", "thermometry_ratio", "noise_floor_increase",
+    "sideband_difference_and_average", "fit_output_occupation", "s21_shunt", "s21_bare",
+    "transmission_delta", "delta_from_power_ratio", "fit_shunt_capacitance",
+    "invert_measurements", "run_synthetic_calibration",
 ]
 
 
-R_L = 50.0  # ohms, impedance of the output line
+R_L = 50.0  # ohms, impedance of the output line, shunted by a capacitance c_out in farads
 
 
-@dataclass(frozen=True)
-class ShuntModel:
-    """Output transmission-line discontinuity as a shunt capacitor."""
-
-    c_out: float  # farads, on a line of impedance `R_L`
-
-    def __post_init__(self):
-        if self.c_out < 0.0:
-            raise ConfigError(f"c_out must be >= 0, got {self.c_out!r}")
-
-
-def fit_linewidth_vs_power(points) -> tuple[float, float]:
+def fit_linewidth_vs_power(power, gamma_tot) -> tuple[float, float]:
     """Weighted linear fit of total linewidth versus detected pump power.
 
-    ``points`` is a sequence of (power, gamma_tot) pairs. Returns
+    ``power`` and ``gamma_tot`` are equal-length arrays. Returns
     (gamma_m, slope): the intercept is the intrinsic linewidth and the slope
     is 4 g0^2 / kappa per power unit. Weights assume relative measurement
     error (sigma_i proportional to gamma_i), which keeps the intercept pinned
     by the low-power points of a decades-wide sweep.
     """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+    p, g = np.asarray(power, dtype=float), np.asarray(gamma_tot, dtype=float)
+    if p.ndim != 1 or p.shape != g.shape or p.size < 2:
         raise RankDeficient("need at least two (power, linewidth) points")
-    p, g = pts[:, 0], pts[:, 1]
     if np.ptp(p) <= 0.0:
         raise RankDeficient("all power values identical")
     w = 1.0 / np.maximum(np.abs(g), 1e-300)
-    design = np.column_stack([w, w * p])
-    coef, *_ = np.linalg.lstsq(design, w * g, rcond=None)
+    coef, *_ = np.linalg.lstsq(np.column_stack([w, w * p]), w * g, rcond=None)
     return float(coef[0]), float(coef[1])
 
 
@@ -196,23 +173,23 @@ def s21_bare(params: SystemParams, omega) -> np.ndarray:
     )
 
 
-def s21_shunt(params: SystemParams, shunt: ShuntModel, omega):
-    """Transmission with the output shunt capacitor: S21 + 2 R_L j omega_c C_out.
+def s21_shunt(params: SystemParams, c_out: float, omega):
+    """Transmission with a shunt capacitor of ``c_out`` farads: S21 + 2 R_L j omega_c C_out.
 
     The constant imaginary leakage interferes with the cavity line, producing
     the anti-resonance and the red/blue transmission asymmetry.
     """
-    return s21_bare(params, omega) + 2.0 * R_L * 1j * params.omega_c * shunt.c_out
+    return s21_bare(params, omega) + 2.0 * R_L * 1j * params.omega_c * c_out
 
 
-def transmission_delta(params: SystemParams, shunt: ShuntModel, omega) -> np.ndarray:
-    """First-order power correction Delta(omega) of |S21|^2 from the shunt.
+def transmission_delta(params: SystemParams, c_out: float, omega) -> np.ndarray:
+    """First-order power correction Delta(omega) of |S21|^2 from a shunt of ``c_out`` farads.
 
     4 R_L omega_c C_out (kappa/sqrt(kappa_l kappa_r)) ((omega - omega_c)/kappa);
     odd around the cavity, so Delta(omega_-)/Delta(omega_+) = -1.
     """
     w = np.asarray(omega, dtype=float)
-    return 4.0 * R_L * params.omega_c * shunt.c_out \
+    return 4.0 * R_L * params.omega_c * c_out \
         * (w - params.omega_c) / math.sqrt(params.kappa_l * params.kappa_r)
 
 
@@ -228,23 +205,21 @@ def delta_from_power_ratio(ratio_db: float) -> float:
 
 
 def fit_shunt_capacitance(omega: np.ndarray, s21_mag: np.ndarray,
-                          params: SystemParams) -> ShuntModel:
-    """Estimate C_out from an |S21| magnitude trace (linear units), line impedance `R_L`."""
+                          params: SystemParams) -> float:
+    """C_out in farads of `s21_shunt` fitted to an |S21| magnitude trace (linear units)."""
     w = np.asarray(omega, dtype=float)
     mag = np.asarray(s21_mag, dtype=float)
     if w.size < 5:
         raise DegenerateData("need at least 5 transmission points")
-    base = s21_bare(params, w)
 
-    def model_jac(p):
-        shunted = base + 2.0 * R_L * 1j * params.omega_c * p[0]
+    def model_jac(p):  # d|z|/dC = Im(z) * 2 R_L omega_c / |z|
+        shunted = s21_shunt(params, p[0], w)
         model = np.abs(shunted)
-        # d|z|/dC = Im(z) * 2 R_L omega_c / |z|
         jac = (np.imag(shunted) * 2.0 * R_L * params.omega_c / np.maximum(model, 1e-300))
         return model, jac[:, None]
 
     p, _, _, _ = gauss_newton(model_jac, mag, np.array([1e-15]))
-    return ShuntModel(c_out=float(abs(p[0])))
+    return float(abs(p[0]))
 
 
 def _spectrum(table, center: float = 0.0) -> Spectrum:
@@ -287,19 +262,19 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
 
     def fit_table(table, x, y):
         if table == "linewidth_vs_power":
-            gamma_m, slope = fit_linewidth_vs_power(np.column_stack([x, TWO_PI * y]))
+            gamma_m, slope = fit_linewidth_vs_power(x, TWO_PI * y)
             fit.update(gamma_m_fit=gamma_m, linewidth_slope=slope,
                        g0_fit=math.sqrt(max(slope, 0.0) * params.kappa / 4.0))
         elif table == "s21_db":
-            shunt = fit_shunt_capacitance(TWO_PI * x, 10.0 ** (y / 20.0), params)
+            c_out = fit_shunt_capacitance(TWO_PI * x, 10.0 ** (y / 20.0), params)
             detuning = params.omega_m + config.delta(params)
-            delta_minus = float(transmission_delta(params, shunt, params.omega_c + detuning))
-            delta_plus = float(transmission_delta(params, shunt, params.omega_c - detuning))
+            delta_minus = float(transmission_delta(params, c_out, params.omega_c + detuning))
+            delta_plus = float(transmission_delta(params, c_out, params.omega_c - detuning))
             if max(abs(delta_minus), abs(delta_plus)) >= 1.0:
                 raise ValidityError("first-order shunt correction needs |Delta(omega_+-)| < 1: "
                                     f"Delta_plus = {delta_plus:.4g}, Delta_minus = "
-                                    f"{delta_minus:.4g} at C_out = {shunt.c_out * 1e15:.4g} fF")
-            fit.update(c_out_fit=shunt.c_out, delta_minus=delta_minus, delta_plus=delta_plus)
+                                    f"{delta_minus:.4g} at C_out = {c_out * 1e15:.4g} fF")
+            fit.update(c_out_fit=c_out, delta_minus=delta_minus, delta_plus=delta_plus)
         elif table == "output_floor":
             occ = fit_output_occupation(_spectrum((x, y), params.omega_c), params, lambda_conv)
             fit.update(n_r_fit=occ.n_r, n_r_err=occ.n_r_err,
@@ -363,14 +338,16 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     zero noise every fit is exact to rounding, and `gauss_newton` gives its
     standard errors as 0.0, as for `calibrate --data` on the same tables. A
     ``noise_level`` that is negative or not finite, a ``lambda_conv`` that is
-    not positive, or a negative ``seed`` is a ConfigError.
+    not positive, or a negative ``seed`` is a ConfigError, and so is a draw
+    whose factor for a table is not positive and finite, which would flip,
+    zero or overflow a measurement; its message names the table.
     """
     if not (noise_level >= 0.0 and math.isfinite(noise_level)):
         raise ConfigError(f"noise_level must be >= 0 and finite, got {noise_level!r}")
     _require_positive("lambda_conv", lambda_conv)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    shunt = ShuntModel(c_out=2.7e-15)
+    c_out = 2.7e-15  # farads
     gains = (1.0, 1.0)  # cavity and pump-line gains of the synthetic chain
     n_p = np.logspace(3, 7, 9)
     span = 10.0 * (params.omega_m + config.delta(params))
@@ -381,41 +358,50 @@ def run_synthetic_calibration(params: SystemParams, baths: BathSpec,
     temps = np.linspace(0.02, 0.2, 8)
     gamma_tot = config.gamma_tot(params)
     peak_grid = np.linspace(-25.0 * gamma_tot, 25.0 * gamma_tot, 1201)
-    # relative-noise factors, drawn in the order of the tables they perturb
+    # relative-noise factors, drawn in this order of the tables they perturb
     rng = np.random.default_rng(seed)
-    f_lw, f_s21, f_therm_p, f_therm_m, f_floor, f_anti, f_stokes = (
-        1.0 + noise_level * rng.standard_normal(size)
-        for size in (n_p.size, s21_hz.size, temps.size, temps.size, floor_hz.size,
-                     peak_grid.size, peak_grid.size)
-    )
+    with np.errstate(over="ignore"):  # an infinite factor is refused by `noisy`
+        factors = {table: 1.0 + noise_level * rng.standard_normal(size) for table, size in (
+            ("linewidth_vs_power", n_p.size), ("s21_db", s21_hz.size),
+            ("thermometry_plus", temps.size), ("thermometry_minus", temps.size),
+            ("output_floor", floor_hz.size), ("sideband_anti_stokes", peak_grid.size),
+            ("sideband_stokes", peak_grid.size))}
+
+    def noisy(table, values):  # times the table's factors, which must be positive and finite
+        f = factors[table]
+        bad = np.flatnonzero((f <= 0.0) | np.isinf(f))
+        if bad.size:
+            raise ConfigError(f"{table}.csv: noise_level {noise_level!r} made the table unphysical:"
+                              f" row {bad[0] + 1} measures {f[bad[0]]:.3g} times its true value")
+        return values * f
 
     gamma_true = params.gamma_m + 4.0 * params.g0**2 * n_p / params.kappa
-    mag = np.abs(s21_shunt(params, shunt, TWO_PI * s21_hz)) * f_s21
+    mag = np.abs(s21_shunt(params, c_out, TWO_PI * s21_hz))
     floor = output_floor_model(params, lambda_conv, TWO_PI * floor_hz - params.omega_c,
-                               baths.n_r, 12.0) * f_floor
+                               baths.n_r, 12.0)
     tables = {
-        "linewidth_vs_power": (n_p, gamma_true * f_lw / TWO_PI),
-        "s21_db": (s21_hz, 20.0 * np.log10(mag)),
-        "output_floor": (floor_hz, floor),
+        "linewidth_vs_power": (n_p, noisy("linewidth_vs_power", gamma_true) / TWO_PI),
+        "s21_db": (s21_hz, 20.0 * np.log10(noisy("s21_db", mag))),
+        "output_floor": (floor_hz, noisy("output_floor", floor)),
     }
     n_m = np.array([bose_occupation(t, params.omega_m) for t in temps])
     spectra = multitone_spectra(params, baths, config, "symmetrized", peak_grid)
-    for sign, role, name, f_therm, f_peak in (
-            ("plus", "red_probe", "anti_stokes", f_therm_p, f_anti),
-            ("minus", "blue_probe", "stokes", f_therm_m, f_stokes)):
+    for sign, role, name in (("plus", "red_probe", "anti_stokes"),
+                             ("minus", "blue_probe", "stokes")):
         probe = config.tone(role)
         if probe is None:
             continue
-        delta_corr = float(transmission_delta(params, shunt, params.omega_c + probe.detuning))
-        tables[f"thermometry_{sign}"] = (
-            temps, thermometry_ratio(params, gains, delta_corr, probe, n_m) * f_therm)
+        delta_corr = float(transmission_delta(params, c_out, params.omega_c + probe.detuning))
+        tables[f"thermometry_{sign}"] = (temps, noisy(
+            f"thermometry_{sign}", thermometry_ratio(params, gains, delta_corr, probe, n_m)))
         peak = spectra[name]
-        tables[f"sideband_{name}"] = (peak.freq_offsets / TWO_PI, peak.values * f_peak)
+        tables[f"sideband_{name}"] = (peak.freq_offsets / TWO_PI,
+                                      noisy(f"sideband_{name}", peak.values))
 
     report: dict = {
         "seed": seed, "noise_level": noise_level, "measurements": tables,
         **invert_measurements(params, config, tables, lambda_conv=lambda_conv),
-        "g0_true": params.g0, "c_out_true": shunt.c_out, "n_r_true": baths.n_r,
+        "g0_true": params.g0, "c_out_true": c_out, "n_r_true": baths.n_r,
         "n_eff_true": baths.n_eff(params),
     }
     report["g0_rel_err"] = abs(report["g0_fit"] - params.g0) / params.g0

@@ -12,6 +12,7 @@ gate's exception name is printed verbatim on stderr).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -43,6 +44,8 @@ from .multitone import (
 from .presets import PRESET_NAMES, preset
 from .scattering import single_tone_spectrum
 
+MAX_POINTS = 10**6  # grid bound of spectrum --points: full-rwa at 10^6 points peaks near 1 GB
+
 
 def _load(args) -> tuple:
     return load_config(args.config) if args.config else preset(args.preset)
@@ -54,10 +57,21 @@ def _add_source_args(parser):
     source.add_argument("--preset", choices=PRESET_NAMES, help="named parameter set")
 
 
+def _linewidth_grid(args, gamma_tot: float) -> np.ndarray:
+    """``--points`` offsets across +-``--span-linewidths`` gamma_tot, which must be finite."""
+    if not math.isfinite(2.0 * args.span_linewidths * gamma_tot):
+        raise ConfigError(f"--span-linewidths {args.span_linewidths!r} is too wide: the grid "
+                          f"would not be finite at gamma_tot = {gamma_tot:.6g} rad/s")
+    return np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
+
+
 def cmd_spectrum(args) -> int:
     params, baths, config = _load(args)
     if args.points < 2:
         raise ConfigError(f"--points must be at least 2, got {args.points}")
+    if args.points > MAX_POINTS:
+        raise ConfigError(f"the grid is too large: --points {args.points} is more than the "
+                          f"{MAX_POINTS}-point grid bound")
     _require_positive("--span-linewidths", args.span_linewidths)
     kind = {"sym": "symmetrized", "normal": "normal_ordered"}[args.kind]
 
@@ -65,12 +79,10 @@ def cmd_spectrum(args) -> int:
         tone = config.tone(f"{args.sign}_probe")
         if tone is None:
             raise ConfigError(f"config has no {args.sign}_probe tone")
-        gamma_tot = ToneConfig(tones=(tone,)).gamma_tot(params)
-        grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
+        grid = _linewidth_grid(args, ToneConfig(tones=(tone,)).gamma_tot(params))
         spectrum = single_tone_spectrum(params, baths, tone, kind, grid)
     elif args.mode == "multitone":
-        gamma_tot = config.gamma_tot(params)
-        grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
+        grid = _linewidth_grid(args, config.gamma_tot(params))
         spectrum = multitone_spectra(params, baths, config, kind, grid)
     else:  # full-rwa
         delta = config.delta(params)

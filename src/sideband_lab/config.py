@@ -89,9 +89,11 @@ def config_from_dict(d: dict) -> tuple[SystemParams, BathSpec, ToneConfig]:
     for i, entry in enumerate(d["tones"]):
         block = f"tones[{i}]"
         entry = _object(block, entry)
+        if "role" not in entry:
+            raise ConfigError(f"{block} missing key 'role'")
         # ToneSpec refuses an entry with both or neither of the two
         tones.append(ToneSpec(
-            role=entry.get("role", "generic"),
+            role=entry["role"],
             detuning=TWO_PI * _number(block, entry, "detuning_hz"),
             n_photons=_number(block, entry, "n_photons") if "n_photons" in entry else None,
             coupling=TWO_PI * _number(block, entry, "coupling_hz")

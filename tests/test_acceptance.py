@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sideband_lab.calibration import (
-    ShuntModel,
     delta_from_power_ratio,
     fit_output_occupation,
     output_floor_model,
@@ -238,10 +237,10 @@ def test_criterion_7_twin_peak_corrections():
 
 def test_criterion_8_shunt_transmission():
     params, _, config = preset("si-figure")
-    shunt = ShuntModel(c_out=2.7e-15)
+    c_out = 2.7e-15
     detuning = params.omega_m + config.delta(params)
-    up = abs(s21_shunt(params, shunt, params.omega_c + detuning))
-    down = abs(s21_shunt(params, shunt, params.omega_c - detuning))
+    up = abs(s21_shunt(params, c_out, params.omega_c + detuning))
+    down = abs(s21_shunt(params, c_out, params.omega_c - detuning))
     ratio_db = 20.0 * math.log10(up / down)
     assert ratio_db == pytest.approx(2.4, abs=0.05)
     delta_minus = delta_from_power_ratio(2.6)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sideband_lab.calibration import (
-    ShuntModel,
     delta_from_power_ratio,
     fit_linewidth_vs_power,
     fit_output_occupation,
@@ -30,7 +29,7 @@ from conftest import make_params, tone_with_gamma_opt
 
 class TestLinewidthVsPower:
     def test_two_exact_points(self):
-        gamma_m, slope = fit_linewidth_vs_power([(1.0, 10.0), (3.0, 16.0)])
+        gamma_m, slope = fit_linewidth_vs_power([1.0, 3.0], [10.0, 16.0])
         assert gamma_m == pytest.approx(7.0, rel=1e-12)
         assert slope == pytest.approx(3.0, rel=1e-12)
 
@@ -39,7 +38,7 @@ class TestLinewidthVsPower:
         p = make_params()
         n_p = np.logspace(3, 7, 9)
         gamma = p.gamma_m + 4.0 * p.g0**2 * n_p / p.kappa
-        _, slope = fit_linewidth_vs_power(np.column_stack([n_p, gamma]))
+        _, slope = fit_linewidth_vs_power(n_p, gamma)
         assert slope == pytest.approx(4.0 * p.g0**2 / p.kappa, rel=1e-6)
 
     def test_noise_statistics(self):
@@ -50,7 +49,7 @@ class TestLinewidthVsPower:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             noisy = gamma * (1.0 + 0.05 * rng.standard_normal(n_p.size))
-            gm_fit, _ = fit_linewidth_vs_power(np.column_stack([n_p, noisy]))
+            gm_fit, _ = fit_linewidth_vs_power(n_p, noisy)
             recovered.append(gm_fit)
         # intercept recovered within 10% for typical seeds
         errs = np.abs(np.asarray(recovered) - p.gamma_m) / p.gamma_m
@@ -59,9 +58,9 @@ class TestLinewidthVsPower:
 
     def test_rank_deficient(self):
         with pytest.raises(RankDeficient):
-            fit_linewidth_vs_power([(1.0, 10.0)])
+            fit_linewidth_vs_power([1.0], [10.0])
         with pytest.raises(RankDeficient):
-            fit_linewidth_vs_power([(1.0, 10.0), (1.0, 12.0)])
+            fit_linewidth_vs_power([1.0, 1.0], [10.0, 12.0])
 
 
 def probe(p, role, delta=0.0):
@@ -238,30 +237,30 @@ class TestShuntTransmission:
     def test_no_capacitor_reduces_to_lorentzian(self):
         p = make_params()
         w = p.omega_c + np.linspace(-10, 10, 101) * p.kappa
-        shunted = s21_shunt(p, ShuntModel(c_out=0.0), w)
+        shunted = s21_shunt(p, 0.0, w)
         np.testing.assert_allclose(shunted, s21_bare(p, w), rtol=1e-14)
         # continuous reduction: sup-norm bound is exactly the shunt leakage
         for c_out in (1e-18, 1e-20):
-            sup = np.max(np.abs(s21_shunt(p, ShuntModel(c_out=c_out), w) - s21_bare(p, w)))
+            sup = np.max(np.abs(s21_shunt(p, c_out, w) - s21_bare(p, w)))
             assert sup <= 2.0 * 50.0 * p.omega_c * c_out + 1e-15
 
     def test_published_transmission_ratio(self):
         # C_out = 2.7 fF, R_L = 50, omega_c = 2pi*5.4 GHz: 2.4 dB ratio at
         # the pump detunings +-(omega_m + delta)
         p = make_params()
-        shunt = ShuntModel(c_out=2.7e-15)
+        c_out = 2.7e-15
         detuning = p.omega_m + TWO_PI * 5e3
-        up = abs(s21_shunt(p, shunt, p.omega_c + detuning))
-        down = abs(s21_shunt(p, shunt, p.omega_c - detuning))
+        up = abs(s21_shunt(p, c_out, p.omega_c + detuning))
+        down = abs(s21_shunt(p, c_out, p.omega_c - detuning))
         ratio_db = 20.0 * math.log10(up / down)
         assert ratio_db == pytest.approx(2.4, abs=0.05)
 
     def test_delta_antisymmetry(self):
         p = make_params()
-        shunt = ShuntModel(c_out=2.7e-15)
+        c_out = 2.7e-15
         d = p.omega_m + TWO_PI * 5e3
-        dm = transmission_delta(p, shunt, p.omega_c + d)
-        dp = transmission_delta(p, shunt, p.omega_c - d)
+        dm = transmission_delta(p, c_out, p.omega_c + d)
+        dp = transmission_delta(p, c_out, p.omega_c - d)
         assert dm / dp == pytest.approx(-1.0, rel=1e-12)
 
     def test_delta_from_measured_ratio(self):
@@ -269,13 +268,12 @@ class TestShuntTransmission:
 
     def test_capacitance_fit_recovery(self):
         p = make_params()
-        shunt = ShuntModel(c_out=2.7e-15)
+        c_out = 2.7e-15
         w = p.omega_c + np.linspace(-15, 15, 501) * (p.omega_m + TWO_PI * 5e3) / 3.0
-        mags = np.abs(s21_shunt(p, shunt, w))
+        mags = np.abs(s21_shunt(p, c_out, w))
         rng = np.random.default_rng(2)
         noisy = mags * (1.0 + 0.005 * rng.standard_normal(w.size))
-        fit = fit_shunt_capacitance(w, noisy, p)
-        assert fit.c_out == pytest.approx(2.7e-15, rel=0.05)
+        assert fit_shunt_capacitance(w, noisy, p) == pytest.approx(2.7e-15, rel=0.05)
 
 
 class TestSyntheticPipeline:
@@ -289,7 +287,7 @@ class TestSyntheticPipeline:
         assert report["c_out_fit"] == pytest.approx(2.7e-15, rel=1e-6)
         # each thermometry sweep lies on its conversion slope, whose corrections
         # are the true shunt's Delta at the probe tone
-        shunt = ShuntModel(c_out=2.7e-15)
+        c_out = 2.7e-15
         for sign, role in (("plus", "red_probe"), ("minus", "blue_probe")):
             temps, ratios = report["measurements"][f"thermometry_{sign}"]
             np.testing.assert_array_equal(temps, np.linspace(0.02, 0.2, 8))
@@ -297,7 +295,7 @@ class TestSyntheticPipeline:
             slope = report[f"conversion_slope_{sign}"]
             np.testing.assert_allclose(ratios, slope * n_m, rtol=1e-12)
             tone = config.tone(role)
-            delta_corr = transmission_delta(params, shunt, params.omega_c + tone.detuning)
+            delta_corr = transmission_delta(params, c_out, params.omega_c + tone.detuning)
             assert slope == pytest.approx(
                 thermometry_ratio(params, (1.0, 1.0), delta_corr, tone, 1.0), rel=1e-12)
         assert report["conversion_ratio"] == \
@@ -327,9 +325,8 @@ class TestSyntheticPipeline:
         for key, value in only_s21.items():
             assert report[key] == value
         omega_minus = params.omega_c + params.omega_m + config.delta(params)
-        shunt = ShuntModel(c_out=only_s21["c_out_fit"])
         assert only_s21["delta_minus"] == pytest.approx(
-            transmission_delta(params, shunt, omega_minus), rel=1e-12)
+            transmission_delta(params, only_s21["c_out_fit"], omega_minus), rel=1e-12)
 
     @pytest.mark.parametrize("name, keys", [
         ("output_floor", ["amplifier_floor_fit", "n_r_err", "n_r_fit", "uncertainties.n_r"]),
@@ -383,7 +380,7 @@ class TestSyntheticPipeline:
         params, _, config = preset("oracle-demo")
         span = 10.0 * (params.omega_m + config.delta(params))
         f_hz = (params.omega_c + np.linspace(-span, span, 801)) / TWO_PI
-        mag = np.abs(s21_shunt(params, ShuntModel(c_out=2.7e-15), TWO_PI * f_hz))
+        mag = np.abs(s21_shunt(params, 2.7e-15, TWO_PI * f_hz))
         with pytest.raises(ValidityError, match=r"Delta_plus = -1\.897.*C_out = 2\.7 fF"):
             invert_measurements(params, config, {"s21_db": (f_hz, 20.0 * np.log10(mag))},
                                 lambda_conv=0.27)

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -238,7 +239,7 @@ class TestSpectrumCommand:
             "bad-cavity": (3, "ValidityError: good-cavity gate: "),
             "cooling-at-delta": (2, "ConfigError: cooling detuning delta_c = "),
             "generic-tone": (2, "ConfigError: tones[2] needs a role"),
-            "no-roles": (2, "ConfigError: tones[0] needs a role"),
+            "no-roles": (2, "ConfigError: tones[0] missing key 'role'\n"),
             "cooling-only": (2, "ConfigError: no probe tone: the configuration "
                                 "has neither a red_probe nor a blue_probe tone\n"),
             "wrong-side": (2, "ConfigError: tones[0]: a red_probe tone sits below the cavity"),
@@ -690,18 +691,63 @@ class TestCalibrateCommand:
      "ConfigError: --span-linewidths must be strictly positive and finite, got nan"),
     (["spectrum", "--mode", "single", "--span-linewidths", "inf"],
      "ConfigError: --span-linewidths must be strictly positive and finite, got inf"),
+    # never a count that could be allocated: the bound refuses it before any array
+    (["spectrum", "--points", "100000000000"], "ConfigError: the grid is too large: "
+     "--points 100000000000 is more than the 1000000-point grid bound\n"),
+    (["spectrum", "--span-linewidths", "1e308"], "ConfigError: --span-linewidths 1e+308 is "
+     "too wide: the grid would not be finite at gamma_tot = "),
+    # a relative-noise factor below zero would make an |S21| magnitude negative
+    (["calibrate", "--synthetic", "--noise", "0.3", "--seed", "1"],
+     "ConfigError: s21_db.csv: noise_level 0.3 made the table unphysical: row 694 "
+     "measures -0.0646 times its true value\n"),
+    (["calibrate", "--synthetic", "--noise", "1e308"],
+     "ConfigError: linewidth_vs_power.csv: noise_level 1e+308 made the table unphysical: "),
 ], ids=["points-negative", "points-one", "trajectories-zero", "segments-zero",
         "segments-negative", "noise-nan", "noise-negative",
         "noise-inf", "lambda-negative", "lambda-zero", "oracle-seed-negative",
         "calibrate-seed-negative", "data-seed", "data-noise", "span-zero", "span-negative",
-        "span-nan", "span-inf"])
+        "span-nan", "span-inf", "points-beyond-the-grid-bound", "span-overflow",
+        "noise-flips-a-magnitude", "noise-overflow"])
 def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message):
-    rc = main([argv[0], "--preset", "si-figure", *argv[1:], "--out", str(tmp_path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([argv[0], "--preset", "si-figure", *argv[1:], "--out", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
     assert list(tmp_path.iterdir()) == []
+
+
+#: a cheap run of each command with numeric options; oracle-compare's layout,
+#: 16 segments x 2 trajectories, stays inside the golden one
+FUZZ_BASE = {"spectrum": ("--preset", "main-text"),
+             "oracle-compare": ("--preset", "oracle-demo", "--segments", "16",
+                                "--trajectories", "2"),
+             "calibrate": ("--preset", "main-text", "--synthetic")}
+FUZZ_CASES = [
+    (command, action.option_strings[-1], value)
+    for command in ("spectrum", "asymmetry", "oracle-compare", "calibrate", "noise-constraint")
+    for action in subcommand(command)._actions if action.type in (int, float)
+    for value in ("0", "-1", "nan", "inf", "1e308")
+    + (("100000000000",) if action.type is int else ())]
+
+
+@pytest.mark.parametrize("command, flag, value", FUZZ_CASES,
+                         ids=[f"{c}{f}={v}" for c, f, v in FUZZ_CASES])
+def test_numeric_option_fuzz(tmp_path, capsys, command, flag, value):
+    # every numeric option at zero, negative, NaN, infinite and huge values runs
+    # or ends in a named error: no traceback, no numpy warning, no other exit code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, *FUZZ_BASE[command], flag, value, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3)
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err and "Warning" not in err
+    if rc:
+        assert re.match(r"[A-Z]\w+: |sideband-lab [\w-]+: error: ", err.splitlines()[-1])
 
 
 @pytest.mark.parametrize("command", ["spectrum", "asymmetry", "oracle-compare", "calibrate",

@@ -234,6 +234,13 @@ class TestConfigFuzz:
         with pytest.raises(ConfigError, match=r"tones\[1\].*detuning_hz"):
             config_from_dict(d)
 
+    def test_tone_without_role(self):
+        # the missing key is named, not a "generic" role the file never held
+        d = _preset_dict("si-figure")
+        del d["tones"][1]["role"]
+        with pytest.raises(ConfigError, match=r"^tones\[1\] missing key 'role'$"):
+            config_from_dict(d)
+
 
 class TestSpectrumCsv:
     def test_round_trip(self, tmp_path):
