@@ -35,10 +35,15 @@ TABLES = {"tables": [*CALIBRATE, "--synthetic"],
 RUNS = {
     **{f"spectrum {mode} {name}": ["spectrum", "--preset", name, "--mode", mode, "--out", "out"]
        for name in PRESET_NAMES for mode in ("single", "multitone", "full-rwa")},
+    **{f"spectrum {mode} {name} normal": ["spectrum", "--preset", name, "--mode", mode,
+                                          "--kind", "normal", "--out", "out"]
+       for name in PRESET_NAMES for mode in ("single", "multitone", "full-rwa")},
     **{f"{command} {name}": [command, "--preset", name]
        for name in PRESET_NAMES for command in ("asymmetry", "noise-constraint")},
     "calibrate synthetic main-text": [*TABLES["tables"], "--out", "out"],
     "calibrate synthetic main-text noise 0.01": [*TABLES["noisy-tables"], "--out", "out"],
+    "calibrate synthetic si-figure": ["calibrate", "--preset", "si-figure", "--synthetic",
+                                      "--out", "out"],
     # one inversion: the same fits, standard errors included, from the files
     "calibrate data main-text": [*CALIBRATE, "--data", "tables", "--out", "out"],
     "calibrate data main-text noise 0.01": [*CALIBRATE, "--data", "noisy-tables", "--out", "out"],
