@@ -12,18 +12,19 @@ at each step.
 
 import numpy as np
 
+from sideband_lab.config import config_from_dict
 from sideband_lab.linear_response import resonance_correlators
-from sideband_lab.model import BathSpec, SystemParams, ToneSpec
+from sideband_lab.model import BathSpec, ToneSpec
 from sideband_lab.scattering import single_tone_integrated_weight
 
 TONE_COOPERATIVITY = 1e-3
 
 
 def main() -> None:
-    params = SystemParams.from_hz(
-        omega_c_hz=5.4e9, omega_m_hz=400e6, g0_hz=16.0,
-        kappa_l_hz=155e3, kappa_r_hz=450e3, kappa_i_hz=0.0, gamma_m_hz=10.0,
-    )
+    params, _, _ = config_from_dict({"system": {
+        "omega_c_hz": 5.4e9, "omega_m_hz": 400e6, "g0_hz": 16.0, "kappa_left_hz": 155e3,
+        "kappa_right_hz": 450e3, "kappa_internal_hz": 0.0, "gamma_m_hz": 10.0,
+    }, "baths": {}, "tones": []})
     gamma_opt = TONE_COOPERATIVITY * params.gamma_m
     tone = ToneSpec(detuning=-params.omega_m, role="red_probe",
                     coupling=np.sqrt(gamma_opt * params.kappa) / 2.0)

@@ -4,9 +4,9 @@ Conventions used everywhere in this package:
 
 * hbar = 1; spectra are dimensionless ("quanta") and position spectra are in
   zero-point units, so no configuration carries the zero-point amplitude.
-* All frequencies and rates are angular (rad/s). Configuration files quote Hz;
-  the conversion by 2*pi happens only at the config boundary (`config.py`)
-  and in the ``from_hz`` constructors.
+* All frequencies and rates are angular (rad/s). Configuration files and
+  presets quote Hz; the conversion by 2*pi happens only at the config
+  boundary (`config.py`).
 * Spectrum grids are offsets from the cavity resonance, omega - omega_c.
 * Drive amplitudes are taken real; drive phase is not modelled. The static
   mechanical displacement only renormalizes the cavity frequency and is
@@ -89,19 +89,6 @@ class SystemParams:
                 f"got omega_m = {self.omega_m:.6g}, kappa = {self.kappa:.6g}"
             )
 
-    @classmethod
-    def from_hz(cls, *, omega_c_hz, omega_m_hz, g0_hz, kappa_l_hz, kappa_r_hz,
-                kappa_i_hz, gamma_m_hz) -> "SystemParams":
-        return cls(
-            omega_c=TWO_PI * omega_c_hz,
-            omega_m=TWO_PI * omega_m_hz,
-            g0=TWO_PI * g0_hz,
-            kappa_l=TWO_PI * kappa_l_hz,
-            kappa_r=TWO_PI * kappa_r_hz,
-            kappa_i=TWO_PI * kappa_i_hz,
-            gamma_m=TWO_PI * gamma_m_hz,
-        )
-
 
 @dataclass(frozen=True)
 class BathSpec:
@@ -168,15 +155,15 @@ class BathSpec:
 class ToneSpec:
     """One drive tone.
 
-    Exactly one of ``n_photons`` (mean intracavity pump photons) or
-    ``coupling`` (linearized many-photon rate G, rad/s) must be given; the
-    other is derived through G = g0 * sqrt(n_photons).
+    Exactly one of ``coupling`` (linearized many-photon rate G, rad/s) or
+    ``n_photons`` (mean intracavity pump photons) is not None; the other is
+    derived through G = g0 * sqrt(n_photons).
     """
 
     detuning: float  # omega_pump - omega_c, signed, rad/s
     role: str
+    coupling: float | None
     n_photons: float | None = None
-    coupling: float | None = None
 
     def __post_init__(self):
         if self.role not in TONE_ROLES:
@@ -315,17 +302,6 @@ class ToneConfig:
                 f"balanced probes required: gamma_opt+ = {gp:.6g}, gamma_opt- = {gm:.6g}"
             )
         return gp
-
-    @classmethod
-    def balanced(cls, params: SystemParams, *, delta: float,
-                 probe_gamma_opt: float) -> "ToneConfig":
-        """The balanced probe pair at omega_c -+ (omega_m + delta), each with gamma_opt =
-        ``probe_gamma_opt``."""
-        g_probe = math.sqrt(probe_gamma_opt * params.kappa) / 2.0
-        return cls(tones=(
-            ToneSpec(detuning=-(params.omega_m + delta), role="red_probe", coupling=g_probe),
-            ToneSpec(detuning=+(params.omega_m + delta), role="blue_probe", coupling=g_probe),
-        ))
 
 
 @dataclass(frozen=True)

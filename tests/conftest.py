@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from sideband_lab.config import config_from_dict
 from sideband_lab.langevin import SimConfig
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig, ToneSpec
 from sideband_lab.scattering import _lorentzian, noise_floor, single_tone_integrated_weight
 
 
-def make_params(*, kappa_l_hz=155e3, kappa_r_hz=450e3, kappa_i_hz=265e3,
-                gamma_m_hz=10.0, omega_m_hz=4.0e6, g0_hz=16.0,
-                omega_c_hz=5.4e9) -> SystemParams:
-    return SystemParams.from_hz(
-        omega_c_hz=omega_c_hz, omega_m_hz=omega_m_hz, g0_hz=g0_hz,
-        kappa_l_hz=kappa_l_hz, kappa_r_hz=kappa_r_hz, kappa_i_hz=kappa_i_hz,
-        gamma_m_hz=gamma_m_hz,
-    )
+def make_params(**rates_hz) -> SystemParams:
+    """The si-figure device's system block, with any key of it set in Hz, as
+    `config_from_dict` loads it."""
+    system = {"omega_c_hz": 5.4e9, "omega_m_hz": 4.0e6, "g0_hz": 16.0, "kappa_left_hz": 155e3,
+              "kappa_right_hz": 450e3, "kappa_internal_hz": 265e3, "gamma_m_hz": 10.0}
+    assert rates_hz.keys() <= system.keys(), "the file format ignores an unknown key"
+    return config_from_dict({"system": {**system, **rates_hz}, "baths": {}, "tones": []})[0]
 
 
 def tone_with_gamma_opt(params: SystemParams, gamma_opt: float, role: str,
@@ -60,14 +60,15 @@ def random_baths(rng: np.random.Generator, *, max_n=5.0) -> BathSpec:
 
 def balanced_config(params: SystemParams, *, delta: float, probe_gamma_opt: float,
                     delta_c: float | None = None, cooling_gamma_opt: float = 0.0) -> ToneConfig:
-    """`ToneConfig.balanced`'s probe pair, plus a cooling tone at omega_c - (omega_m +
-    delta_c) when ``cooling_gamma_opt`` > 0; the cooling-order gate runs as a loaded
-    file meets it."""
-    config = ToneConfig.balanced(params, delta=delta, probe_gamma_opt=probe_gamma_opt)
+    """The balanced probe pair at omega_c -+ (omega_m + delta), each with gamma_opt =
+    ``probe_gamma_opt``, plus a cooling tone at omega_c - (omega_m + delta_c) when
+    ``cooling_gamma_opt`` > 0; the cooling-order gate runs as a loaded file meets it."""
+    tones = [tone_with_gamma_opt(params, probe_gamma_opt, "red_probe", -(params.omega_m + delta)),
+             tone_with_gamma_opt(params, probe_gamma_opt, "blue_probe", +(params.omega_m + delta))]
     if cooling_gamma_opt > 0.0:
-        g_cool = math.sqrt(cooling_gamma_opt * params.kappa) / 2.0
-        cooling = ToneSpec(detuning=-(params.omega_m + delta_c), role="cooling", coupling=g_cool)
-        config = ToneConfig(tones=(*config.tones, cooling))
+        tones.append(tone_with_gamma_opt(params, cooling_gamma_opt, "cooling",
+                                         -(params.omega_m + delta_c)))
+    config = ToneConfig(tones=tuple(tones))
     config.delta_c(params)
     return config
 
@@ -91,9 +92,9 @@ def fast_params(**kw):
     kw.setdefault("omega_c_hz", 1e9)
     kw.setdefault("omega_m_hz", 10e6)
     kw.setdefault("g0_hz", 50.0)
-    kw.setdefault("kappa_l_hz", 10e3)
-    kw.setdefault("kappa_r_hz", 35e3)
-    kw.setdefault("kappa_i_hz", 5e3)
+    kw.setdefault("kappa_left_hz", 10e3)
+    kw.setdefault("kappa_right_hz", 35e3)
+    kw.setdefault("kappa_internal_hz", 5e3)
     kw.setdefault("gamma_m_hz", 500.0)
     return make_params(**kw)
 
@@ -112,24 +113,24 @@ def equivalence_case(name):
         return p, BathSpec(n_m=100.0), ToneConfig(tones=(tone,)), dict(
             n_segments=1000, seed=8, n_trajectories=64)
     if name == "balanced":
-        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_l_hz=4e3,
-                        kappa_r_hz=80e3, kappa_i_hz=0.0, gamma_m_hz=400.0)
+        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_left_hz=4e3,
+                        kappa_right_hz=80e3, kappa_internal_hz=0.0, gamma_m_hz=400.0)
         cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 200.0)
         return p, BathSpec(n_m=60.0), cfg, dict(n_segments=800, seed=5,
                                                 n_trajectories=64)
     if name == "cooling":
         # gentle cooling keeps the finite-delta_c folding bias of gamma_M small;
         # stronger cooling shows the documented analytic/oracle discrepancy
-        p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_l_hz=20e3,
-                        kappa_r_hz=120e3, kappa_i_hz=20e3, gamma_m_hz=300.0)
+        p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_left_hz=20e3,
+                        kappa_right_hz=120e3, kappa_internal_hz=20e3, gamma_m_hz=300.0)
         cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
                               delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
         return p, BathSpec(n_m=80.0), cfg, dict(n_segments=1500, seed=5,
                                                 n_trajectories=64)
     if name == "squashing":
         # hot cavity, cold mechanics: the feature is a dip with negative weight
-        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_l_hz=5e3,
-                        kappa_r_hz=90e3, kappa_i_hz=5e3, gamma_m_hz=1000.0)
+        p = make_params(omega_c_hz=1e9, omega_m_hz=10e6, g0_hz=50, kappa_left_hz=5e3,
+                        kappa_right_hz=90e3, kappa_internal_hz=5e3, gamma_m_hz=1000.0)
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         baths = BathSpec(n_r=1.0, n_l=1.0, n_i=1.0, n_m=0.0)
         return p, baths, ToneConfig(tones=(tone,)), dict(

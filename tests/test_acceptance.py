@@ -121,7 +121,7 @@ def test_criterion_3_commutator_constancy(rng):
         assert max(vals) - min(vals) < 1e-12
 
     # perturbing beta produces a Lorentzian residue proportional to beta - 1
-    p = make_params(kappa_i_hz=0.0)
+    p = make_params(kappa_internal_hz=0.0)
     tone = tone_with_gamma_opt(p, 0.3 * p.gamma_m, "red_probe")
     window = np.linspace(-5, 5, 41) * p.gamma_m
     spans = []
@@ -161,7 +161,7 @@ def test_criterion_4_symmetrized_minus_normal_is_half(rng):
 
 
 def test_criterion_5_linear_response_scattering_equivalence():
-    p = make_params(kappa_i_hz=0.0, gamma_m_hz=100.0, omega_m_hz=400e6)
+    p = make_params(kappa_internal_hz=0.0, gamma_m_hz=100.0, omega_m_hz=400e6)
     grid = np.linspace(-40, 40, 30001) * p.gamma_m
     cases = [
         ("red", BathSpec(n_r=0.2, n_l=0.4, n_m=2.0), "red_probe"),

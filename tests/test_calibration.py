@@ -66,7 +66,7 @@ class TestLinewidthVsPower:
 def probe(p, role, delta=0.0):
     """A probe tone on its sideband, delta beyond it."""
     sign = -1.0 if role == "red_probe" else 1.0
-    return ToneSpec(detuning=sign * (p.omega_m + delta), role=role, n_photons=1e4)
+    return ToneSpec(detuning=sign * (p.omega_m + delta), role=role, coupling=None, n_photons=1e4)
 
 
 class TestThermometry:
@@ -122,7 +122,7 @@ class TestNoiseFloorLedger:
         assert noise_floor_increase(p, BathSpec(), 0.27) == 0.0
 
     def test_half_coupled_coefficient_vanishes(self):
-        p = make_params(kappa_l_hz=200e3, kappa_r_hz=435e3, kappa_i_hz=235e3)
+        p = make_params(kappa_left_hz=200e3, kappa_right_hz=435e3, kappa_internal_hz=235e3)
         assert p.kappa_r == pytest.approx(p.kappa / 2.0)
         baths = BathSpec(n_r=0.4, n_l=0.1)
         expected = baths.n_eff(p) / (2.0 * 0.27)
@@ -221,7 +221,7 @@ class TestOutputOccupationFit:
 
     def test_fully_overcoupled_no_dip(self):
         # kappa_r -> kappa: the Lorentzian coefficient vanishes for any n_r
-        p = make_params(kappa_l_hz=1e-6, kappa_r_hz=870e3, kappa_i_hz=0.0)
+        p = make_params(kappa_left_hz=1e-6, kappa_right_hz=870e3, kappa_internal_hz=0.0)
         x = self.grid(p)
         vals = output_floor_model(p, 0.27, x, 0.7, 3.0)
         assert np.ptp(vals) < 1e-9 * np.mean(vals)

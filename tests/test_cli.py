@@ -60,8 +60,8 @@ def cooling_variant(tmp_path, row):
     """The three-tone cooling system (balanced probes at delta/2pi = 4.2 kHz, a
     cooling tone at delta_c = 3 delta, n_m = 80) saved as a config file, changed
     as the gate-consistency ``row`` says."""
-    p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_l_hz=20e3,
-                    kappa_r_hz=120e3, kappa_i_hz=20e3, gamma_m_hz=300.0)
+    p = make_params(omega_c_hz=1e9, omega_m_hz=20e6, g0_hz=50, kappa_left_hz=20e3,
+                    kappa_right_hz=120e3, kappa_internal_hz=20e3, gamma_m_hz=300.0)
     cfg = balanced_config(p, delta=TWO_PI * 4200.0, probe_gamma_opt=TWO_PI * 100.0,
                           delta_c=TWO_PI * 12600.0, cooling_gamma_opt=TWO_PI * 100.0)
     d = config_to_dict(p, BathSpec(n_m=80.0), cfg)
@@ -385,7 +385,7 @@ class TestNoiseConstraintCommand:
     def test_vacuum_report(self, tmp_path, capsys):
         params, _, config = preset("si-figure")
         # two-port variant for the linear-response module
-        params2 = make_params(kappa_i_hz=0.0, omega_m_hz=400e6)
+        params2 = make_params(kappa_internal_hz=0.0, omega_m_hz=400e6)
         cfg = ToneConfig(tones=(tone_with_gamma_opt(params2, 0.01 * params2.gamma_m,
                                                     "red_probe"),))
         path = tmp_path / "cfg.json"
@@ -403,7 +403,7 @@ class TestNoiseConstraintCommand:
     def test_lone_blue_probe_mirrors_the_red_report(self, tmp_path, capsys):
         # the same strength on the other sideband: both sides are reported
         # either way, so only the hash of the configuration differs
-        params = make_params(kappa_i_hz=0.0, omega_m_hz=400e6)
+        params = make_params(kappa_internal_hz=0.0, omega_m_hz=400e6)
         baths = BathSpec(n_r=0.3, n_l=0.8, n_m=2.0)
         reports = []
         for role in ("red_probe", "blue_probe"):
@@ -423,8 +423,7 @@ class TestNoiseConstraintCommand:
         # sidebands: the detector correlators take the pump on its sideband,
         # as the closed forms of the other commands do
         params, baths, _ = preset("oracle-demo")
-        cfg = ToneConfig.balanced(params, delta=params.kappa / 2.0,
-                                  probe_gamma_opt=TWO_PI * 200.0)
+        cfg = balanced_config(params, delta=params.kappa / 2.0, probe_gamma_opt=TWO_PI * 200.0)
         path = tmp_path / "cfg.json"
         save_config(path, params, baths, cfg)
         out = tmp_path / "out"
@@ -981,7 +980,7 @@ class TestOracleCompareCommand:
         params, baths, _ = preset("oracle-demo")
         path = tmp_path / "cfg.json"
         save_config(path, params, baths,
-                    ToneConfig.balanced(params, delta=0.0, probe_gamma_opt=TWO_PI * 200.0))
+                    balanced_config(params, delta=0.0, probe_gamma_opt=TWO_PI * 200.0))
         out = tmp_path / "out"
         rc = main(["oracle-compare", "--config", str(path), "--trajectories", "8",
                    "--segments", "100", "--out", str(out)])

@@ -29,7 +29,7 @@ from sideband_lab.errors import ConfigError, DegenerateData
 from sideband_lab.langevin import SimConfig, oracle_compare
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, SystemParams, ToneConfig
 from sideband_lab.multitone import sideband_weights
-from sideband_lab.presets import PRESET_NAMES, preset
+from sideband_lab.presets import _PRESETS, PRESET_NAMES, preset
 
 
 def read_spectrum_csv(path):
@@ -58,6 +58,21 @@ class TestConfigRoundTrip:
         # hash of the resolved dict is reproducible across the round trip
         assert config_hash(config_to_dict(params, baths, config)) == \
             config_hash(config_to_dict(params2, baths2, config2))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_preset_is_the_file_it_saves(self, name, tmp_path):
+        # presets.py holds each preset as the contents of its saved file, to the digit
+        path = tmp_path / "config.json"
+        save_config(path, *preset(name))
+        assert json.loads(path.read_text()) == _PRESETS[name]
+
+    @pytest.mark.parametrize("name, role, gamma_opt_hz", [
+        ("main-text", "cooling", 350.0), ("si-figure", "cooling", 350.0),
+        ("oracle-demo", "red_probe", 200.0), ("oracle-demo", "blue_probe", 200.0)])
+    def test_preset_couplings_give_their_optical_damping(self, name, role, gamma_opt_hz):
+        params, _, config = preset(name)
+        assert config.tone(role).gamma_opt(params) == pytest.approx(TWO_PI * gamma_opt_hz,
+                                                                    rel=1e-14)
 
     def test_asymmetric_probe_placement_rejected(self):
         params, baths, config = preset("si-figure")
@@ -108,7 +123,7 @@ class TestKeyTables:
                {key: (st.just(0.0) | hz_rates) if key == "kappa_internal_hz" else hz_rates
                 for key in SYSTEM_KEYS}),
            baths=st.fixed_dictionaries({key: occupations for key in BATH_KEYS}))
-    def test_round_trip_from_hz(self, system, baths):
+    def test_every_key_round_trips(self, system, baths):
         params = SystemParams(**{attr: TWO_PI * system[key] for key, attr in SYSTEM_KEYS.items()})
         bath_spec = BathSpec(**{attr: baths[key] for key, attr in BATH_KEYS.items()})
         saved = config_to_dict(params, bath_spec, ToneConfig(tones=()))

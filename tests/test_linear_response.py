@@ -23,14 +23,14 @@ from conftest import (
 
 
 def two_port_params(**kw):
-    kw.setdefault("kappa_i_hz", 0.0)
+    kw.setdefault("kappa_internal_hz", 0.0)
     kw.setdefault("omega_m_hz", 400e6)  # deep good-cavity so resonance values are sharp
     return make_params(**kw)
 
 
 class TestDetectorCorrelators:
     def test_two_port_gate(self):
-        p = make_params(kappa_i_hz=265e3)
+        p = make_params(kappa_internal_hz=265e3)
         tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, "red_probe")
         with pytest.raises(ValidityError, match="two-port"):
             detector_correlators(p, BathSpec(), tone, p.omega_m)

@@ -28,7 +28,7 @@ rates = st.floats(min_value=1e2, max_value=1e7, allow_nan=False)
 
 class TestSystemParams:
     def test_kappa_is_sum_of_ports(self):
-        p = make_params(kappa_l_hz=155e3, kappa_r_hz=450e3, kappa_i_hz=265e3)
+        p = make_params(kappa_left_hz=155e3, kappa_right_hz=450e3, kappa_internal_hz=265e3)
         assert p.kappa == pytest.approx(TWO_PI * 870e3, rel=1e-14)
 
     @given(kl=rates, kr=rates, ki=st.floats(min_value=0, max_value=1e7))
@@ -41,10 +41,10 @@ class TestSystemParams:
         with pytest.raises(ConfigError):
             make_params(gamma_m_hz=0.0)
         with pytest.raises(ConfigError):
-            make_params(kappa_l_hz=-1.0)
+            make_params(kappa_left_hz=-1.0)
 
     def test_kappa_i_zero_allowed(self):
-        make_params(kappa_i_hz=0.0)
+        make_params(kappa_internal_hz=0.0)
 
     def test_good_cavity_gate(self):
         bad = make_params(omega_m_hz=100e3)  # omega_m < kappa
@@ -77,7 +77,7 @@ class TestToneSpec:
         with pytest.raises(ConfigError):
             ToneSpec(detuning=0.0, role="generic", n_photons=1.0, coupling=1.0)
         with pytest.raises(ConfigError):
-            ToneSpec(detuning=0.0, role="generic")
+            ToneSpec(detuning=0.0, role="generic", coupling=None)
 
     @pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
     def test_non_finite_detuning_rejected(self, detuning):
@@ -89,7 +89,7 @@ class TestToneSpec:
     @settings(max_examples=50)
     def test_coupling_photon_round_trip(self, n_p):
         p = make_params()
-        tone = ToneSpec(detuning=-p.omega_m, role="red_probe", n_photons=n_p)
+        tone = ToneSpec(detuning=-p.omega_m, role="red_probe", coupling=None, n_photons=n_p)
         g = tone.coupling_rate(p)
         back = ToneSpec(detuning=-p.omega_m, role="red_probe", coupling=g)
         assert (back.coupling / p.g0) ** 2 == pytest.approx(n_p, rel=1e-12)
@@ -183,7 +183,7 @@ class TestDeriveEffectiveMechanics:
 class TestStability:
     def test_balanced_tones_stable(self):
         p = make_params()
-        cfg = ToneConfig.balanced(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 100.0)
+        cfg = balanced_config(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 100.0)
         assert cfg.gamma_tot(p) == pytest.approx(p.gamma_m, rel=1e-12)  # no raise
 
     def test_lone_blue_tone_unstable(self):

@@ -71,7 +71,7 @@ class TestScatteringMatrix:
         # O(offset/kappa) so rates are chosen tiny against kappa. For the blue
         # pump the phases of the c-dagger rows are convention dependent, so
         # only the moduli are compared there.
-        p = make_params(gamma_m_hz=1.0, kappa_i_hz=0.0)
+        p = make_params(gamma_m_hz=1.0, kappa_internal_hz=0.0)
         gamma_opt = 0.5 * p.gamma_m
         for role in ("red_probe", "blue_probe"):
             tone = tone_with_gamma_opt(p, gamma_opt, role)
@@ -98,7 +98,7 @@ class TestScatteringMatrix:
 
     def test_symmetric_half_half_example(self):
         # kappa_r = kappa_l = kappa/2, gamma_opt = gamma_m, on resonance -> s11 = 1/2
-        p = make_params(kappa_l_hz=435e3, kappa_r_hz=435e3, kappa_i_hz=0.0)
+        p = make_params(kappa_left_hz=435e3, kappa_right_hz=435e3, kappa_internal_hz=0.0)
         tone = tone_with_gamma_opt(p, p.gamma_m, "red_probe")
         smat = scattering_matrix(p, tone, 0.0)
         assert smat.entries[0, 0] == pytest.approx(0.5, rel=1e-12)
@@ -200,7 +200,7 @@ class TestNoiseFloor:
 
 class TestSpectrumComposition:
     def test_vacuum_symmetrized_on_resonance_is_half(self):
-        p = make_params(kappa_i_hz=0.0)
+        p = make_params(kappa_internal_hz=0.0)
         tone = tone_with_gamma_opt(p, 0.4 * p.gamma_m, "red_probe")
         smat = scattering_matrix(p, tone, 0.0)
         val = spectrum_from_scattering(smat, BathSpec(), "symmetrized")
@@ -260,7 +260,7 @@ class TestOrderingDifference:
                                                          n, w, role):
         # general form of sym - normal = 1/2: for any vacuum weights the two
         # orderings differ by half the output commutator at every frequency
-        p = make_params(kappa_l_hz=kl * 1e5, kappa_r_hz=kr * 1e5, kappa_i_hz=ki * 1e5,
+        p = make_params(kappa_left_hz=kl * 1e5, kappa_right_hz=kr * 1e5, kappa_internal_hz=ki * 1e5,
                         gamma_m_hz=gamma_m_hz, omega_m_hz=50.0 * (kl + kr + ki) * 1e5)
         b = BathSpec(*n, *w)
         tone = tone_with_gamma_opt(p, u * p.gamma_m, role)
@@ -325,7 +325,7 @@ class TestImbalance:
 
     def test_vacuum_peak_height_matches_weight(self):
         # peak of the imbalance ~ weight * 4/gamma_tot at weak coupling
-        p = make_params(kappa_i_hz=0.0)
+        p = make_params(kappa_internal_hz=0.0)
         tone = tone_with_gamma_opt(p, 1e-5 * p.gamma_m, "red_probe")
         grid = np.array([-p.gamma_m * 1e-6, 0.0, p.gamma_m * 1e-6])
         delta_s = imbalance(p, BathSpec(), tone, "symmetrized", grid)
@@ -345,7 +345,7 @@ class TestImbalance:
 
 class TestIntegratedAsymmetry:
     def test_vacuum_plus_one(self):
-        p = make_params(kappa_i_hz=0.0)
+        p = make_params(kappa_internal_hz=0.0)
         tone = tone_with_gamma_opt(p, 0.01 * p.gamma_m, "red_probe")
         gamma_opt = tone.gamma_opt(p)
         pref = p.kappa_r / p.kappa
@@ -409,7 +409,7 @@ class TestOutputCommutator:
 
     def test_beta_residue(self):
         # beta = 2, alphas = 1, kappa_i = 0: Lorentzian residue prop to (beta - 1)
-        p = make_params(kappa_i_hz=0.0)
+        p = make_params(kappa_internal_hz=0.0)
         gamma_opt = 0.3 * p.gamma_m
         tone = tone_with_gamma_opt(p, gamma_opt, "red_probe")
         b = BathSpec(beta=2.0)
@@ -421,7 +421,7 @@ class TestOutputCommutator:
         assert val == pytest.approx(expected, rel=1e-9)
 
     def test_drive_off_constant(self):
-        p = make_params(kappa_i_hz=0.0)
+        p = make_params(kappa_internal_hz=0.0)
         tone = ToneSpec(detuning=-p.omega_m, role="red_probe", coupling=0.0)
         b = BathSpec(alpha_r=1.2, alpha_l=0.7)
         k = p.kappa

@@ -125,7 +125,7 @@ class TestEquilibration:
     def test_mechanical_occupation_fluctuation_dissipation(self):
         # drive off, thermal mechanics: the stationary covariance of the exact
         # transitions, Sigma = Phi Sigma Phi^T + Q, holds <|c|^2> = n_m + 1/2
-        p = fast_params(kappa_l_hz=50.0, kappa_r_hz=100.0, kappa_i_hz=0.0,
+        p = fast_params(kappa_left_hz=50.0, kappa_right_hz=100.0, kappa_internal_hz=0.0,
                         gamma_m_hz=40.0, omega_m_hz=1e5)
         n_m = 4.0
         (phi,), (q,), _ = propagator(p, BathSpec(n_m=n_m), ToneConfig(tones=()), 0.05 / p.gamma_m)
