@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateData, RankDeficient, SidebandLabError, ValidityError
-from .fitting import fit_lorentzian, gauss_newton, median
+from .fitting import EXACT_ULPS, fit_lorentzian, gauss_newton, median
 from .model import (
     TWO_PI,
     BathSpec,
@@ -145,7 +145,8 @@ def fit_output_occupation(spec: Spectrum, params: SystemParams,
     """Fit (n_r, amplifier floor) to a pump-off floor spectrum.
 
     The spectrum should span at least ~3 kappa around the cavity so the dip
-    depth separates from the flat amplifier contribution.
+    depth separates from the flat amplifier contribution. DegenerateData if one
+    quantum of n_r moves the model no more than `gauss_newton`'s exact-fit rounding.
     """
     x = spec.freq_offsets
     v = spec.values
@@ -155,6 +156,12 @@ def fit_output_occupation(spec: Spectrum, params: SystemParams,
     lor = k**2 / (k**2 + 4.0 * x**2)
     basis_n = (lor * (kr / k - 1.0) + k / (2.0 * kr)) / lambda_conv
     const = (k / (4.0 * kr)) / lambda_conv
+    # the dip's contrast is the part of the n_r term that the flat floor cannot absorb
+    contrast = float(np.linalg.norm(basis_n - np.mean(basis_n)))
+    rounding = EXACT_ULPS * np.finfo(float).eps * float(np.linalg.norm(v))
+    if not contrast > rounding:
+        raise DegenerateData(f"its n_r term cannot move the fit at lambda_conv = {lambda_conv:g}: "
+                             f"one quantum moves it by {contrast:.3g}, within {rounding:.3g}")
 
     def model_jac(p):
         n_r, floor = p

@@ -57,12 +57,16 @@ def _add_source_args(parser):
     source.add_argument("--preset", choices=PRESET_NAMES, help="named parameter set")
 
 
-def _linewidth_grid(args, gamma_tot: float) -> np.ndarray:
-    """``--points`` offsets across +-``--span-linewidths`` gamma_tot, which must be finite."""
+def _linewidth_grid(args, gamma_tot: float, center: float) -> np.ndarray:
+    """``--points`` offsets over +-``--span-linewidths`` gamma_tot, finite and apart at -+center."""
     if not math.isfinite(2.0 * args.span_linewidths * gamma_tot):
         raise ConfigError(f"--span-linewidths {args.span_linewidths!r} is too wide: the grid "
                           f"would not be finite at gamma_tot = {gamma_tot:.6g} rad/s")
-    return np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
+    grid = np.linspace(-args.span_linewidths, args.span_linewidths, args.points) * gamma_tot
+    if not all(np.all(np.diff(grid + shift) > 0.0) for shift in (-center, center)):
+        raise ConfigError(f"--span-linewidths {args.span_linewidths!r} is too narrow: "
+                          f"neighbouring grid points coincide at offsets -+{center:.6g} rad/s")
+    return grid
 
 
 def cmd_spectrum(args) -> int:
@@ -79,10 +83,10 @@ def cmd_spectrum(args) -> int:
         tone = config.tone(f"{args.sign}_probe")
         if tone is None:
             raise ConfigError(f"config has no {args.sign}_probe tone")
-        grid = _linewidth_grid(args, ToneConfig(tones=(tone,)).gamma_tot(params))
+        grid = _linewidth_grid(args, ToneConfig(tones=(tone,)).gamma_tot(params), 0.0)
         spectrum = single_tone_spectrum(params, baths, tone, kind, grid)
     elif args.mode == "multitone":
-        grid = _linewidth_grid(args, config.gamma_tot(params))
+        grid = _linewidth_grid(args, config.gamma_tot(params), config.delta(params))
         spectrum = multitone_spectra(params, baths, config, kind, grid)
     else:  # full-rwa
         delta = config.delta(params)

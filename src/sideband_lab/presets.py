@@ -1,16 +1,12 @@
 """Named parameter presets, each the contents of a configuration file.
 
-Two published device parameter sets are shipped side by side ("main-text"
-and "si-figure"; they differ in the total linewidth 860 vs 870 kHz and the
-input coupling 150 vs 155 kHz) plus "oracle-demo", a rate-scaled
-configuration where the stochastic oracle converges in seconds instead of
-hours. The two device presets are intentionally not reconciled.
-
-A preset is the object that `save_config` writes for it, and `preset` loads
-it with `config_from_dict`, as `--config` loads a file: one Hz -> rad/s
-conversion and the same load-time gates. A few values keep the last digit
-that the rad/s -> Hz step of a save gives them (260000.00000000003 Hz is
-2*pi * 260 kHz / 2*pi), so that a saved preset is the preset unchanged.
+"main-text" and "si-figure" are two published parameter sets of the paper's
+device, shipped side by side and intentionally not reconciled (total
+linewidth 860 vs 870 kHz, input coupling 150 vs 155 kHz); "oracle-demo" is
+rate-scaled so that the stochastic oracle converges in seconds, not hours.
+Each is the object that `save_config` writes for it, to the digit (so
+kappa_internal_hz 260000.00000000003 is 2*pi * 260 kHz / 2*pi), and `preset`
+loads it with `config_from_dict`, as `--config` loads a file.
 """
 
 from __future__ import annotations
@@ -30,16 +26,13 @@ def _baths(**occupations) -> dict:
 
 
 def _coupling_hz(gamma_opt_hz: float, system: dict) -> float:
-    """G/2pi of a tone with optical damping 4 G^2 / kappa = 2pi * ``gamma_opt_hz``, worked
-    in rad/s with kappa summed as `SystemParams.kappa` sums it: the same arithmetic in Hz
-    loads si-figure's cooling coupling one ulp lower."""
-    kappa = sum(TWO_PI * system[key]
-                for key in ("kappa_left_hz", "kappa_right_hz", "kappa_internal_hz"))
+    """G/2pi of a tone with optical damping 4 G^2 / kappa = 2pi * ``gamma_opt_hz``, in rad/s
+    as `SystemParams.kappa` sums it: in Hz, si-figure's cooling coupling loads one ulp lower."""
+    kappa = sum(TWO_PI * system[f"kappa_{port}_hz"] for port in ("left", "right", "internal"))
     return math.sqrt(TWO_PI * gamma_opt_hz * kappa) / 2.0 / TWO_PI
 
 
 def _probes(detuning_hz: float, **strength) -> list[dict]:
-    """The balanced probe pair at -+``detuning_hz``."""
     return [{"role": "red_probe", "detuning_hz": -detuning_hz, **strength},
             {"role": "blue_probe", "detuning_hz": detuning_hz, **strength}]
 

@@ -658,6 +658,66 @@ class TestCalibrateCommand:
         assert "Traceback" not in err
 
 
+def _with_cell(value):
+    """The case that sets the value of the middle row to ``value``."""
+    def case(x, y):
+        y = list(y)
+        y[len(y) // 2] = value
+        return x, y
+    return case
+
+
+#: the cases of `TestTableFuzz`: a table's (x, y) columns -> the columns its file holds
+TABLE_CASES = {
+    "header-only": lambda x, y: ([], []),
+    "one-row": lambda x, y: (x[:1], y[:1]),
+    "two-rows": lambda x, y: (x[:2], y[:2]),
+    **{f"cell-{value}": _with_cell(value) for value in ("nan", "inf", "-inf", "1e308", "1e-300")},
+    "zeros": lambda x, y: (x, ["0.0"] * len(y)),
+    "negatives": lambda x, y: (x, [repr(-float(v)) for v in y]),
+    "duplicate-x": lambda x, y: ([x[0]] * len(x), y),
+    "reversed": lambda x, y: (x[::-1], y[::-1]),
+}
+
+
+class TestTableFuzz:
+    """Each calibration table of a synthetic main-text run, alone in its directory and
+    broken in one of `TABLE_CASES`, through `calibrate --data`: a strict-JSON report, or
+    exit 2 or 3 with the error and the table named on the last stderr line; never a
+    traceback or a warning."""
+
+    @pytest.fixture(scope="class")
+    def columns(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("synthetic")
+        assert main(["calibrate", "--preset", "main-text", "--synthetic", "--seed", "1",
+                     "--out", str(out)]) == 0
+        return {name: tuple([repr(float(v)) for v in column]
+                            for column in read_xy_csv(out / f"{name}.csv"))
+                for name in CALIBRATION_TABLES}
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    @pytest.mark.parametrize("table", CALIBRATION_TABLES)
+    def test_report_or_named_error(self, tmp_path, capsys, columns, table, case):
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        x, y = TABLE_CASES[case](*columns[table])
+        rows = [CALIBRATION_TABLES[table][0], *(f"{a},{b}" for a, b in zip(x, y))]
+        (data / f"{table}.csv").write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
+                       "--out", str(out)])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert "Traceback" not in err
+        if rc == 0:
+            strict_json((out / "calibration_report.json").read_text())
+        else:
+            assert rc in (2, 3)
+            assert re.match(rf"[A-Z]\w+: .*{table}\.csv", err.splitlines()[-1])
+            assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--points", "-1"], "ConfigError: --points must be at least 2, got -1"),
     (["spectrum", "--mode", "single", "--points", "1"],
@@ -701,12 +761,16 @@ class TestCalibrateCommand:
      "measures -0.0646 times its true value\n"),
     (["calibrate", "--synthetic", "--noise", "1e308"],
      "ConfigError: linewidth_vs_power.csv: noise_level 1e+308 made the table unphysical: "),
+    # the multitone grid's points collapse once shifted to the sidebands at -+delta
+    (["spectrum", "--span-linewidths", "1e-300"],
+     "ConfigError: --span-linewidths 1e-300 is too narrow: neighbouring grid points coincide "
+     "at offsets -+31415.9 rad/s\n"),
 ], ids=["points-negative", "points-one", "trajectories-zero", "segments-zero",
         "segments-negative", "noise-nan", "noise-negative",
         "noise-inf", "lambda-negative", "lambda-zero", "oracle-seed-negative",
         "calibrate-seed-negative", "data-seed", "data-noise", "span-zero", "span-negative",
         "span-nan", "span-inf", "points-beyond-the-grid-bound", "span-overflow",
-        "noise-flips-a-magnitude", "noise-overflow"])
+        "noise-flips-a-magnitude", "noise-overflow", "span-collapses"])
 def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -716,6 +780,18 @@ def test_malformed_number_is_named_config_error(tmp_path, capsys, argv, message)
     assert err.startswith(message)
     assert "Traceback" not in err
     assert [str(w.message) for w in caught] == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lam", [1e15, 1e308], ids=["1e15", "1e308"])
+def test_lambda_conv_that_hides_n_r_is_degenerate_data(tmp_path, capsys, lam):
+    # every floor value rounds to the amplifier floor: the fit used to report
+    # its starting guess n_r = 0.1 with a standard error of 0.0
+    rc = main(["calibrate", "--preset", "main-text", "--synthetic", "--lambda-conv", repr(lam),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("DegenerateData: output_floor.csv: its n_r "
+                                              f"term cannot move the fit at lambda_conv = {lam:g}: ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -730,7 +806,7 @@ FUZZ_CASES = [
     for command in ("spectrum", "asymmetry", "oracle-compare", "calibrate", "noise-constraint")
     for action in subcommand(command)._actions if action.type in (int, float)
     for value in ("0", "-1", "nan", "inf", "1e308")
-    + (("100000000000",) if action.type is int else ())]
+    + (("100000000000",) if action.type is int else ("1e-300",))]
 
 
 @pytest.mark.parametrize("command, flag, value", FUZZ_CASES,
