@@ -9,7 +9,6 @@ from .errors import (
     DegenerateData,
     InstabilityError,
     NonConvergence,
-    RankDeficient,
     SidebandLabError,
     StepSizeError,
     UnbalancedError,
@@ -33,5 +32,4 @@ __all__ = [
     "PRESET_NAMES", "preset",
     "SidebandLabError", "ConfigError", "ValidityError", "InstabilityError",
     "UnbalancedError", "StepSizeError", "NonConvergence", "DegenerateData",
-    "RankDeficient",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateData, RankDeficient, SidebandLabError, ValidityError
+from .errors import ConfigError, DegenerateData, SidebandLabError, ValidityError
 from .fitting import EXACT_ULPS, fit_lorentzian, gauss_newton, median
 from .model import (
     TWO_PI,
@@ -55,10 +55,6 @@ def fit_linewidth_vs_power(power, gamma_tot) -> tuple[float, float]:
     by the low-power points of a decades-wide sweep.
     """
     p, g = np.asarray(power, dtype=float), np.asarray(gamma_tot, dtype=float)
-    if p.ndim != 1 or p.shape != g.shape or p.size < 2:
-        raise RankDeficient("need at least two (power, linewidth) points")
-    if np.ptp(p) <= 0.0:
-        raise RankDeficient("all power values identical")
     w = 1.0 / np.maximum(np.abs(g), 1e-300)
     coef, *_ = np.linalg.lstsq(np.column_stack([w, w * p]), w * g, rcond=None)
     return float(coef[0]), float(coef[1])
@@ -216,8 +212,6 @@ def fit_shunt_capacitance(omega: np.ndarray, s21_mag: np.ndarray,
     """C_out in farads of `s21_shunt` fitted to an |S21| magnitude trace (linear units)."""
     w = np.asarray(omega, dtype=float)
     mag = np.asarray(s21_mag, dtype=float)
-    if w.size < 5:
-        raise DegenerateData("need at least 5 transmission points")
 
     def model_jac(p):  # d|z|/dC = Im(z) * 2 R_L omega_c / |z|
         shunted = s21_shunt(params, p[0], w)
@@ -248,13 +242,14 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     "output_floor" gives n_r_fit, n_r_err and amplifier_floor_fit;
     "thermometry_plus"/"_minus" give conversion_slope_plus/_minus, the slope
     through the origin of the red/blue probe's power ratio against the Bose
-    occupation (DegenerateData below two rows or if 0 or not finite), and both give
+    occupation (DegenerateData if 0 or not finite), and both give
     conversion_ratio (DegenerateData if not finite); "sideband_anti_stokes"/
     "sideband_stokes" give n_plus_fit/n_minus_fit, a Lorentzian weight over
     (kappa_r/kappa) gamma_opt of the red/blue probe (a ConfigError without
     it), and both give n_eff_fit. The standard errors of n_r and of each
     sideband's width and amplitude go under "uncertainties". Absent tables
-    leave their keys out. ``lambda_conv`` must be positive (ConfigError). A
+    leave their keys out. Each table is taken to hold the distinct x values
+    its fit needs, which `dataio.read_calibration_tables` checks on files. ``lambda_conv`` must be positive (ConfigError). A
     floating-point overflow, invalid value or zero division while a table is
     fitted is DegenerateData, and numpy prints no warning. Every error raised
     while a table is fitted names it: its message starts with "<table>.csv".
@@ -288,8 +283,6 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
                        amplifier_floor_fit=occ.amplifier_floor)
             uncertainties["n_r"] = occ.n_r_err
         elif table in ("thermometry_plus", "thermometry_minus"):
-            if len(x) < 2:
-                raise DegenerateData("need at least two (temperature, power ratio) points")
             n_m = np.array([bose_occupation(t, params.omega_m) for t in x.tolist()])
             slope = float(n_m @ y / (n_m @ n_m))
             if slope == 0.0 or not math.isfinite(slope):

@@ -27,21 +27,22 @@ __all__ = [
 ]
 
 #: Calibration measurement tables, stored as ``<name>.csv``: name -> (header,
-#: the domain of the second column, or None for any finite value). Units: pump
+#: the domain of the second column or None for any finite value, the fewest
+#: distinct values of the first column that the table's fit needs). Units: pump
 #: power (any unit) vs total linewidth in Hz, which is positive; probe
-#: frequency in Hz vs |S21| in dB; frequency in Hz vs pump-off detected floor;
-#: temperature in K vs sideband-to-through power ratio of the red (plus) or
-#: blue (minus) probe, never negative (all zero is a degenerate conversion,
-#: which its fit names); each sideband's offset in Hz vs its positive value in
-#: quanta, as in spectrum CSVs.
+#: frequency in Hz vs |S21| in dB; frequency in Hz vs the positive pump-off
+#: detected floor; temperature in K vs sideband-to-through power ratio of the
+#: red (plus) or blue (minus) probe, never negative (all zero is a degenerate
+#: conversion, which its fit names); each sideband's offset in Hz vs its
+#: positive value in quanta, as in spectrum CSVs.
 CALIBRATION_TABLES = {
-    "linewidth_vs_power": ("# power,gamma_tot_hz", "> 0"),
-    "s21_db": ("# freq_hz,mag_db", None),
-    "output_floor": ("# freq_hz,value", None),
-    "thermometry_plus": ("# temperature_k,power_ratio", ">= 0"),
-    "thermometry_minus": ("# temperature_k,power_ratio", ">= 0"),
-    "sideband_anti_stokes": ("# offset_hz,value_quanta", "> 0"),
-    "sideband_stokes": ("# offset_hz,value_quanta", "> 0"),
+    "linewidth_vs_power": ("# power,gamma_tot_hz", "> 0", 2),
+    "s21_db": ("# freq_hz,mag_db", None, 5),
+    "output_floor": ("# freq_hz,value", "> 0", 2),
+    "thermometry_plus": ("# temperature_k,power_ratio", ">= 0", 2),
+    "thermometry_minus": ("# temperature_k,power_ratio", ">= 0", 2),
+    "sideband_anti_stokes": ("# offset_hz,value_quanta", "> 0", 20),
+    "sideband_stokes": ("# offset_hz,value_quanta", "> 0", 20),
 }
 
 
@@ -94,20 +95,27 @@ def _line_of_row(path, row: int) -> int:
 
 
 def read_calibration_tables(directory) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Every calibration table present in ``directory``, keyed by table name. A
-    value outside its column's domain (`CALIBRATION_TABLES`) is a ConfigError
-    naming the file, the line and the column."""
+    """Every calibration table present in ``directory``, keyed by table name, held
+    to its entry of `CALIBRATION_TABLES`: a value outside its column's domain is a
+    ConfigError naming the file, the line and the column, and fewer distinct
+    values in column 1 than the table's fit needs is DegenerateData naming the
+    file and the column."""
     tables = {}
-    for name, (header, domain) in CALIBRATION_TABLES.items():
+    for name, (header, domain, fewest) in CALIBRATION_TABLES.items():
         path = Path(directory) / f"{name}.csv"
         if not path.exists():
             continue
         x, y = read_xy_csv(path)
+        x_name, y_name = header[2:].split(",")
         outside = np.flatnonzero(y <= 0.0 if domain == "> 0" else y < 0.0) if domain else []
         if len(outside):
             row = outside[0]
             raise ConfigError(f"{path}:{_line_of_row(path, row)}: column 2, "
-                              f"{header.split(',')[1]}, must be {domain}, got {float(y[row])!r}")
+                              f"{y_name}, must be {domain}, got {float(y[row])!r}")
+        distinct = np.unique(x).size
+        if distinct < fewest:
+            raise DegenerateData(f"{path}: column 1, {x_name}, must hold at least {fewest} "
+                                 f"distinct values, got {distinct}")
         tables[name] = x, y
     if not tables:
         expected = ", ".join(f"{name}.csv" for name in CALIBRATION_TABLES)

@@ -42,9 +42,5 @@ class DegenerateData(SidebandLabError):
     """Input data carries no usable feature (e.g. flat spectrum)."""
 
 
-class RankDeficient(SidebandLabError):
-    """Regression design matrix is rank deficient."""
-
-
 #: The validity and stability gates: exit code 3 in the CLI, where any other error is 2.
 GATE_ERRORS = (ValidityError, InstabilityError, UnbalancedError, StepSizeError)

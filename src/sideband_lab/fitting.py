@@ -122,11 +122,10 @@ def _lorentzian_initial_guess(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     dev = v - floor
     peak_idx = int(np.argmax(np.abs(dev)))
     amp = float(dev[peak_idx])
-    span = x[-1] - x[0]
-    if abs(amp) < 1e-12 * max(np.max(np.abs(v)), 1.0) or span <= 0:
+    if abs(amp) < 1e-12 * max(np.max(np.abs(v)), 1.0):
         raise DegenerateData("flat spectrum: no peak to fit")
     half = np.abs(dev) >= abs(amp) / 2.0
-    width = max(x[half][-1] - x[half][0], span / x.size)
+    width = max(x[half][-1] - x[half][0], (x[-1] - x[0]) / x.size)
     return np.array([x[peak_idx], width, amp, floor])
 
 
@@ -134,12 +133,11 @@ def fit_lorentzian(spec: Spectrum) -> LorentzianFit:
     """Four-parameter Lorentzian least squares on a spectrum window.
 
     Initialized from a peak/half-maximum scan; dips (negative amplitude) are
-    handled. Needs at least 20 points.
+    handled. The offsets should hold enough points to pin four parameters:
+    `dataio.CALIBRATION_TABLES` asks 20 distinct ones of a sideband table.
     """
     x = spec.freq_offsets
     v = spec.values
-    if x.size < 20:
-        raise DegenerateData(f"need >= 20 points to fit, got {x.size}")
     if np.ptp(v) <= 1e-14 * max(np.max(np.abs(v)), 1.0):
         raise DegenerateData("flat spectrum: no peak to fit")
     x0 = _lorentzian_initial_guess(x, v)

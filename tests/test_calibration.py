@@ -19,7 +19,8 @@ from sideband_lab.calibration import (
     thermometry_ratio,
     transmission_delta,
 )
-from sideband_lab.errors import ConfigError, RankDeficient, UnbalancedError, ValidityError
+from sideband_lab.dataio import read_calibration_tables
+from sideband_lab.errors import ConfigError, DegenerateData, UnbalancedError, ValidityError
 from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec, bose_occupation
 from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import preset
@@ -56,11 +57,16 @@ class TestLinewidthVsPower:
         assert np.median(errs) < 0.10
         assert np.mean(errs) < 0.10
 
-    def test_rank_deficient(self):
-        with pytest.raises(RankDeficient):
-            fit_linewidth_vs_power([1.0], [10.0])
-        with pytest.raises(RankDeficient):
-            fit_linewidth_vs_power([1.0, 1.0], [10.0, 12.0])
+    def test_rank_deficient(self, tmp_path):
+        # one distinct power cannot pin an intercept and a slope: the reader
+        # refuses the table before its fit runs
+        path = tmp_path / "linewidth_vs_power.csv"
+        for rows in (["1.0,10.0"], ["1.0,10.0", "1.0,12.0"]):
+            path.write_text("\n".join(["# power,gamma_tot_hz", *rows]) + "\n")
+            with pytest.raises(DegenerateData) as err:
+                read_calibration_tables(tmp_path)
+            assert str(err.value) == (f"{path}: column 1, power, must hold at least 2 "
+                                      "distinct values, got 1")
 
 
 def probe(p, role, delta=0.0):

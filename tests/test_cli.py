@@ -598,25 +598,27 @@ class TestCalibrateCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("table, value, n_rows, error", [
-        ("sideband_anti_stokes", "1e308", None, "DegenerateData: flat spectrum: no peak to fit"),
-        ("linewidth_vs_power", None, 1,
-         "RankDeficient: need at least two (power, linewidth) points"),
-        ("s21_db", None, 1, "DegenerateData: need at least 5 transmission points"),
-        ("output_floor", None, 1, "ConfigError: spectrum must span at least 3*kappa"),
-        ("thermometry_plus", None, 1,
-         "DegenerateData: need at least two (temperature, power ratio) points"),
+        ("sideband_anti_stokes", "1e308", None,
+         "DegenerateData: sideband_anti_stokes.csv: flat spectrum: no peak to fit"),
+        ("linewidth_vs_power", None, 1, "DegenerateData: {path}: column 1, power, "
+         "must hold at least 2 distinct values, got 1"),
+        ("s21_db", None, 1, "DegenerateData: {path}: column 1, freq_hz, "
+         "must hold at least 5 distinct values, got 1"),
+        ("output_floor", None, 1, "DegenerateData: {path}: column 1, freq_hz, "
+         "must hold at least 2 distinct values, got 1"),
+        ("thermometry_plus", None, 1, "DegenerateData: {path}: column 1, temperature_k, "
+         "must hold at least 2 distinct values, got 1"),
     ], ids=["flat-sideband", "one-row-linewidth", "one-row-s21", "one-row-floor",
             "one-row-thermometry"])
     def test_a_fit_error_names_its_table(self, tmp_path, capsys, table, value, n_rows, error):
-        # each message comes from a fit that does not know the file; the
-        # inversion names the table once and keeps the class and exit code
+        # every error names the table once, keeping its class and exit code: the
+        # reader by the file's path, the inversion for a fit that does not know it
         data = synthetic_tables_with(tmp_path, table, value, n_rows)
         capsys.readouterr()
         rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
                    "--out", str(tmp_path / "out")])
         assert rc == 2
-        kind, message = error.split(": ", 1)
-        assert capsys.readouterr().err == f"{kind}: {table}.csv: {message}\n"
+        assert capsys.readouterr().err == error.format(path=data / f"{table}.csv") + "\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("table, every, value, column, domain", [
@@ -680,6 +682,14 @@ TABLE_CASES = {
 }
 
 
+def write_table(directory, table, x, y):
+    """``table`` as the file `calibrate --data` reads, with the cells ``x`` and ``y``."""
+    path = directory / f"{table}.csv"
+    rows = [CALIBRATION_TABLES[table][0], *(f"{a},{b}" for a, b in zip(x, y))]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestTableFuzz:
     """Each calibration table of a synthetic main-text run, alone in its directory and
     broken in one of `TABLE_CASES`, through `calibrate --data`: a strict-JSON report, or
@@ -700,9 +710,7 @@ class TestTableFuzz:
     def test_report_or_named_error(self, tmp_path, capsys, columns, table, case):
         data, out = tmp_path / "data", tmp_path / "out"
         data.mkdir()
-        x, y = TABLE_CASES[case](*columns[table])
-        rows = [CALIBRATION_TABLES[table][0], *(f"{a},{b}" for a, b in zip(x, y))]
-        (data / f"{table}.csv").write_text("\n".join(rows) + "\n")
+        write_table(data, table, *TABLE_CASES[case](*columns[table]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
@@ -716,6 +724,34 @@ class TestTableFuzz:
             assert rc in (2, 3)
             assert re.match(rf"[A-Z]\w+: .*{table}\.csv", err.splitlines()[-1])
             assert not out.exists()
+
+    @pytest.mark.parametrize("table, case, error", [
+        ("s21_db", "duplicate-x", "DegenerateData: {path}: column 1, freq_hz, "
+         "must hold at least 5 distinct values, got 1"),
+        ("thermometry_plus", "duplicate-x", "DegenerateData: {path}: column 1, temperature_k, "
+         "must hold at least 2 distinct values, got 1"),
+        ("thermometry_minus", "duplicate-x", "DegenerateData: {path}: column 1, temperature_k, "
+         "must hold at least 2 distinct values, got 1"),
+        ("output_floor", "zeros", "ConfigError: {path}:2: column 2, value, must be > 0, got 0.0"),
+        ("output_floor", "negatives",
+         "ConfigError: {path}:2: column 2, value, must be > 0, got {negated_first}"),
+    ], ids=["s21-one-frequency", "thermometry-plus-one-temperature",
+            "thermometry-minus-one-temperature", "floor-zeros", "floor-negated"])
+    def test_a_table_without_a_meaningful_fit_is_refused(self, tmp_path, capsys, columns,
+                                                         table, case, error):
+        # each of these tables used to exit 0 with a fit that meant nothing: a
+        # shunt capacitance 3 times the true one, a conversion slope 5.5 times it,
+        # or a negative n_r and amplifier floor
+        data, out = tmp_path / "data", tmp_path / "out"
+        data.mkdir()
+        path = write_table(data, table, *TABLE_CASES[case](*columns[table]))
+        rc = main(["calibrate", "--preset", "main-text", "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 2
+        negated_first = repr(-float(columns[table][1][0]))
+        assert capsys.readouterr().err == error.format(path=path,
+                                                       negated_first=negated_first) + "\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sideband_lab.dataio import read_calibration_tables, write_calibration_tables
 from sideband_lab.errors import DegenerateData
 from sideband_lab.fitting import EXACT_ULPS, fit_lorentzian, gauss_newton, median
 from sideband_lab.model import Spectrum
@@ -120,10 +121,14 @@ class TestFitLorentzian:
         with pytest.raises(DegenerateData):
             fit_lorentzian(Spectrum(x, np.full_like(x, 3.3)))
 
-    def test_too_few_points(self):
+    def test_too_few_points(self, tmp_path):
+        # a sideband table must hold the 20 distinct offsets its fit needs
         x = np.linspace(-5, 5, 10)
-        with pytest.raises(DegenerateData):
-            fit_lorentzian(Spectrum(x, lorentzian(x, 0, 2, 1, 0)))
+        write_calibration_tables(tmp_path, {"sideband_stokes": (x, lorentzian(x, 0, 2, 1, 0))})
+        with pytest.raises(DegenerateData) as err:
+            read_calibration_tables(tmp_path)
+        assert str(err.value) == (f"{tmp_path / 'sideband_stokes.csv'}: column 1, offset_hz, "
+                                  "must hold at least 20 distinct values, got 10")
 
     def test_uncertainties_scale_with_noise(self):
         x = np.linspace(-12, 12, 301)
