@@ -148,20 +148,19 @@ def fit_output_occupation(spec: Spectrum, params: SystemParams,
     v = spec.values
     if x[-1] - x[0] < 3.0 * params.kappa:
         raise ConfigError("spectrum must span at least 3*kappa")
-    k, kr = params.kappa, params.kappa_r
-    lor = k**2 / (k**2 + 4.0 * x**2)
-    basis_n = (lor * (kr / k - 1.0) + k / (2.0 * kr)) / lambda_conv
-    const = (k / (4.0 * kr)) / lambda_conv
+    # the model is linear in n_r: its n_r column is what one quantum adds
+    per_quantum = output_floor_model(params, lambda_conv, x, 1.0, 0.0) \
+        - output_floor_model(params, lambda_conv, x, 0.0, 0.0)
     # the dip's contrast is the part of the n_r term that the flat floor cannot absorb
-    contrast = float(np.linalg.norm(basis_n - np.mean(basis_n)))
+    contrast = float(np.linalg.norm(per_quantum - np.mean(per_quantum)))
     rounding = EXACT_ULPS * np.finfo(float).eps * float(np.linalg.norm(v))
     if not contrast > rounding:
         raise DegenerateData(f"its n_r term cannot move the fit at lambda_conv = {lambda_conv:g}: "
                              f"one quantum moves it by {contrast:.3g}, within {rounding:.3g}")
 
     def model_jac(p):
-        n_r, floor = p
-        return basis_n * n_r + const + floor, np.column_stack([basis_n, np.ones_like(x)])
+        return (output_floor_model(params, lambda_conv, x, *p),
+                np.column_stack([per_quantum, np.ones_like(x)]))
 
     p, cov, rnorm, _ = gauss_newton(model_jac, v, np.array([0.1, median(v)]))
     return OccupationFit(n_r=float(p[0]), amplifier_floor=float(p[1]),
