@@ -24,7 +24,6 @@ __all__ = [
     "averaged_occupation",
     "multitone_spectra",
     "sideband_weights",
-    "multitone_integrated_asymmetry",
     "sideband_ratio_model",
     "full_rwa_spectrum",
     "peak_ratio_correction",
@@ -72,7 +71,6 @@ def _brackets(params: SystemParams, baths: BathSpec, config: ToneConfig) -> tupl
     config.delta_c(params)
     for tone in config.tones:
         _detuning_gate(params, tone)
-    baths.require_unit_vacuum()
     n_bar = averaged_occupation(params, baths, config)
     n_eff = baths.n_eff(params)
     return n_bar - n_eff, n_bar + n_eff + 1.0
@@ -115,17 +113,6 @@ def sideband_weights(params: SystemParams, baths: BathSpec,
     anti_br, stokes_br = _brackets(params, baths, config)
     pref = params.kappa_r / params.kappa
     return pref * gp * anti_br, pref * gm * stokes_br
-
-
-def multitone_integrated_asymmetry(params: SystemParams, baths: BathSpec,
-                                   config: ToneConfig) -> float:
-    """Stokes-minus-anti-Stokes integrated weight (equal for both orderings).
-
-    w_S - w_AS of `sideband_weights`, i.e. (kappa_r/kappa) [n_bar (gamma^- -
-    gamma^+) + (n_eff + 1) gamma^- + n_eff gamma^+].
-    """
-    w_anti, w_stokes = sideband_weights(params, baths, config)
-    return w_stokes - w_anti
 
 
 def sideband_ratio_model(n_m_plus: float, n_eff: float) -> float:

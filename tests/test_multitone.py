@@ -10,7 +10,6 @@ from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec,
 from sideband_lab.multitone import (
     averaged_occupation,
     full_rwa_spectrum,
-    multitone_integrated_asymmetry,
     multitone_spectra,
     peak_ratio_correction,
     sideband_ratio_model,
@@ -122,10 +121,9 @@ class TestStabilityGate:
         lambda p, b, c: sxx_spectrum(p, b, c, np.array([0.0])),
         lambda p, b, c: averaged_occupation(p, b, c),
         lambda p, b, c: sideband_weights(p, b, c),
-        lambda p, b, c: multitone_integrated_asymmetry(p, b, c),
         lambda p, b, c: multitone_spectra(p, b, c, "symmetrized", np.array([0.0])),
     ], ids=["sxx_integrated_weight", "sxx_spectrum", "averaged_occupation",
-            "sideband_weights", "multitone_integrated_asymmetry", "multitone_spectra"])
+            "sideband_weights", "multitone_spectra"])
     def test_unstable_drive_raises(self, form):
         p, baths, cfg = self.unstable()
         with pytest.raises(InstabilityError) as err:
@@ -143,7 +141,6 @@ class TestVacuumWeightGate:
         odd = replace(baths, **{name: 1.5})
         grid = np.array([0.0])
         forms = (lambda: sideband_weights(p, odd, cfg),
-                 lambda: multitone_integrated_asymmetry(p, odd, cfg),
                  lambda: multitone_spectra(p, odd, cfg, "symmetrized", grid),
                  lambda: full_rwa_spectrum(p, odd, cfg, grid),
                  lambda: sxx_spectrum(p, odd, cfg, grid),
@@ -191,7 +188,6 @@ def test_config_without_probe_is_refused_by_every_multitone_form(tones):
     b, grid = BathSpec(), np.array([0.0])
     forms = (lambda: sideband_weights(p, b, cfg),
              lambda: multitone_spectra(p, b, cfg, "symmetrized", grid),
-             lambda: multitone_integrated_asymmetry(p, b, cfg),
              lambda: full_rwa_spectrum(p, b, cfg, grid))
     for form in forms:
         with pytest.raises(ConfigError, match="^no probe tone: "):
@@ -295,18 +291,24 @@ class TestMultitoneSpectra:
             multitone_spectra(p, BathSpec(), cfg, "symmetrized", np.array([0.0]))
 
 
+def integrated_asymmetry(params, baths, config):
+    """Stokes-minus-anti-Stokes integrated weight w_S - w_AS of `sideband_weights`."""
+    w_anti, w_stokes = sideband_weights(params, baths, config)
+    return w_stokes - w_anti
+
+
 class TestIntegratedAsymmetry:
     def test_balanced_scaling(self):
         p, baths, cfg = si_figure_like()
         gamma_opt, _ = cfg.gamma_opt_pair(p)
         expected = (p.kappa_r / p.kappa) * gamma_opt * (2.0 * baths.n_eff(p) + 1.0)
-        assert multitone_integrated_asymmetry(p, baths, cfg) == pytest.approx(expected, rel=1e-12)
+        assert integrated_asymmetry(p, baths, cfg) == pytest.approx(expected, rel=1e-12)
 
     def test_vacuum_balanced(self):
         p = make_params()
         cfg = balanced_config(p, delta=TWO_PI * 5e3, probe_gamma_opt=TWO_PI * 1.0)
         gamma_opt, _ = cfg.gamma_opt_pair(p)
-        assert multitone_integrated_asymmetry(p, BathSpec(), cfg) == \
+        assert integrated_asymmetry(p, BathSpec(), cfg) == \
             pytest.approx((p.kappa_r / p.kappa) * gamma_opt, rel=1e-12)
 
     def test_quadrature_oracle_random_draws(self, rng):
@@ -327,12 +329,11 @@ class TestIntegratedAsymmetry:
             spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid)
             diff = Spectrum(grid, spectra["stokes"].values - spectra["anti_stokes"].values)
             quad = integrated_weight(diff, 0.0, center=0.0)
-            assert quad == pytest.approx(multitone_integrated_asymmetry(p, baths, cfg),
-                                         rel=1e-4)
+            assert quad == pytest.approx(integrated_asymmetry(p, baths, cfg), rel=1e-4)
 
     def test_unbalanced_orderings_coincide(self, rng):
-        # both orderings share one pair of weights; their difference is the
-        # integrated asymmetry even for G+ != G-
+        # both orderings share one pair of weights; their difference is
+        # (kappa_r/kappa) [n_bar (g- - g+) + (n_eff + 1) g- + n_eff g+] even for G+ != G-
         p = random_system(rng)
         baths = random_baths(rng)
         delta = TWO_PI * 5e3
@@ -340,9 +341,10 @@ class TestIntegratedAsymmetry:
             tone_with_gamma_opt(p, 0.5 * p.gamma_m, "red_probe", -(p.omega_m + delta)),
             tone_with_gamma_opt(p, 0.2 * p.gamma_m, "blue_probe", +(p.omega_m + delta)),
         ))
-        w_anti, w_stokes = sideband_weights(p, baths, cfg)
-        assert w_stokes - w_anti == pytest.approx(
-            multitone_integrated_asymmetry(p, baths, cfg), rel=1e-12)
+        gp, gm = cfg.gamma_opt_pair(p)
+        n_bar, n_eff = averaged_occupation(p, baths, cfg), baths.n_eff(p)
+        expected = (p.kappa_r / p.kappa) * (n_bar * (gm - gp) + (n_eff + 1.0) * gm + n_eff * gp)
+        assert integrated_asymmetry(p, baths, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSidebandRatioModel:

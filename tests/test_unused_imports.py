@@ -1,4 +1,5 @@
-"""No module of the package, the scripts or the tests imports a name it does not use.
+"""No module of the package, the scripts, the benchmark or the tests imports a name it
+does not use.
 
 No linter is a dependency, so the check is an `ast` scan: a name bound by an
 import must be read somewhere in the module or be listed in its `__all__`.
@@ -11,7 +12,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 MODULES = sorted([*(REPO / "src" / "sideband_lab").glob("*.py"), *(REPO / "scripts").glob("*.py"),
-                  *(REPO / "tests").glob("*.py")])
+                  *(REPO / "bench").glob("*.py"), *(REPO / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
