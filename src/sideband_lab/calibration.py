@@ -248,10 +248,11 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     it), and both give n_eff_fit. The standard errors of n_r and of each
     sideband's width and amplitude go under "uncertainties". Absent tables
     leave their keys out. Each table is taken to hold the distinct x values
-    its fit needs, which `dataio.read_calibration_tables` checks on files. ``lambda_conv`` must be positive (ConfigError). A
-    floating-point overflow, invalid value or zero division while a table is
-    fitted is DegenerateData, and numpy prints no warning. Every error raised
-    while a table is fitted names it: its message starts with "<table>.csv".
+    its fit needs, which `dataio.read_calibration_tables` checks in a file.
+    ``lambda_conv`` must be positive (ConfigError). A floating-point
+    overflow, invalid value or zero division while a table is fitted is
+    DegenerateData, and numpy prints no warning. Every error raised while a
+    table is fitted names it: its message starts with "<table>.csv".
     """
     _require_positive("lambda_conv", lambda_conv)
     fit: dict = {}
