@@ -739,9 +739,9 @@ class TestTableFuzz:
             "thermometry-minus-one-temperature", "floor-zeros", "floor-negated"])
     def test_a_table_without_a_meaningful_fit_is_refused(self, tmp_path, capsys, columns,
                                                          table, case, error):
-        # each of these tables used to exit 0 with a fit that meant nothing: a
-        # shunt capacitance 3 times the true one, a conversion slope 5.5 times it,
-        # or a negative n_r and amplifier floor
+        # each of these tables fits to a report that means nothing: a shunt
+        # capacitance 3 times the true one, a conversion slope 5.5 times it, or
+        # a negative n_r and amplifier floor
         data, out = tmp_path / "data", tmp_path / "out"
         data.mkdir()
         path = write_table(data, table, *TABLE_CASES[case](*columns[table]))
