@@ -25,7 +25,6 @@ from .fitting import EXACT_ULPS, fit_lorentzian, gauss_newton, median
 from .model import (
     TWO_PI,
     BathSpec,
-    Spectrum,
     SystemParams,
     ToneConfig,
     ToneSpec,
@@ -136,16 +135,15 @@ def output_floor_model(params: SystemParams, lambda_conv: float, offsets, n_r: f
         / lambda_conv + amplifier_floor
 
 
-def fit_output_occupation(spec: Spectrum, params: SystemParams,
+def fit_output_occupation(x: np.ndarray, v: np.ndarray, params: SystemParams,
                           lambda_conv: float) -> OccupationFit:
-    """Fit (n_r, amplifier floor) to a pump-off floor spectrum.
+    """Fit (n_r, amplifier floor) to a pump-off floor ``v`` at offsets ``x`` from the cavity.
 
-    The spectrum should span at least ~3 kappa around the cavity so the dip
-    depth separates from the flat amplifier contribution. DegenerateData if one
-    quantum of n_r moves the model no more than `gauss_newton`'s exact-fit rounding.
+    ``x`` (rad/s) is sorted, and a repeated x is one more observation. It should
+    span at least ~3 kappa so the dip depth separates from the flat amplifier
+    contribution. DegenerateData if one quantum of n_r moves the model no more
+    than `gauss_newton`'s exact-fit rounding.
     """
-    x = spec.freq_offsets
-    v = spec.values
     if x[-1] - x[0] < 3.0 * params.kappa:
         raise ConfigError("spectrum must span at least 3*kappa")
     # the model is linear in n_r: its n_r column is what one quantum adds
@@ -222,13 +220,6 @@ def fit_shunt_capacitance(omega: np.ndarray, s21_mag: np.ndarray,
     return float(abs(p[0]))
 
 
-def _spectrum(table, center: float = 0.0) -> Spectrum:
-    """A (Hz, value) table as a `Spectrum` of rad/s offsets from ``center``, in offset order."""
-    f_hz, value = table
-    order = np.argsort(f_hz, kind="stable")
-    return Spectrum(TWO_PI * f_hz[order] - center, value[order])
-
-
 def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, *,
                         lambda_conv: float) -> dict:
     """Fit the calibration chain to measurement tables in their file units.
@@ -247,8 +238,9 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
     (kappa_r/kappa) gamma_opt of the red/blue probe (a ConfigError without
     it), and both give n_eff_fit. The standard errors of n_r and of each
     sideband's width and amplitude go under "uncertainties". Absent tables
-    leave their keys out. Each table is taken to hold the distinct x values
-    its fit needs, which `dataio.read_calibration_tables` checks in a file.
+    leave their keys out. Each table is sorted by x, stably, before its fit, so
+    rows may come in any order and a repeated x is one more observation; it is
+    taken to hold the distinct x its fit needs, which `read_calibration_tables` checks.
     ``lambda_conv`` must be positive (ConfigError). A floating-point
     overflow, invalid value or zero division while a table is fitted is
     DegenerateData, and numpy prints no warning. Every error raised while a
@@ -278,7 +270,7 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
                                     f"{delta_minus:.4g} at C_out = {c_out * 1e15:.4g} fF")
             fit.update(c_out_fit=c_out, delta_minus=delta_minus, delta_plus=delta_plus)
         elif table == "output_floor":
-            occ = fit_output_occupation(_spectrum((x, y), params.omega_c), params, lambda_conv)
+            occ = fit_output_occupation(TWO_PI * x - params.omega_c, y, params, lambda_conv)
             fit.update(n_r_fit=occ.n_r, n_r_err=occ.n_r_err,
                        amplifier_floor_fit=occ.amplifier_floor)
             uncertainties["n_r"] = occ.n_r_err
@@ -296,15 +288,16 @@ def invert_measurements(params: SystemParams, config: ToneConfig, tables: dict, 
             if probe is None:
                 raise ConfigError(f"{table}.csv needs the {role} tone, "
                                   "which the configuration lacks")
-            peak = fit_lorentzian(_spectrum((x, y)))
+            peak = fit_lorentzian(TWO_PI * x, y)
             fit[key] = peak.amplitude * peak.width / 4.0 / (pref * probe.gamma_opt(params))
             uncertainties[f"{name}_width"] = peak.uncertainty("width")
             uncertainties[f"{name}_amplitude"] = peak.uncertainty("amplitude")
 
     with np.errstate(over="call", invalid="call", divide="call", call=degenerate):
         for table, (x, y) in tables.items():
+            order = np.argsort(x, kind="stable")
             try:
-                fit_table(table, x, y)
+                fit_table(table, x[order], y[order])
             except SidebandLabError as exc:  # named once, its class and exit code kept
                 if not str(exc).startswith(f"{table}.csv"):
                     exc.args = (f"{table}.csv: {exc}",)

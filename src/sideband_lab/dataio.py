@@ -34,7 +34,8 @@ __all__ = [
 #: detected floor; temperature in K vs sideband-to-through power ratio of the
 #: red (plus) or blue (minus) probe, never negative (all zero is a degenerate
 #: conversion, which its fit names); each sideband's offset in Hz vs its
-#: positive value in quanta, as in spectrum CSVs.
+#: positive value in quanta, as in spectrum CSVs. Rows may come in any order,
+#: and a repeated first-column value is one more observation.
 CALIBRATION_TABLES = {
     "linewidth_vs_power": ("# power,gamma_tot_hz", "> 0", 2),
     "s21_db": ("# freq_hz,mag_db", None, 5),

@@ -14,7 +14,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateData, NonConvergence
-from .model import Spectrum
 
 __all__ = ["LorentzianFit", "gauss_newton", "fit_lorentzian", "median"]
 
@@ -129,15 +128,14 @@ def _lorentzian_initial_guess(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([x[peak_idx], width, amp, floor])
 
 
-def fit_lorentzian(spec: Spectrum) -> LorentzianFit:
-    """Four-parameter Lorentzian least squares on a spectrum window.
+def fit_lorentzian(x: np.ndarray, v: np.ndarray) -> LorentzianFit:
+    """Four-parameter Lorentzian least squares on values ``v`` at sorted offsets ``x``.
 
-    Initialized from a peak/half-maximum scan; dips (negative amplitude) are
-    handled. The offsets should hold enough points to pin four parameters:
-    `dataio.CALIBRATION_TABLES` asks 20 distinct ones of a sideband table.
+    A repeated x is one more observation. Initialized from a peak/half-maximum
+    scan; dips (negative amplitude) are handled. The offsets should hold enough
+    points to pin four parameters: `dataio.CALIBRATION_TABLES` asks 20 distinct
+    ones of a sideband table.
     """
-    x = spec.freq_offsets
-    v = spec.values
     if np.ptp(v) <= 1e-14 * max(np.max(np.abs(v)), 1.0):
         raise DegenerateData("flat spectrum: no peak to fit")
     x0 = _lorentzian_initial_guess(x, v)

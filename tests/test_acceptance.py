@@ -269,7 +269,7 @@ def test_criterion_9_calibration_closure():
     rng = np.random.default_rng(1)
     values = output_floor_model(params, lam, x, 0.34, 11.0) \
         + 0.01 * device_level * rng.standard_normal(x.size)
-    fit = fit_output_occupation(Spectrum(x, values), params, lam)
+    fit = fit_output_occupation(x, values, params, lam)
     assert fit.n_r == pytest.approx(0.34, rel=0.03)
     print(f"\nACCEPTANCE 9 PASS: g0 exact-noise err {clean['g0_rel_err']:.2e}, "
           f"worst 1%-noise err {max(errs):.3f}, n_r = {fit.n_r:.4f}")

@@ -21,7 +21,7 @@ from sideband_lab.calibration import (
 )
 from sideband_lab.dataio import read_calibration_tables
 from sideband_lab.errors import ConfigError, DegenerateData, UnbalancedError, ValidityError
-from sideband_lab.model import TWO_PI, BathSpec, Spectrum, ToneConfig, ToneSpec, bose_occupation
+from sideband_lab.model import TWO_PI, BathSpec, ToneConfig, ToneSpec, bose_occupation
 from sideband_lab.multitone import sideband_weights
 from sideband_lab.presets import preset
 
@@ -213,7 +213,7 @@ class TestOutputOccupationFit:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             noisy = clean + 0.01 * device_level * rng.standard_normal(x.size)
-            fit = fit_output_occupation(Spectrum(x, noisy), p, lam)
+            fit = fit_output_occupation(x, noisy, p, lam)
             errs.append(abs(fit.n_r - 0.34) / 0.34)
         assert max(errs) < 0.03
 
@@ -222,7 +222,7 @@ class TestOutputOccupationFit:
         x = self.grid(p)
         clean = output_floor_model(p, 0.27, x, 0.0, 11.0)
         assert np.ptp(clean) == pytest.approx(0.0, abs=1e-12)
-        fit = fit_output_occupation(Spectrum(x, clean), p, 0.27)
+        fit = fit_output_occupation(x, clean, p, 0.27)
         assert fit.n_r == pytest.approx(0.0, abs=1e-9)
 
     def test_fully_overcoupled_no_dip(self):

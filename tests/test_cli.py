@@ -45,6 +45,15 @@ def wrong_side_probe(tmp_path):
     return str(path)
 
 
+def red_probe_alone(tmp_path):
+    """`oracle-demo`'s red probe alone, saved as a config file."""
+    d = config_to_dict(*preset("oracle-demo"))
+    d["tones"] = [tone for tone in d["tones"] if tone["role"] == "red_probe"]
+    path = tmp_path / "red-alone.json"
+    path.write_text(json.dumps(d))
+    return str(path)
+
+
 def tripled_probe_pair(tmp_path):
     """`oracle-demo` saved as a config file with both probe detunings tripled
     (delta = 20.0 MHz against kappa/4 = 21 kHz)."""
@@ -694,16 +703,25 @@ class TestTableFuzz:
     """Each calibration table of a synthetic main-text run, alone in its directory and
     broken in one of `TABLE_CASES`, through `calibrate --data`: a strict-JSON report, or
     exit 2 or 3 with the error and the table named on the last stderr line; never a
-    traceback or a warning."""
+    traceback or a warning. On a noisy run, every table takes its rows in any order and
+    a repeated x as one more observation."""
 
-    @pytest.fixture(scope="class")
-    def columns(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("synthetic")
+    @staticmethod
+    def synthetic_columns(out, noise):
+        """Each table's (x, y) cells from `calibrate --synthetic --seed 1` at ``noise``."""
         assert main(["calibrate", "--preset", "main-text", "--synthetic", "--seed", "1",
-                     "--out", str(out)]) == 0
+                     "--noise", noise, "--out", str(out)]) == 0
         return {name: tuple([repr(float(v)) for v in column]
                             for column in read_xy_csv(out / f"{name}.csv"))
                 for name in CALIBRATION_TABLES}
+
+    @pytest.fixture(scope="class")
+    def columns(self, tmp_path_factory):
+        return self.synthetic_columns(tmp_path_factory.mktemp("synthetic"), "0")
+
+    @pytest.fixture(scope="class")
+    def noisy_columns(self, tmp_path_factory):
+        return self.synthetic_columns(tmp_path_factory.mktemp("noisy"), "0.01")
 
     @pytest.mark.parametrize("case", TABLE_CASES)
     @pytest.mark.parametrize("table", CALIBRATION_TABLES)
@@ -752,6 +770,33 @@ class TestTableFuzz:
         assert capsys.readouterr().err == error.format(path=path,
                                                        negated_first=negated_first) + "\n"
         assert not out.exists()
+
+    @staticmethod
+    def report(directory, table, x, y):
+        """The report of `calibrate --data` on ``table`` alone, with the cells ``x`` and ``y``,
+        without the input hashes that name its file's bytes."""
+        data, out = directory / "data", directory / "out"
+        data.mkdir(parents=True)
+        write_table(data, table, x, y)
+        assert main(["calibrate", "--preset", "main-text", "--data", str(data),
+                     "--out", str(out)]) == 0
+        report = strict_json((out / "calibration_report.json").read_text())
+        del report["inputs"], report["config_hash"]
+        return report
+
+    @pytest.mark.parametrize("table", CALIBRATION_TABLES)
+    def test_a_repeated_x_is_one_more_observation(self, tmp_path, noisy_columns, table):
+        x, y = noisy_columns[table]
+        x = [*x[:5], x[4], *x[6:]]  # row 6 at row 5's x
+        assert len(set(x)) == len(y) - 1
+        assert self.report(tmp_path, table, x, y)
+
+    @pytest.mark.parametrize("table", CALIBRATION_TABLES)
+    def test_reversed_rows_give_the_same_report(self, tmp_path, noisy_columns, table):
+        # the fits sum in row order, so the rows must reach them sorted
+        x, y = noisy_columns[table]
+        in_order = self.report(tmp_path / "in-order", table, x, y)
+        assert self.report(tmp_path / "reversed", table, x[::-1], y[::-1]) == in_order
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -993,6 +1038,37 @@ def test_unwritable_out_is_named_error(tmp_path, capsys):
     rc = main(["spectrum", "--preset", "si-figure", "--out", str(blocker / "sub")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("NotADirectoryError: ")
+
+
+@pytest.mark.parametrize("case", ["spectrum-sign-without-its-probe",
+                                  "asymmetry-without-a-probe-pair", "one-column-row",
+                                  "no-known-table"])
+def test_a_refusal_writes_nothing(tmp_path, capsys, case):
+    data, out = tmp_path / "data", tmp_path / "out"
+    data.mkdir()
+    table, red_alone = data / "linewidth_vs_power.csv", red_probe_alone(tmp_path)
+    calibrate = ["calibrate", "--preset", "main-text", "--data", str(data), "--out", str(out)]
+    argv, error = {
+        "spectrum-sign-without-its-probe": (
+            ["spectrum", "--config", red_alone, "--mode", "single",
+             "--sign", "blue", "--out", str(out)], "config has no blue_probe tone"),
+        "asymmetry-without-a-probe-pair": (["asymmetry", "--config", red_alone],
+                                           "asymmetry needs a red_probe + blue_probe pair"),
+        "one-column-row": (calibrate, f"{table}:3: expected at least two columns, got '10000.0'"),
+        "no-known-table": (calibrate, f"no recognized calibration files in {data} (expected one "
+                           "of linewidth_vs_power.csv, s21_db.csv, output_floor.csv, "
+                           "thermometry_plus.csv, thermometry_minus.csv, "
+                           "sideband_anti_stokes.csv, sideband_stokes.csv)"),
+    }[case]
+    if case == "one-column-row":
+        table.write_text("# power,gamma_tot_hz\n1000.0,12.5\n10000.0\n100000.0,260.0\n")
+    elif case == "no-known-table":  # a table under a name that is not in CALIBRATION_TABLES
+        (data / "linewidth.csv").write_text("# power,gamma_tot_hz\n1000.0,12.5\n")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"ConfigError: {error}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 class TestOracleCompareCommand:

@@ -4,7 +4,6 @@ import pytest
 from sideband_lab.dataio import read_calibration_tables, write_calibration_tables
 from sideband_lab.errors import DegenerateData
 from sideband_lab.fitting import EXACT_ULPS, fit_lorentzian, gauss_newton, median
-from sideband_lab.model import Spectrum
 
 
 def lorentzian(x, center, width, amplitude, floor):
@@ -74,11 +73,11 @@ class TestGaussNewton:
         # residue of s^2; 1e-13 relative noise is far above rounding, and is reported
         x = np.linspace(-10, 10, 401)
         clean = lorentzian(x, 0.7, 2.3, 4.1, 0.9)
-        exact = fit_lorentzian(Spectrum(x, clean))
+        exact = fit_lorentzian(x, clean)
         assert exact.residual_norm <= EXACT_ULPS * np.finfo(float).eps * np.linalg.norm(clean)
         assert exact.covariance.shape == (4, 4) and not exact.covariance.any()
         noisy = clean * (1.0 + 1e-13 * np.random.default_rng(3).standard_normal(x.size))
-        fit = fit_lorentzian(Spectrum(x, noisy))
+        fit = fit_lorentzian(x, noisy)
         assert fit.residual_norm > EXACT_ULPS * np.finfo(float).eps * np.linalg.norm(noisy)
         for name in ("center", "width", "amplitude", "floor"):
             assert fit.uncertainty(name) > 0.0
@@ -87,8 +86,7 @@ class TestGaussNewton:
 class TestFitLorentzian:
     def test_exact_recovery(self):
         x = np.linspace(-10, 10, 401)
-        spec = Spectrum(x, lorentzian(x, 0.7, 2.3, 4.1, 0.9))
-        fit = fit_lorentzian(spec)
+        fit = fit_lorentzian(x, lorentzian(x, 0.7, 2.3, 4.1, 0.9))
         assert fit.center == pytest.approx(0.7, abs=1e-8)
         assert fit.width == pytest.approx(2.3, rel=1e-8)
         assert fit.amplitude == pytest.approx(4.1, rel=1e-8)
@@ -97,8 +95,7 @@ class TestFitLorentzian:
 
     def test_dip_recovery(self):
         x = np.linspace(-10, 10, 401)
-        spec = Spectrum(x, lorentzian(x, -1.2, 3.0, -2.5, 5.0))
-        fit = fit_lorentzian(spec)
+        fit = fit_lorentzian(x, lorentzian(x, -1.2, 3.0, -2.5, 5.0))
         assert fit.amplitude == pytest.approx(-2.5, rel=1e-8)
         assert fit.center == pytest.approx(-1.2, abs=1e-8)
 
@@ -110,7 +107,7 @@ class TestFitLorentzian:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             noisy = clean + 0.01 * clean * rng.standard_normal(x.size)
-            fit = fit_lorentzian(Spectrum(x, noisy))
+            fit = fit_lorentzian(x, noisy)
             widths.append(fit.width)
         widths = np.asarray(widths)
         assert np.std(widths) / 2.0 < 0.03
@@ -119,7 +116,7 @@ class TestFitLorentzian:
     def test_flat_input_degenerate(self):
         x = np.linspace(-5, 5, 50)
         with pytest.raises(DegenerateData):
-            fit_lorentzian(Spectrum(x, np.full_like(x, 3.3)))
+            fit_lorentzian(x, np.full_like(x, 3.3))
 
     def test_too_few_points(self, tmp_path):
         # a sideband table must hold the 20 distinct offsets its fit needs
@@ -135,6 +132,6 @@ class TestFitLorentzian:
         clean = lorentzian(x, 0.0, 2.0, 3.0, 1.0)
         rng = np.random.default_rng(0)
         noise = rng.standard_normal(x.size)
-        small = fit_lorentzian(Spectrum(x, clean + 0.005 * noise))
-        large = fit_lorentzian(Spectrum(x, clean + 0.05 * noise))
+        small = fit_lorentzian(x, clean + 0.005 * noise)
+        large = fit_lorentzian(x, clean + 0.05 * noise)
         assert large.uncertainty("width") > 5 * small.uncertainty("width")

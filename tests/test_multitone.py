@@ -269,7 +269,7 @@ class TestMultitoneSpectra:
         gamma_tot = cfg.gamma_tot(p)
         grid = np.linspace(-20, 20, 2001) * gamma_tot
         spectra = multitone_spectra(p, baths, cfg, "symmetrized", grid)
-        fit = fit_lorentzian(Spectrum(grid, spectra["stokes"].values))
+        fit = fit_lorentzian(grid, spectra["stokes"].values)
         assert fit.width == pytest.approx(gamma_tot, rel=1e-2)
         assert fit.center == pytest.approx(0.0, abs=1e-3 * gamma_tot)
 

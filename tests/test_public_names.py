@@ -1,4 +1,5 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and every
+private module-level function and class has one in the package.
 
 No linter is a dependency, so the check is an `ast` scan, as in
 `test_unused_imports.py`. A public name is a module-level function or class
@@ -11,9 +12,11 @@ name only in its defining module or in a file that imports it from there
 (directly, or through a module that re-exports it, such as the package
 `__init__`), so a local variable that shares a public name reads nothing. A
 name that only tests read belongs in `TEST_CARRIED`, with the test that
-carries it and why, or it goes. A module exports only names it defines or
-reads itself; the package `__init__` is the one module that exports what it
-imports.
+carries it and why, or it goes. A private name, a module-level function or
+class whose name starts with one "_", must be read in `src/` outside its own
+definition; scripts, benchmarks and tests do not count. A module exports only
+names it defines or reads itself; the package `__init__` is the one module
+that exports what it imports.
 """
 
 import ast
@@ -57,13 +60,18 @@ TEST_CARRIED = {
 }
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
-    """The public names that ``tree`` defines: module.name -> its node, methods as Class.method."""
+    """The public and private names that ``tree`` defines: module.name -> its
+    node, public methods of public classes as Class.method."""
     found = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
             found[node.name] = node
-            if isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef) and not _private(node.name):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         found[f"{node.name}.{item.name}"] = item
@@ -139,24 +147,26 @@ def resolver(trees: dict[str, ast.Module]):
 
 
 def scan(modules: dict[str, str], callers: list[str]) -> tuple[list[str], list[str]]:
-    """(public names no caller reads, exports a module neither defines nor reads).
+    """(names no caller reads, exports a module neither defines nor reads).
 
     ``modules`` maps module names to the sources of the package; ``callers``
-    are the sources of scripts and benchmarks, which only read.
+    are the sources of scripts and benchmarks, which only read, and read no
+    private name.
     """
     trees = {name: ast.parse(source) for name, source in modules.items()}
     origin = resolver(trees)
-    # (module, name) or the attribute name of every read, with the definitions around it
+    # (module, name) or the attribute name of every read, with the definitions
+    # around it and whether the package reads it
     reads = []
     for module, tree in [*trees.items(), *((None, ast.parse(source)) for source in callers)]:
         bound = {local: origin(*source) for local, source in _imports(tree).items()}
         for name, attribute, around in _reads(tree):
             if attribute:
-                reads.append((name, around))
+                reads.append((name, around, module is not None))
             elif name in bound:
-                reads.append((bound[name], around))
+                reads.append((bound[name], around, module is not None))
             elif module is not None:
-                reads.append(((module, name), around))
+                reads.append(((module, name), around, True))
     uncalled, foreign = [], []
     for module, tree in trees.items():
         names = _definitions(tree)
@@ -168,7 +178,9 @@ def scan(modules: dict[str, str], callers: list[str]) -> tuple[list[str], list[s
         for qualified, node in names.items():
             attr = qualified.rsplit(".", 1)[-1]
             targets = {attr} if "." in qualified else {attr, origin(module, attr)}
-            if not any(read in targets and id(node) not in around for read, around in reads):
+            counted = (read for read, around, in_package in reads
+                       if id(node) not in around and (in_package or not _private(attr)))
+            if not any(read in targets for read in counted):
                 uncalled.append(f"{module}.{qualified}")
     return uncalled, foreign
 
@@ -186,15 +198,21 @@ def test_the_scan_finds_an_uncalled_name():
               "class C:\n    def used(self):\n        return self.read\n"
               "    @property\n    def read(self):\n        return 2\n"
               "    def unread(self):\n        pass\n"),
-        "b": "def g():\n    pass\ndef h():\n    pass\n",
-        "c": "def imbalance():\n    pass\n",
+        "b": ("def g():\n    pass\ndef h():\n    return _kept(_Box())\n"
+              "def _kept(box):\n    pass\ndef _dropped():\n    return _dropped()\n"
+              "class _Box:\n    def unread(self):\n        pass\n"),
+        "c": "def imbalance():\n    pass\ndef _bench_only():\n    pass\n",
     }
     callers = ["from sideband_lab.a import K, C\nC().used(K)\n",
-               "def check(w):\n    imbalance = w[1] - w[0]\n    return imbalance\n"]
+               "def check(w):\n    imbalance = w[1] - w[0]\n    return imbalance\n",
+               "from sideband_lab.c import _bench_only\n_bench_only()\n"]
     uncalled, foreign = scan(modules, callers)
-    # f reads only itself, a exports g, which it imports but never reads, and the
-    # caller's imbalance is a local variable, not c's function
-    assert sorted(uncalled) == ["a.C.unread", "a.f", "a.g", "b.g", "c.imbalance"]
+    # f and _dropped read only themselves, a exports g, which it imports but never
+    # reads, the caller's imbalance is a local variable, not c's function, and only
+    # a caller outside the package reads _bench_only; a private class's methods go
+    # unscanned
+    assert sorted(uncalled) == ["a.C.unread", "a.f", "a.g", "b._dropped", "b.g",
+                                "c._bench_only", "c.imbalance"]
     assert foreign == ["a.g"]
 
 
